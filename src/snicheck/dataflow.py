@@ -3,12 +3,15 @@
 Forward problems require f(succ) >= T_n(f(n)) for every edge n -> succ plus
 f(n) >= init at entry nodes; backward problems are the mirror image.  The
 worklist is FIFO with node-order tiebreaking, so solutions are deterministic.
+A node's value is stable when joining its inflow leaves it equal, which for a
+join (an upper bound of both operands) is the same as inflow <= value.
 Additional constraints of shape f(n) <= bound are checked post hoc; if the
 least solution violates one, no solution satisfies it.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable
 
@@ -51,8 +54,8 @@ def solve(prob: FlowProblem) -> dict[Node, Any]:
             deps[u].append(v)
         else:
             deps[v].append(u)
-    for n in deps:
-        deps[n].sort(key=lambda m: order[m])
+    for ms in deps.values():
+        ms.sort(key=order.__getitem__)
 
     sol = {n: lat.bottom for n in prob.nodes}
     for n in prob.init_nodes:
@@ -61,16 +64,16 @@ def solve(prob: FlowProblem) -> dict[Node, Any]:
     height = prob.height_hint if prob.height_hint is not None else max(1, len(prob.nodes))
     cap = max(64, len(prob.nodes) * (height + 1) * 4)
 
-    queue = list(prob.nodes)
+    queue = deque(prob.nodes)
     queued = set(queue)
     ticks = 0
     while queue:
-        n = queue.pop(0)
+        n = queue.popleft()
         queued.discard(n)
         out = prob.transfer(n, sol[n])
         for m in deps[n]:
             joined = lat.join(sol[m], out)
-            if not lat.leq(joined, sol[m]):
+            if joined != sol[m]:
                 ticks += 1
                 if ticks > cap:
                     raise NonMonotoneError(m)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 Reg = str
 Pc = str
@@ -174,6 +175,10 @@ def pc_key(pc: Pc) -> tuple:
 
 @dataclass
 class Program:
+    """A program is never mutated after construction: transformations build a
+    new one.  `pcs()`, `cells()` and `registers` are computed on first use and
+    cached on that assumption; each call returns a fresh list."""
+
     entry: Pc
     instrs: dict[Pc, Instr]
     memvars: list[MemVar] = field(default_factory=list)
@@ -184,19 +189,31 @@ class Program:
                 return v
         return None
 
-    def pcs(self) -> list[Pc]:
-        return sorted(self.instrs, key=pc_key)
+    @cached_property
+    def _sorted_pcs(self) -> tuple[Pc, ...]:
+        return tuple(sorted(self.instrs, key=pc_key))
 
-    def cells(self) -> list[tuple[str, int]]:
-        return [(v.name, off) for v in self.memvars for off in range(v.size)]
+    @cached_property
+    def _cells(self) -> tuple[tuple[str, int], ...]:
+        return tuple((v.name, off) for v in self.memvars for off in range(v.size))
 
-    @property
-    def registers(self) -> list[Reg]:
+    @cached_property
+    def _registers(self) -> tuple[Reg, ...]:
         regs: set[Reg] = set()
         for i in self.instrs.values():
             u, d = uses_defs(i)
             regs |= u | d
-        return sorted(regs)
+        return tuple(sorted(regs))
+
+    def pcs(self) -> list[Pc]:
+        return list(self._sorted_pcs)
+
+    def cells(self) -> list[tuple[str, int]]:
+        return list(self._cells)
+
+    @property
+    def registers(self) -> list[Reg]:
+        return list(self._registers)
 
     def __eq__(self, other):
         return (

@@ -48,7 +48,6 @@ def cells_fact(p: Program) -> Fact:
 
 
 def transfer(p: Program, i: Instr, fact: Fact, exit_fact: Fact) -> Fact:
-    mems = frozenset(p.cells())
     match i:
         case Exit():
             return exit_fact
@@ -60,7 +59,7 @@ def transfer(p: Program, i: Instr, fact: Fact, exit_fact: Fact) -> Fact:
         case Load(dst=d, var=v, addr=adr):
             if isinstance(adr, int):
                 return (fact - {d}) | {(v, adr)} if d in fact else fact
-            base = (fact - {d}) | mems if d in fact else fact
+            base = (fact - {d}) | frozenset(p.cells()) if d in fact else fact
             return base | {adr}
         case Store(var=v, addr=adr, src=c):
             if isinstance(adr, int):
@@ -102,6 +101,14 @@ def liveness(p: Program, exit_fact: Fact | None = None) -> dict[Pc, Fact]:
 def live_before(p: Program, sol: dict[Pc, Fact], pc: Pc, exit_fact: Fact | None = None) -> Fact:
     ef = full_fact(p) if exit_fact is None else exit_fact
     return transfer(p, p.instrs[pc], sol[pc], ef)
+
+
+def live_regs_before(p: Program, sol: dict[Pc, Fact], exit_fact: Fact) -> dict[Pc, frozenset]:
+    """The registers in `live_before` at every pc."""
+    return {
+        pc: frozenset(r for r in transfer(p, i, sol[pc], exit_fact) if isinstance(r, str))
+        for pc, i in p.instrs.items()
+    }
 
 
 @dataclass

@@ -26,16 +26,22 @@ operand within bounds: address registers at most weakly poisoned, branch
 conditions healthy.  `fix_ra` repairs failures by splicing `slh` (addresses)
 or `sfence` (branches) at the end of the shuffle sequence in front of the
 offending target pc until the witness is typable.
+
+The static solver packs a poison type into one int (two bits per key, so the
+join is bitwise or).  `poison_analysis` is a `RepairSession` with no splices;
+`fix_ra` runs all its rounds in one session, which builds source liveness,
+structure, live relocations and the product graph once, patches them per
+splice and solves the patched graph again.  The input witness is validated
+once, since a splice keeps it as valid as it was.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import dataflow
 from .ir import (
     Asgn,
-    Exit,
     Fill,
     If,
     Instr,
@@ -53,7 +59,15 @@ from .ir import (
     pc_key,
 )
 from .liveness import cells_fact, liveness
-from .regalloc import RAWitness, Structure, analyze_structure, is_slot, rho_live, validate_ra
+from .regalloc import (
+    RAWitness,
+    Structure,
+    analyze_structure,
+    is_slot,
+    rho_live,
+    source_live_regs,
+    validate_ra,
+)
 from .semantics import (
     DEFAULT_WIDTH,
     D_IF,
@@ -72,22 +86,16 @@ from .semantics import (
 BOT, H, W, P = 0, 1, 2, 3
 PV_NAMES = {BOT: "_", H: "H", W: "W", P: "P"}
 
-_LEQ = {
-    (BOT, BOT), (BOT, H), (BOT, W), (BOT, P),
-    (H, H), (H, P), (W, W), (W, P), (P, P),
-}
+# as bit sets (H = 0b01, W = 0b10, P = 0b11) the order is inclusion: H and W
+# are incomparable, and the least upper bound is bitwise or
 
 
 def pv_leq(a: int, b: int) -> bool:
-    return (a, b) in _LEQ
+    return a | b == b
 
 
 def pv_join(a: int, b: int) -> int:
-    if pv_leq(a, b):
-        return b
-    if pv_leq(b, a):
-        return a
-    return P
+    return a | b
 
 
 Key = "Reg | tuple[str, int]"
@@ -109,7 +117,7 @@ def pt_leq(a: PoisonType, b: PoisonType) -> bool:
 
 
 def pt_join(a: PoisonType, b: PoisonType) -> PoisonType:
-    return {k: pv_join(a[k], b[k]) for k in a}
+    return {k: v | b[k] for k, v in a.items()}
 
 
 @dataclass
@@ -140,10 +148,11 @@ class Product:
         self.w = w
         self.width = width
         self.sol = liveness(w.source, cells_fact(w.source))
+        self.live = source_live_regs(w, self.sol)
         self.st: Structure = analyze_structure(w)
         if self.st.errors:
             raise ValueError(f"witness structure invalid: {self.st.errors[0]}")
-        self.rho = rho_live(w, self.st, self.sol)
+        self.rho = rho_live(w, self.st, self.sol, self.live)
         self.domain = poison_domain(w)
 
     # -- state plumbing ---------------------------------------------------
@@ -472,10 +481,11 @@ class StaticPoison:
 
 
 def prod_pcs(w: RAWitness, st: Structure) -> tuple[list, list]:
-    nodes: list[tuple[Pc, Pc]] = []
-    edges: list[tuple] = []
+    # dicts as insertion-ordered sets: O(1) membership, first-seen order
+    nodes: dict[tuple[Pc, Pc], None] = {}
+    edges: dict[tuple, None] = {}
     for s_pc in w.source.pcs():
-        nodes.append((s_pc, w.phi[s_pc]))
+        nodes[(s_pc, w.phi[s_pc])] = None
     for s_pc in w.source.pcs():
         t_pc = w.phi[s_pc]
         for idx, s_next in enumerate(w.source.instrs[s_pc].successors()):
@@ -483,94 +493,110 @@ def prod_pcs(w: RAWitness, st: Structure) -> tuple[list, list]:
             path = [(s_next, c) for c in chain] + [(s_next, w.phi[s_next])]
             prev = (s_pc, t_pc)
             for node in path:
-                if node not in nodes:
-                    nodes.append(node)
-                if (prev, node) not in edges:
-                    edges.append((prev, node))
+                nodes[node] = None
+                edges[(prev, node)] = None
                 prev = node
-    return nodes, edges
+    return list(nodes), list(edges)
 
 
-def _transfer_matched(w: RAWitness, domain, i: Instr, pt: PoisonType) -> PoisonType:
-    match i:
-        case Asgn(dst=d, lhs=a, rhs=b):
-            out = dict(pt)
-            out[d] = H if (pt[a] == H and pt[b] == H) else P
-            return out
-        case Load(dst=d, var=x, addr=adr):
-            out = dict(pt)
-            out[d] = pt[(x, adr)] if isinstance(adr, int) else P
-            return out
-        case Store(var=x, addr=adr, src=c):
-            if isinstance(adr, int):
-                out = dict(pt)
-                out[(x, adr)] = pt[c]
-                return out
-            out = {}
-            for k in domain:
-                if isinstance(k, str) or k[0] == x:
-                    out[k] = P
-                else:
-                    out[k] = pv_join(pt[k], pt[c])
-            return out
-        case If(cond=c):
-            return dict(pt) if pt[c] == H else pt_const(domain, P)
-        case Sfence():
-            return pt_const(domain, H)
-        case Slh(reg=r):
-            out = dict(pt)
-            out[r] = H
-            return out
-        case Move(dst=d, src=s):
-            out = dict(pt)
-            out[d] = pt[s]
-            return out
-    return dict(pt)
+class _Packing:
+    """Static poison types packed into one int, two bits per domain key in
+    domain order.  BOT, H, W and P are 0b00, 0b01, 0b10 and 0b11, so the
+    join is bitwise or, bottom is 0, and comparing two types is one int
+    comparison.  Transfers are compiled once per product node."""
+
+    def __init__(self, domain):
+        self.shift = {k: 2 * i for i, k in enumerate(domain)}
+        ones = sum(1 << s for s in self.shift.values())  # 0b01 at every key
+        self.all_h, self.all_p = ones * H, ones * P
+
+    def get(self, x: int, k) -> int:
+        return (x >> self.shift[k]) & 3
+
+    def unpack(self, x: int) -> PoisonType:
+        return {k: (x >> s) & 3 for k, s in self.shift.items()}
+
+    def _copy(self, dst, src):
+        sd, ss = self.shift[dst], self.shift[src]
+        keep = ~(3 << sd)
+        return lambda x: (x & keep) | (((x >> ss) & 3) << sd)
+
+    def _put(self, dst, pv: int):
+        sd = self.shift[dst]
+        keep, val = ~(3 << sd), pv << sd
+        return lambda x: (x & keep) | val
+
+    def matched(self, i: Instr):
+        """Transfer of a matched pair running source instruction `i`."""
+        sh, all_h, all_p = self.shift, self.all_h, self.all_p
+        match i:
+            case Asgn(dst=d, lhs=a, rhs=b):
+                sa, sb, sd = sh[a], sh[b], sh[d]
+                keep = ~(3 << sd)
+                return lambda x: (x & keep) | ((H if (x >> sa) & 3 == H and (x >> sb) & 3 == H else P) << sd)
+            case Load(dst=d, var=v, addr=int(adr)):
+                return self._copy(d, (v, adr))
+            case Load(dst=d):
+                return self._put(d, P)
+            case Store(var=v, addr=int(adr), src=c):
+                return self._copy((v, adr), c)
+            case Store(var=v, src=c):
+                # registers and v's cells become P; other cells join c's type
+                hit = [isinstance(k, str) or k[0] == v for k in sh]
+                poisoned = sum(P << s for s, h in zip(sh.values(), hit) if h)
+                others = sum(1 << s for s, h in zip(sh.values(), hit) if not h)
+                sc = sh[c]
+                return lambda x: x | poisoned | ((x >> sc) & 3) * others
+            case If(cond=c):
+                sc = sh[c]
+                return lambda x: x if (x >> sc) & 3 == H else all_p
+            case Sfence():
+                return lambda x: all_h
+            case Slh(reg=r):
+                return self._put(r, H)
+            case Move(dst=d, src=src):
+                return self._copy(d, src)
+        return lambda x: x
+
+    def shuffle(self, i: Instr, rho_at: dict):
+        """Transfer of a shuffle pc holding `i`, with live relocation `rho_at`."""
+        match i:
+            case Sfence():
+                all_h = self.all_h
+                return lambda x: all_h
+            case Slh(reg=a):
+                owner = sorted(r for r, loc in rho_at.items() if loc == a)
+                if owner:
+                    return self._put(owner[0], W)
+        return lambda x: x
+
+    def node(self, node, source: Program, target_instrs: dict, phi: dict, rho: dict):
+        s_pc, t_pc = node
+        if phi.get(s_pc) == t_pc:
+            return self.matched(source.instrs[s_pc])
+        return self.shuffle(target_instrs[t_pc], rho.get(t_pc, {}))
 
 
-def _transfer_shuffle(w: RAWitness, domain, rho: dict, t_pc: Pc, i: Instr, pt: PoisonType) -> PoisonType:
-    match i:
-        case Sfence():
-            return pt_const(domain, H)
-        case Slh(reg=a):
-            owner = sorted(r for r, loc in rho.get(t_pc, {}).items() if loc == a)
-            if not owner:
-                return dict(pt)
-            out = dict(pt)
-            out[owner[0]] = W
-            return out
-    return dict(pt)
+def _solve_packed(nodes, edges, fns: dict, pk: _Packing, init_node) -> dict:
+    """Least solution over packed poison types, healthy at `init_node`;
+    bottom stays bottom."""
+    return dataflow.solve(
+        dataflow.FlowProblem(
+            nodes=nodes,
+            edges=edges,
+            direction="forward",
+            transfer=lambda n, x: fns[n](x) if x else 0,
+            init=pk.all_h,
+            init_nodes=[init_node],
+            lattice=dataflow.Lattice(0, int.__or__, lambda a, b: a | b == b),
+            height_hint=3 * max(1, len(pk.shift)),
+        )
+    )
 
 
 def poison_analysis(w: RAWitness, width: int = DEFAULT_WIDTH) -> StaticPoison:
     """Least forward solution over the product program points, healthy at entry."""
-    prod = Product(w, width)
-    st = prod.st
-    nodes, edges = prod_pcs(w, st)
-    domain = prod.domain
-    bottom = pt_const(domain, BOT)
-
-    def transfer(node, pt):
-        if pt == bottom:
-            return bottom
-        s_pc, t_pc = node
-        if w.phi.get(s_pc) == t_pc:
-            return _transfer_matched(w, domain, w.source.instrs[s_pc], pt)
-        return _transfer_shuffle(w, domain, prod.rho, t_pc, w.target.instrs[t_pc], pt)
-
-    lat = dataflow.Lattice(bottom, pt_join, pt_leq)
-    prob = dataflow.FlowProblem(
-        nodes=nodes,
-        edges=edges,
-        direction="forward",
-        transfer=transfer,
-        init=pt_const(domain, H),
-        init_nodes=[(w.source.entry, w.target.entry)],
-        lattice=lat,
-        height_hint=3 * max(1, len(domain)),
-    )
-    sol = dataflow.solve(prob)
-    return StaticPoison(sol, nodes, edges, domain)
+    return RepairSession(w).static_poison()
 
 
 @dataclass(frozen=True)
@@ -585,22 +611,30 @@ class TypabilityViolation:
         need = "at most W" if self.kind == "address" else "H"
         return f"({self.src_pc},{self.tgt_pc}): {self.kind} register {self.reg} is {PV_NAMES[self.value]}, needs {need}"
 
+    @property
+    def key(self) -> tuple:
+        return (self.src_pc, self.tgt_pc, self.reg, self.kind)
+
+
+def _violations(w: RAWitness, pv) -> list[TypabilityViolation]:
+    """Leakage guards at the matched nodes, where `pv(node, k)` is the poison
+    value of key k at a node."""
+    out = []
+    for s_pc in w.source.pcs():
+        node = (s_pc, w.phi[s_pc])
+        match w.source.instrs[s_pc]:
+            case Load(addr=str(b)) | Store(addr=str(b)):
+                if pv(node, b) == P:
+                    out.append(TypabilityViolation(*node, b, "address", P))
+            case If(cond=c):
+                if pv(node, c) in (W, P):
+                    out.append(TypabilityViolation(*node, c, "branch", pv(node, c)))
+    return sorted(out, key=lambda v: (v.tgt_pc, v.reg))
+
 
 def check_poison_typable(w: RAWitness, sp: StaticPoison) -> list[TypabilityViolation]:
     """Leakage guards on the static solution: addresses <= W, branches = H."""
-    out = []
-    for s_pc in w.source.pcs():
-        t_pc = w.phi[s_pc]
-        pt = sp.assignment[(s_pc, t_pc)]
-        i = w.source.instrs[s_pc]
-        match i:
-            case Load(addr=str(b)) | Store(addr=str(b)):
-                if pt[b] == P:
-                    out.append(TypabilityViolation(s_pc, t_pc, b, "address", pt[b]))
-            case If(cond=c):
-                if pt[c] in (W, P):
-                    out.append(TypabilityViolation(s_pc, t_pc, c, "branch", pt[c]))
-    return sorted(out, key=lambda v: (v.tgt_pc, v.reg))
+    return _violations(w, lambda node, k: sp.assignment[node][k])
 
 
 @dataclass
@@ -617,6 +651,106 @@ class FixReport:
     iterations: int = 0
 
 
+class RepairSession:
+    """The static poison analysis of one witness, kept current while
+    `fix_ra` splices fences into its target.
+
+    Source liveness, the structure and the live relocations come from one
+    `Product` and are patched per splice instead of rebuilt.  Splicing a
+    fresh pc f in front of the matched target pc t = phi(S) changes each of
+    them in one place: f is a shuffle pc owned by S, every chain into S now
+    ends with f, f relocates exactly like t, and every product edge into
+    (S, t) now enters (S, f), which flows into (S, t).  The whole product
+    graph is then solved again.  A fence lowers the values downstream of
+    (S, f), so the old solution is no starting point, and on random programs
+    nearly every node is downstream of the first violation.
+    """
+
+    def __init__(self, w: RAWitness):
+        prod = Product(w)
+        self.w, self.sol, self.live, self.domain = w, prod.sol, prod.live, prod.domain
+        self.st, self.rho_live = prod.st, prod.rho  # patched per splice
+        self.instrs = dict(w.target.instrs)
+        self.rho = {pc: dict(m) for pc, m in w.rho.items()}
+        # source edges (s, idx) into each source pc: the chains a splice extends
+        self.chains_into: dict[Pc, list[tuple[Pc, int]]] = {pc: [] for pc in w.source.instrs}
+        for s_pc, i in w.source.instrs.items():
+            for idx, s_next in enumerate(i.successors()):
+                self.chains_into[s_next].append((s_pc, idx))
+        self.tgt_preds: dict[Pc, list[Pc]] = {pc: [] for pc in self.instrs}
+        for pc, i in self.instrs.items():
+            for s in dict.fromkeys(i.successors()):
+                self.tgt_preds[s].append(pc)
+        self.pk = _Packing(self.domain)
+        self.nodes, self.edges = prod_pcs(w, self.st)
+        self.fns = {n: self.pk.node(n, w.source, self.instrs, w.phi, self.rho_live) for n in self.nodes}
+        self.insertions: list[FixInsertion] = []
+        self._counter = 0
+        self._prev_key = None
+        self._solve()
+
+    def static_poison(self) -> StaticPoison:
+        """`poison_analysis(self.witness())`."""
+        assignment = {n: self.pk.unpack(x) for n, x in self.values.items()}
+        return StaticPoison(assignment, self.nodes, self.edges, self.domain)
+
+    def witness(self) -> RAWitness:
+        """The current witness: the input one until the first splice."""
+        if not self.insertions:
+            return self.w
+        t = self.w.target
+        target = Program(t.entry, dict(self.instrs), list(t.memvars))
+        return RAWitness(self.w.source, target, dict(self.w.phi), {pc: dict(m) for pc, m in self.rho.items()})
+
+    def repair_one(self) -> FixInsertion | None:
+        """Splice one fence for the first violation; None when typable."""
+        if not self.violations:
+            return None
+        v = self.violations[0]
+        # an slh does not discharge a constraint whose node also joins healthy
+        # inflow (H and W join to P); escalate to a fence in that case
+        escalate = self._prev_key in {x.key for x in self.violations}
+        if escalate:
+            v = next(x for x in self.violations if x.key == self._prev_key)
+        self._prev_key = v.key
+        while f"fx{self._counter}" in self.instrs:
+            self._counter += 1
+        fresh = f"fx{self._counter}"
+        if v.kind == "branch" or escalate:
+            new_instr, kind = Sfence(v.tgt_pc), "sfence"
+        else:
+            hw = self.rho[v.tgt_pc][v.reg]
+            if is_slot(hw):
+                raise RuntimeError(f"cannot slh a stack-resident address register {v.reg}")
+            new_instr, kind = Slh(hw, v.tgt_pc), "slh"
+        self._splice(fresh, new_instr, v.src_pc, v.tgt_pc)
+        ins = FixInsertion(fresh, kind, v.tgt_pc, v)
+        self.insertions.append(ins)
+        return ins
+
+    def _splice(self, fresh: Pc, new_instr: Instr, s_pc: Pc, t_pc: Pc):
+        for pc in self.tgt_preds[t_pc]:
+            self.instrs[pc] = _redirect(self.instrs[pc], t_pc, fresh)
+        self.instrs[fresh] = new_instr
+        self.tgt_preds[fresh], self.tgt_preds[t_pc] = self.tgt_preds[t_pc], [fresh]
+        self.rho[fresh] = dict(self.rho.get(t_pc, {}))
+        self.rho_live[fresh] = dict(self.rho_live[t_pc])
+        self.st.owner[fresh] = s_pc
+        for edge in self.chains_into[s_pc]:
+            self.st.chains[edge].append(fresh)
+        # product graph: edges into (S, t) now enter (S, f), which flows into (S, t)
+        old, new = (s_pc, t_pc), (s_pc, fresh)
+        self.nodes = self.nodes + [new]
+        self.edges = [(u, new if v == old else v) for u, v in self.edges] + [(new, old)]
+        self.fns[new] = self.pk.shuffle(new_instr, self.rho_live[fresh])
+        self._solve()
+
+    def _solve(self):
+        w, get = self.w, self.pk.get
+        self.values = _solve_packed(self.nodes, self.edges, self.fns, self.pk, (w.source.entry, w.target.entry))
+        self.violations = _violations(w, lambda node, k: get(self.values[node], k))
+
+
 def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixReport]:
     """Insert fences until poison-typable.
 
@@ -624,81 +758,33 @@ def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixRepo
     the relocated register when weak poison suffices (addresses), `sfence`
     when health is required (branches).  The new pc is spliced in front of the
     violating target pc, inheriting its relocation.
+
+    The rounds share one `RepairSession`, which patches the analysis per
+    splice instead of rerunning `poison_analysis`.  A splice keeps a witness
+    valid or invalid as it was (the new pc relocates like the pc it precedes,
+    `sfence` moves nothing and `slh` keeps its register in place), so
+    `validate_ra` runs once, on the input, and only when a fence is needed.
+    `width` is accepted for symmetry with `poison_analysis`; the static
+    analysis does not depend on it.
     """
-    report = FixReport()
-    cur = w
-    cap = 2 * len(w.target.instrs) * max(1, len(w.source.registers)) + 1
-    counter = 0
-    prev_key = None
-    for it in range(cap):
-        sp = poison_analysis(cur, width)
-        violations = check_poison_typable(cur, sp)
-        report.iterations = it
-        if not violations:
-            return cur, report
-        v = violations[0]
-        keys = {(x.src_pc, x.tgt_pc, x.reg, x.kind) for x in violations}
-        # an slh does not discharge a constraint whose node also joins healthy
-        # inflow (H and W join to P); escalate to a fence in that case
-        escalate = prev_key in keys
-        if escalate:
-            v = next(x for x in violations if (x.src_pc, x.tgt_pc, x.reg, x.kind) == prev_key)
-        prev_key = (v.src_pc, v.tgt_pc, v.reg, v.kind)
-        while f"fx{counter}" in cur.target.instrs:
-            counter += 1
-        fresh = f"fx{counter}"
-        if v.kind == "branch" or escalate:
-            new_instr = Sfence(v.tgt_pc)
-            kind = "sfence"
-        else:
-            hw = cur.rho[v.tgt_pc][v.reg]
-            if is_slot(hw):
-                raise RuntimeError(f"cannot slh a stack-resident address register {v.reg}")
-            new_instr = Slh(hw, v.tgt_pc)
-            kind = "slh"
-        instrs = {}
-        for pc, i in cur.target.instrs.items():
-            instrs[pc] = _redirect(i, v.tgt_pc, fresh)
-        instrs[fresh] = new_instr
-        rho = {pc: dict(m) for pc, m in cur.rho.items()}
-        rho[fresh] = dict(cur.rho.get(v.tgt_pc, {}))
-        target = Program(cur.target.entry, instrs, list(cur.target.memvars))
-        cur = RAWitness(cur.source, target, dict(cur.phi), rho)
-        report.insertions.append(FixInsertion(fresh, kind, v.tgt_pc, v))
-        bad = validate_ra(cur)
+    session = RepairSession(w)
+    if session.violations:
+        bad = validate_ra(w, session.sol, session.live)
         if bad:
             raise RuntimeError(f"fix produced an invalid witness: {bad[0]}")
+    report = FixReport(session.insertions)
+    cap = 2 * len(w.target.instrs) * max(1, len(w.source.registers)) + 1
+    for it in range(cap):
+        report.iterations = it
+        if session.repair_one() is None:
+            return session.witness(), report
     raise RuntimeError(f"fix iteration cap {cap} exceeded; witness still not typable")
 
 
 def _redirect(i: Instr, old: Pc, new: Pc) -> Instr:
-    def r(pc):
-        return new if pc == old else pc
-
-    match i:
-        case Exit():
-            return i
-        case Nop(succ=s):
-            return Nop(r(s))
-        case Asgn(dst=d, lhs=a, op=op, rhs=b, succ=s):
-            return Asgn(d, a, op, b, r(s))
-        case Load(dst=d, var=v, addr=adr, succ=s):
-            return Load(d, v, adr, r(s))
-        case Store(var=v, addr=adr, src=c, succ=s):
-            return Store(v, adr, c, r(s))
-        case If(cond=c, succ_true=t, succ_false=f):
-            return If(c, r(t), r(f))
-        case Sfence(succ=s):
-            return Sfence(r(s))
-        case Slh(reg=x, succ=s):
-            return Slh(x, r(s))
-        case Move(dst=d, src=x, succ=s):
-            return Move(d, x, r(s))
-        case Fill(dst=d, slot=sl, succ=s):
-            return Fill(d, sl, r(s))
-        case Spill(slot=sl, src=x, succ=s):
-            return Spill(sl, x, r(s))
-    raise AssertionError
+    """`i` with every successor `old` replaced by `new`."""
+    moved = {f: new for f in ("succ", "succ_true", "succ_false") if getattr(i, f, None) == old}
+    return replace(i, **moved) if moved else i
 
 
 def format_poison_table(sp: StaticPoison) -> str:

@@ -48,7 +48,7 @@ from .ir import (
     pc_key,
     uses_defs,
 )
-from .liveness import cells_fact, live_before, liveness
+from .liveness import cells_fact, live_regs_before, liveness
 
 Loc = "Reg | tuple[str, int]"  # hardware register or ("stk", slot)
 
@@ -160,21 +160,26 @@ def analyze_structure(w: RAWitness) -> Structure:
     return Structure(matched, owner, chains, errs)
 
 
-def live_regs_at_target(w: RAWitness, st: Structure, sol, t_pc: Pc) -> frozenset[Reg]:
+def source_live_regs(w: RAWitness, sol) -> dict[Pc, frozenset[Reg]]:
+    """Registers live before each source pc, registers dead at exit."""
+    return live_regs_before(w.source, sol, cells_fact(w.source))
+
+
+def live_regs_at_target(st: Structure, live: dict[Pc, frozenset[Reg]], t_pc: Pc) -> frozenset[Reg]:
     """Source registers live at a target pc (live-before its source pc)."""
-    ef = cells_fact(w.source)
-    s_pc = st.matched.get(t_pc, st.owner.get(t_pc))
-    lb = live_before(w.source, sol, s_pc, ef)
-    return frozenset(r for r in lb if isinstance(r, str))
+    return live[st.matched.get(t_pc, st.owner.get(t_pc))]
 
 
-def rho_live(w: RAWitness, st: Structure, sol) -> dict[Pc, dict[Reg, "Loc"]]:
-    """rho restricted to live registers at every target pc."""
+def rho_live(w: RAWitness, st: Structure, sol, live: dict[Pc, frozenset[Reg]] | None = None) -> dict[Pc, dict[Reg, "Loc"]]:
+    """rho restricted to live registers at every target pc.
+
+    `live` is `source_live_regs(w, sol)`, computed here when not given."""
+    if live is None:
+        live = source_live_regs(w, sol)
     out = {}
     for t_pc in w.target.pcs():
-        live = live_regs_at_target(w, st, sol, t_pc)
         m = w.rho.get(t_pc, {})
-        out[t_pc] = {r: m[r] for r in sorted(live) if r in m}
+        out[t_pc] = {r: m[r] for r in sorted(live_regs_at_target(st, live, t_pc)) if r in m}
     return out
 
 
@@ -183,17 +188,24 @@ def _reloc_use(m: dict, r: Reg):
     return loc if isinstance(loc, str) else None
 
 
-def validate_ra(w: RAWitness, sol: dict[Pc, frozenset] | None = None) -> list[RADiagnostic]:
-    """All witness diagnostics; empty iff the three conditions hold."""
+def validate_ra(
+    w: RAWitness, sol: dict[Pc, frozenset] | None = None, live: dict[Pc, frozenset[Reg]] | None = None
+) -> list[RADiagnostic]:
+    """All witness diagnostics; empty iff the three conditions hold.
+
+    `sol` is the source liveness with registers dead at exit and `live` is
+    `source_live_regs(w, sol)`; both are computed here when not given."""
     if sol is None:
         sol = liveness(w.source, cells_fact(w.source))
     st = analyze_structure(w)
     if st.errors:
         return st.errors
+    if live is None:
+        live = source_live_regs(w, sol)
     out: list[RADiagnostic] = []
     src, tgt = w.source, w.target
-    live_at = {t: live_regs_at_target(w, st, sol, t) for t in tgt.pcs()}
-    rl = rho_live(w, st, sol)
+    live_at = {t: live_regs_at_target(st, live, t) for t in tgt.pcs()}
+    rl = rho_live(w, st, sol, live)
 
     # obeying liveness: coverage and injectivity on live registers
     for t_pc in tgt.pcs():
@@ -364,20 +376,19 @@ def _next_use(p: Program) -> dict[Pc, dict[Reg, int]]:
     INF = 1 << 30
     regs = p.registers
     dist = {pc: {r: INF for r in regs} for pc in p.instrs}
+    # distances flow against control flow, so a reverse sweep settles
+    # straight-line code in one pass; the fixpoint does not depend on order
+    steps = [
+        (dist[pc], uses_defs(p.instrs[pc])[0], [dist[s] for s in p.instrs[pc].successors()])
+        for pc in reversed(p.pcs())
+    ]
     for _ in range(len(p.instrs) + 1):
         changed = False
-        for pc in p.pcs():
-            i = p.instrs[pc]
-            u, _ = uses_defs(i)
+        for here, uses, succs in steps:
             for r in regs:
-                if r in u:
-                    d = 0
-                else:
-                    succ = [dist[s][r] for s in i.successors()]
-                    d = min((x + 1 for x in succ), default=INF)
-                    d = min(d, INF)
-                if d < dist[pc][r]:
-                    dist[pc][r] = d
+                d = 0 if r in uses else min(min((s[r] for s in succs), default=INF) + 1, INF)
+                if d < here[r]:
+                    here[r] = d
                     changed = True
         if not changed:
             break
@@ -387,12 +398,21 @@ def _next_use(p: Program) -> dict[Pc, dict[Reg, int]]:
 def _reverse_postorder(p: Program) -> list[Pc]:
     seen, order = set(), []
 
-    def dfs(pc: Pc):
-        seen.add(pc)
-        for s in p.instrs[pc].successors():
-            if s not in seen:
-                dfs(s)
-        order.append(pc)
+    def dfs(root: Pc):
+        # explicit stack of (pc, successor iterator): long programs would
+        # exceed the interpreter's recursion limit
+        seen.add(root)
+        stack = [(root, iter(p.instrs[root].successors()))]
+        while stack:
+            pc, succs = stack[-1]
+            for s in succs:
+                if s not in seen:
+                    seen.add(s)
+                    stack.append((s, iter(p.instrs[s].successors())))
+                    break
+            else:
+                stack.pop()
+                order.append(pc)
 
     dfs(p.entry)
     for pc in p.pcs():  # unreachable code still needs a slot in the order
@@ -412,9 +432,9 @@ def allocate(p: Program, k: int) -> RAWitness:
         raise AllocationInfeasible("need at least 2 hardware registers")
     if p.memvar(STACK_VAR) is not None:
         raise AllocationInfeasible("source already declares stk")
-    sol = liveness(p, cells_fact(p))
     ef = cells_fact(p)
-    lb = {pc: frozenset(r for r in live_before(p, sol, pc, ef) if isinstance(r, str)) for pc in p.instrs}
+    sol = liveness(p, ef)
+    lb = live_regs_before(p, sol, ef)
     la = {pc: frozenset(r for r in sol[pc] if isinstance(r, str)) for pc in p.instrs}
     nxt = _next_use(p)
 

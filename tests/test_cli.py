@@ -230,3 +230,20 @@ def test_check_sim_ra_requires_target_and_witness(capsys):
         "--state", C("code_ra.init"), capsys=capsys,
     )
     assert code == 3
+
+
+def test_runtime_error_exits_3_with_message(monkeypatch, capsys):
+    from snicheck import poison
+
+    def give_up(w, width=8):
+        raise RuntimeError("fix iteration cap 7 exceeded; witness still not typable")
+
+    monkeypatch.setattr(poison, "fix_ra", give_up)
+    code = main([
+        "fix", "--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"),
+        "--witness", C("code_ra.witness"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: fix iteration cap 7 exceeded")
+    assert "Traceback" not in captured.err and captured.out == ""

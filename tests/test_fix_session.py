@@ -1,0 +1,243 @@
+"""Differential tests of the incremental repair session.
+
+The reference is the from-scratch repair loop: every round runs a fresh
+`poison_analysis`, then `check_poison_typable`, then `validate_ra`.  The
+reference analysis below solves the same flow problem with plain dict-valued
+poison types, so the packed encoding of `poison_analysis` is checked too.
+"""
+
+import random
+
+import pytest
+
+from snicheck import dataflow
+from snicheck.ir import Asgn, If, Load, Move, Program, Sfence, Slh, Store, print_program
+from snicheck.poison import (
+    BOT,
+    FixInsertion,
+    FixReport,
+    H,
+    P,
+    W,
+    RepairSession,
+    _redirect,
+    check_poison_typable,
+    fix_ra,
+    poison_analysis,
+    poison_domain,
+    prod_pcs,
+    pt_const,
+    pt_join,
+    pt_leq,
+    pv_join,
+)
+from snicheck.regalloc import (
+    AllocationInfeasible,
+    RAWitness,
+    allocate,
+    analyze_structure,
+    is_slot,
+    rho_live,
+    serialize_ra_witness,
+    validate_ra,
+)
+from snicheck.liveness import cells_fact, liveness
+
+from conftest import load_program, random_program
+
+
+def _reference_transfer(w, rho, domain):
+    bottom = pt_const(domain, BOT)
+
+    def matched(i, pt):
+        out = dict(pt)
+        match i:
+            case Asgn(dst=d, lhs=a, rhs=b):
+                out[d] = H if (pt[a] == H and pt[b] == H) else P
+            case Load(dst=d, var=x, addr=adr):
+                out[d] = pt[(x, adr)] if isinstance(adr, int) else P
+            case Store(var=x, addr=int(adr), src=c):
+                out[(x, adr)] = pt[c]
+            case Store(var=x, src=c):
+                for k in domain:
+                    out[k] = P if isinstance(k, str) or k[0] == x else pv_join(pt[k], pt[c])
+            case If(cond=c):
+                return out if pt[c] == H else pt_const(domain, P)
+            case Sfence():
+                return pt_const(domain, H)
+            case Slh(reg=r):
+                out[r] = H
+            case Move(dst=d, src=s):
+                out[d] = pt[s]
+        return out
+
+    def shuffle(t_pc, i, pt):
+        match i:
+            case Sfence():
+                return pt_const(domain, H)
+            case Slh(reg=a):
+                owner = sorted(r for r, loc in rho.get(t_pc, {}).items() if loc == a)
+                if owner:
+                    return {**pt, owner[0]: W}
+        return dict(pt)
+
+    def transfer(node, pt):
+        if pt == bottom:
+            return bottom
+        s_pc, t_pc = node
+        if w.phi.get(s_pc) == t_pc:
+            return matched(w.source.instrs[s_pc], pt)
+        return shuffle(t_pc, w.target.instrs[t_pc], pt)
+
+    return transfer
+
+
+def reference_assignment(w):
+    """The poison analysis with dict-valued types and per-call transfers."""
+    sol = liveness(w.source, cells_fact(w.source))
+    st = analyze_structure(w)
+    rho = rho_live(w, st, sol)
+    domain = poison_domain(w)
+    nodes, edges = prod_pcs(w, st)
+    prob = dataflow.FlowProblem(
+        nodes=nodes,
+        edges=edges,
+        direction="forward",
+        transfer=_reference_transfer(w, rho, domain),
+        init=pt_const(domain, H),
+        init_nodes=[(w.source.entry, w.target.entry)],
+        lattice=dataflow.Lattice(pt_const(domain, BOT), pt_join, pt_leq),
+        height_hint=3 * max(1, len(domain)),
+    )
+    return dataflow.solve(prob)
+
+
+def reference_fix(w, width=8):
+    """The from-scratch repair loop; returns its result and every round's
+    (witness, static poison, violations)."""
+    report = FixReport()
+    rounds = []
+    cur = w
+    cap = 2 * len(w.target.instrs) * max(1, len(w.source.registers)) + 1
+    counter = 0
+    prev_key = None
+    for it in range(cap):
+        sp = poison_analysis(cur, width)
+        violations = check_poison_typable(cur, sp)
+        rounds.append((cur, sp, violations))
+        report.iterations = it
+        if not violations:
+            return cur, report, rounds
+        v = violations[0]
+        keys = {(x.src_pc, x.tgt_pc, x.reg, x.kind) for x in violations}
+        escalate = prev_key in keys
+        if escalate:
+            v = next(x for x in violations if (x.src_pc, x.tgt_pc, x.reg, x.kind) == prev_key)
+        prev_key = (v.src_pc, v.tgt_pc, v.reg, v.kind)
+        while f"fx{counter}" in cur.target.instrs:
+            counter += 1
+        fresh = f"fx{counter}"
+        if v.kind == "branch" or escalate:
+            new_instr, kind = Sfence(v.tgt_pc), "sfence"
+        else:
+            hw = cur.rho[v.tgt_pc][v.reg]
+            assert not is_slot(hw)
+            new_instr, kind = Slh(hw, v.tgt_pc), "slh"
+        instrs = {pc: _redirect(i, v.tgt_pc, fresh) for pc, i in cur.target.instrs.items()}
+        instrs[fresh] = new_instr
+        rho = {pc: dict(m) for pc, m in cur.rho.items()}
+        rho[fresh] = dict(cur.rho.get(v.tgt_pc, {}))
+        target = Program(cur.target.entry, instrs, list(cur.target.memvars))
+        cur = RAWitness(cur.source, target, dict(cur.phi), rho)
+        report.insertions.append(FixInsertion(fresh, kind, v.tgt_pc, v))
+        bad = validate_ra(cur)
+        assert not bad, f"reference splice produced an invalid witness: {bad[0]}"
+    raise AssertionError("reference fix hit its iteration cap")
+
+
+def _text(w):
+    return print_program(w.target), serialize_ra_witness(w)
+
+
+def check_session_against_reference(w):
+    ref_fixed, ref_report, rounds = reference_fix(w)
+    session = RepairSession(w)
+    for idx, (cur, sp, violations) in enumerate(rounds):
+        now = session.witness()
+        assert _text(now) == _text(cur)
+        assert session.static_poison().assignment == sp.assignment == reference_assignment(cur)
+        assert session.violations == violations
+        assert validate_ra(now) == []
+        st = analyze_structure(now)
+        assert (session.st.owner, session.st.chains) == (st.owner, st.chains)
+        ins = session.repair_one()
+        if idx + 1 < len(rounds):
+            assert ins == ref_report.insertions[idx]
+        else:
+            assert ins is None
+    fixed, report = fix_ra(w)
+    assert _text(fixed) == _text(ref_fixed)
+    assert report == ref_report
+    return len(report.insertions)
+
+
+def _allocated(rng, count, sizes, regs):
+    out = []
+    while len(out) < count:
+        p = random_program(rng, n_instrs=rng.randint(*sizes), n_regs=rng.randint(*regs))
+        try:
+            out.append(allocate(p, rng.choice((2, 3))))
+        except AllocationInfeasible:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("seed, count, sizes, regs", [(2407, 150, (3, 9), (3, 3)), (15080, 100, (3, 14), (2, 4))])
+def test_session_matches_reference_on_small_random_programs(seed, count, sizes, regs):
+    inserted = 0
+    for w in _allocated(random.Random(seed), count, sizes, regs):
+        inserted += check_session_against_reference(w)
+    assert inserted > 10
+
+
+def test_session_matches_reference_on_larger_allocations():
+    inserted = 0
+    for seed, n in ((1, 40), (2, 56), (3, 64), (4, 80)):
+        p = random_program(random.Random(seed * 1000 + n), n, 6)
+        inserted += check_session_against_reference(allocate(p, 3))
+    assert inserted >= 8
+
+
+def test_session_matches_reference_on_corpus_witnesses(ra_witness):
+    assert check_session_against_reference(ra_witness) == 1
+    check_session_against_reference(allocate(load_program("code_ra_source.sp"), 3))
+
+
+def test_fix_still_rejects_an_invalid_result(ra_witness):
+    """Validation runs once, on the input, and still catches a witness that
+    breaks a condition the analysis does not read."""
+    rho = {pc: dict(m) for pc, m in ra_witness.rho.items()}
+    del rho["z"]["bufsize"]  # live before source pc 0: obeying liveness fails
+    broken = RAWitness(ra_witness.source, ra_witness.target, dict(ra_witness.phi), rho)
+    assert [d.kind for d in validate_ra(broken)] == ["obeying-liveness"]
+    with pytest.raises(RuntimeError, match="fix produced an invalid witness: .*bufsize unmapped"):
+        fix_ra(broken)
+
+
+def test_fix_rejects_an_unmapped_slh_register():
+    """The register that needs an slh has no location at its target pc: fix
+    reports the witness diagnostic instead of failing on the lookup."""
+    rng = random.Random(640)
+    for w in _allocated(rng, 200, (4, 12), (3, 4)):
+        _, report = fix_ra(w)
+        if report.insertions and report.insertions[0].kind == "slh":
+            break
+    else:
+        pytest.fail("no random allocation needed an slh")
+    v = report.insertions[0].violation
+    rho = {pc: dict(m) for pc, m in w.rho.items()}
+    del rho[v.tgt_pc][v.reg]
+    broken = RAWitness(w.source, w.target, dict(w.phi), rho)
+    assert validate_ra(broken)
+    with pytest.raises(RuntimeError, match=f"fix produced an invalid witness: .*{v.reg} unmapped"):
+        fix_ra(broken)

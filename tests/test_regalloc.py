@@ -205,3 +205,79 @@ def test_witness_empty_rho_defaults_to_identity(ra_source, ra_target):
     w = parse_ra_witness(text, ra_source, ra_target)
     ident = {r: r for r in ra_source.registers}
     assert all(w.rho[pc] == ident for pc in ra_target.instrs)
+
+
+def test_long_straight_line_program_allocates_and_fixes():
+    """A 1500-instruction chain is deeper than the interpreter's recursion
+    limit; allocation, validation and repair must not recurse on it."""
+    from snicheck import ir
+    from snicheck.poison import fix_ra
+
+    regs = ["a", "b", "c", "d", "e"]
+    n = 1500
+    instrs = {}
+    for k in range(n - 1):
+        r1, r2, r3 = regs[k % 5], regs[(k + 1) % 5], regs[(k + 3) % 5]
+        succ = str(k + 1)
+        instrs[str(k)] = [
+            ir.Asgn(r1, r2, "add", r3, succ),
+            ir.Load(r1, "m", k % 4, succ),
+            ir.Store("m", (k + 1) % 4, r2, succ),
+        ][k % 3]
+    instrs[str(n - 1)] = ir.Exit()
+    p = ir.Program("0", instrs, [ir.MemVar("m", 4, "low")])
+    w = allocate(p, 3)
+    assert validate_ra(w) == []
+    fixed, report = fix_ra(w)
+    assert report.insertions == [] and fixed is w
+
+
+def _reverse_postorder_recursive(p):
+    seen, order = set(), []
+
+    def dfs(pc):
+        seen.add(pc)
+        for s in p.instrs[pc].successors():
+            if s not in seen:
+                dfs(s)
+        order.append(pc)
+
+    dfs(p.entry)
+    for pc in p.pcs():
+        if pc not in seen:
+            dfs(pc)
+    return order[::-1]
+
+
+def test_reverse_postorder_matches_recursive_dfs(rng):
+    from snicheck.regalloc import _reverse_postorder
+
+    for _ in range(200):
+        p = random_program(rng, n_instrs=rng.randint(2, 12))
+        assert _reverse_postorder(p) == _reverse_postorder_recursive(p)
+
+
+def test_next_use_is_shortest_distance_to_a_use(rng):
+    """The sweep order is free: the fixpoint is the BFS distance to the
+    nearest instruction that reads the register."""
+    from collections import deque
+
+    from snicheck.ir import uses_defs
+    from snicheck.regalloc import _next_use
+
+    for _ in range(100):
+        p = random_program(rng, n_instrs=rng.randint(2, 12), n_regs=3)
+        nxt = _next_use(p)
+        for r in p.registers:
+            for start in p.instrs:
+                want, seen, todo = 1 << 30, {start}, deque([(start, 0)])
+                while todo:
+                    pc, d = todo.popleft()
+                    if r in uses_defs(p.instrs[pc])[0]:
+                        want = d
+                        break
+                    for s in p.instrs[pc].successors():
+                        if s not in seen:
+                            seen.add(s)
+                            todo.append((s, d + 1))
+                assert nxt[start][r] == want
