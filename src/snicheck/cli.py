@@ -9,6 +9,7 @@ JSON output carries `schema: 1` and is byte-stable for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -49,6 +50,13 @@ def _parse_bounds(spec: str) -> Bounds:
     return Bounds(steps, depth)
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _emit(args, payload: dict, text: str):
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
@@ -64,6 +72,11 @@ def _load_state(path: str, p: Program, width: int):
     return parse_initial_state(Path(path).read_text(), p, width)
 
 
+def _initial_state(args, p: Program):
+    """The `--state` file read against `p`, or the all-zero state without one."""
+    return _load_state(args.state, p, args.width) if args.state else initial(p)
+
+
 def _witness(args):
     src = _load_program(args.source)
     tgt = _load_program(args.target)
@@ -73,7 +86,7 @@ def _witness(args):
 
 def cmd_run(args) -> int:
     p = _load_program(args.program)
-    nu0 = _load_state(args.state, p, args.width) if args.state else initial(p)
+    nu0 = _initial_state(args, p)
     dirs = parse_directives(Path(args.directives).read_text(), p) if args.directives else []
     ex = run_directives(p, nu0, dirs, args.width)
     payload = {
@@ -88,7 +101,7 @@ def cmd_run(args) -> int:
 
 def cmd_explore(args) -> int:
     p = _load_program(args.program)
-    nu0 = _load_state(args.state, p, args.width) if args.state else initial(p)
+    nu0 = _initial_state(args, p)
     bs = explore_behaviors(p, nu0, args.bounds, args.width)
     fmt = lambda tr: {"leaks": [str(l) for l in tr[0]], "directives": [str(d) for d in tr[1]]}
     payload = {
@@ -106,7 +119,7 @@ def cmd_explore(args) -> int:
 
 def cmd_check_safe(args) -> int:
     p = _load_program(args.program)
-    nu0 = _load_state(args.state, p, args.width) if args.state else initial(p)
+    nu0 = _initial_state(args, p)
     r = security.check_safety(p, nu0[0], args.bounds.max_steps, args.width)
     _emit(args, {"command": "check-safe", "status": r.status, "step": r.step_index}, f"{r.status}\n")
     return {"safe": 0, "unsafe": 1, "bound-exhausted": 2}[r.status]
@@ -120,7 +133,7 @@ def _sni_exit(v) -> int:
 
 def cmd_check_sni(args) -> int:
     p = _load_program(args.program)
-    base = _load_state(args.state, p, args.width) if args.state else initial(p)
+    base = _initial_state(args, p)
     if args.state2:
         other = _load_state(args.state2, p, args.width)
         src = security.PairSource("file", pairs=[(base, other)])
@@ -191,7 +204,7 @@ def cmd_validate_ra(args) -> int:
 def cmd_product_run(args) -> int:
     w = _witness(args)
     prod = poison.Product(w, args.width)
-    tgt0 = _load_state(args.state, w.target, args.width)[0]
+    tgt0 = _initial_state(args, w.target)[0]
     ps = prod.initial_product(tgt0)
     dirs = parse_directives(Path(args.directives).read_text(), w.target) if args.directives else []
     lines = []
@@ -265,7 +278,7 @@ def _sim_witness(args, width: int):
 
 def cmd_check_sim(args) -> int:
     wit = _sim_witness(args, args.width)
-    t0 = _load_state(args.state, wit.target, args.width)[0]
+    t0 = _initial_state(args, wit.target)[0]
     v = simulation.check_simulation(wit, [t0], args.bounds, args.width)
     _emit(args, {"command": "check-sim", **v.report()}, f"{v.status} (intervals={v.intervals_checked}, truncated={v.truncated})\n" + (v.reason + "\n" if v.reason else ""))
     return 0 if v.ok and not v.truncated else (2 if v.ok else 1)
@@ -273,7 +286,7 @@ def cmd_check_sim(args) -> int:
 
 def cmd_check_snippy(args) -> int:
     wit = _sim_witness(args, args.width)
-    base = _load_state(args.state, wit.target, args.width)[0]
+    base = _initial_state(args, wit.target)[0]
     states = [s[0] for s in security.enumerate_high_states(wit.target, (base,), args.width)]
     import itertools
 
@@ -344,13 +357,16 @@ def cmd_demo_codera(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: building it costs far more than a
+    `parse_args` call, and parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(prog="snicheck", description="speculative non-interference toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(sp, state=True):
         sp.add_argument("--bounds", type=_parse_bounds, default=Bounds(32, 3), help="steps=<n>,depth=<n>")
-        sp.add_argument("--width", type=int, default=DEFAULT_WIDTH)
+        sp.add_argument("--width", type=positive_int, default=DEFAULT_WIDTH)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--format", choices=("text", "json"), default="text")
         if state:

@@ -9,6 +9,11 @@ text.
 Branch convention: ``if r ? T : F`` goes to T when the register equals 0 and
 to F otherwise.  Comparison operators produce 0/1, so a branch on the result
 of ``lt``/``eq`` takes the T side when the comparison is *false*.
+
+`KINDS` is the one place where an instruction kind's text syntax and its
+register and successor fields are declared.  `Instr.successors`, `uses_defs`,
+`parse_program` and `print_program` are derived from it, and rewriters
+retarget or rename an instruction through its field lists.
 """
 
 from __future__ import annotations
@@ -16,6 +21,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
+from typing import ClassVar
 
 Reg = str
 Pc = str
@@ -50,26 +57,26 @@ class MemVar:
 
 
 class Instr:
-    """Base class; concrete instructions are frozen dataclasses below."""
+    """Base class; concrete instructions are frozen dataclasses below, each
+    with an entry in `KINDS`."""
 
     __slots__ = ()
 
+    kind: ClassVar[Kind]
+
     def successors(self) -> tuple[Pc, ...]:
+        """Successor pcs, read by the class's own `KINDS` entry."""
         raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class Exit(Instr):
-    def successors(self):
-        return ()
+    pass
 
 
 @dataclass(frozen=True)
 class Nop(Instr):
     succ: Pc
-
-    def successors(self):
-        return (self.succ,)
 
 
 @dataclass(frozen=True)
@@ -80,9 +87,6 @@ class Asgn(Instr):
     rhs: Reg
     succ: Pc
 
-    def successors(self):
-        return (self.succ,)
-
 
 @dataclass(frozen=True)
 class Load(Instr):
@@ -90,9 +94,6 @@ class Load(Instr):
     var: str
     addr: "int | Reg"
     succ: Pc
-
-    def successors(self):
-        return (self.succ,)
 
 
 @dataclass(frozen=True)
@@ -102,9 +103,6 @@ class Store(Instr):
     src: Reg
     succ: Pc
 
-    def successors(self):
-        return (self.succ,)
-
 
 @dataclass(frozen=True)
 class If(Instr):
@@ -112,25 +110,16 @@ class If(Instr):
     succ_true: Pc
     succ_false: Pc
 
-    def successors(self):
-        return (self.succ_true, self.succ_false)
-
 
 @dataclass(frozen=True)
 class Sfence(Instr):
     succ: Pc
-
-    def successors(self):
-        return (self.succ,)
 
 
 @dataclass(frozen=True)
 class Slh(Instr):
     reg: Reg
     succ: Pc
-
-    def successors(self):
-        return (self.succ,)
 
 
 @dataclass(frozen=True)
@@ -139,18 +128,12 @@ class Move(Instr):
     src: Reg
     succ: Pc
 
-    def successors(self):
-        return (self.succ,)
-
 
 @dataclass(frozen=True)
 class Fill(Instr):
     dst: Reg
     slot: int
     succ: Pc
-
-    def successors(self):
-        return (self.succ,)
 
 
 @dataclass(frozen=True)
@@ -159,11 +142,104 @@ class Spill(Instr):
     src: Reg
     succ: Pc
 
-    def successors(self):
-        return (self.succ,)
-
 
 SHUFFLE_KINDS = (Move, Fill, Spill, Slh, Sfence)
+
+
+# --- instruction table ----------------------------------------------------------
+
+_LABEL = r"[A-Za-z0-9_.]+"
+
+
+def _fmt_addr(addr: "int | Reg") -> str:
+    return f"#{addr}" if isinstance(addr, int) else addr
+
+
+# holes that are not labels: name -> pattern
+_HOLE_PATTERNS = {"addr": rf"#\d+|{_LABEL}", "slot": r"\d+", "op": "|".join(OPS)}
+# holes whose value is not their text: name -> text -> value (printing needs
+# `_fmt_addr` for `addr`; `str.format` gives the rest)
+_HOLE_PARSERS = {"addr": lambda t: int(t[1:]) if t.startswith("#") else t, "slot": int}
+
+
+def _reader(names: tuple[str, ...]):
+    """A function from an instruction to the tuple of its fields `names`; a
+    plain function, so that it also binds as a method."""
+    if not names:
+        return lambda i: ()
+    get = attrgetter(*names)
+    if len(names) == 1:
+        return lambda i: (get(i),)
+    return lambda i: get(i)
+
+
+def _template_regex(text: str) -> str:
+    """A space is `\\s+` between two words and `\\s*` next to punctuation; a
+    hole is a group of its `_HOLE_PATTERNS` entry, a label by default."""
+    out = []
+    for m in re.finditer(r"\{(\w+)\}| |[^{ ]+", text):
+        if m[1]:
+            out.append(f"({_HOLE_PATTERNS.get(m[1], _LABEL)})")
+        elif m[0] == " ":
+            words = re.fullmatch(r"[\w}] [\w{]", text[m.start() - 1 : m.end() + 1])
+            out.append(r"\s+" if words else r"\s*")
+        else:
+            out.append(re.escape(m[0]))
+    return "".join(out)
+
+
+class Kind:
+    """The `KINDS` entry of one instruction class.
+
+    `text` is the line after `pc: `, with a `{field}` hole for every dataclass
+    field, in field order.  `uses` are the fields it reads as registers (one
+    holding a `#n` address is not a register), `defs` the fields it writes,
+    and `succs` its successor pcs.  `mnemonic` is the first word of `text`.
+    The class's `successors` method and `kind` attribute are set here.
+    """
+
+    def __init__(self, cls: type, text: str, uses=(), defs=(), succs=()):
+        self.cls, self.text, self.uses, self.defs, self.succs = cls, text, uses, defs, succs
+        self.mnemonic = text.split()[0]
+        holes = tuple(re.findall(r"\{(\w+)\}", text))
+        self.regex = re.compile(_template_regex(text))
+        self._parsers = [(j, _HOLE_PARSERS[h]) for j, h in enumerate(holes) if h in _HOLE_PARSERS]
+        cls.kind = self
+        cls.successors = _reader(succs)
+        # built once per kind, as they run per instruction in every analysis;
+        # only a kind with an `addr` hole needs the filter or the conversion
+        uses_of, defs_of, holes_of = _reader(uses), _reader(defs), _reader(holes)
+        if "addr" in uses:
+            self.uses_defs = lambda i: (frozenset([r for r in uses_of(i) if isinstance(r, str)]), frozenset(defs_of(i)))
+        else:
+            self.uses_defs = lambda i: (frozenset(uses_of(i)), frozenset(defs_of(i)))
+        fmt = re.sub(r"\{\w+\}", "{}", text).format
+        if "addr" in holes:
+            self.format = lambda i: fmt(*map(_fmt_addr, holes_of(i)))
+        else:
+            self.format = lambda i: fmt(*holes_of(i))
+
+    def parse(self, groups: tuple[str, ...]) -> Instr:
+        """The instruction whose holes matched `groups`."""
+        vals = list(groups)
+        for j, conv in self._parsers:
+            vals[j] = conv(vals[j])
+        return self.cls(*vals)
+
+
+KINDS = (
+    Kind(Exit, "ret"),
+    Kind(Nop, "nop -> {succ}", succs=("succ",)),
+    Kind(Asgn, "{dst} = {lhs} {op} {rhs} -> {succ}", uses=("lhs", "rhs"), defs=("dst",), succs=("succ",)),
+    Kind(Load, "load {dst} <- {var}[{addr}] -> {succ}", uses=("addr",), defs=("dst",), succs=("succ",)),
+    Kind(Store, "store {var}[{addr}] <- {src} -> {succ}", uses=("addr", "src"), succs=("succ",)),
+    Kind(If, "if {cond} ? {succ_true} : {succ_false}", uses=("cond",), succs=("succ_true", "succ_false")),
+    Kind(Sfence, "sfence -> {succ}", succs=("succ",)),
+    Kind(Slh, "slh {reg} -> {succ}", uses=("reg",), defs=("reg",), succs=("succ",)),
+    Kind(Move, "move {dst} <- {src} -> {succ}", uses=("src",), defs=("dst",), succs=("succ",)),
+    Kind(Fill, "fill {dst} <- stk#{slot} -> {succ}", defs=("dst",), succs=("succ",)),
+    Kind(Spill, "spill stk#{slot} <- {src} -> {succ}", uses=("src",), succs=("succ",)),
+)
 
 
 def pc_key(pc: Pc) -> tuple:
@@ -225,33 +301,14 @@ class Program:
 
 
 def uses_defs(i: Instr) -> tuple[frozenset[Reg], frozenset[Reg]]:
-    """Registers read and written by the step rule for `i`.
+    """Registers read and written by the step rule for `i`, from its `KINDS`
+    entry.
 
     Register-addressed accesses use their address register; const-addressed
     ones do not.  `slh` conditionally rewrites its register, so it both uses
     and defines it.
     """
-    match i:
-        case Asgn(dst=d, lhs=a, rhs=b):
-            return frozenset({a, b}), frozenset({d})
-        case Load(dst=d, addr=adr):
-            u = frozenset({adr}) if isinstance(adr, str) else frozenset()
-            return u, frozenset({d})
-        case Store(addr=adr, src=s):
-            u = {s} | ({adr} if isinstance(adr, str) else set())
-            return frozenset(u), frozenset()
-        case If(cond=c):
-            return frozenset({c}), frozenset()
-        case Slh(reg=r):
-            return frozenset({r}), frozenset({r})
-        case Move(dst=d, src=s):
-            return frozenset({s}), frozenset({d})
-        case Fill(dst=d):
-            return frozenset(), frozenset({d})
-        case Spill(src=s):
-            return frozenset({s}), frozenset()
-        case _:
-            return frozenset(), frozenset()
+    return i.kind.uses_defs(i)
 
 
 @dataclass(frozen=True)
@@ -317,24 +374,9 @@ def validate_program(p: Program, warnings: list[Diagnostic] | None = None) -> li
 
 # --- textual format ---------------------------------------------------------
 
-_LABEL = r"[A-Za-z0-9_.]+"
-_ADDR = rf"(?:#(\d+)|({_LABEL}))"
-
-_LINE_RES = [
-    ("mem", re.compile(rf"mem\s+({_LABEL})\s+(\d+)\s+(low|high)$")),
-    ("entry", re.compile(rf"entry\s+({_LABEL})$")),
-    ("ret", re.compile(rf"({_LABEL})\s*:\s*ret$")),
-    ("nop", re.compile(rf"({_LABEL})\s*:\s*nop\s*->\s*({_LABEL})$")),
-    ("asgn", re.compile(rf"({_LABEL})\s*:\s*({_LABEL})\s*=\s*({_LABEL})\s+({'|'.join(OPS)})\s+({_LABEL})\s*->\s*({_LABEL})$")),
-    ("load", re.compile(rf"({_LABEL})\s*:\s*load\s+({_LABEL})\s*<-\s*({_LABEL})\[{_ADDR}\]\s*->\s*({_LABEL})$")),
-    ("store", re.compile(rf"({_LABEL})\s*:\s*store\s+({_LABEL})\[{_ADDR}\]\s*<-\s*({_LABEL})\s*->\s*({_LABEL})$")),
-    ("if", re.compile(rf"({_LABEL})\s*:\s*if\s+({_LABEL})\s*\?\s*({_LABEL})\s*:\s*({_LABEL})$")),
-    ("sfence", re.compile(rf"({_LABEL})\s*:\s*sfence\s*->\s*({_LABEL})$")),
-    ("slh", re.compile(rf"({_LABEL})\s*:\s*slh\s+({_LABEL})\s*->\s*({_LABEL})$")),
-    ("move", re.compile(rf"({_LABEL})\s*:\s*move\s+({_LABEL})\s*<-\s*({_LABEL})\s*->\s*({_LABEL})$")),
-    ("fill", re.compile(rf"({_LABEL})\s*:\s*fill\s+({_LABEL})\s*<-\s*{STACK_VAR}#(\d+)\s*->\s*({_LABEL})$")),
-    ("spill", re.compile(rf"({_LABEL})\s*:\s*spill\s+{STACK_VAR}#(\d+)\s*<-\s*({_LABEL})\s*->\s*({_LABEL})$")),
-]
+_MEM_RE = re.compile(rf"mem\s+({_LABEL})\s+(\d+)\s+(low|high)$")
+_ENTRY_RE = re.compile(rf"entry\s+({_LABEL})$")
+_PC_RE = re.compile(rf"({_LABEL})\s*:\s*")
 
 
 def parse_program(text: str) -> Program:
@@ -354,44 +396,21 @@ def parse_program(text: str) -> Program:
         line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
         if not line:
             continue
-        for kind, rx in _LINE_RES:
-            m = rx.match(line)
-            if not m:
-                continue
-            g = m.groups()
-            if kind == "mem":
-                if any(v.name == g[0] for v in memvars):
-                    raise ParseError(f"duplicate memvar {g[0]}", lineno)
-                memvars.append(MemVar(g[0], int(g[1]), g[2]))
-            elif kind == "entry":
-                entry = g[0]
-            elif kind == "ret":
-                add(lineno, g[0], Exit())
-            elif kind == "nop":
-                add(lineno, g[0], Nop(g[1]))
-            elif kind == "asgn":
-                add(lineno, g[0], Asgn(g[1], g[2], g[3], g[4], g[5]))
-            elif kind == "load":
-                adr = int(g[3]) if g[3] is not None else g[4]
-                add(lineno, g[0], Load(g[1], g[2], adr, g[5]))
-            elif kind == "store":
-                adr = int(g[2]) if g[2] is not None else g[3]
-                add(lineno, g[0], Store(g[1], adr, g[4], g[5]))
-            elif kind == "if":
-                add(lineno, g[0], If(g[1], g[2], g[3]))
-            elif kind == "sfence":
-                add(lineno, g[0], Sfence(g[1]))
-            elif kind == "slh":
-                add(lineno, g[0], Slh(g[1], g[2]))
-            elif kind == "move":
-                add(lineno, g[0], Move(g[1], g[2], g[3]))
-            elif kind == "fill":
-                add(lineno, g[0], Fill(g[1], int(g[2]), g[3]))
-            elif kind == "spill":
-                add(lineno, g[0], Spill(int(g[1]), g[2], g[3]))
-            break
+        if m := _MEM_RE.match(line):
+            if any(v.name == m[1] for v in memvars):
+                raise ParseError(f"duplicate memvar {m[1]}", lineno)
+            memvars.append(MemVar(m[1], int(m[2]), m[3]))
+        elif m := _ENTRY_RE.match(line):
+            entry = m[1]
         else:
-            raise ParseError(f"cannot parse: {line!r}", lineno, raw.index(line.split()[0]) if line else 0)
+            pc = _PC_RE.match(line)
+            # the kind templates exclude each other, so the first match is the only one
+            for k in KINDS if pc else ():
+                if m := k.regex.fullmatch(line, pc.end()):
+                    add(lineno, pc[1], k.parse(m.groups()))
+                    break
+            else:
+                raise ParseError(f"cannot parse: {line!r}", lineno, raw.index(line.split()[0]) if line else 0)
 
     if entry is None:
         raise ParseError("missing entry declaration", 1)
@@ -402,37 +421,11 @@ def parse_program(text: str) -> Program:
     return p
 
 
-def _fmt_addr(addr: "int | Reg") -> str:
-    return f"#{addr}" if isinstance(addr, int) else addr
-
-
 def print_program(p: Program) -> str:
     """Inverse of parse_program on valid programs."""
     lines = [f"mem {v.name} {v.size} {v.level}" for v in p.memvars]
     lines.append(f"entry {p.entry}")
     for pc in p.pcs():
         i = p.instrs[pc]
-        match i:
-            case Exit():
-                lines.append(f"{pc}: ret")
-            case Nop(succ=s):
-                lines.append(f"{pc}: nop -> {s}")
-            case Asgn(dst=d, lhs=a, op=op, rhs=b, succ=s):
-                lines.append(f"{pc}: {d} = {a} {op} {b} -> {s}")
-            case Load(dst=d, var=v, addr=adr, succ=s):
-                lines.append(f"{pc}: load {d} <- {v}[{_fmt_addr(adr)}] -> {s}")
-            case Store(var=v, addr=adr, src=r, succ=s):
-                lines.append(f"{pc}: store {v}[{_fmt_addr(adr)}] <- {r} -> {s}")
-            case If(cond=c, succ_true=t, succ_false=f):
-                lines.append(f"{pc}: if {c} ? {t} : {f}")
-            case Sfence(succ=s):
-                lines.append(f"{pc}: sfence -> {s}")
-            case Slh(reg=r, succ=s):
-                lines.append(f"{pc}: slh {r} -> {s}")
-            case Move(dst=d, src=r, succ=s):
-                lines.append(f"{pc}: move {d} <- {r} -> {s}")
-            case Fill(dst=d, slot=sl, succ=s):
-                lines.append(f"{pc}: fill {d} <- {STACK_VAR}#{sl} -> {s}")
-            case Spill(slot=sl, src=r, succ=s):
-                lines.append(f"{pc}: spill {STACK_VAR}#{sl} <- {r} -> {s}")
+        lines.append(f"{pc}: {i.kind.format(i)}")
     return "\n".join(lines) + "\n"

@@ -42,7 +42,6 @@ from dataclasses import dataclass, field, replace
 from . import dataflow
 from .ir import (
     Asgn,
-    Fill,
     If,
     Instr,
     Load,
@@ -53,7 +52,6 @@ from .ir import (
     Reg,
     Sfence,
     Slh,
-    Spill,
     Store,
     STACK_VAR,
     pc_key,
@@ -80,6 +78,7 @@ from .semantics import (
     State,
     d_load,
     d_store,
+    enabled_directives,
     step_spec,
 )
 
@@ -157,11 +156,6 @@ class Product:
 
     # -- state plumbing ---------------------------------------------------
 
-    def source_pc_for(self, t_pc: Pc) -> Pc:
-        if t_pc in self.st.matched:
-            return self.st.matched[t_pc]
-        return self.st.owner[t_pc]
-
     def is_matched(self, s_pc: Pc, t_pc: Pc) -> bool:
         return self.w.phi.get(s_pc) == t_pc
 
@@ -226,7 +220,7 @@ class Product:
     def transitions(self, ps: ProductState) -> list[ProductTransition]:
         """All enabled product transitions (every unsafe-target choice)."""
         out = []
-        for d, canonical_only in self._target_options(ps):
+        for d in enabled_directives(self.w.target, ps.tgt, self.width):
             out.extend(self._steps_for(ps, d, canonical_only=False))
         return out
 
@@ -235,12 +229,6 @@ class Product:
         the product is stuck on it (a poisoned guard)."""
         res = self._steps_for(ps, d, canonical_only=True)
         return res[0] if res else None
-
-    def _target_options(self, ps: ProductState):
-        from .semantics import enabled_directives
-
-        for d in enabled_directives(self.w.target, ps.tgt, self.width):
-            yield d, False
 
     def _steps_for(self, ps: ProductState, d: Directive, canonical_only: bool) -> list[ProductTransition]:
         w, width = self.w, self.width
@@ -264,14 +252,14 @@ class Product:
 
         if t_pc in self.st.owner:  # shuffling state: the source stutters
             ti = w.target.instrs[t_pc]
+            rule = f"shuffle-{ti.kind.mnemonic}"
             if isinstance(ti, Slh):
                 owner = [r for r, loc in self.rho[t_pc].items() if loc == ti.reg]
                 pt2 = dict(pt)
                 if owner:
                     a = sorted(owner)[0]
                     pt2[a] = pt[a] if not speculating else W
-                return [self._mk(ps, None, tgt_step, pts[:-1] + (pt2,), d, None, "shuffle-slh")]
-            rule = {Move: "shuffle-move", Fill: "shuffle-fill", Spill: "shuffle-spill", Sfence: "shuffle-sfence"}[type(ti)]
+                return [self._mk(ps, None, tgt_step, pts[:-1] + (pt2,), d, None, rule)]
             return [self._mk(ps, None, tgt_step, pts, d, None, rule)]
 
         # matched pair
@@ -783,7 +771,7 @@ def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixRepo
 
 def _redirect(i: Instr, old: Pc, new: Pc) -> Instr:
     """`i` with every successor `old` replaced by `new`."""
-    moved = {f: new for f in ("succ", "succ_true", "succ_false") if getattr(i, f, None) == old}
+    moved = {f: new for f in i.kind.succs if getattr(i, f) == old}
     return replace(i, **moved) if moved else i
 
 

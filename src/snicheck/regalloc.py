@@ -24,7 +24,7 @@ dead registers may be dropped from or linger in `rho` without complaint.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .ir import (
     Asgn,
@@ -181,11 +181,6 @@ def rho_live(w: RAWitness, st: Structure, sol, live: dict[Pc, frozenset[Reg]] | 
         m = w.rho.get(t_pc, {})
         out[t_pc] = {r: m[r] for r in sorted(live_regs_at_target(st, live, t_pc)) if r in m}
     return out
-
-
-def _reloc_use(m: dict, r: Reg):
-    loc = m.get(r)
-    return loc if isinstance(loc, str) else None
 
 
 def validate_ra(
@@ -564,7 +559,7 @@ def allocate(p: Program, k: int) -> RAWitness:
             labels = [f"{pc}.{idx}.{j}" for j in range(len(ops))]
             for j, (op, snapshot) in enumerate(ops):
                 nxt_label = labels[j + 1] if j + 1 < len(ops) else s
-                instrs[labels[j]] = _with_succ(op, nxt_label)
+                instrs[labels[j]] = replace(op, succ=nxt_label)
                 rho[labels[j]] = snapshot
             new_succs.append(labels[0])
         instrs[pc] = _rename_instr(i, m_in, m_out, new_succs)
@@ -576,50 +571,21 @@ def allocate(p: Program, k: int) -> RAWitness:
     return RAWitness(p, t, phi, rho)
 
 
-def _with_succ(op: Instr, succ: Pc) -> Instr:
-    match op:
-        case Move(dst=d, src=s):
-            return Move(d, s, succ)
-        case Fill(dst=d, slot=sl):
-            return Fill(d, sl, succ)
-        case Spill(slot=sl, src=s):
-            return Spill(sl, s, succ)
-    raise AssertionError
-
-
 def _rename_instr(i: Instr, m_in: dict, m_out: dict, succs: list[Pc]) -> Instr:
-    def u(r):
-        loc = m_in[r]
+    """`i` with uses placed by `m_in`, defs by `m_out` and successors `succs`."""
+
+    def place(m: dict, r: Reg, role: str) -> Reg:
+        loc = m[r]
         if not isinstance(loc, str):
-            raise AllocationInfeasible(f"use {r} not in a register")
+            raise AllocationInfeasible(f"{role} {r} not in a register")
         return loc
 
-    def d(r):
-        loc = m_out[r]
-        if not isinstance(loc, str):
-            raise AllocationInfeasible(f"def {r} not in a register")
-        return loc
-
-    match i:
-        case Exit():
-            return Exit()
-        case Nop():
-            return Nop(succs[0])
-        case Asgn(dst=dst, lhs=a, op=op, rhs=b):
-            return Asgn(d(dst), u(a), op, u(b), succs[0])
-        case Load(dst=dst, var=v, addr=adr):
-            return Load(d(dst), v, adr if isinstance(adr, int) else u(adr), succs[0])
-        case Store(var=v, addr=adr, src=c):
-            return Store(v, adr if isinstance(adr, int) else u(adr), u(c), succs[0])
-        case If(cond=c):
-            return If(u(c), succs[0], succs[1])
-        case Sfence():
-            return Sfence(succs[0])
-        case Slh(reg=r):
-            return Slh(u(r), succs[0])
-        case Move(dst=dst, src=s):
-            return Move(d(dst), u(s), succs[0])
-    raise AllocationInfeasible(f"cannot allocate instruction {type(i).__name__}")
+    k = i.kind
+    # a use field holding a const address (an int) keeps it
+    fields = {f: place(m_in, getattr(i, f), "use") for f in k.uses if isinstance(getattr(i, f), str)}
+    fields.update((f, place(m_out, getattr(i, f), "def")) for f in k.defs)
+    fields.update(zip(k.succs, succs))
+    return replace(i, **fields)
 
 
 # --- witness text format --------------------------------------------------------

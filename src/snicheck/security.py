@@ -169,9 +169,14 @@ def high_cells(p: Program) -> list[tuple[str, int]]:
     return [(v.name, off) for v in p.memvars if v.level == "high" for off in range(v.size)]
 
 
-def enumerate_high_states(p: Program, base: SpecState, width: int) -> list[SpecState]:
-    """All initial states that agree with `base` except on high cells."""
+def enumerate_high_states(p: Program, base: SpecState, width: int, budget: int = 12) -> list[SpecState]:
+    """All initial states that agree with `base` except on high cells.
+
+    Their number is `2 ** (|high cells| * width)`, and exhaustive checks pair
+    them up, so that exponent must stay within `budget`."""
     cells = high_cells(p)
+    if len(cells) * width > budget:
+        raise ValueError(f"exhaustive pair budget exceeded: {len(cells)} high cells at width {width}")
     values = range(1 << width)
     out = []
     for combo in itertools.product(values, repeat=len(cells)):
@@ -201,18 +206,15 @@ def check_sni(
     """First violation over the selected low-equivalent pairs, else Secure.
 
     Exhaustive mode enumerates every assignment of the high cells at the given
-    width and is guarded by `|high cells| * width <= budget`.
+    width and is guarded by `|high cells| * width <= budget`
+    (`enumerate_high_states`).
     """
     import random
 
     if source.mode == "file":
         pairs = source.pairs
     elif source.mode == "exhaustive":
-        if len(high_cells(p)) * width > budget:
-            raise ValueError(
-                f"exhaustive pair budget exceeded: {len(high_cells(p))} high cells at width {width}"
-            )
-        states = enumerate_high_states(p, base, width)
+        states = enumerate_high_states(p, base, width, budget)
         pairs = [(a, c) for a, c in itertools.combinations(states, 2)]
     elif source.mode == "sampled":
         rng = random.Random(source.seed)

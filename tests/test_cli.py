@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import snicheck
 from snicheck.cli import corpus_path, main
 
 
@@ -14,6 +17,14 @@ def run_cli(*args, capsys=None):
 
 
 C = lambda name: str(corpus_path(name))
+
+
+def run_module(*args):
+    """`python -m snicheck.cli ARGS` in a subprocess that imports the same
+    package as this test run, with or without `PYTHONPATH` set."""
+    path = [str(Path(snicheck.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run([sys.executable, "-m", "snicheck.cli", *args], capture_output=True, text=True, env=env)
 
 
 def test_run_empty_directives(tmp_path, capsys):
@@ -164,10 +175,7 @@ def test_demo_codera(capsys):
 
 
 def test_console_entry_point():
-    r = subprocess.run(
-        [sys.executable, "-m", "snicheck.cli", "demo-codera", "--format", "json"],
-        capture_output=True, text=True,
-    )
+    r = run_module("demo-codera", "--format", "json")
     assert r.returncode == 0
     assert json.loads(r.stdout)["ok"] is True
 
@@ -208,18 +216,14 @@ GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
 
 
 def test_golden_demo_codera_json():
-    r = subprocess.run(
-        [sys.executable, "-m", "snicheck.cli", "demo-codera", "--format", "json"],
-        capture_output=True, text=True,
-    )
+    r = run_module("demo-codera", "--format", "json")
     assert r.stdout == (GOLDEN / "demo_codera.json").read_text()
 
 
 def test_golden_explore_json():
-    r = subprocess.run(
-        [sys.executable, "-m", "snicheck.cli", "explore", C("code_dce_source.sp"),
-         "--state", C("code_dce.init"), "--bounds", "steps=8,depth=2", "--format", "json"],
-        capture_output=True, text=True,
+    r = run_module(
+        "explore", C("code_dce_source.sp"),
+        "--state", C("code_dce.init"), "--bounds", "steps=8,depth=2", "--format", "json",
     )
     assert r.stdout == (GOLDEN / "explore_dce.json").read_text()
 
@@ -247,3 +251,36 @@ def test_runtime_error_exits_3_with_message(monkeypatch, capsys):
     assert code == 3
     assert captured.err.startswith("error: fix iteration cap 7 exceeded")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("cmd", [
+    ["check-sim", "--witness-kind", "dce", "--source", C("code_dce_source.sp")],
+    ["check-snippy", "--witness-kind", "dce", "--source", C("code_dce_w2_source.sp"),
+     "--width", "2", "--bounds", "steps=24,depth=2"],
+    ["product-run", "--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"),
+     "--witness", C("code_ra.witness")],
+])
+def test_state_defaults_to_all_zero(cmd, tmp_path, capsys):
+    """Without `--state` a command starts where an empty state file puts it."""
+    zero = tmp_path / "zero.init"
+    zero.write_text("")
+    with_file = run_cli(*cmd, "--state", str(zero), "--format", "json", capsys=capsys)
+    without = run_cli(*cmd, "--format", "json", capsys=capsys)
+    assert without == with_file
+    assert without[0] == 0
+
+
+@pytest.mark.parametrize("width", ["0", "-1"])
+def test_width_below_one_is_a_usage_error(width, capsys):
+    code = main(["check-sni", C("code_ra_source.sp"), "--width", width])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and "--width" in captured.err
+
+
+def test_check_snippy_exhaustive_budget(capsys):
+    """Nine high cells at width 2 would mean 2**18 states; refuse at once."""
+    code = main(["check-snippy", "--witness-kind", "dce", "--source", C("code_specv1.sp"), "--width", "2"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: exhaustive pair budget exceeded: 9 high cells at width 2")

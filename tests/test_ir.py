@@ -1,3 +1,6 @@
+import dataclasses
+import re
+
 import pytest
 
 from snicheck import ir
@@ -97,6 +100,97 @@ def test_round_trip_random(rng):
     for _ in range(200):
         p = random_program(rng, n_instrs=rng.randint(2, 8), allow_shuffle=False)
         assert parse_program(print_program(p)) == p
+
+
+def _allocated_programs(rng, count):
+    """Random programs with their `allocate` and `fix_ra` targets, which hold
+    the move, fill, spill, slh and sfence kinds that `random_program` omits."""
+    from snicheck.poison import fix_ra
+    from snicheck.regalloc import AllocationInfeasible, allocate
+
+    out = []
+    while len(out) < 3 * count:
+        p = random_program(rng, n_instrs=rng.randint(4, 14), n_regs=rng.randint(3, 5))
+        try:
+            w = allocate(p, rng.choice((2, 3)))
+        except AllocationInfeasible:
+            continue
+        out += [p, w.target, fix_ra(w)[0].target]
+    return out
+
+
+def test_round_trip_allocated_and_fixed(rng):
+    kinds = set()
+    for p in _allocated_programs(rng, 60):
+        assert parse_program(print_program(p)) == p
+        kinds |= {type(i) for i in p.instrs.values()}
+    assert kinds == {k.cls for k in ir.KINDS}
+
+
+def test_every_instruction_class_has_a_kind():
+    assert {k.cls for k in ir.KINDS} == set(ir.Instr.__subclasses__())
+    for k in ir.KINDS:
+        assert k.cls.kind is k
+        # holes in dataclass field order, so parsed groups feed the constructor
+        assert re.findall(r"\{(\w+)\}", k.text) == [f.name for f in dataclasses.fields(k.cls)]
+
+
+_WORD = re.compile(r"[\w.]")
+
+
+def test_grammar_whitespace_variants(rng):
+    """A space between two words may be any non-empty run of whitespace, any
+    other space any run at all; dropping a required one is a parse error on
+    that line."""
+    seen = set()
+    for p in _allocated_programs(rng, 12):
+        lines = print_program(p).splitlines()
+        for n, line in enumerate(lines):
+            if line.startswith(("mem ", "entry ")):
+                continue
+            seen.add(type(p.instrs[line.split(":")[0]]))
+            with_line = lambda text: "\n".join(lines[:n] + [text] + lines[n + 1 :]) + "\n"
+            parts = line.split(" ")
+            required = [bool(_WORD.match(a[-1]) and _WORD.match(b[0])) for a, b in zip(parts, parts[1:])]
+            for _ in range(2):
+                spaces = [rng.choice((" ", "\t", "  \t ")) if req else rng.choice(("", " ", "\t", "   ")) for req in required]
+                variant = parts[0] + "".join(sp + part for sp, part in zip(spaces, parts[1:]))
+                assert parse_program(with_line(variant)) == p, variant
+            for j in (j for j, req in enumerate(required) if req):
+                with pytest.raises(ParseError, match="cannot parse") as e:
+                    parse_program(with_line(" ".join(parts[: j + 1]) + " ".join(parts[j + 1 :])))
+                assert e.value.line == n + 1
+    assert seen == {k.cls for k in ir.KINDS}
+
+
+@pytest.mark.parametrize("bad", [
+    "a: frobnicate -> b",
+    "a: nop ->",
+    "a: nop -> b c",
+    "a: x = y pow z -> b",
+    "a: x = y addz -> b",
+    "a: load x <- buf[#] -> b",
+    "a: load x <- buf[#1x] -> b",
+    "a: load x <- buf [y] -> b",
+    "a: store buf[y] <- -> b",
+    "a: if c ? b",
+    "a: if c ? b : c : d",
+    "a: fill x <- stk#y -> b",
+    "a: spill stk#-1 <- x -> b",
+    "a: move x <- -> b",
+    "a: slh -> b",
+    "a: sfence b",
+    "a: ret b",
+    "a ret",
+    ": ret",
+    "mem buf 2 secret",
+    "entry",
+])
+def test_grammar_rejects_malformed_lines(bad):
+    text = "mem buf 2 low\nmem stk 1 low\nentry a\n" + bad + "\nb: ret\n"
+    with pytest.raises(ParseError, match="cannot parse") as e:
+        parse_program(text)
+    assert e.value.line == 4
 
 
 def test_uses_defs_agrees_with_semantics(rng):
