@@ -209,6 +209,7 @@ class Kind:
         # built once per kind, as they run per instruction in every analysis;
         # only a kind with an `addr` hole needs the filter or the conversion
         uses_of, defs_of, holes_of = _reader(uses), _reader(defs), _reader(holes)
+        self.fields, self.values = holes, holes_of
         if "addr" in uses:
             self.uses_defs = lambda i: (frozenset([r for r in uses_of(i) if isinstance(r, str)]), frozenset(defs_of(i)))
         else:

@@ -573,19 +573,23 @@ def allocate(p: Program, k: int) -> RAWitness:
 
 def _rename_instr(i: Instr, m_in: dict, m_out: dict, succs: list[Pc]) -> Instr:
     """`i` with uses placed by `m_in`, defs by `m_out` and successors `succs`."""
-
-    def place(m: dict, r: Reg, role: str) -> Reg:
-        loc = m[r]
-        if not isinstance(loc, str):
-            raise AllocationInfeasible(f"{role} {r} not in a register")
-        return loc
-
     k = i.kind
-    # a use field holding a const address (an int) keeps it
-    fields = {f: place(m_in, getattr(i, f), "use") for f in k.uses if isinstance(getattr(i, f), str)}
-    fields.update((f, place(m_out, getattr(i, f), "def")) for f in k.defs)
+    fields = dict(zip(k.fields, k.values(i)))
+    for f in k.uses:
+        r = getattr(i, f)
+        if isinstance(r, str):  # a const address (an int) stays
+            fields[f] = _placed(m_in, r, "use")
+    for f in k.defs:
+        fields[f] = _placed(m_out, getattr(i, f), "def")
     fields.update(zip(k.succs, succs))
-    return replace(i, **fields)
+    return k.cls(**fields)
+
+
+def _placed(m: dict, r: Reg, role: str) -> Reg:
+    loc = m[r]
+    if not isinstance(loc, str):
+        raise AllocationInfeasible(f"{role} {r} not in a register")
+    return loc
 
 
 # --- witness text format --------------------------------------------------------

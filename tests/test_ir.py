@@ -103,8 +103,9 @@ def test_round_trip_random(rng):
 
 
 def _allocated_programs(rng, count):
-    """Random programs with their `allocate` and `fix_ra` targets, which hold
-    the move, fill, spill, slh and sfence kinds that `random_program` omits."""
+    """Random programs with their `allocate` and `fix_ra` targets: only the
+    targets hold the move, fill and spill kinds, and `fix_ra` adds slh and
+    sfence."""
     from snicheck.poison import fix_ra
     from snicheck.regalloc import AllocationInfeasible, allocate
 
