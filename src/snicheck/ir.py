@@ -275,6 +275,15 @@ class Program:
         return tuple((v.name, off) for v in self.memvars for off in range(v.size))
 
     @cached_property
+    def unsafe_directives(self) -> dict[str, tuple]:
+        """`load` and `store` -> the directives an out-of-bounds access of that
+        kind admits: one per declared cell, sorted by (variable, offset)."""
+        from .semantics import Directive
+
+        cells = sorted(self._cells)
+        return {k: tuple(Directive(k, v, off) for v, off in cells) for k in ("load", "store")}
+
+    @cached_property
     def _registers(self) -> tuple[Reg, ...]:
         regs: set[Reg] = set()
         for i in self.instrs.values():

@@ -23,7 +23,7 @@ explicit bounds and reports which branches were truncated by them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .ir import (
     Asgn,
@@ -97,7 +97,7 @@ class State:
             d.pop(r, None)
         else:
             d[r] = v
-        return replace(self, regs=tuple(sorted(d.items())))
+        return State(self.pc, tuple(sorted(d.items())), self.mem)
 
     def with_cell(self, var: str, off: int, v: int) -> "State":
         d = dict(self.mem)
@@ -105,10 +105,10 @@ class State:
             d.pop((var, off), None)
         else:
             d[(var, off)] = v
-        return replace(self, mem=tuple(sorted(d.items())))
+        return State(self.pc, self.regs, tuple(sorted(d.items())))
 
     def at(self, pc: Pc) -> "State":
-        return replace(self, pc=pc)
+        return State(pc, self.regs, self.mem)
 
 
 SpecState = tuple[State, ...]
@@ -284,26 +284,37 @@ def step_spec(p: Program, nu: SpecState, d: Directive, width: int = DEFAULT_WIDT
             return nu[:-1] + (s2,), leak
 
 
-def directive_universe(p: Program) -> list[Directive]:
-    univ = [D_STEP, D_IF, D_SPEC, D_RB]
-    for v in p.memvars:
-        for off in range(v.size):
-            univ.append(d_load(v.name, off))
-            univ.append(d_store(v.name, off))
-    return univ
-
-
 def enabled_directives(p: Program, nu: SpecState, width: int = DEFAULT_WIDTH) -> list[Directive]:
-    """All enabled directives, in deterministic order.
+    """All enabled directives, in `directive_sort_key` order.
 
-    Equals {d in the finite universe : step_spec(p, nu, d) is present}; unsafe
-    accesses range over the declared memory layout, which keeps it finite.
+    Read off the top frame's instruction and the in-bounds test: a branch
+    admits `if` and `spec`, an out-of-bounds access one `load`/`store v o`
+    per declared cell, `sfence` steps only when not speculating, `exit` admits
+    nothing and everything else steps; `rb` is added while speculating.  This
+    equals {d in the finite directive universe : step_spec(p, nu, d) is not
+    None}, which `tests/test_semantics.py` checks against that probe.
     """
-    out = []
-    for d in directive_universe(p):
-        if step_spec(p, nu, d, width) is not None:
-            out.append(d)
-    return sorted(out, key=directive_sort_key)
+    top = nu[-1]
+    i = p.instrs[top.pc]
+    spec = len(nu) >= 2
+    match i:
+        case Exit():
+            out = []
+        case If():
+            out = [D_IF, D_SPEC]
+        case Sfence():
+            out = [] if spec else [D_STEP]
+        case Load(var=var, addr=adr) | Store(var=var, addr=adr):
+            a = adr if isinstance(adr, int) else top.reg(adr)
+            if not _in_bounds(p, var, a):
+                unsafe = p.unsafe_directives[i.kind.mnemonic]
+                return [D_RB, *unsafe] if spec else list(unsafe)
+            out = [D_STEP]
+        case _:
+            out = [D_STEP]
+    if spec:
+        out.append(D_RB)
+    return out
 
 
 def is_final(p: Program, nu: SpecState) -> bool:

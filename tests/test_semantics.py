@@ -12,7 +12,7 @@ from snicheck.semantics import (
     State,
     d_load,
     d_store,
-    directive_universe,
+    directive_sort_key,
     enabled_directives,
     explore_behaviors,
     initial,
@@ -43,6 +43,21 @@ def test_unsafe_store_redirects_to_directive_cell():
     s2, leak = res
     assert s2.cell("stk", 0) == s.reg("secret") == 236
     assert leak == l_store(8)
+
+
+def directive_universe(p):
+    """Every directive that can name a step of `p`: the four plain ones and a
+    load and a store per declared cell."""
+    univ = [D_STEP, D_IF, D_SPEC, D_RB]
+    for v in p.memvars:
+        for off in range(v.size):
+            univ += [d_load(v.name, off), d_store(v.name, off)]
+    return univ
+
+
+def probe_enabled(p, nu, width=8):
+    """Reference for `enabled_directives`: probe the universe with `step_spec`."""
+    return sorted((d for d in directive_universe(p) if step_spec(p, nu, d, width) is not None), key=directive_sort_key)
 
 
 def test_final_state_has_no_steps():
@@ -142,16 +157,71 @@ def test_enabled_unsafe_load_universe():
     assert D_RB in en and len(en) == 13
 
 
-def test_enabled_matches_step_filter(rng):
-    for _ in range(100):
-        p = random_program(rng)
-        nu = random_state(rng, p)
-        walk = random_walk(rng, p, nu, rng.randrange(4))
-        if walk:
-            nu = walk[-1][2]
-        en = enabled_directives(p, nu)
-        brute = [d for d in directive_universe(p) if step_spec(p, nu, d) is not None]
-        assert sorted(en, key=str) == sorted(brute, key=str)
+def _assert_enabled_matches_probe(rng, p, nu, steps, max_depth=3, width=8):
+    """Walk up to `steps` random directives from `nu`, never deeper than
+    `max_depth` frames, comparing `enabled_directives` with the probe (as
+    lists, so the order counts too) at every state on the way."""
+    for _ in range(steps + 1):
+        en = enabled_directives(p, nu, width)
+        assert en == probe_enabled(p, nu, width), (nu, en)
+        en = [d for d in en if d != D_SPEC or len(nu) < max_depth]
+        if not en:
+            return
+        nu = step_spec(p, nu, rng.choice(en), width)[0]
+
+
+def test_enabled_matches_probe_on_random_programs(rng):
+    for _ in range(300):
+        p = random_program(rng, n_instrs=rng.randint(2, 8), allow_shuffle=True)
+        _assert_enabled_matches_probe(rng, p, random_state(rng, p), rng.randrange(12))
+
+
+def test_enabled_matches_probe_on_allocated_and_fixed_targets(rng):
+    """RA targets add `move`/`fill`/`spill` and the `stk` variable; fixed ones
+    add `slh`/`sfence`, which only differ from a plain step while speculating."""
+    from snicheck.poison import fix_ra
+    from snicheck.regalloc import AllocationInfeasible, allocate
+
+    targets = 0
+    while targets < 60:
+        src = random_program(rng, n_instrs=rng.randint(4, 10), n_regs=4)
+        try:
+            w = allocate(src, 2)
+        except AllocationInfeasible:
+            continue
+        fixed, _ = fix_ra(w)
+        for t in (w.target, fixed.target):
+            targets += 1
+            for _ in range(5):
+                _assert_enabled_matches_probe(rng, t, random_state(rng, t), rng.randrange(16))
+
+
+@pytest.mark.parametrize(
+    "prog, init",
+    [
+        ("code_ra_source.sp", "code_ra.init"),
+        ("code_ra_target.sp", "code_ra.init"),
+        ("code_ra_w2_target.sp", "code_ra_w2.init"),
+        ("code_dce_source.sp", "code_dce.init"),
+        ("code_simplerv1.sp", "code_simplerv1.init"),
+        ("code_specv1.sp", "code_specv1.init"),
+    ],
+)
+def test_enabled_matches_probe_on_corpus(rng, prog, init):
+    p = load_program(prog)
+    nu = load_state(init, p)
+    for _ in range(40):
+        _assert_enabled_matches_probe(rng, p, nu, 24)
+
+
+def test_enabled_sfence_waits_while_speculating():
+    p = parse_program("mem a 1 low\nentry b\nb: if r ? f : f\nf: sfence -> e\ne: ret\n")
+    nu = initial(p)
+    assert enabled_directives(p, nu) == [D_IF, D_SPEC]
+    arch = step_spec(p, nu, D_IF)[0]
+    spec = step_spec(p, nu, D_SPEC)[0]
+    assert enabled_directives(p, arch) == [D_STEP]
+    assert enabled_directives(p, spec) == [D_RB]
 
 
 # --- run_directives ---------------------------------------------------------------
