@@ -7,8 +7,9 @@ registers die at program end.
 
 Kills: a live assign/load kills its destination; a const-addressed store
 kills exactly its cell.  Register-addressed loads make every memory cell
-live (the access may go anywhere once speculation is in play).  Uses are
-always added, including for instructions whose destination is dead; removal
+live (the access may go anywhere once speculation is in play).  Register
+uses are always added, including for instructions (moves too) whose
+destination is dead: the register allocator places every use.  Removal
 decisions depend only on destination liveness, so this does not change which
 instructions dead code elimination deletes.
 """
@@ -71,7 +72,7 @@ def transfer(p: Program, i: Instr, fact: Fact, exit_fact: Fact) -> Fact:
         case Slh(reg=r):
             return fact | {r}
         case Move(dst=d, src=s):
-            return (fact - {d}) | {s} if d in fact else fact
+            return (fact - {d}) | {s}
         case Fill(dst=d, slot=sl):
             return (fact - {d}) | {(STACK_VAR, sl)} if d in fact else fact
         case Spill(slot=sl, src=s):

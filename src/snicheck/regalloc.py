@@ -236,7 +236,8 @@ def validate_ra(
         t_uses, t_defs = uses_defs(ti)
         for t_next in ti.successors():
             m0, m1 = rl[t_pc], rl[t_next]
-            moved = _moved_register(w, t_pc, ti, m0, m1, out)
+            # a matched move is a source instruction, checked by instruction matching
+            moved = _moved_register(w, t_pc, ti, m0, m1, out) if t_pc in st.owner else None
             for r in sorted(live_at[t_pc] & live_at[t_next]):
                 l0, l1 = m0.get(r), m1.get(r)
                 if l0 is None or l1 is None:

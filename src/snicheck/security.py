@@ -8,8 +8,10 @@ executable and produce the same leakage.
 
 The checker walks both states in lockstep over the joint directive tree,
 comparing enabled-directive sets before each step and leakages after it.
-Joint states already visited are pruned (rollback erases, so revisits cannot
-add divergences); branches cut by the step or depth bound are counted and make
+A joint state is expanded again only when it comes back with more of the step
+budget left than at any earlier visit: what lies beyond a state depends only
+on the state and that budget, so a revisit with no more budget cannot find a
+new divergence.  Branches cut by the step or depth bound are counted and make
 a Secure verdict explicitly "secure up to bounds".
 """
 
@@ -122,7 +124,7 @@ def check_sni_pair(p: Program, nu1: SpecState, nu2: SpecState, b: Bounds, width:
         raise ValueError("check_sni_pair requires low-equivalent initial states")
 
     truncated = 0
-    visited: set = set()
+    budget_seen: dict[tuple[SpecState, SpecState], int] = {}  # joint state -> most steps left
 
     def rec(a: SpecState, c: SpecState, dirs: tuple[Directive, ...]) -> SniVerdict | None:
         nonlocal truncated
@@ -138,10 +140,10 @@ def check_sni_pair(p: Program, nu1: SpecState, nu2: SpecState, b: Bounds, width:
         if len(dirs) >= b.max_steps:
             truncated += 1
             return None
-        key = (a, c)
-        if key in visited:
+        key, left = (a, c), b.max_steps - len(dirs)
+        if budget_seen.get(key, 0) >= left:
             return None
-        visited.add(key)
+        budget_seen[key] = left
         for d in e1:
             a2, l1 = step_spec(p, a, d, width)
             c2, l2 = step_spec(p, c, d, width)

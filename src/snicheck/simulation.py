@@ -23,6 +23,7 @@ identical interval.  A Pass is evidence up to the given bounds, not a proof.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -307,8 +308,8 @@ def check_simulation(
 ) -> SimVerdict:
     checked = 0
     truncated = 0
-    seen: set = set()
-    queue: list[tuple[SpecState, SpecState, int]] = []
+    nearest: dict[tuple[SpecState, SpecState], int] = {}  # pair -> smallest distance expanded
+    queue: deque[tuple[SpecState, SpecState, int]] = deque()
     for t0 in initial_targets:
         s0 = wit.initial_map(t0)
         if not wit.related((t0,), (s0,)):
@@ -316,10 +317,12 @@ def check_simulation(
         queue.append(((s0,), (t0,), 0))
 
     while queue:
-        nu_src, nu_tgt, dist = queue.pop(0)
-        if (nu_src, nu_tgt) in seen:
+        nu_src, nu_tgt, dist = queue.popleft()
+        # intervals differ in length, so a pair may come back nearer than its
+        # first visit, with more of the step bound left to explore
+        if nearest.get((nu_src, nu_tgt), dist + 1) <= dist:
             continue
-        seen.add((nu_src, nu_tgt))
+        nearest[(nu_src, nu_tgt)] = dist
         if is_final(wit.target, nu_tgt):
             continue
         if dist >= b.max_steps:
@@ -401,14 +404,14 @@ def check_snippy_cube(
             return CubeVerdict("fail", checked, truncated, "initial-state mapping does not respect levels")
         if not t_low:
             continue
-        seen: set = set()
-        queue = [((s1,), (t1,), (s2,), (t2,), 0)]
+        nearest: dict[tuple, int] = {}  # quadruple -> smallest distance expanded
+        queue = deque([((s1,), (t1,), (s2,), (t2,), 0)])
         while queue:
-            n1s, n1t, n2s, n2t, dist = queue.pop(0)
+            n1s, n1t, n2s, n2t, dist = queue.popleft()
             key = (n1s, n1t, n2s, n2t)
-            if key in seen:
+            if nearest.get(key, dist + 1) <= dist:
                 continue
-            seen.add(key)
+            nearest[key] = dist
             if is_final(wit.target, n1t) and is_final(wit.target, n2t):
                 continue
             if dist >= b.max_steps:

@@ -139,6 +139,17 @@ def test_allocate_writes_witness(tmp_path, capsys):
     assert code == 0
 
 
+def test_allocate_dead_move_gives_a_valid_witness(tmp_path, capsys):
+    src, ot, ow = tmp_path / "s.sp", tmp_path / "t.sp", tmp_path / "w.txt"
+    src.write_text("entry 0\n0: move r1 <- r2 -> 1\n1: ret\n")
+    code, _ = run_cli(
+        "allocate", str(src), "--k", "2", "--out-target", str(ot), "--out-witness", str(ow), capsys=capsys,
+    )
+    assert code == 0
+    code, _ = run_cli("validate-ra", "--source", str(src), "--target", str(ot), "--witness", str(ow), capsys=capsys)
+    assert code == 0
+
+
 def test_check_snippy_cli_width2(capsys):
     code, _ = run_cli(
         "check-snippy", "--witness-kind", "ra",

@@ -122,6 +122,47 @@ def test_allocate_random_programs_validate(rng):
     assert done >= 600
 
 
+def test_allocate_programs_with_moves_validate(rng):
+    """Sources with `move` instructions allocate without a traceback, and every
+    witness returned passes validation."""
+    done = 0
+    for _ in range(600):
+        p = random_program(rng, n_instrs=rng.randint(2, 10), n_regs=rng.randint(1, 4), allow_shuffle=True)
+        k = rng.randint(2, 3)
+        try:
+            w = allocate(p, k)
+        except AllocationInfeasible:
+            continue
+        diags = validate_ra(w)
+        assert diags == [], f"{print_program(p)} k={k}: {[str(d) for d in diags]}"
+        done += 1
+    assert done >= 500
+
+
+def test_allocate_dead_move():
+    """The source of a move whose destination is dead is still live before it,
+    so the allocator has a location to read it from."""
+    p = parse_program("entry 0\n0: move r1 <- r2 -> 1\n1: ret\n")
+    w = allocate(p, 2)
+    assert validate_ra(w) == []
+    assert w.rho["0"] == {"r2": "r1"}
+
+
+def test_matched_move_is_checked_by_instruction_matching():
+    """A source move is matched, not shuffle code: reading the wrong register
+    is an instruction-matching error."""
+    from snicheck.ir import Move
+
+    p = parse_program("mem m 1 low\nentry 0\n0: move r1 <- r2 -> 1\n1: store m[#0] <- r1 -> 2\n2: ret\n")
+    w = allocate(p, 2)
+    assert validate_ra(w) == []
+    assert w.target.instrs["0"] == Move("r1", "r1", "1")  # r2 lives in r1
+    bad = dict(w.target.instrs)
+    bad["0"] = Move("r1", "r2", "1")
+    diags = validate_ra(RAWitness(p, type(w.target)(w.target.entry, bad, list(w.target.memvars)), w.phi, w.rho))
+    assert [d.kind for d in diags] == ["instruction-matching"]
+
+
 def test_allocated_target_round_trips_as_text(rng):
     for _ in range(50):
         p = random_program(rng, n_instrs=5)

@@ -13,7 +13,7 @@ from snicheck.security import (
 )
 from snicheck.semantics import Bounds, State, explore_behaviors, initial, run_directives
 
-from conftest import load_program, load_state
+from conftest import load_program, load_state, random_program, random_state
 
 
 def test_low_equivalence_basics(ra_target):
@@ -121,6 +121,37 @@ def test_sni_agrees_with_behavior_set_oracle(rng):
             assert v.secure == same, f"{text!r}: verdict {v.kind} vs behaviour sets equal={same}"
 
 
+MEMO_PROGRAM = """mem lo 2 low
+mem sec 1 high
+entry 0
+0: load d <- lo[a] -> 1
+1: e = z lt d -> 2
+2: if e ? L1 : S1
+""" + "".join(f"L{j}: nop -> L{j + 1}\n" for j in range(1, 11)) + """L11: d = z add z -> L12
+L12: e = z add z -> C
+S1: d = z add z -> S2
+S2: e = z add z -> C
+C: sfence -> C1
+C1: load s <- sec[#0] -> C2
+C2: if s ? X : X
+X: ret
+"""
+
+
+@pytest.mark.parametrize("steps", [16, 17, 18])
+def test_memo_reexpands_a_state_reached_with_more_budget(steps):
+    """The tail `C` is first reached late, through the long branch `L1`..`L12`,
+    and later early, through the short one.  The short path reaches the secret
+    branch within the step bound, so the revisit must be explored again."""
+    p = parse_program(MEMO_PROGRAM)
+    s = State.make("0", {"a": 5}, {("lo", 1): 1})
+    v = check_sni_pair(p, (s.with_cell("sec", 0, 42),), (s.with_cell("sec", 0, 7),), Bounds(steps, 3))
+    assert v.kind == "violation"
+    assert {str(v.leak1), str(v.leak2)} == {"if 42", "if 7"}
+    assert len(v.directives) <= steps
+    assert [str(l) for l in run_directives(p, v.state1, list(v.directives)).leaks][-1] == str(v.leak1)
+
+
 def test_check_sni_exhaustive_modes():
     b = Bounds(10, 2)
     leaky = parse_program(TINY_PROGRAMS[0])
@@ -151,3 +182,17 @@ def test_check_sni_sampled_deterministic(ra_target):
     v1 = check_sni(ra_target, base, PairSource("sampled", count=5, seed=7), b)
     v2 = check_sni(ra_target, base, PairSource("sampled", count=5, seed=7), b)
     assert v1.report() == v2.report()
+
+
+def test_sni_pair_agrees_with_memo_free_enumeration(rng):
+    """On random programs, the memoised lockstep search finds a violation iff
+    the memo-free enumerations of the two behaviour sets differ."""
+    b = Bounds(10, 3)
+    for _ in range(300):
+        p = random_program(rng, n_instrs=rng.randint(4, 10), n_regs=2)
+        nu = random_state(rng, p, width=2)
+        other = (nu[0].with_cell("hi", 0, (nu[0].cell("hi", 0) + 1) % 4),)
+        v = check_sni_pair(p, nu, other, b, width=2)
+        b1, b2 = explore_behaviors(p, nu, b, 2), explore_behaviors(p, other, b, 2)
+        same = b1.terminated == b2.terminated and b1.truncated == b2.truncated
+        assert v.secure == same

@@ -335,3 +335,75 @@ def test_dce_lockstep_replay_on_random_programs(rng):
             if len(t) > 3:
                 break
     assert checked >= 300
+
+
+# --- distance-aware revisits ------------------------------------------------------
+
+# All memory starts at 0 and `i` is out of bounds, so `load m 0` and `load m 1`
+# at pc 0 reach the same state at pc 1; `load h 0` reads the high cell.
+REVISIT_PROGRAM = """mem m 2 low
+mem h 1 high
+entry 0
+0: load x <- m[i] -> 1
+1: if z ? 0 : 2
+2: nop -> 3
+3: ret
+"""
+
+
+def _revisit_witness(tamper=None):
+    """Identity witness whose `load m 0` interval at pc 0 runs the loop once
+    more (`load m 0 ; if ; load m 0`, 3 steps), while `load m 1` reaches the
+    same pair in 1 step.  The long interval comes first in the queue.  The
+    pairs that mispredict into pc 2 with x = 0 count as unrelated, and
+    `tamper` may rewrite an interval."""
+    from snicheck.semantics import enabled_directives
+    from snicheck.simulation import SimInterval
+
+    p = parse_program(REVISIT_PROGRAM)
+    longer = (d_load("m", 0), D_IF, d_load("m", 0))
+
+    def related(nu_tgt, nu_src):
+        return nu_tgt == nu_src and not any(s.pc == "2" and s.reg("x") == 0 for s in nu_tgt)
+
+    def intervals(nu_src, nu_tgt, b):
+        out = []
+        for d in enabled_directives(p, nu_tgt):
+            dirs = longer if nu_tgt[-1].pc == "0" and d == longer[0] else (d,)
+            run = run_directives(p, nu_tgt, list(dirs))
+            iv = SimInterval(dirs, run.leaks, dirs, run.leaks, run.last, run.last)
+            out.append(tamper(nu_tgt, iv) if tamper else iv)
+        return ExtractResult(out)
+
+    return p, SimWitness("revisit", p, p, related, lambda s: s, intervals)
+
+
+def test_check_simulation_reexpands_a_pair_reached_nearer():
+    """The pair at pc 1 with x = 0 is first dequeued at distance 3 and cut by
+    the step bound; its later visit at distance 1 must still be expanded."""
+    from snicheck.semantics import State
+
+    p, wit = _revisit_witness()
+    t0 = State.make("0", {"i": 5}, {("h", 0): 1})
+    v = check_simulation(wit, [t0], Bounds(3, 2))
+    assert not v.ok and v.reason == "interval end not related"
+    assert v.pair[1][-1].pc == "2"
+
+
+def test_snippy_cube_reexpands_a_quadruple_reached_nearer():
+    """As above, for the quadruple of both runs at pc 1 with x = 0."""
+    from snicheck.semantics import State, l_if
+    from snicheck.simulation import SimInterval
+
+    def tamper(nu_tgt, iv):
+        # the misprediction at pc 1 with x = 0 leaks differently on the run whose h is 1
+        top = nu_tgt[-1]
+        if (top.pc, top.reg("x"), top.cell("h", 0)) == ("1", 0, 1) and iv.tgt_dirs == (D_SPEC,):
+            return SimInterval(iv.tgt_dirs, (l_if(99),), iv.src_dirs, iv.src_leaks, iv.end_src, iv.end_tgt)
+        return iv
+
+    p, wit = _revisit_witness(tamper)
+    t1 = State.make("0", {"i": 5}, {("h", 0): 1})
+    t2 = t1.with_cell("h", 0, 2)
+    v = check_snippy_cube(wit, [(t1, t2)], Bounds(3, 2), width=2)
+    assert not v.ok and v.interval.tgt_dirs == (D_SPEC,)
