@@ -291,12 +291,13 @@ def enabled_directives(p: Program, nu: SpecState, width: int = DEFAULT_WIDTH) ->
     admits `if` and `spec`, an out-of-bounds access one `load`/`store v o`
     per declared cell, `sfence` steps only when not speculating, `exit` admits
     nothing and everything else steps; `rb` is added while speculating.  This
-    equals {d in the finite directive universe : step_spec(p, nu, d) is not
-    None}, which `tests/test_semantics.py` checks against that probe.
+    equals the directives d for which step_spec(p, nu, d) is not None among
+    `step`, `if`, `spec`, `rb` and a `load`/`store` per declared cell, which
+    `tests/test_semantics.py` checks against that probe.
     """
     top = nu[-1]
     i = p.instrs[top.pc]
-    spec = len(nu) >= 2
+    spec = speculating(nu)
     match i:
         case Exit():
             out = []

@@ -320,9 +320,10 @@ def check_simulation(
         nu_src, nu_tgt, dist = queue.popleft()
         # intervals differ in length, so a pair may come back nearer than its
         # first visit, with more of the step bound left to explore
-        if nearest.get((nu_src, nu_tgt), dist + 1) <= dist:
+        key = (nu_src, nu_tgt)
+        if key in nearest and nearest[key] <= dist:
             continue
-        nearest[(nu_src, nu_tgt)] = dist
+        nearest[key] = dist
         if is_final(wit.target, nu_tgt):
             continue
         if dist >= b.max_steps:
@@ -409,7 +410,7 @@ def check_snippy_cube(
         while queue:
             n1s, n1t, n2s, n2t, dist = queue.popleft()
             key = (n1s, n1t, n2s, n2t)
-            if nearest.get(key, dist + 1) <= dist:
+            if key in nearest and nearest[key] <= dist:
                 continue
             nearest[key] = dist
             if is_final(wit.target, n1t) and is_final(wit.target, n2t):

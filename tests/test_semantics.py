@@ -214,16 +214,6 @@ def test_enabled_matches_probe_on_corpus(rng, prog, init):
         _assert_enabled_matches_probe(rng, p, nu, 24)
 
 
-def test_enabled_sfence_waits_while_speculating():
-    p = parse_program("mem a 1 low\nentry b\nb: if r ? f : f\nf: sfence -> e\ne: ret\n")
-    nu = initial(p)
-    assert enabled_directives(p, nu) == [D_IF, D_SPEC]
-    arch = step_spec(p, nu, D_IF)[0]
-    spec = step_spec(p, nu, D_SPEC)[0]
-    assert enabled_directives(p, arch) == [D_STEP]
-    assert enabled_directives(p, spec) == [D_RB]
-
-
 # --- run_directives ---------------------------------------------------------------
 
 
