@@ -170,7 +170,7 @@ def _assert_enabled_matches_probe(rng, p, nu, steps, max_depth=3, width=8):
         nu = step_spec(p, nu, rng.choice(en), width)[0]
 
 
-def test_enabled_matches_probe_on_random_programs(rng):
+def test_enabled_matches_step_filter(rng):
     for _ in range(300):
         p = random_program(rng, n_instrs=rng.randint(2, 8), allow_shuffle=True)
         _assert_enabled_matches_probe(rng, p, random_state(rng, p), rng.randrange(12))
@@ -184,7 +184,7 @@ def test_enabled_matches_probe_on_allocated_and_fixed_targets(rng):
 
     targets = 0
     while targets < 60:
-        src = random_program(rng, n_instrs=rng.randint(4, 10), n_regs=4)
+        src = random_program(rng, n_instrs=rng.randint(4, 10), n_regs=4, allow_shuffle=True)
         try:
             w = allocate(src, 2)
         except AllocationInfeasible:
