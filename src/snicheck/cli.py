@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Exit codes: 0 pass/secure, 1 violation or failed check, 2 inconclusive
-(bounds were hit before the search finished), 3 usage or parse error, or a
-check that could not finish (for example `fix` hitting its iteration cap).
+(bounds were hit before the search finished), 3 usage or parse error, an
+unreadable input file, or a check that could not finish (for example `fix`
+hitting its iteration cap).
 JSON output carries `schema: 1` and is byte-stable for a fixed seed.
 """
 
@@ -455,7 +456,8 @@ def main(argv: list[str] | None = None) -> int:
         return 3 if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (ParseError, ValueError, FileNotFoundError, RuntimeError) as e:
+    except (ParseError, ValueError, OSError, RuntimeError) as e:
+        # OSError covers unreadable inputs (missing files, directories);
         # RuntimeError covers fix_ra giving up and RecursionError on deep inputs
         print(f"error: {e}", file=sys.stderr)
         return 3

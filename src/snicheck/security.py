@@ -13,6 +13,12 @@ budget left than at any earlier visit: what lies beyond a state depends only
 on the state and that budget, so a revisit with no more budget cannot find a
 new divergence.  Branches cut by the step or depth bound are counted and make
 a Secure verdict explicitly "secure up to bounds".
+
+The enabled directives of a single state and the successor and leak of each
+are a pure function of that state, the program and the width, so `check_sni`
+computes them once per state in a table shared by all the pairs it checks:
+each run takes part in many pairs, and the pairs still check exactly what
+they checked stepping afresh.  The table lives for one call.
 """
 
 from __future__ import annotations
@@ -118,22 +124,47 @@ class SniVerdict:
         return out
 
 
-def check_sni_pair(p: Program, nu1: SpecState, nu2: SpecState, b: Bounds, width: int = DEFAULT_WIDTH) -> SniVerdict:
-    """Synchronized bounded search for a behavioural difference of nu1 vs nu2."""
+# a single speculative state -> its enabled directives and, in the same order,
+# the (successor, leak) each of them steps to
+Transitions = dict[SpecState, tuple[tuple[Directive, ...], tuple[tuple[SpecState, Leakage], ...]]]
+
+
+def check_sni_pair(
+    p: Program,
+    nu1: SpecState,
+    nu2: SpecState,
+    b: Bounds,
+    width: int = DEFAULT_WIDTH,
+    table: Transitions | None = None,
+) -> SniVerdict:
+    """Synchronized bounded search for a behavioural difference of nu1 vs nu2.
+
+    Each side's transitions are read from `table`, filled on first use; a
+    caller checking several pairs of one program at one width passes the same
+    table to all of them (see `check_sni`)."""
     if len(nu1) != 1 or len(nu2) != 1 or not low_equivalent(p, nu1[0], nu2[0]):
         raise ValueError("check_sni_pair requires low-equivalent initial states")
 
+    if table is None:
+        table = {}
     truncated = 0
     budget_seen: dict[tuple[SpecState, SpecState], int] = {}  # joint state -> most steps left
 
+    def transitions(nu: SpecState):
+        t = table.get(nu)
+        if t is None:
+            en = tuple(enabled_directives(p, nu, width))
+            t = table[nu] = en, tuple(step_spec(p, nu, d, width) for d in en)
+        return t
+
     def rec(a: SpecState, c: SpecState, dirs: tuple[Directive, ...]) -> SniVerdict | None:
         nonlocal truncated
-        e1 = enabled_directives(p, a, width)
-        e2 = enabled_directives(p, c, width)
+        e1, steps1 = transitions(a)
+        e2, steps2 = transitions(c)
         if e1 != e2:
             return SniVerdict(
                 "violation", b, truncated, state1=nu1, state2=nu2, directives=dirs,
-                divergence="enabled", enabled1=tuple(e1), enabled2=tuple(e2),
+                divergence="enabled", enabled1=e1, enabled2=e2,
             )
         if not e1:
             return None
@@ -144,9 +175,7 @@ def check_sni_pair(p: Program, nu1: SpecState, nu2: SpecState, b: Bounds, width:
         if budget_seen.get(key, 0) >= left:
             return None
         budget_seen[key] = left
-        for d in e1:
-            a2, l1 = step_spec(p, a, d, width)
-            c2, l2 = step_spec(p, c, d, width)
+        for d, (a2, l1), (c2, l2) in zip(e1, steps1, steps2):
             if l1 != l2:
                 return SniVerdict(
                     "violation", b, truncated, state1=nu1, state2=nu2,
@@ -233,10 +262,11 @@ def check_sni(
 
     truncated = 0
     checked = 0
+    table: Transitions = {}
     for a, c in pairs:
         if not low_equivalent(p, a[0], c[0]):
             continue
-        v = check_sni_pair(p, a, c, b, width)
+        v = check_sni_pair(p, a, c, b, width, table)
         checked += 1
         truncated += v.truncated
         if not v.secure:

@@ -23,7 +23,10 @@ explicit bounds and reports which branches were truncated by them.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import itemgetter
 
 from .ir import (
     Asgn,
@@ -65,7 +68,22 @@ def eval_op(op: str, a: int, b: int, width: int) -> int:
     raise ValueError(f"unknown operator {op}")
 
 
-@dataclass(frozen=True)
+_key = itemgetter(0)
+
+
+def _splice(items: tuple, k, v: int) -> tuple:
+    """`items` (sorted by key, no zero values) with k set to v.
+
+    Only the entry for k is new; every other (key, value) pair is shared with
+    `items`, so states along a search share their register and cell pairs."""
+    i = bisect_left(items, k, key=_key)
+    hit = i < len(items) and items[i][0] == k
+    if v == 0:
+        return items[:i] + items[i + 1:] if hit else items
+    return items[:i] + ((k, v),) + items[i + hit:]
+
+
+@dataclass(frozen=True, slots=True)
 class State:
     pc: Pc
     regs: tuple[tuple[Reg, int], ...] = ()
@@ -92,20 +110,10 @@ class State:
         return 0
 
     def with_reg(self, r: Reg, v: int) -> "State":
-        d = dict(self.regs)
-        if v == 0:
-            d.pop(r, None)
-        else:
-            d[r] = v
-        return State(self.pc, tuple(sorted(d.items())), self.mem)
+        return State(self.pc, _splice(self.regs, r, v), self.mem)
 
     def with_cell(self, var: str, off: int, v: int) -> "State":
-        d = dict(self.mem)
-        if v == 0:
-            d.pop((var, off), None)
-        else:
-            d[(var, off)] = v
-        return State(self.pc, self.regs, tuple(sorted(d.items())))
+        return State(self.pc, self.regs, _splice(self.mem, (var, off), v))
 
     def at(self, pc: Pc) -> "State":
         return State(pc, self.regs, self.mem)
@@ -131,7 +139,7 @@ def same_point(nu1: SpecState, nu2: SpecState) -> bool:
 _DKINDS = ("step", "if", "spec", "rb", "load", "store")
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Directive:
     kind: str
     var: str = ""
@@ -161,7 +169,7 @@ def directive_sort_key(d: Directive) -> tuple:
     return (_DKINDS.index(d.kind), d.var, d.off)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leakage:
     kind: str  # none | if | load | store | rb
     value: int = -1
@@ -176,14 +184,22 @@ L_NONE = Leakage("none")
 L_RB = Leakage("rb")
 
 
+# one object per (kind, value): the search tables keep many leakages alive.
+# A run sees few distinct values; the bound keeps a long-lived process with
+# wide words from growing the caches without end.
+
+
+@lru_cache(maxsize=4096)
 def l_if(v: int) -> Leakage:
     return Leakage("if", v)
 
 
+@lru_cache(maxsize=4096)
 def l_load(addr: int) -> Leakage:
     return Leakage("load", addr)
 
 
+@lru_cache(maxsize=4096)
 def l_store(addr: int) -> Leakage:
     return Leakage("store", addr)
 

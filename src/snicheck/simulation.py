@@ -19,6 +19,13 @@ again.  `check_snippy_cube` runs two low-equivalent executions of this walk
 side by side and demands that whenever pair 1 takes an interval whose source
 directives run with the same leaks from pair 2's source, pair 2 offers the
 identical interval.  A Pass is evidence up to the given bounds, not a proof.
+
+The intervals of a (source, target) pair are a pure function of the pair, the
+witness and the bounds, and so is a source replay of a directive sequence.
+Each check therefore computes them once per call, in tables that live for
+that call: `check_simulation` reuses a pair's intervals when the pair comes
+back nearer, and `check_snippy_cube` shares them across both sides of every
+quadruple and across all initial pairs, each run taking part in many pairs.
 """
 
 from __future__ import annotations
@@ -52,7 +59,7 @@ from .semantics import (
 from .security import low_equivalent
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimInterval:
     tgt_dirs: tuple[Directive, ...]
     tgt_leaks: tuple[Leakage, ...]
@@ -86,6 +93,19 @@ def extract_intervals(wit: SimWitness, nu_src: SpecState, nu_tgt: SpecState, b: 
     if is_final(wit.target, nu_tgt):
         return ExtractResult([])
     return wit.intervals(nu_src, nu_tgt, b)
+
+
+def _interval_table(wit: SimWitness, b: Bounds) -> Callable[[SpecState, SpecState], ExtractResult]:
+    """`extract_intervals` under `b`, computed once per (source, target) pair."""
+    table: dict[tuple[SpecState, SpecState], ExtractResult] = {}
+
+    def intervals(nu_src: SpecState, nu_tgt: SpecState) -> ExtractResult:
+        res = table.get((nu_src, nu_tgt))
+        if res is None:
+            res = table[nu_src, nu_tgt] = extract_intervals(wit, nu_src, nu_tgt, b)
+        return res
+
+    return intervals
 
 
 # --- dead code elimination witness ------------------------------------------------
@@ -308,6 +328,7 @@ def check_simulation(
 ) -> SimVerdict:
     checked = 0
     truncated = 0
+    intervals = _interval_table(wit, b)
     nearest: dict[tuple[SpecState, SpecState], int] = {}  # pair -> smallest distance expanded
     queue: deque[tuple[SpecState, SpecState, int]] = deque()
     for t0 in initial_targets:
@@ -329,7 +350,7 @@ def check_simulation(
         if dist >= b.max_steps:
             truncated += 1
             continue
-        res = extract_intervals(wit, nu_src, nu_tgt, b)
+        res = intervals(nu_src, nu_tgt)
         truncated += res.truncated
         for d in enabled_directives(wit.target, nu_tgt, width):
             if not any(iv.tgt_dirs[0] == d for iv in res.intervals):
@@ -383,10 +404,7 @@ class CubeVerdict:
         return out
 
 
-def _source_premise(wit: SimWitness, nu_src: SpecState, iv: SimInterval, width: int) -> bool:
-    """Pair 2's source can execute pair 1's source directives with equal leaks."""
-    run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
-    return run.status != "stuck" and run.leaks == iv.src_leaks
+_UNSEEN = object()
 
 
 def check_snippy_cube(
@@ -397,6 +415,19 @@ def check_snippy_cube(
 ) -> CubeVerdict:
     checked = 0
     truncated = 0
+    intervals = _interval_table(wit, b)
+    # (source state, source directives) -> their leaks from that state, or None when stuck
+    replays: dict[tuple[SpecState, tuple[Directive, ...]], tuple[Leakage, ...] | None] = {}
+
+    def premise(nu_src: SpecState, iv: SimInterval) -> bool:
+        """This source can execute the other pair's source directives with equal leaks."""
+        key = (nu_src, iv.src_dirs)
+        leaks = replays.get(key, _UNSEEN)
+        if leaks is _UNSEEN:
+            run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
+            leaks = replays[key] = None if run.status == "stuck" else run.leaks
+        return leaks == iv.src_leaks
+
     for t1, t2 in initial_target_pairs:
         s1, s2 = wit.initial_map(t1), wit.initial_map(t2)
         t_low = low_equivalent(wit.target, t1, t2)
@@ -418,20 +449,20 @@ def check_snippy_cube(
             if dist >= b.max_steps:
                 truncated += 1
                 continue
-            r1 = extract_intervals(wit, n1s, n1t, b)
-            r2 = extract_intervals(wit, n2s, n2t, b)
+            r1 = intervals(n1s, n1t)
+            r2 = intervals(n2s, n2t)
             truncated += r1.truncated + r2.truncated
             sig2 = {iv.signature for iv in r2.intervals}
             sig1 = {iv.signature for iv in r1.intervals}
             for iv in r1.intervals:
-                if not _source_premise(wit, n2s, iv, width):
+                if not premise(n2s, iv):
                     continue
                 checked += 1
                 if iv.signature not in sig2:
                     reason = _describe_missing(iv, r2.intervals)
                     return CubeVerdict("fail", checked, truncated, reason, (n1s, n1t, n2s, n2t), iv)
             for iv in r2.intervals:
-                if not _source_premise(wit, n1s, iv, width):
+                if not premise(n1s, iv):
                     continue
                 checked += 1
                 if iv.signature not in sig1:

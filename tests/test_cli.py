@@ -295,3 +295,16 @@ def test_check_snippy_exhaustive_budget(capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: exhaustive pair budget exceeded: 9 high cells at width 2")
+
+
+@pytest.mark.parametrize("cmd", [
+    lambda d: ["run", d],
+    lambda d: ["check-sni", C("code_ra_source.sp"), "--state", d],
+])
+def test_directory_input_exits_3_with_message(cmd, tmp_path, capsys):
+    """A directory where a file is expected is an input error, not a traceback."""
+    code = main(cmd(str(tmp_path)))
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""

@@ -1,17 +1,27 @@
 import itertools
+from collections import Counter
 
 import pytest
 
 from snicheck.ir import parse_program
 from snicheck.security import (
     PairSource,
+    SniVerdict,
     check_safety,
     check_sni,
     check_sni_pair,
     enumerate_high_states,
     low_equivalent,
 )
-from snicheck.semantics import Bounds, State, explore_behaviors, initial, run_directives
+from snicheck.semantics import (
+    Bounds,
+    State,
+    enabled_directives,
+    explore_behaviors,
+    initial,
+    run_directives,
+    step_spec,
+)
 
 from conftest import load_program, load_state, random_program, random_state
 
@@ -196,3 +206,80 @@ def test_sni_pair_agrees_with_memo_free_enumeration(rng):
         b1, b2 = explore_behaviors(p, nu, b, 2), explore_behaviors(p, other, b, 2)
         same = b1.terminated == b2.terminated and b1.truncated == b2.truncated
         assert v.secure == same
+
+
+# --- the shared transition table against fresh pair searches ------------------
+
+
+def reference_check_sni_pair(p, nu1, nu2, b, width):
+    """`check_sni_pair` without a transition table: every joint state asks
+    `enabled_directives` and `step_spec` afresh for both sides."""
+    truncated = 0
+    budget_seen = {}
+
+    def rec(a, c, dirs):
+        nonlocal truncated
+        e1 = enabled_directives(p, a, width)
+        e2 = enabled_directives(p, c, width)
+        if e1 != e2:
+            return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2, directives=dirs,
+                              divergence="enabled", enabled1=tuple(e1), enabled2=tuple(e2))
+        if not e1:
+            return None
+        if len(dirs) >= b.max_steps:
+            truncated += 1
+            return None
+        key, left = (a, c), b.max_steps - len(dirs)
+        if budget_seen.get(key, 0) >= left:
+            return None
+        budget_seen[key] = left
+        for d in e1:
+            a2, l1 = step_spec(p, a, d, width)
+            c2, l2 = step_spec(p, c, d, width)
+            if l1 != l2:
+                return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2,
+                                  directives=dirs + (d,), divergence="leak", leak1=l1, leak2=l2)
+            if len(a2) > b.max_spec_depth:
+                truncated += 1
+                continue
+            r = rec(a2, c2, dirs + (d,))
+            if r is not None:
+                return r
+        return None
+
+    res = rec(nu1, nu2, ())
+    if res is not None:
+        res.truncated = truncated
+        return res
+    return SniVerdict("secure", b, truncated, pairs_checked=1)
+
+
+def reference_check_sni_exhaustive(p, base, b, width):
+    states = enumerate_high_states(p, base, width)
+    truncated = checked = 0
+    for a, c in itertools.combinations(states, 2):
+        v = reference_check_sni_pair(p, a, c, b, width)
+        checked += 1
+        truncated += v.truncated
+        if not v.secure:
+            v.pairs_checked = checked
+            return v
+    return SniVerdict("secure", b, truncated, pairs_checked=checked)
+
+
+def test_check_sni_shared_table_matches_fresh_pairs(rng):
+    """Exhaustive `check_sni` at width 2 shares one transition table across
+    its pairs; its whole report, replays included, equals that of a fresh
+    table-free search per pair."""
+    kinds, truncated = Counter(), 0
+    for _ in range(500):
+        p = random_program(rng, n_instrs=rng.randint(4, 12), n_regs=2)
+        base = random_state(rng, p, width=2)
+        b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
+        got = check_sni(p, base, PairSource("exhaustive"), b, width=2)
+        want = reference_check_sni_exhaustive(p, base, b, 2)
+        assert got.report(p, 2) == want.report(p, 2)
+        kinds[got.divergence or got.kind] += 1
+        truncated += got.truncated
+    assert kinds["secure"] >= 20 and kinds["leak"] >= 20 and kinds["enabled"] >= 5, kinds
+    assert truncated > 0

@@ -422,3 +422,47 @@ def test_comparisons_produce_bits(a, b, op):
     v = eval_op(op, a, b, 8)
     assert v in (0, 1)
     assert v == int(a < b if op == "lt" else a == b)
+
+
+# --- state writes -------------------------------------------------------------------
+
+
+def rebuild(items, k, v):
+    """The dict-and-sort rebuild that `State.with_reg`/`with_cell` replace."""
+    d = dict(items)
+    if v == 0:
+        d.pop(k, None)
+    else:
+        d[k] = v
+    return tuple(sorted(d.items()))
+
+
+def test_writes_match_dict_rebuild(rng):
+    """Random write sequences, a third of them zero writes: the spliced
+    registers and cells equal the sorted, zero-free rebuild, and the pairs a
+    write does not touch are shared with the state before it."""
+    regs = ["a", "b", "r0", "r1", "r10", "r2", "x"]
+    cells = [("hi", 0), ("lo", 0), ("lo", 1), ("lo", 2), ("stk", 0)]
+    for _ in range(300):
+        s = State.make("0")
+        want_regs, want_mem = (), ()
+        for _ in range(rng.randint(1, 20)):
+            v = 0 if rng.random() < 0.35 else rng.randrange(1, 4)
+            before = s
+            if rng.random() < 0.5:
+                r = rng.choice(regs)
+                s, want_regs = s.with_reg(r, v), rebuild(want_regs, r, v)
+                kept = [pair for pair in before.regs if pair[0] != r]
+                assert all(any(q is pair for q in s.regs) for pair in kept)
+            else:
+                var, off = rng.choice(cells)
+                s, want_mem = s.with_cell(var, off, v), rebuild(want_mem, (var, off), v)
+                kept = [pair for pair in before.mem if pair[0] != (var, off)]
+                assert all(any(q is pair for q in s.mem) for pair in kept)
+            assert (s.regs, s.mem) == (want_regs, want_mem)
+            assert s == State.make("0", dict(want_regs), dict(want_mem))
+
+
+def test_leakages_are_interned():
+    assert l_if(1) is l_if(1) and l_load(2) is l_load(2) and l_store(0) is l_store(0)
+    assert l_load(2) == Leakage("load", 2) and l_load(2) != l_store(2)

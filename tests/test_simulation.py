@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter, deque
 
 import pytest
 
@@ -16,14 +17,18 @@ from snicheck.semantics import (
     D_STEP,
     d_load,
     d_store,
+    enabled_directives,
     explore_behaviors,
     is_final,
     run_directives,
     step_spec,
 )
 from snicheck.simulation import (
+    CubeVerdict,
     ExtractResult,
+    SimVerdict,
     SimWitness,
+    _describe_missing,
     check_simulation,
     check_snippy_cube,
     dce_witness,
@@ -407,3 +412,198 @@ def test_snippy_cube_reexpands_a_quadruple_reached_nearer():
     t2 = t1.with_cell("h", 0, 2)
     v = check_snippy_cube(wit, [(t1, t2)], Bounds(3, 2), width=2)
     assert not v.ok and v.interval.tgt_dirs == (D_SPEC,)
+
+
+# --- the interval and premise tables against the uncached loops --------------------
+
+
+def reference_check_simulation(wit, initial_targets, b, width):
+    """`check_simulation` without the interval table: every expansion of a
+    pair extracts its intervals afresh."""
+    checked = truncated = 0
+    nearest = {}
+    queue = deque()
+    for t0 in initial_targets:
+        s0 = wit.initial_map(t0)
+        if not wit.related((t0,), (s0,)):
+            return SimVerdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
+        queue.append(((s0,), (t0,), 0))
+    while queue:
+        nu_src, nu_tgt, dist = queue.popleft()
+        key = (nu_src, nu_tgt)
+        if key in nearest and nearest[key] <= dist:
+            continue
+        nearest[key] = dist
+        if is_final(wit.target, nu_tgt):
+            continue
+        if dist >= b.max_steps:
+            truncated += 1
+            continue
+        res = extract_intervals(wit, nu_src, nu_tgt, b)
+        truncated += res.truncated
+        for d in enabled_directives(wit.target, nu_tgt, width):
+            if not any(iv.tgt_dirs[0] == d for iv in res.intervals):
+                return SimVerdict("fail", checked, truncated, "target continuation has no interval",
+                                  (nu_src, nu_tgt), d)
+        for iv in res.intervals:
+            checked += 1
+            tgt_run = run_directives(wit.target, nu_tgt, list(iv.tgt_dirs), width)
+            if tgt_run.status == "stuck" or tgt_run.leaks != iv.tgt_leaks or tgt_run.last != iv.end_tgt:
+                return SimVerdict("fail", checked, truncated, "interval target projection does not replay",
+                                  (nu_src, nu_tgt))
+            src_run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
+            if src_run.status == "stuck" or src_run.leaks != iv.src_leaks or src_run.last != iv.end_src:
+                return SimVerdict("fail", checked, truncated, "interval source projection does not replay",
+                                  (nu_src, nu_tgt))
+            if not wit.related(iv.end_tgt, iv.end_src):
+                return SimVerdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
+            if len(iv.end_tgt) > b.max_spec_depth:
+                truncated += 1
+                continue
+            queue.append((iv.end_src, iv.end_tgt, dist + len(iv.tgt_dirs)))
+    return SimVerdict("pass", checked, truncated)
+
+
+def reference_check_snippy_cube(wit, initial_target_pairs, b, width):
+    """`check_snippy_cube` without tables: intervals are extracted and the
+    source premise replayed afresh for every quadruple."""
+
+    def premise(nu_src, iv):
+        run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
+        return run.status != "stuck" and run.leaks == iv.src_leaks
+
+    checked = truncated = 0
+    for t1, t2 in initial_target_pairs:
+        s1, s2 = wit.initial_map(t1), wit.initial_map(t2)
+        t_low = low_equivalent(wit.target, t1, t2)
+        if t_low != low_equivalent(wit.source, s1, s2):
+            return CubeVerdict("fail", checked, truncated, "initial-state mapping does not respect levels")
+        if not t_low:
+            continue
+        nearest = {}
+        queue = deque([((s1,), (t1,), (s2,), (t2,), 0)])
+        while queue:
+            n1s, n1t, n2s, n2t, dist = queue.popleft()
+            key = (n1s, n1t, n2s, n2t)
+            if key in nearest and nearest[key] <= dist:
+                continue
+            nearest[key] = dist
+            if is_final(wit.target, n1t) and is_final(wit.target, n2t):
+                continue
+            if dist >= b.max_steps:
+                truncated += 1
+                continue
+            r1 = extract_intervals(wit, n1s, n1t, b)
+            r2 = extract_intervals(wit, n2s, n2t, b)
+            truncated += r1.truncated + r2.truncated
+            sig2 = {iv.signature for iv in r2.intervals}
+            sig1 = {iv.signature for iv in r1.intervals}
+            for iv in r1.intervals:
+                if not premise(n2s, iv):
+                    continue
+                checked += 1
+                if iv.signature not in sig2:
+                    reason = _describe_missing(iv, r2.intervals)
+                    return CubeVerdict("fail", checked, truncated, reason, (n1s, n1t, n2s, n2t), iv)
+            for iv in r2.intervals:
+                if not premise(n1s, iv):
+                    continue
+                checked += 1
+                if iv.signature not in sig1:
+                    reason = _describe_missing(iv, r1.intervals)
+                    return CubeVerdict("fail", checked, truncated, reason, (n2s, n2t, n1s, n1t), iv)
+            by_sig = {iv.signature: iv for iv in r2.intervals}
+            for iv in r1.intervals:
+                other = by_sig.get(iv.signature)
+                if other is None:
+                    continue
+                if len(iv.end_tgt) > b.max_spec_depth:
+                    truncated += 1
+                    continue
+                queue.append((iv.end_src, iv.end_tgt, other.end_src, other.end_tgt, dist + len(iv.tgt_dirs)))
+    return CubeVerdict("pass", checked, truncated)
+
+
+def _random_witnesses(rng, count):
+    """Witnesses at width 2 over random programs: DCE, RA as allocated and RA
+    after `fix_ra`, each possibly with target leaks planted on the runs whose
+    high cell is 1, so that cubes fail too."""
+    out = []
+    while len(out) < count:
+        p = random_program(rng, n_instrs=rng.randint(4, 9), n_regs=3)
+        kind = rng.choice(["dce", "ra", "ra-fixed"])
+        if kind == "dce":
+            wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
+        else:
+            try:
+                w = allocate(p, 2)
+            except AllocationInfeasible:
+                continue
+            if kind == "ra-fixed":
+                w, _ = fix_ra(w, width=2)
+            wit = ra_witness(w, 2)
+        if rng.random() < 0.3:
+            wit = _planted(wit)
+        out.append(wit)
+    return out
+
+
+def _planted(wit):
+    from snicheck.semantics import l_if
+    from snicheck.simulation import SimInterval
+
+    def intervals(nu_src, nu_tgt, b):
+        res = wit.intervals(nu_src, nu_tgt, b)
+        if nu_tgt[0].cell("hi", 0) != 1:
+            return res
+        out = [SimInterval(iv.tgt_dirs, (l_if(3),) + iv.tgt_leaks[1:], iv.src_dirs, iv.src_leaks, iv.end_src, iv.end_tgt)
+               for iv in res.intervals]
+        return ExtractResult(out, res.truncated)
+
+    return SimWitness("planted", wit.source, wit.target, wit.related, wit.initial_map, intervals)
+
+
+def _assert_cubes_agree(wit, pairs, b):
+    got = check_snippy_cube(wit, pairs, b, width=2)
+    want = reference_check_snippy_cube(wit, pairs, b, 2)
+    assert got.report() == want.report()
+    assert got.quad == want.quad
+    return got
+
+
+def test_snippy_cube_tables_match_uncached_loop(rng):
+    """The cube's interval and premise tables change no report: random DCE
+    and RA witnesses, exhaustive over the high cell at width 2."""
+    seen = Counter()
+    for wit in _random_witnesses(rng, 90):
+        base = random_state(rng, wit.target, width=2)
+        states = [s[0] for s in enumerate_high_states(wit.target, base, 2)]
+        b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
+        v = _assert_cubes_agree(wit, list(itertools.combinations(states, 2)), b)
+        seen[wit.kind, v.status] += 1
+        seen["truncated"] += v.truncated > 0
+    assert seen["dce", "pass"] and seen["ra", "pass"] and seen["planted", "fail"] >= 5 and seen["truncated"], seen
+
+
+def test_snippy_cube_tables_match_uncached_loop_on_corpus():
+    p = load_program("code_dce_w2_source.sp")
+    dce = dce_witness(p, dce_transform(p, liveness(p)), width=2)
+    w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
+    fixed, _ = fix_ra(w, width=2)
+    cubes = [(dce, "code_dce_w2.init"), (ra_witness(w, 2), "code_ra_w2.init"), (ra_witness(fixed, 2), "code_ra_w2.init")]
+    assert [_assert_cubes_agree(wit, w2_pairs(wit.target, init), Bounds(24, 2)).status for wit, init in cubes] == [
+        "pass", "fail", "pass"]
+
+
+def test_check_simulation_table_matches_uncached_loop(rng):
+    """`check_simulation` reuses the intervals of a pair that comes back nearer."""
+    seen = Counter()
+    for wit in _random_witnesses(rng, 90):
+        targets = [random_state(rng, wit.target, width=2)[0] for _ in range(3)]
+        b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
+        got = check_simulation(wit, targets, b, width=2)
+        want = reference_check_simulation(wit, targets, b, 2)
+        assert got.report() == want.report()
+        assert (got.pair, got.directive) == (want.pair, want.directive)
+        seen[got.status] += 1
+    assert seen["pass"] >= 20 and seen["fail"] >= 5, seen
