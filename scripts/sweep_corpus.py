@@ -4,11 +4,18 @@
 Prints, for each bundled configuration, the SNI verdicts, the typability
 violations, and the simulation/cube verdicts, at both widths.  Useful as a
 quick smoke run and as a template for new experiments.
+
+    python3 scripts/sweep_corpus.py
+
+The package is imported from the checkout's `src/`, so no install is needed.
 """
 
 import itertools
 import sys
 import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from snicheck.cli import corpus_path
 from snicheck.ir import parse_program

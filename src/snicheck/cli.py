@@ -182,15 +182,12 @@ def cmd_liveness(args) -> int:
 def cmd_allocate(args) -> int:
     p = _load_program(args.program)
     w = regalloc.allocate(p, args.k)
+    target, witness = print_program(w.target), regalloc.serialize_ra_witness(w)
     if args.out_target:
-        Path(args.out_target).write_text(print_program(w.target))
+        Path(args.out_target).write_text(target)
     if args.out_witness:
-        Path(args.out_witness).write_text(regalloc.serialize_ra_witness(w))
-    _emit(
-        args,
-        {"command": "allocate", "target": print_program(w.target), "witness": regalloc.serialize_ra_witness(w)},
-        print_program(w.target),
-    )
+        Path(args.out_witness).write_text(witness)
+    _emit(args, {"command": "allocate", "target": target, "witness": witness}, target)
     return 0
 
 

@@ -2,18 +2,21 @@
 
 Forward problems require f(succ) >= T_n(f(n)) for every edge n -> succ plus
 f(n) >= init at entry nodes; backward problems are the mirror image.  The
-worklist is FIFO with node-order tiebreaking, so solutions are deterministic.
+worklist is FIFO, seeded in reverse postorder of the flow graph: a
+depth-first search along the flow direction from the init nodes, then from
+each node it did not reach, in node order.  A node is then visited after
+everything that flows into it, except along back edges, so the transfer runs
+exactly once per node on acyclic regions.  The least solution does not depend
+on the visit order, so this only changes how fast the solver gets there.
 A node's value is stable when joining its inflow leaves it equal, which for a
 join (an upper bound of both operands) is the same as inflow <= value.
-Additional constraints of shape f(n) <= bound are checked post hoc; if the
-least solution violates one, no solution satisfies it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable
+from typing import Any, Callable, Hashable, Sequence
 
 Node = Hashable
 
@@ -43,10 +46,34 @@ class NonMonotoneError(RuntimeError):
         self.node = node
 
 
+def reverse_postorder(roots, deps: dict[Node, Sequence[Node]]) -> list[Node]:
+    """Reverse postorder of a depth-first search along `deps` from each of
+    `roots` in turn that is not yet visited; an explicit stack, since long
+    programs would exceed the interpreter's recursion limit."""
+    seen: set[Node] = set()
+    post: list[Node] = []
+    for root in roots:
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(deps[root]))]
+        while stack:
+            n, it = stack[-1]
+            for m in it:
+                if m not in seen:
+                    seen.add(m)
+                    stack.append((m, iter(deps[m])))
+                    break
+            else:
+                stack.pop()
+                post.append(n)
+    post.reverse()
+    return post
+
+
 def solve(prob: FlowProblem) -> dict[Node, Any]:
     """Least solution of the flow inequalities by worklist iteration."""
     lat = prob.lattice
-    order = {n: i for i, n in enumerate(prob.nodes)}
     # flow runs along edges forward, or against them backward
     deps: dict[Node, list[Node]] = {n: [] for n in prob.nodes}
     for u, v in prob.edges:
@@ -54,8 +81,6 @@ def solve(prob: FlowProblem) -> dict[Node, Any]:
             deps[u].append(v)
         else:
             deps[v].append(u)
-    for ms in deps.values():
-        ms.sort(key=order.__getitem__)
 
     sol = {n: lat.bottom for n in prob.nodes}
     for n in prob.init_nodes:
@@ -64,7 +89,7 @@ def solve(prob: FlowProblem) -> dict[Node, Any]:
     height = prob.height_hint if prob.height_hint is not None else max(1, len(prob.nodes))
     cap = max(64, len(prob.nodes) * (height + 1) * 4)
 
-    queue = deque(prob.nodes)
+    queue = deque(reverse_postorder([*prob.init_nodes, *prob.nodes], deps))
     queued = set(queue)
     ticks = 0
     while queue:
@@ -82,22 +107,6 @@ def solve(prob: FlowProblem) -> dict[Node, Any]:
                     queue.append(m)
                     queued.add(m)
     return sol
-
-
-@dataclass(frozen=True)
-class ConstraintViolation:
-    node: Node
-    value: Any
-    bound: Any
-
-
-def check_constraints(sol: dict[Node, Any], constraints: list[tuple[Node, Any]], lat: Lattice) -> list[ConstraintViolation]:
-    """Constraints f(node) <= bound that the solution fails."""
-    out = []
-    for node, bound in constraints:
-        if not lat.leq(sol[node], bound):
-            out.append(ConstraintViolation(node, sol[node], bound))
-    return out
 
 
 def set_lattice() -> Lattice:

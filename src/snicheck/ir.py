@@ -243,11 +243,18 @@ KINDS = (
 )
 
 
+_PC_PARTS = re.compile(r"\d+|\D+")
+
+
 def pc_key(pc: Pc) -> tuple:
-    """Sort key that orders numeric label fragments numerically (1 < 2 < 10)."""
-    return tuple(
-        (0, int(t), "") if t.isdigit() else (1, 0, t) for t in re.findall(r"\d+|\D+", pc)
-    )
+    """Sort key that orders numeric label fragments numerically (1 < 2 < 10).
+
+    The key ends with the label itself, so distinct labels that read as the
+    same numbers (`01` and `1`, `1.0` and `1.00`) still get distinct keys and
+    the order is total."""
+    if pc.isdecimal():
+        return ((0, int(pc), ""),), pc
+    return tuple((0, int(t), "") if t.isdigit() else (1, 0, t) for t in _PC_PARTS.findall(pc)), pc
 
 
 @dataclass
@@ -387,6 +394,34 @@ def validate_program(p: Program, warnings: list[Diagnostic] | None = None) -> li
 _MEM_RE = re.compile(rf"mem\s+({_LABEL})\s+(\d+)\s+(low|high)$")
 _ENTRY_RE = re.compile(rf"entry\s+({_LABEL})$")
 _PC_RE = re.compile(rf"({_LABEL})\s*:\s*")
+_WORD_RE = re.compile(_LABEL)
+# `#` opens a comment only at line start or after whitespace; `[#0]` and
+# `stk#0` use it as the const-address marker
+_COMMENT_RE = re.compile(r"(?:^|\s)#")
+# kinds by the word their text starts with; an assignment starts with a register
+_BY_MNEMONIC = {k.mnemonic: k for k in KINDS if k.cls is not Asgn}
+
+
+def strip_comment(raw: str) -> str:
+    """`raw` without its comment and surrounding whitespace."""
+    if "#" in raw and (m := _COMMENT_RE.search(raw)):
+        raw = raw[: m.start()]
+    return raw.strip()
+
+
+def _parse_instr(line: str, pos: int) -> Instr | None:
+    """The instruction written at `line[pos:]`, or None.
+
+    The kind is the one its leading word names, else an assignment; an
+    assignment to a register spelled like a mnemonic (`load = x add y -> b`)
+    fails the named kind's template and falls back too.  The templates
+    exclude each other, so the match is the only one."""
+    w = _WORD_RE.match(line, pos)
+    named = _BY_MNEMONIC.get(w[0]) if w else None
+    for k in (named, Asgn.kind) if named else (Asgn.kind,):
+        if m := k.regex.fullmatch(line, pos):
+            return k.parse(m.groups())
+    return None
 
 
 def parse_program(text: str) -> Program:
@@ -401,9 +436,7 @@ def parse_program(text: str) -> Program:
         instrs[pc] = i
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        # `#` opens a comment only at line start or after whitespace; `[#0]`
-        # and `stk#0` use it as the const-address marker
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        line = strip_comment(raw)
         if not line:
             continue
         if m := _MEM_RE.match(line):
@@ -414,13 +447,10 @@ def parse_program(text: str) -> Program:
             entry = m[1]
         else:
             pc = _PC_RE.match(line)
-            # the kind templates exclude each other, so the first match is the only one
-            for k in KINDS if pc else ():
-                if m := k.regex.fullmatch(line, pc.end()):
-                    add(lineno, pc[1], k.parse(m.groups()))
-                    break
-            else:
-                raise ParseError(f"cannot parse: {line!r}", lineno, raw.index(line.split()[0]) if line else 0)
+            i = _parse_instr(line, pc.end()) if pc else None
+            if i is None:
+                raise ParseError(f"cannot parse: {line!r}", lineno, raw.index(line.split()[0]))
+            add(lineno, pc[1], i)
 
     if entry is None:
         raise ParseError("missing entry declaration", 1)

@@ -88,15 +88,6 @@ PV_NAMES = {BOT: "_", H: "H", W: "W", P: "P"}
 # as bit sets (H = 0b01, W = 0b10, P = 0b11) the order is inclusion: H and W
 # are incomparable, and the least upper bound is bitwise or
 
-
-def pv_leq(a: int, b: int) -> bool:
-    return a | b == b
-
-
-def pv_join(a: int, b: int) -> int:
-    return a | b
-
-
 Key = "Reg | tuple[str, int]"
 PoisonType = dict  # Key -> poison value, total over the witness domain
 
@@ -109,14 +100,6 @@ def poison_domain(w: RAWitness) -> list:
 
 def pt_const(domain, pv: int) -> PoisonType:
     return {k: pv for k in domain}
-
-
-def pt_leq(a: PoisonType, b: PoisonType) -> bool:
-    return all(pv_leq(a[k], b[k]) for k in a)
-
-
-def pt_join(a: PoisonType, b: PoisonType) -> PoisonType:
-    return {k: v | b[k] for k, v in a.items()}
 
 
 @dataclass
@@ -751,13 +734,14 @@ def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixRepo
     splice instead of rerunning `poison_analysis`.  A splice keeps a witness
     valid or invalid as it was (the new pc relocates like the pc it precedes,
     `sfence` moves nothing and `slh` keeps its register in place), so
-    `validate_ra` runs once, on the input, and only when a fence is needed.
-    `width` is accepted for symmetry with `poison_analysis`; the static
-    analysis does not depend on it.
+    `validate_ra` runs once, on the input, and only when a fence is needed,
+    with the session's liveness, structure and live relocations, which no
+    splice has patched yet at that point.  `width` is accepted for symmetry
+    with `poison_analysis`; the static analysis does not depend on it.
     """
     session = RepairSession(w)
     if session.violations:
-        bad = validate_ra(w, session.sol, session.live)
+        bad = validate_ra(w, session.sol, session.live, session.st, session.rho_live)
         if bad:
             raise RuntimeError(f"fix produced an invalid witness: {bad[0]}")
     report = FixReport(session.insertions)

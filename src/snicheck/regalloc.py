@@ -24,6 +24,7 @@ dead registers may be dropped from or linger in `rho` without complaint.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field, replace
 
 from .ir import (
@@ -46,8 +47,10 @@ from .ir import (
     STACK_VAR,
     SHUFFLE_KINDS,
     pc_key,
+    strip_comment,
     uses_defs,
 )
+from .dataflow import reverse_postorder
 from .liveness import cells_fact, live_regs_before, liveness
 
 Loc = "Reg | tuple[str, int]"  # hardware register or ("stk", slot)
@@ -184,23 +187,30 @@ def rho_live(w: RAWitness, st: Structure, sol, live: dict[Pc, frozenset[Reg]] | 
 
 
 def validate_ra(
-    w: RAWitness, sol: dict[Pc, frozenset] | None = None, live: dict[Pc, frozenset[Reg]] | None = None
+    w: RAWitness,
+    sol: dict[Pc, frozenset] | None = None,
+    live: dict[Pc, frozenset[Reg]] | None = None,
+    st: Structure | None = None,
+    rl: dict[Pc, dict[Reg, "Loc"]] | None = None,
 ) -> list[RADiagnostic]:
     """All witness diagnostics; empty iff the three conditions hold.
 
-    `sol` is the source liveness with registers dead at exit and `live` is
-    `source_live_regs(w, sol)`; both are computed here when not given."""
+    `sol` is the source liveness with registers dead at exit, `live` is
+    `source_live_regs(w, sol)`, `st` is `analyze_structure(w)` and `rl` is
+    `rho_live(w, st, sol, live)`; each is computed here when not given."""
     if sol is None:
         sol = liveness(w.source, cells_fact(w.source))
-    st = analyze_structure(w)
+    if st is None:
+        st = analyze_structure(w)
     if st.errors:
         return st.errors
     if live is None:
         live = source_live_regs(w, sol)
+    if rl is None:
+        rl = rho_live(w, st, sol, live)
     out: list[RADiagnostic] = []
     src, tgt = w.source, w.target
     live_at = {t: live_regs_at_target(st, live, t) for t in tgt.pcs()}
-    rl = rho_live(w, st, sol, live)
 
     # obeying liveness: coverage and injectivity on live registers
     for t_pc in tgt.pcs():
@@ -391,32 +401,6 @@ def _next_use(p: Program) -> dict[Pc, dict[Reg, int]]:
     return dist
 
 
-def _reverse_postorder(p: Program) -> list[Pc]:
-    seen, order = set(), []
-
-    def dfs(root: Pc):
-        # explicit stack of (pc, successor iterator): long programs would
-        # exceed the interpreter's recursion limit
-        seen.add(root)
-        stack = [(root, iter(p.instrs[root].successors()))]
-        while stack:
-            pc, succs = stack[-1]
-            for s in succs:
-                if s not in seen:
-                    seen.add(s)
-                    stack.append((s, iter(p.instrs[s].successors())))
-                    break
-            else:
-                stack.pop()
-                order.append(pc)
-
-    dfs(p.entry)
-    for pc in p.pcs():  # unreachable code still needs a slot in the order
-        if pc not in seen:
-            dfs(pc)
-    return list(reversed(order))
-
-
 def allocate(p: Program, k: int) -> RAWitness:
     """Greedy allocation with k hardware registers; spills furthest next use.
 
@@ -496,7 +480,8 @@ def allocate(p: Program, k: int) -> RAWitness:
             out[d] = fr[0]
         return m, out
 
-    rpo = _reverse_postorder(p)
+    # from the entry first; unreachable code still needs a slot in the order
+    rpo = reverse_postorder([p.entry, *p.pcs()], {pc: i.successors() for pc, i in p.instrs.items()})
     maps_in: dict[Pc, dict] = {}
     maps_out: dict[Pc, dict] = {}
     cand_in: dict[Pc, dict] = {}
@@ -595,12 +580,19 @@ def _placed(m: dict, r: Reg, role: str) -> Reg:
 
 # --- witness text format --------------------------------------------------------
 
+_SLOT_PREFIX = f"{STACK_VAR}#"
+
+
+def _pc_order(keys: dict, p: Program) -> list[Pc]:
+    """The keys of `keys` in `pc_key` order: `p`'s cached order when they are
+    exactly its pcs, as in every witness `allocate` or `parse_ra_witness`
+    builds."""
+    return p.pcs() if keys.keys() == p.instrs.keys() else sorted(keys, key=pc_key)
+
 
 def serialize_ra_witness(w: RAWitness) -> str:
-    lines = []
-    for s_pc in sorted(w.phi, key=pc_key):
-        lines.append(f"phi: {s_pc} -> {w.phi[s_pc]}")
-    for t_pc in sorted(w.rho, key=pc_key):
+    lines = [f"phi: {s_pc} -> {w.phi[s_pc]}" for s_pc in _pc_order(w.phi, w.source)]
+    for t_pc in _pc_order(w.rho, w.target):
         m = w.rho[t_pc]
         if not m:
             lines.append(f"rho {t_pc}:")
@@ -614,22 +606,20 @@ def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
 
     A target pc with no rho section inherits its predecessor's map (the entry
     defaults to the identity on source registers), so a file with no rho
-    sections at all means identity relocation everywhere.
+    sections at all means identity relocation everywhere.  A pc that inherits
+    shares the map object it inherits, so copy a map before changing it.
     """
-    import re
-
     phi: dict[Pc, Pc] = {}
     explicit: dict[Pc, dict] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        # comments start at a whitespace-preceded `#`; `stk#0` keeps its marker
-        line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+        line = strip_comment(raw)
         if not line:
             continue
         if line.startswith("phi:"):
-            parts = line[4:].split("->")
-            if len(parts) != 2:
+            s_pc, arrow, t_pc = line[4:].partition("->")
+            if not arrow or "->" in t_pc:
                 raise ValueError(f"line {lineno}: bad phi entry")
-            s_pc, t_pc = parts[0].strip(), parts[1].strip()
+            s_pc, t_pc = s_pc.strip(), t_pc.strip()
             if s_pc not in source.instrs:
                 raise ValueError(f"line {lineno}: unknown source pc {s_pc}")
             if t_pc not in target.instrs:
@@ -640,51 +630,37 @@ def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
             t_pc = head.strip()
             if t_pc not in target.instrs:
                 raise ValueError(f"line {lineno}: unknown target pc {t_pc}")
-            explicit.setdefault(t_pc, {})
+            m = explicit.setdefault(t_pc, {})
             rest = rest.strip()
             if not rest:
                 continue
-            parts = rest.split("->")
-            if len(parts) != 2 or not parts[0].strip() or not parts[1].strip():
+            r, arrow, loc_s = rest.partition("->")
+            r, loc_s = r.strip(), loc_s.strip()
+            if not arrow or not r or not loc_s or "->" in loc_s:
                 raise ValueError(f"line {lineno}: malformed relocation entry")
-            r, loc_s = parts[0].strip(), parts[1].strip()
-            if loc_s.startswith(f"{STACK_VAR}#"):
-                loc = (STACK_VAR, int(loc_s[len(STACK_VAR) + 1:]))
-            else:
-                loc = loc_s
-            explicit[t_pc][r] = loc
+            m[r] = (STACK_VAR, int(loc_s[len(_SLOT_PREFIX) :])) if loc_s.startswith(_SLOT_PREFIX) else loc_s
         else:
             raise ValueError(f"line {lineno}: cannot parse {line!r}")
 
+    # propagate maps breadth-first along target control flow; explicit
+    # sections win.  A pc inherits from the predecessors placed before it,
+    # which must agree.
     identity = {r: r for r in source.registers}
     rho: dict[Pc, dict] = {}
-    # propagate maps along target control flow; explicit sections win
-    order: list[Pc] = []
-    seen = set()
-    todo = [target.entry]
-    while todo:
-        pc = todo.pop(0)
-        if pc in seen:
-            continue
-        seen.add(pc)
-        order.append(pc)
-        todo.extend(target.instrs[pc].successors())
-    preds: dict[Pc, list[Pc]] = {pc: [] for pc in target.instrs}
-    for pc in target.pcs():
+    inherited: dict[Pc, dict] = {}
+    disagree: set[Pc] = set()
+    queue, seen = deque([target.entry]), {target.entry}
+    while queue:
+        pc = queue.popleft()
+        if pc in disagree:
+            raise ValueError(f"rho for {pc} inherited from disagreeing predecessors; add an explicit section")
+        m = rho[pc] = explicit[pc] if pc in explicit else inherited.get(pc, identity)
         for s in target.instrs[pc].successors():
-            preds[s].append(pc)
-    for pc in order:
-        if pc in explicit:
-            rho[pc] = dict(explicit[pc])
-            continue
-        cand = [rho[q] for q in preds[pc] if q in rho]
-        if not cand:
-            rho[pc] = dict(identity)
-        else:
-            first = cand[0]
-            if any(c != first for c in cand[1:]):
-                raise ValueError(f"rho for {pc} inherited from disagreeing predecessors; add an explicit section")
-            rho[pc] = dict(first)
+            if s not in seen:
+                seen.add(s)
+                queue.append(s)
+            if s not in rho and s not in explicit and inherited.setdefault(s, m) != m:
+                disagree.add(s)
     for pc in target.pcs():
-        rho.setdefault(pc, dict(explicit.get(pc, identity)))
+        rho.setdefault(pc, explicit.get(pc, identity))
     return RAWitness(source, target, phi, rho)

@@ -130,10 +130,6 @@ def speculating(nu: SpecState) -> bool:
     return len(nu) >= 2
 
 
-def same_point(nu1: SpecState, nu2: SpecState) -> bool:
-    return len(nu1) == len(nu2) and all(a.pc == b.pc for a, b in zip(nu1, nu2))
-
-
 # --- directives and leakages -------------------------------------------------
 
 _DKINDS = ("step", "if", "spec", "rb", "load", "store")

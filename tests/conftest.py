@@ -1,4 +1,5 @@
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -107,3 +108,41 @@ def random_walk(rng: random.Random, p, nu, steps, width=8):
         nu, leak = step_spec(p, nu, d, width)
         out.append((d, leak, nu))
     return out
+
+
+# --- oracles: orders and checks that only tests use -------------------------
+
+
+def pv_leq(a: int, b: int) -> bool:
+    """Poison value order: inclusion of the bit sets H = 0b01, W = 0b10, P = 0b11."""
+    return a | b == b
+
+
+def pv_join(a: int, b: int) -> int:
+    return a | b
+
+
+def pt_leq(a: dict, b: dict) -> bool:
+    """Pointwise order on unpacked poison types."""
+    return all(pv_leq(a[k], b[k]) for k in a)
+
+
+def pt_join(a: dict, b: dict) -> dict:
+    return {k: v | b[k] for k, v in a.items()}
+
+
+def same_point(nu1, nu2) -> bool:
+    """Two speculative states at the same pc on every frame."""
+    return len(nu1) == len(nu2) and all(a.pc == b.pc for a, b in zip(nu1, nu2))
+
+
+@dataclass(frozen=True)
+class ConstraintViolation:
+    node: object
+    value: object
+    bound: object
+
+
+def check_constraints(sol: dict, constraints: list, lat) -> list[ConstraintViolation]:
+    """Constraints f(node) <= bound, under `lat.leq`, that the solution fails."""
+    return [ConstraintViolation(n, sol[n], b) for n, b in constraints if not lat.leq(sol[n], b)]

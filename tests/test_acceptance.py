@@ -18,7 +18,6 @@ from snicheck.poison import (
     fix_ra,
     poison_analysis,
     pt_const,
-    pt_leq,
 )
 from snicheck.regalloc import AllocationInfeasible, allocate, parse_ra_witness, validate_ra
 from snicheck.security import PairSource, check_safety, check_sni, check_sni_pair, enumerate_high_states
@@ -32,13 +31,12 @@ from snicheck.semantics import (
     d_store,
     enabled_directives,
     run_directives,
-    same_point,
     step_spec,
 )
 from snicheck.simulation import check_snippy_cube, dce_witness, extract_intervals, ra_witness
 from snicheck.cli import corpus_path
 
-from conftest import load_program, load_state, random_program, random_state, random_walk
+from conftest import load_program, load_state, pt_leq, random_program, random_state, random_walk, same_point
 
 
 def report(n: int, ok: bool, detail: str = ""):

@@ -308,3 +308,14 @@ def test_directory_input_exits_3_with_message(cmd, tmp_path, capsys):
     assert code == 3
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_sweep_corpus_script_runs_from_a_checkout(tmp_path):
+    """The corpus sweep imports the package from the checkout it sits in, with
+    no `PYTHONPATH` and from any working directory."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sweep_corpus.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    verdicts = [line[46:].rsplit(None, 1)[0].strip() for line in r.stdout.splitlines()]
+    assert verdicts == ["secure", "violation", "1 violation(s)", "secure", "pass", "fail", "pass"]

@@ -3,7 +3,9 @@ import itertools
 import pytest
 
 from snicheck import dataflow
-from snicheck.dataflow import FlowProblem, Lattice, check_constraints, set_lattice, solve
+from snicheck.dataflow import FlowProblem, Lattice, set_lattice, solve
+
+from conftest import check_constraints
 
 
 def test_single_node_forward():
@@ -101,6 +103,36 @@ def test_solution_satisfies_inequalities(rng):
         for u, v in edges:
             assert prob.transfer(u, sol[u]) <= sol[v]
         assert prob.init <= sol["a"]
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward"])
+def test_acyclic_graphs_visit_each_node_once(rng, direction):
+    """Seeded in reverse postorder, the worklist runs the transfer exactly
+    once per node of a DAG, including nodes the init nodes do not reach."""
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        nodes = [f"n{i}" for i in rng.sample(range(n), n)]  # node order unrelated to the edges
+        rank = {v: i for i, v in enumerate(rng.sample(nodes, n))}  # edges run up this order
+        edges = [(u, v) for u in nodes for v in nodes if rank[u] < rank[v] and rng.random() < 0.3]
+        gen = {v: frozenset(rng.sample("pqr", rng.randint(0, 2))) for v in nodes}
+        calls = []
+
+        def transfer(v, x, g=gen, calls=calls):
+            calls.append(v)
+            return x | g[v]
+
+        prob = FlowProblem(
+            nodes=nodes,
+            edges=edges,
+            direction=direction,
+            transfer=transfer,
+            init=frozenset({"i"}),
+            init_nodes=rng.sample(nodes, rng.randint(0, min(2, n))),
+            lattice=set_lattice(),
+        )
+        sol = solve(prob)
+        assert sorted(calls) == sorted(nodes)
+        assert sol == _kleene(prob)
 
 
 def test_check_constraints():

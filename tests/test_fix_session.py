@@ -27,9 +27,6 @@ from snicheck.poison import (
     poison_domain,
     prod_pcs,
     pt_const,
-    pt_join,
-    pt_leq,
-    pv_join,
 )
 from snicheck.regalloc import (
     AllocationInfeasible,
@@ -43,7 +40,7 @@ from snicheck.regalloc import (
 )
 from snicheck.liveness import cells_fact, liveness
 
-from conftest import load_program, random_program
+from conftest import load_program, pt_join, pt_leq, pv_join, random_program
 
 
 def _reference_transfer(w, rho, domain):

@@ -54,6 +54,42 @@ def test_parse_errors_carry_line_numbers():
         parse_program("entry a\na: ret\na: ret\n")
 
 
+@pytest.mark.parametrize("text, line, col, message", [
+    ("entry a\n  a: frobnicate -> b   # note\n", 2, 2, "cannot parse: 'a: frobnicate -> b'"),
+    ("entry a\na: ret\n\t load: load x <- buf[#0]\n", 3, 2, "cannot parse: 'load: load x <- buf[#0]'"),
+    ("mem buf 2 low\nentry a\na: ret\n   mem buf 1 low\n", 4, 0, "duplicate memvar buf"),
+    ("entry a\na: ret\n\n a: nop -> a\n", 4, 0, "duplicate label a"),
+    ("# header\na: ret\n", 1, 0, "missing entry declaration"),
+    ("entry a\na: load x <- buf[#0] -> b\nb: ret\n", 0, 0, "a: unknown memvar buf"),
+])
+def test_parse_errors_carry_line_and_column(text, line, col, message):
+    with pytest.raises(ParseError) as e:
+        parse_program(text)
+    assert (e.value.line, e.value.col, e.value.message) == (line, col, message)
+
+
+def test_registers_named_like_mnemonics_are_assignments():
+    """A line is read by the kind its leading word names, and falls back to
+    an assignment, whose leading word is a register."""
+    text = (
+        "mem buf 1 low\nentry a\n"
+        "a: load = x add y -> b\n"
+        "b: ret = if sub nop -> c\n"
+        "c: store = load and move -> d\n"
+        "d: load store <- buf[load] -> e\n"
+        "e: if load ? f : f\n"
+        "f: ret\n"
+    )
+    p = parse_program(text)
+    assert p.instrs["a"] == Asgn("load", "x", "add", "y", "b")
+    assert p.instrs["b"] == Asgn("ret", "if", "sub", "nop", "c")
+    assert p.instrs["c"] == Asgn("store", "load", "and", "move", "d")
+    assert p.instrs["d"] == Load("store", "buf", "load", "e")
+    assert p.instrs["e"] == If("load", "f", "f")
+    assert p.instrs["f"] == Exit()
+    assert parse_program(print_program(p)) == p
+
+
 def test_validate_unknown_successor_and_slots():
     p = ir.Program("a", {"a": Nop("nowhere")}, [])
     diags = validate_program(p)
@@ -235,6 +271,25 @@ def test_pc_key_orders_consistently(labels):
     ordered = sorted(labels, key=pc_key)
     assert sorted(ordered, key=pc_key) == ordered
     assert sorted(["1", "2", "10"], key=pc_key) == ["1", "2", "10"]
+
+
+def _reference_pc_key(pc):
+    parts = tuple((0, int(t), "") if t.isdigit() else (1, 0, t) for t in re.findall(r"\d+|\D+", pc))
+    return parts, pc
+
+
+@given(label, label)
+def test_pc_key_is_a_total_order(a, b):
+    """Distinct labels get distinct keys, so sorting never falls back on
+    insertion order; the all-digit fast path agrees with the general one."""
+    assert pc_key(a) == _reference_pc_key(a)
+    assert pc_key(b) == _reference_pc_key(b)
+    assert (pc_key(a) == pc_key(b)) == (a == b)
+
+
+def test_pc_key_breaks_numeric_ties_by_label():
+    assert sorted(["1.00", "01", "1", "1.0", "2"], key=pc_key) == ["01", "1", "1.0", "1.00", "2"]
+    assert sorted(["1", "01"], key=pc_key) == sorted(["01", "1"], key=pc_key)
 
 
 def test_print_minimal_is_two_lines():

@@ -12,15 +12,12 @@ from snicheck.poison import (
     format_poison_table,
     poison_analysis,
     pt_const,
-    pt_leq,
-    pv_join,
-    pv_leq,
 )
 from snicheck.regalloc import allocate, AllocationInfeasible, parse_ra_witness, validate_ra
 from snicheck.semantics import D_IF, D_RB, D_SPEC, D_STEP, d_load, d_store
 from snicheck.cli import corpus_path
 
-from conftest import load_program, load_state, random_program, random_state
+from conftest import check_constraints, load_program, load_state, pt_leq, pv_join, pv_leq, random_program, random_state
 
 
 def test_poison_value_lattice():
@@ -280,10 +277,10 @@ def test_constraint_checker_flags_branch_node(ra_witness):
     lat = dataflow.Lattice(pt_const(domain, BOT), None, pt_leq)
     bound = pt_const(domain, P)
     bound["bytes"] = H
-    violations = dataflow.check_constraints(sp.assignment, [(("4", "f"), bound)], lat)
+    violations = check_constraints(sp.assignment, [(("4", "f"), bound)], lat)
     assert len(violations) == 1 and violations[0].node == ("4", "f")
     top = pt_const(domain, P)
-    assert dataflow.check_constraints(sp.assignment, [(("4", "f"), top)], lat) == []
+    assert check_constraints(sp.assignment, [(("4", "f"), top)], lat) == []
 
 
 def test_typable_witness_never_sticks(ra_witness):

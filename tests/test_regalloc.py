@@ -12,6 +12,7 @@ from snicheck.regalloc import (
     validate_ra,
 )
 from snicheck.cli import corpus_path
+from snicheck.poison import fix_ra
 
 from conftest import load_program, load_state, random_program
 
@@ -44,6 +45,52 @@ def test_witness_mutation_spill_to_occupied_slot(ra_witness):
     w = RAWitness(ra_witness.source, ra_witness.target, dict(ra_witness.phi), rho)
     diags = validate_ra(w)
     assert any(d.kind == "shuffle-conformity" and "free" in d.message for d in diags)
+
+
+def _corrupted(rng, w):
+    """`w` with one random change to phi or rho, or unchanged."""
+    phi, rho = dict(w.phi), {pc: dict(m) for pc, m in w.rho.items()}
+    pc = rng.choice(sorted(rho))
+    kind = rng.randrange(5)
+    if kind == 0 and rho[pc]:
+        del rho[pc][rng.choice(sorted(rho[pc]))]
+    elif kind == 1 and rho[pc]:
+        r = rng.choice(sorted(rho[pc]))
+        rho[pc][r] = rng.choice([*sorted({x for x in rho[pc].values() if isinstance(x, str)}), ("stk", 0), ("stk", 9)])
+    elif kind == 2:
+        s_pc = rng.choice(sorted(phi))
+        phi[s_pc] = rng.choice(sorted(w.target.instrs))
+    elif kind == 3:
+        del rho[pc]
+    return RAWitness(w.source, w.target, phi, rho)
+
+
+def test_validate_ra_with_precomputed_facts(rng):
+    """Passing liveness, structure and live relocations, as `fix_ra` does
+    from its repair session, gives the same diagnostics as computing them."""
+    from snicheck.liveness import cells_fact, liveness
+    from snicheck.poison import RepairSession
+    from snicheck.regalloc import rho_live, source_live_regs
+
+    checked = flagged = 0
+    while checked < 300:
+        p = random_program(rng, n_instrs=rng.randint(2, 10), n_regs=rng.randint(1, 4), allow_shuffle=True)
+        try:
+            w = _corrupted(rng, allocate(p, rng.randint(2, 3)))
+        except AllocationInfeasible:
+            continue
+        want = validate_ra(w)
+        sol = liveness(p, cells_fact(p))
+        live = source_live_regs(w, sol)
+        st = analyze_structure(w)
+        rl = None if st.errors else rho_live(w, st, sol, live)
+        assert validate_ra(w, sol, live, st, rl) == want
+        if not st.errors:
+            session = RepairSession(w)
+            assert validate_ra(w, session.sol, session.live, session.st, session.rho_live) == want
+        checked += 1
+        flagged += bool(want)
+    assert flagged >= 100
 
 
 def test_witness_mutation_instruction_mismatch(ra_witness):
@@ -223,14 +270,19 @@ def test_witness_round_trip(ra_witness, rng):
     again = parse_ra_witness(text, ra_witness.source, ra_witness.target)
     assert again.phi == ra_witness.phi and again.rho == ra_witness.rho
 
-    for _ in range(50):
-        p = random_program(rng, n_instrs=4)
+    fixed = 0
+    for _ in range(80):
+        p = random_program(rng, n_instrs=rng.randint(3, 14), n_regs=rng.randint(2, 4))
         try:
-            w = allocate(p, 3)
+            w = allocate(p, rng.choice((2, 3)))
         except AllocationInfeasible:
             continue
-        again = parse_ra_witness(serialize_ra_witness(w), p, w.target)
-        assert again.phi == w.phi and again.rho == w.rho
+        w_fix, report = fix_ra(w)
+        fixed += bool(report.insertions)
+        for x in (w, w_fix):
+            again = parse_ra_witness(serialize_ra_witness(x), p, parse_program(print_program(x.target)))
+            assert again.phi == x.phi and again.rho == x.rho
+    assert fixed >= 10
 
 
 def test_witness_parse_errors(ra_source, ra_target):
@@ -238,6 +290,48 @@ def test_witness_parse_errors(ra_source, ra_target):
         parse_ra_witness("phi: 0 -> nowhere\n", ra_source, ra_target)
     with pytest.raises(ValueError, match="malformed"):
         parse_ra_witness("rho z: bytes ->\n", ra_source, ra_target)
+
+
+_JOIN_SOURCE = "entry a\na: if c ? b : b\nb: ret\n"
+_JOIN_TARGET = "mem stk 1 low\nentry a\na: if c ? m1 : m2\nm1: nop -> b\nm2: nop -> b\nb: ret\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("phi: a -> a\n\nphi a -> a\n", "line 3: cannot parse 'phi a -> a'"),
+    ("phi: a -> a -> b\n", "line 1: bad phi entry"),
+    ("phi: a a\n", "line 1: bad phi entry"),
+    ("phi: m1 -> a\n", "line 1: unknown source pc m1"),
+    ("  # comment\nphi: a -> nowhere  # trailing\n", "line 2: unknown target pc nowhere"),
+    ("rho q: c -> c\n", "line 1: unknown target pc q"),
+    ("rho a:\nrho b: c\n", "line 2: malformed relocation entry"),
+    ("rho a: -> c\n", "line 1: malformed relocation entry"),
+    ("rho a: c ->\n", "line 1: malformed relocation entry"),
+    ("rho a: c -> stk#0 -> c\n", "line 1: malformed relocation entry"),
+    ("rho m1: c -> c\nrho m2: c -> stk#0\n", "rho for b inherited from disagreeing predecessors; add an explicit section"),
+])
+def test_witness_parse_errors_name_the_line(text, message):
+    src, tgt = parse_program(_JOIN_SOURCE), parse_program(_JOIN_TARGET)
+    with pytest.raises(ValueError) as e:
+        parse_ra_witness(text, src, tgt)
+    assert str(e.value) == message
+
+
+def test_witness_inherited_maps():
+    """A pc with no section inherits from its predecessors when they agree,
+    and an explicit section wins over a disagreement."""
+    src, tgt = parse_program(_JOIN_SOURCE), parse_program(_JOIN_TARGET)
+    w = parse_ra_witness("rho m1: c -> d\nrho m2: c -> d\n", src, tgt)
+    assert w.rho == {"a": {"c": "c"}, "m1": {"c": "d"}, "m2": {"c": "d"}, "b": {"c": "d"}}
+    w = parse_ra_witness("rho m1: c -> c\nrho m2: c -> stk#0\nrho b:\n", src, tgt)
+    assert w.rho["b"] == {}
+
+
+def test_serialize_orders_maps_over_other_pcs():
+    """Maps that do not cover exactly the program's pcs are written in pc
+    order too."""
+    src, tgt = parse_program(_JOIN_SOURCE), parse_program(_JOIN_TARGET)
+    w = RAWitness(src, tgt, {"b": "b", "a": "a"}, {"m1": {"c": "d"}, "b": {}, "zz": {"c": ("stk", 0)}})
+    assert serialize_ra_witness(w) == "phi: a -> a\nphi: b -> b\nrho b:\nrho m1: c -> d\nrho zz: c -> stk#0\n"
 
 
 def test_witness_empty_rho_defaults_to_identity(ra_source, ra_target):
@@ -291,11 +385,14 @@ def _reverse_postorder_recursive(p):
 
 
 def test_reverse_postorder_matches_recursive_dfs(rng):
-    from snicheck.regalloc import _reverse_postorder
+    """The allocator's visit order: from the entry, then from each pc it did
+    not reach."""
+    from snicheck.dataflow import reverse_postorder
 
     for _ in range(200):
         p = random_program(rng, n_instrs=rng.randint(2, 12))
-        assert _reverse_postorder(p) == _reverse_postorder_recursive(p)
+        succs = {pc: i.successors() for pc, i in p.instrs.items()}
+        assert reverse_postorder([p.entry, *p.pcs()], succs) == _reverse_postorder_recursive(p)
 
 
 def test_next_use_is_shortest_distance_to_a_use(rng):

@@ -26,7 +26,7 @@ from snicheck.semantics import (
     step_spec_free,
 )
 
-from conftest import load_program, load_state, random_program, random_state, random_walk
+from conftest import load_program, load_state, random_program, random_state, random_walk, same_point
 
 
 # --- speculation-free stepping -------------------------------------------------
@@ -302,8 +302,6 @@ def test_directive_determinism(rng):
 def test_program_counter_leakage(rng):
     """Same-point states running equal directives with equal leakage stay
     same-point."""
-    from snicheck.semantics import same_point
-
     checked = 0
     for _ in range(1000):
         p = random_program(rng, n_instrs=rng.randint(3, 6))
