@@ -85,6 +85,16 @@ def _witness(args):
     return w
 
 
+def _valid_witness(args):
+    """The witness, refused with its first diagnostic unless `validate_ra`
+    accepts it: the poison analysis assumes a valid witness."""
+    w = _witness(args)
+    bad = regalloc.validate_ra(w)
+    if bad:
+        raise ValueError(f"invalid witness: {bad[0]}")
+    return w
+
+
 def cmd_run(args) -> int:
     p = _load_program(args.program)
     nu0 = _initial_state(args, p)
@@ -224,7 +234,7 @@ def cmd_product_run(args) -> int:
 
 
 def cmd_poison_analyze(args) -> int:
-    w = _witness(args)
+    w = _valid_witness(args)
     sp = poison.poison_analysis(w, args.width)
     table = poison.format_poison_table(sp)
     payload = {
@@ -242,7 +252,7 @@ def cmd_poison_analyze(args) -> int:
 
 
 def cmd_check_typable(args) -> int:
-    w = _witness(args)
+    w = _valid_witness(args)
     sp = poison.poison_analysis(w, args.width)
     violations = poison.check_poison_typable(w, sp)
     payload = {"command": "check-typable", "violations": [str(v) for v in violations]}

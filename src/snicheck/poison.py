@@ -16,12 +16,22 @@ Transitions that would leak a poisoned value (branches on non-healthy
 registers, accesses through poisoned address registers) simply do not exist:
 the product is stuck there.
 
-The static analysis runs the same updates as a forward flow problem over the
-product's program points: matched pairs (pc, phi(pc)) and shuffle pairs
-(pc, s) for shuffle pcs s on the chain into phi(pc).  The store transfer
-joins the stored register's poison onto untouched memory rather than
-overwriting it, so every dynamic update stays below the static one.  A
-witness is poison-typable when the least solution keeps every leaking
+Every poison update is written once, as a rule listing the writes of one
+step (`matched_rule`, `shuffle_rule`); an access through a register also
+takes its address case (healthy, spill or weak).  `Product` applies the rule
+of the case its states determine, and adds only where it is stuck and which
+source directives replay a target directive (`replay_directive`, shared with
+the simulation witness, is the canonical one).
+
+The static analysis is a forward flow problem over the product's program
+points: matched pairs (pc, phi(pc)) and shuffle pairs (pc, s) for shuffle
+pcs s on the chain into phi(pc).  A node's transfer joins its rule over all
+that a node cannot rule out: speculation, and every address case and cell
+of an access, with every register an owner of the unknown slot.  So every
+dynamic update stays below the static one.  Two transfers are static only:
+a fence makes every key H and a non-healthy branch every key P.
+
+A witness is poison-typable when the least solution keeps every leaking
 operand within bounds: address registers at most weakly poisoned, branch
 conditions healthy.  `fix_ra` repairs failures by splicing `slh` (addresses)
 or `sfence` (branches) at the end of the shuffle sequence in front of the
@@ -38,6 +48,7 @@ once, since a splice keeps it as valid as it was.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from . import dataflow
 from .ir import (
@@ -46,7 +57,6 @@ from .ir import (
     Instr,
     Load,
     Move,
-    Nop,
     Pc,
     Program,
     Reg,
@@ -68,7 +78,6 @@ from .regalloc import (
 )
 from .semantics import (
     DEFAULT_WIDTH,
-    D_IF,
     D_RB,
     D_SPEC,
     D_STEP,
@@ -76,8 +85,6 @@ from .semantics import (
     Leakage,
     SpecState,
     State,
-    d_load,
-    d_store,
     enabled_directives,
     step_spec,
 )
@@ -100,6 +107,95 @@ def poison_domain(w: RAWitness) -> list:
 
 def pt_const(domain, pv: int) -> PoisonType:
     return {k: pv for k in domain}
+
+
+# --- poison rules --------------------------------------------------------------
+#
+# A rule is the tuple of (key, value) poison writes one step makes; keys it
+# does not write keep their value.  Every value is read from the poison type
+# before the step: an int is that constant, a key is that key's value, and
+# Both(a, b) is H when a and b are both H, else P.
+
+
+class Both(NamedTuple):
+    a: Reg
+    b: Reg
+
+
+# address cases of a matched load or store through a register
+HEALTHY = "healthy"  # the source touches the same cell, or makes the same out-of-bounds choice
+SPILL = "spill"  # the target hit a slot of the spill frame, whose owners are poisoned
+WEAK = "weak"  # the address is weakly poisoned, so the target uses offset 0
+
+
+def matched_rule(i: Instr, spec: bool, case: str, cell, owners) -> tuple:
+    """The poison writes of a matched pair running source instruction `i`,
+    speculating when `spec`.  A load or store through a register also takes
+    its address case, the cell the source touches, and (SPILL) the registers
+    relocated to the slot the target overwrote."""
+    match i:
+        case Asgn(dst=d, lhs=a, rhs=b):
+            return ((d, Both(a, b)),)
+        case Move(dst=d, src=src):
+            return ((d, src),)
+        case Slh(reg=r) if spec:
+            return ((r, H),)  # both runs zero r
+        case Load(dst=d, var=x, addr=int(adr)):
+            return ((d, (x, adr)),)
+        case Store(var=x, addr=int(adr), src=c):
+            return (((x, adr), c),)
+        case Load(dst=d):
+            return ((d, cell if case == HEALTHY else P),)
+        case Store(src=c) if case == HEALTHY:
+            return ((cell, c),)
+        case Store() if case == SPILL:
+            return tuple((r, P) for r in owners) + ((cell, P),)
+        case Store(var=x):
+            return ((cell, P), ((x, 0), P))
+    return ()
+
+
+def shuffle_rule(i: Instr, spec: bool, rho_at: dict) -> tuple:
+    """The poison writes of shuffle instruction `i` under live relocation
+    `rho_at`: a speculating `slh` zeroes its register in the target only, so
+    the first source register located there becomes W."""
+    if spec and isinstance(i, Slh):
+        owner = sorted(r for r, loc in rho_at.items() if loc == i.reg)
+        if owner:
+            return ((owner[0], W),)
+    return ()
+
+
+def _write(pts: tuple, writes: tuple) -> tuple:
+    """The poison stack `pts` with `writes` applied to its top level."""
+    if not writes:
+        return pts
+    pt = pts[-1]
+    new = dict(pt)
+    for k, v in writes:
+        if isinstance(v, int):
+            new[k] = v
+        elif isinstance(v, Both):
+            new[k] = H if pt[v.a] == H and pt[v.b] == H else P
+        else:
+            new[k] = pt[v]
+    return pts[:-1] + (new,)
+
+
+def replay_directive(source: Program, i: Instr, s: State, d: Directive) -> Directive:
+    """The canonical source directive replaying target directive `d` at a
+    matched pc whose source instruction is `i`, from source state `s`.
+
+    For a load or store of x through a register, `step` stays `step` when the
+    source access is in bounds and otherwise becomes (x, 0), and a target
+    choice of the spill frame becomes (x, 0).  Any other directive replays as
+    it is."""
+    if isinstance(i, (Load, Store)) and isinstance(i.addr, str):
+        if d == D_STEP and 0 <= s.reg(i.addr) < source.memvar(i.var).size:
+            return d
+        if d == D_STEP or d.var == STACK_VAR:
+            return Directive(i.kind.mnemonic, i.var, 0)
+    return d
 
 
 @dataclass
@@ -193,12 +289,9 @@ class Product:
 
     # -- dynamic steps ----------------------------------------------------
 
-    def _mk(self, ps, src_step, tgt_step, pts, tgt_dir, src_dir, rule) -> ProductTransition:
-        (nsrc, sleak) = src_step if src_step else (ps.src, None)
-        (ntgt, tleak) = tgt_step
-        end = ProductState(nsrc, ntgt, pts)
-        sdir = src_dir if src_step else None
-        return ProductTransition(tgt_dir, tleak, sdir, sleak, end, rule)
+    def _mk(self, src_step, tgt_step, pts, tgt_dir, src_dir, rule) -> ProductTransition:
+        (nsrc, sleak), (ntgt, tleak) = src_step, tgt_step
+        return ProductTransition(tgt_dir, tleak, src_dir, sleak, ProductState(nsrc, ntgt, pts), rule)
 
     def transitions(self, ps: ProductState) -> list[ProductTransition]:
         """All enabled product transitions (every unsafe-target choice)."""
@@ -214,219 +307,60 @@ class Product:
         return res[0] if res else None
 
     def _steps_for(self, ps: ProductState, d: Directive, canonical_only: bool) -> list[ProductTransition]:
+        """The transitions on target directive `d`.  This decides where the
+        product is stuck and which source directives replay `d`; the poison
+        updates are `shuffle_rule` and `matched_rule`."""
         w, width = self.w, self.width
         tgt_step = step_spec(w.target, ps.tgt, d, width)
         if tgt_step is None:
             return []
-        pts = ps.poisons
-        pt = pts[-1]
-        speculating = ps.depth >= 2
-
+        pts, spec = ps.poisons, ps.depth >= 2
         if d == D_RB:
-            if ps.depth < 2:
-                return []
             src_step = step_spec(w.source, ps.src, D_RB, width)
-            if src_step is None:
-                return []
-            return [self._mk(ps, src_step, tgt_step, pts[:-1], d, D_RB, "rollback")]
-
+            return [self._mk(src_step, tgt_step, pts[:-1], d, D_RB, "rollback")] if src_step else []
         t_pc = ps.tgt[-1].pc
-        s_top = ps.src[-1]
-
         if t_pc in self.st.owner:  # shuffling state: the source stutters
             ti = w.target.instrs[t_pc]
-            rule = f"shuffle-{ti.kind.mnemonic}"
-            if isinstance(ti, Slh):
-                owner = [r for r, loc in self.rho[t_pc].items() if loc == ti.reg]
-                pt2 = dict(pt)
-                if owner:
-                    a = sorted(owner)[0]
-                    pt2[a] = pt[a] if not speculating else W
-                return [self._mk(ps, None, tgt_step, pts[:-1] + (pt2,), d, None, rule)]
-            return [self._mk(ps, None, tgt_step, pts, d, None, rule)]
+            pts = _write(pts, shuffle_rule(ti, spec, self.rho.get(t_pc, {})))
+            return [self._mk((ps.src, None), tgt_step, pts, d, None, f"shuffle-{ti.kind.mnemonic}")]
 
-        # matched pair
+        s_top, pt = ps.src[-1], pts[-1]
         i = w.source.instrs[s_top.pc]
+        name = "asgn" if isinstance(i, Asgn) else i.kind.mnemonic
+        case, owners, step_cell = HEALTHY, (), None
+        sds = [replay_directive(w.source, i, s_top, d)]
         match i:
-            case Nop():
-                src_step = step_spec(w.source, ps.src, D_STEP, width)
-                return [self._mk(ps, src_step, tgt_step, pts, d, D_STEP, "nop")]
-            case Sfence():
-                src_step = step_spec(w.source, ps.src, D_STEP, width)
-                if src_step is None:
-                    return []
-                return [self._mk(ps, src_step, tgt_step, pts, d, D_STEP, "sfence")]
-            case Slh(reg=r):
-                src_step = step_spec(w.source, ps.src, D_STEP, width)
-                pt2 = dict(pt)
-                pt2[r] = pt[r] if not speculating else H
-                return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "slh")]
-            case Asgn(dst=dst, lhs=a, rhs=b):
-                pt2 = dict(pt)
-                pt2[dst] = H if (pt[a] == H and pt[b] == H) else P
-                src_step = step_spec(w.source, ps.src, D_STEP, width)
-                return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "asgn")]
-            case Move(dst=dst, src=sr):
-                pt2 = dict(pt)
-                pt2[dst] = pt[sr]
-                src_step = step_spec(w.source, ps.src, D_STEP, width)
-                return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "move")]
-            case If(cond=c):
-                if pt[c] != H:
-                    return []  # stuck: non-healthy branch condition
-                sd = D_IF if d == D_IF else D_SPEC
-                src_step = step_spec(w.source, ps.src, sd, width)
-                if src_step is None:
-                    return []
-                if d == D_SPEC:
-                    return [self._mk(ps, src_step, tgt_step, pts + (dict(pt),), d, sd, "spec")]
-                return [self._mk(ps, src_step, tgt_step, pts, d, sd, "branch")]
-            case Load(dst=dst, var=x, addr=adr):
-                return self._load_steps(ps, i, d, tgt_step, canonical_only)
-            case Store(var=x, addr=adr, src=c):
-                return self._store_steps(ps, i, d, tgt_step, canonical_only)
-        return []
-
-    def _load_steps(self, ps, i: Load, d, tgt_step, canonical_only) -> list[ProductTransition]:
-        w, width = self.w, self.width
-        pts, pt = ps.poisons, ps.poisons[-1]
-        s_top = ps.src[-1]
-        x, dst = i.var, i.dst
-        if isinstance(i.addr, int):
-            if d != D_STEP:
-                return []
-            src_step = step_spec(w.source, ps.src, D_STEP, width)
-            pt2 = dict(pt)
-            pt2[dst] = pt[(x, i.addr)]
-            return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "load-const")]
-        pb = pt[i.addr]
-        if pb == P or pb == BOT:
-            return []
-        sval = s_top.reg(i.addr)
-        in_bounds = 0 <= sval < w.source.memvar(x).size
+            case If(cond=c) if pt[c] != H:
+                return []  # stuck: the branch would leak a non-healthy condition
+            case If():
+                pts, name = (pts + (dict(pt),), "spec") if d == D_SPEC else (pts, "branch")
+            case Load(addr=int()) | Store(addr=int()):
+                name += "-const"  # in bounds, so only `step` replays
+            case Load(var=x, addr=str(a)) | Store(var=x, addr=str(a)):
+                size, kind, pb = w.source.memvar(x).size, name, pt[a]
+                step_cell = (x, s_top.reg(a))
+                in_bounds = 0 <= step_cell[1] < size
+                if pb == H and (d == D_STEP and in_bounds or d.kind == kind and d.var != STACK_VAR):
+                    name += "-healthy-safe" if d == D_STEP else "-healthy-unsafe"
+                elif pb == H and d.kind == kind:
+                    case, name = SPILL, kind + "-poison-intro"
+                    owners = [r for r, loc in self.rho.get(tgt_step[0][-1].pc, {}).items() if loc == (STACK_VAR, d.off)]
+                    if not canonical_only:
+                        cells = w.source.cells() if kind == "load" else [(x, o) for o in range(size)]
+                        sds = [Directive(kind, v, o) for v, o in cells]
+                elif pb == W and d == D_STEP:
+                    case, name = WEAK, kind + ("-weak-safe" if in_bounds else "-weak-unsafe")
+                    if not (canonical_only or in_bounds):
+                        sds = [Directive(kind, x, o) for o in range(size)]
+                else:
+                    return []  # stuck: the access would leak a poisoned address
         out = []
-        if pb == H:
-            if d == D_STEP:
-                if not in_bounds:
-                    return []
-                src_step = step_spec(w.source, ps.src, D_STEP, width)
-                pt2 = dict(pt)
-                pt2[dst] = pt[(x, sval)]
-                return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "load-healthy-safe")]
-            if d.kind != "load":
-                return []
-            if d.var != STACK_VAR:
-                sd = d_load(d.var, d.off)
-                src_step = step_spec(w.source, ps.src, sd, width)
-                if src_step is None:
-                    return []
-                pt2 = dict(pt)
-                pt2[dst] = pt[(d.var, d.off)]
-                return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, sd, "load-healthy-unsafe")]
-            # target reads the spill frame: the source loads elsewhere, dst is lost
-            pt2 = dict(pt)
-            pt2[dst] = P
-            choices = [(x, 0)] if canonical_only else [c for c in w.source.cells()]
-            for var, off in choices:
-                sd = d_load(var, off)
-                src_step = step_spec(w.source, ps.src, sd, width)
-                if src_step is not None:
-                    out.append(self._mk(ps, src_step, tgt_step, pts[:-1] + (dict(pt2),), d, sd, "load-poison-intro"))
-                    if canonical_only:
-                        break
-            return out
-        # weakly poisoned address: the target reads offset 0
-        if d != D_STEP:
-            return []
-        pt2 = dict(pt)
-        pt2[dst] = P
-        if in_bounds:
-            src_step = step_spec(w.source, ps.src, D_STEP, width)
-            return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "load-weak-safe")]
-        choices = [(x, 0)] if canonical_only else [(x, off) for off in range(w.source.memvar(x).size)]
-        for var, off in choices:
-            sd = d_load(var, off)
+        for sd in sds:
             src_step = step_spec(w.source, ps.src, sd, width)
             if src_step is not None:
-                out.append(self._mk(ps, src_step, tgt_step, pts[:-1] + (dict(pt2),), d, sd, "load-weak-unsafe"))
-                if canonical_only:
-                    break
-        return out
-
-    def _store_steps(self, ps, i: Store, d, tgt_step, canonical_only) -> list[ProductTransition]:
-        w, width = self.w, self.width
-        pts, pt = ps.poisons, ps.poisons[-1]
-        s_top = ps.src[-1]
-        x, c = i.var, i.src
-        if isinstance(i.addr, int):
-            if d != D_STEP:
-                return []
-            src_step = step_spec(w.source, ps.src, D_STEP, width)
-            pt2 = dict(pt)
-            pt2[(x, i.addr)] = pt[c]
-            return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "store-const")]
-        pb = pt[i.addr]
-        if pb == P or pb == BOT:
-            return []
-        sval = s_top.reg(i.addr)
-        in_bounds = 0 <= sval < w.source.memvar(x).size
-        out = []
-        if pb == H:
-            if d == D_STEP:
-                if not in_bounds:
-                    return []
-                src_step = step_spec(w.source, ps.src, D_STEP, width)
-                pt2 = dict(pt)
-                pt2[(x, sval)] = pt[c]
-                return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "store-healthy-safe")]
-            if d.kind != "store":
-                return []
-            if d.var != STACK_VAR:
-                sd = d_store(d.var, d.off)
-                src_step = step_spec(w.source, ps.src, sd, width)
-                if src_step is None:
-                    return []
-                pt2 = dict(pt)
-                pt2[(d.var, d.off)] = pt[c]
-                return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, sd, "store-healthy-unsafe")]
-            # target overwrites a spill slot: poison its owner, store to x instead
-            tgt_next_pc = tgt_step[0][-1].pc
-            owners = [r for r, loc in self.rho.get(tgt_next_pc, {}).items() if loc == (STACK_VAR, d.off)]
-            choices = [(x, 0)] if canonical_only else [(x, off) for off in range(w.source.memvar(x).size)]
-            for var, off in choices:
-                sd = d_store(var, off)
-                src_step = step_spec(w.source, ps.src, sd, width)
-                if src_step is None:
-                    continue
-                pt2 = dict(pt)
-                for r in owners:
-                    pt2[r] = P
-                pt2[(var, off)] = P
-                out.append(self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, sd, "store-poison-intro"))
-                if canonical_only:
-                    break
-            return out
-        # weakly poisoned address: the target writes offset 0
-        if d != D_STEP:
-            return []
-        if in_bounds:
-            src_step = step_spec(w.source, ps.src, D_STEP, width)
-            pt2 = dict(pt)
-            pt2[(x, sval)] = P
-            pt2[(x, 0)] = P
-            return [self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, D_STEP, "store-weak-safe")]
-        choices = [(x, 0)] if canonical_only else [(x, off) for off in range(w.source.memvar(x).size)]
-        for var, off in choices:
-            sd = d_store(var, off)
-            src_step = step_spec(w.source, ps.src, sd, width)
-            if src_step is None:
-                continue
-            pt2 = dict(pt)
-            pt2[(x, off)] = P
-            pt2[(x, 0)] = P
-            out.append(self._mk(ps, src_step, tgt_step, pts[:-1] + (pt2,), d, sd, "store-weak-unsafe"))
-            if canonical_only:
-                break
+                cell = step_cell if sd == D_STEP else (sd.var, sd.off)
+                new = _write(pts, matched_rule(i, spec, case, cell, owners))
+                out.append(self._mk(src_step, tgt_step, new, d, sd, name))
         return out
 
 
@@ -474,12 +408,16 @@ class _Packing:
     """Static poison types packed into one int, two bits per domain key in
     domain order.  BOT, H, W and P are 0b00, 0b01, 0b10 and 0b11, so the
     join is bitwise or, bottom is 0, and comparing two types is one int
-    comparison.  Transfers are compiled once per product node."""
+    comparison.  Transfers are compiled from the shared rules, once per
+    distinct rule or access shape."""
 
     def __init__(self, domain):
         self.shift = {k: 2 * i for i, k in enumerate(domain)}
         ones = sum(1 << s for s in self.shift.values())  # 0b01 at every key
         self.all_h, self.all_p = ones * H, ones * P
+        self.regs = [k for k in domain if isinstance(k, str)]
+        self.cells = [k for k in domain if not isinstance(k, str)]
+        self._compiled: dict[tuple, object] = {}  # per rule, and per access shape
 
     def get(self, x: int, k) -> int:
         return (x >> self.shift[k]) & 3
@@ -487,65 +425,89 @@ class _Packing:
     def unpack(self, x: int) -> PoisonType:
         return {k: (x >> s) & 3 for k, s in self.shift.items()}
 
-    def _copy(self, dst, src):
-        sd, ss = self.shift[dst], self.shift[src]
-        keep = ~(3 << sd)
-        return lambda x: (x & keep) | (((x >> ss) & 3) << sd)
+    def _rule(self, writes: tuple):
+        """The transfer making `writes`, compiled once per session."""
+        fn = self._compiled.get(writes)
+        if fn is None:
+            fn = self._compiled[writes] = self.compile([writes])
+        return fn
 
-    def _put(self, dst, pv: int):
-        sd = self.shift[dst]
-        keep, val = ~(3 << sd), pv << sd
-        return lambda x: (x & keep) | val
+    def compile(self, rules: list[tuple]):
+        """The transfer that gives every key the join of its values over
+        `rules`; a key some rule leaves alone joins its own value."""
+        sh, values = self.shift, {}
+        for writes in rules:
+            for k, v in writes:
+                values.setdefault(k, set()).add(v)
+        if not values:
+            return lambda x: x
+        everywhere = set.intersection(*({k for k, _ in writes} for writes in rules)) if rules[1:] else values
+        clear = const = 0
+        copies: dict[int, int] = {}  # shift of a copied key -> 0b01 at every key joining it
+        boths = []
+        for k, vs in values.items():
+            sk = sh[k]
+            if P in vs:  # P absorbs every other value
+                const |= P << sk
+                clear |= 3 << sk
+                continue
+            if k in vs or k not in everywhere:
+                vs.discard(k)  # k joins its own value: it keeps its bits
+            else:
+                clear |= 3 << sk
+            for v in vs:
+                if isinstance(v, int):
+                    const |= v << sk
+                elif isinstance(v, Both):
+                    boths.append((sh[v.a], sh[v.b], sk))
+                else:
+                    copies[sh[v]] = copies.get(sh[v], 0) | 1 << sk
+        keep = ~clear
+        if boths:  # only an assignment writes a Both, and it writes nothing else
+            ((sa, sb, sd),) = boths
+            return lambda x: (x & keep) | ((H if (x >> sa) & 3 == H and (x >> sb) & 3 == H else P) << sd)
+        if copies:  # every key copied in one rule set is the same key
+            ((ss, mult),) = copies.items()
+            return lambda x: (x & keep) | const | ((x >> ss) & 3) * mult
+        return lambda x: (x & keep) | const
 
-    def matched(self, i: Instr):
-        """Transfer of a matched pair running source instruction `i`."""
-        sh, all_h, all_p = self.shift, self.all_h, self.all_p
+    def transfer(self, i: Instr, rho_at: dict | None):
+        """Transfer of a node running `i`: a matched pair when `rho_at` is
+        None, else shuffle code under live relocation `rho_at`."""
         match i:
-            case Asgn(dst=d, lhs=a, rhs=b):
-                sa, sb, sd = sh[a], sh[b], sh[d]
-                keep = ~(3 << sd)
-                return lambda x: (x & keep) | ((H if (x >> sa) & 3 == H and (x >> sb) & 3 == H else P) << sd)
-            case Load(dst=d, var=v, addr=int(adr)):
-                return self._copy(d, (v, adr))
-            case Load(dst=d):
-                return self._put(d, P)
-            case Store(var=v, addr=int(adr), src=c):
-                return self._copy((v, adr), c)
-            case Store(var=v, src=c):
-                # registers and v's cells become P; other cells join c's type
-                hit = [isinstance(k, str) or k[0] == v for k in sh]
-                poisoned = sum(P << s for s, h in zip(sh.values(), hit) if h)
-                others = sum(1 << s for s, h in zip(sh.values(), hit) if not h)
-                sc = sh[c]
-                return lambda x: x | poisoned | ((x >> sc) & 3) * others
-            case If(cond=c):
-                sc = sh[c]
-                return lambda x: x if (x >> sc) & 3 == H else all_p
             case Sfence():
-                return lambda x: all_h
-            case Slh(reg=r):
-                return self._put(r, H)
-            case Move(dst=d, src=src):
-                return self._copy(d, src)
-        return lambda x: x
-
-    def shuffle(self, i: Instr, rho_at: dict):
-        """Transfer of a shuffle pc holding `i`, with live relocation `rho_at`."""
-        match i:
-            case Sfence():
+                # static only: a speculating run never passes a fence, so past
+                # one there is the healthy bottom level and what `spec` copies
                 all_h = self.all_h
                 return lambda x: all_h
-            case Slh(reg=a):
-                owner = sorted(r for r, loc in rho_at.items() if loc == a)
-                if owner:
-                    return self._put(owner[0], W)
-        return lambda x: x
+            case If(cond=c):
+                # static only: the product is stuck on a non-healthy branch,
+                # after which the two runs may have parted ways
+                sc, all_p = self.shift[c], self.all_p
+                return lambda x: x if (x >> sc) & 3 == H else all_p
+            case Load(addr=str()) | Store(addr=str()):
+                return self._access(i)
+        if rho_at is None:
+            return self._rule(matched_rule(i, True, HEALTHY, None, ()))
+        return self._rule(shuffle_rule(i, True, rho_at))
+
+    def _access(self, i: Load | Store):
+        """The join of a load or store through a register over its address
+        cases and cells; a spill has every register as an owner of its slot."""
+        shape = (i.kind, i.var, i.addr, i.dst if isinstance(i, Load) else i.src)
+        fn = self._compiled.get(shape)
+        if fn is None:
+            xs = [c for c in self.cells if c[0] == i.var]
+            rules = [matched_rule(i, True, HEALTHY, c, ()) for c in self.cells]
+            rules += [matched_rule(i, True, case, c, self.regs) for case in (SPILL, WEAK) for c in xs]
+            fn = self._compiled[shape] = self.compile(rules)
+        return fn
 
     def node(self, node, source: Program, target_instrs: dict, phi: dict, rho: dict):
         s_pc, t_pc = node
         if phi.get(s_pc) == t_pc:
-            return self.matched(source.instrs[s_pc])
-        return self.shuffle(target_instrs[t_pc], rho.get(t_pc, {}))
+            return self.transfer(source.instrs[s_pc], None)
+        return self.transfer(target_instrs[t_pc], rho.get(t_pc, {}))
 
 
 def _solve_packed(nodes, edges, fns: dict, pk: _Packing, init_node) -> dict:
@@ -713,7 +675,7 @@ class RepairSession:
         old, new = (s_pc, t_pc), (s_pc, fresh)
         self.nodes = self.nodes + [new]
         self.edges = [(u, new if v == old else v) for u, v in self.edges] + [(new, old)]
-        self.fns[new] = self.pk.shuffle(new_instr, self.rho_live[fresh])
+        self.fns[new] = self.pk.transfer(new_instr, self.rho_live[fresh])
         self._solve()
 
     def _solve(self):

@@ -638,7 +638,13 @@ def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
             r, loc_s = r.strip(), loc_s.strip()
             if not arrow or not r or not loc_s or "->" in loc_s:
                 raise ValueError(f"line {lineno}: malformed relocation entry")
-            m[r] = (STACK_VAR, int(loc_s[len(_SLOT_PREFIX) :])) if loc_s.startswith(_SLOT_PREFIX) else loc_s
+            if loc_s.startswith(_SLOT_PREFIX):
+                try:
+                    m[r] = (STACK_VAR, int(loc_s[len(_SLOT_PREFIX) :]))
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad slot {loc_s}") from None
+            else:
+                m[r] = loc_s
         else:
             raise ValueError(f"line {lineno}: cannot parse {line!r}")
 

@@ -157,8 +157,20 @@ def check_sni_pair(
             t = table[nu] = en, tuple(step_spec(p, nu, d, width) for d in en)
         return t
 
-    def rec(a: SpecState, c: SpecState, dirs: tuple[Directive, ...]) -> SniVerdict | None:
-        nonlocal truncated
+    # an explicit stack, children pushed in reverse and each checked when
+    # popped: the recursive preorder, with its leak checks, bound counts and
+    # memo updates in the same order, without Python's recursion limit
+    stack = [(nu1, nu2, (), None, None)]
+    while stack:
+        a, c, dirs, l1, l2 = stack.pop()
+        if l1 != l2:
+            return SniVerdict(
+                "violation", b, truncated, state1=nu1, state2=nu2,
+                directives=dirs, divergence="leak", leak1=l1, leak2=l2,
+            )
+        if len(a) > b.max_spec_depth:
+            truncated += 1
+            continue
         e1, steps1 = transitions(a)
         e2, steps2 = transitions(c)
         if e1 != e2:
@@ -167,32 +179,16 @@ def check_sni_pair(
                 divergence="enabled", enabled1=e1, enabled2=e2,
             )
         if not e1:
-            return None
+            continue
         if len(dirs) >= b.max_steps:
             truncated += 1
-            return None
+            continue
         key, left = (a, c), b.max_steps - len(dirs)
         if budget_seen.get(key, 0) >= left:
-            return None
+            continue
         budget_seen[key] = left
-        for d, (a2, l1), (c2, l2) in zip(e1, steps1, steps2):
-            if l1 != l2:
-                return SniVerdict(
-                    "violation", b, truncated, state1=nu1, state2=nu2,
-                    directives=dirs + (d,), divergence="leak", leak1=l1, leak2=l2,
-                )
-            if len(a2) > b.max_spec_depth:
-                truncated += 1
-                continue
-            r = rec(a2, c2, dirs + (d,))
-            if r is not None:
-                return r
-        return None
-
-    res = rec(nu1, nu2, ())
-    if res is not None:
-        res.truncated = truncated
-        return res
+        for d, (a2, l1), (c2, l2) in reversed(tuple(zip(e1, steps1, steps2))):
+            stack.append((a2, c2, dirs + (d,), l1, l2))
     return SniVerdict("secure", b, truncated, pairs_checked=1)
 
 

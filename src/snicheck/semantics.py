@@ -398,23 +398,24 @@ def explore_behaviors(p: Program, nu0: SpecState, b: Bounds, width: int = DEFAUL
     max_steps or max_spec_depth land in `truncated` (never silently dropped).
     """
     bs = BehaviorSet()
-
-    def dfs(nu: SpecState, leaks: tuple[Leakage, ...], dirs: tuple[Directive, ...]):
+    # an explicit stack, children pushed in reverse: the recursive preorder
+    # without Python's recursion limit on long executions
+    stack = [(nu0, (), ())]
+    while stack:
+        nu, leaks, dirs = stack.pop()
+        if len(nu) > b.max_spec_depth:
+            bs.truncated.add((leaks, dirs))
+            continue
         en = enabled_directives(p, nu, width)
         if not en:
             bs.terminated.add((leaks, dirs))
-            return
+            continue
         if len(dirs) >= b.max_steps:
             bs.truncated.add((leaks, dirs))
-            return
-        for d in en:
+            continue
+        for d in reversed(en):
             nu2, leak = step_spec(p, nu, d, width)
-            if len(nu2) > b.max_spec_depth:
-                bs.truncated.add((leaks + (leak,), dirs + (d,)))
-                continue
-            dfs(nu2, leaks + (leak,), dirs + (d,))
-
-    dfs(nu0, (), ())
+            stack.append((nu2, leaks + (leak,), dirs + (d,)))
     return bs
 
 

@@ -34,13 +34,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
-from .ir import If, Load, Program, Store, STACK_VAR
+from .ir import Load, Program, Store
 from .liveness import DceResult, full_fact, live_before
-from .poison import Product, StaticPoison, poison_analysis
+from .poison import Product, ProductState, StaticPoison, poison_analysis, replay_directive
 from .regalloc import RAWitness
 from .semantics import (
     DEFAULT_WIDTH,
-    D_IF,
     D_RB,
     D_SPEC,
     D_STEP,
@@ -197,48 +196,24 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH, static: StaticPoison | 
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:
         if len(nu_tgt) != len(nu_src):
             return False
-        from .poison import ProductState
-
         return prod.well_formed(ProductState(nu_src, nu_tgt, sp.stack_for(nu_src, nu_tgt)))
 
     def initial_map(tgt0: State) -> State:
         return prod.initial_source_state(tgt0)
 
-    def replay_dir(nu_src: SpecState, nu_tgt: SpecState, d: Directive) -> Directive | None:
-        """Canonical source directive for one target step; None when the source
-        only stutters (shuffle code)."""
-        if d == D_RB:
-            return D_RB
-        t_pc = nu_tgt[-1].pc
-        if t_pc in prod.st.owner:
-            return None
-        s_pc = prod.st.matched[t_pc]
-        i = w.source.instrs[s_pc]
-        match i:
-            case If():
-                return d
-            case Load(var=x, addr=adr) if isinstance(adr, str):
-                sval = nu_src[-1].reg(adr)
-                safe = 0 <= sval < w.source.memvar(x).size
-                if d == D_STEP:
-                    return D_STEP if safe else d_load(x, 0)
-                return d_load(x, 0) if d.var == STACK_VAR else d
-            case Store(var=x, addr=adr) if isinstance(adr, str):
-                sval = nu_src[-1].reg(adr)
-                safe = 0 <= sval < w.source.memvar(x).size
-                if d == D_STEP:
-                    return D_STEP if safe else d_store(x, 0)
-                return d_store(x, 0) if d.var == STACK_VAR else d
-            case _:
-                return D_STEP
-
     def joint(cs, ct, d):
+        """The target step on `d` and the source's canonical replay of it,
+        where the source waits on shuffle code."""
         tgt_step = step_spec(w.target, ct, d, width)
         if tgt_step is None:
             return None
-        sd = replay_dir(cs, ct, d)
-        if sd is None:
+        t_pc = ct[-1].pc
+        if d == D_RB:
+            sd = d
+        elif t_pc in prod.st.owner:
             return tgt_step, None, (cs, None)
+        else:
+            sd = replay_directive(w.source, w.source.instrs[prod.st.matched[t_pc]], cs[-1], d)
         src_step = step_spec(w.source, cs, sd, width)
         if src_step is None:
             return None

@@ -19,12 +19,12 @@ def run_cli(*args, capsys=None):
 C = lambda name: str(corpus_path(name))
 
 
-def run_module(*args):
-    """`python -m snicheck.cli ARGS` in a subprocess that imports the same
-    package as this test run, with or without `PYTHONPATH` set."""
+def run_module(module, *args):
+    """`python -m MODULE ARGS` in a subprocess that imports the same package
+    as this test run, with or without `PYTHONPATH` set."""
     path = [str(Path(snicheck.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run([sys.executable, "-m", "snicheck.cli", *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True, text=True, env=env)
 
 
 def test_run_empty_directives(tmp_path, capsys):
@@ -125,6 +125,32 @@ def test_validate_fix_check_typable_flow(tmp_path, capsys):
     assert code == 0
 
 
+def test_poison_commands_refuse_an_invalid_witness(tmp_path, capsys):
+    """`check-typable` and `poison-analyze` judge only witnesses that
+    `validate-ra` accepts; otherwise they exit 3 with its first diagnostic."""
+    args = ["--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"), "--witness", C("code_ra.witness")]
+    ft, fw = tmp_path / "fixed.sp", tmp_path / "fixed.witness"
+    assert run_cli("fix", *args, "--out-target", str(ft), "--out-witness", str(fw), capsys=capsys)[0] == 0
+    fw.write_text(fw.read_text().replace("stk#0", "stk#7"))
+    bad = ["--source", C("code_ra_source.sp"), "--target", str(ft), "--witness", str(fw)]
+    code, out = run_cli("validate-ra", *bad, capsys=capsys)
+    assert code == 1 and out.startswith("[obeying-liveness] c: slot 7 outside stk size 1\n")
+    for cmd in ("check-typable", "poison-analyze"):
+        assert main([cmd, *bad]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid witness: [obeying-liveness] c: slot 7 outside stk size 1\n"
+
+
+@pytest.mark.parametrize("cmd, verdict", [("explore", "terminated behaviours: 1\n"), ("check-sni", "secure (pairs=1, truncated=0)\n")])
+def test_long_straight_line_gets_a_verdict(tmp_path, capsys, cmd, verdict):
+    """Searches deeper than Python's recursion limit still finish."""
+    prog = tmp_path / "long.sp"
+    prog.write_text("mem h 1 high\nentry 0\n" + "".join(f"{i}: nop -> {i + 1}\n" for i in range(1500)) + "1500: ret\n")
+    code, out = run_cli(cmd, str(prog), "--bounds", "steps=3000,depth=3", "--width", "1", capsys=capsys)
+    assert code == 0 and out.startswith(verdict)
+
+
 def test_allocate_writes_witness(tmp_path, capsys):
     ot, ow = tmp_path / "t.sp", tmp_path / "w.txt"
     code, _ = run_cli(
@@ -186,7 +212,7 @@ def test_demo_codera(capsys):
 
 
 def test_console_entry_point():
-    r = run_module("demo-codera", "--format", "json")
+    r = run_module("snicheck.cli", "demo-codera", "--format", "json")
     assert r.returncode == 0
     assert json.loads(r.stdout)["ok"] is True
 
@@ -227,13 +253,18 @@ GOLDEN = __import__("pathlib").Path(__file__).parent / "golden"
 
 
 def test_golden_demo_codera_json():
-    r = run_module("demo-codera", "--format", "json")
+    r = run_module("snicheck.cli", "demo-codera", "--format", "json")
+    assert r.stdout == (GOLDEN / "demo_codera.json").read_text()
+
+
+def test_package_runs_as_a_module():
+    r = run_module("snicheck", "demo-codera", "--format", "json")
     assert r.stdout == (GOLDEN / "demo_codera.json").read_text()
 
 
 def test_golden_explore_json():
     r = run_module(
-        "explore", C("code_dce_source.sp"),
+        "snicheck.cli", "explore", C("code_dce_source.sp"),
         "--state", C("code_dce.init"), "--bounds", "steps=8,depth=2", "--format", "json",
     )
     assert r.stdout == (GOLDEN / "explore_dce.json").read_text()

@@ -137,12 +137,23 @@ def test_spec_free_purity(rng):
     assert checked >= 400
 
 
+def _below_static(prod, sp, ps) -> int:
+    static_stack = sp.stack_for(ps.src, ps.tgt)
+    for dyn, stat in zip(ps.poisons, static_stack):
+        assert pt_leq(dyn, stat)
+    return len(ps.poisons)
+
+
 def test_static_over_approximates_dynamic(rng):
     """Along guarded product runs of safe programs, the dynamic poison stack
-    stays below the static stack (bottom level healthy)."""
+    stays below the static stack (bottom level healthy).  Repaired
+    witnesses are searched rather than sampled, with small register values,
+    so that speculating runs pass the shuffle `slh` of a repair."""
     from snicheck.security import check_safety
+    from snicheck.semantics import State
 
     checked = 0
+    spec_shuffle_slh = 0
     for _ in range(300):
         p = random_program(rng, n_instrs=rng.randint(3, 6))
         try:
@@ -156,15 +167,33 @@ def test_static_over_approximates_dynamic(rng):
             if check_safety(w.source, ps.src[0]).status != "safe":
                 continue
             for _s in range(8):
-                static_stack = sp.stack_for(ps.src, ps.tgt)
-                for dyn, stat in zip(ps.poisons, static_stack):
-                    assert pt_leq(dyn, stat)
-                    checked += 1
+                checked += _below_static(prod, sp, ps)
                 trans = prod.transitions(ps)
                 if not trans:
                     break
                 ps = rng.choice(trans).end
+
+        fixed, report = fix_ra(w)
+        if not report.insertions:
+            continue
+        prod = Product(fixed)
+        sp = poison_analysis(fixed)
+        for _run in range(6):
+            regs = {r: rng.randrange(3) for r in fixed.target.registers}
+            ps = prod.initial_product(State.make(fixed.target.entry, regs))
+            if check_safety(fixed.source, ps.src[0]).status != "safe":
+                continue
+            stack, seen = [(ps, 0)], 0
+            while stack and seen < 200:
+                ps, steps = stack.pop()
+                seen += 1
+                checked += _below_static(prod, sp, ps)
+                if steps < 12:
+                    for tr in prod.transitions(ps):
+                        spec_shuffle_slh += tr.rule == "shuffle-slh" and ps.depth >= 2
+                        stack.append((tr.end, steps + 1))
     assert checked >= 1000
+    assert spec_shuffle_slh >= 20
 
 
 def test_static_analysis_on_running_example(ra_witness):

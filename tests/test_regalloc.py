@@ -307,6 +307,7 @@ _JOIN_TARGET = "mem stk 1 low\nentry a\na: if c ? m1 : m2\nm1: nop -> b\nm2: nop
     ("rho a: -> c\n", "line 1: malformed relocation entry"),
     ("rho a: c ->\n", "line 1: malformed relocation entry"),
     ("rho a: c -> stk#0 -> c\n", "line 1: malformed relocation entry"),
+    ("phi: a -> a\nrho a: c -> stk#x\n", "line 2: bad slot stk#x"),
     ("rho m1: c -> c\nrho m2: c -> stk#0\n", "rho for b inherited from disagreeing predecessors; add an explicit section"),
 ])
 def test_witness_parse_errors_name_the_line(text, message):
