@@ -210,7 +210,7 @@ def cmd_validate_ra(args) -> int:
 
 
 def cmd_product_run(args) -> int:
-    w = _witness(args)
+    w = _valid_witness(args)
     prod = poison.Product(w, args.width)
     tgt0 = _initial_state(args, w.target)[0]
     ps = prod.initial_product(tgt0)

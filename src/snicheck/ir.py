@@ -260,18 +260,21 @@ def pc_key(pc: Pc) -> tuple:
 @dataclass
 class Program:
     """A program is never mutated after construction: transformations build a
-    new one.  `pcs()`, `cells()` and `registers` are computed on first use and
-    cached on that assumption; each call returns a fresh list."""
+    new one.  `pcs()`, `cells()`, `registers` and the `memvar` index are
+    computed on first use and cached on that assumption; each call of the
+    first three returns a fresh list."""
 
     entry: Pc
     instrs: dict[Pc, Instr]
     memvars: list[MemVar] = field(default_factory=list)
 
+    @cached_property
+    def _memvar_index(self) -> dict[str, MemVar]:
+        # reversed, so that the first declaration of a name wins, as in a scan
+        return {v.name: v for v in reversed(self.memvars)}
+
     def memvar(self, name: str) -> MemVar | None:
-        for v in self.memvars:
-            if v.name == name:
-                return v
-        return None
+        return self._memvar_index.get(name)
 
     @cached_property
     def _sorted_pcs(self) -> tuple[Pc, ...]:

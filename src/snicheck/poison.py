@@ -527,9 +527,13 @@ def _solve_packed(nodes, edges, fns: dict, pk: _Packing, init_node) -> dict:
     )
 
 
-def poison_analysis(w: RAWitness, width: int = DEFAULT_WIDTH) -> StaticPoison:
-    """Least forward solution over the product program points, healthy at entry."""
-    return RepairSession(w).static_poison()
+def poison_analysis(w: RAWitness, width: int = DEFAULT_WIDTH, prod: Product | None = None) -> StaticPoison:
+    """Least forward solution over the product program points, healthy at entry.
+
+    A caller that also steps `w`'s product passes it as `prod`, so that its
+    liveness, structure and relocations are computed once; the analysis reads
+    them and changes nothing."""
+    return RepairSession(w, prod).static_poison()
 
 
 @dataclass(frozen=True)
@@ -599,8 +603,10 @@ class RepairSession:
     nearly every node is downstream of the first violation.
     """
 
-    def __init__(self, w: RAWitness):
-        prod = Product(w)
+    def __init__(self, w: RAWitness, prod: Product | None = None):
+        """`prod` is `w`'s product if the caller has one; splices patch its
+        structure and relocations in place."""
+        prod = prod if prod is not None else Product(w)
         self.w, self.sol, self.live, self.domain = w, prod.sol, prod.live, prod.domain
         self.st, self.rho_live = prod.st, prod.rho  # patched per splice
         self.instrs = dict(w.target.instrs)

@@ -15,10 +15,15 @@ new divergence.  Branches cut by the step or depth bound are counted and make
 a Secure verdict explicitly "secure up to bounds".
 
 The enabled directives of a single state and the successor and leak of each
-are a pure function of that state, the program and the width, so `check_sni`
-computes them once per state in a table shared by all the pairs it checks:
-each run takes part in many pairs, and the pairs still check exactly what
-they checked stepping afresh.  The table lives for one call.
+are a pure function of that state, the program and the width.  The search
+therefore interns every speculative state it meets to a dense id
+(`semantics.Interner`), and the row of an id holds the state's enabled
+directives and, for each, the successor's id and the leak.  A row is filled
+when its state is first expanded.  The memo and the stack hold ids, so a
+revisit hashes two ints instead of two stacks of states.  `check_sni` passes
+one table to every pair it checks: each run takes part in many pairs, and
+the pairs still check exactly what they checked stepping afresh.  The table
+lives for one call.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from .semantics import (
     Bounds,
     DEFAULT_WIDTH,
     Directive,
+    Interner,
     Leakage,
     SpecState,
     State,
@@ -124,9 +130,17 @@ class SniVerdict:
         return out
 
 
-# a single speculative state -> its enabled directives and, in the same order,
-# the (successor, leak) each of them steps to
-Transitions = dict[SpecState, tuple[tuple[Directive, ...], tuple[tuple[SpecState, Leakage], ...]]]
+def transition_table(p: Program, width: int = DEFAULT_WIDTH) -> Interner:
+    """Speculative states of `p` interned to ids; the row of an id is the
+    state's enabled directives and, in the same order, the (successor id,
+    leak) each of them steps to."""
+
+    def fill(nu: SpecState):
+        en = tuple(enabled_directives(p, nu, width))
+        return en, tuple((table.id(nu2), leak) for nu2, leak in (step_spec(p, nu, d, width) for d in en))
+
+    table = Interner(fill)
+    return table
 
 
 def check_sni_pair(
@@ -135,44 +149,41 @@ def check_sni_pair(
     nu2: SpecState,
     b: Bounds,
     width: int = DEFAULT_WIDTH,
-    table: Transitions | None = None,
+    table: Interner | None = None,
 ) -> SniVerdict:
     """Synchronized bounded search for a behavioural difference of nu1 vs nu2.
 
-    Each side's transitions are read from `table`, filled on first use; a
-    caller checking several pairs of one program at one width passes the same
-    table to all of them (see `check_sni`)."""
+    Each side's transitions are read from `table` (`transition_table` of `p`
+    at `width`), whose rows are filled on first use; a caller checking several
+    pairs of one program at one width passes the same table to all of them
+    (see `check_sni`)."""
     if len(nu1) != 1 or len(nu2) != 1 or not low_equivalent(p, nu1[0], nu2[0]):
         raise ValueError("check_sni_pair requires low-equivalent initial states")
 
     if table is None:
-        table = {}
+        table = transition_table(p, width)
+    states, row = table.values, table.row
     truncated = 0
-    budget_seen: dict[tuple[SpecState, SpecState], int] = {}  # joint state -> most steps left
-
-    def transitions(nu: SpecState):
-        t = table.get(nu)
-        if t is None:
-            en = tuple(enabled_directives(p, nu, width))
-            t = table[nu] = en, tuple(step_spec(p, nu, d, width) for d in en)
-        return t
+    budget_seen: dict[tuple[int, int], int] = {}  # joint state ids -> most steps left
 
     # an explicit stack, children pushed in reverse and each checked when
     # popped: the recursive preorder, with its leak checks, bound counts and
-    # memo updates in the same order, without Python's recursion limit
-    stack = [(nu1, nu2, (), None, None)]
+    # memo updates in the same order, without Python's recursion limit.
+    # Leaks are compared by value; `is` only skips the comparison of a leak
+    # with itself.
+    stack = [(table.id(nu1), table.id(nu2), (), None, None)]
     while stack:
         a, c, dirs, l1, l2 = stack.pop()
-        if l1 != l2:
+        if l1 is not l2 and l1 != l2:
             return SniVerdict(
                 "violation", b, truncated, state1=nu1, state2=nu2,
                 directives=dirs, divergence="leak", leak1=l1, leak2=l2,
             )
-        if len(a) > b.max_spec_depth:
+        if len(states[a]) > b.max_spec_depth:
             truncated += 1
             continue
-        e1, steps1 = transitions(a)
-        e2, steps2 = transitions(c)
+        e1, steps1 = row(a)
+        e2, steps2 = row(c)
         if e1 != e2:
             return SniVerdict(
                 "violation", b, truncated, state1=nu1, state2=nu2, directives=dirs,
@@ -258,7 +269,7 @@ def check_sni(
 
     truncated = 0
     checked = 0
-    table: Transitions = {}
+    table = transition_table(p, width)
     for a, c in pairs:
         if not low_equivalent(p, a[0], c[0]):
             continue

@@ -334,6 +334,43 @@ def is_final(p: Program, nu: SpecState) -> bool:
     return len(nu) == 1 and isinstance(p.instrs[nu[0].pc], Exit)
 
 
+# --- per-call interning ----------------------------------------------------------
+
+
+class Interner:
+    """Dense ids for the values one search call meets, and a row per id.
+
+    `id(v)` hashes v and returns its id, the next free one on first sight;
+    `values[i]` is the value of id i, and `row(i)` is `fill(values[i])`,
+    computed on first use, so a search fills only the rows it expands.  A
+    search keys its memo and queue by ids: a revisit then hashes a few ints
+    instead of whole speculative states, and what the search needs about a
+    state is worked out once.  Ids mean nothing outside their interner, so
+    every search call makes its own.
+    """
+
+    __slots__ = ("ids", "values", "rows", "fill")
+
+    def __init__(self, fill=None):
+        self.ids: dict = {}
+        self.values: list = []
+        self.rows: list = []
+        self.fill = fill
+
+    def id(self, v) -> int:
+        i = self.ids.setdefault(v, len(self.values))
+        if i == len(self.values):
+            self.values.append(v)
+            self.rows.append(None)
+        return i
+
+    def row(self, i: int):
+        r = self.rows[i]
+        if r is None:
+            r = self.rows[i] = self.fill(self.values[i])
+        return r
+
+
 # --- executions ----------------------------------------------------------------
 
 

@@ -22,10 +22,18 @@ identical interval.  A Pass is evidence up to the given bounds, not a proof.
 
 The intervals of a (source, target) pair are a pure function of the pair, the
 witness and the bounds, and so is a source replay of a directive sequence.
-Each check therefore computes them once per call, in tables that live for
-that call: `check_simulation` reuses a pair's intervals when the pair comes
-back nearer, and `check_snippy_cube` shares them across both sides of every
-quadruple and across all initial pairs, each run taking part in many pairs.
+Each check therefore interns every pair it meets to a dense id
+(`semantics.Interner`) and keeps, per id, a row built when the pair is first
+expanded: its intervals and, for each interval, the id of its end pair.  The
+memo and the queue hold ids, so a revisit hashes ints, not states.
+`check_simulation` reuses a row when its pair comes back nearer.
+`check_snippy_cube` shares rows across both sides of every quadruple and
+across all initial pairs, each run taking part in many pairs.  Its rows also
+hold, per interval, the ids of its signature and of its source directives,
+plus the row's signature -> end pair map, whose keys are its signature set,
+so a quadruple visit compares ints instead of rebuilding sets of signatures.
+Source replays are kept per (source state id, directive sequence id).  All
+tables live for one call.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ from .semantics import (
     D_STEP,
     Bounds,
     Directive,
+    Interner,
     Leakage,
     SpecState,
     State,
@@ -92,19 +101,6 @@ def extract_intervals(wit: SimWitness, nu_src: SpecState, nu_tgt: SpecState, b: 
     if is_final(wit.target, nu_tgt):
         return ExtractResult([])
     return wit.intervals(nu_src, nu_tgt, b)
-
-
-def _interval_table(wit: SimWitness, b: Bounds) -> Callable[[SpecState, SpecState], ExtractResult]:
-    """`extract_intervals` under `b`, computed once per (source, target) pair."""
-    table: dict[tuple[SpecState, SpecState], ExtractResult] = {}
-
-    def intervals(nu_src: SpecState, nu_tgt: SpecState) -> ExtractResult:
-        res = table.get((nu_src, nu_tgt))
-        if res is None:
-            res = table[nu_src, nu_tgt] = extract_intervals(wit, nu_src, nu_tgt, b)
-        return res
-
-    return intervals
 
 
 # --- dead code elimination witness ------------------------------------------------
@@ -191,7 +187,7 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
 
 def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH, static: StaticPoison | None = None) -> SimWitness:
     prod = Product(w, width)
-    sp = static if static is not None else poison_analysis(w, width)
+    sp = static if static is not None else poison_analysis(w, width, prod)
 
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:
         if len(nu_tgt) != len(nu_src):
@@ -303,36 +299,41 @@ def check_simulation(
 ) -> SimVerdict:
     checked = 0
     truncated = 0
-    intervals = _interval_table(wit, b)
-    nearest: dict[tuple[SpecState, SpecState], int] = {}  # pair -> smallest distance expanded
-    queue: deque[tuple[SpecState, SpecState, int]] = deque()
+
+    def fill(pair: tuple[SpecState, SpecState]):
+        res = extract_intervals(wit, *pair, b)
+        return res, tuple(pairs.id((iv.end_src, iv.end_tgt)) for iv in res.intervals)
+
+    pairs = Interner(fill)  # (source, target) -> id; row: intervals, end pair ids
+    nearest: dict[int, int] = {}  # pair id -> smallest distance expanded
+    queue: deque[tuple[int, int]] = deque()
     for t0 in initial_targets:
         s0 = wit.initial_map(t0)
         if not wit.related((t0,), (s0,)):
             return SimVerdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
-        queue.append(((s0,), (t0,), 0))
+        queue.append((pairs.id(((s0,), (t0,))), 0))
 
     while queue:
-        nu_src, nu_tgt, dist = queue.popleft()
+        key, dist = queue.popleft()
         # intervals differ in length, so a pair may come back nearer than its
         # first visit, with more of the step bound left to explore
-        key = (nu_src, nu_tgt)
-        if key in nearest and nearest[key] <= dist:
+        if nearest.get(key, dist + 1) <= dist:
             continue
         nearest[key] = dist
+        nu_src, nu_tgt = pairs.values[key]
         if is_final(wit.target, nu_tgt):
             continue
         if dist >= b.max_steps:
             truncated += 1
             continue
-        res = intervals(nu_src, nu_tgt)
+        res, ends = pairs.row(key)
         truncated += res.truncated
         for d in enabled_directives(wit.target, nu_tgt, width):
             if not any(iv.tgt_dirs[0] == d for iv in res.intervals):
                 return SimVerdict(
                     "fail", checked, truncated, "target continuation has no interval", (nu_src, nu_tgt), d
                 )
-        for iv in res.intervals:
+        for iv, end in zip(res.intervals, ends):
             checked += 1
             tgt_run = run_directives(wit.target, nu_tgt, list(iv.tgt_dirs), width)
             if tgt_run.status == "stuck" or tgt_run.leaks != iv.tgt_leaks or tgt_run.last != iv.end_tgt:
@@ -345,7 +346,7 @@ def check_simulation(
             if len(iv.end_tgt) > b.max_spec_depth:
                 truncated += 1
                 continue
-            queue.append((iv.end_src, iv.end_tgt, dist + len(iv.tgt_dirs)))
+            queue.append((end, dist + len(iv.tgt_dirs)))
     return SimVerdict("pass", checked, truncated)
 
 
@@ -382,6 +383,19 @@ class CubeVerdict:
 _UNSEEN = object()
 
 
+@dataclass(slots=True)
+class _CubeRow:
+    """What the cube compares about one (source, target) pair, built once."""
+
+    truncated: int
+    intervals: list[SimInterval]
+    src: int  # the source state's id, for premise replays
+    src_dirs: tuple[int, ...]  # per interval: the id of its source directives
+    sigs: tuple[int, ...]  # per interval: the id of its signature
+    ends: tuple[int, ...]  # per interval: the id of its end pair
+    end_by_sig: dict[int, int]  # the row's signature ids -> end pair id of the last interval with each
+
+
 def check_snippy_cube(
     wit: SimWitness,
     initial_target_pairs: list[tuple[State, State]],
@@ -390,18 +404,40 @@ def check_snippy_cube(
 ) -> CubeVerdict:
     checked = 0
     truncated = 0
-    intervals = _interval_table(wit, b)
-    # (source state, source directives) -> their leaks from that state, or None when stuck
-    replays: dict[tuple[SpecState, tuple[Directive, ...]], tuple[Leakage, ...] | None] = {}
+    sources, src_dirs, sigs = Interner(), Interner(), Interner()
 
-    def premise(nu_src: SpecState, iv: SimInterval) -> bool:
-        """This source can execute the other pair's source directives with equal leaks."""
-        key = (nu_src, iv.src_dirs)
-        leaks = replays.get(key, _UNSEEN)
-        if leaks is _UNSEEN:
-            run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
-            leaks = replays[key] = None if run.status == "stuck" else run.leaks
-        return leaks == iv.src_leaks
+    def fill(pair: tuple[SpecState, SpecState]) -> _CubeRow:
+        res = extract_intervals(wit, *pair, b)
+        ivs = res.intervals
+        sig = tuple(sigs.id(iv.signature) for iv in ivs)
+        end = tuple(pairs.id((iv.end_src, iv.end_tgt)) for iv in ivs)
+        return _CubeRow(
+            res.truncated, ivs, sources.id(pair[0]), tuple(src_dirs.id(iv.src_dirs) for iv in ivs),
+            sig, end, dict(zip(sig, end)),
+        )
+
+    pairs = Interner(fill)  # (source, target) -> id
+    row = pairs.row
+    # (source id, source directives id) -> their leaks from that source, or None when stuck
+    replays: dict[tuple[int, int], tuple[Leakage, ...] | None] = {}
+
+    def compare(ra: _CubeRow, rb: _CubeRow) -> tuple[int, SimInterval | None]:
+        """How many intervals of `ra` have their source directives run from
+        `rb`'s source with equal leaks, and the first such interval whose
+        signature `rb` lacks, if any."""
+        matched = 0
+        for iv, dirs, sig in zip(ra.intervals, ra.src_dirs, ra.sigs):
+            key = (rb.src, dirs)
+            leaks = replays.get(key, _UNSEEN)
+            if leaks is _UNSEEN:
+                run = run_directives(wit.source, sources.values[rb.src], list(iv.src_dirs), width)
+                leaks = replays[key] = None if run.status == "stuck" else run.leaks
+            if leaks != iv.src_leaks:
+                continue
+            matched += 1
+            if sig not in rb.end_by_sig:
+                return matched, iv
+        return matched, None
 
     for t1, t2 in initial_target_pairs:
         s1, s2 = wit.initial_map(t1), wit.initial_map(t2)
@@ -411,47 +447,35 @@ def check_snippy_cube(
             return CubeVerdict("fail", checked, truncated, "initial-state mapping does not respect levels")
         if not t_low:
             continue
-        nearest: dict[tuple, int] = {}  # quadruple -> smallest distance expanded
-        queue = deque([((s1,), (t1,), (s2,), (t2,), 0)])
+        nearest: dict[tuple[int, int], int] = {}  # quadruple as two pair ids -> smallest distance expanded
+        queue = deque([(pairs.id(((s1,), (t1,))), pairs.id(((s2,), (t2,))), 0)])
         while queue:
-            n1s, n1t, n2s, n2t, dist = queue.popleft()
-            key = (n1s, n1t, n2s, n2t)
-            if key in nearest and nearest[key] <= dist:
+            p1, p2, dist = queue.popleft()
+            key = (p1, p2)
+            if nearest.get(key, dist + 1) <= dist:
                 continue
             nearest[key] = dist
-            if is_final(wit.target, n1t) and is_final(wit.target, n2t):
+            if is_final(wit.target, pairs.values[p1][1]) and is_final(wit.target, pairs.values[p2][1]):
                 continue
             if dist >= b.max_steps:
                 truncated += 1
                 continue
-            r1 = intervals(n1s, n1t)
-            r2 = intervals(n2s, n2t)
+            r1, r2 = row(p1), row(p2)
             truncated += r1.truncated + r2.truncated
-            sig2 = {iv.signature for iv in r2.intervals}
-            sig1 = {iv.signature for iv in r1.intervals}
-            for iv in r1.intervals:
-                if not premise(n2s, iv):
-                    continue
-                checked += 1
-                if iv.signature not in sig2:
-                    reason = _describe_missing(iv, r2.intervals)
-                    return CubeVerdict("fail", checked, truncated, reason, (n1s, n1t, n2s, n2t), iv)
-            for iv in r2.intervals:
-                if not premise(n1s, iv):
-                    continue
-                checked += 1
-                if iv.signature not in sig1:
-                    reason = _describe_missing(iv, r1.intervals)
-                    return CubeVerdict("fail", checked, truncated, reason, (n2s, n2t, n1s, n1t), iv)
-            by_sig = {iv.signature: iv for iv in r2.intervals}
-            for iv in r1.intervals:
-                other = by_sig.get(iv.signature)
+            for a, c, ra, rc in ((p1, p2, r1, r2), (p2, p1, r2, r1)):
+                n, missing = compare(ra, rc)
+                checked += n
+                if missing is not None:
+                    reason = _describe_missing(missing, rc.intervals)
+                    return CubeVerdict("fail", checked, truncated, reason, (*pairs.values[a], *pairs.values[c]), missing)
+            for iv, sig, end in zip(r1.intervals, r1.sigs, r1.ends):
+                other = r2.end_by_sig.get(sig)
                 if other is None:
                     continue
                 if len(iv.end_tgt) > b.max_spec_depth:
                     truncated += 1
                     continue
-                queue.append((iv.end_src, iv.end_tgt, other.end_src, other.end_tgt, dist + len(iv.tgt_dirs)))
+                queue.append((end, other, dist + len(iv.tgt_dirs)))
     return CubeVerdict("pass", checked, truncated)
 
 

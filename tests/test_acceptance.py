@@ -3,9 +3,13 @@
 Run with `pytest tests/test_acceptance.py -s` to see the per-criterion lines.
 """
 
+import contextlib
+import io
 import itertools
+import json
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +38,7 @@ from snicheck.semantics import (
     step_spec,
 )
 from snicheck.simulation import check_snippy_cube, dce_witness, extract_intervals, ra_witness
-from snicheck.cli import corpus_path
+from snicheck.cli import corpus_path, main
 
 from conftest import load_program, load_state, pt_leq, random_program, random_state, random_walk, same_point
 
@@ -285,3 +289,41 @@ def test_criterion_7_desk_scale_replacement():
     src, tgt, w = _ra_bits()
     ok = present and validate_ra(w) == []
     report(7, ok, "bundled IR encodings stand in for the compiler experiment")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def snippy_w2_outputs(tmp_path) -> str:
+    """The `--format json` outputs of `check-snippy` and `check-sim` on the
+    width-2 corpus files (DCE, the RA witness as given and after `fix`) at
+    two bounds, as one JSON document keyed by case."""
+    C = lambda name: str(corpus_path(name))
+
+    def run(*args):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([*args, "--width", "2", "--format", "json"])
+        return {"exit": code, "output": json.loads(out.getvalue())}
+
+    fixed_t, fixed_w = tmp_path / "fixed.sp", tmp_path / "fixed.witness"
+    ra = ("--source", C("code_ra_w2_source.sp"), "--state", C("code_ra_w2.init"))
+    run("fix", "--source", C("code_ra_w2_source.sp"), "--target", C("code_ra_w2_target.sp"),
+        "--witness", C("code_ra_w2.witness"), "--out-target", str(fixed_t), "--out-witness", str(fixed_w))
+    witnesses = {
+        "dce": ("--witness-kind", "dce", "--source", C("code_dce_w2_source.sp"), "--state", C("code_dce_w2.init")),
+        "ra": ("--witness-kind", "ra", *ra, "--target", C("code_ra_w2_target.sp"), "--witness", C("code_ra_w2.witness")),
+        "ra-fixed": ("--witness-kind", "ra", *ra, "--target", str(fixed_t), "--witness", str(fixed_w)),
+    }
+    doc = {}
+    for bounds in ("steps=24,depth=2", "steps=12,depth=3"):
+        for cmd in ("check-snippy", "check-sim"):
+            for name, args in witnesses.items():
+                doc[f"{cmd} {name} {bounds}"] = run(cmd, *args, "--bounds", bounds)
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+def test_golden_snippy_w2_reports(tmp_path):
+    """Every cube and simulation report on the width-2 corpus, counts and
+    truncations included, is byte-identical to the recorded one."""
+    assert snippy_w2_outputs(tmp_path) == (GOLDEN / "snippy_w2.json").read_text()

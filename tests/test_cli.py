@@ -126,8 +126,10 @@ def test_validate_fix_check_typable_flow(tmp_path, capsys):
 
 
 def test_poison_commands_refuse_an_invalid_witness(tmp_path, capsys):
-    """`check-typable` and `poison-analyze` judge only witnesses that
-    `validate-ra` accepts; otherwise they exit 3 with its first diagnostic."""
+    """`check-typable`, `poison-analyze` and `product-run` judge only
+    witnesses that `validate-ra` accepts; otherwise they exit 3 with its
+    first diagnostic.  On this witness `product-run` would otherwise step a
+    poison store into a slot that no register is relocated to."""
     args = ["--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"), "--witness", C("code_ra.witness")]
     ft, fw = tmp_path / "fixed.sp", tmp_path / "fixed.witness"
     assert run_cli("fix", *args, "--out-target", str(ft), "--out-witness", str(fw), capsys=capsys)[0] == 0
@@ -135,8 +137,11 @@ def test_poison_commands_refuse_an_invalid_witness(tmp_path, capsys):
     bad = ["--source", C("code_ra_source.sp"), "--target", str(ft), "--witness", str(fw)]
     code, out = run_cli("validate-ra", *bad, capsys=capsys)
     assert code == 1 and out.startswith("[obeying-liveness] c: slot 7 outside stk size 1\n")
-    for cmd in ("check-typable", "poison-analyze"):
-        assert main([cmd, *bad]) == 3
+    attack = tmp_path / "attack.d"
+    attack.write_text("step\nstep\nstep\nspec\nstore stk 0\nstep\nif\n")
+    run = ["--state", C("code_ra.init"), "--directives", str(attack)]
+    for cmd, extra in (("check-typable", []), ("poison-analyze", []), ("product-run", run)):
+        assert main([cmd, *bad, *extra]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: invalid witness: [obeying-liveness] c: slot 7 outside stk size 1\n"

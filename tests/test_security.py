@@ -278,8 +278,25 @@ def test_check_sni_shared_table_matches_fresh_pairs(rng):
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
         got = check_sni(p, base, PairSource("exhaustive"), b, width=2)
         want = reference_check_sni_exhaustive(p, base, b, 2)
+        assert (got.truncated, got.pairs_checked, got.directives) == (want.truncated, want.pairs_checked, want.directives)
+        assert got == want
         assert got.report(p, 2) == want.report(p, 2)
         kinds[got.divergence or got.kind] += 1
         truncated += got.truncated
     assert kinds["secure"] >= 20 and kinds["leak"] >= 20 and kinds["enabled"] >= 5, kinds
     assert truncated > 0
+
+
+def test_check_sni_keeps_no_state_between_calls(rng):
+    """Calls in a row on different programs and bounds each equal a fresh
+    table-free search, so no interned state outlives its call."""
+    runs = []
+    for _ in range(12):
+        p = random_program(rng, n_instrs=rng.randint(4, 12), n_regs=2)
+        runs.append((p, random_state(rng, p, width=2), Bounds(rng.randint(6, 12), rng.randint(1, 3))))
+    kinds = Counter()
+    for p, base, b in runs + runs[::-1]:
+        got = check_sni(p, base, PairSource("exhaustive"), b, width=2)
+        assert got == reference_check_sni_exhaustive(p, base, b, 2)
+        kinds[got.kind] += 1
+    assert kinds["secure"] and kinds["violation"], kinds

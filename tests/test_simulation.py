@@ -564,10 +564,20 @@ def _planted(wit):
 
 
 def _assert_cubes_agree(wit, pairs, b):
+    """The whole verdict: status, counts, reason, quadruple and interval."""
     got = check_snippy_cube(wit, pairs, b, width=2)
     want = reference_check_snippy_cube(wit, pairs, b, 2)
+    assert got == want
     assert got.report() == want.report()
-    assert got.quad == want.quad
+    return got
+
+
+def _assert_simulations_agree(wit, targets, b):
+    """The whole verdict: status, counts, reason, pair and directive."""
+    got = check_simulation(wit, targets, b, width=2)
+    want = reference_check_simulation(wit, targets, b, 2)
+    assert got == want
+    assert got.report() == want.report()
     return got
 
 
@@ -596,14 +606,31 @@ def test_snippy_cube_tables_match_uncached_loop_on_corpus():
 
 
 def test_check_simulation_table_matches_uncached_loop(rng):
-    """`check_simulation` reuses the intervals of a pair that comes back nearer."""
+    """`check_simulation` reuses the intervals of a pair that comes back
+    nearer; its verdicts equal the uncached loop's, planted failures included."""
     seen = Counter()
     for wit in _random_witnesses(rng, 90):
         targets = [random_state(rng, wit.target, width=2)[0] for _ in range(3)]
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        got = check_simulation(wit, targets, b, width=2)
-        want = reference_check_simulation(wit, targets, b, 2)
-        assert got.report() == want.report()
-        assert (got.pair, got.directive) == (want.pair, want.directive)
-        seen[got.status] += 1
-    assert seen["pass"] >= 20 and seen["fail"] >= 5, seen
+        got = _assert_simulations_agree(wit, targets, b)
+        seen[wit.kind, got.status] += 1
+        seen["truncated"] += got.truncated > 0
+    assert seen["dce", "pass"] and seen["ra", "pass"] and seen["planted", "fail"] >= 5 and seen["truncated"], seen
+
+
+def test_searches_keep_no_state_between_calls():
+    """Calls in a row on different witnesses and bounds each equal the
+    uncached loops, so no interned id or row outlives its call."""
+    p = load_program("code_dce_w2_source.sp")
+    dce = dce_witness(p, dce_transform(p, liveness(p)), width=2)
+    w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
+    fixed, _ = fix_ra(w, width=2)
+    runs = [(dce, "code_dce_w2.init", Bounds(24, 2)), (ra_witness(w, 2), "code_ra_w2.init", Bounds(12, 3)),
+            (ra_witness(fixed, 2), "code_ra_w2.init", Bounds(24, 2)), (dce, "code_dce_w2.init", Bounds(8, 1)),
+            (ra_witness(w, 2), "code_ra_w2.init", Bounds(24, 2))]
+    statuses = []
+    for wit, init, b in runs + runs[::-1]:
+        pairs = w2_pairs(wit.target, init)
+        statuses.append(_assert_cubes_agree(wit, pairs, b).status)
+        _assert_simulations_agree(wit, sorted({t for pair in pairs for t in pair}, key=repr), b)
+    assert statuses[:5] == ["pass", "fail", "pass", "pass", "fail"]
