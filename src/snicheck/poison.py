@@ -527,13 +527,9 @@ def _solve_packed(nodes, edges, fns: dict, pk: _Packing, init_node) -> dict:
     )
 
 
-def poison_analysis(w: RAWitness, width: int = DEFAULT_WIDTH, prod: Product | None = None) -> StaticPoison:
-    """Least forward solution over the product program points, healthy at entry.
-
-    A caller that also steps `w`'s product passes it as `prod`, so that its
-    liveness, structure and relocations are computed once; the analysis reads
-    them and changes nothing."""
-    return RepairSession(w, prod).static_poison()
+def poison_analysis(w: RAWitness, width: int = DEFAULT_WIDTH) -> StaticPoison:
+    """Least forward solution over the product program points, healthy at entry."""
+    return RepairSession(w).static_poison()
 
 
 @dataclass(frozen=True)

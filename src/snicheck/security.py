@@ -135,12 +135,11 @@ def transition_table(p: Program, width: int = DEFAULT_WIDTH) -> Interner:
     state's enabled directives and, in the same order, the (successor id,
     leak) each of them steps to."""
 
-    def fill(nu: SpecState):
+    def fill(nu: SpecState, intern):
         en = tuple(enabled_directives(p, nu, width))
-        return en, tuple((table.id(nu2), leak) for nu2, leak in (step_spec(p, nu, d, width) for d in en))
+        return en, tuple((intern(nu2), leak) for nu2, leak in (step_spec(p, nu, d, width) for d in en))
 
-    table = Interner(fill)
-    return table
+    return Interner(fill)
 
 
 def check_sni_pair(
@@ -169,12 +168,10 @@ def check_sni_pair(
     # an explicit stack, children pushed in reverse and each checked when
     # popped: the recursive preorder, with its leak checks, bound counts and
     # memo updates in the same order, without Python's recursion limit.
-    # Leaks are compared by value; `is` only skips the comparison of a leak
-    # with itself.
     stack = [(table.id(nu1), table.id(nu2), (), None, None)]
     while stack:
         a, c, dirs, l1, l2 = stack.pop()
-        if l1 is not l2 and l1 != l2:
+        if l1 != l2:
             return SniVerdict(
                 "violation", b, truncated, state1=nu1, state2=nu2,
                 directives=dirs, divergence="leak", leak1=l1, leak2=l2,

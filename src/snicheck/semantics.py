@@ -341,17 +341,20 @@ class Interner:
     """Dense ids for the values one search call meets, and a row per id.
 
     `id(v)` hashes v and returns its id, the next free one on first sight;
-    `values[i]` is the value of id i, and `row(i)` is `fill(values[i])`,
+    `values[i]` is the value of id i, and `row(i)` is `fill(values[i], id)`,
     computed on first use, so a search fills only the rows it expands.  A
     search keys its memo and queue by ids: a revisit then hashes a few ints
     instead of whole speculative states, and what the search needs about a
     state is worked out once.  Ids mean nothing outside their interner, so
-    every search call makes its own.
+    every search call makes its own.  `fill` interns what a row refers to
+    through the `id` it is passed: a `fill` that held the interner would make
+    a reference cycle, and the call's tables would stay in memory until the
+    cyclic garbage collector next ran.
     """
 
     __slots__ = ("ids", "values", "rows", "fill")
 
-    def __init__(self, fill=None):
+    def __init__(self, fill):
         self.ids: dict = {}
         self.values: list = []
         self.rows: list = []
@@ -367,7 +370,7 @@ class Interner:
     def row(self, i: int):
         r = self.rows[i]
         if r is None:
-            r = self.rows[i] = self.fill(self.values[i])
+            r = self.rows[i] = self.fill(self.values[i], self.id)
         return r
 
 

@@ -44,7 +44,7 @@ from typing import Callable
 
 from .ir import Load, Program, Store
 from .liveness import DceResult, full_fact, live_before
-from .poison import Product, ProductState, StaticPoison, poison_analysis, replay_directive
+from .poison import Product, ProductState, RepairSession, StaticPoison, replay_directive
 from .regalloc import RAWitness
 from .semantics import (
     DEFAULT_WIDTH,
@@ -187,7 +187,7 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
 
 def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH, static: StaticPoison | None = None) -> SimWitness:
     prod = Product(w, width)
-    sp = static if static is not None else poison_analysis(w, width, prod)
+    sp = static if static is not None else RepairSession(w, prod).static_poison()
 
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:
         if len(nu_tgt) != len(nu_src):
@@ -300,9 +300,9 @@ def check_simulation(
     checked = 0
     truncated = 0
 
-    def fill(pair: tuple[SpecState, SpecState]):
+    def fill(pair: tuple[SpecState, SpecState], intern):
         res = extract_intervals(wit, *pair, b)
-        return res, tuple(pairs.id((iv.end_src, iv.end_tgt)) for iv in res.intervals)
+        return res, tuple(intern((iv.end_src, iv.end_tgt)) for iv in res.intervals)
 
     pairs = Interner(fill)  # (source, target) -> id; row: intervals, end pair ids
     nearest: dict[int, int] = {}  # pair id -> smallest distance expanded
@@ -389,6 +389,7 @@ class _CubeRow:
 
     truncated: int
     intervals: list[SimInterval]
+    source: SpecState
     src: int  # the source state's id, for premise replays
     src_dirs: tuple[int, ...]  # per interval: the id of its source directives
     sigs: tuple[int, ...]  # per interval: the id of its signature
@@ -404,16 +405,19 @@ def check_snippy_cube(
 ) -> CubeVerdict:
     checked = 0
     truncated = 0
-    sources, src_dirs, sigs = Interner(), Interner(), Interner()
+    # plain value -> id maps: source states, source directive sequences, signatures
+    sources: dict[SpecState, int] = {}
+    src_dirs: dict[tuple[Directive, ...], int] = {}
+    sigs: dict[tuple, int] = {}
 
-    def fill(pair: tuple[SpecState, SpecState]) -> _CubeRow:
+    def fill(pair: tuple[SpecState, SpecState], intern) -> _CubeRow:
         res = extract_intervals(wit, *pair, b)
         ivs = res.intervals
-        sig = tuple(sigs.id(iv.signature) for iv in ivs)
-        end = tuple(pairs.id((iv.end_src, iv.end_tgt)) for iv in ivs)
+        sig = tuple(sigs.setdefault(iv.signature, len(sigs)) for iv in ivs)
+        end = tuple(intern((iv.end_src, iv.end_tgt)) for iv in ivs)
         return _CubeRow(
-            res.truncated, ivs, sources.id(pair[0]), tuple(src_dirs.id(iv.src_dirs) for iv in ivs),
-            sig, end, dict(zip(sig, end)),
+            res.truncated, ivs, pair[0], sources.setdefault(pair[0], len(sources)),
+            tuple(src_dirs.setdefault(iv.src_dirs, len(src_dirs)) for iv in ivs), sig, end, dict(zip(sig, end)),
         )
 
     pairs = Interner(fill)  # (source, target) -> id
@@ -430,7 +434,7 @@ def check_snippy_cube(
             key = (rb.src, dirs)
             leaks = replays.get(key, _UNSEEN)
             if leaks is _UNSEEN:
-                run = run_directives(wit.source, sources.values[rb.src], list(iv.src_dirs), width)
+                run = run_directives(wit.source, rb.source, list(iv.src_dirs), width)
                 leaks = replays[key] = None if run.status == "stuck" else run.leaks
             if leaks != iv.src_leaks:
                 continue

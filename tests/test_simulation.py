@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from collections import Counter, deque
@@ -8,7 +9,7 @@ from snicheck.ir import parse_program
 from snicheck.liveness import dce_transform, liveness
 from snicheck.poison import fix_ra
 from snicheck.regalloc import allocate, AllocationInfeasible, parse_ra_witness
-from snicheck.security import enumerate_high_states, low_equivalent
+from snicheck.security import PairSource, check_sni, enumerate_high_states, low_equivalent
 from snicheck.semantics import (
     Bounds,
     D_IF,
@@ -608,13 +609,15 @@ def test_snippy_cube_tables_match_uncached_loop_on_corpus():
 def test_check_simulation_table_matches_uncached_loop(rng):
     """`check_simulation` reuses the intervals of a pair that comes back
     nearer; its verdicts equal the uncached loop's, planted failures included."""
-    seen = Counter()
+    statuses, seen = Counter(), Counter()
     for wit in _random_witnesses(rng, 90):
         targets = [random_state(rng, wit.target, width=2)[0] for _ in range(3)]
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
         got = _assert_simulations_agree(wit, targets, b)
+        statuses[got.status] += 1
         seen[wit.kind, got.status] += 1
         seen["truncated"] += got.truncated > 0
+    assert statuses["pass"] >= 20 and statuses["fail"] >= 5, statuses
     assert seen["dce", "pass"] and seen["ra", "pass"] and seen["planted", "fail"] >= 5 and seen["truncated"], seen
 
 
@@ -634,3 +637,22 @@ def test_searches_keep_no_state_between_calls():
         statuses.append(_assert_cubes_agree(wit, pairs, b).status)
         _assert_simulations_agree(wit, sorted({t for pair in pairs for t in pair}, key=repr), b)
     assert statuses[:5] == ["pass", "fail", "pass", "pass", "fail"]
+
+
+def test_searches_leave_no_reference_cycles():
+    """A search call's tables are freed when it returns, not at the next run
+    of the cyclic garbage collector, so they cannot pile up across calls."""
+    w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
+    wit = ra_witness(w, 2)
+    pairs = w2_pairs(wit.target, "code_ra_w2.init")
+    base = load_state("code_ra_w2.init", wit.target, width=2)
+    b = Bounds(24, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        check_snippy_cube(wit, pairs, b, width=2)
+        check_simulation(wit, [t for pair in pairs for t in pair], b, width=2)
+        check_sni(wit.target, base, PairSource("exhaustive"), b, width=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
