@@ -58,6 +58,16 @@ def positive_int(text: str) -> int:
     return n
 
 
+def pair_count(text: str) -> int | None:
+    """`--pairs`: None for `exhaustive`, n for `random:<n>` with n >= 1."""
+    if text == "exhaustive":
+        return None
+    kind, _, n = text.partition(":")
+    if kind != "random" or not n.isdecimal() or int(n) < 1:
+        raise argparse.ArgumentTypeError(f"expected exhaustive or random:<n> with n >= 1, got {text!r}")
+    return int(n)
+
+
 def _emit(args, payload: dict, text: str):
     if args.format == "json":
         print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
@@ -148,8 +158,8 @@ def cmd_check_sni(args) -> int:
     if args.state2:
         other = _load_state(args.state2, p, args.width)
         src = security.PairSource("file", pairs=[(base, other)])
-    elif args.pairs.startswith("random:"):
-        src = security.PairSource("sampled", count=int(args.pairs.split(":")[1]), seed=args.seed)
+    elif args.pairs is not None:
+        src = security.PairSource("sampled", count=args.pairs, seed=args.seed)
     else:
         src = security.PairSource("exhaustive")
     v = security.check_sni(p, base, src, args.bounds, args.width)
@@ -399,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-sni")
     sp.add_argument("program")
     sp.add_argument("--state2", help="second initial-state file (explicit pair)")
-    sp.add_argument("--pairs", default="exhaustive", help="exhaustive | random:<n>")
+    sp.add_argument("--pairs", type=pair_count, default="exhaustive", help="exhaustive | random:<n>, n >= 1")
     common(sp)
     sp.set_defaults(fn=cmd_check_sni)
 

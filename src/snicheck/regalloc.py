@@ -18,6 +18,10 @@ Validation enforces the three witness conditions:
   obeying liveness       live registers are always mapped, and no location is
                          allocated to two live registers at once
 
+The first two read `ir.KINDS`: matching checks each field by its role there,
+and a move, fill or spill relocates its use field (or stack slot) to its def
+field (or stack slot); only slh and sfence are special cases.
+
 Liveness here means live-before sets computed with registers dead at exit;
 dead registers may be dropped from or linger in `rho` without complaint.
 """
@@ -29,14 +33,12 @@ from dataclasses import dataclass, field, replace
 
 from .ir import (
     Asgn,
-    Exit,
     Fill,
     If,
     Instr,
     Load,
     MemVar,
     Move,
-    Nop,
     Pc,
     Program,
     Reg,
@@ -247,7 +249,7 @@ def validate_ra(
         for t_next in ti.successors():
             m0, m1 = rl[t_pc], rl[t_next]
             # a matched move is a source instruction, checked by instruction matching
-            moved = _moved_register(w, t_pc, ti, m0, m1, out) if t_pc in st.owner else None
+            moved = _moved_register(t_pc, ti, m0, m1, out) if t_pc in st.owner else None
             for r in sorted(live_at[t_pc] & live_at[t_next]):
                 l0, l1 = m0.get(r), m1.get(r)
                 if l0 is None or l1 is None:
@@ -263,111 +265,68 @@ def validate_ra(
     return out
 
 
-def _moved_register(w: RAWitness, t_pc: Pc, ti: Instr, m0: dict, m1: dict, out: list) -> Reg | None:
-    """For a shuffle instruction, the source register it relocates (checked)."""
-    if not isinstance(ti, SHUFFLE_KINDS):
+def _moved_register(t_pc: Pc, ti: Instr, m0: dict, m1: dict, out: list) -> Reg | None:
+    """For a shuffle instruction, the source register it relocates (checked).
+
+    A move, fill or spill relocates one register from its use field to its
+    def field, its stack slot standing in for the field it lacks, into a
+    location no live register holds."""
+    if isinstance(ti, Sfence):  # moves nothing
         return None
-
-    def occupied(loc) -> bool:
-        return loc in m0.values()
-
-    def find(pre, post) -> Reg | None:
-        for r in sorted(set(m0) | set(m1)):
-            if m0.get(r) == pre and m1.get(r) == post:
+    if isinstance(ti, Slh):
+        a = ti.reg
+        owners = [r for r in sorted(m0) if m0.get(r) == a]
+        for r in owners:
+            if m1.get(r) == a:
                 return r
-        return None
-
-    match ti:
-        case Move(dst=d, src=s):
-            r = find(s, d)
-            if r is None:
-                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"move {d} <- {s} relocates no live register"))
-            elif occupied(d):
-                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"move target {d} is not free"))
-            return r
-        case Fill(dst=d, slot=sl):
-            r = find((STACK_VAR, sl), d)
-            if r is None:
-                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"fill {d} <- stk#{sl} relocates no live register"))
-            elif occupied(d):
-                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"fill target {d} is not free"))
-            return r
-        case Spill(slot=sl, src=s):
-            r = find(s, (STACK_VAR, sl))
-            if r is None:
-                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"spill stk#{sl} <- {s} relocates no live register"))
-            elif occupied((STACK_VAR, sl)):
-                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"spill slot stk#{sl} is not free"))
-            return r
-        case Slh(reg=a):
-            owners = [r for r in sorted(m0) if m0.get(r) == a]
-            for r in owners:
-                if m1.get(r) == a:
-                    return r
-            # an owner that stays live must keep its place; a dead one may drop
-            for r in owners:
-                if r in m1:
-                    out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"slh register {a} must stay allocated in place"))
-                    break
-            return owners[0] if owners else None
-        case _:  # sfence moves nothing
-            return None
+        # an owner that stays live must keep its place; a dead one may drop
+        for r in owners:
+            if r in m1:
+                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"slh register {a} must stay allocated in place"))
+                break
+        return owners[0] if owners else None
+    k = ti.kind
+    slot = (STACK_VAR, ti.slot) if isinstance(ti, (Fill, Spill)) else None
+    pre = getattr(ti, k.uses[0]) if k.uses else slot
+    post = getattr(ti, k.defs[0]) if k.defs else slot
+    r = next((r for r in sorted(set(m0) | set(m1)) if m0.get(r) == pre and m1.get(r) == post), None)
+    if r is None:
+        text = k.format(ti).partition(" -> ")[0]
+        out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"{text} relocates no live register"))
+    elif post in m0.values():
+        role = "target" if k.defs else "slot"
+        out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"{k.mnemonic} {role} {fmt_loc(post)} is not free"))
+    return r
 
 
-class _AnyFree:
-    """Matches any register not taken by a live value (dead-destination case)."""
-
-    def __init__(self, taken):
-        self.taken = taken
-
-    def __eq__(self, other):
-        return other not in self.taken
-
-    def __ne__(self, other):
-        return other in self.taken
+# how a mismatch message names each kind that has fields other than successors
+_MISMATCH_NAMES = {Asgn: "assign", Load: "load", Store: "store", If: "branch condition", Slh: "slh register", Move: "move"}
 
 
 def _instr_matches(i: Instr, ti: Instr, m_use: dict, m_def: dict, live_succ: frozenset) -> tuple[bool, str]:
-    def use(r):
-        loc = m_use.get(r)
-        if not isinstance(loc, str):
-            return None
-        return loc
-
-    def targets(r):
-        # a dead destination may land in any register that holds no live value
-        if r not in live_succ:
-            return _AnyFree({loc for x, loc in m_def.items() if x != r and x in live_succ})
-        loc = m_def.get(r)
-        if not isinstance(loc, str):
-            return None
-        return loc
-
-    match (i, ti):
-        case (Exit(), Exit()) | (Nop(), Nop()) | (Sfence(), Sfence()):
-            return True, ""
-        case (Asgn(dst=d, lhs=a, op=op, rhs=b), Asgn(dst=td, lhs=ta, op=top, rhs=tb)):
-            if op != top or use(a) != ta or use(b) != tb or targets(d) != td:
-                return False, f"assign mismatch under relocation"
-        case (Load(dst=d, var=v, addr=adr), Load(dst=td, var=tv, addr=tadr)):
-            ea = adr if isinstance(adr, int) else use(adr)
-            if v != tv or ea != tadr or targets(d) != td:
-                return False, "load mismatch under relocation"
-        case (Store(var=v, addr=adr, src=c), Store(var=tv, addr=tadr, src=tc)):
-            ea = adr if isinstance(adr, int) else use(adr)
-            if v != tv or ea != tadr or use(c) != tc:
-                return False, "store mismatch under relocation"
-        case (If(cond=c), If(cond=tc)):
-            if use(c) != tc:
-                return False, "branch condition mismatch under relocation"
-        case (Slh(reg=r), Slh(reg=tr)):
-            if use(r) != tr or targets(r) != tr:
-                return False, "slh register mismatch under relocation"
-        case (Move(dst=d, src=s), Move(dst=td, src=ts)):
-            if use(s) != ts or targets(d) != td:
-                return False, "move mismatch under relocation"
-        case _:
-            return False, f"instruction kinds differ: {type(i).__name__} vs {type(ti).__name__}"
+    """Whether `ti` is `i` relocated, field by field by its `KINDS` role: a
+    use equals its `m_use` location, a def its `m_def` location, or any
+    register no other live value holds if it is dead after `i`, and any
+    other field (`op`, `var`, a `#n` address) is equal.  Successors are
+    structure's concern; fill and spill never occur in source code."""
+    k = i.kind
+    if ti.kind is not k or k.cls in (Fill, Spill):
+        return False, f"instruction kinds differ: {type(i).__name__} vs {type(ti).__name__}"
+    for f, r, tr in zip(k.fields, k.values(i), k.values(ti)):
+        if f in k.succs:
+            continue
+        ok = True
+        if f in k.defs:
+            if r in live_succ:
+                ok = m_def.get(r) == tr
+            else:
+                ok = all(m_def.get(x) != tr for x in live_succ)
+        if f in k.uses and isinstance(r, str):
+            ok = ok and m_use.get(r) == tr
+        elif f not in k.defs:
+            ok = r == tr
+        if not ok:
+            return False, f"{_MISMATCH_NAMES[k.cls]} mismatch under relocation"
     return True, ""
 
 

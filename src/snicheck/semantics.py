@@ -431,27 +431,39 @@ class BehaviorSet:
     truncated: set[Trace] = field(default_factory=set)
 
 
+# more behaviours than anyone reads; the enumeration stops with an error past it
+MAX_BEHAVIORS = 100_000
+
+
 def explore_behaviors(p: Program, nu0: SpecState, b: Bounds, width: int = DEFAULT_WIDTH) -> BehaviorSet:
     """Depth-first enumeration of all directive-resolved executions.
 
     Executions that reach a final state land in `terminated`; branches cut by
     max_steps or max_spec_depth land in `truncated` (never silently dropped).
+    Raises `RuntimeError` once there are more than `MAX_BEHAVIORS` of them.
     """
     bs = BehaviorSet()
+
+    def record(into: set, trace: Trace):
+        into.add(trace)
+        if len(bs.terminated) + len(bs.truncated) > MAX_BEHAVIORS:
+            bounds = f"steps={b.max_steps},depth={b.max_spec_depth}"
+            raise RuntimeError(f"more than {MAX_BEHAVIORS} behaviours within {bounds}; lower --bounds")
+
     # an explicit stack, children pushed in reverse: the recursive preorder
     # without Python's recursion limit on long executions
     stack = [(nu0, (), ())]
     while stack:
         nu, leaks, dirs = stack.pop()
         if len(nu) > b.max_spec_depth:
-            bs.truncated.add((leaks, dirs))
+            record(bs.truncated, (leaks, dirs))
             continue
         en = enabled_directives(p, nu, width)
         if not en:
-            bs.terminated.add((leaks, dirs))
+            record(bs.terminated, (leaks, dirs))
             continue
         if len(dirs) >= b.max_steps:
-            bs.truncated.add((leaks, dirs))
+            record(bs.truncated, (leaks, dirs))
             continue
         for d in reversed(en):
             nu2, leak = step_spec(p, nu, d, width)
@@ -462,26 +474,46 @@ def explore_behaviors(p: Program, nu0: SpecState, b: Bounds, width: int = DEFAUL
 # --- text formats ---------------------------------------------------------------
 
 
+def _int(text: str, what: str, base: int = 10) -> int:
+    """`text` as an int, else a ValueError that names `what` it should be."""
+    try:
+        return int(text, base)
+    except ValueError:
+        raise ValueError(f"bad {what} {text!r}") from None
+
+
+def _parse_lines(text: str, parse_line) -> None:
+    """`parse_line` on each line of `text` without its comment, blank ones
+    skipped; an error names its line."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                parse_line(line)
+            except ValueError as e:
+                raise ValueError(f"line {lineno}: {e}") from None
+
+
 def parse_initial_state(text: str, p: Program, width: int = DEFAULT_WIDTH) -> SpecState:
     """`reg <name> <int>` / `cell <var> <off> <int>` lines; unset entries are 0."""
     mask = (1 << width) - 1
     regs: dict[Reg, int] = {}
     mem: dict[tuple[str, int], int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+
+    def parse_line(line: str):
         parts = line.split()
         if parts[0] == "reg" and len(parts) == 3:
-            regs[parts[1]] = int(parts[2], 0) & mask
+            regs[parts[1]] = _int(parts[2], "value", 0) & mask
         elif parts[0] == "cell" and len(parts) == 4:
-            var, off = parts[1], int(parts[2])
+            var, off = parts[1], _int(parts[2], "offset")
             mv = p.memvar(var)
             if mv is None or not 0 <= off < mv.size:
-                raise ValueError(f"line {lineno}: bad cell {var}[{off}]")
-            mem[(var, off)] = int(parts[3], 0) & mask
+                raise ValueError(f"bad cell {var}[{off}]")
+            mem[(var, off)] = _int(parts[3], "value", 0) & mask
         else:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+            raise ValueError(f"cannot parse {line!r}")
+
+    _parse_lines(text, parse_line)
     return initial(p, regs, mem)
 
 
@@ -490,7 +522,7 @@ def parse_directive(token_line: str, p: Program) -> Directive:
     if parts[0] in ("step", "if", "spec", "rb") and len(parts) == 1:
         return Directive(parts[0])
     if parts[0] in ("load", "store") and len(parts) == 3:
-        var, off = parts[1], int(parts[2])
+        var, off = parts[1], _int(parts[2], "offset")
         mv = p.memvar(var)
         if mv is None or not 0 <= off < mv.size:
             raise ValueError(f"bad directive target {var}[{off}]")
@@ -500,10 +532,7 @@ def parse_directive(token_line: str, p: Program) -> Directive:
 
 def parse_directives(text: str, p: Program) -> list[Directive]:
     out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            out.append(parse_directive(line, p))
+    _parse_lines(text, lambda line: out.append(parse_directive(line, p)))
     return out
 
 

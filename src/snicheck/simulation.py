@@ -44,7 +44,7 @@ from typing import Callable
 
 from .ir import Load, Program, Store
 from .liveness import DceResult, full_fact, live_before
-from .poison import Product, ProductState, RepairSession, StaticPoison, replay_directive
+from .poison import Product, ProductState, RepairSession, replay_directive
 from .regalloc import RAWitness
 from .semantics import (
     DEFAULT_WIDTH,
@@ -185,9 +185,9 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
 # --- register allocation witness -----------------------------------------------
 
 
-def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH, static: StaticPoison | None = None) -> SimWitness:
+def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
     prod = Product(w, width)
-    sp = static if static is not None else RepairSession(w, prod).static_poison()
+    sp = RepairSession(w, prod).static_poison()
 
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:
         if len(nu_tgt) != len(nu_src):

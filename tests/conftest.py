@@ -146,3 +146,130 @@ class ConstraintViolation:
 def check_constraints(sol: dict, constraints: list, lat) -> list[ConstraintViolation]:
     """Constraints f(node) <= bound, under `lat.leq`, that the solution fails."""
     return [ConstraintViolation(n, sol[n], b) for n, b in constraints if not lat.leq(sol[n], b)]
+
+
+# --- reference RA checks: one match arm per kind, as `regalloc` had them ------
+
+
+def ref_moved_register(w, t_pc, ti, m0, m1, out):
+    """For a shuffle instruction, the source register it relocates (checked)."""
+    from snicheck.ir import SHUFFLE_KINDS, STACK_VAR, Fill, Move, Slh, Spill
+    from snicheck.regalloc import RADiagnostic
+
+    if not isinstance(ti, SHUFFLE_KINDS):
+        return None
+
+    def occupied(loc) -> bool:
+        return loc in m0.values()
+
+    def find(pre, post):
+        for r in sorted(set(m0) | set(m1)):
+            if m0.get(r) == pre and m1.get(r) == post:
+                return r
+        return None
+
+    match ti:
+        case Move(dst=d, src=s):
+            r = find(s, d)
+            if r is None:
+                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"move {d} <- {s} relocates no live register"))
+            elif occupied(d):
+                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"move target {d} is not free"))
+            return r
+        case Fill(dst=d, slot=sl):
+            r = find((STACK_VAR, sl), d)
+            if r is None:
+                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"fill {d} <- stk#{sl} relocates no live register"))
+            elif occupied(d):
+                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"fill target {d} is not free"))
+            return r
+        case Spill(slot=sl, src=s):
+            r = find(s, (STACK_VAR, sl))
+            if r is None:
+                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"spill stk#{sl} <- {s} relocates no live register"))
+            elif occupied((STACK_VAR, sl)):
+                out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"spill slot stk#{sl} is not free"))
+            return r
+        case Slh(reg=a):
+            owners = [r for r in sorted(m0) if m0.get(r) == a]
+            for r in owners:
+                if m1.get(r) == a:
+                    return r
+            # an owner that stays live must keep its place; a dead one may drop
+            for r in owners:
+                if r in m1:
+                    out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"slh register {a} must stay allocated in place"))
+                    break
+            return owners[0] if owners else None
+        case _:  # sfence moves nothing
+            return None
+
+
+class RefAnyFree:
+    """Matches any register not taken by a live value (dead-destination case)."""
+
+    def __init__(self, taken):
+        self.taken = taken
+
+    def __eq__(self, other):
+        return other not in self.taken
+
+    def __ne__(self, other):
+        return other in self.taken
+
+
+def ref_instr_matches(i, ti, m_use, m_def, live_succ):
+    from snicheck.ir import Asgn, Exit, If, Load, Move, Nop, Sfence, Slh, Store
+
+    def use(r):
+        loc = m_use.get(r)
+        if not isinstance(loc, str):
+            return None
+        return loc
+
+    def targets(r):
+        # a dead destination may land in any register that holds no live value
+        if r not in live_succ:
+            return RefAnyFree({loc for x, loc in m_def.items() if x != r and x in live_succ})
+        loc = m_def.get(r)
+        if not isinstance(loc, str):
+            return None
+        return loc
+
+    match (i, ti):
+        case (Exit(), Exit()) | (Nop(), Nop()) | (Sfence(), Sfence()):
+            return True, ""
+        case (Asgn(dst=d, lhs=a, op=op, rhs=b), Asgn(dst=td, lhs=ta, op=top, rhs=tb)):
+            if op != top or use(a) != ta or use(b) != tb or targets(d) != td:
+                return False, f"assign mismatch under relocation"
+        case (Load(dst=d, var=v, addr=adr), Load(dst=td, var=tv, addr=tadr)):
+            ea = adr if isinstance(adr, int) else use(adr)
+            if v != tv or ea != tadr or targets(d) != td:
+                return False, "load mismatch under relocation"
+        case (Store(var=v, addr=adr, src=c), Store(var=tv, addr=tadr, src=tc)):
+            ea = adr if isinstance(adr, int) else use(adr)
+            if v != tv or ea != tadr or use(c) != tc:
+                return False, "store mismatch under relocation"
+        case (If(cond=c), If(cond=tc)):
+            if use(c) != tc:
+                return False, "branch condition mismatch under relocation"
+        case (Slh(reg=r), Slh(reg=tr)):
+            if use(r) != tr or targets(r) != tr:
+                return False, "slh register mismatch under relocation"
+        case (Move(dst=d, src=s), Move(dst=td, src=ts)):
+            if use(s) != ts or targets(d) != td:
+                return False, "move mismatch under relocation"
+        case _:
+            return False, f"instruction kinds differ: {type(i).__name__} vs {type(ti).__name__}"
+    return True, ""
+
+
+def ref_validate_ra(w):
+    """`regalloc.validate_ra` with the reference matching and shuffle rules."""
+    from unittest import mock
+
+    from snicheck import regalloc
+
+    moved = lambda t_pc, ti, m0, m1, out: ref_moved_register(w, t_pc, ti, m0, m1, out)
+    with mock.patch.multiple(regalloc, _instr_matches=ref_instr_matches, _moved_register=moved):
+        return regalloc.validate_ra(w)

@@ -325,6 +325,52 @@ def test_width_below_one_is_a_usage_error(width, capsys):
     assert captured.out == "" and "--width" in captured.err
 
 
+@pytest.mark.parametrize("pairs", ["random:0", "random:-3", "bogus", "random", "random:", "random:x", "exhaustive:2"])
+def test_check_sni_rejects_a_bad_pairs_spec(pairs, capsys):
+    """No pair spec may give a vacuous verdict or silently fall back to the
+    exhaustive check."""
+    code = main(["check-sni", C("code_specv1.sp"), "--width", "1", "--pairs", pairs])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and f"argument --pairs: expected exhaustive or random:<n> with n >= 1, got {pairs!r}" in captured.err
+
+
+@pytest.mark.parametrize("pairs, checked", [("random:1", 1), ("random:3", 3), ("exhaustive", 6)])
+def test_check_sni_accepts_a_pairs_spec(pairs, checked, capsys):
+    code, out = run_cli(
+        "check-sni", C("code_ra_source.sp"), "--state", C("code_ra.init"), "--width", "2", "--pairs", pairs,
+        capsys=capsys,
+    )
+    assert code == 0 and out == f"secure (pairs={checked}, truncated=0)\n"
+
+
+def test_explore_at_default_bounds_exits_3(capsys):
+    """The corpus DCE program has far more behaviours than anyone reads at the
+    default bounds; explore stops with a message instead of running on."""
+    import time
+
+    started = time.monotonic()
+    code = main(["explore", C("code_dce_source.sp"), "--state", C("code_dce.init")])
+    elapsed = time.monotonic() - started
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: more than 100000 behaviours within steps=32,depth=3; lower --bounds\n"
+    assert elapsed < 10
+
+
+@pytest.mark.parametrize("flag, text, message", [
+    ("--state", "reg b zz\n", "line 1: bad value 'zz'"),
+    ("--directives", "step\nload buf x\n", "line 2: bad offset 'x'"),
+    ("--directives", "fly\n", "line 1: cannot parse directive 'fly'"),
+])
+def test_state_and_directive_errors_name_the_line(flag, text, message, tmp_path, capsys):
+    f = tmp_path / "input"
+    f.write_text(text)
+    code = main(["run", C("code_ra_target.sp"), flag, str(f)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == f"error: {message}\n"
+
+
 def test_check_snippy_exhaustive_budget(capsys):
     """Nine high cells at width 2 would mean 2**18 states; refuse at once."""
     code = main(["check-snippy", "--witness-kind", "dce", "--source", C("code_specv1.sp"), "--width", "2"])

@@ -93,6 +93,102 @@ def test_validate_ra_with_precomputed_facts(rng):
     assert flagged >= 100
 
 
+def _field_swapped(rng, w):
+    """`w` with one target instruction changed: a matched one with a single
+    successor may become a `nop` or `sfence`; otherwise one field other than
+    a successor takes another register, operator, variable, address or slot."""
+    from dataclasses import replace
+
+    from snicheck.ir import OPS, Nop, Program, Sfence
+
+    tgt = w.target
+    pc = rng.choice(tgt.pcs())
+    i = tgt.instrs[pc]
+    k = i.kind
+    fields = [f for f in k.fields if f not in k.succs]
+    if pc in w.phi.values() and len(k.succs) == 1 and (not fields or rng.random() < 0.2):
+        new = rng.choice((Nop, Sfence))(i.successors()[0])
+    elif fields:
+        f = rng.choice(fields)
+        regs = sorted({*tgt.registers, *w.source.registers, "h9"})
+        values = {"op": OPS, "var": [v.name for v in tgt.memvars], "slot": [0, 1], "addr": [0, 1, *regs]}
+        new = replace(i, **{f: rng.choice(values.get(f, regs))})
+    else:
+        return w
+    return RAWitness(w.source, Program(tgt.entry, {**tgt.instrs, pc: new}, list(tgt.memvars)), w.phi, w.rho)
+
+
+def test_validate_ra_matches_per_kind_reference(rng):
+    """Matching and shuffle conformity read from `ir.KINDS` give the same
+    diagnostics, in the same order, as one hand-written rule per kind."""
+    from collections import Counter
+
+    from conftest import ref_validate_ra
+
+    checked, seen = 0, Counter()
+    while checked < 2000:
+        p = random_program(rng, n_instrs=rng.randint(2, 10), n_regs=rng.randint(1, 4), allow_shuffle=True)
+        try:
+            w = allocate(p, rng.randint(2, 3))
+        except AllocationInfeasible:
+            continue
+        if rng.random() < 0.7:
+            w = _corrupted(rng, w)
+        if rng.random() < 0.6:
+            w = _field_swapped(rng, w)
+        want = ref_validate_ra(w)
+        assert validate_ra(w) == want, print_program(w.target) + serialize_ra_witness(w)
+        for d in want:
+            words = d.message.split()
+            if "mismatch" in words or "relocates" in words or "differ:" in words:
+                seen[words[0], words[-1]] += 1
+        checked += 1
+    for name in ("assign", "load", "store", "branch", "slh", "move"):
+        assert seen[name, "relocation"] >= 20, seen
+    assert seen["instruction", "Nop"] + seen["instruction", "Sfence"] >= 20, seen
+    assert seen["fill", "register"] >= 10 and seen["spill", "register"] >= 10 and seen["move", "register"] >= 1, seen
+
+
+_SHUFFLE_SOURCE = "mem m 1 low\nentry 0\n0: nop -> 1\n1: z = x add y -> 2\n2: ret\n"
+_SHUFFLE_TARGET = "mem m 1 low\nmem stk 1 low\nentry 0\n0: {first} -> s\ns: {shuffle} -> 1\n1: z = x add y -> 2\n2: ret\n"
+
+
+@pytest.mark.parametrize("first, shuffle, rho, message", [
+    ("nop", "move y <- x", "rho s: x -> x\nrho s: y -> y\nrho 1: x -> y\nrho 1: y -> y", "move target y is not free"),
+    ("nop", "fill y <- stk#0", "rho s: x -> stk#0\nrho s: y -> y\nrho 1: x -> y\nrho 1: y -> y", "fill target y is not free"),
+    ("nop", "spill stk#0 <- x", "rho s: x -> x\nrho s: y -> stk#0\nrho 1: x -> stk#0\nrho 1: y -> stk#0",
+     "spill slot stk#0 is not free"),
+    ("nop", "slh x", "rho s: x -> x\nrho s: y -> y\nrho 1: x -> y\nrho 1: y -> x", "slh register x must stay allocated in place"),
+    ("sfence", "sfence", "", "instruction kinds differ: Nop vs Sfence"),
+])
+def test_planted_shuffle_and_kind_diagnostics(first, shuffle, rho, message):
+    """Each message that random witnesses do not reach, planted once and
+    checked against the per-kind reference."""
+    from conftest import ref_validate_ra
+
+    src = parse_program(_SHUFFLE_SOURCE)
+    tgt = parse_program(_SHUFFLE_TARGET.format(first=first, shuffle=shuffle))
+    w = parse_ra_witness("phi: 0 -> 0\nphi: 1 -> 1\nphi: 2 -> 2\n" + rho, src, tgt)
+    diags = validate_ra(w)
+    assert message in [d.message for d in diags]
+    assert diags == ref_validate_ra(w)
+
+
+def test_source_fill_matches_nothing():
+    """A fill or spill in source code is a kind mismatch even against the
+    same instruction."""
+    from snicheck import ir
+    from conftest import ref_validate_ra
+
+    instrs = {"0": Fill("x", 0, "1"), "1": ir.Exit()}
+    src = ir.Program("0", instrs, [])
+    tgt = ir.Program("0", instrs, [ir.MemVar("stk", 1, "low")])
+    w = RAWitness(src, tgt, {"0": "0", "1": "1"}, {"0": {}, "1": {}})
+    diags = validate_ra(w)
+    assert [d.message for d in diags] == ["instruction kinds differ: Fill vs Fill"]
+    assert diags == ref_validate_ra(w)
+
+
 def test_witness_mutation_instruction_mismatch(ra_witness):
     rho = {pc: dict(m) for pc, m in ra_witness.rho.items()}
     rho["f"]["bytes"] = "b"  # branch at f reads a, not b

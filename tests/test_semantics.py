@@ -282,6 +282,22 @@ def test_explore_records_truncations():
     assert bs.truncated
 
 
+def test_explore_stops_past_the_behaviour_cap(monkeypatch):
+    """More than `MAX_BEHAVIORS` behaviours is an error; exactly that many is
+    a result."""
+    from snicheck import semantics
+
+    p = load_program("code_dce_source.sp")
+    nu = load_state("code_dce.init", p)
+    bs = explore_behaviors(p, nu, Bounds(8, 2))
+    n = len(bs.terminated) + len(bs.truncated)
+    monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n)
+    assert explore_behaviors(p, nu, Bounds(8, 2)) == bs
+    monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n - 1)
+    with pytest.raises(RuntimeError, match=f"more than {n - 1} behaviours within steps=8,depth=2"):
+        explore_behaviors(p, nu, Bounds(8, 2))
+
+
 # --- semantic properties ------------------------------------------------------------
 
 
@@ -397,6 +413,32 @@ def test_initial_state_file():
     assert nu[0].cell("sec", 0) == 300 % 256  # width-8 wraparound
     with pytest.raises(ValueError):
         parse_initial_state("cell nope 0 1\n", p, 8)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("reg b zz\n", "line 1: bad value 'zz'"),
+    ("reg b 1\n\n  # note\ncell buf x 1\n", "line 4: bad offset 'x'"),
+    ("cell buf 1 0x1g\n", "line 1: bad value '0x1g'"),
+    ("cell nope 0 1\n", "line 1: bad cell nope[0]"),
+    ("reg b 1 2\n", "line 1: cannot parse 'reg b 1 2'"),
+])
+def test_initial_state_errors_name_the_line(text, message):
+    p = load_program("code_ra_target.sp")
+    with pytest.raises(ValueError) as e:
+        parse_initial_state(text, p, 8)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("load buf x\n", "line 1: bad offset 'x'"),
+    ("step\n# comment\nfly\n", "line 3: cannot parse directive 'fly'"),
+    ("step\nload buf 99\n", "line 2: bad directive target buf[99]"),
+])
+def test_directive_script_errors_name_the_line(text, message):
+    p = load_program("code_ra_target.sp")
+    with pytest.raises(ValueError) as e:
+        parse_directives(text, p)
+    assert str(e.value) == message
 
 
 # hypothesis checks on the value domain
