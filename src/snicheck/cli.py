@@ -408,8 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-sni")
     sp.add_argument("program")
-    sp.add_argument("--state2", help="second initial-state file (explicit pair)")
-    sp.add_argument("--pairs", type=pair_count, default="exhaustive", help="exhaustive | random:<n>, n >= 1")
+    pair_source = sp.add_mutually_exclusive_group()
+    pair_source.add_argument("--state2", help="second initial-state file (explicit pair)")
+    pair_source.add_argument("--pairs", type=pair_count, default="exhaustive", help="exhaustive | random:<n>, n >= 1")
     common(sp)
     sp.set_defaults(fn=cmd_check_sni)
 

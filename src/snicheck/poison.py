@@ -85,8 +85,8 @@ from .semantics import (
     Leakage,
     SpecState,
     State,
-    enabled_directives,
     step_spec,
+    transitions,
 )
 
 BOT, H, W, P = 0, 1, 2, 3
@@ -296,24 +296,23 @@ class Product:
     def transitions(self, ps: ProductState) -> list[ProductTransition]:
         """All enabled product transitions (every unsafe-target choice)."""
         out = []
-        for d in enabled_directives(self.w.target, ps.tgt, self.width):
-            out.extend(self._steps_for(ps, d, canonical_only=False))
+        for d, nu2, leak in transitions(self.w.target, ps.tgt, self.width):
+            out.extend(self._steps_for(ps, d, (nu2, leak), canonical_only=False))
         return out
 
     def replay_target_step(self, ps: ProductState, d: Directive) -> ProductTransition | None:
-        """The canonical replay of one enabled target directive, or None if
-        the product is stuck on it (a poisoned guard)."""
-        res = self._steps_for(ps, d, canonical_only=True)
+        """The canonical replay of one target directive, or None if `d` is
+        not enabled or the product is stuck on it (a poisoned guard)."""
+        tgt_step = step_spec(self.w.target, ps.tgt, d, self.width)
+        res = self._steps_for(ps, d, tgt_step, canonical_only=True) if tgt_step else []
         return res[0] if res else None
 
-    def _steps_for(self, ps: ProductState, d: Directive, canonical_only: bool) -> list[ProductTransition]:
-        """The transitions on target directive `d`.  This decides where the
-        product is stuck and which source directives replay `d`; the poison
-        updates are `shuffle_rule` and `matched_rule`."""
+    def _steps_for(self, ps: ProductState, d: Directive, tgt_step, canonical_only: bool) -> list[ProductTransition]:
+        """The transitions on target directive `d`, which steps the target to
+        `tgt_step`.  This decides where the product is stuck and which source
+        directives replay `d`; the poison updates are `shuffle_rule` and
+        `matched_rule`."""
         w, width = self.w, self.width
-        tgt_step = step_spec(w.target, ps.tgt, d, width)
-        if tgt_step is None:
-            return []
         pts, spec = ps.poisons, ps.depth >= 2
         if d == D_RB:
             src_step = step_spec(w.source, ps.src, D_RB, width)

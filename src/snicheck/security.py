@@ -34,15 +34,16 @@ from dataclasses import dataclass, field
 from .ir import Program
 from .semantics import (
     Bounds,
+    D_IF,
+    D_STEP,
     DEFAULT_WIDTH,
     Directive,
     Interner,
     Leakage,
     SpecState,
     State,
-    enabled_directives,
     step_spec,
-    step_spec_free,
+    transitions,
 )
 
 
@@ -69,7 +70,8 @@ def check_safety(p: Program, s0: State, max_steps: int = 1024, width: int = DEFA
     """Run the deterministic speculation-free semantics from s0.
 
     Unsafe as soon as a step would need a load/store directive, i.e. an
-    out-of-bounds access is reached architecturally.
+    out-of-bounds access is reached architecturally.  A depth-1 state under
+    `step` and `if` is that semantics.
     """
     from .ir import Exit, If
 
@@ -78,11 +80,11 @@ def check_safety(p: Program, s0: State, max_steps: int = 1024, width: int = DEFA
         i = p.instrs[s.pc]
         if isinstance(i, Exit):
             return SafetyResult("safe")
-        d = Directive("if") if isinstance(i, If) else Directive("step")
-        res = step_spec_free(p, s, d, width)
+        d = D_IF if isinstance(i, If) else D_STEP
+        res = step_spec(p, (s,), d, width)
         if res is None:
             return SafetyResult("unsafe", idx)
-        s = res[0]
+        s = res[0][0]
     return SafetyResult("bound-exhausted")
 
 
@@ -136,8 +138,8 @@ def transition_table(p: Program, width: int = DEFAULT_WIDTH) -> Interner:
     leak) each of them steps to."""
 
     def fill(nu: SpecState, intern):
-        en = tuple(enabled_directives(p, nu, width))
-        return en, tuple((intern(nu2), leak) for nu2, leak in (step_spec(p, nu, d, width) for d in en))
+        ts = transitions(p, nu, width)
+        return tuple(d for d, _, _ in ts), tuple((intern(nu2), leak) for _, nu2, leak in ts)
 
     return Interner(fill)
 
@@ -204,13 +206,17 @@ def high_cells(p: Program) -> list[tuple[str, int]]:
     return [(v.name, off) for v in p.memvars if v.level == "high" for off in range(v.size)]
 
 
-def enumerate_high_states(p: Program, base: SpecState, width: int, budget: int = 12) -> list[SpecState]:
+# the largest `|high cells| * width` an exhaustive check enumerates
+PAIR_BUDGET = 12
+
+
+def enumerate_high_states(p: Program, base: SpecState, width: int) -> list[SpecState]:
     """All initial states that agree with `base` except on high cells.
 
     Their number is `2 ** (|high cells| * width)`, and exhaustive checks pair
-    them up, so that exponent must stay within `budget`."""
+    them up, so that exponent must stay within `PAIR_BUDGET`."""
     cells = high_cells(p)
-    if len(cells) * width > budget:
+    if len(cells) * width > PAIR_BUDGET:
         raise ValueError(f"exhaustive pair budget exceeded: {len(cells)} high cells at width {width}")
     values = range(1 << width)
     out = []
@@ -236,12 +242,11 @@ def check_sni(
     source: PairSource,
     b: Bounds,
     width: int = DEFAULT_WIDTH,
-    budget: int = 12,
 ) -> SniVerdict:
     """First violation over the selected low-equivalent pairs, else Secure.
 
     Exhaustive mode enumerates every assignment of the high cells at the given
-    width and is guarded by `|high cells| * width <= budget`
+    width and is guarded by `|high cells| * width <= PAIR_BUDGET`
     (`enumerate_high_states`).
     """
     import random
@@ -249,7 +254,7 @@ def check_sni(
     if source.mode == "file":
         pairs = source.pairs
     elif source.mode == "exhaustive":
-        states = enumerate_high_states(p, base, width, budget)
+        states = enumerate_high_states(p, base, width)
         pairs = [(a, c) for a, c in itertools.combinations(states, 2)]
     elif source.mode == "sampled":
         rng = random.Random(source.seed)

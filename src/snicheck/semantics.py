@@ -1,4 +1,4 @@
-"""Speculation-free and speculating execution with attacker directives.
+"""Speculating execution with attacker directives, from one step rule.
 
 A plain state is (pc, registers, memory); registers and memory cells default
 to 0.  A speculating state is a non-empty stack of plain states: the bottom
@@ -17,6 +17,11 @@ nondeterminism) and a leakage (attacker observation):
 Loads and stores leak the address used (also when out of bounds); branches
 leak the value of the condition register; rollbacks leak `rb`.  `sfence`
 steps only when not speculating; `slh r` zeroes r exactly when speculating.
+
+`transitions` is the whole relation, one `match` on the top frame's
+instruction that lists every enabled (directive, next state, leak).
+`step_spec` (one directive) and `enabled_directives` are views of it, and a
+depth-1 state stepped by `step` or `if` is the speculation-free semantics.
 There is no bound on speculation in the semantics itself; exploration takes
 explicit bounds and reports which branches were truncated by them.
 """
@@ -27,6 +32,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
+from typing import NamedTuple
 
 from .ir import (
     Asgn,
@@ -126,17 +132,14 @@ def initial(p: Program, regs: dict[Reg, int] | None = None, mem: dict[tuple[str,
     return (State.make(p.entry, regs, mem),)
 
 
-def speculating(nu: SpecState) -> bool:
-    return len(nu) >= 2
-
-
 # --- directives and leakages -------------------------------------------------
 
 _DKINDS = ("step", "if", "spec", "rb", "load", "store")
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Directive:
+class Directive(NamedTuple):
+    # a tuple, so equality and hashing run in C: `step_spec` finds its
+    # directive among the enabled ones by equality
     kind: str
     var: str = ""
     off: int = -1
@@ -200,7 +203,7 @@ def l_store(addr: int) -> Leakage:
     return Leakage("store", addr)
 
 
-# --- single steps -------------------------------------------------------------
+# --- the step rule --------------------------------------------------------------
 
 
 def _in_bounds(p: Program, var: str, addr: int) -> bool:
@@ -208,126 +211,71 @@ def _in_bounds(p: Program, var: str, addr: int) -> bool:
     return mv is not None and 0 <= addr < mv.size
 
 
-def step_spec_free(p: Program, s: State, d: Directive, width: int = DEFAULT_WIDTH) -> tuple[State, Leakage] | None:
-    """One speculation-free step, or None when `d` is not enabled at `s`.
+def transitions(p: Program, nu: SpecState, width: int = DEFAULT_WIDTH) -> list[tuple[Directive, SpecState, Leakage]]:
+    """Every enabled (directive, next state, leak) at `nu`, in
+    `directive_sort_key` order: the speculating step relation, read off the
+    top frame's instruction.
 
-    `sfence` and `slh` carry their non-speculating meaning here (step through,
-    keep the register), so target programs can be run architecturally.
+    A branch admits `if` and `spec`, an out-of-bounds access one `load`/`store
+    v o` per declared cell, `exit` nothing and everything else `step`; `rb`
+    is added while speculating.  `sfence` steps only when not speculating and
+    `slh r` zeroes r exactly when speculating, so at depth 1 this is the
+    speculation-free semantics.
     """
-    i = p.instrs[s.pc]
-    match i:
-        case Exit():
-            return None
-        case Nop(succ=succ) | Sfence(succ=succ):
-            return (s.at(succ), L_NONE) if d == D_STEP else None
-        case Slh(succ=succ):
-            return (s.at(succ), L_NONE) if d == D_STEP else None
+    top, rest = nu[-1], nu[:-1]
+    rb = [(D_RB, rest, L_RB)] if rest else []
+    match p.instrs[top.pc]:  # cases are tried in order, so the most frequent kinds come first
         case Asgn(dst=dst, lhs=a, op=op, rhs=b, succ=succ):
-            if d != D_STEP:
-                return None
-            return s.at(succ).with_reg(dst, eval_op(op, s.reg(a), s.reg(b), width)), L_NONE
-        case Move(dst=dst, src=src, succ=succ):
-            if d != D_STEP:
-                return None
-            return s.at(succ).with_reg(dst, s.reg(src)), L_NONE
-        case Fill(dst=dst, slot=slot, succ=succ):
-            if d != D_STEP:
-                return None
-            return s.at(succ).with_reg(dst, s.cell(STACK_VAR, slot)), l_load(slot)
-        case Spill(slot=slot, src=src, succ=succ):
-            if d != D_STEP:
-                return None
-            return s.at(succ).with_cell(STACK_VAR, slot, s.reg(src)), l_store(slot)
+            nxt, leak = top.at(succ).with_reg(dst, eval_op(op, top.reg(a), top.reg(b), width)), L_NONE
         case If(cond=c, succ_true=st, succ_false=sf):
-            if d != D_IF:
-                return None
-            v = s.reg(c)
-            return s.at(st if v == 0 else sf), l_if(v)
-        case Load(dst=dst, var=var, addr=adr, succ=succ):
-            a = adr if isinstance(adr, int) else s.reg(adr)
-            if _in_bounds(p, var, a):
-                if d != D_STEP:
-                    return None
-                return s.at(succ).with_reg(dst, s.cell(var, a)), l_load(a)
-            if d.kind != "load" or not _in_bounds(p, d.var, d.off):
-                return None
-            return s.at(succ).with_reg(dst, s.cell(d.var, d.off)), l_load(a)
+            v = top.reg(c)
+            right, wrong = (st, sf) if v == 0 else (sf, st)
+            leak = l_if(v)
+            return [(D_IF, rest + (top.at(right),), leak), (D_SPEC, nu + (top.at(wrong),), leak), *rb]
         case Store(var=var, addr=adr, src=src, succ=succ):
-            a = adr if isinstance(adr, int) else s.reg(adr)
-            if _in_bounds(p, var, a):
-                if d != D_STEP:
-                    return None
-                return s.at(succ).with_cell(var, a, s.reg(src)), l_store(a)
-            if d.kind != "store" or not _in_bounds(p, d.var, d.off):
-                return None
-            return s.at(succ).with_cell(d.var, d.off, s.reg(src)), l_store(a)
-    return None
+            a, v = adr if isinstance(adr, int) else top.reg(adr), top.reg(src)
+            nxt, leak = top.at(succ), l_store(a)
+            if not _in_bounds(p, var, a):
+                return rb + [(d, rest + (nxt.with_cell(d.var, d.off, v),), leak)
+                             for d in p.unsafe_directives["store"]]
+            nxt = nxt.with_cell(var, a, v)
+        case Load(dst=dst, var=var, addr=adr, succ=succ):
+            a = adr if isinstance(adr, int) else top.reg(adr)
+            nxt, leak = top.at(succ), l_load(a)
+            if not _in_bounds(p, var, a):
+                return rb + [(d, rest + (nxt.with_reg(dst, top.cell(d.var, d.off)),), leak)
+                             for d in p.unsafe_directives["load"]]
+            nxt = nxt.with_reg(dst, top.cell(var, a))
+        case Slh(reg=r, succ=succ):
+            nxt, leak = top.at(succ), L_NONE
+            if rest:
+                nxt = nxt.with_reg(r, 0)
+        case Exit():
+            return rb
+        case Sfence() if rest:
+            return rb
+        case Nop(succ=succ) | Sfence(succ=succ):
+            nxt, leak = top.at(succ), L_NONE
+        case Fill(dst=dst, slot=slot, succ=succ):
+            nxt, leak = top.at(succ).with_reg(dst, top.cell(STACK_VAR, slot)), l_load(slot)
+        case Spill(slot=slot, src=src, succ=succ):
+            nxt, leak = top.at(succ).with_cell(STACK_VAR, slot, top.reg(src)), l_store(slot)
+        case Move(dst=dst, src=src, succ=succ):
+            nxt, leak = top.at(succ).with_reg(dst, top.reg(src)), L_NONE
+    return [(D_STEP, rest + (nxt,), leak), *rb]
 
 
 def step_spec(p: Program, nu: SpecState, d: Directive, width: int = DEFAULT_WIDTH) -> tuple[SpecState, Leakage] | None:
-    """One speculating step, or None when `d` is not enabled at `nu`."""
-    if d == D_RB:
-        if len(nu) < 2:
-            return None
-        return nu[:-1], L_RB
-    top = nu[-1]
-    i = p.instrs[top.pc]
-    match i:
-        case If(cond=c, succ_true=st, succ_false=sf) if d == D_SPEC:
-            v = top.reg(c)
-            wrong = sf if v == 0 else st
-            return nu + (top.at(wrong),), l_if(v)
-        case Sfence(succ=succ):
-            if d != D_STEP or speculating(nu):
-                return None
-            return nu[:-1] + (top.at(succ),), L_NONE
-        case Slh(reg=r, succ=succ):
-            if d != D_STEP:
-                return None
-            nxt = top.at(succ)
-            if speculating(nu):
-                nxt = nxt.with_reg(r, 0)
-            return nu[:-1] + (nxt,), L_NONE
-        case _:
-            res = step_spec_free(p, top, d, width)
-            if res is None:
-                return None
-            s2, leak = res
-            return nu[:-1] + (s2,), leak
+    """The step on `d` among `transitions`, or None when `d` is not enabled."""
+    for d2, nu2, leak in transitions(p, nu, width):
+        if d2 == d:
+            return nu2, leak
+    return None
 
 
 def enabled_directives(p: Program, nu: SpecState, width: int = DEFAULT_WIDTH) -> list[Directive]:
-    """All enabled directives, in `directive_sort_key` order.
-
-    Read off the top frame's instruction and the in-bounds test: a branch
-    admits `if` and `spec`, an out-of-bounds access one `load`/`store v o`
-    per declared cell, `sfence` steps only when not speculating, `exit` admits
-    nothing and everything else steps; `rb` is added while speculating.  This
-    equals the directives d for which step_spec(p, nu, d) is not None among
-    `step`, `if`, `spec`, `rb` and a `load`/`store` per declared cell, which
-    `tests/test_semantics.py` checks against that probe.
-    """
-    top = nu[-1]
-    i = p.instrs[top.pc]
-    spec = speculating(nu)
-    match i:
-        case Exit():
-            out = []
-        case If():
-            out = [D_IF, D_SPEC]
-        case Sfence():
-            out = [] if spec else [D_STEP]
-        case Load(var=var, addr=adr) | Store(var=var, addr=adr):
-            a = adr if isinstance(adr, int) else top.reg(adr)
-            if not _in_bounds(p, var, a):
-                unsafe = p.unsafe_directives[i.kind.mnemonic]
-                return [D_RB, *unsafe] if spec else list(unsafe)
-            out = [D_STEP]
-        case _:
-            out = [D_STEP]
-    if spec:
-        out.append(D_RB)
-    return out
+    """The directives of `transitions`, in `directive_sort_key` order."""
+    return [d for d, _, _ in transitions(p, nu, width)]
 
 
 def is_final(p: Program, nu: SpecState) -> bool:
@@ -458,15 +406,14 @@ def explore_behaviors(p: Program, nu0: SpecState, b: Bounds, width: int = DEFAUL
         if len(nu) > b.max_spec_depth:
             record(bs.truncated, (leaks, dirs))
             continue
-        en = enabled_directives(p, nu, width)
-        if not en:
+        ts = transitions(p, nu, width)
+        if not ts:
             record(bs.terminated, (leaks, dirs))
             continue
         if len(dirs) >= b.max_steps:
             record(bs.truncated, (leaks, dirs))
             continue
-        for d in reversed(en):
-            nu2, leak = step_spec(p, nu, d, width)
+        for d, nu2, leak in reversed(ts):
             stack.append((nu2, leaks + (leak,), dirs + (d,)))
     return bs
 
@@ -495,7 +442,9 @@ def _parse_lines(text: str, parse_line) -> None:
 
 
 def parse_initial_state(text: str, p: Program, width: int = DEFAULT_WIDTH) -> SpecState:
-    """`reg <name> <int>` / `cell <var> <off> <int>` lines; unset entries are 0."""
+    """`reg <name> <int>` / `cell <var> <off> <int>` lines, each register and
+    cell at most once; unset entries are 0.  A register the program does not
+    use is accepted: a state written for a program also runs its DCE target."""
     mask = (1 << width) - 1
     regs: dict[Reg, int] = {}
     mem: dict[tuple[str, int], int] = {}
@@ -503,15 +452,18 @@ def parse_initial_state(text: str, p: Program, width: int = DEFAULT_WIDTH) -> Sp
     def parse_line(line: str):
         parts = line.split()
         if parts[0] == "reg" and len(parts) == 3:
-            regs[parts[1]] = _int(parts[2], "value", 0) & mask
+            into, key, what = regs, parts[1], f"register {parts[1]}"
         elif parts[0] == "cell" and len(parts) == 4:
             var, off = parts[1], _int(parts[2], "offset")
             mv = p.memvar(var)
             if mv is None or not 0 <= off < mv.size:
                 raise ValueError(f"bad cell {var}[{off}]")
-            mem[(var, off)] = _int(parts[3], "value", 0) & mask
+            into, key, what = mem, (var, off), f"cell {var}[{off}]"
         else:
             raise ValueError(f"cannot parse {line!r}")
+        if key in into:
+            raise ValueError(f"repeated {what}")
+        into[key] = _int(parts[-1], "value", 0) & mask
 
     _parse_lines(text, parse_line)
     return initial(p, regs, mem)

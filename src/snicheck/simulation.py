@@ -63,6 +63,7 @@ from .semantics import (
     is_final,
     run_directives,
     step_spec,
+    transitions,
 )
 from .security import low_equivalent
 
@@ -128,7 +129,7 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
     def initial_map(tgt0: State) -> State:
         return tgt0.at(p.entry)
 
-    def replay_dir(nu_src: SpecState, d: Directive) -> Directive | None:
+    def replay_dir(nu_src: SpecState, d: Directive) -> Directive:
         """Source directive matching one target step (identity off replaced pcs)."""
         pc = nu_src[-1].pc
         if d != D_STEP or not res.replaced.get(pc, False):
@@ -148,13 +149,12 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
 
     def intervals(nu_src: SpecState, nu_tgt: SpecState, b: Bounds) -> ExtractResult:
         out = ExtractResult([])
-        for d in enabled_directives(t, nu_tgt, width):
+        for d, ct, lt in transitions(t, nu_tgt, width):
             sd = replay_dir(nu_src, d)
-            tgt_step = step_spec(t, nu_tgt, d, width)
-            src_step = step_spec(p, nu_src, sd, width) if sd is not None else None
-            if tgt_step is None or src_step is None:
+            src_step = step_spec(p, nu_src, sd, width)
+            if src_step is None:
                 continue
-            (ct, lt), (cs, ls) = tgt_step, src_step
+            cs, ls = src_step
             tdirs, tleaks, sdirs, sleaks = [d], [lt], [sd], [ls]
             if d == D_SPEC:
                 # run the mispredicted straight line to its end in one interval
@@ -197,10 +197,9 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
     def initial_map(tgt0: State) -> State:
         return prod.initial_source_state(tgt0)
 
-    def joint(cs, ct, d):
-        """The target step on `d` and the source's canonical replay of it,
-        where the source waits on shuffle code."""
-        tgt_step = step_spec(w.target, ct, d, width)
+    def joint(cs, ct, d, tgt_step):
+        """The target step on `d`, `tgt_step`, and the source's canonical
+        replay of it, where the source waits on shuffle code."""
         if tgt_step is None:
             return None
         t_pc = ct[-1].pc
@@ -220,8 +219,8 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
 
     def intervals(nu_src: SpecState, nu_tgt: SpecState, b: Bounds) -> ExtractResult:
         out = ExtractResult([])
-        for d in enabled_directives(w.target, nu_tgt, width):
-            first = joint(nu_src, nu_tgt, d)
+        for d, nu2, leak in transitions(w.target, nu_tgt, width):
+            first = joint(nu_src, nu_tgt, d, (nu2, leak))
             if first is None:
                 continue
             (ct, lt), sd, (cs, ls) = first
@@ -247,7 +246,7 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
                 if len(tdirs) >= b.max_steps:
                     out.truncated += 1
                     break
-                step = joint(cs, ct, D_STEP)
+                step = joint(cs, ct, D_STEP, step_spec(w.target, ct, D_STEP, width))
                 if step is None:
                     break  # fenced off: only the rollback variants remain
                 (ct, lt), sd2, (cs2, ls2) = step

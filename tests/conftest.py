@@ -110,6 +110,139 @@ def random_walk(rng: random.Random, p, nu, steps, width=8):
     return out
 
 
+# --- reference semantics: the speculation-free step, the speculating step and
+# the enabled directives, one `match` over instruction kinds each
+
+
+def ref_step_spec_free(p, s, d, width=8):
+    """One speculation-free step, or None when `d` is not enabled at `s`.
+
+    `sfence` and `slh` carry their non-speculating meaning here (step through,
+    keep the register), so target programs can be run architecturally.
+    """
+    from snicheck.ir import STACK_VAR, Asgn, Exit, Fill, If, Load, Move, Nop, Sfence, Slh, Spill, Store
+    from snicheck.semantics import D_IF, D_STEP, L_NONE, _in_bounds, eval_op, l_if, l_load, l_store
+
+    i = p.instrs[s.pc]
+    match i:
+        case Exit():
+            return None
+        case Nop(succ=succ) | Sfence(succ=succ):
+            return (s.at(succ), L_NONE) if d == D_STEP else None
+        case Slh(succ=succ):
+            return (s.at(succ), L_NONE) if d == D_STEP else None
+        case Asgn(dst=dst, lhs=a, op=op, rhs=b, succ=succ):
+            if d != D_STEP:
+                return None
+            return s.at(succ).with_reg(dst, eval_op(op, s.reg(a), s.reg(b), width)), L_NONE
+        case Move(dst=dst, src=src, succ=succ):
+            if d != D_STEP:
+                return None
+            return s.at(succ).with_reg(dst, s.reg(src)), L_NONE
+        case Fill(dst=dst, slot=slot, succ=succ):
+            if d != D_STEP:
+                return None
+            return s.at(succ).with_reg(dst, s.cell(STACK_VAR, slot)), l_load(slot)
+        case Spill(slot=slot, src=src, succ=succ):
+            if d != D_STEP:
+                return None
+            return s.at(succ).with_cell(STACK_VAR, slot, s.reg(src)), l_store(slot)
+        case If(cond=c, succ_true=st, succ_false=sf):
+            if d != D_IF:
+                return None
+            v = s.reg(c)
+            return s.at(st if v == 0 else sf), l_if(v)
+        case Load(dst=dst, var=var, addr=adr, succ=succ):
+            a = adr if isinstance(adr, int) else s.reg(adr)
+            if _in_bounds(p, var, a):
+                if d != D_STEP:
+                    return None
+                return s.at(succ).with_reg(dst, s.cell(var, a)), l_load(a)
+            if d.kind != "load" or not _in_bounds(p, d.var, d.off):
+                return None
+            return s.at(succ).with_reg(dst, s.cell(d.var, d.off)), l_load(a)
+        case Store(var=var, addr=adr, src=src, succ=succ):
+            a = adr if isinstance(adr, int) else s.reg(adr)
+            if _in_bounds(p, var, a):
+                if d != D_STEP:
+                    return None
+                return s.at(succ).with_cell(var, a, s.reg(src)), l_store(a)
+            if d.kind != "store" or not _in_bounds(p, d.var, d.off):
+                return None
+            return s.at(succ).with_cell(d.var, d.off, s.reg(src)), l_store(a)
+    return None
+
+
+def ref_step_spec(p, nu, d, width=8):
+    """One speculating step, or None when `d` is not enabled at `nu`."""
+    from snicheck.ir import If, Sfence, Slh
+    from snicheck.semantics import D_RB, D_SPEC, D_STEP, L_NONE, L_RB, l_if
+
+    if d == D_RB:
+        if len(nu) < 2:
+            return None
+        return nu[:-1], L_RB
+    top = nu[-1]
+    i = p.instrs[top.pc]
+    match i:
+        case If(cond=c, succ_true=st, succ_false=sf) if d == D_SPEC:
+            v = top.reg(c)
+            wrong = sf if v == 0 else st
+            return nu + (top.at(wrong),), l_if(v)
+        case Sfence(succ=succ):
+            if d != D_STEP or len(nu) >= 2:
+                return None
+            return nu[:-1] + (top.at(succ),), L_NONE
+        case Slh(reg=r, succ=succ):
+            if d != D_STEP:
+                return None
+            nxt = top.at(succ)
+            if len(nu) >= 2:
+                nxt = nxt.with_reg(r, 0)
+            return nu[:-1] + (nxt,), L_NONE
+        case _:
+            res = ref_step_spec_free(p, top, d, width)
+            if res is None:
+                return None
+            s2, leak = res
+            return nu[:-1] + (s2,), leak
+
+
+def ref_enabled_directives(p, nu, width=8):
+    """All enabled directives, in `directive_sort_key` order, read off the top
+    frame's instruction and the in-bounds test."""
+    from snicheck.ir import Exit, If, Load, Sfence, Store
+    from snicheck.semantics import D_IF, D_RB, D_SPEC, D_STEP, _in_bounds
+
+    top = nu[-1]
+    i = p.instrs[top.pc]
+    spec = len(nu) >= 2
+    match i:
+        case Exit():
+            out = []
+        case If():
+            out = [D_IF, D_SPEC]
+        case Sfence():
+            out = [] if spec else [D_STEP]
+        case Load(var=var, addr=adr) | Store(var=var, addr=adr):
+            a = adr if isinstance(adr, int) else top.reg(adr)
+            if not _in_bounds(p, var, a):
+                unsafe = p.unsafe_directives[i.kind.mnemonic]
+                return [D_RB, *unsafe] if spec else list(unsafe)
+            out = [D_STEP]
+        case _:
+            out = [D_STEP]
+    if spec:
+        out.append(D_RB)
+    return out
+
+
+def ref_transitions(p, nu, width=8):
+    """`semantics.transitions` from the reference: each enabled directive with
+    its reference step."""
+    return [(d, *ref_step_spec(p, nu, d, width)) for d in ref_enabled_directives(p, nu, width)]
+
+
 # --- oracles: orders and checks that only tests use -------------------------
 
 

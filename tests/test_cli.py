@@ -344,6 +344,19 @@ def test_check_sni_accepts_a_pairs_spec(pairs, checked, capsys):
     assert code == 0 and out == f"secure (pairs={checked}, truncated=0)\n"
 
 
+@pytest.mark.parametrize("pairs", ["random:5", "exhaustive"])
+def test_check_sni_rejects_state2_with_pairs(pairs, capsys):
+    """`--state2` names the one pair to check and `--pairs` a pair source, so
+    the two together are a usage error rather than one silently ignored."""
+    code = main([
+        "check-sni", C("code_ra_source.sp"), "--state", C("code_ra.init"),
+        "--state2", C("code_ra_alt.init"), "--pairs", pairs,
+    ])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and "argument --pairs: not allowed with argument --state2" in captured.err
+
+
 def test_explore_at_default_bounds_exits_3(capsys):
     """The corpus DCE program has far more behaviours than anyone reads at the
     default bounds; explore stops with a message instead of running on."""
@@ -362,6 +375,7 @@ def test_explore_at_default_bounds_exits_3(capsys):
     ("--state", "reg b zz\n", "line 1: bad value 'zz'"),
     ("--directives", "step\nload buf x\n", "line 2: bad offset 'x'"),
     ("--directives", "fly\n", "line 1: cannot parse directive 'fly'"),
+    ("--state", "cell buf 1 3\ncell buf 1 4\n", "line 2: repeated cell buf[1]"),
 ])
 def test_state_and_directive_errors_name_the_line(flag, text, message, tmp_path, capsys):
     f = tmp_path / "input"

@@ -321,7 +321,7 @@ def test_spec_free_refinement_modulo_shuffle_leaks(rng):
     states yields the same leak trace once fill/spill leaks are dropped."""
     from snicheck.poison import Product
     from snicheck.security import check_safety
-    from snicheck.semantics import D_IF, D_STEP, State, step_spec_free
+    from snicheck.semantics import D_IF, D_STEP, State, step_spec
     from snicheck.ir import Exit, If, Fill, Spill
 
     def arch_trace(p, s, skip_shuffle):
@@ -331,10 +331,10 @@ def test_spec_free_refinement_modulo_shuffle_leaks(rng):
             if isinstance(i, Exit):
                 return out, True
             d = D_IF if isinstance(i, If) else D_STEP
-            r = step_spec_free(p, s, d)
+            r = step_spec(p, (s,), d)
             if r is None:
                 return out, False
-            s2, leak = r
+            (s2,), leak = r
             if not (skip_shuffle and isinstance(i, (Fill, Spill))):
                 out.append(leak)
             s = s2

@@ -181,9 +181,16 @@ def test_check_sni_dce_source_secure_at_width2():
 
 
 def test_check_sni_budget_guard():
+    """`PAIR_BUDGET` bits of high state are enumerated; one more is refused."""
+    from snicheck.security import PAIR_BUDGET
+
     p = parse_program("mem h 4 high\nentry a\na: ret\n")
     with pytest.raises(ValueError, match="budget"):
-        check_sni(p, initial(p), PairSource("exhaustive"), Bounds(4, 2), width=8, budget=12)
+        check_sni(p, initial(p), PairSource("exhaustive"), Bounds(4, 2), width=8)
+    assert PAIR_BUDGET == 12
+    assert len(enumerate_high_states(p, initial(p), PAIR_BUDGET // 4)) == 1 << PAIR_BUDGET
+    with pytest.raises(ValueError, match="budget"):
+        enumerate_high_states(p, initial(p), PAIR_BUDGET // 4 + 1)
 
 
 def test_check_sni_sampled_deterministic(ra_target):

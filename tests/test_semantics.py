@@ -23,10 +23,19 @@ from snicheck.semantics import (
     parse_initial_state,
     run_directives,
     step_spec,
-    step_spec_free,
+    transitions,
 )
 
-from conftest import load_program, load_state, random_program, random_state, random_walk, same_point
+from conftest import (
+    load_program,
+    load_state,
+    random_program,
+    random_state,
+    random_walk,
+    ref_step_spec,
+    ref_transitions,
+    same_point,
+)
 
 
 # --- speculation-free stepping -------------------------------------------------
@@ -38,9 +47,9 @@ def test_unsafe_store_redirects_to_directive_cell():
     p = load_program("code_simplerv1.sp")
     nu = load_state("code_simplerv1.init", p)
     s = nu[0].at("3")
-    res = step_spec_free(p, s, d_store("stk", 0))
+    res = step_spec(p, (s,), d_store("stk", 0))
     assert res is not None
-    s2, leak = res
+    (s2,), leak = res
     assert s2.cell("stk", 0) == s.reg("secret") == 236
     assert leak == l_store(8)
 
@@ -56,15 +65,17 @@ def directive_universe(p):
 
 
 def probe_enabled(p, nu, width=8):
-    """Reference for `enabled_directives`: probe the universe with `step_spec`."""
-    return sorted((d for d in directive_universe(p) if step_spec(p, nu, d, width) is not None), key=directive_sort_key)
+    """Reference for `enabled_directives`: probe the universe with the
+    reference step (probing `step_spec`, a view of `transitions`, would be
+    circular)."""
+    return sorted((d for d in directive_universe(p) if ref_step_spec(p, nu, d, width) is not None), key=directive_sort_key)
 
 
 def test_final_state_has_no_steps():
     p = parse_program("entry e\ne: ret\n")
     s = State.make("e")
+    assert transitions(p, (s,)) == []
     for d in directive_universe(p):
-        assert step_spec_free(p, s, d) is None
         assert step_spec(p, (s,), d) is None
 
 
@@ -81,9 +92,9 @@ def test_in_bounds_load_against_table_oracle(rng):
             s = nu[0].at(pc)
             a = s.reg(i.addr)
             mv = p.memvar(i.var)
-            res = step_spec_free(p, s, D_STEP)
+            res = step_spec(p, (s,), D_STEP)
             if a < mv.size:
-                s2, leak = res
+                (s2,), leak = res
                 assert s2.reg(i.dst) == s.cell(i.var, a)
                 assert leak == l_load(a)
             else:
@@ -212,6 +223,57 @@ def test_enabled_matches_probe_on_corpus(rng, prog, init):
     nu = load_state(init, p)
     for _ in range(40):
         _assert_enabled_matches_probe(rng, p, nu, 24)
+
+
+def _walk_against_reference(rng, p, nu, steps, width, seen, max_depth=3):
+    """Walk up to `steps` random transitions from `nu`, never deeper than
+    `max_depth` frames.  At every state, `transitions` must equal the
+    reference and `step_spec` must equal the reference step on every
+    directive of the universe.  `seen` collects (instruction kind, depth,
+    whether the access is out of bounds)."""
+    univ = directive_universe(p)
+    for _ in range(steps + 1):
+        ts = transitions(p, nu, width)
+        assert ts == ref_transitions(p, nu, width), nu
+        for d in univ:
+            assert step_spec(p, nu, d, width) == ref_step_spec(p, nu, d, width), (nu, d)
+        seen.add((type(p.instrs[nu[-1].pc]).__name__, len(nu), any(t[0].kind in ("load", "store") for t in ts)))
+        ts = [t for t in ts if t[0] != D_SPEC or len(nu) < max_depth]
+        if not ts:
+            return
+        nu = rng.choice(ts)[1]
+
+
+def test_transitions_match_reference_semantics(rng):
+    """The one step rule against the reference in `conftest.py`, which has a
+    `match` per function (speculation-free step, speculating step, enabled
+    directives): 2,000 random programs, half with `move`, at widths 1, 2 and
+    8, then allocated and fixed targets, which add `fill`/`spill`, the `stk`
+    variable and `slh`/`sfence`."""
+    from snicheck.poison import fix_ra
+    from snicheck.regalloc import AllocationInfeasible, allocate
+
+    seen = set()
+    for k in range(2000):
+        p = random_program(rng, n_instrs=rng.randint(2, 8), allow_shuffle=k % 2 == 1)
+        width = (1, 2, 8)[k % 3]
+        _walk_against_reference(rng, p, random_state(rng, p, width), rng.randrange(12), width, seen)
+    targets = 0
+    while targets < 40:
+        src = random_program(rng, n_instrs=rng.randint(4, 10), n_regs=4, allow_shuffle=True)
+        try:
+            w = allocate(src, 2)
+        except AllocationInfeasible:
+            continue
+        for t in (w.target, fix_ra(w)[0].target):
+            targets += 1
+            for width in (2, 8):
+                _walk_against_reference(rng, t, random_state(rng, t, width), rng.randrange(16), width, seen)
+    kinds = {"Exit", "Nop", "Asgn", "Load", "Store", "If", "Sfence", "Slh", "Move", "Fill", "Spill"}
+    assert {k for k, _, _ in seen} == kinds
+    assert {k for k, depth, _ in seen if depth == 3} >= kinds - {"Fill", "Spill"}
+    oob = {(k, depth > 1) for k, depth, out_of_bounds in seen if out_of_bounds}
+    assert oob == {("Load", False), ("Load", True), ("Store", False), ("Store", True)}
 
 
 # --- run_directives ---------------------------------------------------------------
@@ -421,12 +483,24 @@ def test_initial_state_file():
     ("cell buf 1 0x1g\n", "line 1: bad value '0x1g'"),
     ("cell nope 0 1\n", "line 1: bad cell nope[0]"),
     ("reg b 1 2\n", "line 1: cannot parse 'reg b 1 2'"),
+    # a second line for a register or cell is an error, not an overwrite
+    ("reg b 1\nreg b 2\n", "line 2: repeated register b"),
+    ("cell buf 1 3\n# again\ncell buf 1 4\n", "line 3: repeated cell buf[1]"),
+    ("cell buf 1 3\ncell buf 01 4\n", "line 2: repeated cell buf[1]"),
 ])
 def test_initial_state_errors_name_the_line(text, message):
     p = load_program("code_ra_target.sp")
     with pytest.raises(ValueError) as e:
         parse_initial_state(text, p, 8)
     assert str(e.value) == message
+
+
+def test_initial_state_accepts_a_register_the_program_does_not_use():
+    """States generated for a source program also run its DCE target, which
+    may have lost some of the source's registers."""
+    p = load_program("code_ra_target.sp")
+    nu = parse_initial_state("reg nosuch 5\nreg b 1\n", p, 8)
+    assert nu[0].reg("nosuch") == 5 and nu[0].reg("b") == 1
 
 
 @pytest.mark.parametrize("text, message", [
