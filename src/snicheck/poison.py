@@ -37,6 +37,13 @@ conditions healthy.  `fix_ra` repairs failures by splicing `slh` (addresses)
 or `sfence` (branches) at the end of the shuffle sequence in front of the
 offending target pc until the witness is typable.
 
+Typable means "the allocation preserves SNI" only for sources that are
+architecturally memory-safe (`security.check_safety`) from every initial
+state that matters.  The analysis treats speculation-free steps as pure: an
+out-of-bounds access the source makes without speculating, which an
+attacker may resolve to a spill slot in the target, poisons nothing.  So an
+unsafe source can be secure while its typable target is not.
+
 The static solver packs a poison type into one int (two bits per key, so the
 join is bitwise or).  `poison_analysis` is a `RepairSession` with no splices;
 `fix_ra` runs all its rounds in one session, which builds source liveness,

@@ -16,14 +16,14 @@ a Secure verdict explicitly "secure up to bounds".
 
 The enabled directives of a single state and the successor and leak of each
 are a pure function of that state, the program and the width.  The search
-therefore interns every speculative state it meets to a dense id
-(`semantics.Interner`), and the row of an id holds the state's enabled
-directives and, for each, the successor's id and the leak.  A row is filled
-when its state is first expanded.  The memo and the stack hold ids, so a
-revisit hashes two ints instead of two stacks of states.  `check_sni` passes
-one table to every pair it checks: each run takes part in many pairs, and
-the pairs still check exactly what they checked stepping afresh.  The table
-lives for one call.
+therefore reads them from a `semantics.transition_table`: every speculative
+state it meets is interned to a dense id, and the row of an id holds the
+state's enabled directives and, for each, the successor's id and the leak,
+filled when the state is first expanded.  The memo and the stack hold ids,
+so a revisit hashes two ints instead of two stacks of states.  `check_sni`
+passes one table to every pair it checks: each run takes part in many pairs,
+and the pairs still check exactly what they checked stepping afresh.  The
+table lives for one call.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .semantics import (
     SpecState,
     State,
     step_spec,
-    transitions,
+    transition_table,
 )
 
 
@@ -130,18 +130,6 @@ class SniVerdict:
                 out["leaks1"] = [str(l) for l in ex1.leaks]
                 out["leaks2"] = [str(l) for l in ex2.leaks]
         return out
-
-
-def transition_table(p: Program, width: int = DEFAULT_WIDTH) -> Interner:
-    """Speculative states of `p` interned to ids; the row of an id is the
-    state's enabled directives and, in the same order, the (successor id,
-    leak) each of them steps to."""
-
-    def fill(nu: SpecState, intern):
-        ts = transitions(p, nu, width)
-        return tuple(d for d, _, _ in ts), tuple((intern(nu2), leak) for _, nu2, leak in ts)
-
-    return Interner(fill)
 
 
 def check_sni_pair(

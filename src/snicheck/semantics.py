@@ -24,6 +24,14 @@ instruction that lists every enabled (directive, next state, leak).
 depth-1 state stepped by `step` or `if` is the speculation-free semantics.
 There is no bound on speculation in the semantics itself; exploration takes
 explicit bounds and reports which branches were truncated by them.
+
+The searches step each state once per call.  A `transition_table` interns
+the speculative states of one program to dense ids (`Interner`); the row of
+an id is the state's `transitions`, with each successor as its id, computed
+when first read.  `step` follows one directive from an id and `walk` a
+directive sequence, so a replay compares ints and reads rows instead of
+stepping states again.  `explore_behaviors` counts the behaviours over such
+a table before it enumerates any.
 """
 
 from __future__ import annotations
@@ -89,8 +97,8 @@ def _splice(items: tuple, k, v: int) -> tuple:
     return items[:i] + ((k, v),) + items[i + hit:]
 
 
-@dataclass(frozen=True, slots=True)
-class State:
+class State(NamedTuple):
+    # a tuple, so the searches' interning hashes and compares states in C
     pc: Pc
     regs: tuple[tuple[Reg, int], ...] = ()
     mem: tuple[tuple[tuple[str, int], int], ...] = ()
@@ -138,8 +146,8 @@ _DKINDS = ("step", "if", "spec", "rb", "load", "store")
 
 
 class Directive(NamedTuple):
-    # a tuple, so equality and hashing run in C: `step_spec` finds its
-    # directive among the enabled ones by equality
+    # a tuple, so equality and hashing run in C: `step_spec` and `step`
+    # find their directive among the enabled ones by equality
     kind: str
     var: str = ""
     off: int = -1
@@ -168,8 +176,8 @@ def directive_sort_key(d: Directive) -> tuple:
     return (_DKINDS.index(d.kind), d.var, d.off)
 
 
-@dataclass(frozen=True, slots=True)
-class Leakage:
+class Leakage(NamedTuple):
+    # a tuple, like `Directive`: the searches compare and hash leak sequences
     kind: str  # none | if | load | store | rb
     value: int = -1
 
@@ -298,19 +306,29 @@ class Interner:
     through the `id` it is passed: a `fill` that held the interner would make
     a reference cycle, and the call's tables would stay in memory until the
     cyclic garbage collector next ran.
+
+    A value that is the very object stored for an id is found by its address
+    (`held`), without hashing it: the searches pass back states they read
+    out of `values`.  An object in `values` lives as long as the interner, so
+    no other object can have its address meanwhile.
     """
 
-    __slots__ = ("ids", "values", "rows", "fill")
+    __slots__ = ("ids", "held", "values", "rows", "fill")
 
     def __init__(self, fill):
         self.ids: dict = {}
+        self.held: dict[int, int] = {}  # id() of the object in values[i] -> i
         self.values: list = []
         self.rows: list = []
         self.fill = fill
 
     def id(self, v) -> int:
+        i = self.held.get(id(v))
+        if i is not None:
+            return i
         i = self.ids.setdefault(v, len(self.values))
         if i == len(self.values):
+            self.held[id(v)] = i
             self.values.append(v)
             self.rows.append(None)
         return i
@@ -320,6 +338,41 @@ class Interner:
         if r is None:
             r = self.rows[i] = self.fill(self.values[i], self.id)
         return r
+
+
+def transition_table(p: Program, width: int = DEFAULT_WIDTH) -> Interner:
+    """Speculative states of `p` interned to ids.  The row of an id is
+    `(enabled directives, ((successor id, leak), ...))`, both in
+    `directive_sort_key` order: `transitions` of the state, computed once."""
+
+    def fill(nu: SpecState, intern):
+        ts = transitions(p, nu, width)
+        return tuple([d for d, _, _ in ts]), tuple([(intern(nu2), leak) for _, nu2, leak in ts])
+
+    return Interner(fill)
+
+
+def step(table: Interner, i: int, d: Directive) -> tuple[int, Leakage] | None:
+    """The (successor id, leak) on `d` from id `i` of a `transition_table`,
+    or None when `d` is not enabled."""
+    dirs, succs = table.row(i)
+    try:
+        return succs[dirs.index(d)]
+    except ValueError:
+        return None
+
+
+def walk(table: Interner, i: int, dirs) -> tuple[int, tuple[Leakage, ...]] | None:
+    """`dirs` run from id `i` of a `transition_table`: the end id and the
+    leaks, or None when a directive is not enabled on the way."""
+    leaks = []
+    for d in dirs:
+        nxt = step(table, i, d)
+        if nxt is None:
+            return None
+        i, leak = nxt
+        leaks.append(leak)
+    return i, tuple(leaks)
 
 
 # --- executions ----------------------------------------------------------------
@@ -379,42 +432,62 @@ class BehaviorSet:
     truncated: set[Trace] = field(default_factory=set)
 
 
-# more behaviours than anyone reads; the enumeration stops with an error past it
+# more behaviours than anyone reads; `explore_behaviors` refuses past it
 MAX_BEHAVIORS = 100_000
 
 
 def explore_behaviors(p: Program, nu0: SpecState, b: Bounds, width: int = DEFAULT_WIDTH) -> BehaviorSet:
-    """Depth-first enumeration of all directive-resolved executions.
+    """All directive-resolved executions within the bounds.
 
     Executions that reach a final state land in `terminated`; branches cut by
     max_steps or max_spec_depth land in `truncated` (never silently dropped).
-    Raises `RuntimeError` once there are more than `MAX_BEHAVIORS` of them.
+    The states are stepped once each, through one `transition_table`.  The
+    behaviours are counted first, memoised on (state id, steps taken): a
+    count is polynomial in the state graph even when the behaviours are
+    exponential.  More than `MAX_BEHAVIORS` of them raises `RuntimeError`,
+    naming the count, before any is enumerated.
     """
-    bs = BehaviorSet()
+    table = transition_table(p, width)
+    states, row = table.values, table.row
 
-    def record(into: set, trace: Trace):
-        into.add(trace)
-        if len(bs.terminated) + len(bs.truncated) > MAX_BEHAVIORS:
-            bounds = f"steps={b.max_steps},depth={b.max_spec_depth}"
-            raise RuntimeError(f"more than {MAX_BEHAVIORS} behaviours within {bounds}; lower --bounds")
+    def leaf(i: int, k: int) -> bool:
+        """Whether id `i`, reached in `k` steps, ends its execution."""
+        return len(states[i]) > b.max_spec_depth or not row(i)[0] or k >= b.max_steps
 
-    # an explicit stack, children pushed in reverse: the recursive preorder
-    # without Python's recursion limit on long executions
-    stack = [(nu0, (), ())]
+    # behaviours below (id, steps taken), summed children first on an
+    # explicit stack: no recursion limit on long executions
+    count: dict[tuple[int, int], int] = {}
+    root = (table.id(nu0), 0)
+    stack = [root]
     while stack:
-        nu, leaks, dirs = stack.pop()
-        if len(nu) > b.max_spec_depth:
-            record(bs.truncated, (leaks, dirs))
+        key = stack[-1]
+        if key in count:
+            stack.pop()
             continue
-        ts = transitions(p, nu, width)
-        if not ts:
-            record(bs.terminated, (leaks, dirs))
+        i, k = key
+        if leaf(i, k):
+            count[stack.pop()] = 1
             continue
-        if len(dirs) >= b.max_steps:
-            record(bs.truncated, (leaks, dirs))
+        below = [(j, k + 1) for j, _ in row(i)[1]]
+        todo = [c for c in below if c not in count]
+        if todo:
+            stack += todo
+        else:
+            count[stack.pop()] = sum(count[c] for c in below)
+    if count[root] > MAX_BEHAVIORS:
+        bounds = f"steps={b.max_steps},depth={b.max_spec_depth}"
+        raise RuntimeError(f"{count[root]} behaviours within {bounds}, more than {MAX_BEHAVIORS}; lower --bounds")
+
+    bs = BehaviorSet()
+    walks = [(root[0], (), ())]
+    while walks:
+        i, leaks, dirs = walks.pop()
+        if leaf(i, len(dirs)):
+            final = len(states[i]) <= b.max_spec_depth and not row(i)[0]
+            (bs.terminated if final else bs.truncated).add((leaks, dirs))
             continue
-        for d, nu2, leak in reversed(ts):
-            stack.append((nu2, leaks + (leak,), dirs + (d,)))
+        for d, (j, leak) in zip(*row(i)):
+            walks.append((j, leaks + (leak,), dirs + (d,)))
     return bs
 
 

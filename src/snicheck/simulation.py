@@ -3,7 +3,9 @@
 A witness for a transformation provides three pieces: a relation between
 target and source states, a mapping from target initial states to source
 initial states, and an interval enumerator that pairs each target
-continuation from a related pair with its canonical source replay.
+continuation from a related pair with its canonical source replay.  The
+enumerator steps both programs through the `semantics.transition_table`s it
+is handed (`Tables`); `extract_intervals` without tables makes fresh ones.
 
 Intervals for dead code elimination are single joint steps, except that a
 misprediction extends greedily through plain steps until the target can no
@@ -20,20 +22,32 @@ side by side and demands that whenever pair 1 takes an interval whose source
 directives run with the same leaks from pair 2's source, pair 2 offers the
 identical interval.  A Pass is evidence up to the given bounds, not a proof.
 
-The intervals of a (source, target) pair are a pure function of the pair, the
-witness and the bounds, and so is a source replay of a directive sequence.
-Each check therefore interns every pair it meets to a dense id
-(`semantics.Interner`) and keeps, per id, a row built when the pair is first
-expanded: its intervals and, for each interval, the id of its end pair.  The
-memo and the queue hold ids, so a revisit hashes ints, not states.
-`check_simulation` reuses a row when its pair comes back nearer.
-`check_snippy_cube` shares rows across both sides of every quadruple and
-across all initial pairs, each run taking part in many pairs.  Its rows also
-hold, per interval, the ids of its signature and of its source directives,
-plus the row's signature -> end pair map, whose keys are its signature set,
-so a quadruple visit compares ints instead of rebuilding sets of signatures.
-Source replays are kept per (source state id, directive sequence id).  All
-tables live for one call.
+Neither check says anything about a source that accesses memory out of
+bounds without speculating.  The preservation argument behind them, like
+the poison analysis (`poison.py`), treats speculation-free steps as pure, so
+a passing cube (or a typable allocation) preserves SNI only for sources
+that are architecturally memory-safe (`security.check_safety`) from every
+initial state checked.  An unsafe source can be secure while its checked
+target is not.
+
+Each check makes one transition table per program per call and steps every
+state through it once.  A pair is the two ids of its (source, target)
+states, and each check interns the pairs it meets to dense ids as well
+(`semantics.Interner`).  Per pair id it keeps a row built when the pair is
+first expanded: its intervals and, for each interval, the id of its end
+pair.  Interval ends are interned by the check, not taken from the
+enumerator, so a witness that reports a wrong end state is still caught.
+The enabled target directives are read from the target table, and each
+interval projection is a `semantics.walk` over a table from the pair's ids,
+compared with the interval's leaks and end id.  The memo and the queue hold
+ids, so a revisit hashes ints, not states.  `check_simulation` reuses a row
+when its pair comes back nearer.  `check_snippy_cube` shares rows across both
+sides of every quadruple and across all initial pairs, each run taking part
+in many pairs.  Its rows also hold, per interval, the ids of its signature
+and of its source directives, plus the row's signature -> end pair map,
+whose keys are its signature set, so a quadruple visit compares ints instead
+of rebuilding sets of signatures.  Source replays are walks kept per (source
+id, directive sequence id).  All tables live for one call.
 """
 
 from __future__ import annotations
@@ -59,11 +73,10 @@ from .semantics import (
     State,
     d_load,
     d_store,
-    enabled_directives,
     is_final,
-    run_directives,
-    step_spec,
-    transitions,
+    step,
+    transition_table,
+    walk,
 )
 from .security import low_equivalent
 
@@ -88,6 +101,9 @@ class ExtractResult:
     truncated: int = 0
 
 
+Tables = tuple[Interner, Interner]  # `transition_table`s of the source and the target
+
+
 @dataclass
 class SimWitness:
     kind: str  # dce | ra
@@ -95,13 +111,22 @@ class SimWitness:
     target: Program
     related: Callable[[SpecState, SpecState], bool]  # (target, source)
     initial_map: Callable[[State], State]
-    intervals: Callable[[SpecState, SpecState, Bounds], ExtractResult]
+    intervals: Callable[[SpecState, SpecState, Bounds, Tables], ExtractResult]
+    width: int = DEFAULT_WIDTH
 
 
-def extract_intervals(wit: SimWitness, nu_src: SpecState, nu_tgt: SpecState, b: Bounds) -> ExtractResult:
+def extract_intervals(
+    wit: SimWitness, nu_src: SpecState, nu_tgt: SpecState, b: Bounds, tables: Tables | None = None
+) -> ExtractResult:
+    """The intervals of a (source, target) pair, stepped through `tables`;
+    without them, through fresh tables at the witness's width."""
     if is_final(wit.target, nu_tgt):
         return ExtractResult([])
-    return wit.intervals(nu_src, nu_tgt, b)
+    return wit.intervals(nu_src, nu_tgt, b, tables or witness_tables(wit, wit.width))
+
+
+def witness_tables(wit: SimWitness, width: int) -> Tables:
+    return transition_table(wit.source, width), transition_table(wit.target, width)
 
 
 # --- dead code elimination witness ------------------------------------------------
@@ -147,11 +172,14 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
                 return D_STEP if 0 <= a < mv.size else d_store(first_var, 0)
         return d
 
-    def intervals(nu_src: SpecState, nu_tgt: SpecState, b: Bounds) -> ExtractResult:
+    def intervals(nu_src: SpecState, nu_tgt: SpecState, b: Bounds, tables: Tables) -> ExtractResult:
+        src_tab, tgt_tab = tables
+        srcs, tgts = src_tab.values, tgt_tab.values
+        s0 = src_tab.id(nu_src)
         out = ExtractResult([])
-        for d, ct, lt in transitions(t, nu_tgt, width):
+        for d, (ct, lt) in zip(*tgt_tab.row(tgt_tab.id(nu_tgt))):
             sd = replay_dir(nu_src, d)
-            src_step = step_spec(p, nu_src, sd, width)
+            src_step = step(src_tab, s0, sd)
             if src_step is None:
                 continue
             cs, ls = src_step
@@ -159,11 +187,11 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
             if d == D_SPEC:
                 # run the mispredicted straight line to its end in one interval
                 while len(tdirs) < b.max_steps:
-                    nxt = step_spec(t, ct, D_STEP, width)
+                    nxt = step(tgt_tab, ct, D_STEP)
                     if nxt is None:
                         break
-                    sd2 = replay_dir(cs, D_STEP)
-                    src2 = step_spec(p, cs, sd2, width)
+                    sd2 = replay_dir(srcs[cs], D_STEP)
+                    src2 = step(src_tab, cs, sd2)
                     if src2 is None:
                         break
                     ct, lt = nxt
@@ -175,11 +203,11 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
                 else:
                     out.truncated += 1
             out.intervals.append(
-                SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), cs, ct)
+                SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), srcs[cs], tgts[ct])
             )
         return out
 
-    return SimWitness("dce", p, t, related, initial_map, intervals)
+    return SimWitness("dce", p, t, related, initial_map, intervals, width)
 
 
 # --- register allocation witness -----------------------------------------------
@@ -187,40 +215,48 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
 
 def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
     prod = Product(w, width)
-    sp = RepairSession(w, prod).static_poison()
+    sp = None  # the static poison; only `related` reads it, and the cube never calls that
 
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:
+        nonlocal sp
         if len(nu_tgt) != len(nu_src):
             return False
+        if sp is None:
+            sp = RepairSession(w, prod).static_poison()
         return prod.well_formed(ProductState(nu_src, nu_tgt, sp.stack_for(nu_src, nu_tgt)))
 
     def initial_map(tgt0: State) -> State:
         return prod.initial_source_state(tgt0)
 
-    def joint(cs, ct, d, tgt_step):
-        """The target step on `d`, `tgt_step`, and the source's canonical
-        replay of it, where the source waits on shuffle code."""
-        if tgt_step is None:
-            return None
-        t_pc = ct[-1].pc
-        if d == D_RB:
-            sd = d
-        elif t_pc in prod.st.owner:
-            return tgt_step, None, (cs, None)
-        else:
-            sd = replay_directive(w.source, w.source.instrs[prod.st.matched[t_pc]], cs[-1], d)
-        src_step = step_spec(w.source, cs, sd, width)
-        if src_step is None:
-            return None
-        return tgt_step, sd, src_step
+    def intervals(nu_src: SpecState, nu_tgt: SpecState, b: Bounds, tables: Tables) -> ExtractResult:
+        src_tab, tgt_tab = tables
+        srcs, tgts = src_tab.values, tgt_tab.values
 
-    def at_matched(cs, ct) -> bool:
-        return ct[-1].pc in prod.st.matched and prod.st.matched[ct[-1].pc] == cs[-1].pc
+        def joint(cs: int, ct: int, d: Directive, tgt_step):
+            """The target step on `d`, `tgt_step`, and the source's canonical
+            replay of it from id `cs`, where the source waits on shuffle code."""
+            if tgt_step is None:
+                return None
+            t_pc = tgts[ct][-1].pc
+            if d == D_RB:
+                sd = d
+            elif t_pc in prod.st.owner:
+                return tgt_step, None, (cs, None)
+            else:
+                sd = replay_directive(w.source, w.source.instrs[prod.st.matched[t_pc]], srcs[cs][-1], d)
+            src_step = step(src_tab, cs, sd)
+            if src_step is None:
+                return None
+            return tgt_step, sd, src_step
 
-    def intervals(nu_src: SpecState, nu_tgt: SpecState, b: Bounds) -> ExtractResult:
+        def at_matched(cs: int, ct: int) -> bool:
+            t_pc = tgts[ct][-1].pc
+            return t_pc in prod.st.matched and prod.st.matched[t_pc] == srcs[cs][-1].pc
+
+        s0, t0 = src_tab.id(nu_src), tgt_tab.id(nu_tgt)
         out = ExtractResult([])
-        for d, nu2, leak in transitions(w.target, nu_tgt, width):
-            first = joint(nu_src, nu_tgt, d, (nu2, leak))
+        for d, tgt_step in zip(*tgt_tab.row(t0)):
+            first = joint(s0, t0, d, tgt_step)
             if first is None:
                 continue
             (ct, lt), sd, (cs, ls) = first
@@ -229,9 +265,9 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
             sleaks = [ls] if ls is not None else []
             # walk the shuffle chain; every speculating prefix may also roll back
             while not at_matched(cs, ct):
-                if len(ct) >= 2:
-                    rb_t = step_spec(w.target, ct, D_RB, width)
-                    rb_s = step_spec(w.source, cs, D_RB, width)
+                if len(tgts[ct]) >= 2:
+                    rb_t = step(tgt_tab, ct, D_RB)
+                    rb_s = step(src_tab, cs, D_RB)
                     if rb_t and rb_s:
                         out.intervals.append(
                             SimInterval(
@@ -239,17 +275,17 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
                                 tuple(tleaks) + (rb_t[1],),
                                 tuple(sdirs) + (D_RB,),
                                 tuple(sleaks) + (rb_s[1],),
-                                rb_s[0],
-                                rb_t[0],
+                                srcs[rb_s[0]],
+                                tgts[rb_t[0]],
                             )
                         )
                 if len(tdirs) >= b.max_steps:
                     out.truncated += 1
                     break
-                step = joint(cs, ct, D_STEP, step_spec(w.target, ct, D_STEP, width))
-                if step is None:
+                nxt = joint(cs, ct, D_STEP, step(tgt_tab, ct, D_STEP))
+                if nxt is None:
                     break  # fenced off: only the rollback variants remain
-                (ct, lt), sd2, (cs2, ls2) = step
+                (ct, lt), sd2, (cs2, ls2) = nxt
                 cs = cs2
                 tdirs.append(D_STEP)
                 tleaks.append(lt)
@@ -258,11 +294,11 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
                     sleaks.append(ls2)
             else:
                 out.intervals.append(
-                    SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), cs, ct)
+                    SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), srcs[cs], tgts[ct])
                 )
         return out
 
-    return SimWitness("ra", w.source, w.target, related, initial_map, intervals)
+    return SimWitness("ra", w.source, w.target, related, initial_map, intervals, width)
 
 
 # --- bounded simulation check ----------------------------------------------------
@@ -298,19 +334,21 @@ def check_simulation(
 ) -> SimVerdict:
     checked = 0
     truncated = 0
+    tables = src_tab, tgt_tab = witness_tables(wit, width)
+    srcs, tgts = src_tab.values, tgt_tab.values
 
-    def fill(pair: tuple[SpecState, SpecState], intern):
-        res = extract_intervals(wit, *pair, b)
-        return res, tuple(intern((iv.end_src, iv.end_tgt)) for iv in res.intervals)
+    def fill(pair: tuple[int, int], intern):
+        res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables)
+        return res, tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in res.intervals])
 
-    pairs = Interner(fill)  # (source, target) -> id; row: intervals, end pair ids
+    pairs = Interner(fill)  # (source id, target id) -> id; row: intervals, end pair ids
     nearest: dict[int, int] = {}  # pair id -> smallest distance expanded
     queue: deque[tuple[int, int]] = deque()
     for t0 in initial_targets:
         s0 = wit.initial_map(t0)
         if not wit.related((t0,), (s0,)):
             return SimVerdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
-        queue.append((pairs.id(((s0,), (t0,))), 0))
+        queue.append((pairs.id((src_tab.id((s0,)), tgt_tab.id((t0,)))), 0))
 
     while queue:
         key, dist = queue.popleft()
@@ -319,7 +357,8 @@ def check_simulation(
         if nearest.get(key, dist + 1) <= dist:
             continue
         nearest[key] = dist
-        nu_src, nu_tgt = pairs.values[key]
+        sid, tid = pairs.values[key]
+        nu_src, nu_tgt = srcs[sid], tgts[tid]
         if is_final(wit.target, nu_tgt):
             continue
         if dist >= b.max_steps:
@@ -327,18 +366,17 @@ def check_simulation(
             continue
         res, ends = pairs.row(key)
         truncated += res.truncated
-        for d in enabled_directives(wit.target, nu_tgt, width):
+        for d in tgt_tab.row(tid)[0]:
             if not any(iv.tgt_dirs[0] == d for iv in res.intervals):
                 return SimVerdict(
                     "fail", checked, truncated, "target continuation has no interval", (nu_src, nu_tgt), d
                 )
         for iv, end in zip(res.intervals, ends):
             checked += 1
-            tgt_run = run_directives(wit.target, nu_tgt, list(iv.tgt_dirs), width)
-            if tgt_run.status == "stuck" or tgt_run.leaks != iv.tgt_leaks or tgt_run.last != iv.end_tgt:
+            end_src, end_tgt = pairs.values[end]
+            if walk(tgt_tab, tid, iv.tgt_dirs) != (end_tgt, iv.tgt_leaks):
                 return SimVerdict("fail", checked, truncated, "interval target projection does not replay", (nu_src, nu_tgt))
-            src_run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
-            if src_run.status == "stuck" or src_run.leaks != iv.src_leaks or src_run.last != iv.end_src:
+            if walk(src_tab, sid, iv.src_dirs) != (end_src, iv.src_leaks):
                 return SimVerdict("fail", checked, truncated, "interval source projection does not replay", (nu_src, nu_tgt))
             if not wit.related(iv.end_tgt, iv.end_src):
                 return SimVerdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
@@ -388,8 +426,7 @@ class _CubeRow:
 
     truncated: int
     intervals: list[SimInterval]
-    source: SpecState
-    src: int  # the source state's id, for premise replays
+    src: int  # the source state's id in the source table, for premise replays
     src_dirs: tuple[int, ...]  # per interval: the id of its source directives
     sigs: tuple[int, ...]  # per interval: the id of its signature
     ends: tuple[int, ...]  # per interval: the id of its end pair
@@ -404,22 +441,23 @@ def check_snippy_cube(
 ) -> CubeVerdict:
     checked = 0
     truncated = 0
-    # plain value -> id maps: source states, source directive sequences, signatures
-    sources: dict[SpecState, int] = {}
+    tables = src_tab, tgt_tab = witness_tables(wit, width)
+    srcs, tgts = src_tab.values, tgt_tab.values
+    # plain value -> id maps: source directive sequences, signatures
     src_dirs: dict[tuple[Directive, ...], int] = {}
     sigs: dict[tuple, int] = {}
 
-    def fill(pair: tuple[SpecState, SpecState], intern) -> _CubeRow:
-        res = extract_intervals(wit, *pair, b)
+    def fill(pair: tuple[int, int], intern) -> _CubeRow:
+        res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables)
         ivs = res.intervals
-        sig = tuple(sigs.setdefault(iv.signature, len(sigs)) for iv in ivs)
-        end = tuple(intern((iv.end_src, iv.end_tgt)) for iv in ivs)
+        sig = tuple([sigs.setdefault(iv.signature, len(sigs)) for iv in ivs])
+        end = tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in ivs])
         return _CubeRow(
-            res.truncated, ivs, pair[0], sources.setdefault(pair[0], len(sources)),
-            tuple(src_dirs.setdefault(iv.src_dirs, len(src_dirs)) for iv in ivs), sig, end, dict(zip(sig, end)),
+            res.truncated, ivs, pair[0],
+            tuple([src_dirs.setdefault(iv.src_dirs, len(src_dirs)) for iv in ivs]), sig, end, dict(zip(sig, end)),
         )
 
-    pairs = Interner(fill)  # (source, target) -> id
+    pairs = Interner(fill)  # (source id, target id) -> id
     row = pairs.row
     # (source id, source directives id) -> their leaks from that source, or None when stuck
     replays: dict[tuple[int, int], tuple[Leakage, ...] | None] = {}
@@ -433,8 +471,8 @@ def check_snippy_cube(
             key = (rb.src, dirs)
             leaks = replays.get(key, _UNSEEN)
             if leaks is _UNSEEN:
-                run = run_directives(wit.source, rb.source, list(iv.src_dirs), width)
-                leaks = replays[key] = None if run.status == "stuck" else run.leaks
+                run = walk(src_tab, rb.src, iv.src_dirs)
+                leaks = replays[key] = None if run is None else run[1]
             if leaks != iv.src_leaks:
                 continue
             matched += 1
@@ -451,14 +489,15 @@ def check_snippy_cube(
         if not t_low:
             continue
         nearest: dict[tuple[int, int], int] = {}  # quadruple as two pair ids -> smallest distance expanded
-        queue = deque([(pairs.id(((s1,), (t1,))), pairs.id(((s2,), (t2,))), 0)])
+        p1, p2 = (pairs.id((src_tab.id((s,)), tgt_tab.id((t,)))) for s, t in ((s1, t1), (s2, t2)))
+        queue = deque([(p1, p2, 0)])
         while queue:
             p1, p2, dist = queue.popleft()
             key = (p1, p2)
             if nearest.get(key, dist + 1) <= dist:
                 continue
             nearest[key] = dist
-            if is_final(wit.target, pairs.values[p1][1]) and is_final(wit.target, pairs.values[p2][1]):
+            if is_final(wit.target, tgts[pairs.values[p1][1]]) and is_final(wit.target, tgts[pairs.values[p2][1]]):
                 continue
             if dist >= b.max_steps:
                 truncated += 1
@@ -470,7 +509,9 @@ def check_snippy_cube(
                 checked += n
                 if missing is not None:
                     reason = _describe_missing(missing, rc.intervals)
-                    return CubeVerdict("fail", checked, truncated, reason, (*pairs.values[a], *pairs.values[c]), missing)
+                    (sa, ta), (sc, tc) = pairs.values[a], pairs.values[c]
+                    quad = (srcs[sa], tgts[ta], srcs[sc], tgts[tc])
+                    return CubeVerdict("fail", checked, truncated, reason, quad, missing)
             for iv, sig, end in zip(r1.intervals, r1.sigs, r1.ends):
                 other = r2.end_by_sig.get(sig)
                 if other is None:

@@ -243,6 +243,155 @@ def ref_transitions(p, nu, width=8):
     return [(d, *ref_step_spec(p, nu, d, width)) for d in ref_enabled_directives(p, nu, width)]
 
 
+def ref_explore_behaviors(p, nu0, b, width=8):
+    """`semantics.explore_behaviors` as a plain recursive enumeration over
+    `ref_transitions`: no table, no count and no cap."""
+    from snicheck.semantics import BehaviorSet
+
+    bs = BehaviorSet()
+
+    def go(nu, leaks, dirs):
+        if len(nu) > b.max_spec_depth:
+            bs.truncated.add((leaks, dirs))
+            return
+        ts = ref_transitions(p, nu, width)
+        if not ts:
+            bs.terminated.add((leaks, dirs))
+        elif len(dirs) >= b.max_steps:
+            bs.truncated.add((leaks, dirs))
+        else:
+            for d, nu2, leak in ts:
+                go(nu2, leaks + (leak,), dirs + (d,))
+
+    go(nu0, (), ())
+    return bs
+
+
+# --- reference interval builders: the simulation witnesses' `intervals`,
+# stepping every state afresh with `step_spec` instead of through tables
+
+
+def ref_dce_intervals(p, res, width=8):
+    """`simulation.dce_witness(p, res, width).intervals` without tables: a
+    function of (source state, target state, bounds)."""
+    from snicheck.ir import Load, Store
+    from snicheck.semantics import D_SPEC, D_STEP, d_load, d_store, step_spec, transitions
+    from snicheck.simulation import ExtractResult, SimInterval
+
+    t = res.target
+
+    def replay_dir(nu_src, d):
+        pc = nu_src[-1].pc
+        if d != D_STEP or not res.replaced.get(pc, False):
+            return d
+        i = p.instrs[pc]
+        first_var = p.memvars[0].name
+        match i:
+            case Load(addr=adr):
+                a = adr if isinstance(adr, int) else nu_src[-1].reg(adr)
+                return D_STEP if 0 <= a < p.memvar(i.var).size else d_load(first_var, 0)
+            case Store(addr=adr):
+                a = adr if isinstance(adr, int) else nu_src[-1].reg(adr)
+                return D_STEP if 0 <= a < p.memvar(i.var).size else d_store(first_var, 0)
+        return d
+
+    def intervals(nu_src, nu_tgt, b):
+        out = ExtractResult([])
+        for d, ct, lt in transitions(t, nu_tgt, width):
+            sd = replay_dir(nu_src, d)
+            src_step = step_spec(p, nu_src, sd, width)
+            if src_step is None:
+                continue
+            cs, ls = src_step
+            tdirs, tleaks, sdirs, sleaks = [d], [lt], [sd], [ls]
+            if d == D_SPEC:
+                while len(tdirs) < b.max_steps:
+                    nxt = step_spec(t, ct, D_STEP, width)
+                    if nxt is None:
+                        break
+                    sd2 = replay_dir(cs, D_STEP)
+                    src2 = step_spec(p, cs, sd2, width)
+                    if src2 is None:
+                        break
+                    ct, lt = nxt
+                    cs, ls = src2
+                    tdirs.append(D_STEP)
+                    tleaks.append(lt)
+                    sdirs.append(sd2)
+                    sleaks.append(ls)
+                else:
+                    out.truncated += 1
+            out.intervals.append(SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), cs, ct))
+        return out
+
+    return intervals
+
+
+def ref_ra_intervals(w, width=8):
+    """`simulation.ra_witness(w, width).intervals` without tables: a function
+    of (source state, target state, bounds)."""
+    from snicheck.poison import Product, replay_directive
+    from snicheck.semantics import D_RB, D_STEP, step_spec, transitions
+    from snicheck.simulation import ExtractResult, SimInterval
+
+    st = Product(w, width).st
+
+    def joint(cs, ct, d, tgt_step):
+        if tgt_step is None:
+            return None
+        t_pc = ct[-1].pc
+        if d == D_RB:
+            sd = d
+        elif t_pc in st.owner:
+            return tgt_step, None, (cs, None)
+        else:
+            sd = replay_directive(w.source, w.source.instrs[st.matched[t_pc]], cs[-1], d)
+        src_step = step_spec(w.source, cs, sd, width)
+        if src_step is None:
+            return None
+        return tgt_step, sd, src_step
+
+    def at_matched(cs, ct):
+        return ct[-1].pc in st.matched and st.matched[ct[-1].pc] == cs[-1].pc
+
+    def intervals(nu_src, nu_tgt, b):
+        out = ExtractResult([])
+        for d, nu2, leak in transitions(w.target, nu_tgt, width):
+            first = joint(nu_src, nu_tgt, d, (nu2, leak))
+            if first is None:
+                continue
+            (ct, lt), sd, (cs, ls) = first
+            tdirs, tleaks = [d], [lt]
+            sdirs = [sd] if sd is not None else []
+            sleaks = [ls] if ls is not None else []
+            while not at_matched(cs, ct):
+                if len(ct) >= 2:
+                    rb_t = step_spec(w.target, ct, D_RB, width)
+                    rb_s = step_spec(w.source, cs, D_RB, width)
+                    if rb_t and rb_s:
+                        out.intervals.append(SimInterval(
+                            tuple(tdirs) + (D_RB,), tuple(tleaks) + (rb_t[1],),
+                            tuple(sdirs) + (D_RB,), tuple(sleaks) + (rb_s[1],), rb_s[0], rb_t[0],
+                        ))
+                if len(tdirs) >= b.max_steps:
+                    out.truncated += 1
+                    break
+                step = joint(cs, ct, D_STEP, step_spec(w.target, ct, D_STEP, width))
+                if step is None:
+                    break
+                (ct, lt), sd2, (cs, ls2) = step
+                tdirs.append(D_STEP)
+                tleaks.append(lt)
+                if sd2 is not None:
+                    sdirs.append(sd2)
+                    sleaks.append(ls2)
+            else:
+                out.intervals.append(SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), cs, ct))
+        return out
+
+    return intervals
+
+
 # --- oracles: orders and checks that only tests use -------------------------
 
 

@@ -422,3 +422,46 @@ def test_fix_soundness_end_to_end_random(rng):
                 vt = check_sni_pair(fixed.target, ta, tc, b, 2)
                 assert vt.secure, "fixed target leaks where the source does not"
         done += 1
+
+
+# --- the memory-safety premise ------------------------------------------------------
+
+# Its store at 2 writes out of bounds without speculating whenever r1 is not 0.
+UNSAFE_SOURCE = """mem lo 2 low
+mem hi 1 high
+entry 0
+0: load r2 <- hi[r3] -> 1
+1: if r0 ? 2 : 3
+2: store hi[r1] <- r2 -> 3
+3: sfence -> 4
+4: sfence -> 5
+5: if r0 ? 6 : 6
+6: load r3 <- hi[#0] -> 7
+7: ret
+"""
+
+
+def test_typable_allocation_of_an_unsafe_source_may_leak():
+    """The documented premise, not a bug: typability means the allocation
+    preserves SNI only for architecturally memory-safe sources.  This source
+    is secure over every value of its high cell, but not memory-safe from
+    any of them.  Its allocation is typable as it stands (`fix_ra` inserts
+    nothing), and the target leaks: at depth 1, the attacker resolves the
+    out-of-bounds store to the spill slot that holds r0, and the branch at 5
+    then reads the secret it wrote there."""
+    from snicheck.security import PairSource, check_safety, check_sni, enumerate_high_states
+    from snicheck.semantics import Bounds, State
+
+    p = parse_program(UNSAFE_SOURCE)
+    w = allocate(p, 2)
+    fixed, report = fix_ra(w, width=2)
+    assert report.insertions == [] and check_poison_typable(fixed, poison_analysis(fixed, 2)) == []
+    cells = {("hi", 0): 2, ("lo", 0): 1, ("lo", 1): 1, ("stk", 1): 3, ("stk", 2): 1}
+    t0 = (State.make(fixed.target.entry, {}, cells),)
+    s0 = (Product(fixed, 2).initial_source_state(t0[0]),)
+    b = Bounds(14, 2)
+    assert check_sni(p, s0, PairSource("exhaustive"), b, 2).secure
+    assert {check_safety(p, s[0], width=2).status for s in enumerate_high_states(p, s0, 2)} == {"unsafe"}
+    v = check_sni(fixed.target, t0, PairSource("exhaustive"), b, 2)
+    assert not v.secure
+    assert [str(d) for d in v.directives] == ["step", "if", "step", "step", "store stk 2", "step", "step", "step", "if"]

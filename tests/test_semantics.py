@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from snicheck.ir import parse_program
@@ -32,6 +34,7 @@ from conftest import (
     random_program,
     random_state,
     random_walk,
+    ref_explore_behaviors,
     ref_step_spec,
     ref_transitions,
     same_point,
@@ -356,8 +359,37 @@ def test_explore_stops_past_the_behaviour_cap(monkeypatch):
     monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n)
     assert explore_behaviors(p, nu, Bounds(8, 2)) == bs
     monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n - 1)
-    with pytest.raises(RuntimeError, match=f"more than {n - 1} behaviours within steps=8,depth=2"):
+    with pytest.raises(RuntimeError, match=f"^{n} behaviours within steps=8,depth=2, more than {n - 1}; "):
         explore_behaviors(p, nu, Bounds(8, 2))
+
+
+def test_explore_matches_reference_enumeration(rng, monkeypatch):
+    """`explore_behaviors` counts over a transition table and then walks its
+    rows; its behaviours equal a plain enumeration with the reference step,
+    and its count is exactly how many it returns: the cap refuses one below
+    that count, naming it, and accepts the count itself."""
+    from snicheck import semantics
+
+    seen = Counter()
+    for i in range(240):
+        p = random_program(rng, n_instrs=rng.randint(3, 8), n_regs=rng.randint(2, 3), allow_shuffle=i % 2 == 1)
+        width = rng.choice((2, 8))
+        nu = random_state(rng, p, width)
+        b = Bounds(rng.randint(1, 9), rng.randint(1, 3))
+        want = ref_explore_behaviors(p, nu, b, width)
+        assert explore_behaviors(p, nu, b, width) == want
+        n = len(want.terminated) + len(want.truncated)
+        seen["behaviours"] += n
+        seen["by depth"] += any(len(dirs) < b.max_steps for _, dirs in want.truncated)
+        seen["by steps"] += any(len(dirs) == b.max_steps for _, dirs in want.truncated)
+        if i % 8 == 0:
+            monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n)
+            assert explore_behaviors(p, nu, b, width) == want
+            monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n - 1)
+            with pytest.raises(RuntimeError, match=f"^{n} behaviours within steps={b.max_steps},"):
+                explore_behaviors(p, nu, b, width)
+            monkeypatch.undo()
+    assert seen["behaviours"] >= 2_000 and seen["by depth"] >= 20 and seen["by steps"] >= 100, seen
 
 
 # --- semantic properties ------------------------------------------------------------

@@ -38,7 +38,7 @@ from snicheck.simulation import (
 )
 from snicheck.cli import corpus_path
 
-from conftest import load_program, load_state, random_program, random_state
+from conftest import load_program, load_state, random_program, random_state, ref_dce_intervals, ref_ra_intervals
 
 
 @pytest.fixture
@@ -191,8 +191,8 @@ def test_check_simulation_detects_missing_rollback_branch(ra_witness):
     fixed, _ = fix_ra(ra_witness)
     base = ra_witness_obj(fixed)
 
-    def pruned(nu_src, nu_tgt, b):
-        res = base.intervals(nu_src, nu_tgt, b)
+    def pruned(nu_src, nu_tgt, b, tables):
+        res = base.intervals(nu_src, nu_tgt, b, tables)
         kept = [iv for iv in res.intervals if D_RB not in iv.tgt_dirs]
         return ExtractResult(kept, res.truncated)
 
@@ -295,8 +295,8 @@ def test_cube_detects_planted_leak_difference(dce_wit):
     p = load_program("code_dce_w2_source.sp")
     wit0 = dce_witness(p, dce_transform(p, liveness(p)), width=2)
 
-    def tampered(nu_src, nu_tgt, b):
-        res = wit0.intervals(nu_src, nu_tgt, b)
+    def tampered(nu_src, nu_tgt, b, tables):
+        res = wit0.intervals(nu_src, nu_tgt, b, tables)
         out = []
         for iv in res.intervals:
             if nu_tgt[0].cell("secret", 0) == 1 and iv.tgt_dirs[0] == D_IF:
@@ -372,7 +372,7 @@ def _revisit_witness(tamper=None):
     def related(nu_tgt, nu_src):
         return nu_tgt == nu_src and not any(s.pc == "2" and s.reg("x") == 0 for s in nu_tgt)
 
-    def intervals(nu_src, nu_tgt, b):
+    def intervals(nu_src, nu_tgt, b, tables):
         out = []
         for d in enabled_directives(p, nu_tgt):
             dirs = longer if nu_tgt[-1].pc == "0" and d == longer[0] else (d,)
@@ -418,9 +418,26 @@ def test_snippy_cube_reexpands_a_quadruple_reached_nearer():
 # --- the interval and premise tables against the uncached loops --------------------
 
 
-def reference_check_simulation(wit, initial_targets, b, width):
-    """`check_simulation` without the interval table: every expansion of a
-    pair extracts its intervals afresh."""
+def dce_with_ref(p, width):
+    """The DCE witness of `p` and its reference interval builder."""
+    res = dce_transform(p, liveness(p))
+    return dce_witness(p, res, width), ref_dce_intervals(p, res, width)
+
+
+def ra_with_ref(w, width):
+    return ra_witness(w, width), ref_ra_intervals(w, width)
+
+
+def ref_extract(wit, ref):
+    """`extract_intervals` over the reference builder `ref`."""
+    return lambda nu_src, nu_tgt, b: ExtractResult([]) if is_final(wit.target, nu_tgt) else ref(nu_src, nu_tgt, b)
+
+
+def reference_check_simulation(wit, ref, initial_targets, b, width):
+    """`check_simulation` without tables: every expansion of a pair builds its
+    intervals afresh with the reference builder `ref` and replays them with
+    `run_directives`."""
+    extract = ref_extract(wit, ref)
     checked = truncated = 0
     nearest = {}
     queue = deque()
@@ -440,7 +457,7 @@ def reference_check_simulation(wit, initial_targets, b, width):
         if dist >= b.max_steps:
             truncated += 1
             continue
-        res = extract_intervals(wit, nu_src, nu_tgt, b)
+        res = extract(nu_src, nu_tgt, b)
         truncated += res.truncated
         for d in enabled_directives(wit.target, nu_tgt, width):
             if not any(iv.tgt_dirs[0] == d for iv in res.intervals):
@@ -465,9 +482,11 @@ def reference_check_simulation(wit, initial_targets, b, width):
     return SimVerdict("pass", checked, truncated)
 
 
-def reference_check_snippy_cube(wit, initial_target_pairs, b, width):
-    """`check_snippy_cube` without tables: intervals are extracted and the
-    source premise replayed afresh for every quadruple."""
+def reference_check_snippy_cube(wit, ref, initial_target_pairs, b, width):
+    """`check_snippy_cube` without tables: intervals are built with the
+    reference builder `ref` and the source premise replayed with
+    `run_directives`, afresh for every quadruple."""
+    extract = ref_extract(wit, ref)
 
     def premise(nu_src, iv):
         run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
@@ -494,8 +513,8 @@ def reference_check_snippy_cube(wit, initial_target_pairs, b, width):
             if dist >= b.max_steps:
                 truncated += 1
                 continue
-            r1 = extract_intervals(wit, n1s, n1t, b)
-            r2 = extract_intervals(wit, n2s, n2t, b)
+            r1 = extract(n1s, n1t, b)
+            r2 = extract(n2s, n2t, b)
             truncated += r1.truncated + r2.truncated
             sig2 = {iv.signature for iv in r2.intervals}
             sig1 = {iv.signature for iv in r1.intervals}
@@ -525,117 +544,189 @@ def reference_check_snippy_cube(wit, initial_target_pairs, b, width):
     return CubeVerdict("pass", checked, truncated)
 
 
-def _random_witnesses(rng, count):
-    """Witnesses at width 2 over random programs: DCE, RA as allocated and RA
-    after `fix_ra`, each possibly with target leaks planted on the runs whose
-    high cell is 1, so that cubes fail too."""
+PLANTS = ("tgt-leak", "src-leak", "tgt-end", "src-end")
+
+
+def _random_witnesses(rng, count, width=2, plant=True):
+    """(witness, reference builder) pairs over random programs: DCE, RA as
+    allocated and RA after `fix_ra`.  With `plant`, about a third carry one
+    of `PLANTS` on the runs whose high cell is 1, so that checks fail too."""
     out = []
     while len(out) < count:
         p = random_program(rng, n_instrs=rng.randint(4, 9), n_regs=3)
         kind = rng.choice(["dce", "ra", "ra-fixed"])
         if kind == "dce":
-            wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
+            pair = dce_with_ref(p, width)
         else:
             try:
                 w = allocate(p, 2)
             except AllocationInfeasible:
                 continue
             if kind == "ra-fixed":
-                w, _ = fix_ra(w, width=2)
-            wit = ra_witness(w, 2)
-        if rng.random() < 0.3:
-            wit = _planted(wit)
-        out.append(wit)
+                w, _ = fix_ra(w, width=width)
+            pair = ra_with_ref(w, width)
+        if plant and rng.random() < 0.35:
+            pair = _planted(*pair, rng.choice(PLANTS))
+        out.append(pair)
     return out
 
 
-def _planted(wit):
+def _planted(wit, ref, what):
+    """`wit` and `ref` with the same defect planted, on the runs whose high
+    cell is 1: every interval's first target or source leak becomes `if 3`,
+    or its target or source end becomes the state it starts from."""
+    from dataclasses import replace
+
     from snicheck.semantics import l_if
-    from snicheck.simulation import SimInterval
 
-    def intervals(nu_src, nu_tgt, b):
-        res = wit.intervals(nu_src, nu_tgt, b)
-        if nu_tgt[0].cell("hi", 0) != 1:
-            return res
-        out = [SimInterval(iv.tgt_dirs, (l_if(3),) + iv.tgt_leaks[1:], iv.src_dirs, iv.src_leaks, iv.end_src, iv.end_tgt)
-               for iv in res.intervals]
-        return ExtractResult(out, res.truncated)
+    def plant(intervals):
+        def planted(nu_src, nu_tgt, b, *tables):
+            res = intervals(nu_src, nu_tgt, b, *tables)
+            if nu_tgt[0].cell("hi", 0) != 1:
+                return res
+            out = []
+            for iv in res.intervals:
+                if what == "tgt-leak":
+                    iv = replace(iv, tgt_leaks=(l_if(3),) + iv.tgt_leaks[1:])
+                elif what == "src-leak" and iv.src_leaks:
+                    iv = replace(iv, src_leaks=(l_if(3),) + iv.src_leaks[1:])
+                elif what == "tgt-end":
+                    iv = replace(iv, end_tgt=nu_tgt)
+                elif what == "src-end":
+                    iv = replace(iv, end_src=nu_src)
+                out.append(iv)
+            return ExtractResult(out, res.truncated)
 
-    return SimWitness("planted", wit.source, wit.target, wit.related, wit.initial_map, intervals)
+        return planted
+
+    return SimWitness(what, wit.source, wit.target, wit.related, wit.initial_map, plant(wit.intervals), wit.width), plant(ref)
 
 
-def _assert_cubes_agree(wit, pairs, b):
+def _assert_cubes_agree(wit, ref, pairs, b):
     """The whole verdict: status, counts, reason, quadruple and interval."""
     got = check_snippy_cube(wit, pairs, b, width=2)
-    want = reference_check_snippy_cube(wit, pairs, b, 2)
+    want = reference_check_snippy_cube(wit, ref, pairs, b, 2)
     assert got == want
     assert got.report() == want.report()
     return got
 
 
-def _assert_simulations_agree(wit, targets, b):
+def _assert_simulations_agree(wit, ref, targets, b):
     """The whole verdict: status, counts, reason, pair and directive."""
     got = check_simulation(wit, targets, b, width=2)
-    want = reference_check_simulation(wit, targets, b, 2)
+    want = reference_check_simulation(wit, ref, targets, b, 2)
     assert got == want
     assert got.report() == want.report()
     return got
+
+
+def test_interval_builders_match_reference(rng):
+    """The table-walking interval builders equal the reference builders,
+    which step every state with `step_spec`: random DCE and RA witnesses at
+    widths 2 and 8, on pairs reached by random interval walks, through one
+    pair of tables per witness and through fresh ones.  Both are functions
+    of any pair, so each reached pair also gets a twin whose target frames
+    keep their pcs but take fresh values: on related pairs the source and
+    the target agree on every register a DCE replay reads."""
+    from snicheck.semantics import transition_table
+
+    seen = Counter()
+    for width in (2, 8):
+        for wit, ref in _random_witnesses(rng, 200, width, plant=False):
+            tables = transition_table(wit.source, width), transition_table(wit.target, width)
+            b = Bounds(rng.randint(1, 12), rng.randint(1, 3))
+            t = random_state(rng, wit.target, width)
+            s = (wit.initial_map(t[0]),)
+            for _step in range(12):
+                if is_final(wit.target, t):
+                    break
+                got = extract_intervals(wit, s, t, b, tables)
+                assert got == ref(s, t, b)
+                if _step == 0:
+                    assert extract_intervals(wit, s, t, b) == got
+                seen[wit.kind, width] += 1
+                seen["truncated"] += got.truncated > 0
+                for iv in got.intervals:
+                    seen["rollback"] += iv.tgt_dirs[-1] == D_RB and len(iv.tgt_dirs) > 1
+                    seen["spec line"] += iv.tgt_dirs[0] == D_SPEC and len(iv.tgt_dirs) > 1
+                    seen[wit.kind, "replayed"] += iv.src_dirs != iv.tgt_dirs
+                twin = tuple(random_state(rng, wit.target, width)[0].at(f.pc) for f in t)
+                got_twin = extract_intervals(wit, s, twin, b, tables)
+                assert got_twin == ref(s, twin, b)
+                seen[wit.kind, "twin replayed"] += any(iv.src_dirs != iv.tgt_dirs for iv in got_twin.intervals)
+                if not got.intervals:
+                    break
+                iv = rng.choice(got.intervals)
+                if len(iv.end_tgt) > 3:
+                    break
+                s, t = iv.end_src, iv.end_tgt
+    assert all(seen[kind, width] >= 200 for kind in ("dce", "ra") for width in (2, 8)), seen
+    assert seen["truncated"] >= 20 and seen["rollback"] >= 20 and seen["spec line"] >= 20, seen
+    assert seen["dce", "replayed"] >= 5 and seen["ra", "replayed"] >= 20, seen
+    assert seen["dce", "twin replayed"] >= 5, seen
 
 
 def test_snippy_cube_tables_match_uncached_loop(rng):
     """The cube's interval and premise tables change no report: random DCE
     and RA witnesses, exhaustive over the high cell at width 2."""
     seen = Counter()
-    for wit in _random_witnesses(rng, 90):
+    for wit, ref in _random_witnesses(rng, 90):
         base = random_state(rng, wit.target, width=2)
         states = [s[0] for s in enumerate_high_states(wit.target, base, 2)]
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        v = _assert_cubes_agree(wit, list(itertools.combinations(states, 2)), b)
+        v = _assert_cubes_agree(wit, ref, list(itertools.combinations(states, 2)), b)
         seen[wit.kind, v.status] += 1
         seen["truncated"] += v.truncated > 0
-    assert seen["dce", "pass"] and seen["ra", "pass"] and seen["planted", "fail"] >= 5 and seen["truncated"], seen
+    assert seen["dce", "pass"] and seen["ra", "pass"] and seen["truncated"], seen
+    assert seen["tgt-leak", "fail"] >= 3 and seen["src-leak", "pass"] + seen["src-leak", "fail"] >= 3, seen
+
+
+def _corpus_witnesses():
+    p = load_program("code_dce_w2_source.sp")
+    w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
+    fixed, _ = fix_ra(w, width=2)
+    return dce_with_ref(p, 2), ra_with_ref(w, 2), ra_with_ref(fixed, 2)
 
 
 def test_snippy_cube_tables_match_uncached_loop_on_corpus():
-    p = load_program("code_dce_w2_source.sp")
-    dce = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-    w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
-    fixed, _ = fix_ra(w, width=2)
-    cubes = [(dce, "code_dce_w2.init"), (ra_witness(w, 2), "code_ra_w2.init"), (ra_witness(fixed, 2), "code_ra_w2.init")]
-    assert [_assert_cubes_agree(wit, w2_pairs(wit.target, init), Bounds(24, 2)).status for wit, init in cubes] == [
-        "pass", "fail", "pass"]
+    dce, ra, fixed = _corpus_witnesses()
+    cubes = [(dce, "code_dce_w2.init"), (ra, "code_ra_w2.init"), (fixed, "code_ra_w2.init")]
+    assert [_assert_cubes_agree(*pair, w2_pairs(pair[0].target, init), Bounds(24, 2)).status
+            for pair, init in cubes] == ["pass", "fail", "pass"]
 
 
 def test_check_simulation_table_matches_uncached_loop(rng):
     """`check_simulation` reuses the intervals of a pair that comes back
-    nearer; its verdicts equal the uncached loop's, planted failures included."""
+    nearer; its verdicts equal the uncached loop's, planted failures and
+    planted end states included."""
     statuses, seen = Counter(), Counter()
-    for wit in _random_witnesses(rng, 90):
+    for wit, ref in _random_witnesses(rng, 90):
         targets = [random_state(rng, wit.target, width=2)[0] for _ in range(3)]
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        got = _assert_simulations_agree(wit, targets, b)
+        got = _assert_simulations_agree(wit, ref, targets, b)
         statuses[got.status] += 1
         seen[wit.kind, got.status] += 1
+        seen[got.reason] += 1
         seen["truncated"] += got.truncated > 0
     assert statuses["pass"] >= 20 and statuses["fail"] >= 5, statuses
-    assert seen["dce", "pass"] and seen["ra", "pass"] and seen["planted", "fail"] >= 5 and seen["truncated"], seen
+    assert seen["dce", "pass"] and seen["ra", "pass"] and seen["truncated"], seen
+    assert all(seen[what, "fail"] >= 2 for what in PLANTS), seen
+    assert seen["interval target projection does not replay"] >= 4, seen
+    assert seen["interval source projection does not replay"] >= 4, seen
 
 
 def test_searches_keep_no_state_between_calls():
     """Calls in a row on different witnesses and bounds each equal the
     uncached loops, so no interned id or row outlives its call."""
-    p = load_program("code_dce_w2_source.sp")
-    dce = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-    w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
-    fixed, _ = fix_ra(w, width=2)
-    runs = [(dce, "code_dce_w2.init", Bounds(24, 2)), (ra_witness(w, 2), "code_ra_w2.init", Bounds(12, 3)),
-            (ra_witness(fixed, 2), "code_ra_w2.init", Bounds(24, 2)), (dce, "code_dce_w2.init", Bounds(8, 1)),
-            (ra_witness(w, 2), "code_ra_w2.init", Bounds(24, 2))]
+    dce, ra, fixed = _corpus_witnesses()
+    runs = [(dce, "code_dce_w2.init", Bounds(24, 2)), (ra, "code_ra_w2.init", Bounds(12, 3)),
+            (fixed, "code_ra_w2.init", Bounds(24, 2)), (dce, "code_dce_w2.init", Bounds(8, 1)),
+            (ra, "code_ra_w2.init", Bounds(24, 2))]
     statuses = []
-    for wit, init, b in runs + runs[::-1]:
+    for (wit, ref), init, b in runs + runs[::-1]:
         pairs = w2_pairs(wit.target, init)
-        statuses.append(_assert_cubes_agree(wit, pairs, b).status)
-        _assert_simulations_agree(wit, sorted({t for pair in pairs for t in pair}, key=repr), b)
+        statuses.append(_assert_cubes_agree(wit, ref, pairs, b).status)
+        _assert_simulations_agree(wit, ref, sorted({t for pair in pairs for t in pair}, key=repr), b)
     assert statuses[:5] == ["pass", "fail", "pass", "pass", "fail"]
 
 
@@ -653,6 +744,8 @@ def test_searches_leave_no_reference_cycles():
         check_snippy_cube(wit, pairs, b, width=2)
         check_simulation(wit, [t for pair in pairs for t in pair], b, width=2)
         check_sni(wit.target, base, PairSource("exhaustive"), b, width=2)
+        explore_behaviors(wit.target, base, Bounds(12, 2), 2)
+        assert extract_intervals(wit, (wit.initial_map(base[0]),), base, b).intervals
         assert gc.collect() == 0
     finally:
         gc.enable()
