@@ -75,15 +75,15 @@ def main() -> int:
     p = load("code_dce_w2_source.sp")
     wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
     t0 = time.monotonic()
-    row("dce width-2, cube", check_snippy_cube(wit, pairs(wit.target, "code_dce_w2.init", 2), b2, 2).status, t0)
+    row("dce width-2, cube", check_snippy_cube(wit, pairs(wit.target, "code_dce_w2.init", 2), b2).status, t0)
 
     src2, tgt2 = load("code_ra_w2_source.sp"), load("code_ra_w2_target.sp")
     w2 = parse_ra_witness(corpus_path("code_ra_w2.witness").read_text(), src2, tgt2)
     t0 = time.monotonic()
-    row("allocation width-2 unfixed, cube", check_snippy_cube(ra_witness(w2, 2), pairs(tgt2, "code_ra_w2.init", 2), b2, 2).status, t0)
+    row("allocation width-2 unfixed, cube", check_snippy_cube(ra_witness(w2, 2), pairs(tgt2, "code_ra_w2.init", 2), b2).status, t0)
     fixed2, _ = fix_ra(w2, 2)
     t0 = time.monotonic()
-    row("allocation width-2 fixed, cube", check_snippy_cube(ra_witness(fixed2, 2), pairs(fixed2.target, "code_ra_w2.init", 2), b2, 2).status, t0)
+    row("allocation width-2 fixed, cube", check_snippy_cube(ra_witness(fixed2, 2), pairs(fixed2.target, "code_ra_w2.init", 2), b2).status, t0)
     return 0
 
 

@@ -297,7 +297,7 @@ def _sim_witness(args, width: int):
 def cmd_check_sim(args) -> int:
     wit = _sim_witness(args, args.width)
     t0 = _initial_state(args, wit.target)[0]
-    v = simulation.check_simulation(wit, [t0], args.bounds, args.width)
+    v = simulation.check_simulation(wit, [t0], args.bounds)
     _emit(args, {"command": "check-sim", **v.report()}, f"{v.status} (intervals={v.intervals_checked}, truncated={v.truncated})\n" + (v.reason + "\n" if v.reason else ""))
     return 0 if v.ok and not v.truncated else (2 if v.ok else 1)
 
@@ -309,7 +309,7 @@ def cmd_check_snippy(args) -> int:
     import itertools
 
     pairs = list(itertools.combinations(states, 2))
-    v = simulation.check_snippy_cube(wit, pairs, args.bounds, args.width)
+    v = simulation.check_snippy_cube(wit, pairs, args.bounds)
     text = f"{v.status} (intervals={v.intervals_checked}, truncated={v.truncated})\n"
     if not v.ok:
         text += v.reason + "\n"

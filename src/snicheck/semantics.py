@@ -306,29 +306,19 @@ class Interner:
     through the `id` it is passed: a `fill` that held the interner would make
     a reference cycle, and the call's tables would stay in memory until the
     cyclic garbage collector next ran.
-
-    A value that is the very object stored for an id is found by its address
-    (`held`), without hashing it: the searches pass back states they read
-    out of `values`.  An object in `values` lives as long as the interner, so
-    no other object can have its address meanwhile.
     """
 
-    __slots__ = ("ids", "held", "values", "rows", "fill")
+    __slots__ = ("ids", "values", "rows", "fill")
 
     def __init__(self, fill):
         self.ids: dict = {}
-        self.held: dict[int, int] = {}  # id() of the object in values[i] -> i
         self.values: list = []
         self.rows: list = []
         self.fill = fill
 
     def id(self, v) -> int:
-        i = self.held.get(id(v))
-        if i is not None:
-            return i
         i = self.ids.setdefault(v, len(self.values))
         if i == len(self.values):
-            self.held[id(v)] = i
             self.values.append(v)
             self.rows.append(None)
         return i
@@ -442,44 +432,57 @@ def explore_behaviors(p: Program, nu0: SpecState, b: Bounds, width: int = DEFAUL
     Executions that reach a final state land in `terminated`; branches cut by
     max_steps or max_spec_depth land in `truncated` (never silently dropped).
     The states are stepped once each, through one `transition_table`.  The
-    behaviours are counted first, memoised on (state id, steps taken): a
-    count is polynomial in the state graph even when the behaviours are
-    exponential.  More than `MAX_BEHAVIORS` of them raises `RuntimeError`,
-    naming the count, before any is enumerated.
+    behaviours are counted first, memoised on (state id, steps taken), so a
+    count is cheap when states merge even if the behaviours are exponential.
+    More than `MAX_BEHAVIORS` of them raises `RuntimeError` before any is
+    enumerated, naming the count.  When states seldom merge the count itself
+    is the expensive part: once the behaviours counted so far and the nodes
+    memoised both pass `MAX_BEHAVIORS`, it stops and says "more than" instead,
+    after about the work of enumerating that many.
     """
     table = transition_table(p, width)
     states, row = table.values, table.row
+    bounds = f"steps={b.max_steps},depth={b.max_spec_depth}"
 
     def leaf(i: int, k: int) -> bool:
         """Whether id `i`, reached in `k` steps, ends its execution."""
-        return len(states[i]) > b.max_spec_depth or not row(i)[0] or k >= b.max_steps
+        return len(states[i]) > b.max_spec_depth or k >= b.max_steps or not row(i)[0]
 
-    # behaviours below (id, steps taken), summed children first on an
-    # explicit stack: no recursion limit on long executions
-    count: dict[tuple[int, int], int] = {}
-    root = (table.id(nu0), 0)
-    stack = [root]
-    while stack:
-        key = stack[-1]
-        if key in count:
-            stack.pop()
+    # depth first along one path of frames [id, steps taken, successors left,
+    # behaviours below the successors done]; no recursion limit on long paths
+    count: dict[tuple[int, int], int] = {}  # behaviours below a finished (id, steps taken)
+    root = table.id(nu0)
+    total = 1 if leaf(root, 0) else 0
+    frames = [] if total else [[root, 0, iter(row(root)[1]), 0]]
+    counted = 0  # the frames' behaviours so far: distinct paths, so at most the total
+    while frames:
+        f = frames[-1]
+        i, k, succs, below = f
+        nxt = next(succs, None)
+        if nxt is None:
+            frames.pop()
+            count[i, k] = below
+            if frames:
+                frames[-1][3] += below
+            else:
+                total = below
             continue
-        i, k = key
-        if leaf(i, k):
-            count[stack.pop()] = 1
-            continue
-        below = [(j, k + 1) for j, _ in row(i)[1]]
-        todo = [c for c in below if c not in count]
-        if todo:
-            stack += todo
-        else:
-            count[stack.pop()] = sum(count[c] for c in below)
-    if count[root] > MAX_BEHAVIORS:
-        bounds = f"steps={b.max_steps},depth={b.max_spec_depth}"
-        raise RuntimeError(f"{count[root]} behaviours within {bounds}, more than {MAX_BEHAVIORS}; lower --bounds")
+        key = (nxt[0], k + 1)
+        c = count.get(key)
+        if c is None:
+            if not leaf(*key):
+                frames.append([key[0], key[1], iter(row(key[0])[1]), 0])
+                continue
+            c = count[key] = 1
+        f[3] = below + c
+        counted += c
+        if counted > MAX_BEHAVIORS and len(count) > MAX_BEHAVIORS:
+            raise RuntimeError(f"more than {MAX_BEHAVIORS} behaviours within {bounds}; lower --bounds")
+    if total > MAX_BEHAVIORS:
+        raise RuntimeError(f"{total} behaviours within {bounds}, more than {MAX_BEHAVIORS}; lower --bounds")
 
     bs = BehaviorSet()
-    walks = [(root[0], (), ())]
+    walks = [(root, (), ())]
     while walks:
         i, leaks, dirs = walks.pop()
         if leaf(i, len(dirs)):

@@ -3,9 +3,11 @@
 A witness for a transformation provides three pieces: a relation between
 target and source states, a mapping from target initial states to source
 initial states, and an interval enumerator that pairs each target
-continuation from a related pair with its canonical source replay.  The
-enumerator steps both programs through the `semantics.transition_table`s it
-is handed (`Tables`); `extract_intervals` without tables makes fresh ones.
+continuation from a related pair with its canonical source replay.  A
+witness is built for one width.  The enumerator is handed the pair as its
+ids in the `semantics.transition_table`s of both programs at that width
+(`Tables`) and steps through them; `extract_intervals` takes the pair's
+states, and makes fresh tables when it is not handed any.
 
 Intervals for dead code elimination are single joint steps, except that a
 misprediction extends greedily through plain steps until the target can no
@@ -30,13 +32,14 @@ that are architecturally memory-safe (`security.check_safety`) from every
 initial state checked.  An unsafe source can be secure while its checked
 target is not.
 
-Each check makes one transition table per program per call and steps every
-state through it once.  A pair is the two ids of its (source, target)
-states, and each check interns the pairs it meets to dense ids as well
-(`semantics.Interner`).  Per pair id it keeps a row built when the pair is
-first expanded: its intervals and, for each interval, the id of its end
-pair.  Interval ends are interned by the check, not taken from the
-enumerator, so a witness that reports a wrong end state is still caught.
+Each check makes one transition table per program per call, at the
+witness's width, and steps every state through it once.  A pair is the two
+ids of its (source, target) states, and each check interns the pairs it
+meets to dense ids as well (`semantics.Interner`).  Per pair id it keeps a
+row built when the pair is first expanded: its intervals, built from the
+pair's ids, and, for each interval, the id of its end pair.  Interval ends
+are interned by the check, not taken from the enumerator, so a witness that
+reports a wrong end state is still caught.
 The enabled target directives are read from the target table, and each
 interval projection is a `semantics.walk` over a table from the pair's ids,
 compared with the interval's leaks and end id.  The memo and the queue hold
@@ -111,22 +114,32 @@ class SimWitness:
     target: Program
     related: Callable[[SpecState, SpecState], bool]  # (target, source)
     initial_map: Callable[[State], State]
-    intervals: Callable[[SpecState, SpecState, Bounds, Tables], ExtractResult]
-    width: int = DEFAULT_WIDTH
+    # the intervals of the pair with these (source id, target id) in the tables
+    intervals: Callable[[int, int, Bounds, Tables], ExtractResult]
+    width: int = DEFAULT_WIDTH  # the width the witness is built for; its checks step at it
+
+
+def witness_tables(wit: SimWitness) -> Tables:
+    return transition_table(wit.source, wit.width), transition_table(wit.target, wit.width)
 
 
 def extract_intervals(
-    wit: SimWitness, nu_src: SpecState, nu_tgt: SpecState, b: Bounds, tables: Tables | None = None
+    wit: SimWitness,
+    nu_src: SpecState,
+    nu_tgt: SpecState,
+    b: Bounds,
+    tables: Tables | None = None,
+    ids: tuple[int, int] | None = None,
 ) -> ExtractResult:
-    """The intervals of a (source, target) pair, stepped through `tables`;
-    without them, through fresh tables at the witness's width."""
+    """The intervals of a (source, target) pair, stepped through `tables`
+    (fresh ones when not given).  A caller that has the pair's ids in the
+    tables passes them as `ids`, so the states are not interned again."""
     if is_final(wit.target, nu_tgt):
         return ExtractResult([])
-    return wit.intervals(nu_src, nu_tgt, b, tables or witness_tables(wit, wit.width))
-
-
-def witness_tables(wit: SimWitness, width: int) -> Tables:
-    return transition_table(wit.source, width), transition_table(wit.target, width)
+    if tables is None:
+        tables = witness_tables(wit)
+    s0, t0 = ids or (tables[0].id(nu_src), tables[1].id(nu_tgt))
+    return wit.intervals(s0, t0, b, tables)
 
 
 # --- dead code elimination witness ------------------------------------------------
@@ -172,13 +185,12 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
                 return D_STEP if 0 <= a < mv.size else d_store(first_var, 0)
         return d
 
-    def intervals(nu_src: SpecState, nu_tgt: SpecState, b: Bounds, tables: Tables) -> ExtractResult:
+    def intervals(s0: int, t0: int, b: Bounds, tables: Tables) -> ExtractResult:
         src_tab, tgt_tab = tables
         srcs, tgts = src_tab.values, tgt_tab.values
-        s0 = src_tab.id(nu_src)
         out = ExtractResult([])
-        for d, (ct, lt) in zip(*tgt_tab.row(tgt_tab.id(nu_tgt))):
-            sd = replay_dir(nu_src, d)
+        for d, (ct, lt) in zip(*tgt_tab.row(t0)):
+            sd = replay_dir(srcs[s0], d)
             src_step = step(src_tab, s0, sd)
             if src_step is None:
                 continue
@@ -228,7 +240,7 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
     def initial_map(tgt0: State) -> State:
         return prod.initial_source_state(tgt0)
 
-    def intervals(nu_src: SpecState, nu_tgt: SpecState, b: Bounds, tables: Tables) -> ExtractResult:
+    def intervals(s0: int, t0: int, b: Bounds, tables: Tables) -> ExtractResult:
         src_tab, tgt_tab = tables
         srcs, tgts = src_tab.values, tgt_tab.values
 
@@ -253,7 +265,6 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
             t_pc = tgts[ct][-1].pc
             return t_pc in prod.st.matched and prod.st.matched[t_pc] == srcs[cs][-1].pc
 
-        s0, t0 = src_tab.id(nu_src), tgt_tab.id(nu_tgt)
         out = ExtractResult([])
         for d, tgt_step in zip(*tgt_tab.row(t0)):
             first = joint(s0, t0, d, tgt_step)
@@ -326,19 +337,14 @@ class SimVerdict:
         return out
 
 
-def check_simulation(
-    wit: SimWitness,
-    initial_targets: list[State],
-    b: Bounds,
-    width: int = DEFAULT_WIDTH,
-) -> SimVerdict:
+def check_simulation(wit: SimWitness, initial_targets: list[State], b: Bounds) -> SimVerdict:
     checked = 0
     truncated = 0
-    tables = src_tab, tgt_tab = witness_tables(wit, width)
+    tables = src_tab, tgt_tab = witness_tables(wit)
     srcs, tgts = src_tab.values, tgt_tab.values
 
     def fill(pair: tuple[int, int], intern):
-        res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables)
+        res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables, pair)
         return res, tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in res.intervals])
 
     pairs = Interner(fill)  # (source id, target id) -> id; row: intervals, end pair ids
@@ -433,22 +439,17 @@ class _CubeRow:
     end_by_sig: dict[int, int]  # the row's signature ids -> end pair id of the last interval with each
 
 
-def check_snippy_cube(
-    wit: SimWitness,
-    initial_target_pairs: list[tuple[State, State]],
-    b: Bounds,
-    width: int = DEFAULT_WIDTH,
-) -> CubeVerdict:
+def check_snippy_cube(wit: SimWitness, initial_target_pairs: list[tuple[State, State]], b: Bounds) -> CubeVerdict:
     checked = 0
     truncated = 0
-    tables = src_tab, tgt_tab = witness_tables(wit, width)
+    tables = src_tab, tgt_tab = witness_tables(wit)
     srcs, tgts = src_tab.values, tgt_tab.values
     # plain value -> id maps: source directive sequences, signatures
     src_dirs: dict[tuple[Directive, ...], int] = {}
     sigs: dict[tuple, int] = {}
 
     def fill(pair: tuple[int, int], intern) -> _CubeRow:
-        res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables)
+        res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables, pair)
         ivs = res.intervals
         sig = tuple([sigs.setdefault(iv.signature, len(sigs)) for iv in ivs])
         end = tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in ivs])

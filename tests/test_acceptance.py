@@ -266,13 +266,13 @@ def test_criterion_6_snippy_cube_discrimination():
         return list(itertools.combinations(states, 2))
 
     src, tgt, w = _ra_bits("_w2")
-    unfixed = check_snippy_cube(ra_witness(w, 2), pairs(tgt, "code_ra_w2.init"), b, 2)
+    unfixed = check_snippy_cube(ra_witness(w, 2), pairs(tgt, "code_ra_w2.init"), b)
     fixed_w, _ = fix_ra(w, 2)
-    fixed = check_snippy_cube(ra_witness(fixed_w, 2), pairs(fixed_w.target, "code_ra_w2.init"), b, 2)
+    fixed = check_snippy_cube(ra_witness(fixed_w, 2), pairs(fixed_w.target, "code_ra_w2.init"), b)
 
     p = load_program("code_dce_w2_source.sp")
     wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-    dce_v = check_snippy_cube(wit, pairs(wit.target, "code_dce_w2.init"), b, 2)
+    dce_v = check_snippy_cube(wit, pairs(wit.target, "code_dce_w2.init"), b)
 
     ok = (not unfixed.ok) and fixed.ok and dce_v.ok
     report(6, ok, f"unfixed={unfixed.status} fixed={fixed.status} dce={dce_v.status}")

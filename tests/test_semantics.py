@@ -366,8 +366,9 @@ def test_explore_stops_past_the_behaviour_cap(monkeypatch):
 def test_explore_matches_reference_enumeration(rng, monkeypatch):
     """`explore_behaviors` counts over a transition table and then walks its
     rows; its behaviours equal a plain enumeration with the reference step,
-    and its count is exactly how many it returns: the cap refuses one below
-    that count, naming it, and accepts the count itself."""
+    and its count is exactly how many it returns: the cap accepts the count
+    itself and refuses one below it, naming the count, or, when the count
+    stopped early, saying "more than" the cap."""
     from snicheck import semantics
 
     seen = Counter()
@@ -382,14 +383,60 @@ def test_explore_matches_reference_enumeration(rng, monkeypatch):
         seen["behaviours"] += n
         seen["by depth"] += any(len(dirs) < b.max_steps for _, dirs in want.truncated)
         seen["by steps"] += any(len(dirs) == b.max_steps for _, dirs in want.truncated)
-        if i % 8 == 0:
-            monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n)
-            assert explore_behaviors(p, nu, b, width) == want
-            monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n - 1)
-            with pytest.raises(RuntimeError, match=f"^{n} behaviours within steps={b.max_steps},"):
-                explore_behaviors(p, nu, b, width)
-            monkeypatch.undo()
+        monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n)
+        assert explore_behaviors(p, nu, b, width) == want
+        monkeypatch.setattr(semantics, "MAX_BEHAVIORS", n - 1)
+        bounds = f"steps={b.max_steps},depth={b.max_spec_depth}"
+        with pytest.raises(RuntimeError) as err:
+            explore_behaviors(p, nu, b, width)
+        named = f"{n} behaviours within {bounds}, more than {n - 1}; lower --bounds"
+        early = f"more than {n - 1} behaviours within {bounds}; lower --bounds"
+        assert str(err.value) in (named, early)
+        seen["named" if str(err.value) == named else "early"] += 1
+        monkeypatch.undo()
     assert seen["behaviours"] >= 2_000 and seen["by depth"] >= 20 and seen["by steps"] >= 100, seen
+    assert seen["named"] >= 10 and seen["early"] >= 3, seen
+
+
+# each round loads one of eight distinct cells out of bounds into two running
+# sums, so no two executions meet again: 8 ** 4 behaviours within 20 steps
+_UNMERGED = """mem buf 8 low
+entry 1
+1: load a <- buf[i] -> 2
+2: s = s mul k3 -> 3
+3: s = s add a -> 4
+4: t = t mul k5 -> 5
+5: t = t add a -> 1
+"""
+_UNMERGED_INIT = "reg i 8\nreg k3 3\nreg k5 5\n" + "".join(f"cell buf {o} {o + 1}\n" for o in range(8))
+
+
+def test_explore_stops_early_when_states_do_not_merge(monkeypatch):
+    """When states do not merge, counting the behaviours costs as much as
+    enumerating them.  Past the cap, `explore` then stops after stepping
+    about as many states as the cap's behaviours take, saying "more than"
+    the cap instead of the count it did not finish."""
+    from snicheck import semantics
+
+    p = parse_program(_UNMERGED)
+    nu = parse_initial_state(_UNMERGED_INIT, p, 8)
+    b = Bounds(20, 1)
+    stepped = Counter()
+    real = semantics.transitions
+
+    def counted(*args):
+        stepped["states"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(semantics, "transitions", counted)
+    bs = explore_behaviors(p, nu, b, 8)
+    assert (len(bs.terminated), len(bs.truncated)) == (0, 8 ** 4)
+    everything = stepped["states"]
+    stepped.clear()
+    monkeypatch.setattr(semantics, "MAX_BEHAVIORS", 500)
+    with pytest.raises(RuntimeError, match=r"^more than 500 behaviours within steps=20,depth=1; lower --bounds$"):
+        explore_behaviors(p, nu, b, 8)
+    assert stepped["states"] <= everything / 4, (stepped, everything)
 
 
 # --- semantic properties ------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 
@@ -191,12 +192,12 @@ def test_check_simulation_detects_missing_rollback_branch(ra_witness):
     fixed, _ = fix_ra(ra_witness)
     base = ra_witness_obj(fixed)
 
-    def pruned(nu_src, nu_tgt, b, tables):
-        res = base.intervals(nu_src, nu_tgt, b, tables)
+    def pruned(s, t, b, tables):
+        res = base.intervals(s, t, b, tables)
         kept = [iv for iv in res.intervals if D_RB not in iv.tgt_dirs]
         return ExtractResult(kept, res.truncated)
 
-    wit = SimWitness(base.kind, base.source, base.target, base.related, base.initial_map, pruned)
+    wit = replace(base, intervals=pruned)
     t0 = load_state("code_ra.init", fixed.target)[0]
     v = check_simulation(wit, [t0], Bounds(24, 3))
     assert not v.ok
@@ -268,14 +269,14 @@ def w2_pairs(prog, init_name):
 def test_cube_dce_pass_width2():
     p = load_program("code_dce_w2_source.sp")
     wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-    v = check_snippy_cube(wit, w2_pairs(wit.target, "code_dce_w2.init"), Bounds(24, 2), width=2)
+    v = check_snippy_cube(wit, w2_pairs(wit.target, "code_dce_w2.init"), Bounds(24, 2))
     assert v.ok and v.truncated == 0
 
 
 def test_cube_unfixed_ra_fails_width2():
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     wit = ra_witness_obj(w, width=2)
-    v = check_snippy_cube(wit, w2_pairs(w.target, "code_ra_w2.init"), Bounds(24, 2), width=2)
+    v = check_snippy_cube(wit, w2_pairs(w.target, "code_ra_w2.init"), Bounds(24, 2))
     assert not v.ok
     assert "different target leaks" in v.reason
     assert v.interval.tgt_dirs[0].kind in ("if", "spec")
@@ -285,7 +286,7 @@ def test_cube_fixed_ra_passes_width2():
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     fixed, _ = fix_ra(w, width=2)
     wit = ra_witness_obj(fixed, width=2)
-    v = check_snippy_cube(wit, w2_pairs(fixed.target, "code_ra_w2.init"), Bounds(24, 2), width=2)
+    v = check_snippy_cube(wit, w2_pairs(fixed.target, "code_ra_w2.init"), Bounds(24, 2))
     assert v.ok
 
 
@@ -295,11 +296,11 @@ def test_cube_detects_planted_leak_difference(dce_wit):
     p = load_program("code_dce_w2_source.sp")
     wit0 = dce_witness(p, dce_transform(p, liveness(p)), width=2)
 
-    def tampered(nu_src, nu_tgt, b, tables):
-        res = wit0.intervals(nu_src, nu_tgt, b, tables)
+    def tampered(s, t, b, tables):
+        res = wit0.intervals(s, t, b, tables)
         out = []
         for iv in res.intervals:
-            if nu_tgt[0].cell("secret", 0) == 1 and iv.tgt_dirs[0] == D_IF:
+            if tables[1].values[t][0].cell("secret", 0) == 1 and iv.tgt_dirs[0] == D_IF:
                 from snicheck.semantics import l_if
                 from snicheck.simulation import SimInterval
 
@@ -307,8 +308,8 @@ def test_cube_detects_planted_leak_difference(dce_wit):
             out.append(iv)
         return ExtractResult(out, res.truncated)
 
-    wit = SimWitness(wit0.kind, wit0.source, wit0.target, wit0.related, wit0.initial_map, tampered)
-    v = check_snippy_cube(wit, w2_pairs(wit0.target, "code_dce_w2.init"), Bounds(24, 2), width=2)
+    wit = replace(wit0, intervals=tampered)
+    v = check_snippy_cube(wit, w2_pairs(wit0.target, "code_dce_w2.init"), Bounds(24, 2))
     assert not v.ok
 
 
@@ -372,7 +373,8 @@ def _revisit_witness(tamper=None):
     def related(nu_tgt, nu_src):
         return nu_tgt == nu_src and not any(s.pc == "2" and s.reg("x") == 0 for s in nu_tgt)
 
-    def intervals(nu_src, nu_tgt, b, tables):
+    def intervals(s, t, b, tables):
+        nu_tgt = tables[1].values[t]
         out = []
         for d in enabled_directives(p, nu_tgt):
             dirs = longer if nu_tgt[-1].pc == "0" and d == longer[0] else (d,)
@@ -411,7 +413,7 @@ def test_snippy_cube_reexpands_a_quadruple_reached_nearer():
     p, wit = _revisit_witness(tamper)
     t1 = State.make("0", {"i": 5}, {("h", 0): 1})
     t2 = t1.with_cell("h", 0, 2)
-    v = check_snippy_cube(wit, [(t1, t2)], Bounds(3, 2), width=2)
+    v = check_snippy_cube(wit, [(t1, t2)], Bounds(3, 2))
     assert not v.ok and v.interval.tgt_dirs == (D_SPEC,)
 
 
@@ -433,11 +435,12 @@ def ref_extract(wit, ref):
     return lambda nu_src, nu_tgt, b: ExtractResult([]) if is_final(wit.target, nu_tgt) else ref(nu_src, nu_tgt, b)
 
 
-def reference_check_simulation(wit, ref, initial_targets, b, width):
+def reference_check_simulation(wit, ref, initial_targets, b):
     """`check_simulation` without tables: every expansion of a pair builds its
     intervals afresh with the reference builder `ref` and replays them with
     `run_directives`."""
     extract = ref_extract(wit, ref)
+    width = wit.width
     checked = truncated = 0
     nearest = {}
     queue = deque()
@@ -482,14 +485,14 @@ def reference_check_simulation(wit, ref, initial_targets, b, width):
     return SimVerdict("pass", checked, truncated)
 
 
-def reference_check_snippy_cube(wit, ref, initial_target_pairs, b, width):
+def reference_check_snippy_cube(wit, ref, initial_target_pairs, b):
     """`check_snippy_cube` without tables: intervals are built with the
     reference builder `ref` and the source premise replayed with
     `run_directives`, afresh for every quadruple."""
     extract = ref_extract(wit, ref)
 
     def premise(nu_src, iv):
-        run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
+        run = run_directives(wit.source, nu_src, list(iv.src_dirs), wit.width)
         return run.status != "stuck" and run.leaks == iv.src_leaks
 
     checked = truncated = 0
@@ -549,8 +552,8 @@ PLANTS = ("tgt-leak", "src-leak", "tgt-end", "src-end")
 
 def _random_witnesses(rng, count, width=2, plant=True):
     """(witness, reference builder) pairs over random programs: DCE, RA as
-    allocated and RA after `fix_ra`.  With `plant`, about a third carry one
-    of `PLANTS` on the runs whose high cell is 1, so that checks fail too."""
+    allocated and RA after `fix_ra`.  With `plant`, about half carry one of
+    `PLANTS` on the runs whose high cell is 1, so that checks fail too."""
     out = []
     while len(out) < count:
         p = random_program(rng, n_instrs=rng.randint(4, 9), n_regs=3)
@@ -565,7 +568,7 @@ def _random_witnesses(rng, count, width=2, plant=True):
             if kind == "ra-fixed":
                 w, _ = fix_ra(w, width=width)
             pair = ra_with_ref(w, width)
-        if plant and rng.random() < 0.35:
+        if plant and rng.random() < 0.5:
             pair = _planted(*pair, rng.choice(PLANTS))
         out.append(pair)
     return out
@@ -575,37 +578,37 @@ def _planted(wit, ref, what):
     """`wit` and `ref` with the same defect planted, on the runs whose high
     cell is 1: every interval's first target or source leak becomes `if 3`,
     or its target or source end becomes the state it starts from."""
-    from dataclasses import replace
-
     from snicheck.semantics import l_if
 
-    def plant(intervals):
-        def planted(nu_src, nu_tgt, b, *tables):
-            res = intervals(nu_src, nu_tgt, b, *tables)
-            if nu_tgt[0].cell("hi", 0) != 1:
-                return res
-            out = []
-            for iv in res.intervals:
-                if what == "tgt-leak":
-                    iv = replace(iv, tgt_leaks=(l_if(3),) + iv.tgt_leaks[1:])
-                elif what == "src-leak" and iv.src_leaks:
-                    iv = replace(iv, src_leaks=(l_if(3),) + iv.src_leaks[1:])
-                elif what == "tgt-end":
-                    iv = replace(iv, end_tgt=nu_tgt)
-                elif what == "src-end":
-                    iv = replace(iv, end_src=nu_src)
-                out.append(iv)
-            return ExtractResult(out, res.truncated)
+    def plant(res, nu_src, nu_tgt):
+        if nu_tgt[0].cell("hi", 0) != 1:
+            return res
+        out = []
+        for iv in res.intervals:
+            if what == "tgt-leak":
+                iv = replace(iv, tgt_leaks=(l_if(3),) + iv.tgt_leaks[1:])
+            elif what == "src-leak" and iv.src_leaks:
+                iv = replace(iv, src_leaks=(l_if(3),) + iv.src_leaks[1:])
+            elif what == "tgt-end":
+                iv = replace(iv, end_tgt=nu_tgt)
+            elif what == "src-end":
+                iv = replace(iv, end_src=nu_src)
+            out.append(iv)
+        return ExtractResult(out, res.truncated)
 
-        return planted
+    def planted(s, t, b, tables):
+        return plant(wit.intervals(s, t, b, tables), tables[0].values[s], tables[1].values[t])
 
-    return SimWitness(what, wit.source, wit.target, wit.related, wit.initial_map, plant(wit.intervals), wit.width), plant(ref)
+    def planted_ref(nu_src, nu_tgt, b):
+        return plant(ref(nu_src, nu_tgt, b), nu_src, nu_tgt)
+
+    return replace(wit, kind=what, intervals=planted), planted_ref
 
 
 def _assert_cubes_agree(wit, ref, pairs, b):
     """The whole verdict: status, counts, reason, quadruple and interval."""
-    got = check_snippy_cube(wit, pairs, b, width=2)
-    want = reference_check_snippy_cube(wit, ref, pairs, b, 2)
+    got = check_snippy_cube(wit, pairs, b)
+    want = reference_check_snippy_cube(wit, ref, pairs, b)
     assert got == want
     assert got.report() == want.report()
     return got
@@ -613,8 +616,8 @@ def _assert_cubes_agree(wit, ref, pairs, b):
 
 def _assert_simulations_agree(wit, ref, targets, b):
     """The whole verdict: status, counts, reason, pair and directive."""
-    got = check_simulation(wit, targets, b, width=2)
-    want = reference_check_simulation(wit, ref, targets, b, 2)
+    got = check_simulation(wit, targets, b)
+    want = reference_check_simulation(wit, ref, targets, b)
     assert got == want
     assert got.report() == want.report()
     return got
@@ -678,7 +681,7 @@ def test_snippy_cube_tables_match_uncached_loop(rng):
         seen[wit.kind, v.status] += 1
         seen["truncated"] += v.truncated > 0
     assert seen["dce", "pass"] and seen["ra", "pass"] and seen["truncated"], seen
-    assert seen["tgt-leak", "fail"] >= 3 and seen["src-leak", "pass"] + seen["src-leak", "fail"] >= 3, seen
+    assert all(seen[what, "fail"] >= 5 for what in PLANTS), seen
 
 
 def _corpus_witnesses():
@@ -741,8 +744,8 @@ def test_searches_leave_no_reference_cycles():
     gc.collect()
     gc.disable()
     try:
-        check_snippy_cube(wit, pairs, b, width=2)
-        check_simulation(wit, [t for pair in pairs for t in pair], b, width=2)
+        check_snippy_cube(wit, pairs, b)
+        check_simulation(wit, [t for pair in pairs for t in pair], b)
         check_sni(wit.target, base, PairSource("exhaustive"), b, width=2)
         explore_behaviors(wit.target, base, Bounds(12, 2), 2)
         assert extract_intervals(wit, (wit.initial_map(base[0]),), base, b).intervals
