@@ -47,13 +47,16 @@ unsafe source can be secure while its typable target is not.
 The static solver packs a poison type into one int (two bits per key, so the
 join is bitwise or).  `poison_analysis` is a `RepairSession` with no splices;
 `fix_ra` runs all its rounds in one session, which builds source liveness,
-structure, live relocations and the product graph once, patches them per
-splice and solves the patched graph again.  The input witness is validated
-once, since a splice keeps it as valid as it was.
+structure, live relocations and the product graph once and patches them per
+splice.  After a splice it solves again only the strongly connected
+components whose inflow changed, in topological order.  The input witness is
+validated once, since a splice keeps it as valid as it was.
 """
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -377,7 +380,6 @@ class Product:
 class StaticPoison:
     assignment: dict[tuple[Pc, Pc], PoisonType]
     nodes: list[tuple[Pc, Pc]]
-    edges: list[tuple[tuple[Pc, Pc], tuple[Pc, Pc]]]
     domain: list = field(default_factory=list)
 
     def stack_for(self, src: SpecState, tgt: SpecState) -> tuple[PoisonType, ...]:
@@ -555,20 +557,27 @@ class TypabilityViolation:
         return (self.src_pc, self.tgt_pc, self.reg, self.kind)
 
 
+def _violation(i: Instr, node, pv) -> TypabilityViolation | None:
+    """The leakage guard of matched node `node` running source instruction
+    `i`, where `pv(node, k)` is the poison value of key k at a node."""
+    match i:
+        case Load(addr=str(b)) | Store(addr=str(b)):
+            if pv(node, b) == P:
+                return TypabilityViolation(*node, b, "address", P)
+        case If(cond=c):
+            if pv(node, c) in (W, P):
+                return TypabilityViolation(*node, c, "branch", pv(node, c))
+    return None
+
+
+def _order(v: TypabilityViolation) -> tuple:
+    return (v.tgt_pc, v.reg)
+
+
 def _violations(w: RAWitness, pv) -> list[TypabilityViolation]:
-    """Leakage guards at the matched nodes, where `pv(node, k)` is the poison
-    value of key k at a node."""
-    out = []
-    for s_pc in w.source.pcs():
-        node = (s_pc, w.phi[s_pc])
-        match w.source.instrs[s_pc]:
-            case Load(addr=str(b)) | Store(addr=str(b)):
-                if pv(node, b) == P:
-                    out.append(TypabilityViolation(*node, b, "address", P))
-            case If(cond=c):
-                if pv(node, c) in (W, P):
-                    out.append(TypabilityViolation(*node, c, "branch", pv(node, c)))
-    return sorted(out, key=lambda v: (v.tgt_pc, v.reg))
+    """Leakage guards at the matched nodes, in (target pc, register) order."""
+    out = (_violation(w.source.instrs[s_pc], (s_pc, w.phi[s_pc]), pv) for s_pc in w.source.pcs())
+    return sorted((v for v in out if v is not None), key=_order)
 
 
 def check_poison_typable(w: RAWitness, sp: StaticPoison) -> list[TypabilityViolation]:
@@ -599,10 +608,17 @@ class RepairSession:
     fresh pc f in front of the matched target pc t = phi(S) changes each of
     them in one place: f is a shuffle pc owned by S, every chain into S now
     ends with f, f relocates exactly like t, and every product edge into
-    (S, t) now enters (S, f), which flows into (S, t).  The whole product
-    graph is then solved again.  A fence lowers the values downstream of
-    (S, f), so the old solution is no starting point, and on random programs
-    nearly every node is downstream of the first violation.
+    (S, t) now enters (S, f), which flows into (S, t).
+
+    The first splice indexes the product graph: pred and succ lists, its
+    strongly connected components (SCCs) and a topological rank for each.
+    f joins the SCC of (S, t) when that SCC is cyclic, and otherwise gets a
+    fresh SCC ranked just before it.  A splice then re-solves only the SCCs
+    of (S, f) and (S, t), and, in rank order, each SCC that a node whose
+    value changed flows into (Ryder & Paull's incremental data flow).  Each
+    of them is reset to bottom and solved from its inflow, since upstream
+    values are final by then.  Resuming the old solution would be wrong: an
+    `slh` turns its owner from H into W, and the two are incomparable.
     """
 
     def __init__(self, w: RAWitness, prod: Product | None = None):
@@ -623,17 +639,23 @@ class RepairSession:
             for s in dict.fromkeys(i.successors()):
                 self.tgt_preds[s].append(pc)
         self.pk = _Packing(self.domain)
-        self.nodes, self.edges = prod_pcs(w, self.st)
+        self.nodes, edges = prod_pcs(w, self.st)
         self.fns = {n: self.pk.node(n, w.source, self.instrs, w.phi, self.rho_live) for n in self.nodes}
         self.insertions: list[FixInsertion] = []
         self._counter = 0
         self._prev_key = None
-        self._solve()
+        self._init = (w.source.entry, w.target.entry)
+        self.values = _solve_packed(self.nodes, edges, self.fns, self.pk, self._init)
+        self.violations = _violations(w, self._pv)
+        self._edges = edges  # indexed, then dropped, on the first splice
+
+    def _pv(self, node, k) -> int:
+        return self.pk.get(self.values[node], k)
 
     def static_poison(self) -> StaticPoison:
         """`poison_analysis(self.witness())`."""
         assignment = {n: self.pk.unpack(x) for n, x in self.values.items()}
-        return StaticPoison(assignment, self.nodes, self.edges, self.domain)
+        return StaticPoison(assignment, list(self.nodes), self.domain)
 
     def witness(self) -> RAWitness:
         """The current witness: the input one until the first splice."""
@@ -669,6 +691,35 @@ class RepairSession:
         self.insertions.append(ins)
         return ins
 
+    def _index(self):
+        """Pred and succ lists and the SCCs of the product graph, found in
+        topological order by Kosaraju's search against the flow, rooted in
+        reverse postorder of the flow."""
+        self.succ: dict = {n: [] for n in self.nodes}
+        self.pred: dict = {n: [] for n in self.nodes}
+        for u, v in self._edges:
+            self.succ[u].append(v)
+            self.pred[v].append(u)
+        del self._edges
+        order = dataflow.reverse_postorder([self._init, *self.nodes], self.succ)
+        pos = {n: i for i, n in enumerate(order)}
+        self.comp: dict = {}  # node -> SCC id
+        self.members: list[list] = []  # SCC id -> its nodes, in `order`
+        for root in order:
+            if root in self.comp:
+                continue
+            c = self.comp[root] = len(self.members)
+            stack, found = [root], [root]
+            while stack:
+                for u in self.pred[stack.pop()]:
+                    if u not in self.comp:
+                        self.comp[u] = c
+                        stack.append(u)
+                        found.append(u)
+            self.members.append(sorted(found, key=pos.__getitem__))
+        self.rank = [(c,) for c in range(len(self.members))]  # tuples, so a rank can be split
+        self._viol = {(v.src_pc, v.tgt_pc): v for v in self.violations}  # matched node -> violation or None
+
     def _splice(self, fresh: Pc, new_instr: Instr, s_pc: Pc, t_pc: Pc):
         for pc in self.tgt_preds[t_pc]:
             self.instrs[pc] = _redirect(self.instrs[pc], t_pc, fresh)
@@ -679,17 +730,69 @@ class RepairSession:
         self.st.owner[fresh] = s_pc
         for edge in self.chains_into[s_pc]:
             self.st.chains[edge].append(fresh)
+        if not self.insertions:  # the first splice
+            self._index()
         # product graph: edges into (S, t) now enter (S, f), which flows into (S, t)
         old, new = (s_pc, t_pc), (s_pc, fresh)
-        self.nodes = self.nodes + [new]
-        self.edges = [(u, new if v == old else v) for u, v in self.edges] + [(new, old)]
+        succ, pred, comp = self.succ, self.pred, self.comp
+        c = comp[old]
+        cyclic = len(self.members[c]) > 1 or old in succ[old]
+        for u in pred[old]:
+            succ[u][succ[u].index(old)] = new
+        pred[new], pred[old], succ[new] = pred[old], [new], [old]
+        self.nodes.append(new)
         self.fns[new] = self.pk.transfer(new_instr, self.rho_live[fresh])
-        self._solve()
+        if cyclic:
+            self.members[c].insert(self.members[c].index(old), new)
+            comp[new] = c
+        else:
+            # f takes t's rank; t's rank gains a suffix, which sorts it after
+            # f and still before every rank that sorted after it
+            comp[new] = len(self.members)
+            self.members.append([new])
+            self.rank.append(self.rank[c])
+            self.rank[c] += (0,)
+        self._resolve({comp[new], c})
 
-    def _solve(self):
-        w, get = self.w, self.pk.get
-        self.values = _solve_packed(self.nodes, self.edges, self.fns, self.pk, (w.source.entry, w.target.entry))
-        self.violations = _violations(w, lambda node, k: get(self.values[node], k))
+    def _resolve(self, dirty: set):
+        """Solve the SCCs in `dirty`, and each SCC that a node whose value
+        changed flows into, in rank order, each from bottom and its inflow."""
+        values, fns, pred, succ, comp = self.values, self.fns, self.pred, self.succ, self.comp
+        todo = sorted((self.rank[c], c) for c in dirty)
+        while todo:
+            _, c = todo.pop(0)
+            members = self.members[c]
+            before = [values.get(n, 0) for n in members]  # a new node was bottom
+            for n in members:
+                x = self.pk.all_h if n == self._init else 0
+                for u in pred[n]:
+                    if comp[u] != c and values[u]:
+                        x |= fns[u](values[u])
+                values[n] = x
+            if len(members) > 1 or members[0] in succ[members[0]]:
+                work, queued = deque(members), set(members)
+                while work:
+                    n = work.popleft()
+                    queued.discard(n)
+                    if not values[n]:
+                        continue
+                    out = fns[n](values[n])
+                    for m in succ[n]:
+                        if comp[m] == c and values[m] | out != values[m]:
+                            values[m] |= out
+                            if m not in queued:
+                                work.append(m)
+                                queued.add(m)
+            for n, x in zip(members, before):
+                if values[n] == x:
+                    continue
+                if self.w.phi[n[0]] == n[1]:
+                    self._viol[n] = _violation(self.w.source.instrs[n[0]], n, self._pv)
+                for m in succ[n]:
+                    if comp[m] not in dirty:
+                        dirty.add(comp[m])
+                        insort(todo, (self.rank[comp[m]], comp[m]))
+        self.violations = sorted(filter(None, self._viol.values()), key=_order)
 
 
 def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixReport]:

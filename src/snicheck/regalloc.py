@@ -213,23 +213,22 @@ def validate_ra(
     out: list[RADiagnostic] = []
     src, tgt = w.source, w.target
     live_at = {t: live_regs_at_target(st, live, t) for t in tgt.pcs()}
+    stk = tgt.memvar(STACK_VAR)  # declared, or the structure check failed
 
     # obeying liveness: coverage and injectivity on live registers
     for t_pc in tgt.pcs():
         m = rl[t_pc]
-        for r in sorted(live_at[t_pc]):
-            if r not in m:
-                out.append(RADiagnostic("obeying-liveness", (t_pc,), f"live register {r} unmapped"))
+        for r in sorted(live_at[t_pc] - m.keys()):
+            out.append(RADiagnostic("obeying-liveness", (t_pc,), f"live register {r} unmapped"))
+        items = sorted(m.items())
         locs = {}
-        for r, loc in sorted(m.items()):
+        for r, loc in items:
             if loc in locs:
                 out.append(RADiagnostic("obeying-liveness", (t_pc,), f"{locs[loc]} and {r} both at {fmt_loc(loc)}"))
             locs[loc] = r
-        for r, loc in sorted(m.items()):
-            if is_slot(loc):
-                stk = tgt.memvar(STACK_VAR)
-                if not 0 <= loc[1] < stk.size:
-                    out.append(RADiagnostic("obeying-liveness", (t_pc,), f"slot {loc[1]} outside stk size {stk.size}"))
+        for r, loc in items:
+            if is_slot(loc) and not 0 <= loc[1] < stk.size:
+                out.append(RADiagnostic("obeying-liveness", (t_pc,), f"slot {loc[1]} outside stk size {stk.size}"))
 
     # instruction matching at phi pairs
     for s_pc in src.pcs():
@@ -250,15 +249,14 @@ def validate_ra(
             m0, m1 = rl[t_pc], rl[t_next]
             # a matched move is a source instruction, checked by instruction matching
             moved = _moved_register(t_pc, ti, m0, m1, out) if t_pc in st.owner else None
-            for r in sorted(live_at[t_pc] & live_at[t_next]):
+            # only a register whose location differs can move without a shuffle
+            for r in sorted([r for r in live_at[t_pc] & live_at[t_next] if m0.get(r) != m1.get(r)]):
                 l0, l1 = m0.get(r), m1.get(r)
                 if l0 is None or l1 is None:
                     continue  # coverage already diagnosed
                 if (not is_slot(l0) and l0 in t_uses) or (not is_slot(l1) and l1 in t_defs):
                     continue
-                if r == moved:
-                    continue
-                if l0 != l1:
+                if r != moved:
                     out.append(
                         RADiagnostic("shuffle-conformity", (t_pc, t_next), f"{r} moves {fmt_loc(l0)} -> {fmt_loc(l1)} without a shuffle")
                     )
@@ -337,26 +335,30 @@ class AllocationInfeasible(ValueError):
     pass
 
 
-def _next_use(p: Program) -> dict[Pc, dict[Reg, int]]:
+def _next_use(p: Program, rpo: list[Pc] | None = None) -> dict[Pc, dict[Reg, int]]:
+    """Per pc and register, the fewest steps to an instruction that reads it
+    (1 << 30 when none does).  `rpo` is a reverse postorder of `p`'s pcs."""
     INF = 1 << 30
     regs = p.registers
-    dist = {pc: {r: INF for r in regs} for pc in p.instrs}
-    # distances flow against control flow, so a reverse sweep settles
-    # straight-line code in one pass; the fixpoint does not depend on order
-    steps = [
-        (dist[pc], uses_defs(p.instrs[pc])[0], [dist[s] for s in p.instrs[pc].successors()])
-        for pc in reversed(p.pcs())
-    ]
-    for _ in range(len(p.instrs) + 1):
+    if rpo is None:
+        rpo = reverse_postorder([p.entry, *p.pcs()], {pc: i.successors() for pc, i in p.instrs.items()})
+    dist = {pc: dict.fromkeys(regs, INF) for pc in p.instrs}
+    # distances flow against control flow, so sweeping in postorder settles
+    # acyclic code in one pass; the fixpoint does not depend on the order.
+    # Every pc reads two successor rows (its only one twice, or all INF).
+    none = dict.fromkeys(regs, INF)
+    steps = []
+    for pc in reversed(rpo):
+        rows = [dist[s] for s in p.instrs[pc].successors()] or [none]
+        steps.append((dist[pc], uses_defs(p.instrs[pc])[0], rows[0], rows[-1]))
+    changed = True
+    while changed:
         changed = False
-        for here, uses, succs in steps:
-            for r in regs:
-                d = 0 if r in uses else min(min((s[r] for s in succs), default=INF) + 1, INF)
-                if d < here[r]:
-                    here[r] = d
-                    changed = True
-        if not changed:
-            break
+        for here, uses, a, b in steps:
+            row = {r: 0 if r in uses else min(a[r], b[r], INF - 1) + 1 for r in regs}
+            if row != here:
+                here.update(row)
+                changed = True
     return dist
 
 
@@ -375,7 +377,9 @@ def allocate(p: Program, k: int) -> RAWitness:
     sol = liveness(p, ef)
     lb = live_regs_before(p, sol, ef)
     la = {pc: frozenset(r for r in sol[pc] if isinstance(r, str)) for pc in p.instrs}
-    nxt = _next_use(p)
+    # from the entry first; unreachable code still needs a slot in the order
+    rpo = reverse_postorder([p.entry, *p.pcs()], {pc: i.successors() for pc, i in p.instrs.items()})
+    nxt = _next_use(p, rpo)
 
     hw = sorted(p.registers)[:k]
     n = 0
@@ -439,8 +443,6 @@ def allocate(p: Program, k: int) -> RAWitness:
             out[d] = fr[0]
         return m, out
 
-    # from the entry first; unreachable code still needs a slot in the order
-    rpo = reverse_postorder([p.entry, *p.pcs()], {pc: i.successors() for pc, i in p.instrs.items()})
     maps_in: dict[Pc, dict] = {}
     maps_out: dict[Pc, dict] = {}
     cand_in: dict[Pc, dict] = {}

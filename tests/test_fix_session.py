@@ -238,3 +238,83 @@ def test_fix_rejects_an_unmapped_slh_register():
     assert validate_ra(broken)
     with pytest.raises(RuntimeError, match=f"fix produced an invalid witness: .*{v.reg} unmapped"):
         fix_ra(broken)
+
+
+def _straight_line(n):
+    """n instructions of straight-line code over five registers, with loads
+    and stores through registers: `allocate(_, 3)` spills, and nearly every
+    access through a spilled register needs a fence."""
+    from snicheck import ir
+
+    regs = ["a", "b", "c", "d", "e"]
+    instrs = {}
+    for k in range(n - 1):
+        r1, r2, r3 = regs[k % 5], regs[(k + 1) % 5], regs[(k + 3) % 5]
+        succ = str(k + 1)
+        instrs[str(k)] = [Asgn(r1, r2, "add", r3, succ), Load(r1, "m", r2, succ), Store("m", r3, r2, succ)][k % 3]
+    instrs[str(n - 1)] = ir.Exit()
+    return Program("0", instrs, [ir.MemVar("m", 4, "low")])
+
+
+def _on_cycle(w, node):
+    """Whether product node `node` of witness `w` lies on a cycle."""
+    _, edges = prod_pcs(w, analyze_structure(w))
+    succ = {}
+    for u, v in edges:
+        succ.setdefault(u, []).append(v)
+    seen, todo = set(), list(succ.get(node, []))
+    while todo:
+        n = todo.pop()
+        if n == node:
+            return True
+        if n not in seen:
+            seen.add(n)
+            todo.extend(succ.get(n, []))
+    return False
+
+
+def test_session_matches_reference_where_splices_land_in_loops():
+    """Splices inside a loop join its strongly connected component, which is
+    then solved again from bottom: an slh turns its owner from H to W, so
+    the values of the old solution are no lower bound."""
+    in_loop = set()
+    for w in _allocated(random.Random(7731), 400, (6, 16), (3, 5)):
+        fixed, report = fix_ra(w)
+        kinds = {ins.kind for ins in report.insertions if _on_cycle(fixed, (ins.violation.src_pc, ins.pc))}
+        if kinds:
+            check_session_against_reference(w)
+            in_loop |= {(kind, len(report.insertions) > 1) for kind in kinds}
+    assert in_loop == {("slh", False), ("slh", True), ("sfence", False), ("sfence", True)}
+
+
+def test_session_matches_reference_on_long_straight_line_code():
+    assert check_session_against_reference(allocate(_straight_line(160), 3)) == 104
+
+
+def test_splice_work_is_bounded_on_straight_line_code():
+    """A splice re-solves only what it changes: on this chain each runs at
+    most a handful of node transfers, where solving the whole product graph
+    again runs about one per node (thousands here).  Counted by wrapping the
+    session's transfers."""
+    session = RepairSession(allocate(_straight_line(800), 3))
+    calls = []
+
+    def counted(fn):
+        def transfer(x):
+            calls.append(None)
+            return fn(x)
+
+        transfer.counted = True
+        return transfer
+
+    per_splice = []
+    while True:
+        for n, fn in session.fns.items():
+            if not hasattr(fn, "counted"):
+                session.fns[n] = counted(fn)
+        calls.clear()
+        if session.repair_one() is None:
+            break
+        per_splice.append(len(calls))
+    assert len(session.nodes) > 1600 and len(per_splice) == 530
+    assert max(per_splice) <= 100
