@@ -38,7 +38,7 @@ def state(name, prog, width):
 def pairs(prog, init, width):
     base = state(init, prog, width)
     states = [s[0] for s in enumerate_high_states(prog, base, width)]
-    return list(itertools.combinations(states, 2))
+    return itertools.combinations(states, 2)
 
 
 def row(label, verdict, started):

@@ -308,8 +308,7 @@ def cmd_check_snippy(args) -> int:
     states = [s[0] for s in security.enumerate_high_states(wit.target, (base,), args.width)]
     import itertools
 
-    pairs = list(itertools.combinations(states, 2))
-    v = simulation.check_snippy_cube(wit, pairs, args.bounds)
+    v = simulation.check_snippy_cube(wit, itertools.combinations(states, 2), args.bounds)
     text = f"{v.status} (intervals={v.intervals_checked}, truncated={v.truncated})\n"
     if not v.ok:
         text += v.reason + "\n"

@@ -48,9 +48,11 @@ The static solver packs a poison type into one int (two bits per key, so the
 join is bitwise or).  `poison_analysis` is a `RepairSession` with no splices;
 `fix_ra` runs all its rounds in one session, which builds source liveness,
 structure, live relocations and the product graph once and patches them per
-splice.  After a splice it solves again only the strongly connected
-components whose inflow changed, in topological order.  The input witness is
-validated once, since a splice keeps it as valid as it was.
+splice.  One routine solves the flow problem, strongly connected component
+by component in topological order: at construction it solves every
+component, and after a splice only those whose inflow changed.  `fix_ra`
+validates the input witness once, since a splice keeps it as valid as it
+was.
 """
 
 from __future__ import annotations
@@ -393,23 +395,24 @@ class StaticPoison:
         return tuple(out)
 
 
-def prod_pcs(w: RAWitness, st: Structure) -> tuple[list, list]:
-    # dicts as insertion-ordered sets: O(1) membership, first-seen order
-    nodes: dict[tuple[Pc, Pc], None] = {}
-    edges: dict[tuple, None] = {}
+def prod_graph(w: RAWitness, st: Structure) -> tuple[dict, dict]:
+    """Successor and predecessor lists of the product program points: the
+    matched nodes, then the shuffle nodes in first-seen order."""
+    phi = w.phi
+    succ: dict[tuple[Pc, Pc], list] = {(s_pc, phi[s_pc]): [] for s_pc in w.source.pcs()}
+    pred: dict[tuple[Pc, Pc], list] = {n: [] for n in succ}
     for s_pc in w.source.pcs():
-        nodes[(s_pc, w.phi[s_pc])] = None
-    for s_pc in w.source.pcs():
-        t_pc = w.phi[s_pc]
         for idx, s_next in enumerate(w.source.instrs[s_pc].successors()):
-            chain = st.chains[(s_pc, idx)]
-            path = [(s_next, c) for c in chain] + [(s_next, w.phi[s_next])]
-            prev = (s_pc, t_pc)
-            for node in path:
-                nodes[node] = None
-                edges[(prev, node)] = None
+            prev = (s_pc, phi[s_pc])
+            for c in st.chains[(s_pc, idx)] + [phi[s_next]]:
+                node = (s_next, c)
+                if node not in succ:
+                    succ[node], pred[node] = [], []
+                if node not in succ[prev]:  # chains into one pc may share a tail
+                    succ[prev].append(node)
+                    pred[node].append(prev)
                 prev = node
-    return list(nodes), list(edges)
+    return succ, pred
 
 
 class _Packing:
@@ -426,9 +429,6 @@ class _Packing:
         self.regs = [k for k in domain if isinstance(k, str)]
         self.cells = [k for k in domain if not isinstance(k, str)]
         self._compiled: dict[tuple, object] = {}  # per rule, and per access shape
-
-    def get(self, x: int, k) -> int:
-        return (x >> self.shift[k]) & 3
 
     def unpack(self, x: int) -> PoisonType:
         return {k: (x >> s) & 3 for k, s in self.shift.items()}
@@ -518,23 +518,6 @@ class _Packing:
         return self.transfer(target_instrs[t_pc], rho.get(t_pc, {}))
 
 
-def _solve_packed(nodes, edges, fns: dict, pk: _Packing, init_node) -> dict:
-    """Least solution over packed poison types, healthy at `init_node`;
-    bottom stays bottom."""
-    return dataflow.solve(
-        dataflow.FlowProblem(
-            nodes=nodes,
-            edges=edges,
-            direction="forward",
-            transfer=lambda n, x: fns[n](x) if x else 0,
-            init=pk.all_h,
-            init_nodes=[init_node],
-            lattice=dataflow.Lattice(0, int.__or__, lambda a, b: a | b == b),
-            height_hint=3 * max(1, len(pk.shift)),
-        )
-    )
-
-
 def poison_analysis(w: RAWitness, width: int = DEFAULT_WIDTH) -> StaticPoison:
     """Least forward solution over the product program points, healthy at entry."""
     return RepairSession(w).static_poison()
@@ -574,15 +557,12 @@ def _order(v: TypabilityViolation) -> tuple:
     return (v.tgt_pc, v.reg)
 
 
-def _violations(w: RAWitness, pv) -> list[TypabilityViolation]:
-    """Leakage guards at the matched nodes, in (target pc, register) order."""
-    out = (_violation(w.source.instrs[s_pc], (s_pc, w.phi[s_pc]), pv) for s_pc in w.source.pcs())
-    return sorted((v for v in out if v is not None), key=_order)
-
-
 def check_poison_typable(w: RAWitness, sp: StaticPoison) -> list[TypabilityViolation]:
-    """Leakage guards on the static solution: addresses <= W, branches = H."""
-    return _violations(w, lambda node, k: sp.assignment[node][k])
+    """Leakage guards on the static solution at the matched nodes, in
+    (target pc, register) order: addresses <= W, branches = H."""
+    pv = lambda node, k: sp.assignment[node][k]
+    out = (_violation(w.source.instrs[s_pc], (s_pc, w.phi[s_pc]), pv) for s_pc in w.source.pcs())
+    return sorted(filter(None, out), key=_order)
 
 
 @dataclass
@@ -610,15 +590,17 @@ class RepairSession:
     ends with f, f relocates exactly like t, and every product edge into
     (S, t) now enters (S, f), which flows into (S, t).
 
-    The first splice indexes the product graph: pred and succ lists, its
+    Construction indexes the product graph: pred and succ lists, its
     strongly connected components (SCCs) and a topological rank for each.
-    f joins the SCC of (S, t) when that SCC is cyclic, and otherwise gets a
-    fresh SCC ranked just before it.  A splice then re-solves only the SCCs
-    of (S, f) and (S, t), and, in rank order, each SCC that a node whose
-    value changed flows into (Ryder & Paull's incremental data flow).  Each
-    of them is reset to bottom and solved from its inflow, since upstream
-    values are final by then.  Resuming the old solution would be wrong: an
-    `slh` turns its owner from H into W, and the two are incomparable.
+    It then solves every SCC in rank order, each from bottom and its inflow,
+    since upstream values are final by then; a node that stays bottom
+    passes nothing on.  f joins the SCC of (S, t) when that SCC is cyclic,
+    and otherwise gets a fresh SCC ranked just before it.  A splice then
+    solves the same way only the SCCs of (S, f) and (S, t), and, in rank
+    order, each SCC that a node whose value changed flows into (Ryder &
+    Paull's incremental data flow).  Resuming the old solution would be
+    wrong: an `slh` turns its owner from H into W, and the two are
+    incomparable.
     """
 
     def __init__(self, w: RAWitness, prod: Product | None = None):
@@ -628,7 +610,7 @@ class RepairSession:
         self.w, self.sol, self.live, self.domain = w, prod.sol, prod.live, prod.domain
         self.st, self.rho_live = prod.st, prod.rho  # patched per splice
         self.instrs = dict(w.target.instrs)
-        self.rho = {pc: dict(m) for pc, m in w.rho.items()}
+        self.rho = dict(w.rho)  # a splice adds a map, and changes none
         # source edges (s, idx) into each source pc: the chains a splice extends
         self.chains_into: dict[Pc, list[tuple[Pc, int]]] = {pc: [] for pc in w.source.instrs}
         for s_pc, i in w.source.instrs.items():
@@ -639,23 +621,27 @@ class RepairSession:
             for s in dict.fromkeys(i.successors()):
                 self.tgt_preds[s].append(pc)
         self.pk = _Packing(self.domain)
-        self.nodes, edges = prod_pcs(w, self.st)
-        self.fns = {n: self.pk.node(n, w.source, self.instrs, w.phi, self.rho_live) for n in self.nodes}
+        self.succ, self.pred = prod_graph(w, self.st)
+        self.fns = {n: self.pk.node(n, w.source, self.instrs, w.phi, self.rho_live) for n in self.succ}
         self.insertions: list[FixInsertion] = []
         self._counter = 0
         self._prev_key = None
         self._init = (w.source.entry, w.target.entry)
-        self.values = _solve_packed(self.nodes, edges, self.fns, self.pk, self._init)
-        self.violations = _violations(w, self._pv)
-        self._edges = edges  # indexed, then dropped, on the first splice
-
-    def _pv(self, node, k) -> int:
-        return self.pk.get(self.values[node], k)
+        self._index()
+        self.values = dict.fromkeys(self.succ, 0)
+        self._viol: dict = {}  # matched node -> its violation, or None
+        self._resolve(set(range(len(self.members))))
 
     def static_poison(self) -> StaticPoison:
         """`poison_analysis(self.witness())`."""
-        assignment = {n: self.pk.unpack(x) for n, x in self.values.items()}
-        return StaticPoison(assignment, list(self.nodes), self.domain)
+        types: dict[int, PoisonType] = {}  # one unpacking per distinct value
+        assignment = {}
+        for n, x in self.values.items():
+            pt = types.get(x)
+            if pt is None:
+                pt = types[x] = self.pk.unpack(x)
+            assignment[n] = dict(pt)
+        return StaticPoison(assignment, list(assignment), self.domain)
 
     def witness(self) -> RAWitness:
         """The current witness: the input one until the first splice."""
@@ -692,33 +678,27 @@ class RepairSession:
         return ins
 
     def _index(self):
-        """Pred and succ lists and the SCCs of the product graph, found in
-        topological order by Kosaraju's search against the flow, rooted in
-        reverse postorder of the flow."""
-        self.succ: dict = {n: [] for n in self.nodes}
-        self.pred: dict = {n: [] for n in self.nodes}
-        for u, v in self._edges:
-            self.succ[u].append(v)
-            self.pred[v].append(u)
-        del self._edges
-        order = dataflow.reverse_postorder([self._init, *self.nodes], self.succ)
-        pos = {n: i for i, n in enumerate(order)}
-        self.comp: dict = {}  # node -> SCC id
-        self.members: list[list] = []  # SCC id -> its nodes, in `order`
+        """The SCCs of the product graph, found in topological order by
+        Kosaraju's search against the flow, rooted in reverse postorder of
+        the flow."""
+        self.rank: list[tuple] = []  # SCC id -> its topological rank
+        order = dataflow.reverse_postorder([self._init, *self.succ], self.succ)
+        comp: dict = {}  # node -> SCC id
         for root in order:
-            if root in self.comp:
+            if root in comp:
                 continue
-            c = self.comp[root] = len(self.members)
-            stack, found = [root], [root]
+            c = comp[root] = len(self.rank)
+            self.rank.append((c,))  # tuples, so a rank can be split
+            stack = [root]
             while stack:
                 for u in self.pred[stack.pop()]:
-                    if u not in self.comp:
-                        self.comp[u] = c
+                    if u not in comp:
+                        comp[u] = c
                         stack.append(u)
-                        found.append(u)
-            self.members.append(sorted(found, key=pos.__getitem__))
-        self.rank = [(c,) for c in range(len(self.members))]  # tuples, so a rank can be split
-        self._viol = {(v.src_pc, v.tgt_pc): v for v in self.violations}  # matched node -> violation or None
+        self.comp = comp
+        self.members: list[list] = [[] for _ in self.rank]  # SCC id -> its nodes, in `order`
+        for n in order:
+            self.members[comp[n]].append(n)
 
     def _splice(self, fresh: Pc, new_instr: Instr, s_pc: Pc, t_pc: Pc):
         for pc in self.tgt_preds[t_pc]:
@@ -730,8 +710,6 @@ class RepairSession:
         self.st.owner[fresh] = s_pc
         for edge in self.chains_into[s_pc]:
             self.st.chains[edge].append(fresh)
-        if not self.insertions:  # the first splice
-            self._index()
         # product graph: edges into (S, t) now enter (S, f), which flows into (S, t)
         old, new = (s_pc, t_pc), (s_pc, fresh)
         succ, pred, comp = self.succ, self.pred, self.comp
@@ -740,7 +718,7 @@ class RepairSession:
         for u in pred[old]:
             succ[u][succ[u].index(old)] = new
         pred[new], pred[old], succ[new] = pred[old], [new], [old]
-        self.nodes.append(new)
+        self.values[new] = 0
         self.fns[new] = self.pk.transfer(new_instr, self.rho_live[fresh])
         if cyclic:
             self.members[c].insert(self.members[c].index(old), new)
@@ -757,14 +735,19 @@ class RepairSession:
     def _resolve(self, dirty: set):
         """Solve the SCCs in `dirty`, and each SCC that a node whose value
         changed flows into, in rank order, each from bottom and its inflow."""
-        values, fns, pred, succ, comp = self.values, self.fns, self.pred, self.succ, self.comp
-        todo = sorted((self.rank[c], c) for c in dirty)
-        while todo:
-            _, c = todo.pop(0)
+        values, fns, pred, succ, comp, rank = self.values, self.fns, self.pred, self.succ, self.comp, self.rank
+        phi, instrs, viol, shift = self.w.phi, self.w.source.instrs, self._viol, self.pk.shift
+        pv = lambda node, k: (values[node] >> shift[k]) & 3
+        init, all_h = self._init, self.pk.all_h
+        todo = sorted((rank[c], c) for c in dirty)
+        head = 0
+        while head < len(todo):
+            c = todo[head][1]
+            head += 1
             members = self.members[c]
-            before = [values.get(n, 0) for n in members]  # a new node was bottom
+            before = [values[n] for n in members]
             for n in members:
-                x = self.pk.all_h if n == self._init else 0
+                x = all_h if n == init else 0
                 for u in pred[n]:
                     if comp[u] != c and values[u]:
                         x |= fns[u](values[u])
@@ -786,13 +769,13 @@ class RepairSession:
             for n, x in zip(members, before):
                 if values[n] == x:
                     continue
-                if self.w.phi[n[0]] == n[1]:
-                    self._viol[n] = _violation(self.w.source.instrs[n[0]], n, self._pv)
+                if phi[n[0]] == n[1]:
+                    viol[n] = _violation(instrs[n[0]], n, pv)
                 for m in succ[n]:
                     if comp[m] not in dirty:
                         dirty.add(comp[m])
-                        insort(todo, (self.rank[comp[m]], comp[m]))
-        self.violations = sorted(filter(None, self._viol.values()), key=_order)
+                        insort(todo, (rank[comp[m]], comp[m]), head)
+        self.violations = sorted(filter(None, viol.values()), key=_order)
 
 
 def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixReport]:
@@ -807,16 +790,15 @@ def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixRepo
     splice instead of rerunning `poison_analysis`.  A splice keeps a witness
     valid or invalid as it was (the new pc relocates like the pc it precedes,
     `sfence` moves nothing and `slh` keeps its register in place), so
-    `validate_ra` runs once, on the input, and only when a fence is needed,
-    with the session's liveness, structure and live relocations, which no
-    splice has patched yet at that point.  `width` is accepted for symmetry
+    `validate_ra` runs once, on the input, before any splice, with the
+    session's liveness, structure and live relocations; an invalid input
+    raises even when it needs no fence.  `width` is accepted for symmetry
     with `poison_analysis`; the static analysis does not depend on it.
     """
     session = RepairSession(w)
-    if session.violations:
-        bad = validate_ra(w, session.sol, session.live, session.st, session.rho_live)
-        if bad:
-            raise RuntimeError(f"fix produced an invalid witness: {bad[0]}")
+    bad = validate_ra(w, session.sol, session.live, session.st, session.rho_live)
+    if bad:
+        raise RuntimeError(f"invalid witness: {bad[0]}")
     report = FixReport(session.insertions)
     cap = 2 * len(w.target.instrs) * max(1, len(w.source.registers)) + 1
     for it in range(cap):

@@ -243,7 +243,7 @@ def check_sni(
         pairs = source.pairs
     elif source.mode == "exhaustive":
         states = enumerate_high_states(p, base, width)
-        pairs = [(a, c) for a, c in itertools.combinations(states, 2)]
+        pairs = itertools.combinations(states, 2)  # streamed: millions of pairs at the budget
     elif source.mode == "sampled":
         rng = random.Random(source.seed)
         cells = high_cells(p)

@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable
 
 from .ir import Load, Program, Store
 from .liveness import DceResult, full_fact, live_before
@@ -439,7 +439,7 @@ class _CubeRow:
     end_by_sig: dict[int, int]  # the row's signature ids -> end pair id of the last interval with each
 
 
-def check_snippy_cube(wit: SimWitness, initial_target_pairs: list[tuple[State, State]], b: Bounds) -> CubeVerdict:
+def check_snippy_cube(wit: SimWitness, initial_target_pairs: Iterable[tuple[State, State]], b: Bounds) -> CubeVerdict:
     checked = 0
     truncated = 0
     tables = src_tab, tgt_tab = witness_tables(wit)

@@ -147,6 +147,27 @@ def test_poison_commands_refuse_an_invalid_witness(tmp_path, capsys):
         assert captured.err == "error: invalid witness: [obeying-liveness] c: slot 7 outside stk size 1\n"
 
 
+def test_fix_refuses_an_invalid_witness_that_needs_no_fence(tmp_path, capsys):
+    """`fix` validates its input even when the analysis finds nothing to
+    repair.  The edited witness relocates `a` at pc 1 to a register that the
+    target never writes, so `fix` must not call it already typable."""
+    src, ot, ow = tmp_path / "s.sp", tmp_path / "t.sp", tmp_path / "w.txt"
+    src.write_text(
+        "mem hi 1 high\nmem lo 2 low\nentry 0\n"
+        "0: load a <- hi[#0] -> 1\n1: b = a add a -> 2\n2: store lo[#1] <- b -> 3\n3: ret\n"
+    )
+    assert run_cli("allocate", str(src), "--k", "2", "--out-target", str(ot), "--out-witness", str(ow), capsys=capsys)[0] == 0
+    assert "rho 1: a -> a\n" in ow.read_text()
+    ow.write_text(ow.read_text().replace("rho 1: a -> a\n", "rho 1: a -> h9\n"))
+    args = ["--source", str(src), "--target", str(ot), "--witness", str(ow)]
+    assert run_cli("validate-ra", *args, capsys=capsys)[0] == 1
+    for cmd in ("check-typable", "fix"):
+        assert main([cmd, *args]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid witness: [instruction-matching] 0,0: load mismatch under relocation\n"
+
+
 @pytest.mark.parametrize("cmd, verdict", [("explore", "terminated behaviours: 1\n"), ("check-sni", "secure (pairs=1, truncated=0)\n")])
 def test_long_straight_line_gets_a_verdict(tmp_path, capsys, cmd, verdict):
     """Searches deeper than Python's recursion limit still finish."""

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from snicheck import dataflow
-from snicheck.ir import Asgn, If, Load, Move, Program, Sfence, Slh, Store, print_program
+from snicheck.ir import Asgn, If, Load, Move, Program, Sfence, Slh, Store, parse_program, print_program
 from snicheck.poison import (
     BOT,
     FixInsertion,
@@ -25,7 +25,7 @@ from snicheck.poison import (
     fix_ra,
     poison_analysis,
     poison_domain,
-    prod_pcs,
+    prod_graph,
     pt_const,
 )
 from snicheck.regalloc import (
@@ -95,10 +95,10 @@ def reference_assignment(w):
     st = analyze_structure(w)
     rho = rho_live(w, st, sol)
     domain = poison_domain(w)
-    nodes, edges = prod_pcs(w, st)
+    succ, _ = prod_graph(w, st)
     prob = dataflow.FlowProblem(
-        nodes=nodes,
-        edges=edges,
+        nodes=list(succ),
+        edges=[(u, v) for u in succ for v in succ[u]],
         direction="forward",
         transfer=_reference_transfer(w, rho, domain),
         init=pt_const(domain, H),
@@ -217,7 +217,7 @@ def test_fix_still_rejects_an_invalid_result(ra_witness):
     del rho["z"]["bufsize"]  # live before source pc 0: obeying liveness fails
     broken = RAWitness(ra_witness.source, ra_witness.target, dict(ra_witness.phi), rho)
     assert [d.kind for d in validate_ra(broken)] == ["obeying-liveness"]
-    with pytest.raises(RuntimeError, match="fix produced an invalid witness: .*bufsize unmapped"):
+    with pytest.raises(RuntimeError, match="invalid witness: .*bufsize unmapped"):
         fix_ra(broken)
 
 
@@ -236,7 +236,7 @@ def test_fix_rejects_an_unmapped_slh_register():
     del rho[v.tgt_pc][v.reg]
     broken = RAWitness(w.source, w.target, dict(w.phi), rho)
     assert validate_ra(broken)
-    with pytest.raises(RuntimeError, match=f"fix produced an invalid witness: .*{v.reg} unmapped"):
+    with pytest.raises(RuntimeError, match=f"invalid witness: .*{v.reg} unmapped"):
         fix_ra(broken)
 
 
@@ -258,18 +258,15 @@ def _straight_line(n):
 
 def _on_cycle(w, node):
     """Whether product node `node` of witness `w` lies on a cycle."""
-    _, edges = prod_pcs(w, analyze_structure(w))
-    succ = {}
-    for u, v in edges:
-        succ.setdefault(u, []).append(v)
-    seen, todo = set(), list(succ.get(node, []))
+    succ, _ = prod_graph(w, analyze_structure(w))
+    seen, todo = set(), list(succ[node])
     while todo:
         n = todo.pop()
         if n == node:
             return True
         if n not in seen:
             seen.add(n)
-            todo.extend(succ.get(n, []))
+            todo.extend(succ[n])
     return False
 
 
@@ -291,30 +288,67 @@ def test_session_matches_reference_on_long_straight_line_code():
     assert check_session_against_reference(allocate(_straight_line(160), 3)) == 104
 
 
-def test_splice_work_is_bounded_on_straight_line_code():
-    """A splice re-solves only what it changes: on this chain each runs at
-    most a handful of node transfers, where solving the whole product graph
-    again runs about one per node (thousands here).  Counted by wrapping the
-    session's transfers."""
-    session = RepairSession(allocate(_straight_line(800), 3))
-    calls = []
+def _counted_session(monkeypatch, w):
+    """A repair session on `w` whose transfers, from construction on, each
+    append to the returned list when they run."""
+    from snicheck import poison
 
-    def counted(fn):
-        def transfer(x):
+    calls = []
+    compiled = poison._Packing.transfer
+
+    def transfer(self, i, rho_at):
+        fn = compiled(self, i, rho_at)
+
+        def counted(x):
             calls.append(None)
             return fn(x)
 
-        transfer.counted = True
-        return transfer
+        return counted
 
+    monkeypatch.setattr(poison._Packing, "transfer", transfer)
+    return RepairSession(w), calls
+
+
+def test_construction_work_is_bounded_on_straight_line_code(monkeypatch):
+    """The first solve is the incremental one with every SCC dirty: on this
+    chain it runs about one transfer per product node, never a number that
+    grows with the product of nodes and rounds."""
+    session, calls = _counted_session(monkeypatch, allocate(_straight_line(800), 3))
+    assert len(session.values) > 1600
+    assert len(calls) <= 2 * len(session.values)
+
+
+def test_splice_work_is_bounded_on_straight_line_code(monkeypatch):
+    """A splice re-solves only what it changes: on this chain each runs at
+    most a handful of node transfers, where solving the whole product graph
+    again runs about one per node (thousands here)."""
+    session, calls = _counted_session(monkeypatch, allocate(_straight_line(800), 3))
     per_splice = []
     while True:
-        for n, fn in session.fns.items():
-            if not hasattr(fn, "counted"):
-                session.fns[n] = counted(fn)
         calls.clear()
         if session.repair_one() is None:
             break
         per_splice.append(len(calls))
-    assert len(session.nodes) > 1600 and len(per_splice) == 530
+    assert len(session.values) > 1600 and len(per_splice) == 530
     assert max(per_splice) <= 100
+
+
+@pytest.mark.parametrize("branch", ["if a ? 2 : 2", "if a ? 1 : 2"])
+def test_unreachable_nodes_stay_bottom(branch):
+    """Pc 1 is unreachable, so its product node stays bottom and must pass
+    nothing on: the transfer of its branch on `a` would make every key P at
+    pc 2, and `fix` would then guard the load through `b` there.  The
+    second branch loops on itself, so its node is solved as a cyclic SCC."""
+    p = parse_program(
+        "mem buf 4 low\nentry 0\n"
+        "0: load b <- buf[#0] -> 2\n"
+        f"1: {branch}\n"
+        "2: load c <- buf[b] -> 3\n"
+        "3: ret\n"
+    )
+    w = allocate(p, 3)
+    sp = RepairSession(w).static_poison()
+    assert set(sp.assignment[("1", "1")].values()) == {BOT}
+    assert sp.assignment == reference_assignment(w)
+    assert check_poison_typable(w, sp) == []
+    assert fix_ra(w)[1].insertions == []

@@ -359,7 +359,7 @@ def test_static_transfers_match_reference():
     for w in _witnesses(rng, 200) + [weak_witness()]:
         session = RepairSession(w)
         ref = _reference_transfer(w, session.rho_live, session.domain)
-        for node in session.nodes:
+        for node in session.fns:
             for _ in range(4):
                 pt, x = _random_packed(rng, session.pk)
                 assert session.pk.unpack(session.fns[node](x)) == ref(node, pt), node
