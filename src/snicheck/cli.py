@@ -254,7 +254,7 @@ def cmd_poison_analyze(args) -> int:
                 (k if isinstance(k, str) else f"{k[0]}[{k[1]}]"): poison.PV_NAMES[sp.assignment[n][k]]
                 for k in sp.domain
             }
-            for n in sp.nodes
+            for n in sp.values
         },
     }
     _emit(args, payload, table)

@@ -44,8 +44,12 @@ out-of-bounds access the source makes without speculating, which an
 attacker may resolve to a spill slot in the target, poisons nothing.  So an
 unsafe source can be secure while its typable target is not.
 
-The static solver packs a poison type into one int (two bits per key, so the
-join is bitwise or).  `poison_analysis` is a `RepairSession` with no splices;
+A poison type is one int, two bits per key (`_Packing`), so the join is
+bitwise or.  The product and the analysis of a witness share one packing
+and apply every rule through its compiled transfer: the product the rule of
+its case, the analysis the join of the rules of a node.
+`StaticPoison.assignment` unpacks a solution into dicts for the table, its
+JSON and the tests.  `poison_analysis` is a `RepairSession` with no splices;
 `fix_ra` runs all its rounds in one session, which builds source liveness,
 structure, live relocations and the product graph once and patches them per
 splice.  One routine solves the flow problem, strongly connected component
@@ -60,6 +64,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 from . import dataflow
@@ -108,17 +113,13 @@ PV_NAMES = {BOT: "_", H: "H", W: "W", P: "P"}
 # are incomparable, and the least upper bound is bitwise or
 
 Key = "Reg | tuple[str, int]"
-PoisonType = dict  # Key -> poison value, total over the witness domain
+PoisonType = dict  # Key -> poison value, total over the witness domain: an unpacked `_Packing` int
 
 
 def poison_domain(w: RAWitness) -> list:
     regs = sorted(w.source.registers)
     cells = [c for c in w.source.cells() if c[0] != STACK_VAR]
     return regs + cells
-
-
-def pt_const(domain, pv: int) -> PoisonType:
-    return {k: pv for k in domain}
 
 
 # --- poison rules --------------------------------------------------------------
@@ -178,22 +179,6 @@ def shuffle_rule(i: Instr, spec: bool, rho_at: dict) -> tuple:
     return ()
 
 
-def _write(pts: tuple, writes: tuple) -> tuple:
-    """The poison stack `pts` with `writes` applied to its top level."""
-    if not writes:
-        return pts
-    pt = pts[-1]
-    new = dict(pt)
-    for k, v in writes:
-        if isinstance(v, int):
-            new[k] = v
-        elif isinstance(v, Both):
-            new[k] = H if pt[v.a] == H and pt[v.b] == H else P
-        else:
-            new[k] = pt[v]
-    return pts[:-1] + (new,)
-
-
 def replay_directive(source: Program, i: Instr, s: State, d: Directive) -> Directive:
     """The canonical source directive replaying target directive `d` at a
     matched pc whose source instruction is `i`, from source state `s`.
@@ -212,9 +197,11 @@ def replay_directive(source: Program, i: Instr, s: State, d: Directive) -> Direc
 
 @dataclass
 class ProductState:
+    """Source and target stacks with one packed poison type per level."""
+
     src: SpecState
     tgt: SpecState
-    poisons: tuple[PoisonType, ...]
+    poisons: tuple[int, ...]
 
     @property
     def depth(self) -> int:
@@ -244,6 +231,7 @@ class Product:
             raise ValueError(f"witness structure invalid: {self.st.errors[0]}")
         self.rho = rho_live(w, self.st, self.sol, self.live)
         self.domain = poison_domain(w)
+        self.pk = _Packing(self.domain)  # shared with this witness's `RepairSession`
 
     # -- state plumbing ---------------------------------------------------
 
@@ -253,10 +241,10 @@ class Product:
     def eval_loc(self, s: State, loc) -> int:
         return s.cell(*loc) if is_slot(loc) else s.reg(loc)
 
-    def level_agrees(self, src: State, tgt: State, pt: PoisonType) -> bool:
+    def level_agrees(self, src: State, tgt: State, x: int) -> bool:
         m = self.rho.get(tgt.pc, {})
-        for k in self.domain:
-            pv = pt[k]
+        for k, sk in self.pk.shift.items():
+            pv = (x >> sk) & 3
             if pv not in (H, W):
                 continue
             if isinstance(k, str):
@@ -297,7 +285,7 @@ class Product:
 
     def initial_product(self, tgt0: State) -> ProductState:
         src0 = self.initial_source_state(tgt0)
-        return ProductState((src0,), (tgt0,), (pt_const(self.domain, H),))
+        return ProductState((src0,), (tgt0,), (self.pk.all_h,))
 
     # -- dynamic steps ----------------------------------------------------
 
@@ -322,9 +310,9 @@ class Product:
     def _steps_for(self, ps: ProductState, d: Directive, tgt_step, canonical_only: bool) -> list[ProductTransition]:
         """The transitions on target directive `d`, which steps the target to
         `tgt_step`.  This decides where the product is stuck and which source
-        directives replay `d`; the poison updates are `shuffle_rule` and
-        `matched_rule`."""
-        w, width = self.w, self.width
+        directives replay `d`; the poison updates are the compiled
+        `shuffle_rule` and `matched_rule`, applied to the top level."""
+        w, width, rule, sh = self.w, self.width, self.pk.rule, self.pk.shift
         pts, spec = ps.poisons, ps.depth >= 2
         if d == D_RB:
             src_step = step_spec(w.source, ps.src, D_RB, width)
@@ -332,7 +320,7 @@ class Product:
         t_pc = ps.tgt[-1].pc
         if t_pc in self.st.owner:  # shuffling state: the source stutters
             ti = w.target.instrs[t_pc]
-            pts = _write(pts, shuffle_rule(ti, spec, self.rho.get(t_pc, {})))
+            pts = pts[:-1] + (rule(shuffle_rule(ti, spec, self.rho.get(t_pc, {})))(pts[-1]),)
             return [self._mk((ps.src, None), tgt_step, pts, d, None, f"shuffle-{ti.kind.mnemonic}")]
 
         s_top, pt = ps.src[-1], pts[-1]
@@ -341,14 +329,14 @@ class Product:
         case, owners, step_cell = HEALTHY, (), None
         sds = [replay_directive(w.source, i, s_top, d)]
         match i:
-            case If(cond=c) if pt[c] != H:
+            case If(cond=c) if (pt >> sh[c]) & 3 != H:
                 return []  # stuck: the branch would leak a non-healthy condition
             case If():
-                pts, name = (pts + (dict(pt),), "spec") if d == D_SPEC else (pts, "branch")
+                pts, name = (pts + (pt,), "spec") if d == D_SPEC else (pts, "branch")
             case Load(addr=int()) | Store(addr=int()):
                 name += "-const"  # in bounds, so only `step` replays
             case Load(var=x, addr=str(a)) | Store(var=x, addr=str(a)):
-                size, kind, pb = w.source.memvar(x).size, name, pt[a]
+                size, kind, pb = w.source.memvar(x).size, name, (pt >> sh[a]) & 3
                 step_cell = (x, s_top.reg(a))
                 in_bounds = 0 <= step_cell[1] < size
                 if pb == H and (d == D_STEP and in_bounds or d.kind == kind and d.var != STACK_VAR):
@@ -370,7 +358,7 @@ class Product:
             src_step = step_spec(w.source, ps.src, sd, width)
             if src_step is not None:
                 cell = step_cell if sd == D_STEP else (sd.var, sd.off)
-                new = _write(pts, matched_rule(i, spec, case, cell, owners))
+                new = pts[:-1] + (rule(matched_rule(i, spec, case, cell, owners))(pts[-1]),)
                 out.append(self._mk(src_step, tgt_step, new, d, sd, name))
         return out
 
@@ -380,18 +368,26 @@ class Product:
 
 @dataclass
 class StaticPoison:
-    assignment: dict[tuple[Pc, Pc], PoisonType]
-    nodes: list[tuple[Pc, Pc]]
-    domain: list = field(default_factory=list)
+    """The least static solution: each product node's packed poison type,
+    in the order the analysis met the nodes."""
 
-    def stack_for(self, src: SpecState, tgt: SpecState) -> tuple[PoisonType, ...]:
+    values: dict[tuple[Pc, Pc], int]
+    pk: _Packing
+
+    @property
+    def domain(self) -> list:
+        return list(self.pk.shift)
+
+    @cached_property
+    def assignment(self) -> dict[tuple[Pc, Pc], PoisonType]:
+        """The unpacked view, for the table, its JSON and the tests."""
+        return {n: self.pk.unpack(x) for n, x in self.values.items()}
+
+    def stack_for(self, src: SpecState, tgt: SpecState) -> tuple[int, ...]:
         """Per-level static poison stack; the bottom level is forced healthy."""
         out = []
         for idx, (s, t) in enumerate(zip(src, tgt)):
-            if idx == 0:
-                out.append(pt_const(self.domain, H))
-            else:
-                out.append(self.assignment.get((s.pc, t.pc), pt_const(self.domain, P)))
+            out.append(self.pk.all_h if idx == 0 else self.values.get((s.pc, t.pc), self.pk.all_p))
         return tuple(out)
 
 
@@ -416,11 +412,12 @@ def prod_graph(w: RAWitness, st: Structure) -> tuple[dict, dict]:
 
 
 class _Packing:
-    """Static poison types packed into one int, two bits per domain key in
-    domain order.  BOT, H, W and P are 0b00, 0b01, 0b10 and 0b11, so the
-    join is bitwise or, bottom is 0, and comparing two types is one int
-    comparison.  Transfers are compiled from the shared rules, once per
-    distinct rule or access shape."""
+    """Poison types packed into one int, two bits per domain key in domain
+    order.  BOT, H, W and P are 0b00, 0b01, 0b10 and 0b11, so the join is
+    bitwise or, bottom is 0, and comparing two types is one int comparison.
+    Transfers are compiled from the shared rules, once per distinct rule or
+    access shape; a `Product` and its `RepairSession` share one packing, so
+    the dynamic and the static updates run the same compiled rules."""
 
     def __init__(self, domain):
         self.shift = {k: 2 * i for i, k in enumerate(domain)}
@@ -433,8 +430,8 @@ class _Packing:
     def unpack(self, x: int) -> PoisonType:
         return {k: (x >> s) & 3 for k, s in self.shift.items()}
 
-    def _rule(self, writes: tuple):
-        """The transfer making `writes`, compiled once per session."""
+    def rule(self, writes: tuple):
+        """The transfer making `writes`, compiled once per packing."""
         fn = self._compiled.get(writes)
         if fn is None:
             fn = self._compiled[writes] = self.compile([writes])
@@ -496,8 +493,8 @@ class _Packing:
             case Load(addr=str()) | Store(addr=str()):
                 return self._access(i)
         if rho_at is None:
-            return self._rule(matched_rule(i, True, HEALTHY, None, ()))
-        return self._rule(shuffle_rule(i, True, rho_at))
+            return self.rule(matched_rule(i, True, HEALTHY, None, ()))
+        return self.rule(shuffle_rule(i, True, rho_at))
 
     def _access(self, i: Load | Store):
         """The join of a load or store through a register over its address
@@ -540,16 +537,15 @@ class TypabilityViolation:
         return (self.src_pc, self.tgt_pc, self.reg, self.kind)
 
 
-def _violation(i: Instr, node, pv) -> TypabilityViolation | None:
+def _violation(i: Instr, node, x: int, shift: dict) -> TypabilityViolation | None:
     """The leakage guard of matched node `node` running source instruction
-    `i`, where `pv(node, k)` is the poison value of key k at a node."""
+    `i`, whose packed poison type is `x`."""
     match i:
         case Load(addr=str(b)) | Store(addr=str(b)):
-            if pv(node, b) == P:
+            if (x >> shift[b]) & 3 == P:
                 return TypabilityViolation(*node, b, "address", P)
-        case If(cond=c):
-            if pv(node, c) in (W, P):
-                return TypabilityViolation(*node, c, "branch", pv(node, c))
+        case If(cond=c) if (pv := (x >> shift[c]) & 3) in (W, P):
+            return TypabilityViolation(*node, c, "branch", pv)
     return None
 
 
@@ -560,8 +556,8 @@ def _order(v: TypabilityViolation) -> tuple:
 def check_poison_typable(w: RAWitness, sp: StaticPoison) -> list[TypabilityViolation]:
     """Leakage guards on the static solution at the matched nodes, in
     (target pc, register) order: addresses <= W, branches = H."""
-    pv = lambda node, k: sp.assignment[node][k]
-    out = (_violation(w.source.instrs[s_pc], (s_pc, w.phi[s_pc]), pv) for s_pc in w.source.pcs())
+    nodes = ((s_pc, w.phi[s_pc]) for s_pc in w.source.pcs())
+    out = (_violation(w.source.instrs[n[0]], n, sp.values[n], sp.pk.shift) for n in nodes)
     return sorted(filter(None, out), key=_order)
 
 
@@ -583,12 +579,13 @@ class RepairSession:
     """The static poison analysis of one witness, kept current while
     `fix_ra` splices fences into its target.
 
-    Source liveness, the structure and the live relocations come from one
-    `Product` and are patched per splice instead of rebuilt.  Splicing a
-    fresh pc f in front of the matched target pc t = phi(S) changes each of
-    them in one place: f is a shuffle pc owned by S, every chain into S now
-    ends with f, f relocates exactly like t, and every product edge into
-    (S, t) now enters (S, f), which flows into (S, t).
+    Source liveness, the structure, the live relocations and the packing
+    come from one `Product`; the first three are patched per splice instead
+    of rebuilt.  Splicing a fresh pc f in front of the matched target pc
+    t = phi(S) changes each of them in one place: f is a shuffle pc owned by
+    S, every chain into S now ends with f, f relocates exactly like t, and
+    every product edge into (S, t) now enters (S, f), which flows into
+    (S, t).
 
     Construction indexes the product graph: pred and succ lists, its
     strongly connected components (SCCs) and a topological rank for each.
@@ -620,7 +617,7 @@ class RepairSession:
         for pc, i in self.instrs.items():
             for s in dict.fromkeys(i.successors()):
                 self.tgt_preds[s].append(pc)
-        self.pk = _Packing(self.domain)
+        self.pk = prod.pk
         self.succ, self.pred = prod_graph(w, self.st)
         self.fns = {n: self.pk.node(n, w.source, self.instrs, w.phi, self.rho_live) for n in self.succ}
         self.insertions: list[FixInsertion] = []
@@ -634,14 +631,7 @@ class RepairSession:
 
     def static_poison(self) -> StaticPoison:
         """`poison_analysis(self.witness())`."""
-        types: dict[int, PoisonType] = {}  # one unpacking per distinct value
-        assignment = {}
-        for n, x in self.values.items():
-            pt = types.get(x)
-            if pt is None:
-                pt = types[x] = self.pk.unpack(x)
-            assignment[n] = dict(pt)
-        return StaticPoison(assignment, list(assignment), self.domain)
+        return StaticPoison(dict(self.values), self.pk)
 
     def witness(self) -> RAWitness:
         """The current witness: the input one until the first splice."""
@@ -737,7 +727,6 @@ class RepairSession:
         changed flows into, in rank order, each from bottom and its inflow."""
         values, fns, pred, succ, comp, rank = self.values, self.fns, self.pred, self.succ, self.comp, self.rank
         phi, instrs, viol, shift = self.w.phi, self.w.source.instrs, self._viol, self.pk.shift
-        pv = lambda node, k: (values[node] >> shift[k]) & 3
         init, all_h = self._init, self.pk.all_h
         todo = sorted((rank[c], c) for c in dirty)
         head = 0
@@ -770,7 +759,7 @@ class RepairSession:
                 if values[n] == x:
                     continue
                 if phi[n[0]] == n[1]:
-                    viol[n] = _violation(instrs[n[0]], n, pv)
+                    viol[n] = _violation(instrs[n[0]], n, values[n], shift)
                 for m in succ[n]:
                     if comp[m] not in dirty:
                         dirty.add(comp[m])
@@ -820,7 +809,7 @@ def format_poison_table(sp: StaticPoison) -> str:
         (k if isinstance(k, str) else f"{k[0]}[{k[1]}]").rjust(8) for k in keys
     )
     lines = [head]
-    for node in sorted(sp.nodes, key=lambda n: (pc_key(n[0]), pc_key(n[1]))):
+    for node in sorted(sp.values, key=lambda n: (pc_key(n[0]), pc_key(n[1]))):
         pt = sp.assignment[node]
         lines.append(
             f"({node[0]},{node[1]})".ljust(16)

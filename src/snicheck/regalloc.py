@@ -365,8 +365,9 @@ def _next_use(p: Program, rpo: list[Pc] | None = None) -> dict[Pc, dict[Reg, int
 def allocate(p: Program, k: int) -> RAWitness:
     """Greedy allocation with k hardware registers; spills furthest next use.
 
-    Hardware names reuse the first k source registers (identity relocation for
-    small programs) padded with fresh names.  Excess live-at-entry registers
+    Hardware names are the first k source registers (identity relocation for
+    small programs).  A k beyond the source registers adds none: at most
+    every source register is placed at once.  Excess live-at-entry registers
     start on the stack; repairs between instructions become shuffle chains.
     """
     if k < 2:
@@ -382,12 +383,6 @@ def allocate(p: Program, k: int) -> RAWitness:
     nxt = _next_use(p, rpo)
 
     hw = sorted(p.registers)[:k]
-    n = 0
-    while len(hw) < k:
-        cand = f"h{n}"
-        n += 1
-        if cand not in p.registers:
-            hw.append(cand)
 
     slot_of: dict[Reg, int] = {}
 
@@ -457,7 +452,7 @@ def allocate(p: Program, k: int) -> RAWitness:
     rho: dict[Pc, dict] = {}
     phi = {pc: pc for pc in p.instrs}
 
-    def build_chain(edge: tuple[Pc, int], cur0: dict, goal: dict, regs) -> list[tuple[Instr, dict]]:
+    def build_chain(cur0: dict, goal: dict, regs) -> list[tuple[Instr, dict]]:
         cur = {r: cur0[r] for r in regs}
         ops: list[tuple[Instr, dict]] = []
 
@@ -499,7 +494,7 @@ def allocate(p: Program, k: int) -> RAWitness:
         new_succs = []
         for idx, s in enumerate(succs):
             regs = sorted(lb[s])
-            ops = build_chain((pc, idx), m_out, maps_in[s], regs)
+            ops = build_chain(m_out, maps_in[s], regs)
             if not ops:
                 new_succs.append(s)
                 continue

@@ -224,6 +224,20 @@ class PairSource:
     pairs: list[tuple[SpecState, SpecState]] = field(default_factory=list)
 
 
+def _sampled_pairs(base: SpecState, cells: list, source: PairSource, width: int):
+    """`source.count` pairs drawn from `source.seed` as the check asks for
+    them, each cell of the first state, then of the second."""
+    import random
+
+    rng = random.Random(source.seed)
+    for _ in range(source.count):
+        s1, s2 = base[0], base[0]
+        for (var, off) in cells:
+            s1 = s1.with_cell(var, off, rng.randrange(1 << width))
+            s2 = s2.with_cell(var, off, rng.randrange(1 << width))
+        yield (s1,), (s2,)
+
+
 def check_sni(
     p: Program,
     base: SpecState,
@@ -235,25 +249,16 @@ def check_sni(
 
     Exhaustive mode enumerates every assignment of the high cells at the given
     width and is guarded by `|high cells| * width <= PAIR_BUDGET`
-    (`enumerate_high_states`).
+    (`enumerate_high_states`).  Exhaustive and sampled pairs are drawn as
+    the check goes, so a violation found early never waits on the rest.
     """
-    import random
-
     if source.mode == "file":
         pairs = source.pairs
     elif source.mode == "exhaustive":
         states = enumerate_high_states(p, base, width)
         pairs = itertools.combinations(states, 2)  # streamed: millions of pairs at the budget
     elif source.mode == "sampled":
-        rng = random.Random(source.seed)
-        cells = high_cells(p)
-        pairs = []
-        for _ in range(source.count):
-            s1, s2 = base[0], base[0]
-            for (var, off) in cells:
-                s1 = s1.with_cell(var, off, rng.randrange(1 << width))
-                s2 = s2.with_cell(var, off, rng.randrange(1 << width))
-            pairs.append(((s1,), (s2,)))
+        pairs = _sampled_pairs(base, high_cells(p), source, width)
     else:
         raise ValueError(f"unknown pair source {source.mode}")
 

@@ -396,12 +396,19 @@ def ref_ra_intervals(w, width=8):
 
 
 def pv_leq(a: int, b: int) -> bool:
-    """Poison value order: inclusion of the bit sets H = 0b01, W = 0b10, P = 0b11."""
+    """Poison value order: inclusion of the bit sets H = 0b01, W = 0b10, P = 0b11.
+    On packed poison types, whose keys take disjoint bits, it is the
+    pointwise order."""
     return a | b == b
 
 
 def pv_join(a: int, b: int) -> int:
     return a | b
+
+
+def pt_const(domain, pv: int) -> dict:
+    """The unpacked poison type giving every key of `domain` the value `pv`."""
+    return {k: pv for k in domain}
 
 
 def pt_leq(a: dict, b: dict) -> bool:

@@ -21,7 +21,6 @@ from snicheck.poison import (
     check_poison_typable,
     fix_ra,
     poison_analysis,
-    pt_const,
 )
 from snicheck.regalloc import AllocationInfeasible, allocate, parse_ra_witness, validate_ra
 from snicheck.security import PairSource, check_safety, check_sni, check_sni_pair, enumerate_high_states
@@ -40,7 +39,7 @@ from snicheck.semantics import (
 from snicheck.simulation import check_snippy_cube, dce_witness, extract_intervals, ra_witness
 from snicheck.cli import corpus_path, main
 
-from conftest import load_program, load_state, pt_leq, random_program, random_state, random_walk, same_point
+from conftest import load_program, load_state, pt_const, pv_leq, random_program, random_state, random_walk, same_point
 
 
 def report(n: int, ok: bool, detail: str = ""):
@@ -208,7 +207,7 @@ def test_criterion_5_property_suite():
             static_stack = sp.stack_for(ps.src, ps.tgt)
             if safe:
                 for dyn, stat in zip(ps.poisons, static_stack):
-                    if not pt_leq(dyn, stat):
+                    if not pv_leq(dyn, stat):
                         failures.append("static-over-approximation")
                     approx_cases += 1
             trans = prod.transitions(ps)
@@ -219,7 +218,7 @@ def test_criterion_5_property_suite():
                 failures.append("product-well-definedness")
             wf_cases += 1
             if safe and tr.end.depth == 1 and ps.depth == 1:
-                if tr.end.poisons[-1] != pt_const(prod.domain, H):
+                if prod.pk.unpack(tr.end.poisons[-1]) != pt_const(prod.domain, H):
                     failures.append("spec-free-purity")
                 purity_cases += 1
             ps = tr.end

@@ -19,12 +19,36 @@ def run_cli(*args, capsys=None):
 C = lambda name: str(corpus_path(name))
 
 
-def run_module(module, *args):
-    """`python -m MODULE ARGS` in a subprocess that imports the same package
-    as this test run, with or without `PYTHONPATH` set."""
+def run_python(*args):
+    """`python ARGS` in a subprocess that imports the same package as this
+    test run, with or without `PYTHONPATH` set."""
     path = [str(Path(snicheck.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
-    return subprocess.run([sys.executable, "-m", module, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(module, *args):
+    return run_python("-m", module, *args)
+
+
+# the top-level modules that `import snicheck.cli` adds to a fresh interpreter
+CLI_IMPORTS = set(
+    "__future__ _ast _json _opcode argparse ast copy dataclasses dis gettext inspect json linecache opcode "
+    "token tokenize".split()
+)
+
+
+def test_cli_import_loads_the_pinned_modules():
+    """Every module the package loads is paid for by each run in memory and
+    start-up time, whether or not the run uses it, so a new import has to
+    change this set."""
+    code = (
+        "import sys; before = set(sys.modules); import snicheck.cli; "
+        "print(*sorted(m for m in set(sys.modules) - before if '.' not in m))"
+    )
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+    assert set(r.stdout.split()) - {"snicheck"} == CLI_IMPORTS
 
 
 def test_run_empty_directives(tmp_path, capsys):

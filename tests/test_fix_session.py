@@ -26,7 +26,6 @@ from snicheck.poison import (
     poison_analysis,
     poison_domain,
     prod_graph,
-    pt_const,
 )
 from snicheck.regalloc import (
     AllocationInfeasible,
@@ -40,7 +39,7 @@ from snicheck.regalloc import (
 )
 from snicheck.liveness import cells_fact, liveness
 
-from conftest import load_program, pt_join, pt_leq, pv_join, random_program
+from conftest import load_program, pt_const, pt_join, pt_leq, pv_join, random_program
 
 
 def _reference_transfer(w, rho, domain):

@@ -11,13 +11,22 @@ from snicheck.poison import (
     fix_ra,
     format_poison_table,
     poison_analysis,
-    pt_const,
 )
 from snicheck.regalloc import allocate, AllocationInfeasible, parse_ra_witness, validate_ra
 from snicheck.semantics import D_IF, D_RB, D_SPEC, D_STEP, d_load, d_store
 from snicheck.cli import corpus_path
 
-from conftest import check_constraints, load_program, load_state, pt_leq, pv_join, pv_leq, random_program, random_state
+from conftest import (
+    check_constraints,
+    load_program,
+    load_state,
+    pt_const,
+    pt_leq,
+    pv_join,
+    pv_leq,
+    random_program,
+    random_state,
+)
 
 
 def test_poison_value_lattice():
@@ -54,11 +63,11 @@ def test_product_run_matches_presented_execution(prod, ra_witness):
     assert spec_tr.rule == "spec" and len(spec_tr.end.src) == 2
     assert store_tr.rule == "store-poison-intro"
     assert store_tr.src_dir == d_store("buf", 0)  # canonical replay into the accessed variable
-    pt = store_tr.end.poisons[-1]
+    pt = prod.pk.unpack(store_tr.end.poisons[-1])
     assert pt["bytes"] == P and pt[("buf", 0)] == P
     assert pt["b"] == H and pt["secret"] == H
     assert fill_tr.rule == "shuffle-fill"
-    assert fill_tr.end.poisons[-1]["bytes"] == P
+    assert prod.pk.unpack(fill_tr.end.poisons[-1])["bytes"] == P
 
     # the product is now stuck: the branch would leak the poisoned register
     assert prod.replay_target_step(ps, D_IF) is None
@@ -132,7 +141,7 @@ def test_spec_free_purity(rng):
             if not trans:
                 break
             ps = rng.choice(trans).end
-            assert ps.poisons[-1] == pt_const(prod.domain, H)
+            assert prod.pk.unpack(ps.poisons[-1]) == pt_const(prod.domain, H)
             checked += 1
     assert checked >= 400
 
@@ -140,7 +149,7 @@ def test_spec_free_purity(rng):
 def _below_static(prod, sp, ps) -> int:
     static_stack = sp.stack_for(ps.src, ps.tgt)
     for dyn, stat in zip(ps.poisons, static_stack):
-        assert pt_leq(dyn, stat)
+        assert pv_leq(dyn, stat)  # packed: pointwise
     return len(ps.poisons)
 
 

@@ -1,13 +1,14 @@
 """The shared poison rules against hand-written references.
 
 `reference_steps` is the dynamic product step written out by hand, one
-update per instruction kind and address case.  The product must agree with
-it on every transition of random walks, and the packed static transfer of
-every product node must agree with the dict-valued reference transfer of
-`test_fix_session` on random poison types.
+update per instruction kind and address case, over dict-valued poison
+types.  The product must agree with it on every transition of random walks,
+and the packed static transfer of every product node must agree with the
+dict-valued reference transfer of `test_fix_session` on random poison types.
 """
 
 import random
+from dataclasses import replace
 
 from snicheck.ir import STACK_VAR, Asgn, If, Load, Move, Nop, Sfence, Slh, Store, parse_program
 from snicheck.poison import BOT, H, P, W, Product, ProductState, ProductTransition, RepairSession, fix_ra
@@ -39,7 +40,22 @@ def _mk(ps, src_step, tgt_step, pts, tgt_dir, src_dir, rule):
     return ProductTransition(tgt_dir, tleak, sdir, sleak, end, rule)
 
 
+def pack(pk, pt: dict) -> int:
+    return sum(v << pk.shift[k] for k, v in pt.items())
+
+
 def reference_steps(prod, ps, d, canonical_only):
+    """`_dict_steps` on the unpacked poison stack of `ps`, with the stacks of
+    the transitions it builds packed again."""
+    unpacked = replace(ps, poisons=tuple(prod.pk.unpack(x) for x in ps.poisons))
+    out = []
+    for t in _dict_steps(prod, unpacked, d, canonical_only):
+        packed = replace(t.end, poisons=tuple(pack(prod.pk, pt) for pt in t.end.poisons))
+        out.append(replace(t, end=packed))
+    return out
+
+
+def _dict_steps(prod, ps, d, canonical_only):
     w, width = prod.w, prod.width
     tgt_step = step_spec(w.target, ps.tgt, d, width)
     if tgt_step is None:
@@ -348,7 +364,7 @@ def test_product_matches_reference_and_hits_every_rule():
 
 def _random_packed(rng, pk):
     pt = {k: rng.choice((H, W, P)) for k in pk.shift}
-    return pt, sum(v << pk.shift[k] for k, v in pt.items())
+    return pt, pack(pk, pt)
 
 
 def test_static_transfers_match_reference():

@@ -249,6 +249,27 @@ def test_allocate_infeasible_when_k_too_small():
         allocate(p, 2)
 
 
+def test_allocate_cost_does_not_grow_with_k():
+    """A k beyond the source registers names no more hardware registers, so
+    it allocates exactly what k = 3 does, in memory that does not grow with
+    k (padding the names up to k took 7.5 MiB at k = 10**5)."""
+    import tracemalloc
+
+    p = parse_program(
+        "mem m 2 low\nentry 0\n0: load a <- m[#0] -> 1\n1: b = a add a -> 2\n2: store m[#1] <- b -> 3\n3: ret\n"
+    )
+    small = allocate(p, 3)
+    tracemalloc.start()
+    try:
+        big = allocate(p, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert print_program(big.target) == print_program(small.target)
+    assert serialize_ra_witness(big) == serialize_ra_witness(small)
+    assert peak < 1 << 20
+
+
 def test_allocate_random_programs_validate(rng):
     """Allocator output always passes witness validation."""
     done = 0

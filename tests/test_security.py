@@ -173,19 +173,35 @@ def test_check_sni_exhaustive_modes():
     assert v.secure and v.pairs_checked == 6  # C(4, 2) value pairs of one cell
 
 
-def test_check_sni_exhaustive_streams_its_pairs():
-    """Exhaustive pairs are drawn as the check goes: a program that leaks
-    at the first of the 523,776 pairs at width 10 gets its verdict without
-    holding them all (32.7 MiB as a list)."""
+def _first_pair_leak(source: PairSource, width: int):
+    """`check_sni` on a program that leaks at the first pair, and the
+    tracemalloc peak of the check."""
     import tracemalloc
 
     p = parse_program("mem hi 1 high\nentry 0\n0: load a <- hi[#0] -> 1\n1: if a ? 2 : 2\n2: ret\n")
     tracemalloc.start()
     try:
-        v = check_sni(p, initial(p), PairSource("exhaustive"), Bounds(8, 2), width=10)
+        v = check_sni(p, initial(p), source, Bounds(8, 2), width=width)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return v, peak
+
+
+def test_check_sni_exhaustive_streams_its_pairs():
+    """Exhaustive pairs are drawn as the check goes: a program that leaks
+    at the first of the 523,776 pairs at width 10 gets its verdict without
+    holding them all (32.7 MiB as a list)."""
+    v, peak = _first_pair_leak(PairSource("exhaustive"), 10)
+    assert not v.secure and v.pairs_checked == 1
+    assert peak < 4 << 20
+
+
+def test_check_sni_sampled_streams_its_pairs():
+    """Sampled pairs are drawn as the check goes too: the program above
+    leaks at the first of 50,000 pairs at width 12, and drawing them all
+    first peaked at 32.1 MiB."""
+    v, peak = _first_pair_leak(PairSource("sampled", count=50_000, seed=0), 12)
     assert not v.secure and v.pairs_checked == 1
     assert peak < 4 << 20
 

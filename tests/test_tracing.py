@@ -4,7 +4,8 @@
 renamed or removed function breaks the traced benchmark run.  This loads the
 tracer by path, traces one small request, and checks that every name was
 found, that the wrappers saw the calls, and that `uninstall()` put every
-original back.
+original back.  A `check-sni` request covers the stepping layers and a
+`check-typable` request the poison layer.
 """
 
 import importlib
@@ -40,23 +41,27 @@ def test_tracer_installs_on_every_traced_name_and_uninstalls(capsys):
     tr = tracing.Tracer()
     tr.install()
     try:
-        tr.begin_request("r0")
         C = lambda name: str(corpus_path(name))
-        code = cli.main([  # looked up after install, as the benchmark does
-            "check-sni", C("code_ra_target.sp"), "--state", C("code_ra.init"),
-            "--state2", C("code_ra_alt.init"), "--format", "json",
-        ])
-        tr.end_request()
+        codes = []
+        for argv in (
+            ["check-sni", C("code_ra_target.sp"), "--state", C("code_ra.init"), "--state2", C("code_ra_alt.init")],
+            ["check-typable", "--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"),
+             "--witness", C("code_ra.witness")],
+        ):
+            tr.begin_request(argv[0])
+            codes.append(cli.main([*argv, "--format", "json"]))  # looked up after install, as the benchmark does
+            tr.end_request()
     finally:
         tr.uninstall()
     capsys.readouterr()
-    assert code == 1  # the corpus RA target leaks
+    assert codes == [1, 1]  # the corpus RA target leaks, and its witness is not typable
     after = snapshot(tracing)
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
     totals = tr.totals()
     for name in ("cli.main", "security.check_sni", "security.check_sni_pair", "semantics.parse_initial_state",
-                 "semantics.run_directives", "semantics.step_spec"):
+                 "semantics.run_directives", "semantics.step_spec",
+                 "poison.Product", "poison.poison_analysis", "poison.check_poison_typable"):
         assert totals[name][0] >= 1, name
     assert tr.counters["semantics.state_ops.calls"] > 0
     metrics = tracing.layer_metrics(tr)
