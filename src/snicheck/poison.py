@@ -228,7 +228,7 @@ class Product:
         self.live = source_live_regs(w, self.sol)
         self.st: Structure = analyze_structure(w)
         if self.st.errors:
-            raise ValueError(f"witness structure invalid: {self.st.errors[0]}")
+            raise ValueError(f"invalid witness: {self.st.errors[0]}")
         self.rho = rho_live(w, self.st, self.sol, self.live)
         self.domain = poison_domain(w)
         self.pk = _Packing(self.domain)  # shared with this witness's `RepairSession`

@@ -16,41 +16,39 @@ Intervals for register allocation follow the product: one matched step, then
 the shuffle chain in the target while the source waits, ending either at the
 next matched pair or early with a joint rollback.
 
-`check_simulation` walks related pairs reachable through intervals and
-verifies that every enabled target directive heads an interval, that both
-projections of every interval replay, and that interval ends are related
-again.  `check_snippy_cube` runs two low-equivalent executions of this walk
-side by side and demands that whenever pair 1 takes an interval whose source
-directives run with the same leaks from pair 2's source, pair 2 offers the
-identical interval.  A Pass is evidence up to the given bounds, not a proof.
+`check_simulation` and `check_snippy_cube` are two entry points to one
+breadth-first walk over groups: sets of pairs that initial states reach
+along the same interval signatures.  `check_simulation` starts a group of
+one per initial state.  `check_snippy_cube` takes the high assignments of
+one state, checks that the initial-state mapping keeps their low-equivalence
+classes, and starts a group per class.  Each pair met is checked once with
+the simulation conditions: every enabled target directive heads an
+interval, both projections of every interval replay, and interval ends are
+related again.  Each group of two or more is checked with the two-pair
+condition: a member whose source runs a member's interval's source
+directives with the same leaks offers that interval too.  A group has a
+child per signature, holding every member's end under it, kept while those
+ends, of one depth, are within the depth bound.  So a passing cube means the
+simulation from every high assignment as well as the two-pair condition.
+A Pass is evidence up to the given bounds, not a proof.
 
 Neither check says anything about a source that accesses memory out of
-bounds without speculating.  The preservation argument behind them, like
-the poison analysis (`poison.py`), treats speculation-free steps as pure, so
-a passing cube (or a typable allocation) preserves SNI only for sources
-that are architecturally memory-safe (`security.check_safety`) from every
-initial state checked.  An unsafe source can be secure while its checked
-target is not.
+bounds without speculating, and neither tests for one.  The preservation
+argument behind them, like the poison analysis (`poison.py`), treats
+speculation-free steps as pure, so a passing cube (or a typable allocation)
+preserves SNI only for sources that are architecturally memory-safe
+(`security.check_safety`) from every initial state checked.
 
-Each check makes one transition table per program per call, at the
-witness's width, and steps every state through it once.  A pair is the two
-ids of its (source, target) states, and each check interns the pairs it
-meets to dense ids as well (`semantics.Interner`).  Per pair id it keeps a
-row built when the pair is first expanded: its intervals, built from the
-pair's ids, and, for each interval, the id of its end pair.  Interval ends
-are interned by the check, not taken from the enumerator, so a witness that
-reports a wrong end state is still caught.
-The enabled target directives are read from the target table, and each
-interval projection is a `semantics.walk` over a table from the pair's ids,
-compared with the interval's leaks and end id.  The memo and the queue hold
-ids, so a revisit hashes ints, not states.  `check_simulation` reuses a row
-when its pair comes back nearer.  `check_snippy_cube` shares rows across both
-sides of every quadruple and across all initial pairs, each run taking part
-in many pairs.  Its rows also hold, per interval, the ids of its signature
-and of its source directives, plus the row's signature -> end pair map,
-whose keys are its signature set, so a quadruple visit compares ints instead
-of rebuilding sets of signatures.  Source replays are walks kept per (source
-id, directive sequence id).  All tables live for one call.
+Each check makes one transition table per program per call, at the witness's
+width, and steps every state through it once.  The walk interns pairs of
+(source id, target id) to dense ids (`semantics.Interner`) and keeps a row
+per pair id, built on first expansion: its intervals and, per interval, the
+ids of its signature and of its end pair.  Interval ends are interned by the
+check, not taken from the enumerator, so a wrong end state is still caught.
+Projections are `semantics.walk`s over the tables; source replays are kept
+per (source id, directive sequence) and `related` per end pair id.  The memo
+and the queue hold groups of ids, and a group that comes back nearer is
+expanded again.  All tables live for one call.
 """
 
 from __future__ import annotations
@@ -59,10 +57,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .ir import Load, Program, Store
+from .ir import Load, Pc, Program, Store
 from .liveness import DceResult, full_fact, live_before
 from .poison import Product, ProductState, RepairSession, replay_directive
-from .regalloc import RAWitness
+from .regalloc import RAWitness, validate_ra
 from .semantics import (
     DEFAULT_WIDTH,
     D_RB,
@@ -150,18 +148,22 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
     sol = res.solution
     ef = full_fact(p)
 
+    live: dict[Pc, tuple[list[str], list[tuple[str, int]]]] = {}  # pc -> registers and cells live before it
+
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:
         if len(nu_tgt) != len(nu_src):
             return False
         for st, ss in zip(nu_tgt, nu_src):
+            if st == ss:
+                continue
             if st.pc != ss.pc:
                 return False
-            for item in live_before(p, sol, ss.pc, ef):
-                if isinstance(item, str):
-                    if st.reg(item) != ss.reg(item):
-                        return False
-                elif st.cell(*item) != ss.cell(*item):
-                    return False
+            if ss.pc not in live:
+                items = live_before(p, sol, ss.pc, ef)
+                live[ss.pc] = [x for x in items if isinstance(x, str)], [x for x in items if not isinstance(x, str)]
+            regs, cells = live[ss.pc]
+            if any(st.reg(r) != ss.reg(r) for r in regs) or any(st.cell(*c) != ss.cell(*c) for c in cells):
+                return False
         return True
 
     def initial_map(tgt0: State) -> State:
@@ -226,15 +228,17 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
 
 
 def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
+    """Raises ValueError on a witness that `validate_ra` refuses: the poison
+    analysis behind `related` assumes a valid one."""
     prod = Product(w, width)
-    sp = None  # the static poison; only `related` reads it, and the cube never calls that
+    bad = validate_ra(w, prod.sol, prod.live, prod.st, prod.rho)
+    if bad:
+        raise ValueError(f"invalid witness: {bad[0]}")
+    sp = RepairSession(w, prod).static_poison()
 
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:
-        nonlocal sp
         if len(nu_tgt) != len(nu_src):
             return False
-        if sp is None:
-            sp = RepairSession(w, prod).static_poison()
         return prod.well_formed(ProductState(nu_src, nu_tgt, sp.stack_for(nu_src, nu_tgt)))
 
     def initial_map(tgt0: State) -> State:
@@ -312,17 +316,23 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
     return SimWitness("ra", w.source, w.target, related, initial_map, intervals, width)
 
 
-# --- bounded simulation check ----------------------------------------------------
+# --- the grouped walk -------------------------------------------------------------
 
 
 @dataclass
-class SimVerdict:
+class Verdict:
+    """A failed simulation condition names its (source, target) `pair` and
+    any uncovered `directive`; a failed cube condition names the `pair` with
+    `interval` and the `other` that replays its source side but lacks it."""
+
     status: str  # pass | fail
     intervals_checked: int = 0
     truncated: int = 0
     reason: str = ""
     pair: tuple[SpecState, SpecState] | None = None
     directive: Directive | None = None
+    interval: SimInterval | None = None
+    other: tuple[SpecState, SpecState] | None = None
 
     @property
     def ok(self) -> bool:
@@ -334,85 +344,6 @@ class SimVerdict:
             out["reason"] = self.reason
             if self.directive is not None:
                 out["directive"] = str(self.directive)
-        return out
-
-
-def check_simulation(wit: SimWitness, initial_targets: list[State], b: Bounds) -> SimVerdict:
-    checked = 0
-    truncated = 0
-    tables = src_tab, tgt_tab = witness_tables(wit)
-    srcs, tgts = src_tab.values, tgt_tab.values
-
-    def fill(pair: tuple[int, int], intern):
-        res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables, pair)
-        return res, tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in res.intervals])
-
-    pairs = Interner(fill)  # (source id, target id) -> id; row: intervals, end pair ids
-    nearest: dict[int, int] = {}  # pair id -> smallest distance expanded
-    queue: deque[tuple[int, int]] = deque()
-    for t0 in initial_targets:
-        s0 = wit.initial_map(t0)
-        if not wit.related((t0,), (s0,)):
-            return SimVerdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
-        queue.append((pairs.id((src_tab.id((s0,)), tgt_tab.id((t0,)))), 0))
-
-    while queue:
-        key, dist = queue.popleft()
-        # intervals differ in length, so a pair may come back nearer than its
-        # first visit, with more of the step bound left to explore
-        if nearest.get(key, dist + 1) <= dist:
-            continue
-        nearest[key] = dist
-        sid, tid = pairs.values[key]
-        nu_src, nu_tgt = srcs[sid], tgts[tid]
-        if is_final(wit.target, nu_tgt):
-            continue
-        if dist >= b.max_steps:
-            truncated += 1
-            continue
-        res, ends = pairs.row(key)
-        truncated += res.truncated
-        for d in tgt_tab.row(tid)[0]:
-            if not any(iv.tgt_dirs[0] == d for iv in res.intervals):
-                return SimVerdict(
-                    "fail", checked, truncated, "target continuation has no interval", (nu_src, nu_tgt), d
-                )
-        for iv, end in zip(res.intervals, ends):
-            checked += 1
-            end_src, end_tgt = pairs.values[end]
-            if walk(tgt_tab, tid, iv.tgt_dirs) != (end_tgt, iv.tgt_leaks):
-                return SimVerdict("fail", checked, truncated, "interval target projection does not replay", (nu_src, nu_tgt))
-            if walk(src_tab, sid, iv.src_dirs) != (end_src, iv.src_leaks):
-                return SimVerdict("fail", checked, truncated, "interval source projection does not replay", (nu_src, nu_tgt))
-            if not wit.related(iv.end_tgt, iv.end_src):
-                return SimVerdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
-            if len(iv.end_tgt) > b.max_spec_depth:
-                truncated += 1
-                continue
-            queue.append((end, dist + len(iv.tgt_dirs)))
-    return SimVerdict("pass", checked, truncated)
-
-
-# --- snippy cube ------------------------------------------------------------------
-
-
-@dataclass
-class CubeVerdict:
-    status: str  # pass | fail
-    intervals_checked: int = 0
-    truncated: int = 0
-    reason: str = ""
-    quad: tuple | None = None
-    interval: SimInterval | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "pass"
-
-    def report(self) -> dict:
-        out = {"verdict": self.status, "intervals_checked": self.intervals_checked, "truncated": self.truncated}
-        if self.status == "fail":
-            out["reason"] = self.reason
             if self.interval is not None:
                 out["interval"] = {
                     "target_directives": [str(d) for d in self.interval.tgt_dirs],
@@ -423,105 +354,167 @@ class CubeVerdict:
         return out
 
 
-_UNSEEN = object()
-
-
 @dataclass(slots=True)
-class _CubeRow:
-    """What the cube compares about one (source, target) pair, built once."""
+class _Row:
+    """What the walk needs about one (source, target) pair, built once."""
 
     truncated: int
     intervals: list[SimInterval]
-    src: int  # the source state's id in the source table, for premise replays
-    src_dirs: tuple[int, ...]  # per interval: the id of its source directives
+    src: int  # the pair's ids in the source and the target tables
+    tgt: int
     sigs: tuple[int, ...]  # per interval: the id of its signature
     ends: tuple[int, ...]  # per interval: the id of its end pair
-    end_by_sig: dict[int, int]  # the row's signature ids -> end pair id of the last interval with each
+    near: tuple[bool, ...]  # per interval: its end is within the depth bound
 
 
-def check_snippy_cube(wit: SimWitness, initial_target_pairs: Iterable[tuple[State, State]], b: Bounds) -> CubeVerdict:
+def check_simulation(wit: SimWitness, initial_targets: Iterable[State], b: Bounds) -> Verdict:
+    """The simulation from each initial target state: the walk from a group
+    of one per state."""
+    return _walk(wit, [[(wit.initial_map(t), t)] for t in initial_targets], b)
+
+
+def check_snippy_cube(wit: SimWitness, initial_targets: Iterable[State], b: Bounds) -> Verdict:
+    """The simulation and the two-pair condition from the initial target
+    states (the high assignments of one state): the walk from one group per
+    low-equivalence class, which `initial_map` must keep."""
+    classes: list[list[tuple[State, State]]] = []  # (source, target) initial states per class
+    for t in initial_targets:
+        s = wit.initial_map(t)
+        # low-equivalence is an equivalence, so each class's first member stands for it
+        same = [low_equivalent(wit.target, c[0][1], t) for c in classes]
+        if same != [low_equivalent(wit.source, c[0][0], s) for c in classes]:
+            return Verdict("fail", reason="initial-state mapping does not respect levels")
+        if True in same:
+            classes[same.index(True)].append((s, t))
+        else:
+            classes.append([(s, t)])
+    return _walk(wit, classes, b)
+
+
+def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds) -> Verdict:
+    """Breadth-first over groups of pairs, from one group per entry of
+    `starts`.  A group is the set of pair ids that its initial states reach
+    along the same interval signatures; the children of a group are one
+    per signature, holding every member's end under it."""
     checked = 0
     truncated = 0
     tables = src_tab, tgt_tab = witness_tables(wit)
     srcs, tgts = src_tab.values, tgt_tab.values
-    # plain value -> id maps: source directive sequences, signatures
-    src_dirs: dict[tuple[Directive, ...], int] = {}
-    sigs: dict[tuple, int] = {}
+    depth = b.max_spec_depth
+    sigs: dict[tuple, int] = {}  # signature -> id
 
-    def fill(pair: tuple[int, int], intern) -> _CubeRow:
+    def fill(pair: tuple[int, int], intern) -> _Row:
         res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables, pair)
         ivs = res.intervals
-        sig = tuple([sigs.setdefault(iv.signature, len(sigs)) for iv in ivs])
-        end = tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in ivs])
-        return _CubeRow(
-            res.truncated, ivs, pair[0],
-            tuple([src_dirs.setdefault(iv.src_dirs, len(src_dirs)) for iv in ivs]), sig, end, dict(zip(sig, end)),
+        return _Row(
+            res.truncated, ivs, *pair,
+            tuple([sigs.setdefault(iv.signature, len(sigs)) for iv in ivs]),
+            tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in ivs]),
+            tuple([len(iv.end_tgt) <= depth for iv in ivs]),
         )
 
     pairs = Interner(fill)  # (source id, target id) -> id
     row = pairs.row
-    # (source id, source directives id) -> their leaks from that source, or None when stuck
-    replays: dict[tuple[int, int], tuple[Leakage, ...] | None] = {}
+    # (source id, source directives) -> their `walk` from that source
+    replays: dict[tuple[int, tuple[Directive, ...]], tuple[int, tuple[Leakage, ...]] | None] = {}
+    related: dict[int, bool] = {}  # end pair id -> `wit.related` of it
+    simulates: set[int] = set()  # pair ids whose rows meet the simulation conditions
 
-    def compare(ra: _CubeRow, rb: _CubeRow) -> tuple[int, SimInterval | None]:
-        """How many intervals of `ra` have their source directives run from
-        `rb`'s source with equal leaks, and the first such interval whose
-        signature `rb` lacks, if any."""
-        matched = 0
-        for iv, dirs, sig in zip(ra.intervals, ra.src_dirs, ra.sigs):
-            key = (rb.src, dirs)
-            leaks = replays.get(key, _UNSEEN)
-            if leaks is _UNSEEN:
-                run = walk(src_tab, rb.src, iv.src_dirs)
-                leaks = replays[key] = None if run is None else run[1]
-            if leaks != iv.src_leaks:
-                continue
-            matched += 1
-            if sig not in rb.end_by_sig:
-                return matched, iv
-        return matched, None
+    def replay(sid: int, dirs: tuple[Directive, ...]):
+        key = (sid, dirs)
+        if key not in replays:
+            replays[key] = walk(src_tab, sid, dirs)
+        return replays[key]
 
-    for t1, t2 in initial_target_pairs:
-        s1, s2 = wit.initial_map(t1), wit.initial_map(t2)
-        t_low = low_equivalent(wit.target, t1, t2)
-        s_low = low_equivalent(wit.source, s1, s2)
-        if t_low != s_low:
-            return CubeVerdict("fail", checked, truncated, "initial-state mapping does not respect levels")
-        if not t_low:
+    queue: deque[tuple[tuple[int, ...], int]] = deque()
+    for group in starts:
+        for s0, t0 in group:
+            if not wit.related((t0,), (s0,)):
+                return Verdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
+        queue.append((tuple(sorted({pairs.id((src_tab.id((s,)), tgt_tab.id((t,)))) for s, t in group})), 0))
+
+    nearest: dict[tuple[int, ...], int] = {}  # group -> smallest distance expanded
+    pair_ids = pairs.values
+    while queue:
+        group, dist = queue.popleft()
+        # intervals differ in length, so a group may come back nearer than its
+        # first visit, with more of the step bound left to explore
+        if nearest.get(group, dist + 1) <= dist:
             continue
-        nearest: dict[tuple[int, int], int] = {}  # quadruple as two pair ids -> smallest distance expanded
-        p1, p2 = (pairs.id((src_tab.id((s,)), tgt_tab.id((t,)))) for s, t in ((s1, t1), (s2, t2)))
-        queue = deque([(p1, p2, 0)])
-        while queue:
-            p1, p2, dist = queue.popleft()
-            key = (p1, p2)
-            if nearest.get(key, dist + 1) <= dist:
+        nearest[group] = dist
+        live = sum(not is_final(wit.target, tgts[pair_ids[p][1]]) for p in group)
+        if not live:
+            continue
+        if dist >= b.max_steps:
+            truncated += live
+            continue
+        rows = [row(p) for p in group]
+        # the simulation conditions, once per pair id; the counts are per
+        # expansion, as a walk over single pairs makes them
+        for p, r in zip(group, rows):
+            truncated += r.truncated
+            if p in simulates:
+                checked += len(r.intervals)
+                truncated += r.near.count(False)
                 continue
-            nearest[key] = dist
-            if is_final(wit.target, tgts[pairs.values[p1][1]]) and is_final(wit.target, tgts[pairs.values[p2][1]]):
-                continue
-            if dist >= b.max_steps:
-                truncated += 1
-                continue
-            r1, r2 = row(p1), row(p2)
-            truncated += r1.truncated + r2.truncated
-            for a, c, ra, rc in ((p1, p2, r1, r2), (p2, p1, r2, r1)):
-                n, missing = compare(ra, rc)
-                checked += n
-                if missing is not None:
-                    reason = _describe_missing(missing, rc.intervals)
-                    (sa, ta), (sc, tc) = pairs.values[a], pairs.values[c]
-                    quad = (srcs[sa], tgts[ta], srcs[sc], tgts[tc])
-                    return CubeVerdict("fail", checked, truncated, reason, quad, missing)
-            for iv, sig, end in zip(r1.intervals, r1.sigs, r1.ends):
-                other = r2.end_by_sig.get(sig)
-                if other is None:
-                    continue
-                if len(iv.end_tgt) > b.max_spec_depth:
+            pair = (srcs[r.src], tgts[r.tgt])
+            heads = {iv.tgt_dirs[0] for iv in r.intervals}
+            for d in tgt_tab.row(r.tgt)[0]:
+                if d not in heads:
+                    return Verdict("fail", checked, truncated, "target continuation has no interval", pair, d)
+            for iv, end, near in zip(r.intervals, r.ends, r.near):
+                checked += 1
+                end_src, end_tgt = pair_ids[end]
+                if walk(tgt_tab, r.tgt, iv.tgt_dirs) != (end_tgt, iv.tgt_leaks):
+                    return Verdict("fail", checked, truncated, "interval target projection does not replay", pair)
+                if replay(r.src, iv.src_dirs) != (end_src, iv.src_leaks):
+                    return Verdict("fail", checked, truncated, "interval source projection does not replay", pair)
+                ok = related.get(end)
+                if ok is None:
+                    ok = related[end] = wit.related(iv.end_tgt, iv.end_src)
+                if not ok:
+                    return Verdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
+                if not near:
                     truncated += 1
-                    continue
-                queue.append((end, other, dist + len(iv.tgt_dirs)))
-    return CubeVerdict("pass", checked, truncated)
+            simulates.add(p)
+        if len(rows) == 1:
+            # a group of one meets the cube condition, and its children are
+            # its intervals' ends, as in a walk over single pairs
+            r = rows[0]
+            for iv, end, near in zip(r.intervals, r.ends, r.near):
+                if near:
+                    queue.append(((end,), dist + len(iv.tgt_dirs)))
+            continue
+        # the cube condition: a member whose source replays some interval's
+        # source directives with its source leaks has that interval too;
+        # members with the same signatures meet it
+        if any(r.sigs != rows[0].sigs for r in rows):
+            # (source directives, source leaks) -> signature id -> an interval with it, and its member's row
+            buckets: dict[tuple, dict[int, tuple[SimInterval, _Row]]] = {}
+            for r in rows:
+                for iv, sig in zip(r.intervals, r.sigs):
+                    buckets.setdefault((iv.src_dirs, iv.src_leaks), {}).setdefault(sig, (iv, r))
+            for (dirs, leaks), held in buckets.items():
+                for r in rows:
+                    lacks = [held[sig] for sig in held if sig not in r.sigs]
+                    run = replay(r.src, dirs) if lacks else None
+                    if run is None or run[1] != leaks:
+                        continue
+                    missing, owner = lacks[0]
+                    return Verdict(
+                        "fail", checked, truncated, _describe_missing(missing, r.intervals),
+                        (srcs[owner.src], tgts[owner.tgt]), interval=missing, other=(srcs[r.src], tgts[r.tgt]),
+                    )
+        # one child per signature; the members' ends under it share their
+        # depth, since each member's target projection replays
+        children: dict[int, list] = {}  # signature id -> [steps, end is near, end pair ids...]
+        for r in rows:
+            for iv, sig, end, near in zip(r.intervals, r.sigs, r.ends, r.near):
+                children.setdefault(sig, [len(iv.tgt_dirs), near]).append(end)
+        for steps, near, *ends in children.values():
+            if near:
+                queue.append((tuple(sorted(set(ends))), dist + steps))
+    return Verdict("pass", checked, truncated)
 
 
 def _describe_missing(iv: SimInterval, others: list[SimInterval]) -> str:

@@ -46,12 +46,13 @@ def rng():
 # --- random generators shared across property tests ---------------------------
 
 
-def random_program(rng: random.Random, n_instrs=6, n_regs=3, allow_shuffle=False):
-    """Small valid program over a couple of memory variables."""
+def random_program(rng: random.Random, n_instrs=6, n_regs=3, allow_shuffle=False, hi_size=1):
+    """Small valid program over a couple of memory variables, the high one
+    of `hi_size` cells."""
     from snicheck import ir
 
     regs = [f"r{i}" for i in range(n_regs)]
-    memvars = [ir.MemVar("lo", rng.randint(1, 3), "low"), ir.MemVar("hi", 1, "high")]
+    memvars = [ir.MemVar("lo", rng.randint(1, 3), "low"), ir.MemVar("hi", hi_size, "high")]
     pcs = [str(i) for i in range(n_instrs)]
     instrs = {}
     for idx, pc in enumerate(pcs[:-1]):

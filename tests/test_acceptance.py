@@ -259,19 +259,18 @@ def test_criterion_6_snippy_cube_discrimination():
     one and on dead code elimination, exhaustively at bounds (24, 2)."""
     b = Bounds(24, 2)
 
-    def pairs(prog, init):
+    def states(prog, init):
         base = load_state(init, prog, width=2)
-        states = [s[0] for s in enumerate_high_states(prog, base, 2)]
-        return list(itertools.combinations(states, 2))
+        return [s[0] for s in enumerate_high_states(prog, base, 2)]
 
     src, tgt, w = _ra_bits("_w2")
-    unfixed = check_snippy_cube(ra_witness(w, 2), pairs(tgt, "code_ra_w2.init"), b)
+    unfixed = check_snippy_cube(ra_witness(w, 2), states(tgt, "code_ra_w2.init"), b)
     fixed_w, _ = fix_ra(w, 2)
-    fixed = check_snippy_cube(ra_witness(fixed_w, 2), pairs(fixed_w.target, "code_ra_w2.init"), b)
+    fixed = check_snippy_cube(ra_witness(fixed_w, 2), states(fixed_w.target, "code_ra_w2.init"), b)
 
     p = load_program("code_dce_w2_source.sp")
     wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-    dce_v = check_snippy_cube(wit, pairs(wit.target, "code_dce_w2.init"), b)
+    dce_v = check_snippy_cube(wit, states(wit.target, "code_dce_w2.init"), b)
 
     ok = (not unfixed.ok) and fixed.ok and dce_v.ok
     report(6, ok, f"unfixed={unfixed.status} fixed={fixed.status} dce={dce_v.status}")

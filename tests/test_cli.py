@@ -150,25 +150,33 @@ def test_validate_fix_check_typable_flow(tmp_path, capsys):
 
 
 def test_poison_commands_refuse_an_invalid_witness(tmp_path, capsys):
-    """`check-typable`, `poison-analyze` and `product-run` judge only
-    witnesses that `validate-ra` accepts; otherwise they exit 3 with its
-    first diagnostic.  On this witness `product-run` would otherwise step a
-    poison store into a slot that no register is relocated to."""
+    """`check-typable`, `poison-analyze`, `product-run` and the RA
+    simulation checks judge only witnesses that `validate-ra` accepts;
+    otherwise they exit 3 with its first diagnostic, structural or not.  On
+    the first witness `product-run` would otherwise step a poison store into
+    a slot that no register is relocated to, and the simulation checks
+    would fail it."""
     args = ["--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"), "--witness", C("code_ra.witness")]
     ft, fw = tmp_path / "fixed.sp", tmp_path / "fixed.witness"
     assert run_cli("fix", *args, "--out-target", str(ft), "--out-witness", str(fw), capsys=capsys)[0] == 0
     fw.write_text(fw.read_text().replace("stk#0", "stk#7"))
-    bad = ["--source", C("code_ra_source.sp"), "--target", str(ft), "--witness", str(fw)]
-    code, out = run_cli("validate-ra", *bad, capsys=capsys)
-    assert code == 1 and out.startswith("[obeying-liveness] c: slot 7 outside stk size 1\n")
+    phi = tmp_path / "phi.witness"
+    phi.write_text(corpus_path("code_ra.witness").read_text().replace("phi: 2 -> c", "phi: 2 -> d"))
     attack = tmp_path / "attack.d"
     attack.write_text("step\nstep\nstep\nspec\nstore stk 0\nstep\nif\n")
     run = ["--state", C("code_ra.init"), "--directives", str(attack)]
-    for cmd, extra in (("check-typable", []), ("poison-analyze", []), ("product-run", run)):
-        assert main([cmd, *bad, *extra]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: invalid witness: [obeying-liveness] c: slot 7 outside stk size 1\n"
+    sim = ["--witness-kind", "ra", "--state", C("code_ra.init")]
+    for target, witness, first in ((ft, fw, "[obeying-liveness] c: slot 7 outside stk size 1"),
+                                   (C("code_ra_target.sp"), phi, "[structure] : phi must be injective")):
+        bad = ["--source", C("code_ra_source.sp"), "--target", str(target), "--witness", str(witness)]
+        code, out = run_cli("validate-ra", *bad, capsys=capsys)
+        assert code == 1 and out.startswith(first + "\n")
+        for cmd, extra in (("check-typable", []), ("poison-analyze", []), ("product-run", run),
+                           ("check-sim", sim), ("check-snippy", sim)):
+            assert main([cmd, *bad, *extra]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: invalid witness: {first}\n"
 
 
 def test_fix_refuses_an_invalid_witness_that_needs_no_fence(tmp_path, capsys):
@@ -240,6 +248,31 @@ def test_check_snippy_cli_width2(capsys):
         "--width", "2", "--bounds", "steps=24,depth=2", capsys=capsys,
     )
     assert code == 0
+
+
+def test_check_snippy_checks_the_simulation_from_every_high_assignment(tmp_path, capsys):
+    """After `fix` inserts `slh r2`, the two-pair condition holds and the
+    simulation holds from the all-zero state, but not from the state with
+    `hi[0] = 1`, where the source stores out of bounds.  `check-snippy`
+    starts from both, so it fails."""
+    src, tgt, wit = tmp_path / "p.sp", tmp_path / "t.sp", tmp_path / "w.txt"
+    src.write_text("mem lo 3 low\nmem hi 1 high\nentry 0\n"
+                   "0: load r2 <- hi[r1] -> 1\n1: store hi[r2] <- r1 -> 2\n2: ret\n")
+    assert run_cli("allocate", str(src), "--k", "2", "--out-target", str(tgt), "--out-witness", str(wit),
+                   capsys=capsys)[0] == 0
+    args = ["--source", str(src), "--target", str(tgt), "--witness", str(wit)]
+    code, out = run_cli("fix", *args, "--width", "2", "--out-target", str(tgt), "--out-witness", str(wit),
+                        capsys=capsys)
+    assert code == 0 and out.startswith("inserted slh at fx0 before 1 ")
+    hi = tmp_path / "hi.init"
+    hi.write_text("cell hi 0 1\n")
+    check = ["--witness-kind", "ra", *args, "--width", "2", "--bounds", "steps=16,depth=2"]
+    assert run_cli("check-sim", *check, capsys=capsys) == (0, "pass (intervals=2, truncated=0)\n")
+    code, out = run_cli("check-sim", *check, "--state", str(hi), capsys=capsys)
+    assert code == 1 and out.endswith("\ninterval end not related\n")
+    assert run_cli("check-safe", str(src), "--state", str(hi), "--width", "2", capsys=capsys) == (1, "unsafe\n")
+    code, out = run_cli("check-snippy", *check, capsys=capsys)
+    assert code == 1 and out.endswith("\ninterval end not related\n")
 
 
 def test_json_output_deterministic(capsys):

@@ -17,6 +17,7 @@ from snicheck.semantics import (
     D_RB,
     D_SPEC,
     D_STEP,
+    State,
     d_load,
     d_store,
     enabled_directives,
@@ -26,10 +27,10 @@ from snicheck.semantics import (
     step_spec,
 )
 from snicheck.simulation import (
-    CubeVerdict,
     ExtractResult,
-    SimVerdict,
+    SimInterval,
     SimWitness,
+    Verdict,
     _describe_missing,
     check_simulation,
     check_snippy_cube,
@@ -260,23 +261,22 @@ def test_initial_mapping_respects_levels(dce_wit, ra_witness, rng):
 # --- snippy cube ----------------------------------------------------------------------
 
 
-def w2_pairs(prog, init_name):
+def w2_states(prog, init_name):
     base = load_state(init_name, prog, width=2)
-    states = [s[0] for s in enumerate_high_states(prog, base, 2)]
-    return list(itertools.combinations(states, 2))
+    return [s[0] for s in enumerate_high_states(prog, base, 2)]
 
 
 def test_cube_dce_pass_width2():
     p = load_program("code_dce_w2_source.sp")
     wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-    v = check_snippy_cube(wit, w2_pairs(wit.target, "code_dce_w2.init"), Bounds(24, 2))
+    v = check_snippy_cube(wit, w2_states(wit.target, "code_dce_w2.init"), Bounds(24, 2))
     assert v.ok and v.truncated == 0
 
 
 def test_cube_unfixed_ra_fails_width2():
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     wit = ra_witness_obj(w, width=2)
-    v = check_snippy_cube(wit, w2_pairs(w.target, "code_ra_w2.init"), Bounds(24, 2))
+    v = check_snippy_cube(wit, w2_states(w.target, "code_ra_w2.init"), Bounds(24, 2))
     assert not v.ok
     assert "different target leaks" in v.reason
     assert v.interval.tgt_dirs[0].kind in ("if", "spec")
@@ -286,31 +286,22 @@ def test_cube_fixed_ra_passes_width2():
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     fixed, _ = fix_ra(w, width=2)
     wit = ra_witness_obj(fixed, width=2)
-    v = check_snippy_cube(wit, w2_pairs(fixed.target, "code_ra_w2.init"), Bounds(24, 2))
+    v = check_snippy_cube(wit, w2_states(fixed.target, "code_ra_w2.init"), Bounds(24, 2))
     assert v.ok
 
 
-def test_cube_detects_planted_leak_difference(dce_wit):
-    """Mutating one interval's recorded target leak must trip the cube."""
-    base = dce_wit
-    p = load_program("code_dce_w2_source.sp")
-    wit0 = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-
-    def tampered(s, t, b, tables):
-        res = wit0.intervals(s, t, b, tables)
-        out = []
-        for iv in res.intervals:
-            if tables[1].values[t][0].cell("secret", 0) == 1 and iv.tgt_dirs[0] == D_IF:
-                from snicheck.semantics import l_if
-                from snicheck.simulation import SimInterval
-
-                iv = SimInterval(iv.tgt_dirs, (l_if(99),), iv.src_dirs, iv.src_leaks, iv.end_src, iv.end_tgt)
-            out.append(iv)
-        return ExtractResult(out, res.truncated)
-
-    wit = replace(wit0, intervals=tampered)
-    v = check_snippy_cube(wit, w2_pairs(wit0.target, "code_dce_w2.init"), Bounds(24, 2))
-    assert not v.ok
+def test_cube_detects_planted_leak_difference():
+    """A target that branches on a secret where its source does not trips
+    the two-pair condition, while the simulation holds from each state."""
+    wit = _leaky_witness()
+    t1 = State.make("0", {"i": 5}, {("h", 0): 1})
+    t2 = t1.with_cell("h", 0, 2)
+    b = Bounds(8, 2)
+    assert all(check_simulation(wit, [t], b).ok for t in (t1, t2))
+    v = check_snippy_cube(wit, [t1, t2], b)
+    assert not v.ok and v.reason.startswith("same directives, different target leaks")
+    assert v.interval.tgt_dirs[0] in (D_IF, D_SPEC) and v.pair[1][-1].pc == v.other[1][-1].pc == "2"
+    assert v.interval.signature not in {iv.signature for iv in extract_intervals(wit, *v.other, b).intervals}
 
 
 def test_dce_lockstep_replay_on_random_programs(rng):
@@ -358,14 +349,12 @@ entry 0
 """
 
 
-def _revisit_witness(tamper=None):
+def _revisit_witness():
     """Identity witness whose `load m 0` interval at pc 0 runs the loop once
     more (`load m 0 ; if ; load m 0`, 3 steps), while `load m 1` reaches the
     same pair in 1 step.  The long interval comes first in the queue.  The
-    pairs that mispredict into pc 2 with x = 0 count as unrelated, and
-    `tamper` may rewrite an interval."""
+    pairs that mispredict into pc 2 with x = 0 count as unrelated."""
     from snicheck.semantics import enabled_directives
-    from snicheck.simulation import SimInterval
 
     p = parse_program(REVISIT_PROGRAM)
     longer = (d_load("m", 0), D_IF, d_load("m", 0))
@@ -379,8 +368,7 @@ def _revisit_witness(tamper=None):
         for d in enabled_directives(p, nu_tgt):
             dirs = longer if nu_tgt[-1].pc == "0" and d == longer[0] else (d,)
             run = run_directives(p, nu_tgt, list(dirs))
-            iv = SimInterval(dirs, run.leaks, dirs, run.leaks, run.last, run.last)
-            out.append(tamper(nu_tgt, iv) if tamper else iv)
+            out.append(SimInterval(dirs, run.leaks, dirs, run.leaks, run.last, run.last))
         return ExtractResult(out)
 
     return p, SimWitness("revisit", p, p, related, lambda s: s, intervals)
@@ -398,23 +386,67 @@ def test_check_simulation_reexpands_a_pair_reached_nearer():
     assert v.pair[1][-1].pc == "2"
 
 
+# Source and target differ only at pc 2: the target branches on `x`, which a
+# `load h 0` at pc 1 fills with the high cell, and the source on `z`.  Both
+# branches at pc 0 go to pc 1.
+LEAKY_SOURCE = """mem m 2 low
+mem h 1 high
+entry 0
+0: if z ? 1 : 1
+1: load x <- m[i] -> 2
+2: if z ? 3 : 3
+3: ret
+"""
+LEAKY_TARGET = LEAKY_SOURCE.replace("2: if z", "2: if x")
+
+
+def _leaky_witness(longer=()):
+    """A witness from LEAKY_SOURCE to LEAKY_TARGET whose intervals are single
+    target directives, replayed by both programs, with every pair related,
+    so the simulation holds.  A nonempty `longer` is one more interval at
+    pc 0, listed first."""
+    from snicheck.semantics import enabled_directives
+
+    src, tgt = parse_program(LEAKY_SOURCE), parse_program(LEAKY_TARGET)
+
+    def intervals(s, t, b, tables):
+        nu_src, nu_tgt = tables[0].values[s], tables[1].values[t]
+        heads = [longer] if longer and nu_tgt[-1].pc == "0" else []
+        out = []
+        for dirs in heads + [(d,) for d in enabled_directives(tgt, nu_tgt)]:
+            rt, rs = run_directives(tgt, nu_tgt, list(dirs)), run_directives(src, nu_src, list(dirs))
+            out.append(SimInterval(dirs, rt.leaks, dirs, rs.leaks, rs.last, rt.last))
+        return ExtractResult(out)
+
+    return SimWitness("leaky", src, tgt, lambda nu_tgt, nu_src: True, lambda s: s, intervals)
+
+
+def test_cube_refuses_an_initial_mapping_that_does_not_respect_levels():
+    """Low-equivalent target states must map to low-equivalent source
+    states, and the others to states that are not."""
+    wit = _leaky_witness()
+    t1 = State.make("0", {"i": 5}, {("h", 0): 1})
+    t2, t3 = t1.with_cell("h", 0, 2), t1.with_reg("z", 1)
+    splits = replace(wit, initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))  # t1 from t2
+    merges = replace(wit, initial_map=lambda t: t.with_reg("z", 0))  # t1 with t3
+    for w in (splits, merges):
+        v = check_snippy_cube(w, [t1, t3, t2], Bounds(8, 2))
+        assert not v.ok and v.reason == "initial-state mapping does not respect levels"
+    assert check_snippy_cube(wit, [t1, t3, t2], Bounds(8, 2)).reason != v.reason
+
+
 def test_snippy_cube_reexpands_a_quadruple_reached_nearer():
-    """As above, for the quadruple of both runs at pc 1 with x = 0."""
-    from snicheck.semantics import State, l_if
-    from snicheck.simulation import SimInterval
-
-    def tamper(nu_tgt, iv):
-        # the misprediction at pc 1 with x = 0 leaks differently on the run whose h is 1
-        top = nu_tgt[-1]
-        if (top.pc, top.reg("x"), top.cell("h", 0)) == ("1", 0, 1) and iv.tgt_dirs == (D_SPEC,):
-            return SimInterval(iv.tgt_dirs, (l_if(99),), iv.src_dirs, iv.src_leaks, iv.end_src, iv.end_tgt)
-        return iv
-
-    p, wit = _revisit_witness(tamper)
+    """The group of both runs at pc 1 is first dequeued at distance 3, by
+    `spec ; rb ; if`, and cut by the step bound; its later visit at distance
+    1, by `if`, must still be expanded, since its `load h 0` child at pc 2 is
+    where the target leaks the secret.  The depth bound cuts the other way
+    there, through the speculative pc 1."""
+    wit = _leaky_witness(longer=(D_SPEC, D_RB, D_IF))
     t1 = State.make("0", {"i": 5}, {("h", 0): 1})
     t2 = t1.with_cell("h", 0, 2)
-    v = check_snippy_cube(wit, [(t1, t2)], Bounds(3, 2))
-    assert not v.ok and v.interval.tgt_dirs == (D_SPEC,)
+    v = check_snippy_cube(wit, [t1, t2], Bounds(3, 1))
+    assert not v.ok and v.reason.startswith("same directives, different target leaks")
+    assert v.interval.tgt_dirs == (D_IF,) and v.pair[1][-1].pc == "2"
 
 
 # --- the interval and premise tables against the uncached loops --------------------
@@ -447,7 +479,7 @@ def reference_check_simulation(wit, ref, initial_targets, b):
     for t0 in initial_targets:
         s0 = wit.initial_map(t0)
         if not wit.related((t0,), (s0,)):
-            return SimVerdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
+            return Verdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
         queue.append(((s0,), (t0,), 0))
     while queue:
         nu_src, nu_tgt, dist = queue.popleft()
@@ -464,31 +496,35 @@ def reference_check_simulation(wit, ref, initial_targets, b):
         truncated += res.truncated
         for d in enabled_directives(wit.target, nu_tgt, width):
             if not any(iv.tgt_dirs[0] == d for iv in res.intervals):
-                return SimVerdict("fail", checked, truncated, "target continuation has no interval",
-                                  (nu_src, nu_tgt), d)
+                return Verdict("fail", checked, truncated, "target continuation has no interval",
+                               (nu_src, nu_tgt), d)
         for iv in res.intervals:
             checked += 1
             tgt_run = run_directives(wit.target, nu_tgt, list(iv.tgt_dirs), width)
             if tgt_run.status == "stuck" or tgt_run.leaks != iv.tgt_leaks or tgt_run.last != iv.end_tgt:
-                return SimVerdict("fail", checked, truncated, "interval target projection does not replay",
-                                  (nu_src, nu_tgt))
+                return Verdict("fail", checked, truncated, "interval target projection does not replay",
+                               (nu_src, nu_tgt))
             src_run = run_directives(wit.source, nu_src, list(iv.src_dirs), width)
             if src_run.status == "stuck" or src_run.leaks != iv.src_leaks or src_run.last != iv.end_src:
-                return SimVerdict("fail", checked, truncated, "interval source projection does not replay",
-                                  (nu_src, nu_tgt))
+                return Verdict("fail", checked, truncated, "interval source projection does not replay",
+                               (nu_src, nu_tgt))
             if not wit.related(iv.end_tgt, iv.end_src):
-                return SimVerdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
+                return Verdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
             if len(iv.end_tgt) > b.max_spec_depth:
                 truncated += 1
                 continue
             queue.append((iv.end_src, iv.end_tgt, dist + len(iv.tgt_dirs)))
-    return SimVerdict("pass", checked, truncated)
+    return Verdict("pass", checked, truncated)
 
 
 def reference_check_snippy_cube(wit, ref, initial_target_pairs, b):
-    """`check_snippy_cube` without tables: intervals are built with the
-    reference builder `ref` and the source premise replayed with
-    `run_directives`, afresh for every quadruple."""
+    """The two-pair condition alone, one pair of runs at a time, without
+    tables: a breadth-first walk over quadruples from each low-equivalent
+    initial pair, whose intervals are built with the reference builder
+    `ref` and whose source premise is replayed with `run_directives`, afresh
+    for every quadruple.  `check_snippy_cube` passes exactly when this
+    passes on every pair of its states and `reference_check_simulation`
+    passes from each of them."""
     extract = ref_extract(wit, ref)
 
     def premise(nu_src, iv):
@@ -500,7 +536,7 @@ def reference_check_snippy_cube(wit, ref, initial_target_pairs, b):
         s1, s2 = wit.initial_map(t1), wit.initial_map(t2)
         t_low = low_equivalent(wit.target, t1, t2)
         if t_low != low_equivalent(wit.source, s1, s2):
-            return CubeVerdict("fail", checked, truncated, "initial-state mapping does not respect levels")
+            return Verdict("fail", checked, truncated, "initial-state mapping does not respect levels")
         if not t_low:
             continue
         nearest = {}
@@ -527,14 +563,14 @@ def reference_check_snippy_cube(wit, ref, initial_target_pairs, b):
                 checked += 1
                 if iv.signature not in sig2:
                     reason = _describe_missing(iv, r2.intervals)
-                    return CubeVerdict("fail", checked, truncated, reason, (n1s, n1t, n2s, n2t), iv)
+                    return Verdict("fail", checked, truncated, reason, (n1s, n1t), interval=iv, other=(n2s, n2t))
             for iv in r2.intervals:
                 if not premise(n1s, iv):
                     continue
                 checked += 1
                 if iv.signature not in sig1:
                     reason = _describe_missing(iv, r1.intervals)
-                    return CubeVerdict("fail", checked, truncated, reason, (n2s, n2t, n1s, n1t), iv)
+                    return Verdict("fail", checked, truncated, reason, (n2s, n2t), interval=iv, other=(n1s, n1t))
             by_sig = {iv.signature: iv for iv in r2.intervals}
             for iv in r1.intervals:
                 other = by_sig.get(iv.signature)
@@ -544,19 +580,20 @@ def reference_check_snippy_cube(wit, ref, initial_target_pairs, b):
                     truncated += 1
                     continue
                 queue.append((iv.end_src, iv.end_tgt, other.end_src, other.end_tgt, dist + len(iv.tgt_dirs)))
-    return CubeVerdict("pass", checked, truncated)
+    return Verdict("pass", checked, truncated)
 
 
 PLANTS = ("tgt-leak", "src-leak", "tgt-end", "src-end")
 
 
-def _random_witnesses(rng, count, width=2, plant=True):
-    """(witness, reference builder) pairs over random programs: DCE, RA as
-    allocated and RA after `fix_ra`.  With `plant`, about half carry one of
-    `PLANTS` on the runs whose high cell is 1, so that checks fail too."""
+def _random_witnesses(rng, count, width=2, plant=True, hi_size=1):
+    """(witness, reference builder) pairs over random programs with
+    `hi_size` high cells: DCE, RA as allocated and RA after `fix_ra`.  With
+    `plant`, about half carry one of `PLANTS` on the runs whose first high
+    cell is 1, so that checks fail too."""
     out = []
     while len(out) < count:
-        p = random_program(rng, n_instrs=rng.randint(4, 9), n_regs=3)
+        p = random_program(rng, n_instrs=rng.randint(4, 9), n_regs=3, hi_size=hi_size)
         kind = rng.choice(["dce", "ra", "ra-fixed"])
         if kind == "dce":
             pair = dce_with_ref(p, width)
@@ -575,9 +612,9 @@ def _random_witnesses(rng, count, width=2, plant=True):
 
 
 def _planted(wit, ref, what):
-    """`wit` and `ref` with the same defect planted, on the runs whose high
-    cell is 1: every interval's first target or source leak becomes `if 3`,
-    or its target or source end becomes the state it starts from."""
+    """`wit` and `ref` with the same defect planted, on the runs whose first
+    high cell is 1: every interval's first target or source leak becomes
+    `if 3`, or its target or source end becomes the state it starts from."""
     from snicheck.semantics import l_if
 
     def plant(res, nu_src, nu_tgt):
@@ -605,12 +642,25 @@ def _planted(wit, ref, what):
     return replace(wit, kind=what, intervals=planted), planted_ref
 
 
-def _assert_cubes_agree(wit, ref, pairs, b):
-    """The whole verdict: status, counts, reason, quadruple and interval."""
-    got = check_snippy_cube(wit, pairs, b)
-    want = reference_check_snippy_cube(wit, ref, pairs, b)
-    assert got == want
-    assert got.report() == want.report()
+def _assert_cubes_agree(wit, ref, states, b):
+    """`check_snippy_cube` from `states` passes exactly when the reference
+    cube passes on every pair of them and the reference simulation from
+    each.  A failed two-pair condition names an interval of its `pair`
+    whose source directives replay with its source leaks from the `other`
+    member's source, and whose signature that member lacks."""
+    got = check_snippy_cube(wit, states, b)
+    sims = [reference_check_simulation(wit, ref, [t], b) for t in states]
+    if all(v.ok for v in sims):
+        assert got.ok == reference_check_snippy_cube(wit, ref, list(itertools.combinations(states, 2)), b).ok
+    else:
+        assert not got.ok, [v.reason for v in sims]
+    if got.interval is not None:
+        extract = ref_extract(wit, ref)
+        iv, (o_src, o_tgt) = got.interval, got.other
+        assert iv in extract(*got.pair, b).intervals
+        run = run_directives(wit.source, o_src, list(iv.src_dirs), wit.width)
+        assert run.status != "stuck" and run.leaks == iv.src_leaks
+        assert iv.signature not in {o.signature for o in extract(o_src, o_tgt, b).intervals}
     return got
 
 
@@ -670,18 +720,24 @@ def test_interval_builders_match_reference(rng):
 
 
 def test_snippy_cube_tables_match_uncached_loop(rng):
-    """The cube's interval and premise tables change no report: random DCE
-    and RA witnesses, exhaustive over the high cell at width 2."""
+    """The grouped walk is the pairwise cube plus the simulation from every
+    high assignment: random DCE and RA witnesses, planted defects included,
+    exhaustive over one or two high cells at width 2."""
     seen = Counter()
-    for wit, ref in _random_witnesses(rng, 90):
-        base = random_state(rng, wit.target, width=2)
-        states = [s[0] for s in enumerate_high_states(wit.target, base, 2)]
-        b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        v = _assert_cubes_agree(wit, ref, list(itertools.combinations(states, 2)), b)
-        seen[wit.kind, v.status] += 1
-        seen["truncated"] += v.truncated > 0
+    for hi_size, count in ((1, 460), (2, 40)):
+        for wit, ref in _random_witnesses(rng, count, hi_size=hi_size):
+            base = random_state(rng, wit.target, width=2)
+            states = [s[0] for s in enumerate_high_states(wit.target, base, 2)]
+            b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
+            v = _assert_cubes_agree(wit, ref, states, b)
+            seen[wit.kind, v.status] += 1
+            seen[hi_size, v.status] += 1
+            seen["truncated"] += v.truncated > 0
+            seen[v.reason] += 1
     assert seen["dce", "pass"] and seen["ra", "pass"] and seen["truncated"], seen
     assert all(seen[what, "fail"] >= 5 for what in PLANTS), seen
+    assert seen[2, "pass"] >= 10 and seen[2, "fail"] >= 10, seen
+    assert seen["ra", "fail"] >= 20 and seen["interval end not related"] >= 20, seen
 
 
 def _corpus_witnesses():
@@ -694,7 +750,7 @@ def _corpus_witnesses():
 def test_snippy_cube_tables_match_uncached_loop_on_corpus():
     dce, ra, fixed = _corpus_witnesses()
     cubes = [(dce, "code_dce_w2.init"), (ra, "code_ra_w2.init"), (fixed, "code_ra_w2.init")]
-    assert [_assert_cubes_agree(*pair, w2_pairs(pair[0].target, init), Bounds(24, 2)).status
+    assert [_assert_cubes_agree(*pair, w2_states(pair[0].target, init), Bounds(24, 2)).status
             for pair, init in cubes] == ["pass", "fail", "pass"]
 
 
@@ -727,9 +783,9 @@ def test_searches_keep_no_state_between_calls():
             (ra, "code_ra_w2.init", Bounds(24, 2))]
     statuses = []
     for (wit, ref), init, b in runs + runs[::-1]:
-        pairs = w2_pairs(wit.target, init)
-        statuses.append(_assert_cubes_agree(wit, ref, pairs, b).status)
-        _assert_simulations_agree(wit, ref, sorted({t for pair in pairs for t in pair}, key=repr), b)
+        states = w2_states(wit.target, init)
+        statuses.append(_assert_cubes_agree(wit, ref, states, b).status)
+        _assert_simulations_agree(wit, ref, states, b)
     assert statuses[:5] == ["pass", "fail", "pass", "pass", "fail"]
 
 
@@ -738,14 +794,14 @@ def test_searches_leave_no_reference_cycles():
     of the cyclic garbage collector, so they cannot pile up across calls."""
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     wit = ra_witness(w, 2)
-    pairs = w2_pairs(wit.target, "code_ra_w2.init")
+    states = w2_states(wit.target, "code_ra_w2.init")
     base = load_state("code_ra_w2.init", wit.target, width=2)
     b = Bounds(24, 2)
     gc.collect()
     gc.disable()
     try:
-        check_snippy_cube(wit, pairs, b)
-        check_simulation(wit, [t for pair in pairs for t in pair], b)
+        check_snippy_cube(wit, states, b)
+        check_simulation(wit, states, b)
         check_sni(wit.target, base, PairSource("exhaustive"), b, width=2)
         explore_behaviors(wit.target, base, Bounds(12, 2), 2)
         assert extract_intervals(wit, (wit.initial_map(base[0]),), base, b).intervals
