@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Verdict sweep over the bundled corpus.
 
-Prints, for each bundled configuration, the SNI verdicts, the typability
-violations, and the simulation/cube verdicts, at both widths.  Useful as a
-quick smoke run and as a template for new experiments.
+Prints, for each bundled configuration, the SNI verdicts (for given pairs
+and exhaustive over high memory), the typability violations, and the
+simulation/cube verdicts, at both widths.  Useful as a quick smoke run and
+as a template for new experiments.
 
     python3 scripts/sweep_corpus.py
 
@@ -56,6 +57,13 @@ def main() -> int:
     row("allocation source, sni (42 vs 7)", check_sni(src, s1, PairSource("file", pairs=[(s1, s2)]), b8).kind, t0)
     t0 = time.monotonic()
     row("allocation target, sni (42 vs 7)", check_sni(tgt, t1, PairSource("file", pairs=[(t1, t2)]), b8).kind, t0)
+    for label, prog, init in (("allocation source", src, s1), ("allocation target", tgt, t1)):
+        t0 = time.monotonic()
+        row(f"{label}, sni exhaustive (width 8)", check_sni(prog, init, PairSource("exhaustive"), b8).kind, t0)
+    spec = load("code_specv1.sp")
+    t0 = time.monotonic()
+    v = check_sni(spec, state("code_specv1.init", spec, 1), PairSource("exhaustive"), b8, 1)
+    row("specv1, sni exhaustive (width 1)", v.kind, t0)
 
     t0 = time.monotonic()
     violations = check_poison_typable(w, poison_analysis(w))

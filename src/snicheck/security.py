@@ -6,7 +6,7 @@ variable; only high memory may differ.  A program is SNI when indistinguishable
 initial states have the same behaviour: the same directive sequences are
 executable and produce the same leakage.
 
-The checker walks both states in lockstep over the joint directive tree,
+`check_sni_pair` walks two states in lockstep over the joint directive tree,
 comparing enabled-directive sets before each step and leakages after it.
 A joint state is expanded again only when it comes back with more of the step
 budget left than at any earlier visit: what lies beyond a state depends only
@@ -14,21 +14,31 @@ on the state and that budget, so a revisit with no more budget cannot find a
 new divergence.  Branches cut by the step or depth bound are counted and make
 a Secure verdict explicitly "secure up to bounds".
 
+Exhaustive `check_sni` decides all pairs of the N high assignments with one
+such walk (`_walk_group`), the N-way self-composition grouped by what the
+attacker observes: a node is the set of states that the assignments reach
+along one directive sequence, and each member is compared with one member,
+so by transitivity a walk with no difference has checked every pair.  The
+first pair is checked alone before it (the probe), so a leak there costs one
+pair search, not N members per node.  After a difference, the other pairs
+are checked one by one, so the violation reported is the pairwise one.
+
 The enabled directives of a single state and the successor and leak of each
-are a pure function of that state, the program and the width.  The search
-therefore reads them from a `semantics.transition_table`: every speculative
-state it meets is interned to a dense id, and the row of an id holds the
+are a pure function of that state, the program and the width.  The searches
+therefore read them from a `semantics.transition_table`: every speculative
+state they meet is interned to a dense id, and the row of an id holds the
 state's enabled directives and, for each, the successor's id and the leak,
-filled when the state is first expanded.  The memo and the stack hold ids,
-so a revisit hashes two ints instead of two stacks of states.  `check_sni`
-passes one table to every pair it checks: each run takes part in many pairs,
-and the pairs still check exactly what they checked stepping afresh.  The
-table lives for one call.
+filled when the state is first expanded.  The memos and the stacks hold ids,
+so a revisit hashes a few ints instead of stacks of states.  `check_sni`
+passes one table to the probe, the walk and every pair it checks: each run
+takes part in many pairs, and each still checks exactly what it checked
+stepping afresh.  The table lives for one call.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .ir import Program
@@ -190,6 +200,42 @@ def check_sni_pair(
     return SniVerdict("secure", b, truncated, pairs_checked=1)
 
 
+def _walk_group(table: Interner, ids: list[int], b: Bounds) -> int | None:
+    """`check_sni_pair` on every pair of `ids` at once: the number of cuts, or
+    None when two of them differ.  Its bounds, leaf test and memo are those
+    of `check_sni_pair`, keyed by a node's set of ids.  A node merged to one
+    id is still walked, as the pairs inside it would be."""
+    states, row = table.values, table.row
+    cuts = 0
+    budget_seen: dict[frozenset, int] = {}  # ids -> most steps left
+    stack = [(frozenset(ids), 0)]
+    while stack:
+        group, steps = stack.pop()
+        if len(states[next(iter(group))]) > b.max_spec_depth:
+            cuts += 1
+            continue
+        rows = [row(i) for i in group]
+        dirs = rows[0][0]
+        if any(r[0] != dirs for r in rows):
+            return None
+        if not dirs:
+            continue
+        if steps >= b.max_steps:
+            cuts += 1
+            continue
+        left = b.max_steps - steps
+        if budget_seen.get(group, 0) >= left:
+            continue
+        budget_seen[group] = left
+        # a column holds each member's (successor, leak) on one directive
+        for column in reversed(tuple(zip(*[r[1] for r in rows]))):
+            kids, leaks = zip(*column)
+            if leaks.count(leaks[0]) != len(leaks):
+                return None
+            stack.append((frozenset(kids), steps + 1))
+    return cuts
+
+
 def high_cells(p: Program) -> list[tuple[str, int]]:
     return [(v.name, off) for v in p.memvars if v.level == "high" for off in range(v.size)]
 
@@ -201,8 +247,10 @@ PAIR_BUDGET = 12
 def enumerate_high_states(p: Program, base: SpecState, width: int) -> list[SpecState]:
     """All initial states that agree with `base` except on high cells.
 
-    Their number is `2 ** (|high cells| * width)`, and exhaustive checks pair
-    them up, so that exponent must stay within `PAIR_BUDGET`."""
+    Their number N is `2 ** (|high cells| * width)`, and that exponent must
+    stay within `PAIR_BUDGET`.  Exhaustive `check_sni` walks all N together:
+    every node of its walk compares up to N members, and its table holds a
+    row for each state that any of them reaches."""
     cells = high_cells(p)
     if len(cells) * width > PAIR_BUDGET:
         raise ValueError(f"exhaustive pair budget exceeded: {len(cells)} high cells at width {width}")
@@ -249,8 +297,12 @@ def check_sni(
 
     Exhaustive mode enumerates every assignment of the high cells at the given
     width and is guarded by `|high cells| * width <= PAIR_BUDGET`
-    (`enumerate_high_states`).  Exhaustive and sampled pairs are drawn as
-    the check goes, so a violation found early never waits on the rest.
+    (`enumerate_high_states`).  With N > 2 assignments it checks the first
+    pair, then decides all C(N, 2) pairs in one walk (`_walk_group`), whose
+    cuts a secure verdict reports as `truncated`; if the walk finds a
+    difference, the other pairs are checked in order.  Exhaustive and
+    sampled pairs are drawn as the check goes, so a violation found early
+    never waits on the rest.
     """
     if source.mode == "file":
         pairs = source.pairs
@@ -265,6 +317,15 @@ def check_sni(
     truncated = 0
     checked = 0
     table = transition_table(p, width)
+    if source.mode == "exhaustive" and len(states) > 2:
+        v = check_sni_pair(p, *next(pairs), b, width, table)
+        if not v.secure:
+            v.pairs_checked = 1
+            return v
+        cuts = _walk_group(table, [table.id(s) for s in states], b)
+        if cuts is not None:
+            return SniVerdict("secure", b, cuts, pairs_checked=math.comb(len(states), 2))
+        checked, truncated = 1, v.truncated
     for a, c in pairs:
         if not low_equivalent(p, a[0], c[0]):
             continue

@@ -268,6 +268,113 @@ def ref_explore_behaviors(p, nu0, b, width=8):
     return bs
 
 
+# --- reference SNI checks: every joint state asks `enabled_directives` and
+# `step_spec` afresh, with no transition table
+
+
+def ref_check_sni_pair(p, nu1, nu2, b, width=8):
+    """`security.check_sni_pair` without a transition table."""
+    from snicheck.security import SniVerdict
+    from snicheck.semantics import enabled_directives, step_spec
+
+    truncated = 0
+    budget_seen = {}
+
+    def rec(a, c, dirs):
+        nonlocal truncated
+        e1 = enabled_directives(p, a, width)
+        e2 = enabled_directives(p, c, width)
+        if e1 != e2:
+            return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2, directives=dirs,
+                              divergence="enabled", enabled1=tuple(e1), enabled2=tuple(e2))
+        if not e1:
+            return None
+        if len(dirs) >= b.max_steps:
+            truncated += 1
+            return None
+        key, left = (a, c), b.max_steps - len(dirs)
+        if budget_seen.get(key, 0) >= left:
+            return None
+        budget_seen[key] = left
+        for d in e1:
+            a2, l1 = step_spec(p, a, d, width)
+            c2, l2 = step_spec(p, c, d, width)
+            if l1 != l2:
+                return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2,
+                                  directives=dirs + (d,), divergence="leak", leak1=l1, leak2=l2)
+            if len(a2) > b.max_spec_depth:
+                truncated += 1
+                continue
+            r = rec(a2, c2, dirs + (d,))
+            if r is not None:
+                return r
+        return None
+
+    res = rec(nu1, nu2, ())
+    if res is not None:
+        res.truncated = truncated
+        return res
+    return SniVerdict("secure", b, truncated, pairs_checked=1)
+
+
+def ref_check_sni_exhaustive(p, base, b, width=8):
+    """Exhaustive `security.check_sni` as the pairwise loop: `ref_check_sni_pair`
+    on every pair of high assignments in `itertools.combinations` order, up to
+    the first violation."""
+    import itertools
+
+    from snicheck.security import SniVerdict, enumerate_high_states
+
+    truncated = checked = 0
+    for a, c in itertools.combinations(enumerate_high_states(p, base, width), 2):
+        v = ref_check_sni_pair(p, a, c, b, width)
+        checked += 1
+        truncated += v.truncated
+        if not v.secure:
+            v.pairs_checked = checked
+            return v
+    return SniVerdict("secure", b, truncated, pairs_checked=checked)
+
+
+def ref_sni_walk(p, base, b, width=8):
+    """The grouped walk of exhaustive `security.check_sni` without a table:
+    a node is the set of states that every high assignment of `base` reaches
+    along one directive sequence.  The number of cuts, or None when two
+    members differ in their enabled sets or in a leak."""
+    from snicheck.security import enumerate_high_states
+    from snicheck.semantics import enabled_directives, step_spec
+
+    cuts = 0
+    budget_seen = {}
+
+    def rec(group, steps):
+        nonlocal cuts
+        if len(next(iter(group))) > b.max_spec_depth:
+            cuts += 1
+            return True
+        enabled = {tuple(enabled_directives(p, nu, width)) for nu in group}
+        if len(enabled) > 1:
+            return False
+        (dirs,) = enabled
+        if not dirs:
+            return True
+        if steps >= b.max_steps:
+            cuts += 1
+            return True
+        if budget_seen.get(group, 0) >= b.max_steps - steps:
+            return True
+        budget_seen[group] = b.max_steps - steps
+        children = []
+        for d in dirs:
+            succs = [step_spec(p, nu, d, width) for nu in group]
+            if len({leak for _, leak in succs}) > 1:
+                return False
+            children.append(frozenset(nu2 for nu2, _ in succs))
+        return all(rec(child, steps + 1) for child in children)
+
+    return cuts if rec(frozenset(enumerate_high_states(p, base, width)), 0) else None
+
+
 # --- reference interval builders: the simulation witnesses' `intervals`,
 # stepping every state afresh with `step_spec` instead of through tables
 

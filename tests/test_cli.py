@@ -493,4 +493,4 @@ def test_sweep_corpus_script_runs_from_a_checkout(tmp_path):
     r = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert r.returncode == 0, r.stderr
     verdicts = [line[46:].rsplit(None, 1)[0].strip() for line in r.stdout.splitlines()]
-    assert verdicts == ["secure", "violation", "1 violation(s)", "secure", "pass", "fail", "pass"]
+    assert verdicts == ["secure", "violation", "secure", "violation", "secure", "1 violation(s)", "secure", "pass", "fail", "pass"]

@@ -6,7 +6,7 @@ import pytest
 from snicheck.ir import parse_program
 from snicheck.security import (
     PairSource,
-    SniVerdict,
+    _walk_group,
     check_safety,
     check_sni,
     check_sni_pair,
@@ -16,14 +16,20 @@ from snicheck.security import (
 from snicheck.semantics import (
     Bounds,
     State,
-    enabled_directives,
     explore_behaviors,
     initial,
     run_directives,
-    step_spec,
+    transition_table,
 )
 
-from conftest import load_program, load_state, random_program, random_state
+from conftest import (
+    load_program,
+    load_state,
+    random_program,
+    random_state,
+    ref_check_sni_exhaustive,
+    ref_sni_walk,
+)
 
 
 def test_low_equivalence_basics(ra_target):
@@ -248,95 +254,105 @@ def test_sni_pair_agrees_with_memo_free_enumeration(rng):
         assert v.secure == same
 
 
-# --- the shared transition table against fresh pair searches ------------------
+# --- the grouped walk against table-free references ---------------------------
 
 
-def reference_check_sni_pair(p, nu1, nu2, b, width):
-    """`check_sni_pair` without a transition table: every joint state asks
-    `enabled_directives` and `step_spec` afresh for both sides."""
-    truncated = 0
-    budget_seen = {}
-
-    def rec(a, c, dirs):
-        nonlocal truncated
-        e1 = enabled_directives(p, a, width)
-        e2 = enabled_directives(p, c, width)
-        if e1 != e2:
-            return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2, directives=dirs,
-                              divergence="enabled", enabled1=tuple(e1), enabled2=tuple(e2))
-        if not e1:
-            return None
-        if len(dirs) >= b.max_steps:
-            truncated += 1
-            return None
-        key, left = (a, c), b.max_steps - len(dirs)
-        if budget_seen.get(key, 0) >= left:
-            return None
-        budget_seen[key] = left
-        for d in e1:
-            a2, l1 = step_spec(p, a, d, width)
-            c2, l2 = step_spec(p, c, d, width)
-            if l1 != l2:
-                return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2,
-                                  directives=dirs + (d,), divergence="leak", leak1=l1, leak2=l2)
-            if len(a2) > b.max_spec_depth:
-                truncated += 1
-                continue
-            r = rec(a2, c2, dirs + (d,))
-            if r is not None:
-                return r
-        return None
-
-    res = rec(nu1, nu2, ())
-    if res is not None:
-        res.truncated = truncated
-        return res
-    return SniVerdict("secure", b, truncated, pairs_checked=1)
-
-
-def reference_check_sni_exhaustive(p, base, b, width):
+def _check_against_references(p, base, b, width):
+    """Exhaustive `check_sni` against the table-free pairwise loop: the same
+    verdict, pair count and `truncated > 0` flag, and for a violation the
+    whole report, replays included.  With more than two high assignments,
+    the grouped walk on its own (also where the first pair already differs)
+    finds a difference iff some pair does, and counts exactly the cuts of
+    the table-free walk, which a secure verdict reports."""
+    got = check_sni(p, base, PairSource("exhaustive"), b, width)
+    want = ref_check_sni_exhaustive(p, base, b, width)
+    assert (got.kind, got.pairs_checked, got.truncated > 0) == (want.kind, want.pairs_checked, want.truncated > 0)
     states = enumerate_high_states(p, base, width)
-    truncated = checked = 0
-    for a, c in itertools.combinations(states, 2):
-        v = reference_check_sni_pair(p, a, c, b, width)
-        checked += 1
-        truncated += v.truncated
-        if not v.secure:
-            v.pairs_checked = checked
-            return v
-    return SniVerdict("secure", b, truncated, pairs_checked=checked)
+    if len(states) > 2:
+        table = transition_table(p, width)
+        walked = _walk_group(table, [table.id(s) for s in states], b)
+        assert walked == ref_sni_walk(p, base, b, width)
+        assert (walked is None) == (not want.secure)
+    if not got.secure or len(states) <= 2:
+        assert got == want
+        assert got.report(p, width) == want.report(p, width)
+    else:
+        assert got.truncated == walked
+    return got
 
 
 def test_check_sni_shared_table_matches_fresh_pairs(rng):
-    """Exhaustive `check_sni` at width 2 shares one transition table across
-    its pairs; its whole report, replays included, equals that of a fresh
-    table-free search per pair."""
-    kinds, truncated = Counter(), 0
+    """On random programs at widths 1-3, some with two high cells and some
+    with shuffle code, exhaustive `check_sni` (the first pair, then one
+    grouped walk over a shared transition table, then the remaining pairs if
+    the walk finds a difference) agrees with fresh table-free searches."""
+    kinds = Counter()
     for _ in range(500):
-        p = random_program(rng, n_instrs=rng.randint(4, 12), n_regs=2)
-        base = random_state(rng, p, width=2)
+        hi_size = 2 if rng.random() < 0.25 else 1
+        width = rng.randint(1, 3 if hi_size == 1 else 2)
+        p = random_program(rng, n_instrs=rng.randint(4, 12), n_regs=2, allow_shuffle=rng.random() < 0.3,
+                           hi_size=hi_size)
+        base = random_state(rng, p, width=width)
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        got = check_sni(p, base, PairSource("exhaustive"), b, width=2)
-        want = reference_check_sni_exhaustive(p, base, b, 2)
-        assert (got.truncated, got.pairs_checked, got.directives) == (want.truncated, want.pairs_checked, want.directives)
-        assert got == want
-        assert got.report(p, 2) == want.report(p, 2)
+        got = _check_against_references(p, base, b, width)
         kinds[got.divergence or got.kind] += 1
-        truncated += got.truncated
-    assert kinds["secure"] >= 20 and kinds["leak"] >= 20 and kinds["enabled"] >= 5, kinds
-    assert truncated > 0
+        kinds["after the first pair"] += got.pairs_checked > 1 and not got.secure
+        kinds["walked, truncated"] += got.secure and got.truncated > 0 and got.pairs_checked > 1
+    assert kinds["secure"] >= 100 and kinds["leak"] >= 20 and kinds["enabled"] >= 5, kinds
+    assert kinds["after the first pair"] >= 3 and kinds["walked, truncated"] >= 50, kinds
+
+
+# only the assignment h = 2 differs from the others, so the first pair
+# (h = 0 and h = 1) agrees and the walk must find the difference
+MIDDLE_LEAKS = [
+    # through a branch
+    "mem h 1 high\nentry a\na: load x <- h[#0] -> b\nb: y = x eq c -> d\nd: if y ? e : e\ne: ret\n",
+    # through the enabled directives of an out-of-bounds load
+    "mem h 1 high\nmem lo 1 low\nentry a\na: load x <- h[#0] -> b\nb: y = x eq c -> d\nd: load z <- lo[y] -> e\ne: ret\n",
+]
+
+
+@pytest.mark.parametrize("text", MIDDLE_LEAKS)
+def test_check_sni_walk_finds_what_the_first_pair_misses(text):
+    p = parse_program(text)
+    v = _check_against_references(p, (State.make(p.entry, {"c": 2}),), Bounds(10, 2), 2)
+    assert not v.secure and v.pairs_checked == 2
+    assert [nu[0].cell("h", 0) for nu in (v.state1, v.state2)] == [0, 2]
 
 
 def test_check_sni_keeps_no_state_between_calls(rng):
-    """Calls in a row on different programs and bounds each equal a fresh
-    table-free search, so no interned state outlives its call."""
+    """Calls in a row on different programs and bounds each agree with fresh
+    table-free searches, so no interned state outlives its call."""
     runs = []
     for _ in range(12):
         p = random_program(rng, n_instrs=rng.randint(4, 12), n_regs=2)
         runs.append((p, random_state(rng, p, width=2), Bounds(rng.randint(6, 12), rng.randint(1, 3))))
     kinds = Counter()
     for p, base, b in runs + runs[::-1]:
-        got = check_sni(p, base, PairSource("exhaustive"), b, width=2)
-        assert got == reference_check_sni_exhaustive(p, base, b, 2)
-        kinds[got.kind] += 1
+        kinds[_check_against_references(p, base, b, 2).kind] += 1
     assert kinds["secure"] and kinds["violation"], kinds
+
+
+def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
+    """`code_specv1.sp` at width 1 has 512 high assignments: one probe pair,
+    then one walk decides all 130,816 pairs.  `code_ra_target.sp` at width 12
+    leaks at the probe and never walks its 4,096 states."""
+    from snicheck import security
+
+    probes = []
+
+    def counting(*args):
+        probes.append(args[1:3])
+        return check_sni_pair(*args)
+
+    monkeypatch.setattr(security, "check_sni_pair", counting)
+    p = load_program("code_specv1.sp")
+    base = load_state("code_specv1.init", p, 1)
+    v = check_sni(p, base, PairSource("exhaustive"), Bounds(32, 3), 1)
+    assert v.secure and v.truncated > 0 and v.pairs_checked == 130_816
+    assert probes == [tuple(enumerate_high_states(p, base, 1)[:2])]
+
+    monkeypatch.setattr(security, "_walk_group", None)
+    p = load_program("code_ra_target.sp")
+    v = check_sni(p, load_state("code_ra.init", p, 12), PairSource("exhaustive"), Bounds(32, 3), 12)
+    assert not v.secure and v.pairs_checked == 1
