@@ -14,14 +14,20 @@ on the state and that budget, so a revisit with no more budget cannot find a
 new divergence.  Branches cut by the step or depth bound are counted and make
 a Secure verdict explicitly "secure up to bounds".
 
-Exhaustive `check_sni` decides all pairs of the N high assignments with one
-such walk (`_walk_group`), the N-way self-composition grouped by what the
-attacker observes: a node is the set of states that the assignments reach
-along one directive sequence, and each member is compared with one member,
-so by transitivity a walk with no difference has checked every pair.  The
-first pair is checked alone before it (the probe), so a leak there costs one
-pair search, not N members per node.  After a difference, the other pairs
-are checked one by one, so the violation reported is the pairwise one.
+Exhaustive `check_sni` first tries to certify all pairs of the N high
+assignments with one run (`_certify`): a taint-labelled search from one of
+them in which high cells start tainted, as in Denning and Denning's flow
+certification done over the directive semantics.  If no tainted register
+decides a branch or an address within the bounds, every assignment takes
+the same directives with the same leaks, and the verdict is secure.  A
+program it refuses is decided with one walk (`_walk_group`), the N-way
+self-composition grouped by what the attacker observes: a node is the set of
+states that the assignments reach along one directive sequence, and each
+member is compared with one member, so by transitivity a walk with no
+difference has checked every pair.  The first pair is checked alone before
+it (the probe), so a leak there costs one pair search, not N members per
+node.  After a difference, the other pairs are checked one by one, so the
+violation reported is the pairwise one.
 
 The enabled directives of a single state and the successor and leak of each
 are a pure function of that state, the program and the width.  The searches
@@ -32,7 +38,8 @@ filled when the state is first expanded.  The memos and the stacks hold ids,
 so a revisit hashes a few ints instead of stacks of states.  `check_sni`
 passes one table to the probe, the walk and every pair it checks: each run
 takes part in many pairs, and each still checks exactly what it checked
-stepping afresh.  The table lives for one call.
+stepping afresh.  The certificate fills the table first, and a refused
+program's probe and walk reuse its rows.  The table lives for one call.
 """
 
 from __future__ import annotations
@@ -41,7 +48,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .ir import Program
+from .ir import STACK_VAR, Fill, If, Load, Program, Slh, Spill, Store
 from .semantics import (
     Bounds,
     D_IF,
@@ -236,6 +243,99 @@ def _walk_group(table: Interner, ids: list[int], b: Bounds) -> int | None:
     return cuts
 
 
+def _certify(p: Program, table: Interner, base_id: int, b: Bounds) -> int | None:
+    """A taint certificate that every high assignment of the state `base_id`
+    behaves alike within `b`: the number of cuts, or None when a tainted
+    register decides a branch or an address.
+
+    One search over `table` from `base_id`, in `_walk_group`'s bound order,
+    with a taint stack beside each state, one packed int per frame over
+    `p.registers` and `p.cells()`; high cells start tainted.  A step taints
+    what it defines iff it uses a tainted value.  The cell a `load`/`fill`
+    reads is one of its uses and the cell a `store`/`spill` writes one of
+    its defs: the in-bounds address, else the directive's cell.  `slh` uses
+    nothing while speculating, so it clears its register.  `spec` pushes a
+    copy of the top frame's taint and `rb` pops it.  An untainted value is
+    then the same in every assignment, and so are the enabled directives
+    and the leaks.  An address is checked before the step cut, since the
+    enabled directives of a cut node are compared too; a branch leaks only
+    when it is expanded.  The memo is keyed by (id, taint stack), so it can
+    close a cycle of states that the walk, keyed by groups, cuts at the step
+    bound: then the certificate counts fewer cuts."""
+    regs = {r: 1 << k for k, r in enumerate(p.registers)}
+    cells = {c: 1 << k for k, c in enumerate(p.cells(), len(regs))}
+    # pc -> (address guard, branch guard, uses, uses while speculating, defs,
+    # (variable, address, whether it reads) of a memory access or None)
+    rules = {}
+    for pc, i in p.instrs.items():
+        addr = uses = defs = 0
+        for f in i.kind.uses:
+            r = getattr(i, f)
+            if f == "addr":
+                addr = regs.get(r, 0)  # a `#n` address is no register
+            else:
+                uses |= regs[r]
+        for f in i.kind.defs:
+            defs |= regs[getattr(i, f)]
+        access = None
+        if isinstance(i, (Load, Store)):
+            access = i.var, i.addr, isinstance(i, Load)
+        elif isinstance(i, (Fill, Spill)):
+            access = STACK_VAR, i.slot, isinstance(i, Fill)
+        branch = uses if isinstance(i, If) else 0
+        rules[pc] = addr, branch, uses, 0 if isinstance(i, Slh) else uses, defs, access
+    states, row = table.values, table.row
+    cuts = 0
+    budget_seen: dict[tuple, int] = {}  # (id, taint stack) -> most steps left
+    stack = [(base_id, (sum(cells[c] for c in high_cells(p)),), 0)]
+    while stack:
+        i, taints, steps = stack.pop()
+        nu = states[i]
+        if len(nu) > b.max_spec_depth:
+            cuts += 1
+            continue
+        dirs, succs = row(i)
+        top, t = nu[-1], taints[-1]
+        addr, branch, uses, spec_uses, defs, access = rules[top.pc]
+        if t & addr:
+            return None
+        if not dirs:
+            continue
+        if steps >= b.max_steps:
+            cuts += 1
+            continue
+        key, left = (i, taints), b.max_steps - steps
+        if budget_seen.get(key, 0) >= left:
+            continue
+        budget_seen[key] = left
+        if t & branch:
+            return None
+        if len(nu) > 1:
+            uses = spec_uses
+        for d, (j, _) in reversed(tuple(zip(dirs, succs))):
+            if d.kind == "rb":
+                nxt = taints[:-1]
+            elif d.kind == "spec":
+                nxt = taints + (t,)
+            elif d.kind == "if":
+                nxt = taints
+            else:
+                u, w = uses, defs
+                if access:
+                    var, a, reads = access
+                    if d.var:
+                        var, a = d.var, d.off
+                    elif not isinstance(a, int):
+                        a = top.reg(a)
+                    if reads:
+                        u |= cells[var, a]
+                    else:
+                        w |= cells[var, a]
+                nxt = taints[:-1] + ((t | w) if t & u else (t & ~w),)
+            stack.append((j, nxt, steps + 1))
+    return cuts
+
+
 def high_cells(p: Program) -> list[tuple[str, int]]:
     return [(v.name, off) for v in p.memvars if v.level == "high" for off in range(v.size)]
 
@@ -297,12 +397,15 @@ def check_sni(
 
     Exhaustive mode enumerates every assignment of the high cells at the given
     width and is guarded by `|high cells| * width <= PAIR_BUDGET`
-    (`enumerate_high_states`).  With N > 2 assignments it checks the first
-    pair, then decides all C(N, 2) pairs in one walk (`_walk_group`), whose
-    cuts a secure verdict reports as `truncated`; if the walk finds a
-    difference, the other pairs are checked in order.  Exhaustive and
-    sampled pairs are drawn as the check goes, so a violation found early
-    never waits on the rest.
+    (`enumerate_high_states`).  With N > 2 assignments it first runs the
+    taint certificate (`_certify`) from the first assignment; a certified
+    program is secure with `pairs_checked` = C(N, 2) and the certificate's
+    cuts as `truncated`.  A refused program has its first pair checked, then
+    all C(N, 2) pairs decided in one walk (`_walk_group`), whose cuts a
+    secure verdict reports as `truncated`; if the walk finds a difference,
+    the other pairs are checked in order.  Exhaustive and sampled pairs are
+    drawn as the check goes, so a violation found early never waits on the
+    rest.
     """
     if source.mode == "file":
         pairs = source.pairs
@@ -318,11 +421,13 @@ def check_sni(
     checked = 0
     table = transition_table(p, width)
     if source.mode == "exhaustive" and len(states) > 2:
-        v = check_sni_pair(p, *next(pairs), b, width, table)
-        if not v.secure:
-            v.pairs_checked = 1
-            return v
-        cuts = _walk_group(table, [table.id(s) for s in states], b)
+        cuts = _certify(p, table, table.id(states[0]), b)
+        if cuts is None:
+            v = check_sni_pair(p, *next(pairs), b, width, table)
+            if not v.secure:
+                v.pairs_checked = 1
+                return v
+            cuts = _walk_group(table, [table.id(s) for s in states], b)
         if cuts is not None:
             return SniVerdict("secure", b, cuts, pairs_checked=math.comb(len(states), 2))
         checked, truncated = 1, v.truncated

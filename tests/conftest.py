@@ -375,6 +375,79 @@ def ref_sni_walk(p, base, b, width=8):
     return cuts if rec(frozenset(enumerate_high_states(p, base, width)), 0) else None
 
 
+def ref_taint_certify(p, nu0, b, width=8):
+    """`security._certify` without a table or packed taint: each frame's
+    taint is a set of register names and cells, changed by one match arm per
+    instruction kind, and the states are stepped by `ref_transitions`.  The
+    number of cuts, or None when a tainted register is a branch condition
+    or a load/store address."""
+    from snicheck.ir import STACK_VAR, Asgn, Fill, If, Load, Move, Slh, Spill, Store
+    from snicheck.security import high_cells
+
+    cuts = 0
+    budget_seen = {}
+
+    def cell_of(nu, d, var, addr):
+        if d.kind in ("load", "store"):
+            return d.var, d.off
+        return var, addr if isinstance(addr, int) else nu[-1].reg(addr)
+
+    def flow(nu, d, t):
+        """The top frame's taint `t` after stepping `nu` by `d`."""
+        match p.instrs[nu[-1].pc]:
+            case Asgn(dst=dst, lhs=a, rhs=c):
+                return t - {dst} | ({dst} if {a, c} & t else set())
+            case Move(dst=dst, src=src):
+                return t - {dst} | ({dst} if src in t else set())
+            case Load(dst=dst, var=var, addr=addr):
+                return t - {dst} | ({dst} if cell_of(nu, d, var, addr) in t else set())
+            case Fill(dst=dst, slot=slot):
+                return t - {dst} | ({dst} if (STACK_VAR, slot) in t else set())
+            case Store(var=var, addr=addr, src=src):
+                cell = cell_of(nu, d, var, addr)
+                return t - {cell} | ({cell} if src in t else set())
+            case Spill(slot=slot, src=src):
+                return t - {(STACK_VAR, slot)} | ({(STACK_VAR, slot)} if src in t else set())
+            case Slh(reg=r) if len(nu) > 1:
+                return t - {r}
+        return t
+
+    def rec(nu, taints, steps):
+        nonlocal cuts
+        if len(nu) > b.max_spec_depth:
+            cuts += 1
+            return True
+        ts = ref_transitions(p, nu, width)
+        i = p.instrs[nu[-1].pc]
+        if isinstance(i, (Load, Store)) and isinstance(i.addr, str) and i.addr in taints[-1]:
+            return False
+        if not ts:
+            return True
+        if steps >= b.max_steps:
+            cuts += 1
+            return True
+        key = (nu, taints)
+        if budget_seen.get(key, 0) >= b.max_steps - steps:
+            return True
+        budget_seen[key] = b.max_steps - steps
+        if isinstance(i, If) and i.cond in taints[-1]:
+            return False
+        for d, nu2, _ in ts:
+            if d.kind == "rb":
+                nxt = taints[:-1]
+            elif d.kind == "spec":
+                nxt = taints + (taints[-1],)
+            elif d.kind == "if":
+                nxt = taints
+            else:
+                nxt = taints[:-1] + (flow(nu, d, taints[-1]),)
+            if not rec(nu2, nxt, steps + 1):
+                return False
+        return True
+
+    return cuts if rec(nu0, (frozenset(high_cells(p)),), 0) else None
+
+
 # --- reference interval builders: the simulation witnesses' `intervals`,
 # stepping every state afresh with `step_spec` instead of through tables
 

@@ -353,6 +353,30 @@ def test_golden_explore_json():
     assert r.stdout == (GOLDEN / "explore_dce.json").read_text()
 
 
+# (program, initial state, width) of each exhaustive `check-sni` golden case
+SNI_EXHAUSTIVE = [
+    ("code_specv1.sp", "code_specv1.init", 1),
+    ("code_ra_source.sp", "code_ra.init", 8),
+    ("code_ra_source.sp", "code_ra.init", 12),
+    ("code_dce_source.sp", "code_dce.init", 12),
+    ("code_ra_target.sp", "code_ra.init", 8),
+]
+
+
+def test_golden_sni_exhaustive_json(capsys):
+    """Exhaustive `check-sni` reports on the corpus, through the certificate
+    (the secure cases) and through the probe (the RA target's leak), are
+    byte-identical to the recorded ones, exit codes included."""
+    doc = {}
+    for prog, init, width in SNI_EXHAUSTIVE:
+        code, out = run_cli(
+            "check-sni", C(prog), "--state", C(init), "--pairs", "exhaustive", "--width", str(width),
+            "--format", "json", capsys=capsys,
+        )
+        doc[f"{prog} width {width}"] = {"exit": code, "output": json.loads(out)}
+    assert json.dumps(doc, indent=1, sort_keys=True) + "\n" == (GOLDEN / "sni_exhaustive.json").read_text()
+
+
 def test_check_sim_ra_requires_target_and_witness(capsys):
     code, _ = run_cli(
         "check-sim", "--witness-kind", "ra", "--source", C("code_ra_source.sp"),

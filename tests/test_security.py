@@ -3,9 +3,10 @@ from collections import Counter
 
 import pytest
 
-from snicheck.ir import parse_program
+from snicheck.ir import Fill, Spill, parse_program
 from snicheck.security import (
     PairSource,
+    _certify,
     _walk_group,
     check_safety,
     check_sni,
@@ -29,6 +30,7 @@ from conftest import (
     random_state,
     ref_check_sni_exhaustive,
     ref_sni_walk,
+    ref_taint_certify,
 )
 
 
@@ -261,15 +263,22 @@ def _check_against_references(p, base, b, width):
     """Exhaustive `check_sni` against the table-free pairwise loop: the same
     verdict, pair count and `truncated > 0` flag, and for a violation the
     whole report, replays included.  With more than two high assignments,
-    the grouped walk on its own (also where the first pair already differs)
-    finds a difference iff some pair does, and counts exactly the cuts of
-    the table-free walk, which a secure verdict reports."""
+    the taint certificate counts exactly the cuts of the table-free one, and
+    certifies only programs that the pair loop finds secure; the grouped
+    walk on its own (also where the first pair already differs) finds a
+    difference iff some pair does, and counts exactly the cuts of the
+    table-free walk.  A secure verdict reports the certificate's cuts, else
+    the walk's.  Returns the verdict and whether it was certified."""
     got = check_sni(p, base, PairSource("exhaustive"), b, width)
     want = ref_check_sni_exhaustive(p, base, b, width)
     assert (got.kind, got.pairs_checked, got.truncated > 0) == (want.kind, want.pairs_checked, want.truncated > 0)
     states = enumerate_high_states(p, base, width)
+    certified = None
     if len(states) > 2:
         table = transition_table(p, width)
+        certified = _certify(p, table, table.id(states[0]), b)
+        assert certified == ref_taint_certify(p, states[0], b, width)
+        assert certified is None or want.secure
         walked = _walk_group(table, [table.id(s) for s in states], b)
         assert walked == ref_sni_walk(p, base, b, width)
         assert (walked is None) == (not want.secure)
@@ -277,15 +286,17 @@ def _check_against_references(p, base, b, width):
         assert got == want
         assert got.report(p, width) == want.report(p, width)
     else:
-        assert got.truncated == walked
-    return got
+        assert got.truncated == (walked if certified is None else certified)
+    return got, certified is not None
 
 
 def test_check_sni_shared_table_matches_fresh_pairs(rng):
     """On random programs at widths 1-3, some with two high cells and some
-    with shuffle code, exhaustive `check_sni` (the first pair, then one
-    grouped walk over a shared transition table, then the remaining pairs if
-    the walk finds a difference) agrees with fresh table-free searches."""
+    with shuffle code, exhaustive `check_sni` (the taint certificate, else
+    the first pair, then one grouped walk over a shared transition table,
+    then the remaining pairs if the walk finds a difference) agrees with
+    fresh table-free searches, and certifies at least 90% of the secure
+    programs with more than two high assignments."""
     kinds = Counter()
     for _ in range(500):
         hi_size = 2 if rng.random() < 0.25 else 1
@@ -294,12 +305,43 @@ def test_check_sni_shared_table_matches_fresh_pairs(rng):
                            hi_size=hi_size)
         base = random_state(rng, p, width=width)
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        got = _check_against_references(p, base, b, width)
+        got, certified = _check_against_references(p, base, b, width)
         kinds[got.divergence or got.kind] += 1
         kinds["after the first pair"] += got.pairs_checked > 1 and not got.secure
         kinds["walked, truncated"] += got.secure and got.truncated > 0 and got.pairs_checked > 1
+        kinds["secure, N > 2"] += got.secure and got.pairs_checked > 1
+        kinds["certified"] += certified
     assert kinds["secure"] >= 100 and kinds["leak"] >= 20 and kinds["enabled"] >= 5, kinds
     assert kinds["after the first pair"] >= 3 and kinds["walked, truncated"] >= 50, kinds
+    assert kinds["certified"] >= 0.9 * kinds["secure, N > 2"], kinds
+
+
+def test_check_sni_certifies_allocated_targets(rng):
+    """Register-allocated targets that spill and fill through `stk`, half of
+    them repaired by `fix_ra`: the certificate follows taint through the
+    stack slots, agrees with its table-free reference and certifies only
+    secure targets, and at least 90% of the secure ones."""
+    from snicheck.poison import fix_ra
+    from snicheck.regalloc import AllocationInfeasible, allocate
+
+    kinds = Counter()
+    while kinds["targets"] < 100:
+        p = random_program(rng, n_instrs=rng.randint(4, 9), n_regs=3)
+        try:
+            w = allocate(p, 2)
+        except AllocationInfeasible:
+            continue
+        if not any(isinstance(i, (Fill, Spill)) for i in w.target.instrs.values()):
+            continue
+        if kinds["targets"] % 2:
+            w, _ = fix_ra(w, width=2)
+        kinds["targets"] += 1
+        base = random_state(rng, w.target, width=2)
+        got, certified = _check_against_references(w.target, base, Bounds(rng.randint(6, 12), rng.randint(1, 3)), 2)
+        kinds[got.kind] += 1
+        kinds["certified"] += certified
+    assert kinds["violation"] >= 5, kinds
+    assert kinds["certified"] >= 0.9 * kinds["secure"], kinds
 
 
 # only the assignment h = 2 differs from the others, so the first pair
@@ -315,7 +357,7 @@ MIDDLE_LEAKS = [
 @pytest.mark.parametrize("text", MIDDLE_LEAKS)
 def test_check_sni_walk_finds_what_the_first_pair_misses(text):
     p = parse_program(text)
-    v = _check_against_references(p, (State.make(p.entry, {"c": 2}),), Bounds(10, 2), 2)
+    v, _ = _check_against_references(p, (State.make(p.entry, {"c": 2}),), Bounds(10, 2), 2)
     assert not v.secure and v.pairs_checked == 2
     assert [nu[0].cell("h", 0) for nu in (v.state1, v.state2)] == [0, 2]
 
@@ -329,30 +371,70 @@ def test_check_sni_keeps_no_state_between_calls(rng):
         runs.append((p, random_state(rng, p, width=2), Bounds(rng.randint(6, 12), rng.randint(1, 3))))
     kinds = Counter()
     for p, base, b in runs + runs[::-1]:
-        kinds[_check_against_references(p, base, b, 2).kind] += 1
+        kinds[_check_against_references(p, base, b, 2)[0].kind] += 1
     assert kinds["secure"] and kinds["violation"], kinds
 
 
 def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
-    """`code_specv1.sp` at width 1 has 512 high assignments: one probe pair,
-    then one walk decides all 130,816 pairs.  `code_ra_target.sp` at width 12
-    leaks at the probe and never walks its 4,096 states."""
+    """`code_specv1.sp` at width 1 has 512 high assignments, and one
+    taint-labelled run decides all 130,816 pairs with neither a probe pair
+    nor the grouped walk.  A secure program whose taint reaches a branch
+    (`y` is `x and 0`) is refused: one probe pair, then one walk decides the
+    rest.  `code_ra_target.sp` at width 12 is refused too, leaks at the
+    probe and never walks its 4,096 states."""
     from snicheck import security
 
-    probes = []
+    def not_called(*args):
+        raise AssertionError("called on a certified program")
 
-    def counting(*args):
+    monkeypatch.setattr(security, "check_sni_pair", not_called)
+    monkeypatch.setattr(security, "_walk_group", not_called)
+    p = load_program("code_specv1.sp")
+    v = check_sni(p, load_state("code_specv1.init", p, 1), PairSource("exhaustive"), Bounds(32, 3), 1)
+    assert v.secure and v.truncated > 0 and v.pairs_checked == 130_816
+
+    probes, walks = [], []
+
+    def probing(*args):
         probes.append(args[1:3])
         return check_sni_pair(*args)
 
-    monkeypatch.setattr(security, "check_sni_pair", counting)
-    p = load_program("code_specv1.sp")
-    base = load_state("code_specv1.init", p, 1)
-    v = check_sni(p, base, PairSource("exhaustive"), Bounds(32, 3), 1)
-    assert v.secure and v.truncated > 0 and v.pairs_checked == 130_816
-    assert probes == [tuple(enumerate_high_states(p, base, 1)[:2])]
+    def walking(*args):
+        walks.append(len(args[1]))
+        return _walk_group(*args)
+
+    monkeypatch.setattr(security, "check_sni_pair", probing)
+    monkeypatch.setattr(security, "_walk_group", walking)
+    p = parse_program("mem h 1 high\nentry a\na: load x <- h[#0] -> b\nb: y = x and z -> c\nc: if y ? d : d\nd: ret\n")
+    v = check_sni(p, initial(p), PairSource("exhaustive"), Bounds(8, 2), 2)
+    assert v.secure and v.pairs_checked == 6
+    assert probes == [tuple(enumerate_high_states(p, initial(p), 2)[:2])] and walks == [4]
 
     monkeypatch.setattr(security, "_walk_group", None)
     p = load_program("code_ra_target.sp")
     v = check_sni(p, load_state("code_ra.init", p, 12), PairSource("exhaustive"), Bounds(32, 3), 12)
-    assert not v.secure and v.pairs_checked == 1
+    assert not v.secure and v.pairs_checked == 1 and len(probes) == 2
+
+
+SLH_GUARDED = """mem a 2 low
+mem h 1 high
+entry 0
+0: if c ? 1 : 5
+1: load x <- h[#0] -> 2
+2: {guard} x -> 3
+3: load y <- a[x] -> 4
+4: nop -> 5
+5: ret
+"""
+
+
+def test_certificate_follows_slh_on_a_mispredicted_path():
+    """The secret is loaded only on the mispredicted side of the branch, and
+    `slh` zeroes it there before it is used as an address: certified.  With
+    a `move x <- x` in place of the `slh`, the address is the secret and
+    the program leaks it."""
+    b = Bounds(16, 2)
+    for guard, secure in (("slh", True), ("move x <-", False)):
+        p = parse_program(SLH_GUARDED.format(guard=guard))
+        v, certified = _check_against_references(p, (State.make(p.entry, {"c": 1}),), b, 2)
+        assert v.secure == secure and certified == secure
