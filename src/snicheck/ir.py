@@ -10,10 +10,13 @@ Branch convention: ``if r ? T : F`` goes to T when the register equals 0 and
 to F otherwise.  Comparison operators produce 0/1, so a branch on the result
 of ``lt``/``eq`` takes the T side when the comparison is *false*.
 
-`KINDS` is the one place where an instruction kind's text syntax and its
-register and successor fields are declared.  `Instr.successors`, `uses_defs`,
-`parse_program` and `print_program` are derived from it, and rewriters
-retarget or rename an instruction through its field lists.
+`KINDS` is the one place where an instruction kind's text syntax, its
+register and successor fields and its memory access are declared.
+`Instr.successors`, `uses_defs`, `Kind.access`, `parse_program` and
+`print_program` are derived from it, and rewriters retarget or rename an
+instruction through its field lists.  Liveness, the taint certificate, the
+witness check of shuffles and the dead-code witness read a memory access
+through `Kind.access` alone.
 """
 
 from __future__ import annotations
@@ -195,10 +198,14 @@ class Kind:
     field, in field order.  `uses` are the fields it reads as registers (one
     holding a `#n` address is not a register), `defs` the fields it writes,
     and `succs` its successor pcs.  `mnemonic` is the first word of `text`.
-    The class's `successors` method and `kind` attribute are set here.
+    A `load`, `store`, `fill` or `spill` declares its memory `access` as
+    (variable field or `stk`, address or slot field, whether it reads);
+    `access(i)` is then (variable, address or address register, reads) of
+    instruction `i`, and None for every other kind.  The class's
+    `successors` method and `kind` attribute are set here.
     """
 
-    def __init__(self, cls: type, text: str, uses=(), defs=(), succs=()):
+    def __init__(self, cls: type, text: str, uses=(), defs=(), succs=(), access=None):
         self.cls, self.text, self.uses, self.defs, self.succs = cls, text, uses, defs, succs
         self.mnemonic = text.split()[0]
         holes = tuple(re.findall(r"\{(\w+)\}", text))
@@ -214,6 +221,13 @@ class Kind:
             self.uses_defs = lambda i: (frozenset([r for r in uses_of(i) if isinstance(r, str)]), frozenset(defs_of(i)))
         else:
             self.uses_defs = lambda i: (frozenset(uses_of(i)), frozenset(defs_of(i)))
+        if access is None:
+            self.access = lambda i: None
+        else:
+            var, where, reads = access
+            get_var = attrgetter(var) if var in holes else lambda i: var  # `stk` is no field
+            get_where = attrgetter(where)
+            self.access = lambda i: (get_var(i), get_where(i), reads)
         fmt = re.sub(r"\{\w+\}", "{}", text).format
         if "addr" in holes:
             self.format = lambda i: fmt(*map(_fmt_addr, holes_of(i)))
@@ -232,14 +246,16 @@ KINDS = (
     Kind(Exit, "ret"),
     Kind(Nop, "nop -> {succ}", succs=("succ",)),
     Kind(Asgn, "{dst} = {lhs} {op} {rhs} -> {succ}", uses=("lhs", "rhs"), defs=("dst",), succs=("succ",)),
-    Kind(Load, "load {dst} <- {var}[{addr}] -> {succ}", uses=("addr",), defs=("dst",), succs=("succ",)),
-    Kind(Store, "store {var}[{addr}] <- {src} -> {succ}", uses=("addr", "src"), succs=("succ",)),
+    Kind(Load, "load {dst} <- {var}[{addr}] -> {succ}", uses=("addr",), defs=("dst",), succs=("succ",),
+         access=("var", "addr", True)),
+    Kind(Store, "store {var}[{addr}] <- {src} -> {succ}", uses=("addr", "src"), succs=("succ",),
+         access=("var", "addr", False)),
     Kind(If, "if {cond} ? {succ_true} : {succ_false}", uses=("cond",), succs=("succ_true", "succ_false")),
     Kind(Sfence, "sfence -> {succ}", succs=("succ",)),
     Kind(Slh, "slh {reg} -> {succ}", uses=("reg",), defs=("reg",), succs=("succ",)),
     Kind(Move, "move {dst} <- {src} -> {succ}", uses=("src",), defs=("dst",), succs=("succ",)),
-    Kind(Fill, "fill {dst} <- stk#{slot} -> {succ}", defs=("dst",), succs=("succ",)),
-    Kind(Spill, "spill stk#{slot} <- {src} -> {succ}", uses=("src",), succs=("succ",)),
+    Kind(Fill, "fill {dst} <- stk#{slot} -> {succ}", defs=("dst",), succs=("succ",), access=(STACK_VAR, "slot", True)),
+    Kind(Spill, "spill stk#{slot} <- {src} -> {succ}", uses=("src",), succs=("succ",), access=(STACK_VAR, "slot", False)),
 )
 
 

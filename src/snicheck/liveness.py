@@ -5,13 +5,16 @@ is a parameter: security-facing runs keep the default (all registers and all
 cells live at exit); register-allocation-facing runs pass cells only, so
 registers die at program end.
 
-Kills: a live assign/load kills its destination; a const-addressed store
-kills exactly its cell.  Register-addressed loads make every memory cell
-live (the access may go anywhere once speculation is in play).  Register
-uses are always added, including for instructions (moves too) whose
-destination is dead: the register allocator places every use.  Removal
-decisions depend only on destination liveness, so this does not change which
-instructions dead code elimination deletes.
+One rule covers every instruction but `ret`, read off its `KINDS` entry
+(`uses_defs` and `Kind.access`): kill its defs, then add its uses.  A
+memory read (`load`, `fill`) adds the cell it reads only when one of its
+defs is live, and every memory cell when it reads through a register (the
+access may go anywhere once speculation is in play); a write (`store`,
+`spill`) through a constant address or slot kills exactly its cell.
+Register uses are always added, including for instructions (moves too)
+whose destination is dead: the register allocator places every use.
+Removal decisions depend only on destination liveness, so this does not
+change which instructions dead code elimination deletes.
 """
 
 from __future__ import annotations
@@ -19,23 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import dataflow
-from .ir import (
-    Asgn,
-    Exit,
-    Fill,
-    If,
-    Instr,
-    Load,
-    Move,
-    Nop,
-    Pc,
-    Program,
-    Sfence,
-    Slh,
-    Spill,
-    Store,
-    STACK_VAR,
-)
+from .ir import Asgn, Exit, Instr, Load, Nop, Pc, Program, Store, uses_defs
 
 Fact = frozenset  # of Reg | (var, off)
 
@@ -49,36 +36,22 @@ def cells_fact(p: Program) -> Fact:
 
 
 def transfer(p: Program, i: Instr, fact: Fact, exit_fact: Fact) -> Fact:
-    match i:
-        case Exit():
-            return exit_fact
-        case Nop() | Sfence():
-            return fact
-        case Asgn(dst=d, lhs=a, rhs=b):
-            base = fact - {d} if d in fact else fact
-            return base | {a, b}
-        case Load(dst=d, var=v, addr=adr):
-            if isinstance(adr, int):
-                return (fact - {d}) | {(v, adr)} if d in fact else fact
-            base = (fact - {d}) | frozenset(p.cells()) if d in fact else fact
-            return base | {adr}
-        case Store(var=v, addr=adr, src=c):
-            if isinstance(adr, int):
-                base = fact - {(v, adr)} if (v, adr) in fact else fact
-                return base | {c}
-            return fact | {adr, c}
-        case If(cond=c):
-            return fact | {c}
-        case Slh(reg=r):
-            return fact | {r}
-        case Move(dst=d, src=s):
-            return (fact - {d}) | {s}
-        case Fill(dst=d, slot=sl):
-            return (fact - {d}) | {(STACK_VAR, sl)} if d in fact else fact
-        case Spill(slot=sl, src=s):
-            base = fact - {(STACK_VAR, sl)} if (STACK_VAR, sl) in fact else fact
-            return base | {s}
-    return fact
+    """The fact before `i` from the fact after it."""
+    if isinstance(i, Exit):
+        return exit_fact
+    uses, defs = uses_defs(i)
+    live = not defs.isdisjoint(fact)
+    if live:
+        fact = fact - defs
+    access = i.kind.access(i)
+    if access is not None:
+        var, adr, reads = access
+        if reads:
+            if live:
+                fact = fact | ({(var, adr)} if isinstance(adr, int) else cells_fact(p))
+        elif isinstance(adr, int) and (var, adr) in fact:
+            fact = fact - {(var, adr)}
+    return fact | uses if uses else fact
 
 
 def liveness(p: Program, exit_fact: Fact | None = None) -> dict[Pc, Fact]:

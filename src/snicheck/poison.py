@@ -54,8 +54,9 @@ JSON and the tests.  `poison_analysis` is a `RepairSession` with no splices;
 structure, live relocations and the product graph once and patches them per
 splice.  One routine solves the flow problem, strongly connected component
 by component in topological order: at construction it solves every
-component, and after a splice only those whose inflow changed.  `fix_ra`
-validates the input witness once, since a splice keeps it as valid as it
+component, and after a splice only those whose inflow changed.  Every
+analysis refuses an invalid witness when its `Product` is built, and
+`fix_ra` validates only its input, since a splice keeps it as valid as it
 was.
 """
 
@@ -219,7 +220,11 @@ class ProductTransition:
 
 
 class Product:
-    """Product semantics and pairing structure for a validated witness."""
+    """Product semantics and pairing structure for a valid witness.
+
+    Every analysis of a witness builds its `Product` first, and the product
+    refuses a witness that `validate_ra` refuses, with its first diagnostic,
+    checked with the liveness, structure and live relocations it keeps."""
 
     def __init__(self, w: RAWitness, width: int = DEFAULT_WIDTH):
         self.w = w
@@ -227,9 +232,10 @@ class Product:
         self.sol = liveness(w.source, cells_fact(w.source))
         self.live = source_live_regs(w, self.sol)
         self.st: Structure = analyze_structure(w)
-        if self.st.errors:
-            raise ValueError(f"invalid witness: {self.st.errors[0]}")
-        self.rho = rho_live(w, self.st, self.sol, self.live)
+        self.rho = {} if self.st.errors else rho_live(w, self.st, self.sol, self.live)
+        bad = validate_ra(w, self.sol, self.live, self.st, self.rho)
+        if bad:
+            raise ValueError(f"invalid witness: {bad[0]}")
         self.domain = poison_domain(w)
         self.pk = _Packing(self.domain)  # shared with this witness's `RepairSession`
 
@@ -777,17 +783,14 @@ def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixRepo
 
     The rounds share one `RepairSession`, which patches the analysis per
     splice instead of rerunning `poison_analysis`.  A splice keeps a witness
-    valid or invalid as it was (the new pc relocates like the pc it precedes,
-    `sfence` moves nothing and `slh` keeps its register in place), so
-    `validate_ra` runs once, on the input, before any splice, with the
-    session's liveness, structure and live relocations; an invalid input
-    raises even when it needs no fence.  `width` is accepted for symmetry
-    with `poison_analysis`; the static analysis does not depend on it.
+    valid as it was (the new pc relocates like the pc it precedes, `sfence`
+    moves nothing and `slh` keeps its register in place), so the witness is
+    validated once, when the session's `Product` is built: an invalid input
+    raises `ValueError` even when it needs no fence.  `width` is accepted for
+    symmetry with `poison_analysis`; the static analysis does not depend on
+    it.
     """
     session = RepairSession(w)
-    bad = validate_ra(w, session.sol, session.live, session.st, session.rho_live)
-    if bad:
-        raise RuntimeError(f"invalid witness: {bad[0]}")
     report = FixReport(session.insertions)
     cap = 2 * len(w.target.instrs) * max(1, len(w.source.registers)) + 1
     for it in range(cap):

@@ -283,8 +283,8 @@ def _moved_register(t_pc: Pc, ti: Instr, m0: dict, m1: dict, out: list) -> Reg |
                 out.append(RADiagnostic("shuffle-conformity", (t_pc,), f"slh register {a} must stay allocated in place"))
                 break
         return owners[0] if owners else None
-    k = ti.kind
-    slot = (STACK_VAR, ti.slot) if isinstance(ti, (Fill, Spill)) else None
+    k, access = ti.kind, ti.kind.access(ti)
+    slot = access[:2] if access else None  # a fill or spill's (stk, slot)
     pre = getattr(ti, k.uses[0]) if k.uses else slot
     post = getattr(ti, k.defs[0]) if k.defs else slot
     r = next((r for r in sorted(set(m0) | set(m1)) if m0.get(r) == pre and m1.get(r) == post), None)

@@ -15,19 +15,20 @@ new divergence.  Branches cut by the step or depth bound are counted and make
 a Secure verdict explicitly "secure up to bounds".
 
 Exhaustive `check_sni` first tries to certify all pairs of the N high
-assignments with one run (`_certify`): a taint-labelled search from one of
-them in which high cells start tainted, as in Denning and Denning's flow
-certification done over the directive semantics.  If no tainted register
-decides a branch or an address within the bounds, every assignment takes
-the same directives with the same leaks, and the verdict is secure.  A
-program it refuses is decided with one walk (`_walk_group`), the N-way
-self-composition grouped by what the attacker observes: a node is the set of
-states that the assignments reach along one directive sequence, and each
-member is compared with one member, so by transitivity a walk with no
-difference has checked every pair.  The first pair is checked alone before
-it (the probe), so a leak there costs one pair search, not N members per
-node.  After a difference, the other pairs are checked one by one, so the
-violation reported is the pairwise one.
+assignments with one run (`_certify`), before it enumerates them: a
+taint-labelled search from one of them in which high cells start tainted,
+as in Denning and Denning's flow certification done over the directive
+semantics.  If no tainted register decides a branch or an address within
+the bounds, every assignment takes the same directives with the same
+leaks, and the verdict is secure.  A program it refuses has its N
+assignments enumerated, within `PAIR_BUDGET`, and is decided with one walk
+(`_walk_group`), the N-way self-composition grouped by what the attacker
+observes: a node is the set of states that the assignments reach along one
+directive sequence, and each member is compared with one member, so by
+transitivity a walk with no difference has checked every pair.  The first
+pair is checked alone before it (the probe), so a leak there costs one pair
+search, not N members per node.  After a difference, the other pairs are
+checked one by one, so the violation reported is the pairwise one.
 
 The enabled directives of a single state and the successor and leak of each
 are a pure function of that state, the program and the width.  The searches
@@ -48,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .ir import STACK_VAR, Fill, If, Load, Program, Slh, Spill, Store
+from .ir import If, Program, Slh
 from .semantics import (
     Bounds,
     D_IF,
@@ -164,7 +165,7 @@ def check_sni_pair(
     pairs of one program at one width passes the same table to all of them
     (see `check_sni`)."""
     if len(nu1) != 1 or len(nu2) != 1 or not low_equivalent(p, nu1[0], nu2[0]):
-        raise ValueError("check_sni_pair requires low-equivalent initial states")
+        raise ValueError("initial states are not low-equivalent: they must agree on pc, registers and low memory")
 
     if table is None:
         table = transition_table(p, width)
@@ -265,7 +266,7 @@ def _certify(p: Program, table: Interner, base_id: int, b: Bounds) -> int | None
     regs = {r: 1 << k for k, r in enumerate(p.registers)}
     cells = {c: 1 << k for k, c in enumerate(p.cells(), len(regs))}
     # pc -> (address guard, branch guard, uses, uses while speculating, defs,
-    # (variable, address, whether it reads) of a memory access or None)
+    # `Kind.access` of the instruction)
     rules = {}
     for pc, i in p.instrs.items():
         addr = uses = defs = 0
@@ -277,13 +278,8 @@ def _certify(p: Program, table: Interner, base_id: int, b: Bounds) -> int | None
                 uses |= regs[r]
         for f in i.kind.defs:
             defs |= regs[getattr(i, f)]
-        access = None
-        if isinstance(i, (Load, Store)):
-            access = i.var, i.addr, isinstance(i, Load)
-        elif isinstance(i, (Fill, Spill)):
-            access = STACK_VAR, i.slot, isinstance(i, Fill)
         branch = uses if isinstance(i, If) else 0
-        rules[pc] = addr, branch, uses, 0 if isinstance(i, Slh) else uses, defs, access
+        rules[pc] = addr, branch, uses, 0 if isinstance(i, Slh) else uses, defs, i.kind.access(i)
     states, row = table.values, table.row
     cuts = 0
     budget_seen: dict[tuple, int] = {}  # (id, taint stack) -> most steps left
@@ -344,24 +340,27 @@ def high_cells(p: Program) -> list[tuple[str, int]]:
 PAIR_BUDGET = 12
 
 
+def _with_high(base: SpecState, cells: list, values) -> SpecState:
+    """`base` with high cell `cells[k]` set to `values[k]`."""
+    s = base[0]
+    for (var, off), v in zip(cells, values):
+        s = s.with_cell(var, off, v)
+    return (s,)
+
+
 def enumerate_high_states(p: Program, base: SpecState, width: int) -> list[SpecState]:
-    """All initial states that agree with `base` except on high cells.
+    """All initial states that agree with `base` except on high cells, the
+    one with every high cell 0 first.
 
     Their number N is `2 ** (|high cells| * width)`, and that exponent must
-    stay within `PAIR_BUDGET`.  Exhaustive `check_sni` walks all N together:
+    stay within `PAIR_BUDGET`.  Exhaustive `check_sni` enumerates them only
+    for a program its certificate refuses, and then walks all N together:
     every node of its walk compares up to N members, and its table holds a
     row for each state that any of them reaches."""
     cells = high_cells(p)
     if len(cells) * width > PAIR_BUDGET:
         raise ValueError(f"exhaustive pair budget exceeded: {len(cells)} high cells at width {width}")
-    values = range(1 << width)
-    out = []
-    for combo in itertools.product(values, repeat=len(cells)):
-        s = base[0]
-        for (var, off), v in zip(cells, combo):
-            s = s.with_cell(var, off, v)
-        out.append((s,))
-    return out
+    return [_with_high(base, cells, combo) for combo in itertools.product(range(1 << width), repeat=len(cells))]
 
 
 @dataclass
@@ -379,11 +378,8 @@ def _sampled_pairs(base: SpecState, cells: list, source: PairSource, width: int)
 
     rng = random.Random(source.seed)
     for _ in range(source.count):
-        s1, s2 = base[0], base[0]
-        for (var, off) in cells:
-            s1 = s1.with_cell(var, off, rng.randrange(1 << width))
-            s2 = s2.with_cell(var, off, rng.randrange(1 << width))
-        yield (s1,), (s2,)
+        values = [rng.randrange(1 << width) for _ in range(2 * len(cells))]
+        yield _with_high(base, cells, values[0::2]), _with_high(base, cells, values[1::2])
 
 
 def check_sni(
@@ -393,47 +389,52 @@ def check_sni(
     b: Bounds,
     width: int = DEFAULT_WIDTH,
 ) -> SniVerdict:
-    """First violation over the selected low-equivalent pairs, else Secure.
+    """First violation over the selected pairs, else Secure.
 
-    Exhaustive mode enumerates every assignment of the high cells at the given
-    width and is guarded by `|high cells| * width <= PAIR_BUDGET`
-    (`enumerate_high_states`).  With N > 2 assignments it first runs the
-    taint certificate (`_certify`) from the first assignment; a certified
-    program is secure with `pairs_checked` = C(N, 2) and the certificate's
-    cuts as `truncated`.  A refused program has its first pair checked, then
-    all C(N, 2) pairs decided in one walk (`_walk_group`), whose cuts a
+    Every pair must be low-equivalent: a file pair that is not raises
+    ValueError, and exhaustive and sampled pairs always are.  Exhaustive
+    mode covers every assignment of the high cells at the given width, N of
+    them.  With N > 2 it first runs the taint certificate (`_certify`) from
+    the assignment with every high cell 0, before it enumerates any; a
+    certified program is secure with `pairs_checked` = C(N, 2) and the
+    certificate's cuts as `truncated`, whatever N.  Only a refused program
+    enumerates the N assignments, guarded by `|high cells| * width <=
+    PAIR_BUDGET` (`enumerate_high_states`).  It has its first pair checked,
+    then all C(N, 2) pairs decided in one walk (`_walk_group`), whose cuts a
     secure verdict reports as `truncated`; if the walk finds a difference,
     the other pairs are checked in order.  Exhaustive and sampled pairs are
     drawn as the check goes, so a violation found early never waits on the
     rest.
     """
-    if source.mode == "file":
-        pairs = source.pairs
-    elif source.mode == "exhaustive":
-        states = enumerate_high_states(p, base, width)
-        pairs = itertools.combinations(states, 2)  # streamed: millions of pairs at the budget
-    elif source.mode == "sampled":
-        pairs = _sampled_pairs(base, high_cells(p), source, width)
-    else:
-        raise ValueError(f"unknown pair source {source.mode}")
-
     truncated = 0
     checked = 0
     table = transition_table(p, width)
-    if source.mode == "exhaustive" and len(states) > 2:
-        cuts = _certify(p, table, table.id(states[0]), b)
-        if cuts is None:
+    if source.mode == "file":
+        pairs = source.pairs
+    elif source.mode == "sampled":
+        pairs = _sampled_pairs(base, high_cells(p), source, width)
+    elif source.mode == "exhaustive":
+        cells = high_cells(p)
+        n = 1 << (len(cells) * width)
+        if n > 2:
+            cuts = _certify(p, table, table.id(_with_high(base, cells, [0] * len(cells))), b)
+            if cuts is not None:
+                return SniVerdict("secure", b, cuts, pairs_checked=math.comb(n, 2))
+        states = enumerate_high_states(p, base, width)
+        pairs = itertools.combinations(states, 2)  # streamed: millions of pairs at the budget
+        if n > 2:
             v = check_sni_pair(p, *next(pairs), b, width, table)
             if not v.secure:
                 v.pairs_checked = 1
                 return v
             cuts = _walk_group(table, [table.id(s) for s in states], b)
-        if cuts is not None:
-            return SniVerdict("secure", b, cuts, pairs_checked=math.comb(len(states), 2))
-        checked, truncated = 1, v.truncated
+            if cuts is not None:
+                return SniVerdict("secure", b, cuts, pairs_checked=math.comb(n, 2))
+            checked, truncated = 1, v.truncated
+    else:
+        raise ValueError(f"unknown pair source {source.mode}")
+
     for a, c in pairs:
-        if not low_equivalent(p, a[0], c[0]):
-            continue
         v = check_sni_pair(p, a, c, b, width, table)
         checked += 1
         truncated += v.truncated

@@ -57,10 +57,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from .ir import Load, Pc, Program, Store
+from .ir import Pc, Program
 from .liveness import DceResult, full_fact, live_before
 from .poison import Product, ProductState, RepairSession, replay_directive
-from .regalloc import RAWitness, validate_ra
+from .regalloc import RAWitness
 from .semantics import (
     DEFAULT_WIDTH,
     D_RB,
@@ -175,17 +175,15 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
         if d != D_STEP or not res.replaced.get(pc, False):
             return d
         i = p.instrs[pc]
-        first_var = p.memvars[0].name
-        match i:
-            case Load(addr=adr):
-                a = adr if isinstance(adr, int) else nu_src[-1].reg(adr)
-                mv = p.memvar(i.var)
-                return D_STEP if 0 <= a < mv.size else d_load(first_var, 0)
-            case Store(addr=adr):
-                a = adr if isinstance(adr, int) else nu_src[-1].reg(adr)
-                mv = p.memvar(i.var)
-                return D_STEP if 0 <= a < mv.size else d_store(first_var, 0)
-        return d
+        access = i.kind.access(i)
+        if access is None:  # a removed assignment
+            return d
+        var, a, reads = access
+        if not isinstance(a, int):
+            a = nu_src[-1].reg(a)
+        if 0 <= a < p.memvar(var).size:
+            return D_STEP
+        return (d_load if reads else d_store)(p.memvars[0].name, 0)
 
     def intervals(s0: int, t0: int, b: Bounds, tables: Tables) -> ExtractResult:
         src_tab, tgt_tab = tables
@@ -228,12 +226,10 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
 
 
 def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
-    """Raises ValueError on a witness that `validate_ra` refuses: the poison
-    analysis behind `related` assumes a valid one."""
+    """Raises ValueError on a witness that `validate_ra` refuses, as its
+    `Product` does: the poison analysis behind `related` assumes a valid
+    one."""
     prod = Product(w, width)
-    bad = validate_ra(w, prod.sol, prod.live, prod.st, prod.rho)
-    if bad:
-        raise ValueError(f"invalid witness: {bad[0]}")
     sp = RepairSession(w, prod).static_poison()
 
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:

@@ -448,6 +448,62 @@ def ref_taint_certify(p, nu0, b, width=8):
     return cuts if rec(nu0, (frozenset(high_cells(p)),), 0) else None
 
 
+# --- reference liveness: one `match` over instruction kinds
+
+
+def ref_liveness_transfer(p, i, fact, exit_fact):
+    """`liveness.transfer` as one match arm per instruction kind: the fact
+    before `i` from the fact after it."""
+    from snicheck.ir import STACK_VAR, Asgn, Exit, Fill, If, Load, Move, Nop, Sfence, Slh, Spill, Store
+
+    match i:
+        case Exit():
+            return exit_fact
+        case Nop() | Sfence():
+            return fact
+        case Asgn(dst=d, lhs=a, rhs=b):
+            base = fact - {d} if d in fact else fact
+            return base | {a, b}
+        case Load(dst=d, var=v, addr=adr):
+            if isinstance(adr, int):
+                return (fact - {d}) | {(v, adr)} if d in fact else fact
+            base = (fact - {d}) | frozenset(p.cells()) if d in fact else fact
+            return base | {adr}
+        case Store(var=v, addr=adr, src=c):
+            if isinstance(adr, int):
+                base = fact - {(v, adr)} if (v, adr) in fact else fact
+                return base | {c}
+            return fact | {adr, c}
+        case If(cond=c):
+            return fact | {c}
+        case Slh(reg=r):
+            return fact | {r}
+        case Move(dst=d, src=s):
+            return (fact - {d}) | {s}
+        case Fill(dst=d, slot=sl):
+            return (fact - {d}) | {(STACK_VAR, sl)} if d in fact else fact
+        case Spill(slot=sl, src=s):
+            base = fact - {(STACK_VAR, sl)} if (STACK_VAR, sl) in fact else fact
+            return base | {s}
+    return fact
+
+
+def ref_liveness(p, exit_fact):
+    """The least solution by round-robin iteration over `ref_liveness_transfer`:
+    per pc, the fact after it."""
+    sol = {pc: frozenset() for pc in p.instrs}
+    changed = True
+    while changed:
+        changed = False
+        for pc, i in p.instrs.items():
+            new = exit_fact if not i.successors() else sol[pc]
+            for s in i.successors():
+                new = new | ref_liveness_transfer(p, p.instrs[s], sol[s], exit_fact)
+            if new != sol[pc]:
+                sol[pc], changed = new, True
+    return sol
+
+
 # --- reference interval builders: the simulation witnesses' `intervals`,
 # stepping every state afresh with `step_spec` instead of through tables
 

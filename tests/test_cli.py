@@ -446,6 +446,18 @@ def test_check_sni_accepts_a_pairs_spec(pairs, checked, capsys):
     assert code == 0 and out == f"secure (pairs={checked}, truncated=0)\n"
 
 
+def test_check_sni_refuses_a_pair_that_is_not_low_equivalent(tmp_path, capsys):
+    """A `--state2` that differs from `--state` outside high memory names no
+    pair the check can judge: exit 3 with a message, not `secure` with no
+    pair checked."""
+    s2 = tmp_path / "s2"
+    s2.write_text("reg r0 5\n")
+    code = main(["check-sni", C("code_ra_target.sp"), "--state", C("code_ra.init"), "--state2", str(s2)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == "error: initial states are not low-equivalent: they must agree on pc, registers and low memory\n"
+
+
 @pytest.mark.parametrize("pairs", ["random:5", "exhaustive"])
 def test_check_sni_rejects_state2_with_pairs(pairs, capsys):
     """`--state2` names the one pair to check and `--pairs` a pair source, so

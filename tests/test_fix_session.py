@@ -209,15 +209,32 @@ def test_session_matches_reference_on_corpus_witnesses(ra_witness):
     check_session_against_reference(allocate(load_program("code_ra_source.sp"), 3))
 
 
+def _without_bufsize_at_z(w):
+    """`w` with `bufsize`, live before source pc 0, dropped from `rho z`."""
+    rho = {pc: dict(m) for pc, m in w.rho.items()}
+    del rho["z"]["bufsize"]
+    return RAWitness(w.source, w.target, dict(w.phi), rho)
+
+
 def test_fix_still_rejects_an_invalid_result(ra_witness):
     """Validation runs once, on the input, and still catches a witness that
     breaks a condition the analysis does not read."""
-    rho = {pc: dict(m) for pc, m in ra_witness.rho.items()}
-    del rho["z"]["bufsize"]  # live before source pc 0: obeying liveness fails
-    broken = RAWitness(ra_witness.source, ra_witness.target, dict(ra_witness.phi), rho)
+    broken = _without_bufsize_at_z(ra_witness)
     assert [d.kind for d in validate_ra(broken)] == ["obeying-liveness"]
-    with pytest.raises(RuntimeError, match="invalid witness: .*bufsize unmapped"):
+    with pytest.raises(ValueError, match="invalid witness: .*bufsize unmapped"):
         fix_ra(broken)
+
+
+def test_every_ra_analysis_refuses_an_invalid_witness(ra_witness):
+    """Each analysis of an RA witness builds a `Product`, which refuses a
+    witness that `validate_ra` refuses, so none of them types, repairs or
+    simulates one."""
+    from snicheck.simulation import ra_witness as simulation_witness
+
+    broken = _without_bufsize_at_z(ra_witness)
+    for build in (poison_analysis, RepairSession, fix_ra, simulation_witness):
+        with pytest.raises(ValueError, match="invalid witness: .*bufsize unmapped"):
+            build(broken)
 
 
 def test_fix_rejects_an_unmapped_slh_register():
@@ -235,7 +252,7 @@ def test_fix_rejects_an_unmapped_slh_register():
     del rho[v.tgt_pc][v.reg]
     broken = RAWitness(w.source, w.target, dict(w.phi), rho)
     assert validate_ra(broken)
-    with pytest.raises(RuntimeError, match=f"invalid witness: .*{v.reg} unmapped"):
+    with pytest.raises(ValueError, match=f"invalid witness: .*{v.reg} unmapped"):
         fix_ra(broken)
 
 

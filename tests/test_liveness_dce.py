@@ -1,7 +1,15 @@
 from snicheck.ir import Load, Nop, Store, parse_program, print_program
-from snicheck.liveness import cells_fact, dce_transform, full_fact, live_before, liveness
+from snicheck.liveness import cells_fact, dce_transform, full_fact, live_before, live_regs_before, liveness
 
-from conftest import load_program, load_state, random_program, random_state, random_walk
+from conftest import (
+    load_program,
+    load_state,
+    random_program,
+    random_state,
+    random_walk,
+    ref_liveness,
+    ref_liveness_transfer,
+)
 
 
 def test_ret_only_exit_fact():
@@ -91,3 +99,72 @@ def test_liveness_guarantee_memory_cells(rng):
                 assert (i.var, i.addr) in live_before(p, sol, pc)
                 checked += 1
     assert checked > 50
+
+
+def _programs_with_every_kind(rng, n):
+    """`n` random programs with moves, and their allocations to two or three
+    registers, which add fills and spills."""
+    from snicheck.regalloc import AllocationInfeasible, allocate
+
+    out = []
+    while len(out) < n:
+        p = random_program(rng, n_instrs=rng.randint(2, 9), n_regs=rng.randint(1, 4), allow_shuffle=True)
+        out.append(p)
+        try:
+            out.append(allocate(p, rng.randint(2, 3)).target)
+        except AllocationInfeasible:
+            pass
+    return out
+
+
+def test_liveness_matches_the_match_based_reference(rng):
+    """`liveness`, `live_before`, `live_regs_before` and `dce_transform`, all
+    read off `ir.KINDS`, agree with one `match` arm per kind under both exit
+    facts, on sources and on allocated targets (fills and spills)."""
+    kinds = set()
+    for p in _programs_with_every_kind(rng, 400):
+        for ef in (full_fact(p), cells_fact(p)):
+            sol = liveness(p, ef)
+            assert sol == ref_liveness(p, ef)
+            before = {pc: ref_liveness_transfer(p, i, sol[pc], ef) for pc, i in p.instrs.items()}
+            assert {pc: live_before(p, sol, pc, ef) for pc in p.instrs} == before
+            assert live_regs_before(p, sol, ef) == {
+                pc: frozenset(x for x in f if isinstance(x, str)) for pc, f in before.items()
+            }
+            ref = dce_transform(p, ref_liveness(p, ef))
+            res = dce_transform(p, sol)
+            assert (res.target, res.replaced) == (ref.target, ref.replaced)
+        kinds |= {type(i).__name__ for i in p.instrs.values()}
+    assert {"Load", "Store", "Fill", "Spill", "Move", "Slh"} <= kinds
+
+
+def test_access_names_the_cell_the_step_touches(rng):
+    """For `load`, `store`, `fill` and `spill`, `Kind.access` names the cell
+    that `semantics.transitions` reads or writes on an in-bounds access: a
+    read puts that cell's value in the destination, and a write changes that
+    cell alone, to the source register's value."""
+    from snicheck.semantics import D_STEP, transitions
+
+    seen = set()
+    for p in _programs_with_every_kind(rng, 300):
+        for pc, i in p.instrs.items():
+            access = i.kind.access(i)
+            assert (access is None) == (i.kind.mnemonic not in ("load", "store", "fill", "spill"))
+            if access is None:
+                continue
+            var, adr, reads = access
+            (s,) = random_state(rng, p)
+            s = s.at(pc)
+            size = p.memvar(var).size
+            if not isinstance(adr, int):
+                s = s.with_reg(adr, rng.randrange(size))
+                adr = s.reg(adr)
+            ((d, (nxt,), _),) = transitions(p, (s,))
+            assert d == D_STEP
+            if reads:
+                assert nxt.reg(i.dst) == s.cell(var, adr)
+            else:
+                assert nxt.cell(var, adr) == s.reg(i.src)
+                assert [c for c in p.cells() if nxt.cell(*c) != s.cell(*c)] in ([], [(var, adr)])
+            seen.add(i.kind.mnemonic)
+    assert seen == {"load", "store", "fill", "spill"}

@@ -66,10 +66,14 @@ def _corrupted(rng, w):
 
 
 def test_validate_ra_with_precomputed_facts(rng):
-    """Passing liveness, structure and live relocations, as `fix_ra` does
-    from its repair session, gives the same diagnostics as computing them."""
+    """Passing liveness, structure and live relocations, as a `Product`
+    does, gives the same diagnostics as computing them.  A valid witness
+    passes with a `Product`'s own facts; an invalid one is refused when its
+    `Product` is built, with the first diagnostic."""
+    import re
+
     from snicheck.liveness import cells_fact, liveness
-    from snicheck.poison import RepairSession
+    from snicheck.poison import Product
     from snicheck.regalloc import rho_live, source_live_regs
 
     checked = flagged = 0
@@ -85,9 +89,12 @@ def test_validate_ra_with_precomputed_facts(rng):
         st = analyze_structure(w)
         rl = None if st.errors else rho_live(w, st, sol, live)
         assert validate_ra(w, sol, live, st, rl) == want
-        if not st.errors:
-            session = RepairSession(w)
-            assert validate_ra(w, session.sol, session.live, session.st, session.rho_live) == want
+        if not want:
+            prod = Product(w)
+            assert validate_ra(w, prod.sol, prod.live, prod.st, prod.rho) == []
+        else:
+            with pytest.raises(ValueError, match=re.escape(f"invalid witness: {want[0]}")):
+                Product(w)
         checked += 1
         flagged += bool(want)
     assert flagged >= 100

@@ -222,16 +222,35 @@ def test_check_sni_dce_source_secure_at_width2():
 
 
 def test_check_sni_budget_guard():
-    """`PAIR_BUDGET` bits of high state are enumerated; one more is refused."""
+    """`PAIR_BUDGET` bits of high state are enumerated; one more is refused.
+    Only a program the certificate refuses is enumerated: this one branches
+    on a high cell."""
     from snicheck.security import PAIR_BUDGET
 
-    p = parse_program("mem h 4 high\nentry a\na: ret\n")
+    p = parse_program("mem h 4 high\nentry a\na: load x <- h[#0] -> b\nb: if x ? c : c\nc: ret\n")
     with pytest.raises(ValueError, match="budget"):
         check_sni(p, initial(p), PairSource("exhaustive"), Bounds(4, 2), width=8)
     assert PAIR_BUDGET == 12
     assert len(enumerate_high_states(p, initial(p), PAIR_BUDGET // 4)) == 1 << PAIR_BUDGET
     with pytest.raises(ValueError, match="budget"):
         enumerate_high_states(p, initial(p), PAIR_BUDGET // 4 + 1)
+
+
+def test_certified_program_is_not_enumerated(monkeypatch):
+    """A program the certificate accepts is secure beyond `PAIR_BUDGET`,
+    with every pair of its high assignments counted, and no state list is
+    built."""
+    import math
+
+    from snicheck import security
+
+    def refuse(*args):
+        raise AssertionError("enumerated a certified program")
+
+    monkeypatch.setattr(security, "enumerate_high_states", refuse)
+    p = parse_program("mem h 4 high\nmem l 1 low\nentry a\na: load x <- h[#1] -> b\nb: store l[#0] <- y -> c\nc: ret\n")
+    v = check_sni(p, initial(p), PairSource("exhaustive"), Bounds(8, 2), width=8)
+    assert v.secure and v.truncated == 0 and v.pairs_checked == math.comb(1 << 32, 2)
 
 
 def test_check_sni_sampled_deterministic(ra_target):
