@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -150,6 +151,12 @@ def cmd_check_sni(args) -> int:
     elif args.pairs is not None:
         src = security.PairSource("sampled", count=args.pairs, seed=args.seed)
     else:
+        # a certified program counts C(2**bits, 2) pairs, which must print
+        cells, limit = len(security.high_cells(p)), sys.get_int_max_str_digits()
+        bits = cells * args.width
+        if limit and (2 * bits - 1) * math.log10(2) >= limit:
+            raise ValueError(f"{cells} high cells at width {args.width} are {bits} bits, and C(2**{bits}, 2) pairs "
+                             f"would print more than {limit} digits (sys.get_int_max_str_digits())")
         src = security.PairSource("exhaustive")
     v = security.check_sni(p, base, src, args.bounds, args.width)
     text = f"{v.kind} (pairs={v.pairs_checked}, truncated={v.truncated})\n"

@@ -6,41 +6,38 @@ variable; only high memory may differ.  A program is SNI when indistinguishable
 initial states have the same behaviour: the same directive sequences are
 executable and produce the same leakage.
 
-`check_sni_pair` walks two states in lockstep over the joint directive tree,
-comparing enabled-directive sets before each step and leakages after it.
-A joint state is expanded again only when it comes back with more of the step
-budget left than at any earlier visit: what lies beyond a state depends only
-on the state and that budget, so a revisit with no more budget cannot find a
-new divergence.  Branches cut by the step or depth bound are counted and make
-a Secure verdict explicitly "secure up to bounds".
+Every SNI search is one loop, `_walk`: bounded self-composition (Barthe,
+D'Argenio and Rezk) over the joint directive tree.  A node is the set of
+states that the starting states reach along one directive sequence; the walk
+compares their enabled directives at each node and their leaks on each step.
+A node is expanded again only when it comes back with more of the step budget
+left than at any earlier visit: what lies beyond it depends only on the node
+and that budget.  Branches cut by the step or depth bound are counted and
+make a secure verdict explicitly "secure up to bounds".  It has three starts:
 
-Exhaustive `check_sni` first tries to certify all pairs of the N high
-assignments with one run (`_certify`), before it enumerates them: a
-taint-labelled search from one of them in which high cells start tainted,
-as in Denning and Denning's flow certification done over the directive
-semantics.  If no tainted register decides a branch or an address within
-the bounds, every assignment takes the same directives with the same
-leaks, and the verdict is secure.  A program it refuses has its N
-assignments enumerated, within `PAIR_BUDGET`, and is decided with one walk
-(`_walk_group`), the N-way self-composition grouped by what the attacker
-observes: a node is the set of states that the assignments reach along one
-directive sequence, and each member is compared with one member, so by
-transitivity a walk with no difference has checked every pair.  The first
-pair is checked alone before it (the probe), so a leak there costs one pair
-search, not N members per node.  After a difference, the other pairs are
-checked one by one, so the violation reported is the pairwise one.
+- `check_sni_pair`: the two states of a pair, in order.
+- The taint certificate: the high assignment with every high cell 0, with a
+  taint stack in which the high cells start tainted (Denning and Denning's
+  flow certification over the directive semantics).  If no tainted register
+  decides a branch or an address within the bounds, every assignment takes
+  the same directives with the same leaks.
+- The grouped walk: all N high assignments.  Each member is compared with
+  one member, so by transitivity a walk with no difference checks every pair.
 
-The enabled directives of a single state and the successor and leak of each
-are a pure function of that state, the program and the width.  The searches
-therefore read them from a `semantics.transition_table`: every speculative
-state they meet is interned to a dense id, and the row of an id holds the
-state's enabled directives and, for each, the successor's id and the leak,
-filled when the state is first expanded.  The memos and the stacks hold ids,
-so a revisit hashes a few ints instead of stacks of states.  `check_sni`
-passes one table to the probe, the walk and every pair it checks: each run
-takes part in many pairs, and each still checks exactly what it checked
-stepping afresh.  The certificate fills the table first, and a refused
-program's probe and walk reuse its rows.  The table lives for one call.
+Exhaustive `check_sni` runs the certificate before it enumerates anything.
+A program it refuses has its N assignments enumerated, within `PAIR_BUDGET`,
+and its first pair checked alone (the probe), so a leak there costs one pair
+search, not N members per node; then the grouped walk decides the rest.
+After a difference, the pairs are checked one by one, so the violation
+reported is the pairwise one.
+
+The walk reads each state's enabled directives, and the successor and leak
+of each, from a `semantics.transition_table`: every speculative state it
+meets is interned to a dense id whose row is filled when it is first
+expanded.  The memo and the stack hold ids, so a revisit hashes a few ints
+instead of stacks of states.  `check_sni` passes one table to every walk of
+a call: the certificate fills it first, and a refused program's probe and
+walk reuse its rows.  The table lives for one call.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .ir import If, Program, Slh
+from .ir import Exit, If, Program, Slh
 from .semantics import (
     Bounds,
     D_IF,
@@ -62,6 +59,7 @@ from .semantics import (
     State,
     step_spec,
     transition_table,
+    walk,
 )
 
 
@@ -91,8 +89,6 @@ def check_safety(p: Program, s0: State, max_steps: int = 1024, width: int = DEFA
     out-of-bounds access is reached architecturally.  A depth-1 state under
     `step` and `if` is that semantics.
     """
-    from .ir import Exit, If
-
     s = s0
     for idx in range(max_steps):
         i = p.instrs[s.pc]
@@ -163,173 +159,173 @@ def check_sni_pair(
     Each side's transitions are read from `table` (`transition_table` of `p`
     at `width`), whose rows are filled on first use; a caller checking several
     pairs of one program at one width passes the same table to all of them
-    (see `check_sni`)."""
+    (see `check_sni`).  The walk returns the directives to a difference, and
+    each side replays them to report its own leak or enabled set."""
     if len(nu1) != 1 or len(nu2) != 1 or not low_equivalent(p, nu1[0], nu2[0]):
         raise ValueError("initial states are not low-equivalent: they must agree on pc, registers and low memory")
 
     if table is None:
         table = transition_table(p, width)
+    i1, i2 = table.id(nu1), table.id(nu2)
+    cuts, dirs = _walk(table, (i1, i2), b)
+    if dirs is None:
+        return SniVerdict("secure", b, cuts, pairs_checked=1)
+    (end1, leaks1), (end2, leaks2) = walk(table, i1, dirs), walk(table, i2, dirs)
+    v = SniVerdict("violation", b, cuts, state1=nu1, state2=nu2, directives=dirs)
+    if leaks1 != leaks2:
+        v.divergence, v.leak1, v.leak2 = "leak", leaks1[-1], leaks2[-1]
+    else:
+        v.divergence, v.enabled1, v.enabled2 = "enabled", table.row(end1)[0], table.row(end2)[0]
+    return v
+
+
+def _walk(table: Interner, ids: tuple | set, b: Bounds, taint: Program | None = None) -> tuple[int, tuple | None]:
+    """The bounded walk from the states `ids` of `table`: the number of cuts,
+    and None, or the directives to the first difference or refusal.
+
+    A node is one id once its members' ids are equal, else a frozenset of
+    them, or a tuple in their order when `ids` is a tuple: a pair's memo is
+    then keyed by its joint state, which tells apart a pair whose states have
+    swapped sides.  Per node, in this order: a leak difference on the step
+    into it (so in preorder), the spec-depth cut, a difference in the enabled
+    sets, no directives, the step cut, the memo, the children.
+
+    With `taint`, the program of `table`, the walk carries a taint stack
+    beside one state, a packed int per frame over the registers and cells of
+    `taint`, whose high cells start tainted.  A step taints what it defines
+    iff it uses a tainted value; the cell a `load`/`fill` reads is a use and
+    the cell a `store`/`spill` writes a def: the in-bounds address, else the
+    directive's cell.  `slh` uses nothing while speculating, so it clears its
+    register.  `spec` pushes a copy of the top frame and `rb` pops it.  An
+    untainted value is then the same in every high assignment, and so are
+    the enabled directives and the leaks.  The walk refuses a tainted
+    address where it compares enabled sets, which a cut node has too, and a
+    tainted branch condition after the memo, since a branch leaks only when
+    it is expanded.  The memo keys (node, taint stack), so it can close a
+    cycle of states that the grouped walk cuts at the step bound: then the
+    certificate counts fewer cuts."""
     states, row = table.values, table.row
-    truncated = 0
-    budget_seen: dict[tuple[int, int], int] = {}  # joint state ids -> most steps left
-
-    # an explicit stack, children pushed in reverse and each checked when
-    # popped: the recursive preorder, with its leak checks, bound counts and
-    # memo updates in the same order, without Python's recursion limit.
-    stack = [(table.id(nu1), table.id(nu2), (), None, None)]
-    while stack:
-        a, c, dirs, l1, l2 = stack.pop()
-        if l1 != l2:
-            return SniVerdict(
-                "violation", b, truncated, state1=nu1, state2=nu2,
-                directives=dirs, divergence="leak", leak1=l1, leak2=l2,
-            )
-        if len(states[a]) > b.max_spec_depth:
-            truncated += 1
-            continue
-        e1, steps1 = row(a)
-        e2, steps2 = row(c)
-        if e1 != e2:
-            return SniVerdict(
-                "violation", b, truncated, state1=nu1, state2=nu2, directives=dirs,
-                divergence="enabled", enabled1=e1, enabled2=e2,
-            )
-        if not e1:
-            continue
-        if len(dirs) >= b.max_steps:
-            truncated += 1
-            continue
-        key, left = (a, c), b.max_steps - len(dirs)
-        if budget_seen.get(key, 0) >= left:
-            continue
-        budget_seen[key] = left
-        for d, (a2, l1), (c2, l2) in reversed(tuple(zip(e1, steps1, steps2))):
-            stack.append((a2, c2, dirs + (d,), l1, l2))
-    return SniVerdict("secure", b, truncated, pairs_checked=1)
-
-
-def _walk_group(table: Interner, ids: list[int], b: Bounds) -> int | None:
-    """`check_sni_pair` on every pair of `ids` at once: the number of cuts, or
-    None when two of them differ.  Its bounds, leaf test and memo are those
-    of `check_sni_pair`, keyed by a node's set of ids.  A node merged to one
-    id is still walked, as the pairs inside it would be."""
-    states, row = table.values, table.row
+    max_depth, max_steps = b.max_spec_depth, b.max_steps
+    make = tuple if isinstance(ids, tuple) else frozenset
+    ids = make(ids)
+    node = next(iter(ids)) if len(set(ids)) == 1 else ids
+    taints = None
+    if taint is not None:
+        regs = {r: 1 << k for k, r in enumerate(taint.registers)}
+        cells = {c: 1 << k for k, c in enumerate(taint.cells(), len(regs))}
+        # pc -> (address guard, branch guard, uses, uses while speculating,
+        # defs, `Kind.access` of the instruction)
+        rules = {}
+        for pc, i in taint.instrs.items():
+            addr = uses = defs = 0
+            for f in i.kind.uses:
+                r = getattr(i, f)
+                if f == "addr":
+                    addr = regs.get(r, 0)  # a `#n` address is no register
+                else:
+                    uses |= regs[r]
+            for f in i.kind.defs:
+                defs |= regs[getattr(i, f)]
+            branch = uses if isinstance(i, If) else 0
+            rules[pc] = addr, branch, uses, 0 if isinstance(i, Slh) else uses, defs, i.kind.access(i)
+        taints = (sum(cells[c] for c in high_cells(taint)), None)  # (top frame, the frames below)
     cuts = 0
-    budget_seen: dict[frozenset, int] = {}  # ids -> most steps left
-    stack = [(frozenset(ids), 0)]
+    seen: dict = {}  # node, or (node, taint stack) -> most steps left
+    # a stack of (node, taint stack, steps, directive, parent entry), children
+    # pushed in reverse: the recursive preorder without Python's recursion
+    # limit.  A child whose members' leaks differ is pushed as node None.
+    stack = [(node, taints, 0, None, None)]
+    push = stack.append
     while stack:
-        group, steps = stack.pop()
-        if len(states[next(iter(group))]) > b.max_spec_depth:
-            cuts += 1
-            continue
-        rows = [row(i) for i in group]
-        dirs = rows[0][0]
-        if any(r[0] != dirs for r in rows):
-            return None
+        entry = stack.pop()
+        node, taints, steps, _, _ = entry
+        if node is None:
+            break
+        if type(node) is int:
+            nu = states[node]
+            if len(nu) > max_depth:
+                cuts += 1
+                continue
+            dirs, succs = row(node)
+            if taints is not None:
+                top, t = nu[-1], taints[0]
+                addr, branch, uses, spec_uses, defs, access = rules[top.pc]
+                if t & addr:
+                    break
+        elif len(node) == 2:
+            a, c = node
+            if len(states[a]) > max_depth:
+                cuts += 1
+                continue
+            (dirs, succs), (other, succs2) = row(a), row(c)
+            if other != dirs:
+                break
+        else:
+            if len(states[next(iter(node))]) > max_depth:
+                cuts += 1
+                continue
+            rows = tuple(map(row, node))
+            dirs = rows[0][0]
+            if any(r[0] != dirs for r in rows):
+                break
         if not dirs:
             continue
-        if steps >= b.max_steps:
+        if steps >= max_steps:
             cuts += 1
             continue
-        left = b.max_steps - steps
-        if budget_seen.get(group, 0) >= left:
+        key, left = node if taints is None else (node, taints), max_steps - steps
+        if seen.get(key, 0) >= left:
             continue
-        budget_seen[group] = left
-        # a column holds each member's (successor, leak) on one directive
-        for column in reversed(tuple(zip(*[r[1] for r in rows]))):
-            kids, leaks = zip(*column)
-            if leaks.count(leaks[0]) != len(leaks):
-                return None
-            stack.append((frozenset(kids), steps + 1))
-    return cuts
-
-
-def _certify(p: Program, table: Interner, base_id: int, b: Bounds) -> int | None:
-    """A taint certificate that every high assignment of the state `base_id`
-    behaves alike within `b`: the number of cuts, or None when a tainted
-    register decides a branch or an address.
-
-    One search over `table` from `base_id`, in `_walk_group`'s bound order,
-    with a taint stack beside each state, one packed int per frame over
-    `p.registers` and `p.cells()`; high cells start tainted.  A step taints
-    what it defines iff it uses a tainted value.  The cell a `load`/`fill`
-    reads is one of its uses and the cell a `store`/`spill` writes one of
-    its defs: the in-bounds address, else the directive's cell.  `slh` uses
-    nothing while speculating, so it clears its register.  `spec` pushes a
-    copy of the top frame's taint and `rb` pops it.  An untainted value is
-    then the same in every assignment, and so are the enabled directives
-    and the leaks.  An address is checked before the step cut, since the
-    enabled directives of a cut node are compared too; a branch leaks only
-    when it is expanded.  The memo is keyed by (id, taint stack), so it can
-    close a cycle of states that the walk, keyed by groups, cuts at the step
-    bound: then the certificate counts fewer cuts."""
-    regs = {r: 1 << k for k, r in enumerate(p.registers)}
-    cells = {c: 1 << k for k, c in enumerate(p.cells(), len(regs))}
-    # pc -> (address guard, branch guard, uses, uses while speculating, defs,
-    # `Kind.access` of the instruction)
-    rules = {}
-    for pc, i in p.instrs.items():
-        addr = uses = defs = 0
-        for f in i.kind.uses:
-            r = getattr(i, f)
-            if f == "addr":
-                addr = regs.get(r, 0)  # a `#n` address is no register
-            else:
-                uses |= regs[r]
-        for f in i.kind.defs:
-            defs |= regs[getattr(i, f)]
-        branch = uses if isinstance(i, If) else 0
-        rules[pc] = addr, branch, uses, 0 if isinstance(i, Slh) else uses, defs, i.kind.access(i)
-    states, row = table.values, table.row
-    cuts = 0
-    budget_seen: dict[tuple, int] = {}  # (id, taint stack) -> most steps left
-    stack = [(base_id, (sum(cells[c] for c in high_cells(p)),), 0)]
-    while stack:
-        i, taints, steps = stack.pop()
-        nu = states[i]
-        if len(nu) > b.max_spec_depth:
-            cuts += 1
-            continue
-        dirs, succs = row(i)
-        top, t = nu[-1], taints[-1]
-        addr, branch, uses, spec_uses, defs, access = rules[top.pc]
-        if t & addr:
-            return None
-        if not dirs:
-            continue
-        if steps >= b.max_steps:
-            cuts += 1
-            continue
-        key, left = (i, taints), b.max_steps - steps
-        if budget_seen.get(key, 0) >= left:
-            continue
-        budget_seen[key] = left
-        if t & branch:
-            return None
-        if len(nu) > 1:
-            uses = spec_uses
-        for d, (j, _) in reversed(tuple(zip(dirs, succs))):
-            if d.kind == "rb":
-                nxt = taints[:-1]
-            elif d.kind == "spec":
-                nxt = taints + (t,)
-            elif d.kind == "if":
-                nxt = taints
-            else:
-                u, w = uses, defs
-                if access:
-                    var, a, reads = access
-                    if d.var:
-                        var, a = d.var, d.off
-                    elif not isinstance(a, int):
-                        a = top.reg(a)
-                    if reads:
-                        u |= cells[var, a]
-                    else:
-                        w |= cells[var, a]
-                nxt = taints[:-1] + ((t | w) if t & u else (t & ~w),)
-            stack.append((j, nxt, steps + 1))
-    return cuts
+        seen[key] = left
+        steps += 1
+        if type(node) is not int and len(node) == 2:
+            for d, (a, l1), (c, l2) in zip(reversed(dirs), reversed(succs), reversed(succs2)):
+                push((None if l1 != l2 else a if a == c else make((a, c)), None, steps, d, entry))
+        elif type(node) is not int:
+            # a column holds each member's (successor, leak) on one directive
+            for d, column in zip(reversed(dirs), reversed(tuple(zip(*[r[1] for r in rows])))):
+                kids, leaks = zip(*column)
+                if leaks.count(leaks[0]) != len(leaks):
+                    push((None, None, steps, d, entry))
+                else:
+                    push((kids[0] if kids.count(kids[0]) == len(kids) else make(kids), None, steps, d, entry))
+        elif taints is None:
+            for d, (j, _) in zip(reversed(dirs), reversed(succs)):
+                push((j, None, steps, d, entry))
+        else:
+            if t & branch:
+                break
+            if len(nu) > 1:
+                uses = spec_uses
+            below = taints[1]
+            for d, (j, _) in zip(reversed(dirs), reversed(succs)):
+                if d.kind == "rb":
+                    nxt = below
+                elif d.kind == "spec":
+                    nxt = (t, taints)
+                elif d.kind == "if":
+                    nxt = taints
+                else:
+                    u, w = uses, defs
+                    if access:
+                        var, a, reads = access
+                        if d.var:
+                            var, a = d.var, d.off
+                        elif not isinstance(a, int):
+                            a = top.reg(a)
+                        if reads:
+                            u |= cells[var, a]
+                        else:
+                            w |= cells[var, a]
+                    nxt = ((t | w) if t & u else (t & ~w), below)
+                push((j, nxt, steps, d, entry))
+    else:
+        return cuts, None
+    dirs = []  # the directives from the start to `entry`, by its parent links
+    while entry[4] is not None:
+        dirs.append(entry[3])
+        entry = entry[4]
+    return cuts, tuple(reversed(dirs))
 
 
 def high_cells(p: Program) -> list[tuple[str, int]]:
@@ -394,17 +390,11 @@ def check_sni(
     Every pair must be low-equivalent: a file pair that is not raises
     ValueError, and exhaustive and sampled pairs always are.  Exhaustive
     mode covers every assignment of the high cells at the given width, N of
-    them.  With N > 2 it first runs the taint certificate (`_certify`) from
-    the assignment with every high cell 0, before it enumerates any; a
-    certified program is secure with `pairs_checked` = C(N, 2) and the
-    certificate's cuts as `truncated`, whatever N.  Only a refused program
-    enumerates the N assignments, guarded by `|high cells| * width <=
-    PAIR_BUDGET` (`enumerate_high_states`).  It has its first pair checked,
-    then all C(N, 2) pairs decided in one walk (`_walk_group`), whose cuts a
-    secure verdict reports as `truncated`; if the walk finds a difference,
-    the other pairs are checked in order.  Exhaustive and sampled pairs are
-    drawn as the check goes, so a violation found early never waits on the
-    rest.
+    them, by the routes the module docstring gives.  A secure verdict over
+    N > 2 reports `pairs_checked` = C(N, 2), and as `truncated` the cuts of
+    the certificate's walk, or of the grouped walk for a program the
+    certificate refuses.  Exhaustive and sampled pairs are drawn as the
+    check goes, so a violation found early never waits on the rest.
     """
     truncated = 0
     checked = 0
@@ -417,8 +407,8 @@ def check_sni(
         cells = high_cells(p)
         n = 1 << (len(cells) * width)
         if n > 2:
-            cuts = _certify(p, table, table.id(_with_high(base, cells, [0] * len(cells))), b)
-            if cuts is not None:
+            cuts, refused = _walk(table, {table.id(_with_high(base, cells, [0] * len(cells)))}, b, p)
+            if refused is None:
                 return SniVerdict("secure", b, cuts, pairs_checked=math.comb(n, 2))
         states = enumerate_high_states(p, base, width)
         pairs = itertools.combinations(states, 2)  # streamed: millions of pairs at the budget
@@ -427,8 +417,8 @@ def check_sni(
             if not v.secure:
                 v.pairs_checked = 1
                 return v
-            cuts = _walk_group(table, [table.id(s) for s in states], b)
-            if cuts is not None:
+            cuts, diff = _walk(table, {table.id(s) for s in states}, b)
+            if diff is None:
                 return SniVerdict("secure", b, cuts, pairs_checked=math.comb(n, 2))
             checked, truncated = 1, v.truncated
     else:

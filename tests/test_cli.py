@@ -458,6 +458,32 @@ def test_check_sni_refuses_a_pair_that_is_not_low_equivalent(tmp_path, capsys):
     assert captured.err == "error: initial states are not low-equivalent: they must agree on pc, registers and low memory\n"
 
 
+@pytest.mark.parametrize("cells", [892, 893, 900])
+def test_check_sni_refuses_a_pair_count_too_long_to_print(cells, tmp_path, capsys):
+    """A certified program is secure with C(N, 2) pairs, N = 2 ** (high cells
+    * width).  At width 8, 892 high cells give a count of 4,297 digits, which
+    prints; 893 give 4,301, past `sys.get_int_max_str_digits()`, so the
+    request exits 3 with a message, not with Python's conversion error."""
+    import math
+
+    prog = tmp_path / "p.sp"
+    prog.write_text(f"mem h {cells} high\nentry a\na: ret\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = main(["check-sni", str(prog), "--pairs", "exhaustive"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    captured = capsys.readouterr()
+    bits = 8 * cells
+    if cells == 892:
+        assert code == 0 and captured.out == f"secure (pairs={math.comb(1 << bits, 2)}, truncated=0)\n"
+    else:
+        assert code == 3 and captured.out == ""
+        assert captured.err == (f"error: {cells} high cells at width 8 are {bits} bits, and C(2**{bits}, 2) pairs "
+                                "would print more than 4300 digits (sys.get_int_max_str_digits())\n")
+
+
 @pytest.mark.parametrize("pairs", ["random:5", "exhaustive"])
 def test_check_sni_rejects_state2_with_pairs(pairs, capsys):
     """`--state2` names the one pair to check and `--pairs` a pair source, so
@@ -519,6 +545,17 @@ def test_directory_input_exits_3_with_message(cmd, tmp_path, capsys):
     assert code == 3
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_sni_differential_script_finds_no_mismatch(tmp_path):
+    """The differential sweep runs from a checkout with no `PYTHONPATH` and
+    finds the walks equal to their references on a seeded slice."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "sni_differential.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(script), "--seed", "3", "--programs", "40"], capture_output=True,
+                       text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.startswith("40 programs, seed 3: 0 mismatches;")
 
 
 def test_sweep_corpus_script_runs_from_a_checkout(tmp_path):

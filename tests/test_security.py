@@ -6,8 +6,7 @@ import pytest
 from snicheck.ir import Fill, Spill, parse_program
 from snicheck.security import (
     PairSource,
-    _certify,
-    _walk_group,
+    _walk,
     check_safety,
     check_sni,
     check_sni_pair,
@@ -29,6 +28,7 @@ from conftest import (
     random_program,
     random_state,
     ref_check_sni_exhaustive,
+    ref_check_sni_pair,
     ref_sni_walk,
     ref_taint_certify,
 )
@@ -275,7 +275,46 @@ def test_sni_pair_agrees_with_memo_free_enumeration(rng):
         assert v.secure == same
 
 
+# the two states trade places on every pass of the loop: with h = 0 and h = 1
+# the joint state comes back with its sides swapped
+SWAPPING = "mem h 1 high\nentry a\na: load x <- h[#0] -> b\nb: x = x eq z -> c\nc: store h[#0] <- x -> d\nd: if z ? a : a\n"
+
+
+def test_sni_pair_matches_the_table_free_search(rng):
+    """On random programs, in both orientations, `check_sni_pair` returns the
+    verdict of the table-free search field for field: kind, `truncated`,
+    directives, divergence, and the two leaks or enabled sets.  In
+    `SWAPPING` the memo is keyed by the ordered joint state, as the
+    reference's is, so the swapped pair is walked and its cuts counted."""
+    b = Bounds(10, 3)
+    kinds = Counter()
+    for _ in range(300):
+        p = random_program(rng, n_instrs=rng.randint(4, 10), n_regs=2, allow_shuffle=rng.random() < 0.3)
+        nu = random_state(rng, p, width=2)
+        other = (nu[0].with_cell("hi", 0, (nu[0].cell("hi", 0) + rng.randint(1, 3)) % 4),)
+        for a, c in ((nu, other), (other, nu)):
+            got = check_sni_pair(p, a, c, b, width=2)
+            assert got == ref_check_sni_pair(p, a, c, b, width=2)
+            kinds[got.divergence or got.kind] += 1
+            kinds["truncated"] += got.truncated > 0
+    assert kinds["secure"] >= 300 and kinds["truncated"] >= 50, kinds
+    assert kinds["leak"] >= 30 and kinds["enabled"] >= 10, kinds
+
+    p = parse_program(SWAPPING)
+    nu, other = (State.make("a"),), (State.make("a", mem={("h", 0): 1}),)
+    got = check_sni_pair(p, nu, other, Bounds(20, 1), width=1)
+    assert got == ref_check_sni_pair(p, nu, other, Bounds(20, 1), width=1)
+    assert got.secure and got.truncated == 2
+
+
 # --- the grouped walk against table-free references ---------------------------
+
+
+def _cuts(walked):
+    """A `_walk` result as the references give it: the cuts, or None when
+    the walk found a difference or refused."""
+    cuts, found = walked
+    return cuts if found is None else None
 
 
 def _check_against_references(p, base, b, width):
@@ -295,10 +334,10 @@ def _check_against_references(p, base, b, width):
     certified = None
     if len(states) > 2:
         table = transition_table(p, width)
-        certified = _certify(p, table, table.id(states[0]), b)
+        certified = _cuts(_walk(table, {table.id(states[0])}, b, p))
         assert certified == ref_taint_certify(p, states[0], b, width)
         assert certified is None or want.secure
-        walked = _walk_group(table, [table.id(s) for s in states], b)
+        walked = _cuts(_walk(table, {table.id(s) for s in states}, b))
         assert walked == ref_sni_walk(p, base, b, width)
         assert (walked is None) == (not want.secure)
     if not got.secure or len(states) <= 2:
@@ -381,6 +420,31 @@ def test_check_sni_walk_finds_what_the_first_pair_misses(text):
     assert [nu[0].cell("h", 0) for nu in (v.state1, v.state2)] == [0, 2]
 
 
+# `load h 0` and `load h 1` at `d` reach the same state with the same taint at
+# `e`, but only `load h 1` reads the secret that `if` leaks: `h[0]` holds
+# `x and z`, which is 0 in every assignment
+SPLIT_BY_PATH = """mem l 1 low
+mem h 2 high
+entry a
+a: load x <- h[#1] -> b
+b: t = x and z -> c
+c: store h[#0] <- t -> d
+d: load y <- l[i] -> e
+e: if y ? f : f
+f: ret
+"""
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_check_sni_finds_a_leak_that_depends_on_the_path(width):
+    """A check that memoised a state with its taint would close `e` after
+    the `load h 0` path and never expand it after `load h 1`."""
+    p = parse_program(SPLIT_BY_PATH)
+    v, certified = _check_against_references(p, (State.make("a", {"i": 1}),), Bounds(16, 2), width)
+    assert not v.secure and not certified and v.divergence == "leak"
+    assert [str(d) for d in v.directives] == ["step", "step", "step", "load h 1", "if"]
+
+
 def test_check_sni_keeps_no_state_between_calls(rng):
     """Calls in a row on different programs and bounds each agree with fresh
     table-free searches, so no interned state outlives its call."""
@@ -406,33 +470,38 @@ def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
     def not_called(*args):
         raise AssertionError("called on a certified program")
 
+    walks = []
+
+    def walking(table, ids, b, taint=None):
+        walks.append((len(ids), taint is not None))
+        return _walk(table, ids, b, taint)
+
     monkeypatch.setattr(security, "check_sni_pair", not_called)
-    monkeypatch.setattr(security, "_walk_group", not_called)
+    monkeypatch.setattr(security, "_walk", walking)
     p = load_program("code_specv1.sp")
     v = check_sni(p, load_state("code_specv1.init", p, 1), PairSource("exhaustive"), Bounds(32, 3), 1)
     assert v.secure and v.truncated > 0 and v.pairs_checked == 130_816
+    assert walks == [(1, True)]
 
-    probes, walks = [], []
+    probes = []
 
     def probing(*args):
         probes.append(args[1:3])
         return check_sni_pair(*args)
 
-    def walking(*args):
-        walks.append(len(args[1]))
-        return _walk_group(*args)
-
+    walks.clear()
     monkeypatch.setattr(security, "check_sni_pair", probing)
-    monkeypatch.setattr(security, "_walk_group", walking)
     p = parse_program("mem h 1 high\nentry a\na: load x <- h[#0] -> b\nb: y = x and z -> c\nc: if y ? d : d\nd: ret\n")
     v = check_sni(p, initial(p), PairSource("exhaustive"), Bounds(8, 2), 2)
     assert v.secure and v.pairs_checked == 6
-    assert probes == [tuple(enumerate_high_states(p, initial(p), 2)[:2])] and walks == [4]
+    assert probes == [tuple(enumerate_high_states(p, initial(p), 2)[:2])]
+    assert walks == [(1, True), (2, False), (4, False)]
 
-    monkeypatch.setattr(security, "_walk_group", None)
+    walks.clear()
     p = load_program("code_ra_target.sp")
     v = check_sni(p, load_state("code_ra.init", p, 12), PairSource("exhaustive"), Bounds(32, 3), 12)
     assert not v.secure and v.pairs_checked == 1 and len(probes) == 2
+    assert walks == [(1, True), (2, False)]
 
 
 SLH_GUARDED = """mem a 2 low
