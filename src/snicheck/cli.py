@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import poison, regalloc, security, simulation
-from .ir import ParseError, Program, parse_program, print_program
+from .ir import ParseError, Program, loc_text, parse_program, print_program
 from .liveness import cells_fact, dce_transform, full_fact, liveness
 from .semantics import (
     Bounds,
@@ -71,16 +71,16 @@ def pair_count(text: str) -> int | None:
 
 def _emit(args, payload: dict, text: str):
     if args.format == "json":
-        print(json.dumps({"schema": SCHEMA, **payload}, sort_keys=True))
+        print(json.dumps({"schema": SCHEMA, "command": args.cmd, **payload}, sort_keys=True))
     else:
         print(text, end="" if text.endswith("\n") else "\n")
 
 
-def _load_program(path: str) -> Program:
+def _load_program(path: str | Path) -> Program:
     return parse_program(Path(path).read_text())
 
 
-def _load_state(path: str, p: Program, width: int):
+def _load_state(path: str | Path, p: Program, width: int):
     return parse_initial_state(Path(path).read_text(), p, width)
 
 
@@ -101,7 +101,6 @@ def cmd_run(args) -> int:
     dirs = parse_directives(Path(args.directives).read_text(), p) if args.directives else []
     ex = run_directives(p, nu0, dirs, args.width)
     payload = {
-        "command": "run",
         "status": ex.status,
         "stuck_index": ex.stuck_index,
         "leaks": [str(l) for l in ex.leaks],
@@ -116,7 +115,6 @@ def cmd_explore(args) -> int:
     bs = explore_behaviors(p, nu0, args.bounds, args.width)
     fmt = lambda tr: {"leaks": [str(l) for l in tr[0]], "directives": [str(d) for d in tr[1]]}
     payload = {
-        "command": "explore",
         "terminated": sorted((fmt(t) for t in bs.terminated), key=str),
         "truncated_count": len(bs.truncated),
     }
@@ -132,24 +130,27 @@ def cmd_check_safe(args) -> int:
     p = _load_program(args.program)
     nu0 = _initial_state(args, p)
     r = security.check_safety(p, nu0[0], args.bounds.max_steps, args.width)
-    _emit(args, {"command": "check-safe", "status": r.status, "step": r.step_index}, f"{r.status}\n")
+    _emit(args, {"status": r.status, "step": r.step_index}, f"{r.status}\n")
     return {"safe": 0, "unsafe": 1, "bound-exhausted": 2}[r.status]
 
 
-def _sni_exit(v) -> int:
-    if not v.secure:
+def _verdict_exit(ok: bool, truncated: int) -> int:
+    """0 for a pass, 1 for a failure, 2 for a pass that the bounds cut short."""
+    if not ok:
         return 1
-    return 2 if v.truncated else 0
+    return 2 if truncated else 0
 
 
 def cmd_check_sni(args) -> int:
+    if args.seed is not None and args.pairs is None:
+        raise ValueError("--seed is read only with --pairs random:<n>")
     p = _load_program(args.program)
     base = _initial_state(args, p)
     if args.state2:
         other = _load_state(args.state2, p, args.width)
         src = security.PairSource("file", pairs=[(base, other)])
     elif args.pairs is not None:
-        src = security.PairSource("sampled", count=args.pairs, seed=args.seed)
+        src = security.PairSource("sampled", count=args.pairs, seed=args.seed or 0)
     else:
         # a certified program counts C(2**bits, 2) pairs, which must print
         cells, limit = len(security.high_cells(p)), sys.get_int_max_str_digits()
@@ -166,8 +167,8 @@ def cmd_check_sni(args) -> int:
             text += f"diverging leak: {v.leak1} vs {v.leak2}\n"
         else:
             text += "diverging enabled sets\n"
-    _emit(args, {"command": "check-sni", **v.report(p, args.width)}, text)
-    return _sni_exit(v)
+    _emit(args, v.report(p, args.width), text)
+    return _verdict_exit(v.secure, v.truncated)
 
 
 def cmd_dce(args) -> int:
@@ -180,7 +181,7 @@ def cmd_dce(args) -> int:
     mapping = {pc: ("replaced" if res.replaced[pc] else "unchanged") for pc in p.pcs()}
     if args.map_out:
         Path(args.map_out).write_text("".join(f"{pc} {v}\n" for pc, v in mapping.items()))
-    _emit(args, {"command": "dce", "program": out_text, "map": mapping}, out_text)
+    _emit(args, {"program": out_text, "map": mapping}, out_text)
     return 0
 
 
@@ -188,10 +189,8 @@ def cmd_liveness(args) -> int:
     p = _load_program(args.program)
     ef = cells_fact(p) if args.exit_fact == "cells" else full_fact(p)
     sol = liveness(p, ef)
-    fmt_item = lambda it: it if isinstance(it, str) else f"{it[0]}[{it[1]}]"
-    payload = {"command": "liveness", "after": {pc: sorted(fmt_item(i) for i in sol[pc]) for pc in p.pcs()}}
-    text = "\n".join(f"{pc}: {' '.join(sorted(fmt_item(i) for i in sol[pc]))}" for pc in p.pcs())
-    _emit(args, payload, text + "\n")
+    after = {pc: sorted(map(loc_text, sol[pc])) for pc in p.pcs()}
+    _emit(args, {"after": after}, "".join(f"{pc}: {' '.join(locs)}\n" for pc, locs in after.items()))
     return 0
 
 
@@ -203,14 +202,14 @@ def cmd_allocate(args) -> int:
         Path(args.out_target).write_text(target)
     if args.out_witness:
         Path(args.out_witness).write_text(witness)
-    _emit(args, {"command": "allocate", "target": target, "witness": witness}, target)
+    _emit(args, {"target": target, "witness": witness}, target)
     return 0
 
 
 def cmd_validate_ra(args) -> int:
     w = _witness(args)
     diags = regalloc.validate_ra(w)
-    payload = {"command": "validate-ra", "diagnostics": [str(d) for d in diags]}
+    payload = {"diagnostics": [str(d) for d in diags]}
     _emit(args, payload, ("\n".join(str(d) for d in diags) + "\n") if diags else "witness valid\n")
     return 1 if diags else 0
 
@@ -231,7 +230,7 @@ def cmd_product_run(args) -> int:
         src_part = f"{tr.src_dir} / {tr.src_leak}" if tr.src_dir is not None else "(wait)"
         lines.append(f"{tr.tgt_dir} / {tr.tgt_leak} || {src_part} [{tr.rule}]")
         ps = tr.end
-    payload = {"command": "product-run", "steps": lines, "stuck_index": stuck_at}
+    payload = {"steps": lines, "stuck_index": stuck_at}
     text = "\n".join(lines)
     if stuck_at is not None:
         text += f"\nproduct stuck at step {stuck_at} ({dirs[stuck_at]})"
@@ -241,122 +240,108 @@ def cmd_product_run(args) -> int:
 
 def cmd_poison_analyze(args) -> int:
     w = _witness(args)
-    sp = poison.poison_analysis(w, args.width)
-    table = poison.format_poison_table(sp)
-    payload = {
-        "command": "poison-analyze",
-        "table": {
-            f"{n[0]},{n[1]}": {
-                (k if isinstance(k, str) else f"{k[0]}[{k[1]}]"): poison.PV_NAMES[sp.assignment[n][k]]
-                for k in sp.domain
-            }
-            for n in sp.values
-        },
+    sp = poison.poison_analysis(w)
+    table = {
+        f"{n[0]},{n[1]}": {loc_text(k): poison.PV_NAMES[sp.assignment[n][k]] for k in sp.domain} for n in sp.values
     }
-    _emit(args, payload, table)
+    _emit(args, {"table": table}, poison.format_poison_table(sp))
     return 0
 
 
 def cmd_check_typable(args) -> int:
     w = _witness(args)
-    sp = poison.poison_analysis(w, args.width)
-    violations = poison.check_poison_typable(w, sp)
-    payload = {"command": "check-typable", "violations": [str(v) for v in violations]}
+    violations = poison.check_poison_typable(w, poison.poison_analysis(w))
+    payload = {"violations": [str(v) for v in violations]}
     _emit(args, payload, ("\n".join(str(v) for v in violations) + "\n") if violations else "poison-typable\n")
     return 1 if violations else 0
 
 
 def cmd_fix(args) -> int:
     w = _witness(args)
-    fixed, report = poison.fix_ra(w, args.width)
+    fixed, report = poison.fix_ra(w)
     if args.out_target:
         Path(args.out_target).write_text(print_program(fixed.target))
     if args.out_witness:
         Path(args.out_witness).write_text(regalloc.serialize_ra_witness(fixed))
     ins = [{"pc": i.pc, "kind": i.kind, "before": i.before, "violation": str(i.violation)} for i in report.insertions]
     text = "\n".join(f"inserted {i.kind} at {i.pc} before {i.before} ({i.violation})" for i in report.insertions)
-    _emit(args, {"command": "fix", "insertions": ins, "iterations": report.iterations}, (text or "already typable") + "\n")
+    _emit(args, {"insertions": ins, "iterations": report.iterations}, (text or "already typable") + "\n")
     return 0
 
 
-def _sim_witness(args, width: int):
+def _sim_witness(args):
     if args.witness_kind == "dce":
+        if args.target or args.witness:
+            raise ValueError("--target and --witness are read only with --witness-kind ra")
         p = _load_program(args.source)
-        res = dce_transform(p, liveness(p))
-        return simulation.dce_witness(p, res, width)
+        return simulation.dce_witness(p, dce_transform(p, liveness(p)), args.width)
     if not args.target or not args.witness:
         raise ValueError("--witness-kind ra requires --target and --witness")
-    w = _witness(args)
-    return simulation.ra_witness(w, width)
+    return simulation.ra_witness(_witness(args), args.width)
+
+
+def _emit_sim(args, v: simulation.Verdict) -> int:
+    text = f"{v.status} (intervals={v.intervals_checked}, truncated={v.truncated})\n"
+    _emit(args, v.report(), text + (v.reason + "\n" if v.reason else ""))
+    return _verdict_exit(v.ok, v.truncated)
 
 
 def cmd_check_sim(args) -> int:
-    wit = _sim_witness(args, args.width)
+    wit = _sim_witness(args)
     t0 = _initial_state(args, wit.target)[0]
-    v = simulation.check_simulation(wit, [t0], args.bounds)
-    _emit(args, {"command": "check-sim", **v.report()}, f"{v.status} (intervals={v.intervals_checked}, truncated={v.truncated})\n" + (v.reason + "\n" if v.reason else ""))
-    return 0 if v.ok and not v.truncated else (2 if v.ok else 1)
+    return _emit_sim(args, simulation.check_simulation(wit, [t0], args.bounds))
 
 
 def cmd_check_snippy(args) -> int:
-    wit = _sim_witness(args, args.width)
+    wit = _sim_witness(args)
     base = _initial_state(args, wit.target)[0]
     states = [s[0] for s in security.enumerate_high_states(wit.target, (base,), args.width)]
-    v = simulation.check_snippy_cube(wit, states, args.bounds)
-    text = f"{v.status} (intervals={v.intervals_checked}, truncated={v.truncated})\n"
-    if not v.ok:
-        text += v.reason + "\n"
-    _emit(args, {"command": "check-snippy", **v.report()}, text)
-    return 0 if v.ok and not v.truncated else (2 if v.ok else 1)
+    return _emit_sim(args, simulation.check_snippy_cube(wit, states, args.bounds))
 
 
 def cmd_demo_codera(args) -> int:
     """One-shot reproduction: attack, analysis, fix, and re-check."""
     width = 8
     bounds = Bounds(32, 3)
-    src = parse_program(corpus_path("code_ra_source.sp").read_text())
-    tgt = parse_program(corpus_path("code_ra_target.sp").read_text())
+    src = _load_program(corpus_path("code_ra_source.sp"))
+    tgt = _load_program(corpus_path("code_ra_target.sp"))
     w = regalloc.parse_ra_witness(corpus_path("code_ra.witness").read_text(), src, tgt)
-    base_t = parse_initial_state(corpus_path("code_ra.init").read_text(), tgt, width)
-    alt_t = parse_initial_state(corpus_path("code_ra_alt.init").read_text(), tgt, width)
-    base_s = parse_initial_state(corpus_path("code_ra.init").read_text(), src, width)
-    alt_s = parse_initial_state(corpus_path("code_ra_alt.init").read_text(), src, width)
+
+    def pair_verdict(p: Program) -> security.SniVerdict:
+        """`p`'s verdict on the corpus pair of initial states."""
+        base, alt = (_load_state(corpus_path(f), p, width) for f in ("code_ra.init", "code_ra_alt.init"))
+        return security.check_sni(p, base, security.PairSource("file", pairs=[(base, alt)]), bounds, width)
 
     out = []
     ok = True
 
-    v_src = security.check_sni(src, base_s, security.PairSource("file", pairs=[(base_s, alt_s)]), bounds, width)
+    v_src = pair_verdict(src)
     out.append(f"source verdict: {v_src.kind}")
     ok &= v_src.secure
 
-    v_tgt = security.check_sni(tgt, base_t, security.PairSource("file", pairs=[(base_t, alt_t)]), bounds, width)
+    v_tgt = pair_verdict(tgt)
     out.append(f"target verdict: {v_tgt.kind}")
     ok &= not v_tgt.secure
     if not v_tgt.secure:
         out.append("attack directives: " + " ; ".join(str(d) for d in v_tgt.directives))
         out.append(f"diverging leak: {v_tgt.leak1} vs {v_tgt.leak2}")
 
-    sp = poison.poison_analysis(w, width)
+    sp = poison.poison_analysis(w)
     violations = poison.check_poison_typable(w, sp)
     for v in violations:
         out.append(f"poison violation: {v}")
     ok &= len(violations) == 1
 
-    fixed, report = poison.fix_ra(w, width)
+    fixed, report = poison.fix_ra(w)
     for i in report.insertions:
         out.append(f"inserted {i.kind} at {i.pc} before {i.before}")
     ok &= len(report.insertions) == 1
 
-    fixed_base = parse_initial_state(corpus_path("code_ra.init").read_text(), fixed.target, width)
-    fixed_alt = parse_initial_state(corpus_path("code_ra_alt.init").read_text(), fixed.target, width)
-    v_fixed = security.check_sni(
-        fixed.target, fixed_base, security.PairSource("file", pairs=[(fixed_base, fixed_alt)]), bounds, width
-    )
+    v_fixed = pair_verdict(fixed.target)
     out.append(f"fixed target verdict: {v_fixed.kind}")
     ok &= v_fixed.secure
 
     payload = {
-        "command": "demo-codera",
         "ok": ok,
         "log": out,
         "source": v_src.report(),
@@ -371,91 +356,63 @@ def cmd_demo_codera(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once: building it costs far more than a
-    `parse_args` call, and parsing leaves it unchanged."""
+    `parse_args` call, and parsing leaves it unchanged.
+
+    Each subcommand takes exactly the flags its handler reads, plus
+    `--format`.  A flag ending in `?` is optional where the flag table makes
+    it required, and `a|b` makes two flags exclude each other."""
+    flags = {
+        "--state": dict(help="initial-state file"),
+        "--state2": dict(help="second initial-state file (explicit pair)"),
+        "--pairs": dict(type=pair_count, default="exhaustive", help="exhaustive | random:<n>, n >= 1"),
+        "--seed": dict(type=int, help="seed of --pairs random:<n> (default 0)"),
+        "--width": dict(type=positive_int, default=DEFAULT_WIDTH),
+        "--bounds": dict(type=_parse_bounds, default=Bounds(32, 3), help="steps=<n>,depth=<n>"),
+        "--directives": {},
+        "--out": {},
+        "--map-out": {},
+        "--exit-fact": dict(choices=("full", "cells"), default="full"),
+        "--k": dict(type=int, required=True),
+        "--out-target": {},
+        "--out-witness": {},
+        "--witness-kind": dict(choices=("dce", "ra"), required=True),
+        "--source": dict(required=True),
+        "--target": dict(required=True),
+        "--witness": dict(required=True),
+        "--format": dict(choices=("text", "json"), default="text"),
+    }
+    start, ra = ("--state", "--width"), ("--source", "--target", "--witness")
+    search = (*start, "--bounds")
+    sim = ("--witness-kind", "--source", "--target?", "--witness?", *search)
+    commands = {  # name: (handler, positional, flags)
+        "run": (cmd_run, "program", (*start, "--directives")),
+        "explore": (cmd_explore, "program", search),
+        "check-safe": (cmd_check_safe, "program", search),
+        "check-sni": (cmd_check_sni, "program", (*search, "--state2|--pairs", "--seed")),
+        "dce": (cmd_dce, "program", ("--out", "--map-out")),
+        "liveness": (cmd_liveness, "program", ("--exit-fact",)),
+        "allocate": (cmd_allocate, "program", ("--k", "--out-target", "--out-witness")),
+        "validate-ra": (cmd_validate_ra, None, ra),
+        "product-run": (cmd_product_run, None, (*ra, *start, "--directives")),
+        "poison-analyze": (cmd_poison_analyze, None, ra),
+        "check-typable": (cmd_check_typable, None, ra),
+        "fix": (cmd_fix, None, (*ra, "--out-target", "--out-witness")),
+        "check-sim": (cmd_check_sim, None, sim),
+        "check-snippy": (cmd_check_snippy, None, sim),
+        "demo-codera": (cmd_demo_codera, None, ()),
+    }
     ap = argparse.ArgumentParser(prog="snicheck", description="speculative non-interference toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, state=True):
-        sp.add_argument("--bounds", type=_parse_bounds, default=Bounds(32, 3), help="steps=<n>,depth=<n>")
-        sp.add_argument("--width", type=positive_int, default=DEFAULT_WIDTH)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--format", choices=("text", "json"), default="text")
-        if state:
-            sp.add_argument("--state", help="initial-state file")
-
-    sp = sub.add_parser("run")
-    sp.add_argument("program")
-    sp.add_argument("--directives")
-    common(sp)
-    sp.set_defaults(fn=cmd_run)
-
-    sp = sub.add_parser("explore")
-    sp.add_argument("program")
-    common(sp)
-    sp.set_defaults(fn=cmd_explore)
-
-    sp = sub.add_parser("check-safe")
-    sp.add_argument("program")
-    common(sp)
-    sp.set_defaults(fn=cmd_check_safe)
-
-    sp = sub.add_parser("check-sni")
-    sp.add_argument("program")
-    pair_source = sp.add_mutually_exclusive_group()
-    pair_source.add_argument("--state2", help="second initial-state file (explicit pair)")
-    pair_source.add_argument("--pairs", type=pair_count, default="exhaustive", help="exhaustive | random:<n>, n >= 1")
-    common(sp)
-    sp.set_defaults(fn=cmd_check_sni)
-
-    sp = sub.add_parser("dce")
-    sp.add_argument("program")
-    sp.add_argument("--out")
-    sp.add_argument("--map-out")
-    common(sp, state=False)
-    sp.set_defaults(fn=cmd_dce)
-
-    sp = sub.add_parser("liveness")
-    sp.add_argument("program")
-    sp.add_argument("--exit-fact", choices=("full", "cells"), default="full")
-    common(sp, state=False)
-    sp.set_defaults(fn=cmd_liveness)
-
-    sp = sub.add_parser("allocate")
-    sp.add_argument("program")
-    sp.add_argument("--k", type=int, required=True)
-    sp.add_argument("--out-target")
-    sp.add_argument("--out-witness")
-    common(sp, state=False)
-    sp.set_defaults(fn=cmd_allocate)
-
-    for name, fn, extra in (
-        ("validate-ra", cmd_validate_ra, ()),
-        ("product-run", cmd_product_run, ("--state", "--directives")),
-        ("poison-analyze", cmd_poison_analyze, ()),
-        ("check-typable", cmd_check_typable, ()),
-        ("fix", cmd_fix, ("--out-target", "--out-witness")),
-    ):
+    for name, (fn, positional, names) in commands.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--source", required=True)
-        sp.add_argument("--target", required=True)
-        sp.add_argument("--witness", required=True)
-        for opt in extra:
-            sp.add_argument(opt)
-        common(sp, state=False)
         sp.set_defaults(fn=fn)
-
-    for name, fn in (("check-sim", cmd_check_sim), ("check-snippy", cmd_check_snippy)):
-        sp = sub.add_parser(name)
-        sp.add_argument("--witness-kind", choices=("dce", "ra"), required=True)
-        sp.add_argument("--source", required=True)
-        sp.add_argument("--target")
-        sp.add_argument("--witness")
-        common(sp)
-        sp.set_defaults(fn=fn)
-
-    sp = sub.add_parser("demo-codera")
-    common(sp, state=False)
-    sp.set_defaults(fn=cmd_demo_codera)
+        if positional:
+            sp.add_argument(positional)
+        for group in (*names, "--format"):
+            into = sp.add_mutually_exclusive_group() if "|" in group else sp
+            for flag in group.split("|"):
+                opts = flags[flag.rstrip("?")]
+                into.add_argument(flag.rstrip("?"), **((opts | {"required": False}) if flag.endswith("?") else opts))
     return ap
 
 

@@ -259,6 +259,11 @@ KINDS = (
 )
 
 
+def loc_text(loc: Reg | tuple[str, int]) -> str:
+    """A register as itself, a memory cell (var, offset) as `var[offset]`."""
+    return loc if isinstance(loc, str) else f"{loc[0]}[{loc[1]}]"
+
+
 _PC_PARTS = re.compile(r"\d+|\D+")
 
 

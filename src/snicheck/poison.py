@@ -82,6 +82,7 @@ from .ir import (
     Slh,
     Store,
     STACK_VAR,
+    loc_text,
     pc_key,
 )
 from .liveness import cells_fact, liveness
@@ -808,9 +809,7 @@ def _redirect(i: Instr, old: Pc, new: Pc) -> Instr:
 
 def format_poison_table(sp: StaticPoison) -> str:
     keys = sp.domain
-    head = "node".ljust(16) + " ".join(
-        (k if isinstance(k, str) else f"{k[0]}[{k[1]}]").rjust(8) for k in keys
-    )
+    head = "node".ljust(16) + " ".join(loc_text(k).rjust(8) for k in keys)
     lines = [head]
     for node in sorted(sp.values, key=lambda n: (pc_key(n[0]), pc_key(n[1]))):
         pt = sp.assignment[node]

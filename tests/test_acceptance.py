@@ -301,7 +301,7 @@ def snippy_w2_outputs(tmp_path) -> str:
     def run(*args):
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            code = main([*args, "--width", "2", "--format", "json"])
+            code = main([*args, "--format", "json"])
         return {"exit": code, "output": json.loads(out.getvalue())}
 
     fixed_t, fixed_w = tmp_path / "fixed.sp", tmp_path / "fixed.witness"
@@ -317,7 +317,7 @@ def snippy_w2_outputs(tmp_path) -> str:
     for bounds in ("steps=24,depth=2", "steps=12,depth=3"):
         for cmd in ("check-snippy", "check-sim"):
             for name, args in witnesses.items():
-                doc[f"{cmd} {name} {bounds}"] = run(cmd, *args, "--bounds", bounds)
+                doc[f"{cmd} {name} {bounds}"] = run(cmd, *args, "--width", "2", "--bounds", bounds)
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 

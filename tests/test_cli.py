@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import snicheck
-from snicheck.cli import corpus_path, main
+from snicheck.cli import build_parser, corpus_path, main
 
 
 def run_cli(*args, capsys=None):
@@ -261,8 +263,7 @@ def test_check_snippy_checks_the_simulation_from_every_high_assignment(tmp_path,
     assert run_cli("allocate", str(src), "--k", "2", "--out-target", str(tgt), "--out-witness", str(wit),
                    capsys=capsys)[0] == 0
     args = ["--source", str(src), "--target", str(tgt), "--witness", str(wit)]
-    code, out = run_cli("fix", *args, "--width", "2", "--out-target", str(tgt), "--out-witness", str(wit),
-                        capsys=capsys)
+    code, out = run_cli("fix", *args, "--out-target", str(tgt), "--out-witness", str(wit), capsys=capsys)
     assert code == 0 and out.startswith("inserted slh at fx0 before 1 ")
     hi = tmp_path / "hi.init"
     hi.write_text("cell hi 0 1\n")
@@ -495,6 +496,77 @@ def test_check_sni_rejects_state2_with_pairs(pairs, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == "" and "argument --pairs: not allowed with argument --state2" in captured.err
+
+
+RA_FILES = ["--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"), "--witness", C("code_ra.witness")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dce", C("code_dce_source.sp"), "--width", "4"],
+    ["fix", *RA_FILES, "--width", "2"],
+    ["demo-codera", "--bounds", "steps=1,depth=1"],
+    ["explore", C("code_dce_source.sp"), "--seed", "1"],
+])
+def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    """A command accepts only the flags it reads, so none can look as if it
+    changed a verdict that does not depend on it."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+SEED_ONLY_SAMPLED = "--seed is read only with --pairs random:<n>"
+TARGET_ONLY_RA = "--target and --witness are read only with --witness-kind ra"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["check-sni", C("code_ra_source.sp"), "--seed", "1"], SEED_ONLY_SAMPLED),
+    (["check-sni", C("code_ra_source.sp"), "--pairs", "exhaustive", "--seed", "0"], SEED_ONLY_SAMPLED),
+    (["check-sni", C("code_ra_source.sp"), "--state", C("code_ra.init"), "--state2", C("code_ra_alt.init"),
+      "--seed", "1"], SEED_ONLY_SAMPLED),
+    (["check-sim", "--witness-kind", "dce", "--source", C("code_dce_source.sp"), "--target", C("code_dce_source.sp")],
+     TARGET_ONLY_RA),
+    (["check-snippy", "--witness-kind", "dce", "--source", C("code_dce_w2_source.sp"), "--width", "2",
+      "--witness", C("code_ra_w2.witness")], TARGET_ONLY_RA),
+])
+def test_a_flag_the_mode_does_not_read_is_refused(argv, message, capsys):
+    """`--seed` is read only by sampled `check-sni`, and `--target` and
+    `--witness` only by RA simulation checks; elsewhere each is refused."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_check_sni_seed_picks_the_sampled_pairs(capsys):
+    """Each sampled pair leaks on the RA target, so the report names the
+    second state that the seed drew."""
+    def report(seed):
+        code, out = run_cli("check-sni", C("code_ra_target.sp"), "--state", C("code_ra.init"),
+                            "--pairs", "random:1", "--seed", seed, "--format", "json", capsys=capsys)
+        assert code == 1
+        return out
+
+    first = report("0")
+    assert json.loads(first)["state2"] != json.loads(report("1"))["state2"]
+    assert report("0") == first
+
+
+def test_readme_command_table_matches_the_parser():
+    """The README's command table has one row per subcommand; a row's command
+    cell names exactly the flags that command accepts besides `--format`,
+    and every flag the row mentions is one of them."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = readme.split("| command | what it does |\n|---|---|\n")[1].split("\n\n")[0].splitlines()
+    cells = [re.match(r"\| `([^`]+)` \|", row)[1] for row in rows]
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert [cell.split()[0] for cell in cells] == list(sub.choices)
+    flag = re.compile(r"--[a-z][a-z0-9-]*")
+    for row, cell in zip(rows, cells):
+        accepted = set(sub.choices[cell.split()[0]]._option_string_actions) - {"-h", "--help"}
+        assert set(flag.findall(cell)) == accepted - {"--format"}, row
+        assert set(flag.findall(row)) <= accepted, row
 
 
 def test_explore_at_default_bounds_exits_3(capsys):
