@@ -129,7 +129,7 @@ def cmd_explore(args) -> int:
 def cmd_check_safe(args) -> int:
     p = _load_program(args.program)
     nu0 = _initial_state(args, p)
-    r = security.check_safety(p, nu0[0], args.bounds.max_steps, args.width)
+    r = security.check_safety(p, nu0[0], args.steps, args.width)
     _emit(args, {"status": r.status, "step": r.step_index}, f"{r.status}\n")
     return {"safe": 0, "unsafe": 1, "bound-exhausted": 2}[r.status]
 
@@ -368,6 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed": dict(type=int, help="seed of --pairs random:<n> (default 0)"),
         "--width": dict(type=positive_int, default=DEFAULT_WIDTH),
         "--bounds": dict(type=_parse_bounds, default=Bounds(32, 3), help="steps=<n>,depth=<n>"),
+        "--steps": dict(type=positive_int, default=32, help="step bound of the run"),
         "--directives": {},
         "--out": {},
         "--map-out": {},
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     commands = {  # name: (handler, positional, flags)
         "run": (cmd_run, "program", (*start, "--directives")),
         "explore": (cmd_explore, "program", search),
-        "check-safe": (cmd_check_safe, "program", search),
+        "check-safe": (cmd_check_safe, "program", (*start, "--steps")),
         "check-sni": (cmd_check_sni, "program", (*search, "--state2|--pairs", "--seed")),
         "dce": (cmd_dce, "program", ("--out", "--map-out")),
         "liveness": (cmd_liveness, "program", ("--exit-fact",)),

@@ -62,12 +62,9 @@ def liveness(p: Program, exit_fact: Fact | None = None) -> dict[Pc, Fact]:
     prob = dataflow.FlowProblem(
         nodes=nodes,
         edges=edges,
-        direction="backward",
         transfer=lambda pc, fact: transfer(p, p.instrs[pc], fact, ef),
         init=ef,
         init_nodes=[pc for pc in nodes if isinstance(p.instrs[pc], Exit)],
-        lattice=dataflow.set_lattice(),
-        height_hint=len(p.registers) + len(p.cells()) + 1,
     )
     return dataflow.solve(prob)
 

@@ -452,6 +452,14 @@ def allocate(p: Program, k: int) -> RAWitness:
     rho: dict[Pc, dict] = {}
     phi = {pc: pc for pc in p.instrs}
 
+    def fresh_label(label: Pc) -> Pc:
+        """`label`, extended until no source pc has it: source labels may hold
+        dots.  Chain labels `{pc}.{idx}.{j}` differ and end in a digit, so the
+        extended ones cannot meet each other either."""
+        while label in p.instrs:
+            label += "_"
+        return label
+
     def build_chain(cur0: dict, goal: dict, regs) -> list[tuple[Instr, dict]]:
         cur = {r: cur0[r] for r in regs}
         ops: list[tuple[Instr, dict]] = []
@@ -498,7 +506,7 @@ def allocate(p: Program, k: int) -> RAWitness:
             if not ops:
                 new_succs.append(s)
                 continue
-            labels = [f"{pc}.{idx}.{j}" for j in range(len(ops))]
+            labels = [fresh_label(f"{pc}.{idx}.{j}") for j in range(len(ops))]
             for j, (op, snapshot) in enumerate(ops):
                 nxt_label = labels[j + 1] if j + 1 < len(ops) else s
                 instrs[labels[j]] = replace(op, succ=nxt_label)

@@ -669,9 +669,9 @@ class ConstraintViolation:
     bound: object
 
 
-def check_constraints(sol: dict, constraints: list, lat) -> list[ConstraintViolation]:
-    """Constraints f(node) <= bound, under `lat.leq`, that the solution fails."""
-    return [ConstraintViolation(n, sol[n], b) for n, b in constraints if not lat.leq(sol[n], b)]
+def check_constraints(sol: dict, constraints: list, leq) -> list[ConstraintViolation]:
+    """Constraints f(node) <= bound, under `leq`, that the solution fails."""
+    return [ConstraintViolation(n, sol[n], b) for n, b in constraints if not leq(sol[n], b)]
 
 
 # --- reference RA checks: one match arm per kind, as `regalloc` had them ------

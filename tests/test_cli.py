@@ -503,6 +503,7 @@ RA_FILES = ["--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp
 
 @pytest.mark.parametrize("argv", [
     ["dce", C("code_dce_source.sp"), "--width", "4"],
+    ["check-safe", C("code_dce_source.sp"), "--bounds", "steps=32,depth=1"],
     ["fix", *RA_FILES, "--width", "2"],
     ["demo-codera", "--bounds", "steps=1,depth=1"],
     ["explore", C("code_dce_source.sp"), "--seed", "1"],
@@ -514,6 +515,15 @@ def test_a_flag_the_command_does_not_read_is_a_usage_error(argv, capsys):
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == "" and "unrecognized arguments" in captured.err
+
+
+def test_check_safe_steps_bound_the_run(capsys):
+    """`check-safe` runs without speculation, so its one bound is `--steps`."""
+    argv = ["check-safe", C("code_dce_source.sp"), "--state", C("code_dce.init")]
+    assert run_cli(*argv, capsys=capsys) == (0, "safe\n")
+    assert run_cli(*argv, "--steps", "1", capsys=capsys) == (2, "bound-exhausted\n")
+    assert main([*argv, "--steps", "0"]) == 3
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 SEED_ONLY_SAMPLED = "--seed is read only with --pairs random:<n>"

@@ -1,40 +1,33 @@
-import itertools
+import operator
 
-import pytest
-
-from snicheck import dataflow
-from snicheck.dataflow import FlowProblem, Lattice, set_lattice, solve
+from snicheck.dataflow import FlowProblem, solve
 
 from conftest import check_constraints
 
 
-def test_single_node_forward():
+def test_single_node_backward():
     prob = FlowProblem(
         nodes=["n"],
         edges=[],
-        direction="forward",
         transfer=lambda n, v: v | {"x"},
         init=frozenset({"i"}),
         init_nodes=["n"],
-        lattice=set_lattice(),
     )
     assert solve(prob) == {"n": frozenset({"i"})}
 
 
 def test_diamond_join():
-    # a -> b, a -> c, b -> d, c -> d with constant transfers joining at d
+    # a -> b, a -> c, b -> d, c -> d with constant transfers joining backward at a
     const = {"a": frozenset(), "b": frozenset({"B"}), "c": frozenset({"C"}), "d": frozenset()}
     prob = FlowProblem(
         nodes=list("abcd"),
         edges=[("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")],
-        direction="forward",
         transfer=lambda n, v: v | const[n],
         init=frozenset(),
-        init_nodes=["a"],
-        lattice=set_lattice(),
+        init_nodes=["d"],
     )
     sol = solve(prob)
-    assert sol["d"] == frozenset({"B", "C"})
+    assert sol["a"] == frozenset({"B", "C"})
 
 
 def test_liveness_of_dce_example():
@@ -52,15 +45,13 @@ def test_liveness_of_dce_example():
 
 
 def _kleene(prob: FlowProblem):
-    lat = prob.lattice
-    sol = {n: lat.bottom for n in prob.nodes}
+    sol = {n: frozenset() for n in prob.nodes}
     for n in prob.init_nodes:
-        sol[n] = lat.join(sol[n], prob.init)
+        sol[n] = sol[n] | prob.init
     for _ in range(64):
         new = dict(sol)
         for u, v in prob.edges:
-            src, dst = (u, v) if prob.direction == "forward" else (v, u)
-            new[dst] = lat.join(new[dst], prob.transfer(src, sol[src]))
+            new[u] = new[u] | prob.transfer(v, sol[v])
         if new == sol:
             return sol
         sol = new
@@ -76,11 +67,9 @@ def test_least_solution_matches_kleene(rng):
         prob = FlowProblem(
             nodes=nodes,
             edges=edges,
-            direction=rng.choice(["forward", "backward"]),
             transfer=lambda n, v, g=gen: v | g[n],
             init=frozenset(rng.sample(universe, rng.randint(0, 2))),
             init_nodes=[nodes[0] if rng.random() < 0.5 else nodes[-1]],
-            lattice=set_lattice(),
         )
         assert solve(prob) == _kleene(prob)
 
@@ -93,20 +82,17 @@ def test_solution_satisfies_inequalities(rng):
         prob = FlowProblem(
             nodes=nodes,
             edges=edges,
-            direction="forward",
             transfer=lambda n, v, g=gen: v | g[n],
             init=frozenset({"x"}),
             init_nodes=["a"],
-            lattice=set_lattice(),
         )
         sol = solve(prob)
         for u, v in edges:
-            assert prob.transfer(u, sol[u]) <= sol[v]
+            assert prob.transfer(v, sol[v]) <= sol[u]
         assert prob.init <= sol["a"]
 
 
-@pytest.mark.parametrize("direction", ["forward", "backward"])
-def test_acyclic_graphs_visit_each_node_once(rng, direction):
+def test_acyclic_graphs_visit_each_node_once(rng):
     """Seeded in reverse postorder, the worklist runs the transfer exactly
     once per node of a DAG, including nodes the init nodes do not reach."""
     for _ in range(300):
@@ -124,11 +110,9 @@ def test_acyclic_graphs_visit_each_node_once(rng, direction):
         prob = FlowProblem(
             nodes=nodes,
             edges=edges,
-            direction=direction,
             transfer=transfer,
             init=frozenset({"i"}),
             init_nodes=rng.sample(nodes, rng.randint(0, min(2, n))),
-            lattice=set_lattice(),
         )
         sol = solve(prob)
         assert sorted(calls) == sorted(nodes)
@@ -136,31 +120,9 @@ def test_acyclic_graphs_visit_each_node_once(rng, direction):
 
 
 def test_check_constraints():
-    lat = set_lattice()
     sol = {"a": frozenset({"x", "y"}), "b": frozenset()}
-    assert check_constraints(sol, [], lat) == []
+    assert check_constraints(sol, [], operator.le) == []
     top = frozenset({"x", "y", "z"})
-    assert check_constraints(sol, [("a", top), ("b", top)], lat) == []
-    viol = check_constraints(sol, [("a", frozenset({"x"}))], lat)
+    assert check_constraints(sol, [("a", top), ("b", top)], operator.le) == []
+    viol = check_constraints(sol, [("a", frozenset({"x"}))], operator.le)
     assert len(viol) == 1 and viol[0].node == "a"
-
-
-def test_runaway_transfer_hits_iteration_cap():
-    fresh = itertools.count()
-
-    def bad(n, v):  # emits a new element every visit: never stabilises
-        return v | {f"x{next(fresh)}"}
-
-    prob = FlowProblem(
-        nodes=["a", "b"],
-        edges=[("a", "b"), ("b", "a")],
-        direction="forward",
-        transfer=bad,
-        init=frozenset(),
-        init_nodes=["a"],
-        lattice=set_lattice(),
-        height_hint=1,
-    )
-    with pytest.raises(dataflow.NonMonotoneError) as e:
-        solve(prob)
-    assert e.value.node in ("a", "b")

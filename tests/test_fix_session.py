@@ -10,7 +10,6 @@ import random
 
 import pytest
 
-from snicheck import dataflow
 from snicheck.ir import Asgn, If, Load, Move, Program, Sfence, Slh, Store, parse_program, print_program
 from snicheck.poison import (
     BOT,
@@ -39,7 +38,7 @@ from snicheck.regalloc import (
 )
 from snicheck.liveness import cells_fact, liveness
 
-from conftest import load_program, pt_const, pt_join, pt_leq, pv_join, random_program
+from conftest import load_program, pt_const, pt_join, pv_join, random_program
 
 
 def _reference_transfer(w, rho, domain):
@@ -89,23 +88,26 @@ def _reference_transfer(w, rho, domain):
 
 
 def reference_assignment(w):
-    """The poison analysis with dict-valued types and per-call transfers."""
+    """The poison analysis with dict-valued types and per-call transfers,
+    solved by round-robin Kleene iteration over the product graph."""
     sol = liveness(w.source, cells_fact(w.source))
     st = analyze_structure(w)
     rho = rho_live(w, st, sol)
     domain = poison_domain(w)
     succ, _ = prod_graph(w, st)
-    prob = dataflow.FlowProblem(
-        nodes=list(succ),
-        edges=[(u, v) for u in succ for v in succ[u]],
-        direction="forward",
-        transfer=_reference_transfer(w, rho, domain),
-        init=pt_const(domain, H),
-        init_nodes=[(w.source.entry, w.target.entry)],
-        lattice=dataflow.Lattice(pt_const(domain, BOT), pt_join, pt_leq),
-        height_hint=3 * max(1, len(domain)),
-    )
-    return dataflow.solve(prob)
+    transfer = _reference_transfer(w, rho, domain)
+    pt = {n: pt_const(domain, BOT) for n in succ}
+    pt[(w.source.entry, w.target.entry)] = pt_const(domain, H)
+    changed = True
+    while changed:
+        changed = False
+        for u in succ:
+            out = transfer(u, pt[u])
+            for v in succ[u]:
+                joined = pt_join(pt[v], out)
+                if joined != pt[v]:
+                    pt[v], changed = joined, True
+    return pt
 
 
 def reference_fix(w, width=8):

@@ -308,17 +308,14 @@ def test_fixed_witness_blocks_attack(ra_witness):
 def test_constraint_checker_flags_branch_node(ra_witness):
     """The generic bound checker sees the same failure: at the (4, f) node,
     the branch register exceeds the healthy bound."""
-    from snicheck import dataflow
-
     sp = poison_analysis(ra_witness)
     domain = sp.domain
-    lat = dataflow.Lattice(pt_const(domain, BOT), None, pt_leq)
     bound = pt_const(domain, P)
     bound["bytes"] = H
-    violations = check_constraints(sp.assignment, [(("4", "f"), bound)], lat)
+    violations = check_constraints(sp.assignment, [(("4", "f"), bound)], pt_leq)
     assert len(violations) == 1 and violations[0].node == ("4", "f")
     top = pt_const(domain, P)
-    assert check_constraints(sp.assignment, [(("4", "f"), top)], lat) == []
+    assert check_constraints(sp.assignment, [(("4", "f"), top)], pt_leq) == []
 
 
 def test_typable_witness_never_sticks(ra_witness):

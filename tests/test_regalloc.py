@@ -1,6 +1,6 @@
 import pytest
 
-from snicheck.ir import Fill, Spill, parse_program, print_program
+from snicheck.ir import Fill, Program, Spill, parse_program, print_program
 from snicheck.regalloc import (
     AllocationInfeasible,
     RAWitness,
@@ -291,6 +291,61 @@ def test_allocate_random_programs_validate(rng):
         assert diags == [], f"{print_program(p)} k={k}: {[str(d) for d in diags]}"
         done += 1
     assert done >= 600
+
+
+CHAIN_LABEL_CLASH = """
+mem lo 3 low
+mem hi 1 high
+entry 0
+0: r2 = r1 and r2 -> 1
+1: nop -> 2
+2: load r2 <- lo[r1] -> 3
+3: slh r2 -> 4
+4: r2 = r0 or r2 -> 5
+5: nop -> 3.0.0
+3.0.0: ret
+"""
+
+
+def test_allocate_chain_labels_skip_source_pcs():
+    """The fill on the edge 3 -> 4 would be labelled 3.0.0, which the source
+    already uses; it used to replace the source's `ret` there, so 3 jumped
+    straight to the end."""
+    p = parse_program(CHAIN_LABEL_CLASH)
+    w = allocate(p, 2)
+    assert validate_ra(w) == []
+    assert w.target.instrs["3.0.0"] == p.instrs["3.0.0"]
+    assert isinstance(w.target.instrs["3.0.0_"], Fill) and w.target.instrs["3.0.0_"].succ == "4"
+
+
+def _relabelled(rng, p):
+    """`p` with some pcs renamed to dotted labels that chain labels may take."""
+    from dataclasses import replace
+
+    pcs = p.pcs()
+    ren = {pc: pc for pc in pcs}
+    for pc in rng.sample(pcs, rng.randint(1, len(pcs))):
+        label = f"{rng.choice(pcs)}.{rng.randint(0, 1)}.0"
+        if label not in ren.values():
+            ren[pc] = label
+    instrs = {ren[pc]: replace(i, **{f: ren[getattr(i, f)] for f in i.kind.succs}) for pc, i in p.instrs.items()}
+    return Program(ren[p.entry], instrs, list(p.memvars))
+
+
+def test_allocate_dotted_source_labels_validate(rng):
+    """Source pcs that look like chain labels never lose their instruction."""
+    done = extended = 0
+    for _ in range(600):
+        p = _relabelled(rng, random_program(rng, n_instrs=rng.randint(3, 7), n_regs=rng.randint(3, 4)))
+        k = rng.randint(2, 3)
+        try:
+            w = allocate(p, k)
+        except AllocationInfeasible:
+            continue
+        assert validate_ra(w) == [], print_program(p)
+        done += 1
+        extended += any(pc.endswith("_") for pc in w.target.instrs)
+    assert done >= 300 and extended >= 10, (done, extended)
 
 
 def test_allocate_programs_with_moves_validate(rng):

@@ -5,7 +5,7 @@ renamed or removed function breaks the traced benchmark run.  This loads the
 tracer by path, traces one small request, and checks that every name was
 found, that the wrappers saw the calls, and that `uninstall()` put every
 original back.  A `check-sni` request covers the stepping layers and a
-`check-typable` request the poison layer.
+`check-typable` request the poison and liveness layers.
 """
 
 import importlib
@@ -66,3 +66,6 @@ def test_tracer_installs_on_every_traced_name_and_uninstalls(capsys):
     assert tr.counters["semantics.state_ops.calls"] > 0
     metrics = tracing.layer_metrics(tr)
     assert metrics["security.verdict.violation"] == (1, "count")
+    # liveness solves through `dataflow.solve`, whose problem's nodes the tracer counts
+    assert any(s[2:4] == ("check-typable", "dataflow.solve") for s in tr.spans)
+    assert metrics["dataflow.solve.nodes"][0] > 0
