@@ -40,16 +40,21 @@ def corpus_path(name: str) -> Path:
 
 
 def _parse_bounds(spec: str) -> Bounds:
-    steps, depth = 32, 3
+    """`--bounds`: steps=<n>,depth=<n>, either part optional.  The error
+    names the bad component or the bound, which argparse prints."""
+    bounds = {"steps": 32, "depth": 3}
     for part in spec.split(","):
         k, _, v = part.partition("=")
-        if k == "steps":
-            steps = int(v)
-        elif k == "depth":
-            depth = int(v)
-        else:
-            raise ValueError(f"bad bounds component {part!r}")
-    return Bounds(steps, depth)
+        try:
+            if k not in bounds:
+                raise ValueError
+            bounds[k] = int(v)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad bounds component {part!r}") from None
+    try:
+        return Bounds(bounds["steps"], bounds["depth"])
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
 
 
 def positive_int(text: str) -> int:
@@ -417,10 +422,31 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    """`build_parser()`'s subparsers by command name."""
+    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`.  A known command's arguments go
+    straight to its subparser, which is what the top-level parser would do
+    after finding the command, and is cheaper; arguments it does not take are
+    refused by the top-level parser, as they would be.  Anything else (no
+    argv, `-h`, an unknown command) goes through the top-level parser."""
     ap = build_parser()
+    sub = _subcommands().get(argv[0]) if argv else None
+    if sub is None:
+        return ap.parse_args(argv)
+    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
+    if extras:
+        ap.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = ap.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as e:
         return 3 if e.code not in (0, None) else 0
     try:

@@ -32,6 +32,15 @@ when first read.  `step` follows one directive from an id and `walk` a
 directive sequence, so a replay compares ints and reads rows instead of
 stepping states again.  `explore_behaviors` counts the behaviours over such
 a table before it enumerates any.
+
+A value may also be packed (`Lanes`): one int per lane, where a lane is one
+run of several that share everything else, such as the high assignments of
+one low state.  A state holding packed values stands for one state per lane,
+and stepping it steps every lane at once: `eval_op` computes lane by lane.
+Every other question about a packed value (a branch condition, an address, a
+leak, a comparison, truth, arithmetic) has one answer only when all lanes
+give it, and raises `Divergent` otherwise, so a step that would send the
+lanes apart stops instead.  Each packed operation costs O(lanes).
 """
 
 from __future__ import annotations
@@ -39,7 +48,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from itertools import repeat
+from operator import add, and_, eq, ge, gt, itemgetter, le, lt, mul, ne, or_, sub
 from typing import NamedTuple
 
 from .ir import (
@@ -63,22 +73,113 @@ from .ir import (
 DEFAULT_WIDTH = 8
 
 
+# --- packed values -------------------------------------------------------------
+
+
+class Divergent(Exception):
+    """A question about a packed value that its lanes answer differently."""
+
+
+def _answer(answers):
+    """The answer every lane gives, else Divergent."""
+    seen = set(answers)
+    if len(seen) != 1:
+        raise Divergent("lanes answer differently")
+    return seen.pop()
+
+
+def _no_arithmetic(*_):
+    raise Divergent("arithmetic on a packed value outside eval_op")
+
+
+class Lanes(tuple):
+    """A packed value: one int per lane, never all equal (`lanes` returns the
+    plain int then).  It hashes and compares as its tuple of ints, so states
+    holding it intern like any other.  A comparison or `bool` answers for
+    every lane at once, or raises Divergent; arithmetic always raises, since
+    only `eval_op` computes packed results."""
+
+    __slots__ = ()
+    __hash__ = tuple.__hash__
+
+    def _ask(self, op, other):
+        if type(other) is not Lanes:
+            return _answer(map(op, self, repeat(other, len(self))))
+        if len(other) != len(self):  # of two packings: no lane-wise answer
+            raise Divergent("packed values over different lanes")
+        return _answer(map(op, self, other))
+
+    def __eq__(self, other):
+        return self._ask(eq, other)
+
+    def __ne__(self, other):
+        return self._ask(ne, other)
+
+    def __lt__(self, other):
+        return self._ask(lt, other)
+
+    def __le__(self, other):
+        return self._ask(le, other)
+
+    def __gt__(self, other):
+        return self._ask(gt, other)
+
+    def __ge__(self, other):
+        return self._ask(ge, other)
+
+    def __bool__(self):
+        return _answer(map(bool, self))
+
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _no_arithmetic
+    __floordiv__ = __rfloordiv__ = __truediv__ = __rtruediv__ = __mod__ = __rmod__ = _no_arithmetic
+    __pow__ = __rpow__ = __divmod__ = __rdivmod__ = _no_arithmetic
+    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _no_arithmetic
+    __lshift__ = __rlshift__ = __rshift__ = __rrshift__ = _no_arithmetic
+    __neg__ = __pos__ = __abs__ = __invert__ = __int__ = __index__ = __float__ = _no_arithmetic
+
+    def __repr__(self):
+        return f"Lanes({tuple.__repr__(self)})"
+
+
+def lanes(vals) -> int | Lanes:
+    """`vals`, one int per lane, as one value: the plain int when every lane
+    agrees, else a `Lanes`."""
+    vals = tuple(vals)
+    return vals[0] if vals.count(vals[0]) == len(vals) else Lanes(vals)
+
+
+_OPS = {"add": add, "sub": sub, "mul": mul, "lt": lt, "eq": eq, "and": and_, "or": or_}
+
+
 def eval_op(op: str, a: int, b: int, width: int) -> int:
+    """`a op b` on words of `width` bits.  A packed operand makes the plain
+    code raise Divergent (a comparison whose lanes agree answers instead,
+    which is the lane-wise result), and the result is then computed lane by
+    lane."""
     mask = (1 << width) - 1
-    if op == "add":
-        return (a + b) & mask
-    if op == "sub":
-        return (a - b) & mask
-    if op == "mul":
-        return (a * b) & mask
-    if op == "lt":
-        return 1 if a < b else 0
-    if op == "eq":
-        return 1 if a == b else 0
-    if op == "and":
-        return a & b
-    if op == "or":
-        return a | b
+    try:
+        if op == "add":
+            return (a + b) & mask
+        if op == "sub":
+            return (a - b) & mask
+        if op == "mul":
+            return (a * b) & mask
+        if op == "lt":
+            return 1 if a < b else 0
+        if op == "eq":
+            return 1 if a == b else 0
+        if op == "and":
+            return a & b
+        if op == "or":
+            return a | b
+    except Divergent:
+        n = len(a if type(a) is Lanes else b)
+        vals = map(_OPS[op], a if type(a) is Lanes else repeat(a, n), b if type(b) is Lanes else repeat(b, n))
+        if op in ("add", "sub", "mul"):
+            vals = map(and_, vals, repeat(mask, n))
+        elif op in ("lt", "eq"):
+            vals = map(int, vals)
+        return lanes(vals)
     raise ValueError(f"unknown operator {op}")
 
 
@@ -89,10 +190,11 @@ def _splice(items: tuple, k, v: int) -> tuple:
     """`items` (sorted by key, no zero values) with k set to v.
 
     Only the entry for k is new; every other (key, value) pair is shared with
-    `items`, so states along a search share their register and cell pairs."""
+    `items`, so states along a search share their register and cell pairs.
+    A packed value is never all zeros, so it is kept without asking it."""
     i = bisect_left(items, k, key=_key)
     hit = i < len(items) and items[i][0] == k
-    if v == 0:
+    if v.__class__ is not Lanes and v == 0:
         return items[:i] + items[i + 1:] if hit else items
     return items[:i] + ((k, v),) + items[i + hit:]
 
@@ -107,8 +209,8 @@ class State(NamedTuple):
     def make(pc: Pc, regs: dict[Reg, int] | None = None, mem: dict[tuple[str, int], int] | None = None) -> "State":
         return State(
             pc,
-            tuple(sorted((r, v) for r, v in (regs or {}).items() if v != 0)),
-            tuple(sorted((c, v) for c, v in (mem or {}).items() if v != 0)),
+            tuple(sorted((r, v) for r, v in (regs or {}).items() if v.__class__ is Lanes or v != 0)),
+            tuple(sorted((c, v) for c, v in (mem or {}).items() if v.__class__ is Lanes or v != 0)),
         )
 
     def reg(self, r: Reg) -> int:
@@ -134,6 +236,60 @@ class State(NamedTuple):
 
 
 SpecState = tuple[State, ...]
+
+
+def pack(states: list[State]) -> State | None:
+    """`states` as one state whose lane i is `states[i]`, or None when their
+    pcs differ."""
+    pc = states[0].pc
+    if any(s.pc != pc for s in states):
+        return None
+    return State(pc, _pack_items([s.regs for s in states]), _pack_items([s.mem for s in states]))
+
+
+def _pack_items(per_lane: list[tuple]) -> tuple:
+    """Sorted (key, value) items, one tuple per lane, as one."""
+    if per_lane.count(per_lane[0]) == len(per_lane):
+        return per_lane[0]
+    dicts = [dict(items) for items in per_lane]
+    out = []
+    for k in sorted(set().union(*dicts)):
+        v = lanes([d.get(k, 0) for d in dicts])
+        if v.__class__ is Lanes or v != 0:
+            out.append((k, v))
+    return tuple(out)
+
+
+def _packed_values(nus: tuple[SpecState, ...]):
+    """The packed values of `nus` in order: each state's frames, each
+    frame's registers then cells."""
+    return (v for nu in nus for f in nu for items in (f.regs, f.mem) for _, v in items if v.__class__ is Lanes)
+
+
+def canonical(nus: tuple[SpecState, ...]) -> tuple[tuple[SpecState, ...], int]:
+    """`nus`, speculative states packed over the same lanes, with their lanes
+    sorted and each distinct lane kept once, and the number of distinct lanes.
+
+    A lane is the tuple of its values in `_packed_values` order, and lanes
+    are sorted as those tuples.  Two packings that differ only in the order
+    or the repeats of their lanes therefore come out equal.  When the first
+    packed value rises strictly from lane to lane, its lanes are distinct and
+    already sorted, and `nus` is returned as it is."""
+    first = next(_packed_values(nus), None)
+    if first is None:
+        return nus, 1
+    if all(map(lt, first, first[1:])):
+        return nus, len(first)
+    cols = list(zip(*_packed_values(nus)))
+    order = sorted(set(cols))
+    if order == cols:
+        return nus, len(cols)
+    fresh = iter([Lanes(v) for v in zip(*order)])
+
+    def relane(items: tuple) -> tuple:
+        return tuple([(k, next(fresh)) if v.__class__ is Lanes else (k, v) for k, v in items])
+
+    return tuple(tuple([State(f.pc, relane(f.regs), relane(f.mem)) for f in nu]) for nu in nus), len(order)
 
 
 def initial(p: Program, regs: dict[Reg, int] | None = None, mem: dict[tuple[str, int], int] | None = None) -> SpecState:
@@ -193,22 +349,30 @@ L_RB = Leakage("rb")
 
 # one object per (kind, value): the search tables keep many leakages alive.
 # A run sees few distinct values; the bound keeps a long-lived process with
-# wide words from growing the caches without end.
+# wide words from growing the caches without end.  The attacker sees one
+# value, so a packed one is a question its lanes answer differently: it raises
+# (in the body, which a packed value always reaches, since it is never cached).
+
+
+def _leak(kind: str, v: int) -> Leakage:
+    if v.__class__ is Lanes:
+        raise Divergent(f"{kind} leaks a packed value")
+    return Leakage(kind, v)
 
 
 @lru_cache(maxsize=4096)
 def l_if(v: int) -> Leakage:
-    return Leakage("if", v)
+    return _leak("if", v)
 
 
 @lru_cache(maxsize=4096)
 def l_load(addr: int) -> Leakage:
-    return Leakage("load", addr)
+    return _leak("load", addr)
 
 
 @lru_cache(maxsize=4096)
 def l_store(addr: int) -> Leakage:
-    return Leakage("store", addr)
+    return _leak("store", addr)
 
 
 # --- the step rule --------------------------------------------------------------

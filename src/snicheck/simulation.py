@@ -32,6 +32,20 @@ ends, of one depth, are within the depth bound.  So a passing cube means the
 simulation from every high assignment as well as the two-pair condition.
 A Pass is evidence up to the given bounds, not a proof.
 
+`check_snippy_cube` first walks its N initial states as one pair of packed
+states (`semantics.Lanes`, a lane per state).  While every question the walk
+and the witness ask of a packed value has one answer for all lanes, stepping
+the pair steps every lane, so all members take the same intervals with the
+same signatures: the two-pair condition holds within the group, and each
+interval's end is its child group.  The pairs are interned in
+`semantics.canonical` order, so one pair id stands for one set of members, as
+in the member walk's memo, and every count is multiplied by the members.  A
+pass is therefore the member walk's pass, counts included.  A question the
+lanes answer differently (`semantics.Divergent`), a fail, or initial states
+that differ outside high cells send the cube to the member walk, whose
+verdicts and fail reports are unchanged.  Each packed operation costs O(N),
+and the assignments are still enumerated within `security.PAIR_BUDGET`.
+
 Neither check says anything about a source that accesses memory out of
 bounds without speculating, and neither tests for one.  The preservation
 argument behind them, like the poison analysis (`poison.py`), treats
@@ -68,13 +82,17 @@ from .semantics import (
     D_STEP,
     Bounds,
     Directive,
+    Divergent,
     Interner,
+    Lanes,
     Leakage,
     SpecState,
     State,
+    canonical,
     d_load,
     d_store,
     is_final,
+    pack,
     step,
     transition_table,
     walk,
@@ -154,8 +172,11 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
         if len(nu_tgt) != len(nu_src):
             return False
         for st, ss in zip(nu_tgt, nu_src):
-            if st == ss:
-                continue
+            try:
+                if st == ss:
+                    continue
+            except Divergent:
+                pass  # equal in some lanes only: equal frames also pass the comparison below
             if st.pc != ss.pc:
                 return False
             if ss.pc not in live:
@@ -360,6 +381,7 @@ class _Row:
     tgt: int
     sigs: tuple[int, ...]  # per interval: the id of its signature
     ends: tuple[int, ...]  # per interval: the id of its end pair
+    keys: tuple[int, ...]  # per interval: the id standing for its end pair's members (see `_walk`)
     near: tuple[bool, ...]  # per interval: its end is within the depth bound
 
 
@@ -372,7 +394,13 @@ def check_simulation(wit: SimWitness, initial_targets: Iterable[State], b: Bound
 def check_snippy_cube(wit: SimWitness, initial_targets: Iterable[State], b: Bounds) -> Verdict:
     """The simulation and the two-pair condition from the initial target
     states (the high assignments of one state): the walk from one group per
-    low-equivalence class, which `initial_map` must keep."""
+    low-equivalence class, which `initial_map` must keep.  Its pass comes
+    from one packed pair when `_packed_cube` finds one."""
+    initial_targets = list(initial_targets)
+    if len(initial_targets) > 1:
+        v = _packed_cube(wit, initial_targets, b)
+        if v is not None:
+            return v
     classes: list[list[tuple[State, State]]] = []  # (source, target) initial states per class
     for t in initial_targets:
         s = wit.initial_map(t)
@@ -387,30 +415,85 @@ def check_snippy_cube(wit: SimWitness, initial_targets: Iterable[State], b: Boun
     return _walk(wit, classes, b)
 
 
-def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds) -> Verdict:
+def _packed_cube(wit: SimWitness, targets: list[State], b: Bounds) -> Verdict | None:
+    """The cube's pass from one packed pair, or None for the member walk to
+    decide.  The targets are packed into one state, a lane per target, and
+    mapped once.  Lanes outside the high cells of either side may split the
+    low-equivalence classes, so they leave the cube to the member walk, as do
+    a question the lanes answer differently (`Divergent`) and a fail, whose
+    report is the member walk's."""
+    t = pack(targets)
+    if t is None or not _lanes_only_high(wit.target, t):
+        return None
+    try:
+        s = wit.initial_map(t)
+        if not _lanes_only_high(wit.source, s):
+            return None
+        v = _walk(wit, [[(s, t)]], b, packed=True)
+    except Divergent:
+        return None
+    return v if v.ok else None
+
+
+def _lanes_only_high(p: Program, s: State) -> bool:
+    """Whether every packed value of `s` is in a high cell of `p`."""
+    high = {v.name for v in p.memvars if v.level == "high"}
+    return all(v.__class__ is not Lanes for _, v in s.regs) and all(
+        v.__class__ is not Lanes or c[0] in high for c, v in s.mem
+    )
+
+
+def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds, packed: bool = False) -> Verdict:
     """Breadth-first over groups of pairs, from one group per entry of
     `starts`.  A group is the set of pair ids that its initial states reach
     along the same interval signatures; the children of a group are one
-    per signature, holding every member's end under it."""
+    per signature, holding every member's end under it.
+
+    With `packed`, the one start pair holds packed values, and the walk goes
+    on from each pair in `semantics.canonical` order, so that one pair id
+    stands for each set of members: a packed pair is a group of one, and
+    every count it makes is multiplied by its members."""
     checked = 0
     truncated = 0
     tables = src_tab, tgt_tab = witness_tables(wit)
     srcs, tgts = src_tab.values, tgt_tab.values
     depth = b.max_spec_depth
     sigs: dict[tuple, int] = {}  # signature -> id
+    canon: dict[int, int] = {}  # packed pair id -> the id of the pair in canonical order
+    weight: dict[int, int] = {}  # canonical packed pair id -> its members; any other pair is one
+
+    def members(p: int, intern) -> int:
+        """The id that stands for the members of pair id `p` in the memo and
+        the queue: p itself, or in a packed walk its pair in canonical order."""
+        if not packed:
+            return p
+        c = canon.get(p)
+        if c is None:
+            s, t = pair_ids[p]
+            pair = (srcs[s], tgts[t])
+            nus, n = canonical(pair)
+            c = p if nus is pair else intern((src_tab.id(nus[0]), tgt_tab.id(nus[1])))
+            canon[p] = canon[c] = c
+            if n > 1:
+                weight[c] = n
+        return c
 
     def fill(pair: tuple[int, int], intern) -> _Row:
         res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables, pair)
         ivs = res.intervals
+        ends = tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in ivs])
+        near = tuple([len(iv.end_tgt) <= depth for iv in ivs])
         return _Row(
             res.truncated, ivs, *pair,
             tuple([sigs.setdefault(iv.signature, len(sigs)) for iv in ivs]),
-            tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in ivs]),
-            tuple([len(iv.end_tgt) <= depth for iv in ivs]),
+            ends,
+            # only the ends within the depth bound are queued
+            tuple([members(e, intern) if n else e for e, n in zip(ends, near)]) if packed else ends,
+            near,
         )
 
     pairs = Interner(fill)  # (source id, target id) -> id
-    row = pairs.row
+    row, pair_ids = pairs.row, pairs.values
     # (source id, source directives) -> their `walk` from that source
     replays: dict[tuple[int, tuple[Directive, ...]], tuple[int, tuple[Leakage, ...]] | None] = {}
     related: dict[int, bool] = {}  # end pair id -> `wit.related` of it
@@ -427,10 +510,10 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds) -
         for s0, t0 in group:
             if not wit.related((t0,), (s0,)):
                 return Verdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
-        queue.append((tuple(sorted({pairs.id((src_tab.id((s,)), tgt_tab.id((t,)))) for s, t in group})), 0))
+        ids = {pairs.id((src_tab.id((s,)), tgt_tab.id((t,)))) for s, t in group}
+        queue.append((tuple(sorted({members(p, pairs.id) for p in ids})), 0))
 
     nearest: dict[tuple[int, ...], int] = {}  # group -> smallest distance expanded
-    pair_ids = pairs.values
     while queue:
         group, dist = queue.popleft()
         # intervals differ in length, so a group may come back nearer than its
@@ -438,7 +521,7 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds) -
         if nearest.get(group, dist + 1) <= dist:
             continue
         nearest[group] = dist
-        live = sum(not is_final(wit.target, tgts[pair_ids[p][1]]) for p in group)
+        live = sum(weight.get(p, 1) for p in group if not is_final(wit.target, tgts[pair_ids[p][1]]))
         if not live:
             continue
         if dist >= b.max_steps:
@@ -448,10 +531,11 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds) -
         # the simulation conditions, once per pair id; the counts are per
         # expansion, as a walk over single pairs makes them
         for p, r in zip(group, rows):
-            truncated += r.truncated
+            n = weight.get(p, 1)
+            truncated += r.truncated * n
             if p in simulates:
-                checked += len(r.intervals)
-                truncated += r.near.count(False)
+                checked += len(r.intervals) * n
+                truncated += r.near.count(False) * n
                 continue
             pair = (srcs[r.src], tgts[r.tgt])
             heads = {iv.tgt_dirs[0] for iv in r.intervals}
@@ -459,7 +543,7 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds) -
                 if d not in heads:
                     return Verdict("fail", checked, truncated, "target continuation has no interval", pair, d)
             for iv, end, near in zip(r.intervals, r.ends, r.near):
-                checked += 1
+                checked += n
                 end_src, end_tgt = pair_ids[end]
                 if walk(tgt_tab, r.tgt, iv.tgt_dirs) != (end_tgt, iv.tgt_leaks):
                     return Verdict("fail", checked, truncated, "interval target projection does not replay", pair)
@@ -471,15 +555,15 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds) -
                 if not ok:
                     return Verdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
                 if not near:
-                    truncated += 1
+                    truncated += n
             simulates.add(p)
         if len(rows) == 1:
             # a group of one meets the cube condition, and its children are
             # its intervals' ends, as in a walk over single pairs
             r = rows[0]
-            for iv, end, near in zip(r.intervals, r.ends, r.near):
+            for iv, key, near in zip(r.intervals, r.keys, r.near):
                 if near:
-                    queue.append(((end,), dist + len(iv.tgt_dirs)))
+                    queue.append(((key,), dist + len(iv.tgt_dirs)))
             continue
         # the cube condition: a member whose source replays some interval's
         # source directives with its source leaks has that interval too;
@@ -505,8 +589,8 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds) -
         # depth, since each member's target projection replays
         children: dict[int, list] = {}  # signature id -> [steps, end is near, end pair ids...]
         for r in rows:
-            for iv, sig, end, near in zip(r.intervals, r.sigs, r.ends, r.near):
-                children.setdefault(sig, [len(iv.tgt_dirs), near]).append(end)
+            for iv, sig, key, near in zip(r.intervals, r.sigs, r.keys, r.near):
+                children.setdefault(sig, [len(iv.tgt_dirs), near]).append(key)
         for steps, near, *ends in children.values():
             if near:
                 queue.append((tuple(sorted(set(ends))), dist + steps))

@@ -303,6 +303,55 @@ def test_console_entry_point():
 
 def test_usage_error_exit_code():
     assert main(["no-such-command"]) == 3
+    assert main([]) == 3
+
+
+def _through_top_level(argv, capsys):
+    """The top-level parser on `argv` alone: (namespace or exit code, stdout, stderr)."""
+    try:
+        got = vars(build_parser().parse_args(argv))
+    except SystemExit as e:
+        got = e.code
+    captured = capsys.readouterr()
+    return got, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["no-such-command"], ["check-sni", "--help"], ["check-snippy", "-h"], ["check-sni"],
+    ["check-sni", "p.sp", "--bogus"], ["check-sni", "p.sp", "--bogus", "x", "--width", "2"],
+    ["check-sni", "p.sp", "--width", "0"], ["check-sni", "p.sp", "--width"], ["check-sni", "a", "b"],
+    ["check-sni", "p.sp", "--state2", "a", "--pairs", "random:2"], ["dce", "p.sp", "--width", "4"],
+    ["demo-codera", "extra"], ["check-sni", "-h", "extra"], ["run", "--", "p.sp"],
+    ["check-sni", "p.sp", "--width", "2", "--bounds", "steps=3,depth=1", "--format", "json"],
+    ["check-snippy", "--witness-kind", "dce", "--source", "s.sp", "--form", "json"], ["demo-codera"],
+])
+def test_subcommand_dispatch_matches_the_top_level_parser(argv, capsys):
+    """`main` hands a known command's arguments straight to its subparser;
+    the namespace, the help and usage text and the exit code are the
+    top-level parser's."""
+    from snicheck.cli import _parse
+
+    want, out, err = _through_top_level(argv, capsys)
+    try:
+        got = vars(_parse(argv))
+    except SystemExit as e:
+        got = e.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (want, out, err)
+
+
+@pytest.mark.parametrize("bounds, reason", [
+    ("steps=0", "bounds must be >= 1"),
+    ("depth=-1", "bounds must be >= 1"),
+    ("steps=x", "bad bounds component 'steps=x'"),
+    ("foo=1", "bad bounds component 'foo=1'"),
+    ("steps=5,depth=", "bad bounds component 'depth='"),
+])
+def test_bounds_errors_give_their_reason(bounds, reason, capsys):
+    code = main(["explore", C("code_dce_source.sp"), "--bounds", bounds])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"argument --bounds: {reason}\n" in err and "_parse_bounds" not in err
 
 
 def test_bounded_secure_exits_inconclusive(tmp_path, capsys):

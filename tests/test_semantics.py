@@ -10,17 +10,23 @@ from snicheck.semantics import (
     D_SPEC,
     D_STEP,
     Directive,
+    Divergent,
+    Lanes,
     Leakage,
     State,
+    canonical,
     d_load,
     d_store,
     directive_sort_key,
     enabled_directives,
+    eval_op,
     explore_behaviors,
     initial,
     l_if,
     l_load,
     l_store,
+    lanes,
+    pack,
     parse_directives,
     parse_initial_state,
     run_directives,
@@ -659,3 +665,108 @@ def test_writes_match_dict_rebuild(rng):
 def test_leakages_are_interned():
     assert l_if(1) is l_if(1) and l_load(2) is l_load(2) and l_store(0) is l_store(0)
     assert l_load(2) == Leakage("load", 2) and l_load(2) != l_store(2)
+
+
+# --- packed values ------------------------------------------------------------
+
+
+def lane(nu, i):
+    """Lane i of a packed speculative state: every packed value replaced by
+    its i-th int, zeros dropped."""
+    def proj(items):
+        vals = [(k, v[i] if type(v) is Lanes else v) for k, v in items]
+        return tuple((k, v) for k, v in vals if v != 0)
+
+    return tuple(State(f.pc, proj(f.regs), proj(f.mem)) for f in nu)
+
+
+def test_lanes_is_plain_when_every_lane_agrees():
+    assert lanes((3, 3)) == 3 and type(lanes((3, 3))) is int
+    v = lanes((1, 2))
+    assert type(v) is Lanes and tuple(v) == (1, 2) and hash(v) == hash((1, 2))
+
+
+def test_eval_op_works_lane_by_lane():
+    a = Lanes((1, 2, 3))
+    assert tuple(eval_op("add", a, 1, 2)) == (2, 3, 0)
+    assert tuple(eval_op("sub", 0, a, 2)) == (3, 2, 1)
+    assert tuple(eval_op("mul", a, a, 8)) == (1, 4, 9)
+    assert tuple(eval_op("lt", a, 2, 8)) == (1, 0, 0)
+    assert tuple(eval_op("eq", a, Lanes((1, 0, 3)), 8)) == (1, 0, 1)
+    assert tuple(eval_op("or", a, 4, 8)) == (5, 6, 7)
+    # results that agree in every lane come back plain
+    for op, b, want in (("and", 0, 0), ("lt", 7, 1), ("eq", 9, 0), ("sub", a, 0), ("or", 3, 3)):
+        got = eval_op(op, a, b, 8)
+        assert type(got) is int and got == want, op
+    with pytest.raises(ValueError):
+        eval_op("div", a, 1, 8)
+
+
+def test_questions_with_different_answers_raise_divergent():
+    a = Lanes((0, 1))
+    for question in (lambda: bool(a), lambda: a == 1, lambda: a != 0, lambda: a < 1, lambda: a + 1,
+                     lambda: 1 + a, lambda: a & 1, lambda: -a, lambda: [0, 1][a], lambda: int(a),
+                     lambda: Lanes((1, 2, 3)) == Lanes((1, 2, 4)), lambda: Lanes((1, 2)) == Lanes((1, 2, 3))):
+        with pytest.raises(Divergent):
+            question()
+    # every lane answers alike, so the question has one answer
+    assert (a == 2) is False and (a < 2) is True and (a >= 0) is True and bool(Lanes((1, 2))) is True
+    assert a == Lanes((0, 1)) and a != Lanes((1, 0))
+
+
+def test_zero_writes_never_ask_a_packed_value():
+    """A packed value with a zero lane is kept, not dropped or questioned."""
+    a = Lanes((0, 5))
+    s = State.make("0", {"x": a, "y": 0}, {("h", 0): a})
+    assert s.regs == (("x", a),) and s.mem == ((("h", 0), a),)
+    assert s.with_reg("y", a).reg("y") is a and s.with_reg("x", 0).regs == ()
+
+
+def test_pack_and_canonical_order():
+    members = [State.make("0", {"r": 7}, {("h", 0): v, ("h", 1): 3 - v}) for v in range(4)]
+    packed = pack(members)
+    assert packed.regs == (("r", 7),)
+    assert [lane((packed,), i)[0] for i in range(4)] == members
+    assert pack([members[0], members[0].at("1")]) is None
+    # the same lanes in another order, or repeated, come out equal
+    nus = ((packed,), (packed.at("1"),))
+    for order in ((3, 1, 0, 2), (2, 2, 1, 0, 3, 0)):
+        shuffled = pack([members[i] for i in order])
+        got, n = canonical(((shuffled,), (shuffled.at("1"),)))
+        assert n == 4 and got == canonical(nus)[0] == nus
+    # when the first packed value falls, the lanes are re-sorted
+    flipped = pack(members[::-1])
+    assert tuple(flipped.mem[0][1]) == (3, 2, 1, 0)
+    assert canonical(((flipped,),)) == (((packed,),), 4)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_packed_transitions_step_every_lane(rng, width):
+    """One high assignment per lane: a packed state's transitions raise
+    Divergent exactly when its lanes' directives or leaks differ, and
+    otherwise each successor is every lane's successor."""
+    from snicheck.security import enumerate_high_states
+
+    seen = Counter()
+    for _ in range(300):
+        p = random_program(rng, n_instrs=rng.randint(4, 9), hi_size=rng.randint(1, 2))
+        members = [nu for nu in enumerate_high_states(p, random_state(rng, p, width), width)]
+        nu = (pack([m[0] for m in members]),)
+        for _step in range(10):
+            want = [transitions(p, m, width) for m in members]
+            try:
+                got = transitions(p, nu, width)
+            except Divergent:
+                assert len({tuple((d, l) for d, _, l in ts) for ts in want}) > 1
+                seen["divergent"] += 1
+                break
+            assert [(d, l) for d, _, l in got] == [(d, l) for d, _, l in want[0]]
+            for k, (_, nxt, _) in enumerate(got):
+                assert [lane(nxt, i) for i in range(len(members))] == [ts[k][1] for ts in want]
+            seen["steps"] += 1
+            seen["packed steps"] += any(type(v) is Lanes for f in nu for _, v in f.regs)
+            if not got:
+                break
+            k = rng.randrange(len(got))
+            nu, members = got[k][1], [ts[k][1] for ts in want]
+    assert seen["steps"] >= 1500 and seen["divergent"] >= 10 and seen["packed steps"] >= 100, seen

@@ -38,6 +38,7 @@ from snicheck.simulation import (
     extract_intervals,
     ra_witness,
 )
+from snicheck import simulation
 from snicheck.cli import corpus_path
 
 from conftest import load_program, load_state, random_program, random_state, ref_dce_intervals, ref_ra_intervals
@@ -808,3 +809,185 @@ def test_searches_leave_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- the packed walk against the member walk ----------------------------------------
+
+
+def _member_cube(wit, states, b, monkeypatch):
+    """`check_snippy_cube` with the packed walk switched off."""
+    with monkeypatch.context() as m:
+        m.setattr(simulation, "_packed_cube", lambda *args: None)
+        return check_snippy_cube(wit, states, b)
+
+
+def _count_routes(monkeypatch) -> Counter:
+    """Counts the cubes that `_packed_cube` decides ("packed") and those it
+    leaves to the member walk ("member")."""
+    routes = Counter()
+    packed_cube = simulation._packed_cube
+
+    def counted(*args):
+        v = packed_cube(*args)
+        routes["packed" if v is not None else "member"] += 1
+        return v
+
+    monkeypatch.setattr(simulation, "_packed_cube", counted)
+    return routes
+
+
+def test_packed_cube_equals_member_walk(rng, monkeypatch):
+    """The cube from one packed pair returns the member walk's whole
+    verdict (status, counts, reason, pair, interval, other): random DCE and
+    RA witnesses, planted defects included, at widths 2 and 3 over one or
+    two high cells.  A fail or a divergence leaves the cube to the member
+    walk, so some cubes must also pass and fail there."""
+    routes, seen = _count_routes(monkeypatch), Counter()
+    for width, hi_size, count in ((2, 1, 500), (2, 2, 80), (3, 1, 200), (3, 2, 30)):
+        for wit, _ in _random_witnesses(rng, count, width, hi_size=hi_size):
+            states = [s[0] for s in enumerate_high_states(wit.target, random_state(rng, wit.target, width), width)]
+            b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
+            before = routes["packed"]
+            got = check_snippy_cube(wit, states, b)
+            want = _member_cube(wit, states, b, monkeypatch)
+            assert got == want and got.report() == want.report()
+            route = "packed" if routes["packed"] > before else "member"
+            seen[got.status, route] += 1
+            seen[got.status, route, width, hi_size] += 1
+            seen["truncated", route] += got.truncated > 0
+    assert all(seen["pass", "packed", width, hi_size] >= 10 for width in (2, 3) for hi_size in (1, 2)), seen
+    assert seen["pass", "packed"] >= 250 and seen["truncated", "packed"] >= 20, seen
+    assert seen["pass", "member"] >= 5 and seen["fail", "member"] >= 100, seen
+
+
+def test_packed_cube_keeps_the_low_equivalence_classes():
+    """A program that never reads its registers, so no question diverges:
+    an initial-state mapping that merges two classes, or splits one, is
+    still refused, because lanes outside the high cells leave the cube to
+    the member walk."""
+    from snicheck.semantics import enabled_directives
+
+    p = parse_program("mem h 1 high\nentry 0\n0: nop -> 1\n1: ret\n")
+
+    def intervals(s, t, b, tables):
+        nu_src, nu_tgt = tables[0].values[s], tables[1].values[t]
+        out = []
+        for d in enabled_directives(p, nu_tgt):
+            rt, rs = run_directives(p, nu_tgt, [d]), run_directives(p, nu_src, [d])
+            out.append(SimInterval((d,), rt.leaks, (d,), rs.leaks, rs.last, rt.last))
+        return ExtractResult(out)
+
+    keeps = SimWitness("keeps", p, p, lambda nu_tgt, nu_src: True, lambda t: t, intervals)
+    merges = replace(keeps, initial_map=lambda t: t.with_reg("z", 0))
+    splits = replace(keeps, initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))
+    two_classes = [State.make("0", {"z": z}, {("h", 0): h}) for z in (0, 1) for h in (0, 1)]
+    one_class = [State.make("0", {"z": 1}, {("h", 0): h}) for h in (0, 1)]
+    b = Bounds(8, 1)
+    assert check_snippy_cube(keeps, two_classes, b) == Verdict("pass", 4, 0)
+    for wit, states in ((merges, two_classes), (splits, one_class)):
+        v = check_snippy_cube(wit, states, b)
+        assert not v.ok and v.reason == "initial-state mapping does not respect levels"
+
+
+# Two paths reach one member set in different lane orders: after `load x`
+# from lo[0] (x = h) or from lo[1] (x = m - h, with m = 2**width - 1), the
+# program zeroes everything else, so each path holds {x = v | every v}.
+# `i` is out of bounds, so `load lo 0`, `load lo 1` and `load hi 0` each
+# choose the loaded cell.
+ORDERS_PROGRAM = """mem lo 2 low
+mem hi 1 high
+entry 0
+0: load a <- hi[#0] -> 1
+1: b = m sub a -> 2
+2: store lo[#0] <- a -> 3
+3: store lo[#1] <- b -> 4
+4: load x <- lo[i] -> 5
+5: a = z add z -> 6
+6: b = z add z -> 7
+7: store lo[#0] <- z -> 8
+8: store lo[#1] <- z -> 9
+9: store hi[#0] <- z -> 10
+10: nop -> 11
+11: nop -> 12
+12: ret
+"""
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_packed_cube_memo_keys_member_sets(monkeypatch, width):
+    """The member walk meets the zeroed state once, as one set of members,
+    from all three loads; the packed walk must too, although the `lo 1`
+    path holds its lanes in the reverse order."""
+    p = parse_program(ORDERS_PROGRAM)
+    wit = dce_witness(p, dce_transform(p, liveness(p)), width)
+    base = State.make("0", {"i": 5, "m": (1 << width) - 1})
+    states = [s[0] for s in enumerate_high_states(p, (base,), width)]
+    routes = _count_routes(monkeypatch)
+    b = Bounds(16, 1)
+    got = check_snippy_cube(wit, states, b)
+    assert routes == {"packed": 1}
+    want = _member_cube(wit, states, b, monkeypatch)
+    assert got == want and got.ok
+    # per member: 4 steps to the load and its 3 intervals; `lo 0` and `hi 0`
+    # load the same x, so 2 paths of 5 steps to pc 10, and then 2 steps, once
+    assert got.intervals_checked == len(states) * (4 + 3 + 2 * 5 + 2)
+
+
+INSPECTIONS = {
+    "arithmetic": lambda v: v + 1 > 2,
+    "reflected arithmetic": lambda v: 3 - v > 1,
+    "bits": lambda v: v & 1,
+    "truth": lambda v: bool(v),
+    "order": lambda v: v > 1,
+    "index": lambda v: (0, 1, 1, 0)[v],
+    "int": lambda v: int(v) == 2,
+}
+
+
+@pytest.mark.parametrize("plants", [False, True])
+@pytest.mark.parametrize("inspect", list(INSPECTIONS))
+def test_a_witness_that_inspects_values_falls_back(monkeypatch, inspect, plants):
+    """An interval builder that computes on, or branches on, a high value
+    gets Divergent from the packed value and not a TypeError; the cube is
+    left to the member walk and gets its verdict.  With `plants`, the
+    builder drops every interval but the first where the inspection holds."""
+    p = load_program("code_dce_w2_source.sp")
+    wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
+
+    def intervals(s, t, b, tables):
+        res = wit.intervals(s, t, b, tables)
+        if INSPECTIONS[inspect](tables[1].values[t][0].cell("secret", 0)) and plants:
+            return ExtractResult(res.intervals[:1], res.truncated)
+        return res
+
+    inspecting = replace(wit, intervals=intervals)
+    states = w2_states(wit.target, "code_dce_w2.init")
+    routes = _count_routes(monkeypatch)
+    got = check_snippy_cube(inspecting, states, Bounds(24, 2))
+    assert routes == {"member": 1}
+    assert got == _member_cube(inspecting, states, Bounds(24, 2), monkeypatch)
+    assert got.ok != plants
+
+
+def test_corpus_cubes_pass_on_the_packed_route_at_width_8(monkeypatch):
+    """The DCE and the fixed RA corpus cubes at width 8 (256 members) pass
+    without the member walk, with the member walk's counts."""
+    p = load_program("code_dce_w2_source.sp")
+    w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
+    fixed, _ = fix_ra(w, width=8)
+    b = Bounds(24, 2)
+    for wit, init in ((dce_witness(p, dce_transform(p, liveness(p)), 8), "code_dce_w2.init"),
+                      (ra_witness(fixed, 8), "code_ra_w2.init")):
+        states = [s[0] for s in enumerate_high_states(wit.target, load_state(init, wit.target, width=8), 8)]
+        want = _member_cube(wit, states, b, monkeypatch)
+        with monkeypatch.context() as m:
+            walk = simulation._walk
+
+            def packed_only(wit, starts, b, packed=False):
+                if not packed:
+                    raise AssertionError("the member walk ran")
+                return walk(wit, starts, b, packed)
+
+            m.setattr(simulation, "_walk", packed_only)
+            got = check_snippy_cube(wit, states, b)
+        assert got == want and got.ok and got.intervals_checked > 0
