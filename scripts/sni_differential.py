@@ -10,13 +10,17 @@ with two high cells or shuffle code, at widths 1-3), compares:
 - `check_sni_pair` on the first two high assignments, in both orders, with
   `ref_check_sni_pair`, field for field;
 - with more than two high assignments, `_walk` from the taint certificate's
-  start with `ref_taint_certify`, and `_walk` from all of them with
-  `ref_sni_walk`: the cuts, or a difference on both sides; and a secure
-  verdict's `truncated` with the certificate's cuts, else the walk's.
+  start with `ref_taint_certify`, and `_walk` from the packed start (one
+  state, a lane per high assignment) with `ref_sni_walk`, the table-free
+  grouped walk: the cuts, or a difference on both sides; and a secure
+  verdict's `truncated` with the certificate's cuts, else the packed walk's.
 
     python3 scripts/sni_differential.py --seed 1 --programs 5000
 
-Prints one line per mismatch, then a summary; exits 1 on any mismatch.  The
+Prints one line per mismatch, then a summary with the verdicts and the route
+of each program with more than two high assignments: certified, a violation
+at the probe (the first pair), secure by the packed walk, or a difference in
+the packed walk and then the pair loop.  Exits 1 on any mismatch.  The
 package is imported from the checkout's `src/` and the references from its
 `tests/`, so no install is needed.
 """
@@ -41,7 +45,7 @@ from conftest import (  # noqa: E402
 )
 from snicheck.ir import print_program  # noqa: E402
 from snicheck.security import PairSource, _walk, check_sni, check_sni_pair, enumerate_high_states  # noqa: E402
-from snicheck.semantics import Bounds, transition_table  # noqa: E402
+from snicheck.semantics import Bounds, pack, transition_table  # noqa: E402
 
 
 def cuts(walked):
@@ -50,8 +54,9 @@ def cuts(walked):
     return n if found is None else None
 
 
-def compare(p, base, b, width) -> tuple[list[str], str]:
-    """The mismatches on one program, and the kind of its verdict."""
+def compare(p, base, b, width) -> tuple[list[str], str, str]:
+    """The mismatches on one program, the kind of its verdict and its route
+    (empty with two high assignments or fewer)."""
     bad = []
     got = check_sni(p, base, PairSource("exhaustive"), b, width)
     want = ref_check_sni_exhaustive(p, base, b, width)
@@ -65,21 +70,28 @@ def compare(p, base, b, width) -> tuple[list[str], str]:
     for a, c in (states[:2], states[1::-1]):
         if check_sni_pair(p, a, c, b, width) != ref_check_sni_pair(p, a, c, b, width):
             bad.append("check_sni_pair differs from ref_check_sni_pair")
+    route = ""
     if len(states) > 2:
         table = transition_table(p, width)
-        certified = cuts(_walk(table, {table.id(states[0])}, b, p))
+        certified = cuts(_walk(table, table.id(states[0]), b, p))
         ref = ref_taint_certify(p, states[0], b, width)
         if certified != ref:
             bad.append(f"certificate {certified}, reference {ref}")
         if certified is not None and not want.secure:
             bad.append("certified an insecure program")
-        walked = cuts(_walk(table, {table.id(s) for s in states}, b))
+        walked = cuts(_walk(table, table.id((pack([s for s, in states]),)), b))
         ref = ref_sni_walk(p, base, b, width)
         if walked != ref:
-            bad.append(f"grouped walk {walked}, reference {ref}")
+            bad.append(f"packed walk {walked}, reference {ref}")
         if got.secure and got.truncated != (walked if certified is None else certified):
             bad.append(f"secure verdict truncated {got.truncated}, walks {certified}/{walked}")
-    return bad, got.divergence or got.kind
+        if certified is not None:
+            route = "certified"
+        elif not got.secure and got.pairs_checked == 1:
+            route = "probe violation"
+        else:
+            route = "packed secure" if walked is not None else "packed then pair loop"
+    return bad, got.divergence or got.kind, route
 
 
 def main(argv=None) -> int:
@@ -90,6 +102,7 @@ def main(argv=None) -> int:
 
     rng = random.Random(args.seed)
     kinds = Counter()
+    routes = Counter()
     mismatches = 0
     started = time.monotonic()
     for k in range(args.programs):
@@ -99,13 +112,16 @@ def main(argv=None) -> int:
                            hi_size=hi_size)
         base = random_state(rng, p, width=width)
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        bad, kind = compare(p, base, b, width)
+        bad, kind, route = compare(p, base, b, width)
         kinds[kind] += 1
+        if route:
+            routes[route] += 1
         for line in bad:
             mismatches += 1
             print(f"program {k} (width {width}, {b}): {line}\n{print_program(p)}")
     print(f"{args.programs} programs, seed {args.seed}: {mismatches} mismatches; "
-          f"verdicts {dict(sorted(kinds.items()))}; {time.monotonic() - started:.1f} s")
+          f"verdicts {dict(sorted(kinds.items()))}; routes with N > 2 {dict(sorted(routes.items()))}; "
+          f"{time.monotonic() - started:.1f} s")
     return 1 if mismatches else 0
 
 

@@ -7,7 +7,7 @@ initial states have the same behaviour: the same directive sequences are
 executable and produce the same leakage.
 
 Every SNI search is one loop, `_walk`: bounded self-composition (Barthe,
-D'Argenio and Rezk) over the joint directive tree.  A node is the set of
+D'Argenio and Rezk) over the joint directive tree.  A node stands for the
 states that the starting states reach along one directive sequence; the walk
 compares their enabled directives at each node and their leaks on each step.
 A node is expanded again only when it comes back with more of the step budget
@@ -21,15 +21,20 @@ make a secure verdict explicitly "secure up to bounds".  It has three starts:
   flow certification over the directive semantics).  If no tainted register
   decides a branch or an address within the bounds, every assignment takes
   the same directives with the same leaks.
-- The grouped walk: all N high assignments.  Each member is compared with
-  one member, so by transitivity a walk with no difference checks every pair.
+- The packed walk: all N high assignments as one state, a lane each
+  (`semantics.pack`), stepped in lockstep.  In this semantics a branch leaks
+  its condition and an access its address, so every question that the lanes
+  answer differently (`semantics.Divergent`) is a leak or an enabled set in
+  which two assignments differ.  A walk with no such question checks every
+  pair at once.
 
 Exhaustive `check_sni` runs the certificate before it enumerates anything.
 A program it refuses has its N assignments enumerated, within `PAIR_BUDGET`,
-and its first pair checked alone (the probe), so a leak there costs one pair
-search, not N members per node; then the grouped walk decides the rest.
-After a difference, the pairs are checked one by one, so the violation
-reported is the pairwise one.
+and its first pair checked alone (the probe); then the packed walk decides
+the rest.  The probe stays because a leak at the first pair is common, and a
+pair search finds it sooner than a walk over N lanes.  After a difference,
+the pairs are checked one by one, so the violation reported is the pairwise
+one.
 
 The walk reads each state's enabled directives, and the successor and leak
 of each, from a `semantics.transition_table`: every speculative state it
@@ -53,12 +58,16 @@ from .semantics import (
     D_STEP,
     DEFAULT_WIDTH,
     Directive,
+    Divergent,
     Interner,
     Leakage,
     SpecState,
     State,
+    canonical,
+    pack,
     step_spec,
     transition_table,
+    unpack,
     walk,
 )
 
@@ -179,16 +188,25 @@ def check_sni_pair(
     return v
 
 
-def _walk(table: Interner, ids: tuple | set, b: Bounds, taint: Program | None = None) -> tuple[int, tuple | None]:
-    """The bounded walk from the states `ids` of `table`: the number of cuts,
-    and None, or the directives to the first difference or refusal.
+def _walk(table: Interner, start: int | tuple, b: Bounds, taint: Program | None = None) -> tuple[int, tuple | None]:
+    """The bounded walk from `start` in `table`: the number of cuts, and
+    None, or the directives to the first difference or refusal.
 
-    A node is one id once its members' ids are equal, else a frozenset of
-    them, or a tuple in their order when `ids` is a tuple: a pair's memo is
-    then keyed by its joint state, which tells apart a pair whose states have
-    swapped sides.  Per node, in this order: a leak difference on the step
-    into it (so in preorder), the spec-depth cut, a difference in the enabled
-    sets, no directives, the step cut, the memo, the children.
+    A node is one id, or an ordered pair of ids until they are equal: a
+    pair's memo is keyed by its joint state, which tells apart a pair whose
+    states have swapped sides.  Per node, in this order: a leak difference
+    on the step into it (so in preorder), the spec-depth cut, a difference
+    in the enabled sets, no directives, the step cut, the memo, the
+    children.
+
+    A one-id start without `taint` is packed: a lane per high assignment.
+    Each node is keyed by its state in `semantics.canonical` order, so that
+    one id stands for one set of members.  Every question that its lanes
+    answer differently is a leak or an enabled set that two members differ
+    in, so a `Divergent` row is a difference.  At the step cut only the
+    enabled sets are compared, so the node is split there by
+    `semantics.unpack`: a state's enabled directives are read off its top
+    frame, and each lane of the top frame gets its own row.
 
     With `taint`, the program of `table`, the walk carries a taint stack
     beside one state, a packed int per frame over the registers and cells of
@@ -202,13 +220,13 @@ def _walk(table: Interner, ids: tuple | set, b: Bounds, taint: Program | None = 
     address where it compares enabled sets, which a cut node has too, and a
     tainted branch condition after the memo, since a branch leaks only when
     it is expanded.  The memo keys (node, taint stack), so it can close a
-    cycle of states that the grouped walk cuts at the step bound: then the
+    cycle of states that the packed walk cuts at the step bound: then the
     certificate counts fewer cuts."""
     states, row = table.values, table.row
     max_depth, max_steps = b.max_spec_depth, b.max_steps
-    make = tuple if isinstance(ids, tuple) else frozenset
-    ids = make(ids)
-    node = next(iter(ids)) if len(set(ids)) == 1 else ids
+    packed = type(start) is int and taint is None
+    canon: dict[int, int] = {}  # in a packed walk: id -> the id of its state in canonical order
+    node = start[0] if type(start) is tuple and start[0] == start[1] else start
     taints = None
     if taint is not None:
         regs = {r: 1 << k for k, r in enumerate(taint.registers)}
@@ -233,7 +251,7 @@ def _walk(table: Interner, ids: tuple | set, b: Bounds, taint: Program | None = 
     seen: dict = {}  # node, or (node, taint stack) -> most steps left
     # a stack of (node, taint stack, steps, directive, parent entry), children
     # pushed in reverse: the recursive preorder without Python's recursion
-    # limit.  A child whose members' leaks differ is pushed as node None.
+    # limit.  A pair's child whose two leaks differ is pushed as node None.
     stack = [(node, taints, 0, None, None)]
     push = stack.append
     while stack:
@@ -242,31 +260,33 @@ def _walk(table: Interner, ids: tuple | set, b: Bounds, taint: Program | None = 
         if node is None:
             break
         if type(node) is int:
+            if packed:
+                if node not in canon:
+                    canon[node] = table.id(canonical((states[node],))[0][0])
+                node = canon[node]
             nu = states[node]
             if len(nu) > max_depth:
                 cuts += 1
                 continue
-            dirs, succs = row(node)
+            try:
+                dirs, succs = row(node)
+            except Divergent:  # a difference, unless the lanes' enabled sets agree at the step cut
+                if steps < max_steps or len({row(table.id(nu[:-1] + (top,)))[0] for top in unpack(nu[-1])}) > 1:
+                    break
+                cuts += 1
+                continue
             if taints is not None:
                 top, t = nu[-1], taints[0]
                 addr, branch, uses, spec_uses, defs, access = rules[top.pc]
                 if t & addr:
                     break
-        elif len(node) == 2:
+        else:
             a, c = node
             if len(states[a]) > max_depth:
                 cuts += 1
                 continue
             (dirs, succs), (other, succs2) = row(a), row(c)
             if other != dirs:
-                break
-        else:
-            if len(states[next(iter(node))]) > max_depth:
-                cuts += 1
-                continue
-            rows = tuple(map(row, node))
-            dirs = rows[0][0]
-            if any(r[0] != dirs for r in rows):
                 break
         if not dirs:
             continue
@@ -278,17 +298,9 @@ def _walk(table: Interner, ids: tuple | set, b: Bounds, taint: Program | None = 
             continue
         seen[key] = left
         steps += 1
-        if type(node) is not int and len(node) == 2:
+        if type(node) is not int:
             for d, (a, l1), (c, l2) in zip(reversed(dirs), reversed(succs), reversed(succs2)):
-                push((None if l1 != l2 else a if a == c else make((a, c)), None, steps, d, entry))
-        elif type(node) is not int:
-            # a column holds each member's (successor, leak) on one directive
-            for d, column in zip(reversed(dirs), reversed(tuple(zip(*[r[1] for r in rows])))):
-                kids, leaks = zip(*column)
-                if leaks.count(leaks[0]) != len(leaks):
-                    push((None, None, steps, d, entry))
-                else:
-                    push((kids[0] if kids.count(kids[0]) == len(kids) else make(kids), None, steps, d, entry))
+                push((None if l1 != l2 else a if a == c else (a, c), None, steps, d, entry))
         elif taints is None:
             for d, (j, _) in zip(reversed(dirs), reversed(succs)):
                 push((j, None, steps, d, entry))
@@ -350,9 +362,8 @@ def enumerate_high_states(p: Program, base: SpecState, width: int) -> list[SpecS
 
     Their number N is `2 ** (|high cells| * width)`, and that exponent must
     stay within `PAIR_BUDGET`.  Exhaustive `check_sni` enumerates them only
-    for a program its certificate refuses, and then walks all N together:
-    every node of its walk compares up to N members, and its table holds a
-    row for each state that any of them reaches."""
+    for a program its certificate refuses, and then packs them into one
+    state: every packed value of its walk holds up to N lanes."""
     cells = high_cells(p)
     if len(cells) * width > PAIR_BUDGET:
         raise ValueError(f"exhaustive pair budget exceeded: {len(cells)} high cells at width {width}")
@@ -392,7 +403,7 @@ def check_sni(
     mode covers every assignment of the high cells at the given width, N of
     them, by the routes the module docstring gives.  A secure verdict over
     N > 2 reports `pairs_checked` = C(N, 2), and as `truncated` the cuts of
-    the certificate's walk, or of the grouped walk for a program the
+    the certificate's walk, or of the packed walk for a program the
     certificate refuses.  Exhaustive and sampled pairs are drawn as the
     check goes, so a violation found early never waits on the rest.
     """
@@ -407,7 +418,7 @@ def check_sni(
         cells = high_cells(p)
         n = 1 << (len(cells) * width)
         if n > 2:
-            cuts, refused = _walk(table, {table.id(_with_high(base, cells, [0] * len(cells)))}, b, p)
+            cuts, refused = _walk(table, table.id(_with_high(base, cells, [0] * len(cells))), b, p)
             if refused is None:
                 return SniVerdict("secure", b, cuts, pairs_checked=math.comb(n, 2))
         states = enumerate_high_states(p, base, width)
@@ -417,7 +428,7 @@ def check_sni(
             if not v.secure:
                 v.pairs_checked = 1
                 return v
-            cuts, diff = _walk(table, {table.id(s) for s in states}, b)
+            cuts, diff = _walk(table, table.id((pack([s for s, in states]),)), b)
             if diff is None:
                 return SniVerdict("secure", b, cuts, pairs_checked=math.comb(n, 2))
             checked, truncated = 1, v.truncated

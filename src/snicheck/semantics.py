@@ -260,6 +260,18 @@ def _pack_items(per_lane: list[tuple]) -> tuple:
     return tuple(out)
 
 
+def unpack(s: State) -> list[State]:
+    """The inverse of `pack`: one plain state per lane of `s`, zeros dropped,
+    or `[s]` when `s` holds no packed value."""
+    n = next((len(v) for items in (s.regs, s.mem) for _, v in items if v.__class__ is Lanes), 1)
+
+    def lane(items: tuple, i: int) -> tuple:
+        vals = [(k, v[i] if v.__class__ is Lanes else v) for k, v in items]
+        return tuple([(k, v) for k, v in vals if v != 0])
+
+    return [State(s.pc, lane(s.regs, i), lane(s.mem, i)) for i in range(n)]
+
+
 def _packed_values(nus: tuple[SpecState, ...]):
     """The packed values of `nus` in order: each state's frames, each
     frame's registers then cells."""

@@ -18,8 +18,10 @@ from snicheck.semantics import (
     State,
     explore_behaviors,
     initial,
+    pack,
     run_directives,
     transition_table,
+    unpack,
 )
 
 from conftest import (
@@ -307,7 +309,7 @@ def test_sni_pair_matches_the_table_free_search(rng):
     assert got.secure and got.truncated == 2
 
 
-# --- the grouped walk against table-free references ---------------------------
+# --- the packed walk against table-free references ----------------------------
 
 
 def _cuts(walked):
@@ -322,36 +324,44 @@ def _check_against_references(p, base, b, width):
     verdict, pair count and `truncated > 0` flag, and for a violation the
     whole report, replays included.  With more than two high assignments,
     the taint certificate counts exactly the cuts of the table-free one, and
-    certifies only programs that the pair loop finds secure; the grouped
-    walk on its own (also where the first pair already differs) finds a
+    certifies only programs that the pair loop finds secure; the packed walk
+    on its own (also where the first pair already differs) finds a
     difference iff some pair does, and counts exactly the cuts of the
-    table-free walk.  A secure verdict reports the certificate's cuts, else
-    the walk's.  Returns the verdict and whether it was certified."""
+    table-free grouped walk.  A secure verdict reports the certificate's
+    cuts, else the packed walk's.  Returns the verdict and its route: "two
+    states", "certified", "probe" (a violation at the first pair), "packed"
+    (secure by the packed walk) or "pair loop" (a difference in the packed
+    walk, then the pairs one by one)."""
     got = check_sni(p, base, PairSource("exhaustive"), b, width)
     want = ref_check_sni_exhaustive(p, base, b, width)
     assert (got.kind, got.pairs_checked, got.truncated > 0) == (want.kind, want.pairs_checked, want.truncated > 0)
     states = enumerate_high_states(p, base, width)
-    certified = None
-    if len(states) > 2:
-        table = transition_table(p, width)
-        certified = _cuts(_walk(table, {table.id(states[0])}, b, p))
-        assert certified == ref_taint_certify(p, states[0], b, width)
-        assert certified is None or want.secure
-        walked = _cuts(_walk(table, {table.id(s) for s in states}, b))
-        assert walked == ref_sni_walk(p, base, b, width)
-        assert (walked is None) == (not want.secure)
     if not got.secure or len(states) <= 2:
         assert got == want
         assert got.report(p, width) == want.report(p, width)
-    else:
-        assert got.truncated == (walked if certified is None else certified)
-    return got, certified is not None
+    if len(states) <= 2:
+        return got, "two states"
+    table = transition_table(p, width)
+    certified = _cuts(_walk(table, table.id(states[0]), b, p))
+    assert certified == ref_taint_certify(p, states[0], b, width)
+    walked = _cuts(_walk(table, table.id((pack([s for s, in states]),)), b))
+    assert walked == ref_sni_walk(p, base, b, width)
+    assert (walked is None) == (not want.secure)
+    if certified is not None:
+        assert want.secure and got.truncated == certified
+        return got, "certified"
+    if not got.secure and got.pairs_checked == 1:
+        return got, "probe"
+    if walked is None:
+        return got, "pair loop"
+    assert got.truncated == walked
+    return got, "packed"
 
 
 def test_check_sni_shared_table_matches_fresh_pairs(rng):
     """On random programs at widths 1-3, some with two high cells and some
     with shuffle code, exhaustive `check_sni` (the taint certificate, else
-    the first pair, then one grouped walk over a shared transition table,
+    the first pair, then one packed walk over a shared transition table,
     then the remaining pairs if the walk finds a difference) agrees with
     fresh table-free searches, and certifies at least 90% of the secure
     programs with more than two high assignments."""
@@ -363,14 +373,15 @@ def test_check_sni_shared_table_matches_fresh_pairs(rng):
                            hi_size=hi_size)
         base = random_state(rng, p, width=width)
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        got, certified = _check_against_references(p, base, b, width)
+        got, route = _check_against_references(p, base, b, width)
         kinds[got.divergence or got.kind] += 1
+        kinds[route] += 1
         kinds["after the first pair"] += got.pairs_checked > 1 and not got.secure
         kinds["walked, truncated"] += got.secure and got.truncated > 0 and got.pairs_checked > 1
         kinds["secure, N > 2"] += got.secure and got.pairs_checked > 1
-        kinds["certified"] += certified
     assert kinds["secure"] >= 100 and kinds["leak"] >= 20 and kinds["enabled"] >= 5, kinds
     assert kinds["after the first pair"] >= 3 and kinds["walked, truncated"] >= 50, kinds
+    assert kinds["packed"] + kinds["pair loop"] >= 5, kinds
     assert kinds["certified"] >= 0.9 * kinds["secure, N > 2"], kinds
 
 
@@ -395,9 +406,9 @@ def test_check_sni_certifies_allocated_targets(rng):
             w, _ = fix_ra(w, width=2)
         kinds["targets"] += 1
         base = random_state(rng, w.target, width=2)
-        got, certified = _check_against_references(w.target, base, Bounds(rng.randint(6, 12), rng.randint(1, 3)), 2)
+        got, route = _check_against_references(w.target, base, Bounds(rng.randint(6, 12), rng.randint(1, 3)), 2)
         kinds[got.kind] += 1
-        kinds["certified"] += certified
+        kinds[route] += 1
     assert kinds["violation"] >= 5, kinds
     assert kinds["certified"] >= 0.9 * kinds["secure"], kinds
 
@@ -415,8 +426,8 @@ MIDDLE_LEAKS = [
 @pytest.mark.parametrize("text", MIDDLE_LEAKS)
 def test_check_sni_walk_finds_what_the_first_pair_misses(text):
     p = parse_program(text)
-    v, _ = _check_against_references(p, (State.make(p.entry, {"c": 2}),), Bounds(10, 2), 2)
-    assert not v.secure and v.pairs_checked == 2
+    v, route = _check_against_references(p, (State.make(p.entry, {"c": 2}),), Bounds(10, 2), 2)
+    assert route == "pair loop" and v.pairs_checked == 2
     assert [nu[0].cell("h", 0) for nu in (v.state1, v.state2)] == [0, 2]
 
 
@@ -440,9 +451,66 @@ def test_check_sni_finds_a_leak_that_depends_on_the_path(width):
     """A check that memoised a state with its taint would close `e` after
     the `load h 0` path and never expand it after `load h 1`."""
     p = parse_program(SPLIT_BY_PATH)
-    v, certified = _check_against_references(p, (State.make("a", {"i": 1}),), Bounds(16, 2), width)
-    assert not v.secure and not certified and v.divergence == "leak"
+    v, route = _check_against_references(p, (State.make("a", {"i": 1}),), Bounds(16, 2), width)
+    assert not v.secure and route != "certified" and v.divergence == "leak"
     assert [str(d) for d in v.directives] == ["step", "step", "step", "load h 1", "if"]
+
+
+# `if x` at `d` would leak x, and `load z <- l[y]` at `c` its address y = x,
+# but both are at the step cut, where only the enabled sets are compared
+STEP_CUT_BRANCH = "mem h 1 high\nentry a\na: load x <- h[#0] -> b\nb: y = x and z -> c\nc: if y ? d : d\nd: if x ? e : e\ne: ret\n"
+STEP_CUT_LOAD = "mem h 1 high\nmem l {size} low\nentry a\na: load x <- h[#0] -> b\nb: y = x and m -> c\nc: load z <- l[y] -> d\nd: ret\n"
+
+
+def test_packed_walk_compares_only_enabled_sets_at_the_step_cut():
+    """The certificate refuses each program and the probe pair passes, so
+    the packed walk decides.  Its lanes answer the cut node's question
+    differently, which is no difference there: the walk splits the node and
+    compares the lanes' enabled sets.  They agree unless `y` is out of
+    bounds of `l` in some lanes."""
+    p = parse_program(STEP_CUT_BRANCH)
+    v, route = _check_against_references(p, initial(p), Bounds(3, 2), 2)
+    assert route == "packed" and (v.kind, v.pairs_checked, v.truncated) == ("secure", 6, 2)
+    base = (State.make("a", {"m": 3}),)
+    p = parse_program(STEP_CUT_LOAD.format(size=4))
+    v, route = _check_against_references(p, base, Bounds(2, 2), 2)
+    assert route == "packed" and (v.kind, v.pairs_checked, v.truncated) == ("secure", 6, 1)
+    p = parse_program(STEP_CUT_LOAD.format(size=2))
+    v, route = _check_against_references(p, base, Bounds(2, 2), 2)
+    assert route == "pair loop" and (v.kind, v.pairs_checked, v.divergence) == ("violation", 2, "enabled")
+
+
+# `load x` from `lo 0` (= h) or `hi 0` holds x in the lane order of h, and
+# from `lo 1` (= m - h) in the reverse order; then everything else is zeroed
+ORDERS_PROGRAM = """mem lo 2 low
+mem hi 1 high
+entry 0
+0: load a <- hi[#0] -> 1
+1: b = m sub a -> 2
+2: store lo[#0] <- a -> 3
+3: store lo[#1] <- b -> 4
+4: load x <- lo[i] -> 5
+5: a = z add z -> 6
+6: b = z add z -> 7
+7: store lo[#0] <- z -> 8
+8: store lo[#1] <- z -> 9
+9: store hi[#0] <- z -> 10
+10: y = x and z -> 11
+11: if y ? 12 : 12
+12: nop -> 13
+13: ret
+"""
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_packed_walk_memo_keys_member_sets(width):
+    """All three loads reach one set of members at pc 10, which the grouped
+    walk expands once, so its `spec` child is cut once.  The packed walk
+    must too, although the `lo 1` path holds its lanes in another order."""
+    p = parse_program(ORDERS_PROGRAM)
+    base = (State.make("0", {"i": 5, "m": (1 << width) - 1}),)
+    v, route = _check_against_references(p, base, Bounds(16, 1), width)
+    assert route == "packed" and v.truncated == 1
 
 
 def test_check_sni_keeps_no_state_between_calls(rng):
@@ -461,10 +529,11 @@ def test_check_sni_keeps_no_state_between_calls(rng):
 def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
     """`code_specv1.sp` at width 1 has 512 high assignments, and one
     taint-labelled run decides all 130,816 pairs with neither a probe pair
-    nor the grouped walk.  A secure program whose taint reaches a branch
-    (`y` is `x and 0`) is refused: one probe pair, then one walk decides the
-    rest.  `code_ra_target.sp` at width 12 is refused too, leaks at the
-    probe and never walks its 4,096 states."""
+    nor the packed walk.  A secure program whose taint reaches a branch
+    (`y` is `x and 0`) is refused: one probe pair, then one walk from a
+    packed start of 4 lanes decides the rest.  `code_ra_target.sp` at width
+    12 is refused too, leaks at the probe and never packs its 4,096
+    states."""
     from snicheck import security
 
     def not_called(*args):
@@ -472,16 +541,20 @@ def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
 
     walks = []
 
-    def walking(table, ids, b, taint=None):
-        walks.append((len(ids), taint is not None))
-        return _walk(table, ids, b, taint)
+    def walking(table, start, b, taint=None):
+        if type(start) is tuple:
+            walks.append("pair")
+        else:
+            lanes = [len(unpack(f)) for f in table.values[start]]
+            walks.append(("certificate" if taint is not None else "packed", *lanes))
+        return _walk(table, start, b, taint)
 
     monkeypatch.setattr(security, "check_sni_pair", not_called)
     monkeypatch.setattr(security, "_walk", walking)
     p = load_program("code_specv1.sp")
     v = check_sni(p, load_state("code_specv1.init", p, 1), PairSource("exhaustive"), Bounds(32, 3), 1)
     assert v.secure and v.truncated > 0 and v.pairs_checked == 130_816
-    assert walks == [(1, True)]
+    assert walks == [("certificate", 1)]
 
     probes = []
 
@@ -495,13 +568,13 @@ def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
     v = check_sni(p, initial(p), PairSource("exhaustive"), Bounds(8, 2), 2)
     assert v.secure and v.pairs_checked == 6
     assert probes == [tuple(enumerate_high_states(p, initial(p), 2)[:2])]
-    assert walks == [(1, True), (2, False), (4, False)]
+    assert walks == [("certificate", 1), "pair", ("packed", 4)]
 
     walks.clear()
     p = load_program("code_ra_target.sp")
     v = check_sni(p, load_state("code_ra.init", p, 12), PairSource("exhaustive"), Bounds(32, 3), 12)
     assert not v.secure and v.pairs_checked == 1 and len(probes) == 2
-    assert walks == [(1, True), (2, False)]
+    assert walks == [("certificate", 1), "pair"]
 
 
 SLH_GUARDED = """mem a 2 low
@@ -524,5 +597,5 @@ def test_certificate_follows_slh_on_a_mispredicted_path():
     b = Bounds(16, 2)
     for guard, secure in (("slh", True), ("move x <-", False)):
         p = parse_program(SLH_GUARDED.format(guard=guard))
-        v, certified = _check_against_references(p, (State.make(p.entry, {"c": 1}),), b, 2)
-        assert v.secure == secure and certified == secure
+        v, route = _check_against_references(p, (State.make(p.entry, {"c": 1}),), b, 2)
+        assert v.secure == secure and (route == "certified") == secure

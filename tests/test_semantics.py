@@ -32,6 +32,7 @@ from snicheck.semantics import (
     run_directives,
     step_spec,
     transitions,
+    unpack,
 )
 
 from conftest import (
@@ -738,6 +739,31 @@ def test_pack_and_canonical_order():
     flipped = pack(members[::-1])
     assert tuple(flipped.mem[0][1]) == (3, 2, 1, 0)
     assert canonical(((flipped,),)) == (((packed,),), 4)
+
+
+def test_unpack_inverts_pack(rng):
+    """`unpack(pack(states)) == states` for random states of one pc, with
+    zeros and repeats, as long as they are not all one state."""
+    kinds = Counter()
+    keys = ["r0", "r1", "r2"]
+    cells = [("h", 0), ("h", 1), ("lo", 0)]
+    while kinds["packs"] < 300:
+        n = rng.randint(2, 6)
+        states = [State.make("0", {r: rng.randrange(4) for r in rng.sample(keys, rng.randint(0, 3))},
+                             {c: rng.randrange(4) for c in rng.sample(cells, rng.randint(0, 3))})
+                  for _ in range(n)]
+        if rng.random() < 0.3:
+            states[rng.randrange(n)] = states[0]
+        if states.count(states[0]) == n:
+            continue
+        packed = pack(states)
+        assert unpack(packed) == states
+        kinds["packs"] += 1
+        kinds["repeats"] += len(set(states)) < n
+        kinds["a zero lane"] += any(type(v) is Lanes and 0 in v for _, v in packed.regs + packed.mem)
+    assert kinds["repeats"] >= 50 and kinds["a zero lane"] >= 100, kinds
+    # a state without a packed value is its own one lane
+    assert unpack(State.make("0", {"r": 3})) == [State.make("0", {"r": 3})]
 
 
 @pytest.mark.parametrize("width", [2, 3])
