@@ -81,12 +81,25 @@ def _emit(args, payload: dict, text: str):
         print(text, end="" if text.endswith("\n") else "\n")
 
 
+def _read(path: str | Path) -> str:
+    """The text of an input file, decoded as `Path.read_text` does (the
+    locale's encoding, universal newlines) without building a `Path`."""
+    with open(path) as f:
+        return f.read()
+
+
+def _write(path: str | Path, text: str) -> None:
+    """`text` written to an output file as `Path.write_text` does."""
+    with open(path, "w") as f:
+        f.write(text)
+
+
 def _load_program(path: str | Path) -> Program:
-    return parse_program(Path(path).read_text())
+    return parse_program(_read(path))
 
 
 def _load_state(path: str | Path, p: Program, width: int):
-    return parse_initial_state(Path(path).read_text(), p, width)
+    return parse_initial_state(_read(path), p, width)
 
 
 def _initial_state(args, p: Program):
@@ -97,13 +110,13 @@ def _initial_state(args, p: Program):
 def _witness(args):
     src = _load_program(args.source)
     tgt = _load_program(args.target)
-    return regalloc.parse_ra_witness(Path(args.witness).read_text(), src, tgt)
+    return regalloc.parse_ra_witness(_read(args.witness), src, tgt)
 
 
 def cmd_run(args) -> int:
     p = _load_program(args.program)
     nu0 = _initial_state(args, p)
-    dirs = parse_directives(Path(args.directives).read_text(), p) if args.directives else []
+    dirs = parse_directives(_read(args.directives), p) if args.directives else []
     ex = run_directives(p, nu0, dirs, args.width)
     payload = {
         "status": ex.status,
@@ -182,10 +195,10 @@ def cmd_dce(args) -> int:
     res = dce_transform(p, sol)
     out_text = print_program(res.target)
     if args.out:
-        Path(args.out).write_text(out_text)
+        _write(args.out, out_text)
     mapping = {pc: ("replaced" if res.replaced[pc] else "unchanged") for pc in p.pcs()}
     if args.map_out:
-        Path(args.map_out).write_text("".join(f"{pc} {v}\n" for pc, v in mapping.items()))
+        _write(args.map_out, "".join(f"{pc} {v}\n" for pc, v in mapping.items()))
     _emit(args, {"program": out_text, "map": mapping}, out_text)
     return 0
 
@@ -204,9 +217,9 @@ def cmd_allocate(args) -> int:
     w = regalloc.allocate(p, args.k)
     target, witness = print_program(w.target), regalloc.serialize_ra_witness(w)
     if args.out_target:
-        Path(args.out_target).write_text(target)
+        _write(args.out_target, target)
     if args.out_witness:
-        Path(args.out_witness).write_text(witness)
+        _write(args.out_witness, witness)
     _emit(args, {"target": target, "witness": witness}, target)
     return 0
 
@@ -224,7 +237,7 @@ def cmd_product_run(args) -> int:
     prod = poison.Product(w, args.width)
     tgt0 = _initial_state(args, w.target)[0]
     ps = prod.initial_product(tgt0)
-    dirs = parse_directives(Path(args.directives).read_text(), w.target) if args.directives else []
+    dirs = parse_directives(_read(args.directives), w.target) if args.directives else []
     lines = []
     stuck_at = None
     for idx, d in enumerate(dirs):
@@ -265,9 +278,9 @@ def cmd_fix(args) -> int:
     w = _witness(args)
     fixed, report = poison.fix_ra(w)
     if args.out_target:
-        Path(args.out_target).write_text(print_program(fixed.target))
+        _write(args.out_target, print_program(fixed.target))
     if args.out_witness:
-        Path(args.out_witness).write_text(regalloc.serialize_ra_witness(fixed))
+        _write(args.out_witness, regalloc.serialize_ra_witness(fixed))
     ins = [{"pc": i.pc, "kind": i.kind, "before": i.before, "violation": str(i.violation)} for i in report.insertions]
     text = "\n".join(f"inserted {i.kind} at {i.pc} before {i.before} ({i.violation})" for i in report.insertions)
     _emit(args, {"insertions": ins, "iterations": report.iterations}, (text or "already typable") + "\n")
@@ -310,7 +323,7 @@ def cmd_demo_codera(args) -> int:
     bounds = Bounds(32, 3)
     src = _load_program(corpus_path("code_ra_source.sp"))
     tgt = _load_program(corpus_path("code_ra_target.sp"))
-    w = regalloc.parse_ra_witness(corpus_path("code_ra.witness").read_text(), src, tgt)
+    w = regalloc.parse_ra_witness(_read(corpus_path("code_ra.witness")), src, tgt)
 
     def pair_verdict(p: Program) -> security.SniVerdict:
         """`p`'s verdict on the corpus pair of initial states."""

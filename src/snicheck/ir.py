@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import ClassVar
 
@@ -151,7 +151,7 @@ SHUFFLE_KINDS = (Move, Fill, Spill, Slh, Sfence)
 
 # --- instruction table ----------------------------------------------------------
 
-_LABEL = r"[A-Za-z0-9_.]+"
+LABEL = r"[A-Za-z0-9_.]+"
 
 
 def _fmt_addr(addr: "int | Reg") -> str:
@@ -159,7 +159,7 @@ def _fmt_addr(addr: "int | Reg") -> str:
 
 
 # holes that are not labels: name -> pattern
-_HOLE_PATTERNS = {"addr": rf"#\d+|{_LABEL}", "slot": r"\d+", "op": "|".join(OPS)}
+_HOLE_PATTERNS = {"addr": rf"#\d+|{LABEL}", "slot": r"\d+", "op": "|".join(OPS)}
 # holes whose value is not their text: name -> text -> value (printing needs
 # `_fmt_addr` for `addr`; `str.format` gives the rest)
 _HOLE_PARSERS = {"addr": lambda t: int(t[1:]) if t.startswith("#") else t, "slot": int}
@@ -182,7 +182,7 @@ def _template_regex(text: str) -> str:
     out = []
     for m in re.finditer(r"\{(\w+)\}| |[^{ ]+", text):
         if m[1]:
-            out.append(f"({_HOLE_PATTERNS.get(m[1], _LABEL)})")
+            out.append(f"({_HOLE_PATTERNS.get(m[1], LABEL)})")
         elif m[0] == " ":
             words = re.fullmatch(r"[\w}] [\w{]", text[m.start() - 1 : m.end() + 1])
             out.append(r"\s+" if words else r"\s*")
@@ -236,6 +236,8 @@ class Kind:
 
     def parse(self, groups: tuple[str, ...]) -> Instr:
         """The instruction whose holes matched `groups`."""
+        if not self._parsers:
+            return self.cls(*groups)
         vals = list(groups)
         for j, conv in self._parsers:
             vals[j] = conv(vals[j])
@@ -267,6 +269,9 @@ def loc_text(loc: Reg | tuple[str, int]) -> str:
 _PC_PARTS = re.compile(r"\d+|\D+")
 
 
+# cached, as every new `Program` sorts its pcs once and the labels recur:
+# `allocate`'s chain labels (`3.0.1`) are the same from program to program
+@lru_cache(maxsize=4096)
 def pc_key(pc: Pc) -> tuple:
     """Sort key that orders numeric label fragments numerically (1 < 2 < 10).
 
@@ -364,7 +369,10 @@ class Diagnostic:
 def validate_program(p: Program, warnings: list[Diagnostic] | None = None) -> list[Diagnostic]:
     """Structural validation; returns an empty list iff all invariants hold.
 
-    A missing reachable exit is only reported through `warnings`.
+    The diagnostics without a pc come first; those of an instruction follow
+    in `pc_key` order of their pcs, each pc's successors before its memory
+    access or operator.  A missing reachable exit is only reported through
+    `warnings`.
     """
     out: list[Diagnostic] = []
     if p.entry not in p.instrs:
@@ -377,29 +385,29 @@ def validate_program(p: Program, warnings: list[Diagnostic] | None = None) -> li
     stk = p.memvar(STACK_VAR)
     if stk is not None and stk.level != "low":
         out.append(Diagnostic(None, "stk must be declared low"))
-    for pc in p.pcs():
-        i = p.instrs[pc]
+    # instructions in insertion order; their diagnostics are sorted below
+    at_pcs: list[Diagnostic] = []
+    for pc, i in p.instrs.items():
         for s in i.successors():
             if s not in p.instrs:
-                out.append(Diagnostic(pc, f"unknown successor {s}"))
-        match i:
-            case Load(var=v, addr=int(adr)) | Store(var=v, addr=int(adr)):
-                mv = p.memvar(v)
+                at_pcs.append(Diagnostic(pc, f"unknown successor {s}"))
+        if acc := i.kind.access(i):
+            var, where, _ = acc
+            mv = p.memvar(var)
+            if isinstance(i, (Fill, Spill)):
                 if mv is None:
-                    out.append(Diagnostic(pc, f"unknown memvar {v}"))
-                elif not 0 <= adr < mv.size:
-                    out.append(Diagnostic(pc, f"const address out of bounds: {v}[{adr}]"))
-            case Load(var=v) | Store(var=v):
-                if p.memvar(v) is None:
-                    out.append(Diagnostic(pc, f"unknown memvar {v}"))
-            case Fill(slot=sl) | Spill(slot=sl):
-                if stk is None:
-                    out.append(Diagnostic(pc, "fill/spill require a declared stk variable"))
-                elif not 0 <= sl < stk.size:
-                    out.append(Diagnostic(pc, f"stack slot out of bounds: {sl}"))
-            case Asgn(op=op):
-                if op not in OPS:
-                    out.append(Diagnostic(pc, f"unknown operator {op}"))
+                    at_pcs.append(Diagnostic(pc, "fill/spill require a declared stk variable"))
+                elif not 0 <= where < mv.size:
+                    at_pcs.append(Diagnostic(pc, f"stack slot out of bounds: {where}"))
+            elif mv is None:
+                at_pcs.append(Diagnostic(pc, f"unknown memvar {var}"))
+            elif isinstance(where, int) and not 0 <= where < mv.size:
+                at_pcs.append(Diagnostic(pc, f"const address out of bounds: {var}[{where}]"))
+        elif isinstance(i, Asgn) and i.op not in OPS:
+            at_pcs.append(Diagnostic(pc, f"unknown operator {i.op}"))
+    if len(at_pcs) > 1:
+        at_pcs.sort(key=lambda d: pc_key(d.pc))  # stable: a pc keeps its own order
+    out += at_pcs
     if warnings is not None and p.entry in p.instrs and not out:
         seen, todo = set(), [p.entry]
         while todo:
@@ -415,10 +423,10 @@ def validate_program(p: Program, warnings: list[Diagnostic] | None = None) -> li
 
 # --- textual format ---------------------------------------------------------
 
-_MEM_RE = re.compile(rf"mem\s+({_LABEL})\s+(\d+)\s+(low|high)$")
-_ENTRY_RE = re.compile(rf"entry\s+({_LABEL})$")
-_PC_RE = re.compile(rf"({_LABEL})\s*:\s*")
-_WORD_RE = re.compile(_LABEL)
+_MEM_RE = re.compile(rf"mem\s+({LABEL})\s+(\d+)\s+(low|high)$")
+_ENTRY_RE = re.compile(rf"entry\s+({LABEL})$")
+_PC_RE = re.compile(rf"({LABEL})\s*:\s*")
+_WORD_RE = re.compile(LABEL)
 # `#` opens a comment only at line start or after whitespace; `[#0]` and
 # `stk#0` use it as the const-address marker
 _COMMENT_RE = re.compile(r"(?:^|\s)#")
@@ -449,7 +457,14 @@ def _parse_instr(line: str, pos: int) -> Instr | None:
 
 
 def parse_program(text: str) -> Program:
-    """Parse the line-oriented program format; `#` starts a comment."""
+    """Parse the line-oriented program format.
+
+    `#` starts a comment at the start of a line or after whitespace.  A line
+    is tried as an instruction (`<pc>: ...`) first, as most lines are, then
+    as `mem` and as `entry`; the three forms exclude each other, since only
+    an instruction's label is followed by `:`.  The program is then checked
+    by `validate_program`, whose diagnostics, in its order, make up the
+    message of the error."""
     entry: Pc | None = None
     instrs: dict[Pc, Instr] = {}
     memvars: list[MemVar] = []
@@ -463,18 +478,17 @@ def parse_program(text: str) -> Program:
         line = strip_comment(raw)
         if not line:
             continue
-        if m := _MEM_RE.match(line):
+        pc = _PC_RE.match(line)
+        if pc and (i := _parse_instr(line, pc.end())):
+            add(lineno, pc[1], i)
+        elif m := _MEM_RE.match(line):
             if any(v.name == m[1] for v in memvars):
                 raise ParseError(f"duplicate memvar {m[1]}", lineno)
             memvars.append(MemVar(m[1], int(m[2]), m[3]))
         elif m := _ENTRY_RE.match(line):
             entry = m[1]
         else:
-            pc = _PC_RE.match(line)
-            i = _parse_instr(line, pc.end()) if pc else None
-            if i is None:
-                raise ParseError(f"cannot parse: {line!r}", lineno, raw.index(line.split()[0]))
-            add(lineno, pc[1], i)
+            raise ParseError(f"cannot parse: {line!r}", lineno, raw.index(line.split()[0]))
 
     if entry is None:
         raise ParseError("missing entry declaration", 1)

@@ -28,6 +28,7 @@ dead registers may be dropped from or linger in `rho` without complaint.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -36,6 +37,7 @@ from .ir import (
     Fill,
     If,
     Instr,
+    LABEL,
     Load,
     MemVar,
     Move,
@@ -557,16 +559,68 @@ def _pc_order(keys: dict, p: Program) -> list[Pc]:
 def serialize_ra_witness(w: RAWitness) -> str:
     lines = [f"phi: {s_pc} -> {w.phi[s_pc]}" for s_pc in _pc_order(w.phi, w.source)]
     for t_pc in _pc_order(w.rho, w.target):
-        m = w.rho[t_pc]
-        if not m:
+        if m := w.rho[t_pc]:
+            head = f"rho {t_pc}: "
+            lines += [f"{head}{r} -> {loc if loc.__class__ is str else f'{_SLOT_PREFIX}{loc[1]}'}"
+                      for r, loc in sorted(m.items())]
+        else:
             lines.append(f"rho {t_pc}:")
-        for r in sorted(m):
-            lines.append(f"rho {t_pc}: {r} -> {fmt_loc(m[r])}")
     return "\n".join(lines) + "\n"
+
+
+# A witness line as `serialize_ra_witness` writes it, or blank, or a comment:
+# groups (phi source pc, phi target pc) or (rho pc, register, slot or
+# location), and none for a blank line.  Only spaces and tabs count as
+# whitespace here; any other line goes through `_witness_line`.
+_WITNESS_LINE = re.compile(
+    rf"[ \t]*(?:(?:phi:[ \t]*({LABEL})[ \t]*->[ \t]*({LABEL})"
+    rf"|rho [ \t]*({LABEL})[ \t]*:(?:[ \t]*({LABEL})[ \t]*->[ \t]*(?:{_SLOT_PREFIX}([0-9]+)|({LABEL})))?)"
+    r"(?:[ \t]+(?:#.*)?)?|#.*)?"
+)
+
+
+def _witness_line(raw: str, lineno: int, target: Program) -> tuple:
+    """The `_WITNESS_LINE` groups of any other line: a comment is stripped
+    and whitespace around each part is ignored.  Raises ValueError naming
+    the line if it is malformed or its rho pc is not a target pc."""
+    line = strip_comment(raw)
+    if not line:
+        return (None,) * 6
+    if line.startswith("phi:"):
+        s_pc, arrow, t_pc = line[4:].partition("->")
+        if not arrow or "->" in t_pc:
+            raise ValueError(f"line {lineno}: bad phi entry")
+        return s_pc.strip(), t_pc.strip(), None, None, None, None
+    if line.startswith("rho "):
+        head, _, rest = line[4:].partition(":")
+        t_pc = head.strip()
+        if t_pc not in target.instrs:  # before the entry is read, so that this error wins
+            raise ValueError(f"line {lineno}: unknown target pc {t_pc}")
+        rest = rest.strip()
+        if not rest:
+            return None, None, t_pc, None, None, None
+        r, arrow, loc_s = rest.partition("->")
+        r, loc_s = r.strip(), loc_s.strip()
+        if not arrow or not r or not loc_s or "->" in loc_s:
+            raise ValueError(f"line {lineno}: malformed relocation entry")
+        if loc_s.startswith(_SLOT_PREFIX):
+            try:
+                return None, None, t_pc, r, int(loc_s[len(_SLOT_PREFIX) :]), None
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad slot {loc_s}") from None
+        return None, None, t_pc, r, None, loc_s
+    raise ValueError(f"line {lineno}: cannot parse {line!r}")
 
 
 def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
     """Parse phi/rho sections.
+
+    Each line is read by one line grammar (`_WITNESS_LINE`): blank and
+    comment lines, `phi: <pc> -> <pc>`, and `rho <pc>:` with an optional
+    `<reg> -> <reg | stk#n>`, each with an optional trailing comment.  `#`
+    starts a comment at the start of a line or after whitespace.  A line the
+    grammar does not cover, such as one with other whitespace, is read by
+    `_witness_line`, which raises on a malformed line with its line number.
 
     A target pc with no rho section inherits its predecessor's map (the entry
     defaults to the identity on source registers), so a file with no rho
@@ -576,41 +630,20 @@ def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
     phi: dict[Pc, Pc] = {}
     explicit: dict[Pc, dict] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = strip_comment(raw)
-        if not line:
-            continue
-        if line.startswith("phi:"):
-            s_pc, arrow, t_pc = line[4:].partition("->")
-            if not arrow or "->" in t_pc:
-                raise ValueError(f"line {lineno}: bad phi entry")
-            s_pc, t_pc = s_pc.strip(), t_pc.strip()
+        m = _WITNESS_LINE.fullmatch(raw)
+        s_pc, phi_t, t_pc, r, slot, loc = m.groups() if m else _witness_line(raw, lineno, target)
+        if s_pc is not None:
             if s_pc not in source.instrs:
                 raise ValueError(f"line {lineno}: unknown source pc {s_pc}")
+            if phi_t not in target.instrs:
+                raise ValueError(f"line {lineno}: unknown target pc {phi_t}")
+            phi[s_pc] = phi_t
+        elif t_pc is not None:
             if t_pc not in target.instrs:
                 raise ValueError(f"line {lineno}: unknown target pc {t_pc}")
-            phi[s_pc] = t_pc
-        elif line.startswith("rho "):
-            head, _, rest = line[4:].partition(":")
-            t_pc = head.strip()
-            if t_pc not in target.instrs:
-                raise ValueError(f"line {lineno}: unknown target pc {t_pc}")
-            m = explicit.setdefault(t_pc, {})
-            rest = rest.strip()
-            if not rest:
-                continue
-            r, arrow, loc_s = rest.partition("->")
-            r, loc_s = r.strip(), loc_s.strip()
-            if not arrow or not r or not loc_s or "->" in loc_s:
-                raise ValueError(f"line {lineno}: malformed relocation entry")
-            if loc_s.startswith(_SLOT_PREFIX):
-                try:
-                    m[r] = (STACK_VAR, int(loc_s[len(_SLOT_PREFIX) :]))
-                except ValueError:
-                    raise ValueError(f"line {lineno}: bad slot {loc_s}") from None
-            else:
-                m[r] = loc_s
-        else:
-            raise ValueError(f"line {lineno}: cannot parse {line!r}")
+            section = explicit.setdefault(t_pc, {})
+            if r is not None:
+                section[r] = loc if slot is None else (STACK_VAR, int(slot))
 
     # propagate maps breadth-first along target control flow; explicit
     # sections win.  A pc inherits from the predecessors placed before it,

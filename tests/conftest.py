@@ -88,6 +88,28 @@ def random_program(rng: random.Random, n_instrs=6, n_regs=3, allow_shuffle=False
     return p
 
 
+# what the text readers treat specially: the comment and slot markers, the
+# arrow, a bare carriage return (a line break once read) and a non-ASCII letter
+MUTATION_TOKENS = ("#", "stk#", "->", "\r", "é")
+
+
+def mutate_text(rng: random.Random, text: str, tokens=MUTATION_TOKENS) -> str:
+    """`text` after one or two edits, each inserting or deleting one of
+    `tokens` or deleting a run of characters."""
+    for _ in range(rng.randint(1, 2)):
+        op, tok = rng.randrange(3), rng.choice(tokens)
+        if op == 0:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + tok + text[at:]
+        elif op == 1 and tok in text:
+            at = rng.choice([i for i in range(len(text)) if text.startswith(tok, i)])
+            text = text[:at] + text[at + len(tok):]
+        else:
+            at = rng.randrange(len(text) + 1)
+            text = text[:at] + text[at + rng.randint(1, 8):]
+    return text
+
+
 def random_state(rng: random.Random, p, width=8):
     from snicheck.semantics import State
 

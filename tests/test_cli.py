@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -689,6 +690,21 @@ def test_sni_differential_script_finds_no_mismatch(tmp_path):
     assert r.stdout.startswith("40 programs, seed 3: 0 mismatches;")
 
 
+def test_ab_requests_script_compares_a_checkout_with_itself(tmp_path):
+    """The in-process A/B runs from any working directory with no
+    `PYTHONPATH`, imports the checkout twice under two package names and
+    finds its outputs equal."""
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(root / "scripts" / "ab_requests.py"), str(root), str(root),
+                        "--workload", "sni-search", "--seed", "1", "--requests", "6", "--repeats", "1"],
+                       capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert [line[:18] for line in lines[:2]] == ["A: verdicts_per_s ", "B: verdicts_per_s "]
+    assert lines[2].startswith("6 requests, sni-search seed 1, best of 1: ") and lines[2].endswith("; 0 differ")
+
+
 def test_sweep_corpus_script_runs_from_a_checkout(tmp_path):
     """The corpus sweep imports the package from the checkout it sits in, with
     no `PYTHONPATH` and from any working directory."""
@@ -698,3 +714,60 @@ def test_sweep_corpus_script_runs_from_a_checkout(tmp_path):
     assert r.returncode == 0, r.stderr
     verdicts = [line[46:].rsplit(None, 1)[0].strip() for line in r.stdout.splitlines()]
     assert verdicts == ["secure", "violation", "secure", "violation", "secure", "1 violation(s)", "secure", "pass", "fail", "pass"]
+
+
+def test_mutated_inputs_get_an_exit_code(tmp_path, rng, capsys):
+    """Corpus and random programs, states and register-allocation witnesses,
+    mutated around the characters their readers treat specially: every
+    command that reads them ends with exit code 0-3 and raises nothing."""
+    from conftest import mutate_text, random_program, random_state
+    from snicheck.ir import print_program
+    from snicheck.regalloc import AllocationInfeasible, allocate, serialize_ra_witness
+    from snicheck.semantics import format_initial_state
+
+    read = lambda name: corpus_path(name).read_text()
+    programs = [(read(f"{n}.sp"), read(f"{s}.init")) for n, s in [
+        ("code_ra_source", "code_ra"), ("code_ra_target", "code_ra"), ("code_dce_w2_source", "code_dce_w2"),
+        ("code_ra_w2_source", "code_ra_w2"), ("code_simplerv1", "code_simplerv1")]]
+    witnesses = [tuple(read(n) for n in ("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness"))]
+    for _ in range(12):
+        p = random_program(rng, n_instrs=rng.randint(3, 8), n_regs=3)
+        programs.append((print_program(p), format_initial_state(random_state(rng, p, width=1))))
+        try:
+            w = allocate(p, 2)
+        except AllocationInfeasible:
+            continue
+        witnesses.append((print_program(p), print_program(w.target), serialize_ra_witness(w)))
+    f = {name: tmp_path / name for name in ("p.sp", "s.init", "src.sp", "tgt.sp", "w.txt", "o1", "o2")}
+    small = ["--width", "1", "--bounds", "steps=6,depth=1"]
+    program_cmds = [
+        ["check-sni", f["p.sp"], "--state", f["s.init"], *small],
+        ["explore", f["p.sp"], "--state", f["s.init"], *small],
+        ["check-safe", f["p.sp"], "--state", f["s.init"], "--width", "1", "--steps", "8"],
+        ["dce", f["p.sp"], "--out", f["o1"], "--map-out", f["o2"]],
+        ["allocate", f["p.sp"], "--k", "2", "--out-target", f["o1"], "--out-witness", f["o2"]],
+    ]
+    ra = ["--source", f["src.sp"], "--target", f["tgt.sp"], "--witness", f["w.txt"]]
+    witness_cmds = [
+        ["validate-ra", *ra],
+        ["fix", *ra, "--out-target", f["o1"], "--out-witness", f["o2"]],
+        ["check-snippy", "--witness-kind", "ra", *ra, *small],
+    ]
+    codes = Counter()
+    for case in range(3000):
+        if case % 2:
+            texts = list(rng.choice(witnesses))
+            names, cmds = ("src.sp", "tgt.sp", "w.txt"), witness_cmds
+        else:
+            texts = list(rng.choice(programs))
+            names, cmds = ("p.sp", "s.init"), program_cmds
+        j = rng.randrange(len(texts))
+        texts[j] = mutate_text(rng, texts[j])
+        for name, text in zip(names, texts):
+            f[name].write_bytes(text.encode())  # read back in the locale's encoding
+        for argv in cmds:
+            code = main([str(a) for a in argv])
+            capsys.readouterr()
+            assert code in (0, 1, 2, 3), (argv, texts)
+            codes[code] += 1
+    assert codes[0] >= 1000 and codes[1] >= 50 and codes[2] >= 100, codes

@@ -104,6 +104,34 @@ def test_validate_unknown_successor_and_slots():
     assert len(diags) == 1 and "slot" in diags[0].message
 
 
+def test_validate_diagnostics_in_pc_order():
+    """The diagnostics without a pc come first, then those of instructions in
+    `pc_key` order, whatever order the instructions were inserted in; a pc
+    with two diagnostics keeps its successors first."""
+    p = ir.Program(
+        "nope",
+        {
+            "10": If("c", "gone", "lost"),
+            "9": Load("x", "nomem", 0, "missing"),
+            "a": Asgn("x", "x", "xor", "x", "10"),
+            "2.1": Fill("x", 3, "9"),
+            "3": Store("buf", 5, "x", "10"),
+        },
+        [ir.MemVar("buf", 2, "low"), ir.MemVar("stk", 1, "high")],
+    )
+    assert [str(d) for d in validate_program(p)] == [
+        "entry nope not defined",
+        "stk must be declared low",
+        "2.1: stack slot out of bounds: 3",
+        "3: const address out of bounds: buf[5]",
+        "9: unknown successor missing",
+        "9: unknown memvar nomem",
+        "10: unknown successor gone",
+        "10: unknown successor lost",
+        "a: unknown operator xor",
+    ]
+
+
 def test_validate_ok_and_exit_warning():
     p = parse_program("entry a\na: nop -> a\n")
     warnings = []

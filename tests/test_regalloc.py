@@ -1,3 +1,6 @@
+import re
+from collections import Counter
+
 import pytest
 
 from snicheck.ir import Fill, Program, Spill, parse_program, print_program
@@ -469,6 +472,38 @@ def test_witness_parse_errors(ra_source, ra_target):
         parse_ra_witness("phi: 0 -> nowhere\n", ra_source, ra_target)
     with pytest.raises(ValueError, match="malformed"):
         parse_ra_witness("rho z: bytes ->\n", ra_source, ra_target)
+
+
+def test_witness_line_grammar_reads_as_the_line_reader(monkeypatch, rng):
+    """A line the witness line grammar covers reads as the per-line reader
+    reads it: on mutated witnesses, including ones with other whitespace,
+    `parse_ra_witness` gives the same witness or the same error with the
+    grammar switched off."""
+    from snicheck import regalloc
+
+    from conftest import MUTATION_TOKENS, mutate_text
+
+    def parse(text, src, tgt):
+        try:
+            w = parse_ra_witness(text, src, tgt)
+        except ValueError as e:
+            return str(e)
+        return w.phi, w.rho
+
+    cases = [tuple(corpus_path(f"code_ra{v}{n}").read_text() for n in ("_source.sp", "_target.sp", ".witness"))
+             for v in ("", "_w2")]
+    cases = [(parse_program(s), parse_program(t), w) for s, t, w in cases]
+    tokens = (*MUTATION_TOKENS, " ", "\t", ":", "\u00a0", "0", "rho ", "phi: ")
+    kinds = Counter()
+    for _ in range(1500):
+        src, tgt, text = rng.choice(cases)
+        text = mutate_text(rng, text, tokens)
+        got = parse(text, src, tgt)
+        with monkeypatch.context() as m:
+            m.setattr(regalloc, "_WITNESS_LINE", re.compile("(?!)"))
+            assert parse(text, src, tgt) == got, text
+        kinds[isinstance(got, str)] += 1
+    assert kinds[True] >= 300 and kinds[False] >= 300, kinds
 
 
 _JOIN_SOURCE = "entry a\na: if c ? b : b\nb: ret\n"

@@ -358,19 +358,37 @@ def _check_against_references(p, base, b, width):
     return got, "packed"
 
 
+def _masked_secret(rng, p):
+    """`p` behind a prefix that reads the high cell into `x`, masks it
+    (`y = x and z` with `z = w sub w`, so `y` is 0) and then branches on `y`
+    or addresses `lo` with it.  The taint certificate refuses the prefix,
+    while every high assignment takes it alike, so the packed walk decides
+    the program unless `p` itself tells them apart."""
+    from snicheck import ir
+
+    use = rng.choice([ir.If("y", "m4", "m4"), ir.Load("v", "lo", "y", "m4"), ir.Store("lo", "y", "w", "m4")])
+    prefix = {"m0": ir.Load("x", "hi", 0, "m1"), "m1": ir.Asgn("z", "w", "sub", "w", "m2"),
+              "m2": ir.Asgn("y", "x", "and", "z", "m3"), "m3": use, "m4": ir.Nop(p.entry)}
+    return ir.Program("m0", {**prefix, **p.instrs}, p.memvars)
+
+
 def test_check_sni_shared_table_matches_fresh_pairs(rng):
-    """On random programs at widths 1-3, some with two high cells and some
-    with shuffle code, exhaustive `check_sni` (the taint certificate, else
-    the first pair, then one packed walk over a shared transition table,
-    then the remaining pairs if the walk finds a difference) agrees with
-    fresh table-free searches, and certifies at least 90% of the secure
-    programs with more than two high assignments."""
+    """On random programs at widths 1-3, some with two high cells, some with
+    shuffle code and some behind a masked secret, exhaustive `check_sni`
+    (the taint certificate, else the first pair, then one packed walk over a
+    shared transition table, then the remaining pairs if the walk finds a
+    difference) agrees with fresh table-free searches.  It certifies at
+    least 90% of the secure unmasked programs with more than two high
+    assignments, and the masked ones reach the packed walk."""
     kinds = Counter()
     for _ in range(500):
         hi_size = 2 if rng.random() < 0.25 else 1
         width = rng.randint(1, 3 if hi_size == 1 else 2)
         p = random_program(rng, n_instrs=rng.randint(4, 12), n_regs=2, allow_shuffle=rng.random() < 0.3,
                            hi_size=hi_size)
+        masked = rng.random() < 0.25
+        if masked:
+            p = _masked_secret(rng, p)
         base = random_state(rng, p, width=width)
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
         got, route = _check_against_references(p, base, b, width)
@@ -378,11 +396,12 @@ def test_check_sni_shared_table_matches_fresh_pairs(rng):
         kinds[route] += 1
         kinds["after the first pair"] += got.pairs_checked > 1 and not got.secure
         kinds["walked, truncated"] += got.secure and got.truncated > 0 and got.pairs_checked > 1
-        kinds["secure, N > 2"] += got.secure and got.pairs_checked > 1
+        kinds["secure, N > 2, unmasked"] += got.secure and got.pairs_checked > 1 and not masked
+        kinds["masked, " + route] += masked
     assert kinds["secure"] >= 100 and kinds["leak"] >= 20 and kinds["enabled"] >= 5, kinds
     assert kinds["after the first pair"] >= 3 and kinds["walked, truncated"] >= 50, kinds
-    assert kinds["packed"] + kinds["pair loop"] >= 5, kinds
-    assert kinds["certified"] >= 0.9 * kinds["secure, N > 2"], kinds
+    assert kinds["packed"] + kinds["pair loop"] >= 90 and kinds["masked, packed"] >= 80, kinds
+    assert kinds["certified"] >= 0.9 * kinds["secure, N > 2, unmasked"], kinds
 
 
 def test_check_sni_certifies_allocated_targets(rng):
