@@ -10,10 +10,11 @@ with two high cells or shuffle code, at widths 1-3), compares:
 - `check_sni_pair` on the first two high assignments, in both orders, with
   `ref_check_sni_pair`, field for field;
 - with more than two high assignments, `_walk` from the taint certificate's
-  start with `ref_taint_certify`, and `_walk` from the packed start (one
-  state, a lane per high assignment) with `ref_sni_walk`, the table-free
-  grouped walk: the cuts, or a difference on both sides; and a secure
-  verdict's `truncated` with the certificate's cuts, else the packed walk's.
+  start (one state with every high cell tainted 0) with `ref_taint_certify`,
+  and `_walk` from the packed start (one state, a lane per high assignment)
+  with `ref_sni_walk`, the table-free grouped walk: the cuts, or a
+  difference on both sides; and a secure verdict's `truncated` with the
+  certificate's cuts, else the packed walk's.
 
     python3 scripts/sni_differential.py --seed 1 --programs 5000
 
@@ -44,8 +45,16 @@ from conftest import (  # noqa: E402
     ref_taint_certify,
 )
 from snicheck.ir import print_program  # noqa: E402
-from snicheck.security import PairSource, _walk, check_sni, check_sni_pair, enumerate_high_states  # noqa: E402
-from snicheck.semantics import Bounds, pack, transition_table  # noqa: E402
+from snicheck.security import (  # noqa: E402
+    PairSource,
+    _walk,
+    _with_high,
+    check_sni,
+    check_sni_pair,
+    enumerate_high_states,
+    high_cells,
+)
+from snicheck.semantics import Bounds, pack, tainted, transition_table  # noqa: E402
 
 
 def cuts(walked):
@@ -73,7 +82,8 @@ def compare(p, base, b, width) -> tuple[list[str], str, str]:
     route = ""
     if len(states) > 2:
         table = transition_table(p, width)
-        certified = cuts(_walk(table, table.id(states[0]), b, p))
+        cells = high_cells(p)
+        certified = cuts(_walk(table, table.id(_with_high(base, cells, [tainted(0)] * len(cells))), b))
         ref = ref_taint_certify(p, states[0], b, width)
         if certified != ref:
             bad.append(f"certificate {certified}, reference {ref}")

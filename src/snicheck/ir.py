@@ -14,9 +14,9 @@ of ``lt``/``eq`` takes the T side when the comparison is *false*.
 register and successor fields and its memory access are declared.
 `Instr.successors`, `uses_defs`, `Kind.access`, `parse_program` and
 `print_program` are derived from it, and rewriters retarget or rename an
-instruction through its field lists.  Liveness, the taint certificate, the
-witness check of shuffles and the dead-code witness read a memory access
-through `Kind.access` alone.
+instruction through its field lists.  Liveness, the witness check of
+shuffles and the dead-code witness read a memory access through
+`Kind.access` alone; the taint certificate steps `semantics.transitions`.
 """
 
 from __future__ import annotations

@@ -13,20 +13,22 @@ compares their enabled directives at each node and their leaks on each step.
 A node is expanded again only when it comes back with more of the step budget
 left than at any earlier visit: what lies beyond it depends only on the node
 and that budget.  Branches cut by the step or depth bound are counted and
-make a secure verdict explicitly "secure up to bounds".  It has three starts:
+make a secure verdict explicitly "secure up to bounds".  It has three starts.
+The last two differ only in the values of their one start state: below the
+step cut, a question about a value that the runs it stands for may answer
+differently (`semantics.Divergent`) stops the walk.
 
 - `check_sni_pair`: the two states of a pair, in order.
-- The taint certificate: the high assignment with every high cell 0, with a
-  taint stack in which the high cells start tainted (Denning and Denning's
-  flow certification over the directive semantics).  If no tainted register
-  decides a branch or an address within the bounds, every assignment takes
-  the same directives with the same leaks.
+- The taint certificate: one state whose high cells hold a tainted 0
+  (`semantics.Tainted`), which stands for every high assignment (Denning
+  and Denning's flow certification, carried by the values).  If no tainted
+  value decides a branch or an address within the bounds, every assignment
+  takes the same directives with the same leaks.
 - The packed walk: all N high assignments as one state, a lane each
   (`semantics.pack`), stepped in lockstep.  In this semantics a branch leaks
   its condition and an access its address, so every question that the lanes
-  answer differently (`semantics.Divergent`) is a leak or an enabled set in
-  which two assignments differ.  A walk with no such question checks every
-  pair at once.
+  answer differently is a leak or an enabled set in which two assignments
+  differ.  A walk with no such question checks every pair at once.
 
 Exhaustive `check_sni` runs the certificate before it enumerates anything.
 A program it refuses has its N assignments enumerated, within `PAIR_BUDGET`,
@@ -41,8 +43,9 @@ of each, from a `semantics.transition_table`: every speculative state it
 meets is interned to a dense id whose row is filled when it is first
 expanded.  The memo and the stack hold ids, so a revisit hashes a few ints
 instead of stacks of states.  `check_sni` passes one table to every walk of
-a call: the certificate fills it first, and a refused program's probe and
-walk reuse its rows.  The table lives for one call.
+a call, so a state that two walks meet has its row filled once; the
+certificate's states hold tainted values, so it shares few with the others.
+The table lives for one call.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .ir import Exit, If, Program, Slh
+from .ir import Exit, If, Program
 from .semantics import (
     Bounds,
     D_IF,
@@ -66,6 +69,7 @@ from .semantics import (
     canonical,
     pack,
     step_spec,
+    tainted,
     transition_table,
     unpack,
     walk,
@@ -188,7 +192,7 @@ def check_sni_pair(
     return v
 
 
-def _walk(table: Interner, start: int | tuple, b: Bounds, taint: Program | None = None) -> tuple[int, tuple | None]:
+def _walk(table: Interner, start: int | tuple, b: Bounds) -> tuple[int, tuple | None]:
     """The bounded walk from `start` in `table`: the number of cuts, and
     None, or the directives to the first difference or refusal.
 
@@ -196,67 +200,39 @@ def _walk(table: Interner, start: int | tuple, b: Bounds, taint: Program | None 
     pair's memo is keyed by its joint state, which tells apart a pair whose
     states have swapped sides.  Per node, in this order: a leak difference
     on the step into it (so in preorder), the spec-depth cut, a difference
-    in the enabled sets, no directives, the step cut, the memo, the
-    children.
+    in the enabled sets or a `Divergent` row, no directives, the step cut,
+    the memo (keyed by the node alone), the children.
 
-    A one-id start without `taint` is packed: a lane per high assignment.
-    Each node is keyed by its state in `semantics.canonical` order, so that
-    one id stands for one set of members.  Every question that its lanes
-    answer differently is a leak or an enabled set that two members differ
-    in, so a `Divergent` row is a difference.  At the step cut only the
-    enabled sets are compared, so the node is split there by
-    `semantics.unpack`: a state's enabled directives are read off its top
-    frame, and each lane of the top frame gets its own row.
+    A one-id node stands for the runs its values hold: a lane each of a
+    packed value, every high assignment of a tainted one.  A `Divergent`
+    row is a leak or an enabled set that they may differ in: a difference,
+    or for a tainted node a refusal.  At the step cut only the enabled sets
+    count, so the node's top frame is split there by `semantics.unpack`
+    into its lanes, each with its own row; a tainted one unpacks to its
+    all-zero run alone.  A tainted row asks only about a branch condition,
+    which leaves the enabled set alone, or an address, which decides it:
+    at the cut a branch is cut and an address refuses.
 
-    With `taint`, the program of `table`, the walk carries a taint stack
-    beside one state, a packed int per frame over the registers and cells of
-    `taint`, whose high cells start tainted.  A step taints what it defines
-    iff it uses a tainted value; the cell a `load`/`fill` reads is a use and
-    the cell a `store`/`spill` writes a def: the in-bounds address, else the
-    directive's cell.  `slh` uses nothing while speculating, so it clears its
-    register.  `spec` pushes a copy of the top frame and `rb` pops it.  An
-    untainted value is then the same in every high assignment, and so are
-    the enabled directives and the leaks.  The walk refuses a tainted
-    address where it compares enabled sets, which a cut node has too, and a
-    tainted branch condition after the memo, since a branch leaks only when
-    it is expanded.  The memo keys (node, taint stack), so it can close a
-    cycle of states that the packed walk cuts at the step bound: then the
-    certificate counts fewer cuts."""
+    A packed node is keyed by its state in `semantics.canonical` order, so
+    one id stands for one set of members; a start without a packed value
+    skips that.  A tainted value keeps only its all-zero run, so the
+    certificate's memo can close a cycle that the packed walk cuts at the
+    step bound, and count fewer cuts."""
     states, row = table.values, table.row
     max_depth, max_steps = b.max_spec_depth, b.max_steps
-    packed = type(start) is int and taint is None
+    packed = type(start) is int and canonical((states[start],))[1] > 1
     canon: dict[int, int] = {}  # in a packed walk: id -> the id of its state in canonical order
     node = start[0] if type(start) is tuple and start[0] == start[1] else start
-    taints = None
-    if taint is not None:
-        regs = {r: 1 << k for k, r in enumerate(taint.registers)}
-        cells = {c: 1 << k for k, c in enumerate(taint.cells(), len(regs))}
-        # pc -> (address guard, branch guard, uses, uses while speculating,
-        # defs, `Kind.access` of the instruction)
-        rules = {}
-        for pc, i in taint.instrs.items():
-            addr = uses = defs = 0
-            for f in i.kind.uses:
-                r = getattr(i, f)
-                if f == "addr":
-                    addr = regs.get(r, 0)  # a `#n` address is no register
-                else:
-                    uses |= regs[r]
-            for f in i.kind.defs:
-                defs |= regs[getattr(i, f)]
-            branch = uses if isinstance(i, If) else 0
-            rules[pc] = addr, branch, uses, 0 if isinstance(i, Slh) else uses, defs, i.kind.access(i)
-        taints = (sum(cells[c] for c in high_cells(taint)), None)  # (top frame, the frames below)
     cuts = 0
-    seen: dict = {}  # node, or (node, taint stack) -> most steps left
-    # a stack of (node, taint stack, steps, directive, parent entry), children
-    # pushed in reverse: the recursive preorder without Python's recursion
-    # limit.  A pair's child whose two leaks differ is pushed as node None.
-    stack = [(node, taints, 0, None, None)]
+    seen: dict = {}  # node -> most steps left
+    # a stack of (node, steps, directive, parent entry), children pushed in
+    # reverse: the recursive preorder without Python's recursion limit.  A
+    # pair's child whose two leaks differ is pushed as node None.
+    stack = [(node, 0, None, None)]
     push = stack.append
     while stack:
         entry = stack.pop()
-        node, taints, steps, _, _ = entry
+        node, steps, _, _ = entry
         if node is None:
             break
         if type(node) is int:
@@ -270,16 +246,14 @@ def _walk(table: Interner, start: int | tuple, b: Bounds, taint: Program | None 
                 continue
             try:
                 dirs, succs = row(node)
-            except Divergent:  # a difference, unless the lanes' enabled sets agree at the step cut
-                if steps < max_steps or len({row(table.id(nu[:-1] + (top,)))[0] for top in unpack(nu[-1])}) > 1:
+            except Divergent:  # a difference or a refusal, unless at the step cut the enabled sets agree
+                if steps < max_steps:
+                    break
+                enabled = {row(table.id(nu[:-1] + (top,)))[0] for top in unpack(nu[-1])}
+                if len(enabled) > 1 or not packed and D_IF not in enabled.pop():
                     break
                 cuts += 1
                 continue
-            if taints is not None:
-                top, t = nu[-1], taints[0]
-                addr, branch, uses, spec_uses, defs, access = rules[top.pc]
-                if t & addr:
-                    break
         else:
             a, c = node
             if len(states[a]) > max_depth:
@@ -293,50 +267,23 @@ def _walk(table: Interner, start: int | tuple, b: Bounds, taint: Program | None 
         if steps >= max_steps:
             cuts += 1
             continue
-        key, left = node if taints is None else (node, taints), max_steps - steps
-        if seen.get(key, 0) >= left:
+        left = max_steps - steps
+        if seen.get(node, 0) >= left:
             continue
-        seen[key] = left
+        seen[node] = left
         steps += 1
-        if type(node) is not int:
-            for d, (a, l1), (c, l2) in zip(reversed(dirs), reversed(succs), reversed(succs2)):
-                push((None if l1 != l2 else a if a == c else (a, c), None, steps, d, entry))
-        elif taints is None:
+        if type(node) is int:
             for d, (j, _) in zip(reversed(dirs), reversed(succs)):
-                push((j, None, steps, d, entry))
+                push((j, steps, d, entry))
         else:
-            if t & branch:
-                break
-            if len(nu) > 1:
-                uses = spec_uses
-            below = taints[1]
-            for d, (j, _) in zip(reversed(dirs), reversed(succs)):
-                if d.kind == "rb":
-                    nxt = below
-                elif d.kind == "spec":
-                    nxt = (t, taints)
-                elif d.kind == "if":
-                    nxt = taints
-                else:
-                    u, w = uses, defs
-                    if access:
-                        var, a, reads = access
-                        if d.var:
-                            var, a = d.var, d.off
-                        elif not isinstance(a, int):
-                            a = top.reg(a)
-                        if reads:
-                            u |= cells[var, a]
-                        else:
-                            w |= cells[var, a]
-                    nxt = ((t | w) if t & u else (t & ~w), below)
-                push((j, nxt, steps, d, entry))
+            for d, (a, l1), (c, l2) in zip(reversed(dirs), reversed(succs), reversed(succs2)):
+                push((None if l1 != l2 else a if a == c else (a, c), steps, d, entry))
     else:
         return cuts, None
     dirs = []  # the directives from the start to `entry`, by its parent links
-    while entry[4] is not None:
-        dirs.append(entry[3])
-        entry = entry[4]
+    while entry[3] is not None:
+        dirs.append(entry[2])
+        entry = entry[3]
     return cuts, tuple(reversed(dirs))
 
 
@@ -418,7 +365,7 @@ def check_sni(
         cells = high_cells(p)
         n = 1 << (len(cells) * width)
         if n > 2:
-            cuts, refused = _walk(table, table.id(_with_high(base, cells, [0] * len(cells))), b, p)
+            cuts, refused = _walk(table, table.id(_with_high(base, cells, [tainted(0)] * len(cells))), b)
             if refused is None:
                 return SniVerdict("secure", b, cuts, pairs_checked=math.comb(n, 2))
         states = enumerate_high_states(p, base, width)

@@ -41,6 +41,14 @@ Every other question about a packed value (a branch condition, an address, a
 leak, a comparison, truth, arithmetic) has one answer only when all lanes
 give it, and raises `Divergent` otherwise, so a step that would send the
 lanes apart stops instead.  Each packed operation costs O(lanes).
+
+A value may instead be tainted (`Tainted`): it may differ between the high
+assignments of one low state, and only its value under the all-zero one is
+kept.  `eval_op` keeps a result with a tainted operand tainted, even
+`x and 0`, and every other question about it raises `Divergent`.  A state
+whose high cells start tainted 0 then stands for every high assignment, as
+long as no step asks: stepping it is Denning and Denning's flow
+certification, with the taint carried frame by frame in the values.
 """
 
 from __future__ import annotations
@@ -77,7 +85,8 @@ DEFAULT_WIDTH = 8
 
 
 class Divergent(Exception):
-    """A question about a packed value that its lanes answer differently."""
+    """A question about a packed or tainted value that its runs may answer
+    differently."""
 
 
 def _answer(answers):
@@ -88,16 +97,30 @@ def _answer(answers):
     return seen.pop()
 
 
-def _no_arithmetic(*_):
-    raise Divergent("arithmetic on a packed value outside eval_op")
+def _no_answer(*_):
+    raise Divergent("a question about a value that may differ between runs")
 
 
-class Lanes(tuple):
+class _Relational:
+    """A value that stands for one int per run: every question about it
+    raises Divergent, and arithmetic always does, since only `eval_op`
+    computes such results."""
+
+    __slots__ = ()
+    __eq__ = __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __bool__ = _no_answer
+    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _no_answer
+    __floordiv__ = __rfloordiv__ = __truediv__ = __rtruediv__ = __mod__ = __rmod__ = _no_answer
+    __pow__ = __rpow__ = __divmod__ = __rdivmod__ = _no_answer
+    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _no_answer
+    __lshift__ = __rlshift__ = __rshift__ = __rrshift__ = _no_answer
+    __neg__ = __pos__ = __abs__ = __invert__ = __int__ = __index__ = __float__ = _no_answer
+
+
+class Lanes(_Relational, tuple):
     """A packed value: one int per lane, never all equal (`lanes` returns the
     plain int then).  It hashes and compares as its tuple of ints, so states
     holding it intern like any other.  A comparison or `bool` answers for
-    every lane at once, or raises Divergent; arithmetic always raises, since
-    only `eval_op` computes packed results."""
+    every lane at once, or raises Divergent."""
 
     __slots__ = ()
     __hash__ = tuple.__hash__
@@ -130,15 +153,32 @@ class Lanes(tuple):
     def __bool__(self):
         return _answer(map(bool, self))
 
-    __add__ = __radd__ = __sub__ = __rsub__ = __mul__ = __rmul__ = _no_arithmetic
-    __floordiv__ = __rfloordiv__ = __truediv__ = __rtruediv__ = __mod__ = __rmod__ = _no_arithmetic
-    __pow__ = __rpow__ = __divmod__ = __rdivmod__ = _no_arithmetic
-    __and__ = __rand__ = __or__ = __ror__ = __xor__ = __rxor__ = _no_arithmetic
-    __lshift__ = __rlshift__ = __rshift__ = __rrshift__ = _no_arithmetic
-    __neg__ = __pos__ = __abs__ = __invert__ = __int__ = __index__ = __float__ = _no_arithmetic
-
     def __repr__(self):
         return f"Lanes({tuple.__repr__(self)})"
+
+
+class Tainted(_Relational):
+    """A tainted value: `value` is its value under the all-zero high
+    assignment, and it answers no question.  It hashes and compares by
+    identity, and `tainted` makes one object per value, so states holding
+    equal tainted values are equal."""
+
+    __slots__ = ("value",)
+    __hash__ = object.__hash__
+
+    def __init__(self, value: int):
+        self.value = value
+
+    def __repr__(self):
+        return f"Tainted({self.value})"
+
+
+@lru_cache(maxsize=4096)
+def tainted(v: int) -> Tainted:
+    """The tainted value `v`.  The cache is bounded like the leakages': an
+    evicted value comes back as a new object, which costs a search only a
+    second id for a state it has met."""
+    return Tainted(v)
 
 
 def lanes(vals) -> int | Lanes:
@@ -152,10 +192,10 @@ _OPS = {"add": add, "sub": sub, "mul": mul, "lt": lt, "eq": eq, "and": and_, "or
 
 
 def eval_op(op: str, a: int, b: int, width: int) -> int:
-    """`a op b` on words of `width` bits.  A packed operand makes the plain
-    code raise Divergent (a comparison whose lanes agree answers instead,
-    which is the lane-wise result), and the result is then computed lane by
-    lane."""
+    """`a op b` on words of `width` bits.  A packed or tainted operand makes
+    the plain code raise Divergent (a comparison whose lanes agree answers
+    instead, which is the lane-wise result).  A result with a tainted
+    operand is then tainted, and a packed one is computed lane by lane."""
     mask = (1 << width) - 1
     try:
         if op == "add":
@@ -173,6 +213,9 @@ def eval_op(op: str, a: int, b: int, width: int) -> int:
         if op == "or":
             return a | b
     except Divergent:
+        if a.__class__ is Tainted or b.__class__ is Tainted:
+            a, b = (v.value if v.__class__ is Tainted else v for v in (a, b))
+            return tainted(eval_op(op, a, b, width))
         n = len(a if type(a) is Lanes else b)
         vals = map(_OPS[op], a if type(a) is Lanes else repeat(a, n), b if type(b) is Lanes else repeat(b, n))
         if op in ("add", "sub", "mul"):
@@ -191,10 +234,11 @@ def _splice(items: tuple, k, v: int) -> tuple:
 
     Only the entry for k is new; every other (key, value) pair is shared with
     `items`, so states along a search share their register and cell pairs.
-    A packed value is never all zeros, so it is kept without asking it."""
+    A packed value is never all zeros, and a tainted one is kept even as 0,
+    so neither is asked."""
     i = bisect_left(items, k, key=_key)
     hit = i < len(items) and items[i][0] == k
-    if v.__class__ is not Lanes and v == 0:
+    if v.__class__ is not Lanes and v.__class__ is not Tainted and v == 0:
         return items[:i] + items[i + 1:] if hit else items
     return items[:i] + ((k, v),) + items[i + hit:]
 
@@ -209,8 +253,8 @@ class State(NamedTuple):
     def make(pc: Pc, regs: dict[Reg, int] | None = None, mem: dict[tuple[str, int], int] | None = None) -> "State":
         return State(
             pc,
-            tuple(sorted((r, v) for r, v in (regs or {}).items() if v.__class__ is Lanes or v != 0)),
-            tuple(sorted((c, v) for c, v in (mem or {}).items() if v.__class__ is Lanes or v != 0)),
+            tuple(sorted((r, v) for r, v in (regs or {}).items() if isinstance(v, _Relational) or v != 0)),
+            tuple(sorted((c, v) for c, v in (mem or {}).items() if isinstance(v, _Relational) or v != 0)),
         )
 
     def reg(self, r: Reg) -> int:
@@ -262,11 +306,13 @@ def _pack_items(per_lane: list[tuple]) -> tuple:
 
 def unpack(s: State) -> list[State]:
     """The inverse of `pack`: one plain state per lane of `s`, zeros dropped,
-    or `[s]` when `s` holds no packed value."""
+    or the one state of `s` when it holds no packed value, where a tainted
+    value is its value under the all-zero high assignment."""
     n = next((len(v) for items in (s.regs, s.mem) for _, v in items if v.__class__ is Lanes), 1)
 
     def lane(items: tuple, i: int) -> tuple:
-        vals = [(k, v[i] if v.__class__ is Lanes else v) for k, v in items]
+        vals = [(k, v[i] if v.__class__ is Lanes else v.value if v.__class__ is Tainted else v)
+                for k, v in items]
         return tuple([(k, v) for k, v in vals if v != 0])
 
     return [State(s.pc, lane(s.regs, i), lane(s.mem, i)) for i in range(n)]
@@ -362,13 +408,14 @@ L_RB = Leakage("rb")
 # one object per (kind, value): the search tables keep many leakages alive.
 # A run sees few distinct values; the bound keeps a long-lived process with
 # wide words from growing the caches without end.  The attacker sees one
-# value, so a packed one is a question its lanes answer differently: it raises
-# (in the body, which a packed value always reaches, since it is never cached).
+# value, so a packed or tainted one is a question its runs may answer
+# differently: it raises (in the body, which such a value always reaches,
+# since it is never cached).
 
 
 def _leak(kind: str, v: int) -> Leakage:
-    if v.__class__ is Lanes:
-        raise Divergent(f"{kind} leaks a packed value")
+    if isinstance(v, _Relational):
+        raise Divergent(f"{kind} leaks a packed or tainted value")
     return Leakage(kind, v)
 
 

@@ -398,11 +398,12 @@ def ref_sni_walk(p, base, b, width=8):
 
 
 def ref_taint_certify(p, nu0, b, width=8):
-    """`security._certify` without a table or packed taint: each frame's
-    taint is a set of register names and cells, changed by one match arm per
-    instruction kind, and the states are stepped by `ref_transitions`.  The
-    number of cuts, or None when a tainted register is a branch condition
-    or a load/store address."""
+    """The taint certificate of `security.check_sni` (a `security._walk`
+    from a state whose high cells hold a tainted 0) without a table or
+    tainted values: each frame's taint is a set of register names and cells,
+    changed by one match arm per instruction kind, and the states are
+    stepped by `ref_transitions`.  The number of cuts, or None when a
+    tainted register is a branch condition or a load/store address."""
     from snicheck.ir import STACK_VAR, Asgn, Fill, If, Load, Move, Slh, Spill, Store
     from snicheck.security import high_cells
 

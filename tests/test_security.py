@@ -7,19 +7,24 @@ from snicheck.ir import Fill, Spill, parse_program
 from snicheck.security import (
     PairSource,
     _walk,
+    _with_high,
     check_safety,
     check_sni,
     check_sni_pair,
     enumerate_high_states,
+    high_cells,
     low_equivalent,
 )
 from snicheck.semantics import (
+    D_STEP,
     Bounds,
     State,
+    Tainted,
     explore_behaviors,
     initial,
     pack,
     run_directives,
+    tainted,
     transition_table,
     unpack,
 )
@@ -342,7 +347,8 @@ def _check_against_references(p, base, b, width):
     if len(states) <= 2:
         return got, "two states"
     table = transition_table(p, width)
-    certified = _cuts(_walk(table, table.id(states[0]), b, p))
+    cells = high_cells(p)
+    certified = _cuts(_walk(table, table.id(_with_high(base, cells, [tainted(0)] * len(cells))), b))
     assert certified == ref_taint_certify(p, states[0], b, width)
     walked = _cuts(_walk(table, table.id((pack([s for s, in states]),)), b))
     assert walked == ref_sni_walk(p, base, b, width)
@@ -546,13 +552,13 @@ def test_check_sni_keeps_no_state_between_calls(rng):
 
 
 def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
-    """`code_specv1.sp` at width 1 has 512 high assignments, and one
-    taint-labelled run decides all 130,816 pairs with neither a probe pair
-    nor the packed walk.  A secure program whose taint reaches a branch
-    (`y` is `x and 0`) is refused: one probe pair, then one walk from a
-    packed start of 4 lanes decides the rest.  `code_ra_target.sp` at width
-    12 is refused too, leaks at the probe and never packs its 4,096
-    states."""
+    """`code_specv1.sp` at width 1 has 512 high assignments, and one walk
+    from a state with its high cells tainted decides all 130,816 pairs with
+    neither a probe pair nor the packed walk.  A secure program whose taint
+    reaches a branch (`y` is `x and 0`) is refused: one probe pair, then one
+    walk from a packed start of 4 lanes decides the rest.
+    `code_ra_target.sp` at width 12 is refused too, leaks at the probe and
+    never packs its 4,096 states."""
     from snicheck import security
 
     def not_called(*args):
@@ -560,20 +566,21 @@ def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
 
     walks = []
 
-    def walking(table, start, b, taint=None):
+    def walking(table, start, b):
         if type(start) is tuple:
             walks.append("pair")
+        elif any(type(v) is Tainted for f in table.values[start] for _, v in f.mem):
+            walks.append("certificate")
         else:
-            lanes = [len(unpack(f)) for f in table.values[start]]
-            walks.append(("certificate" if taint is not None else "packed", *lanes))
-        return _walk(table, start, b, taint)
+            walks.append(("packed", *[len(unpack(f)) for f in table.values[start]]))
+        return _walk(table, start, b)
 
     monkeypatch.setattr(security, "check_sni_pair", not_called)
     monkeypatch.setattr(security, "_walk", walking)
     p = load_program("code_specv1.sp")
     v = check_sni(p, load_state("code_specv1.init", p, 1), PairSource("exhaustive"), Bounds(32, 3), 1)
     assert v.secure and v.truncated > 0 and v.pairs_checked == 130_816
-    assert walks == [("certificate", 1)]
+    assert walks == ["certificate"]
 
     probes = []
 
@@ -587,13 +594,63 @@ def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
     v = check_sni(p, initial(p), PairSource("exhaustive"), Bounds(8, 2), 2)
     assert v.secure and v.pairs_checked == 6
     assert probes == [tuple(enumerate_high_states(p, initial(p), 2)[:2])]
-    assert walks == [("certificate", 1), "pair", ("packed", 4)]
+    assert walks == ["certificate", "pair", ("packed", 4)]
 
     walks.clear()
     p = load_program("code_ra_target.sp")
     v = check_sni(p, load_state("code_ra.init", p, 12), PairSource("exhaustive"), Bounds(32, 3), 12)
     assert not v.secure and v.pairs_checked == 1 and len(probes) == 2
-    assert walks == [("certificate", 1), "pair"]
+    assert walks == ["certificate", "pair"]
+
+
+# `x` holds the secret at `b`, which is exactly at the step cut of Bounds(1, 2)
+TAINTED_AT_THE_CUT = "mem h 1 high\nmem l 4 low\nentry a\na: load x <- h[#0] -> b\nb: {use}\nc: ret\n"
+
+
+def test_certificate_at_the_step_cut():
+    """At the step cut only the enabled sets are compared.  A branch's are
+    the same whatever its condition, so a tainted branch there is a cut and
+    the program is certified.  A tainted address decides whether a load is
+    in bounds, so the certificate refuses it there, as its reference does,
+    although every address is in bounds of `l` at width 2: the packed walk
+    then finds the program secure."""
+    b = Bounds(1, 2)
+    for use, want, route in (("if x ? c : c", (1, None), "certified"),
+                             ("load y <- l[x] -> c", (0, (D_STEP,)), "packed")):
+        p = parse_program(TAINTED_AT_THE_CUT.format(use=use))
+        table = transition_table(p, 2)
+        walked = _walk(table, table.id((State.make("a", mem={("h", 0): tainted(0)}),)), b)
+        assert walked == want and _cuts(walked) == ref_taint_certify(p, initial(p), b, 2)
+        v, got = _check_against_references(p, initial(p), b, 2)
+        assert got == route and (v.kind, v.truncated) == ("secure", 1)
+
+
+# `y` and `z` are computed apart but hold one tainted value, so the
+# out-of-bounds `load w <- l[i]` reaches one state by `load a 0` and by
+# `load a 1`
+RECOMPUTED = """mem h 1 high
+mem l 2 low
+mem a 2 low
+entry 0
+0: load x <- h[#0] -> 1
+1: y = x add c -> 2
+2: store a[#0] <- y -> 3
+3: z = x add c -> 4
+4: store a[#1] <- z -> 5
+5: load w <- l[i] -> 6
+6: nop -> 7
+7: nop -> 8
+8: ret
+"""
+
+
+def test_certificate_merges_equal_tainted_values():
+    """Equal tainted values are one value however they were computed, so
+    the certificate expands the state after `load a 0` and `load a 1` once,
+    and counts the cuts below it once, as its reference does."""
+    p = parse_program(RECOMPUTED)
+    v, route = _check_against_references(p, (State.make("0", {"c": 1, "i": 2}),), Bounds(7, 1), 2)
+    assert route == "certified" and v.truncated == 3
 
 
 SLH_GUARDED = """mem a 2 low

@@ -14,6 +14,7 @@ from snicheck.semantics import (
     Lanes,
     Leakage,
     State,
+    Tainted,
     canonical,
     d_load,
     d_store,
@@ -31,6 +32,8 @@ from snicheck.semantics import (
     parse_initial_state,
     run_directives,
     step_spec,
+    tainted,
+    transition_table,
     transitions,
     unpack,
 )
@@ -796,3 +799,68 @@ def test_packed_transitions_step_every_lane(rng, width):
             k = rng.randrange(len(got))
             nu, members = got[k][1], [ts[k][1] for ts in want]
     assert seen["steps"] >= 1500 and seen["divergent"] >= 10 and seen["packed steps"] >= 100, seen
+
+
+# --- tainted values -----------------------------------------------------------
+
+
+def test_every_question_about_a_tainted_value_raises_divergent():
+    """A tainted value may differ between the runs it stands for, so it
+    answers no question: not even one about itself, or one that every value
+    of it would answer alike."""
+    t, u = tainted(0), tainted(1)
+    for question in (lambda: bool(t), lambda: t == 0, lambda: t != 1, lambda: t < 1, lambda: t <= 0,
+                     lambda: t > 0, lambda: t >= 0, lambda: 0 == t, lambda: t == t, lambda: t == u,
+                     lambda: t + 1, lambda: 1 - t, lambda: t & 0, lambda: u | 1, lambda: -t,
+                     lambda: [0, 1][t], lambda: int(t), lambda: l_if(t), lambda: l_load(u), lambda: l_store(u)):
+        with pytest.raises(Divergent):
+            question()
+    p = parse_program("mem a 2 low\nentry 0\n0: if c ? 1 : 1\n1: load x <- a[c] -> 2\n"
+                      "2: store a[c] <- x -> 3\n3: ret\n")
+    for pc in "012":
+        with pytest.raises(Divergent):
+            transitions(p, (State.make(pc, {"c": t}),))
+    # a tainted value that no question reaches is only carried along
+    assert [d for d, _, _ in transitions(p, (State.make("1", {"x": t}),))] == [D_STEP]
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "lt", "eq", "and", "or"])
+def test_eval_op_keeps_a_tainted_result(op):
+    """Every operator with a tainted operand gives a tainted result, holding
+    the plain result of the values: also `x and 0`, which every run of x
+    takes to 0, and `eq` of two tainted operands, which may differ between
+    runs even where their values agree."""
+    for a, b in ((tainted(3), 2), (2, tainted(3)), (tainted(3), tainted(3)), (tainted(3), 0), (0, tainted(3))):
+        got = eval_op(op, a, b, 2)
+        plain = [v.value if type(v) is Tainted else v for v in (a, b)]
+        assert type(got) is Tainted and got.value == eval_op(op, *plain, 2), (op, a, b)
+    assert eval_op("and", tainted(3), 0, 2) is tainted(0)
+    with pytest.raises(ValueError):
+        eval_op("div", tainted(1), 1, 8)
+
+
+def test_a_tainted_zero_is_kept():
+    """A tainted 0 is not a 0 that may be dropped: some run may hold another
+    value.  Writing a plain 0 over it drops the entry."""
+    t = tainted(0)
+    s = State.make("0", {"x": t, "y": 0}, {("h", 0): t, ("h", 1): 0})
+    assert s.regs == (("x", t),) and s.mem == ((("h", 0), t),)
+    assert s.with_reg("y", t).reg("y") is t and s.with_cell("h", 1, t).cell("h", 1) is t
+    assert s.with_reg("x", 0).regs == () and s.with_cell("h", 0, 0).mem == ()
+    assert unpack(s) == [State.make("0")]
+
+
+def test_equal_tainted_values_intern_to_one_id():
+    """Two computations of one tainted value give one object, so their
+    states intern to one id of a `transition_table`, and a plain value or a
+    tainted other value to another."""
+    p = parse_program("mem h 1 high\nentry 0\n0: x = y add c -> 1\n1: ret\n")
+    table = transition_table(p, 8)
+    one = eval_op("add", tainted(1), 2, 8)
+    other = eval_op("sub", eval_op("mul", tainted(5), 1, 8), 2, 8)
+    assert one is other is tainted(3)
+    regs, mem = {"y": tainted(1), "c": 2}, {("h", 0): tainted(0)}
+    ids = [table.id((State.make("1", {**regs, "x": v}, mem),)) for v in (one, other, 3, tainted(4))]
+    assert ids[0] == ids[1] and len(set(ids)) == 3
+    # a step that computes it again reaches that id
+    assert table.row(table.id((State.make("0", regs, mem),)))[1][0][0] == ids[0]
