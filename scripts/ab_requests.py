@@ -18,7 +18,10 @@ the files a request writes must be equal byte for byte.
 Prints one line per checkout with `verdicts_per_s` (requests over the sum of
 their best times), the median and the 90th percentile of the best times,
 then the change from A to B in percent (positive is better for B), and the
-number of requests whose outputs differ.  Exits 1 on any difference.
+number of requests whose outputs differ; then, for each kind of request
+(`Request.kind`, such as `sni-exhaustive` or `explore`), its count and both
+sides' `verdicts_per_s` with the change, which shows the kinds a saving
+lands on.  Exits 1 on any difference.
 """
 
 import argparse
@@ -110,6 +113,12 @@ def main(argv=None) -> int:
     print(f"{len(best[0])} requests, {args.workload} seed {args.seed}, best of {args.repeats}: "
           f"verdicts_per_s {100 * (rate_b / rate_a - 1):+.1f}%, p50 {100 * (1 - p50_b / p50_a):+.1f}%, "
           f"p90 {100 * (1 - p90_b / p90_a):+.1f}%; {differ} differ")
+    kinds = [req.kind for req in wl.requests]
+    for kind in sorted(set(kinds)):
+        times = [[t for t, k in zip(side, kinds) if k == kind] for side in best]
+        rate_a, rate_b = (len(ts) / sum(ts) for ts in times)
+        print(f"  {kind}: {kinds.count(kind)} requests, verdicts_per_s A {rate_a:.2f}, B {rate_b:.2f}, "
+              f"{100 * (rate_b / rate_a - 1):+.1f}%")
     return 1 if differ else 0
 
 

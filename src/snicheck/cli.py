@@ -171,7 +171,7 @@ def cmd_check_sni(args) -> int:
         src = security.PairSource("sampled", count=args.pairs, seed=args.seed or 0)
     else:
         # a certified program counts C(2**bits, 2) pairs, which must print
-        cells, limit = len(security.high_cells(p)), sys.get_int_max_str_digits()
+        cells, limit = len(security.high_cells(p)), getattr(sys, "get_int_max_str_digits", lambda: 0)()
         bits = cells * args.width
         if limit and (2 * bits - 1) * math.log10(2) >= limit:
             raise ValueError(f"{cells} high cells at width {args.width} are {bits} bits, and C(2**{bits}, 2) pairs "
@@ -371,58 +371,64 @@ def cmd_demo_codera(args) -> int:
     return 0 if ok else 1
 
 
+# flag name: argparse keyword arguments of the flag
+FLAGS = {
+    "--state": dict(help="initial-state file"),
+    "--state2": dict(help="second initial-state file (explicit pair)"),
+    "--pairs": dict(type=pair_count, default="exhaustive", help="exhaustive | random:<n>, n >= 1"),
+    "--seed": dict(type=int, help="seed of --pairs random:<n> (default 0)"),
+    "--width": dict(type=positive_int, default=DEFAULT_WIDTH),
+    "--bounds": dict(type=_parse_bounds, default=Bounds(32, 3), help="steps=<n>,depth=<n>"),
+    "--steps": dict(type=positive_int, default=32, help="step bound of the run"),
+    "--directives": {},
+    "--out": {},
+    "--map-out": {},
+    "--exit-fact": dict(choices=("full", "cells"), default="full"),
+    "--k": dict(type=int, required=True),
+    "--out-target": {},
+    "--out-witness": {},
+    "--witness-kind": dict(choices=("dce", "ra"), required=True),
+    "--source": dict(required=True),
+    "--target": dict(required=True),
+    "--witness": dict(required=True),
+    "--format": dict(choices=("text", "json"), default="text"),
+}
+
+# command name: (handler, positional, flags).  Every command also takes
+# `--format`.  A flag ending in `?` is optional where FLAGS makes it
+# required, and `a|b` makes two flags exclude each other.
+COMMANDS = {
+    "run": (cmd_run, "program", ("--state", "--width", "--directives")),
+    "explore": (cmd_explore, "program", ("--state", "--width", "--bounds")),
+    "check-safe": (cmd_check_safe, "program", ("--state", "--width", "--steps")),
+    "check-sni": (cmd_check_sni, "program", ("--state", "--width", "--bounds", "--state2|--pairs", "--seed")),
+    "dce": (cmd_dce, "program", ("--out", "--map-out")),
+    "liveness": (cmd_liveness, "program", ("--exit-fact",)),
+    "allocate": (cmd_allocate, "program", ("--k", "--out-target", "--out-witness")),
+    "validate-ra": (cmd_validate_ra, None, ("--source", "--target", "--witness")),
+    "product-run": (cmd_product_run, None,
+                    ("--source", "--target", "--witness", "--state", "--width", "--directives")),
+    "poison-analyze": (cmd_poison_analyze, None, ("--source", "--target", "--witness")),
+    "check-typable": (cmd_check_typable, None, ("--source", "--target", "--witness")),
+    "fix": (cmd_fix, None, ("--source", "--target", "--witness", "--out-target", "--out-witness")),
+    "check-sim": (cmd_check_sim, None,
+                  ("--witness-kind", "--source", "--target?", "--witness?", "--state", "--width", "--bounds")),
+    "check-snippy": (cmd_check_snippy, None,
+                     ("--witness-kind", "--source", "--target?", "--witness?", "--state", "--width", "--bounds")),
+    "demo-codera": (cmd_demo_codera, None, ()),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once: building it costs far more than a
-    `parse_args` call, and parsing leaves it unchanged.
-
-    Each subcommand takes exactly the flags its handler reads, plus
-    `--format`.  A flag ending in `?` is optional where the flag table makes
-    it required, and `a|b` makes two flags exclude each other."""
-    flags = {
-        "--state": dict(help="initial-state file"),
-        "--state2": dict(help="second initial-state file (explicit pair)"),
-        "--pairs": dict(type=pair_count, default="exhaustive", help="exhaustive | random:<n>, n >= 1"),
-        "--seed": dict(type=int, help="seed of --pairs random:<n> (default 0)"),
-        "--width": dict(type=positive_int, default=DEFAULT_WIDTH),
-        "--bounds": dict(type=_parse_bounds, default=Bounds(32, 3), help="steps=<n>,depth=<n>"),
-        "--steps": dict(type=positive_int, default=32, help="step bound of the run"),
-        "--directives": {},
-        "--out": {},
-        "--map-out": {},
-        "--exit-fact": dict(choices=("full", "cells"), default="full"),
-        "--k": dict(type=int, required=True),
-        "--out-target": {},
-        "--out-witness": {},
-        "--witness-kind": dict(choices=("dce", "ra"), required=True),
-        "--source": dict(required=True),
-        "--target": dict(required=True),
-        "--witness": dict(required=True),
-        "--format": dict(choices=("text", "json"), default="text"),
-    }
-    start, ra = ("--state", "--width"), ("--source", "--target", "--witness")
-    search = (*start, "--bounds")
-    sim = ("--witness-kind", "--source", "--target?", "--witness?", *search)
-    commands = {  # name: (handler, positional, flags)
-        "run": (cmd_run, "program", (*start, "--directives")),
-        "explore": (cmd_explore, "program", search),
-        "check-safe": (cmd_check_safe, "program", (*start, "--steps")),
-        "check-sni": (cmd_check_sni, "program", (*search, "--state2|--pairs", "--seed")),
-        "dce": (cmd_dce, "program", ("--out", "--map-out")),
-        "liveness": (cmd_liveness, "program", ("--exit-fact",)),
-        "allocate": (cmd_allocate, "program", ("--k", "--out-target", "--out-witness")),
-        "validate-ra": (cmd_validate_ra, None, ra),
-        "product-run": (cmd_product_run, None, (*ra, *start, "--directives")),
-        "poison-analyze": (cmd_poison_analyze, None, ra),
-        "check-typable": (cmd_check_typable, None, ra),
-        "fix": (cmd_fix, None, (*ra, "--out-target", "--out-witness")),
-        "check-sim": (cmd_check_sim, None, sim),
-        "check-snippy": (cmd_check_snippy, None, sim),
-        "demo-codera": (cmd_demo_codera, None, ()),
-    }
+    """The argument parser of COMMANDS and FLAGS, built once: building it
+    costs far more than a `parse_args` call, and parsing leaves it unchanged.
+    `_parse` reads a well-formed command line without it; the parser is the
+    one source of help, usage and error text, and reads every other form it
+    accepts (`--flag=value`, unambiguous abbreviations, a repeated flag)."""
     ap = argparse.ArgumentParser(prog="snicheck", description="speculative non-interference toolkit")
     sub = ap.add_subparsers(dest="cmd", required=True)
-    for name, (fn, positional, names) in commands.items():
+    for name, (fn, positional, names) in COMMANDS.items():
         sp = sub.add_parser(name)
         sp.set_defaults(fn=fn)
         if positional:
@@ -430,31 +436,65 @@ def build_parser() -> argparse.ArgumentParser:
         for group in (*names, "--format"):
             into = sp.add_mutually_exclusive_group() if "|" in group else sp
             for flag in group.split("|"):
-                opts = flags[flag.rstrip("?")]
+                opts = FLAGS[flag.rstrip("?")]
                 into.add_argument(flag.rstrip("?"), **((opts | {"required": False}) if flag.endswith("?") else opts))
     return ap
 
 
-@functools.cache
-def _subcommands() -> dict[str, argparse.ArgumentParser]:
-    """`build_parser()`'s subparsers by command name."""
-    return next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+def _read_args(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` gives, read straight
+    from COMMANDS and FLAGS, or None unless `argv` has this one form: a known
+    command; its exact flag names, each at most once and followed by a value
+    that does not start with `-`; its positional, where it takes one; every
+    required flag, and at most one flag of each `a|b` group.  A value that
+    its flag's type or choices refuse also gives None."""
+    fn, positional, groups = COMMANDS[argv[0]]
+    given = {}
+    rest = iter(argv[1:])
+    for arg in rest:
+        if arg[:1] != "-":
+            arg, value = positional, arg
+        else:
+            value = next(rest, "-")
+        if arg is None or arg in given or value[:1] == "-":
+            return None
+        given[arg] = value
+    args = {"cmd": argv[0], "fn": fn}
+    if positional:
+        if positional not in given:
+            return None
+        args[positional] = given.pop(positional)
+    for group in (*groups, "--format"):
+        flags = group.split("|")
+        if len(flags) > 1 and sum(flag.rstrip("?") in given for flag in flags) > 1:
+            return None
+        for flag in flags:
+            name = flag.rstrip("?")
+            opts = FLAGS[name]
+            value = given.pop(name, None)
+            if value is None:
+                if name == flag and opts.get("required"):
+                    return None
+                value = opts.get("default")
+            if isinstance(value, str):  # a given value, or a default that argparse converts
+                try:
+                    value = opts.get("type", str)(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+                if "choices" in opts and value not in opts["choices"]:
+                    return None
+            args[name[2:].replace("-", "_")] = value
+    return None if given else argparse.Namespace(**args)
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)`.  A known command's arguments go
-    straight to its subparser, which is what the top-level parser would do
-    after finding the command, and is cheaper; arguments it does not take are
-    refused by the top-level parser, as they would be.  Anything else (no
-    argv, `-h`, an unknown command) goes through the top-level parser."""
-    ap = build_parser()
-    sub = _subcommands().get(argv[0]) if argv else None
-    if sub is None:
-        return ap.parse_args(argv)
-    args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(cmd=argv[0]))
-    if extras:
-        ap.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    """`build_parser().parse_args(argv)`, read by `_read_args` when `argv`
+    has its form, which spares building the parser and argparse's matching.
+    Anything else (no argv, `-h`, an unknown command or flag, a value that
+    starts with `-` or that its flag refuses) goes to the parser, for its
+    namespace or its help and error text."""
+    args = _read_args(argv) if argv and argv[0] in COMMANDS else None
+    return build_parser().parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

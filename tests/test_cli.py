@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import snicheck
-from snicheck.cli import build_parser, corpus_path, main
+from snicheck.cli import COMMANDS, FLAGS, _parse, _read_args, build_parser, corpus_path, main
 
 
 def run_cli(*args, capsys=None):
@@ -325,20 +326,139 @@ def _through_top_level(argv, capsys):
     ["demo-codera", "extra"], ["check-sni", "-h", "extra"], ["run", "--", "p.sp"],
     ["check-sni", "p.sp", "--width", "2", "--bounds", "steps=3,depth=1", "--format", "json"],
     ["check-snippy", "--witness-kind", "dce", "--source", "s.sp", "--form", "json"], ["demo-codera"],
+    ["check-sni", "p.sp", "--width=2"], ["check-sni", "p.sp", "--seed", "-5"], ["check-sni", "-x"],
+    ["check-sni", "p.sp", "--width", "2", "--width", "4"], ["allocate", "p.sp"],
+    ["check-sni", "p.sp", "--bounds", "steps=x"],
+    ["check-sni", "p.sp", "--pairs", "random:0"], ["check-sim", "--witness-kind", "x", "--source", "s.sp"],
+    ["liveness", "p.sp", "--exit-fact", "cells", "--format", "json"],
 ])
 def test_subcommand_dispatch_matches_the_top_level_parser(argv, capsys):
-    """`main` hands a known command's arguments straight to its subparser;
-    the namespace, the help and usage text and the exit code are the
-    top-level parser's."""
-    from snicheck.cli import _parse
+    """`main` reads a well-formed command line without the parser and hands
+    anything else to it; the namespace, the help and usage text and the exit
+    code are the top-level parser's."""
+    assert _through_parse(argv, capsys) == _through_top_level(argv, capsys)
 
-    want, out, err = _through_top_level(argv, capsys)
+
+def _through_parse(argv, capsys):
+    """`cli._parse` on `argv`: (namespace or exit code, stdout, stderr)."""
     try:
         got = vars(_parse(argv))
     except SystemExit as e:
         got = e.code
     captured = capsys.readouterr()
-    assert (got, captured.out, captured.err) == (want, out, err)
+    return got, captured.out, captured.err
+
+
+# values each typed flag is read with: (accepted, refused by its type or choices)
+FLAG_VALUES = {
+    "--pairs": (["exhaustive", "random:2"], ["random:0", "random", "all"]),
+    "--seed": (["0", "7"], ["x", "1.5"]),
+    "--width": (["1", "2", "8"], ["0", "x"]),
+    "--bounds": (["steps=3,depth=1", "depth=2", "steps=9"], ["steps=x", "foo=1", "steps=0"]),
+    "--steps": (["5", "32"], ["0", "x"]),
+    "--k": (["3", "1"], ["x", ""]),
+    "--exit-fact": (["full", "cells"], ["x", "Full"]),
+    "--witness-kind": (["dce", "ra"], ["x", "DCE"]),
+    "--format": (["text", "json"], ["x", "yaml"]),
+}
+FILES = ["p.sp", "s.init", "a b.txt", "", "x=1", "out/w"]
+
+
+def _well_formed(rng, cmd):
+    """A command line of `cmd` in the one form `_read_args` reads (some of its
+    flags in random order, every required one, at most one of each group),
+    and the index of its positional (None without one)."""
+    _, positional, groups = COMMANDS[cmd]
+    pairs = []
+    for group in (*groups, "--format"):
+        flag = rng.choice(group.split("|"))
+        name = flag.rstrip("?")
+        if (FLAGS[name].get("required") and not flag.endswith("?")) or rng.random() < 0.5:
+            pairs.append([name, rng.choice(FLAG_VALUES.get(name, (FILES,))[0])])
+    rng.shuffle(pairs)
+    argv = [cmd, *(tok for pair in pairs for tok in pair)]
+    if not positional:
+        return argv, None
+    at = 1 + 2 * rng.randint(0, len(pairs))
+    argv.insert(at, rng.choice(FILES))
+    return argv, at
+
+
+FALLBACKS = ("abbreviation", "equals", "repeated", "missing value", "dash value", "dash file", "double dash",
+             "both of a group", "dropped flag", "missing positional", "extra positional", "refused value", "help",
+             "unknown command", "unread flag")
+
+
+def _fallback(rng, argv, at):
+    """`argv` from `_well_formed`, its positional at `at`, changed by one
+    edit that (mostly) takes it out of the form `_read_args` reads."""
+    argv = list(argv)
+    if not any(a.startswith("--") for a in argv):
+        argv += ["--format", "json"]
+    i = rng.choice([i for i, a in enumerate(argv) if a.startswith("--")])
+    flag, value = argv[i], argv[i + 1]
+    edit = rng.choice(FALLBACKS)
+    if edit == "abbreviation":
+        argv[i] = flag[:rng.randint(2, len(flag) - 1)]
+    elif edit == "equals":
+        argv[i:i + 2] = [f"{flag}={value}"]
+    elif edit == "repeated":
+        argv += [flag, rng.choice([v for v in FLAG_VALUES.get(flag, (FILES,))[0] + FILES if v != value])]
+    elif edit == "missing value":
+        del argv[i + 1]
+    elif edit == "dash value":
+        argv[i + 1] = rng.choice(["-5", "-x", "-"])
+    elif edit == "dash file":
+        argv.insert(rng.randint(1, len(argv)), rng.choice(["-x", "-"]))
+    elif edit == "double dash":
+        argv.insert(rng.randint(1, len(argv)), "--")
+    elif edit == "both of a group":  # a check-sni line with its one group's two flags
+        argv = _well_formed(rng, "check-sni")[0]
+        for flag in ("--state2", "--pairs"):
+            if flag in argv:
+                del argv[argv.index(flag):argv.index(flag) + 2]
+        both = [["--state2", rng.choice(FILES)], ["--pairs", rng.choice(FLAG_VALUES["--pairs"][0])]]
+        rng.shuffle(both)
+        argv[1:1] = both[0] + both[1]
+    elif edit == "dropped flag":
+        del argv[i:i + 2]
+    elif edit == "missing positional" and at is not None:
+        del argv[at]
+    elif edit == "extra positional":
+        argv.insert(rng.randint(1, len(argv)), "extra.sp")
+    elif edit == "refused value":
+        name = rng.choice(list(FLAG_VALUES))
+        argv += [name, rng.choice(FLAG_VALUES[name][1])]
+    elif edit == "help":
+        argv.insert(rng.randint(0, len(argv)), rng.choice(["-h", "--help"]))
+    elif edit == "unknown command":
+        argv[0] = rng.choice(["check", "no-such-command", "", "CHECK-SNI"])
+    elif edit == "unread flag":
+        taken = {f.rstrip("?") for group in COMMANDS[argv[0]][2] for f in group.split("|")}
+        argv += [rng.choice(sorted(set(FLAGS) - taken - {"--format"})), "2"]
+    return argv
+
+
+def test_reader_matches_the_parser_on_random_command_lines(capsys):
+    """On 2,000 seeded command lines of every command, half well formed in
+    random flag order and half edited out of that form, `_parse` gives the
+    top-level parser's namespace, or its exit code, stdout and stderr; the
+    well-formed half is read without the parser."""
+    rng = random.Random(2024)
+    for case in range(2000):
+        argv, at = _well_formed(rng, rng.choice(list(COMMANDS)))
+        if case % 2:
+            argv = _fallback(rng, argv, at)
+        else:
+            assert _read_args(argv) is not None, argv
+        assert _through_parse(argv, capsys) == _through_top_level(argv, capsys), argv
+
+
+def test_a_well_formed_command_line_never_builds_the_parser(capsys):
+    build_parser.cache_clear()
+    code = main(["check-sni", C("code_ra_target.sp"), "--state", C("code_ra.init"), "--width", "8"])
+    assert code == 1 and capsys.readouterr().out.startswith("violation")
+    assert build_parser.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("bounds, reason", [
@@ -533,6 +653,14 @@ def test_check_sni_refuses_a_pair_count_too_long_to_print(cells, tmp_path, capsy
         assert code == 3 and captured.out == ""
         assert captured.err == (f"error: {cells} high cells at width 8 are {bits} bits, and C(2**{bits}, 2) pairs "
                                 "would print more than 4300 digits (sys.get_int_max_str_digits())\n")
+
+
+def test_exhaustive_check_sni_needs_no_digit_limit(monkeypatch, capsys):
+    """Python before 3.10.7 has no `sys.get_int_max_str_digits`, and no limit
+    on the digits an int prints."""
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    code = main(["check-sni", C("code_ra_source.sp"), "--state", C("code_ra.init")])
+    assert code == 0 and capsys.readouterr().out.startswith("secure (pairs=")
 
 
 @pytest.mark.parametrize("pairs", ["random:5", "exhaustive"])
