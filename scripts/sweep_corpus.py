@@ -22,7 +22,7 @@ from snicheck.ir import parse_program
 from snicheck.liveness import dce_transform, liveness
 from snicheck.poison import check_poison_typable, fix_ra, poison_analysis
 from snicheck.regalloc import parse_ra_witness
-from snicheck.security import PairSource, check_sni, enumerate_high_states
+from snicheck.security import PairSource, check_sni
 from snicheck.semantics import Bounds, parse_initial_state
 from snicheck.simulation import check_snippy_cube, dce_witness, ra_witness
 
@@ -33,11 +33,6 @@ def load(name):
 
 def state(name, prog, width):
     return parse_initial_state(corpus_path(name).read_text(), prog, width)
-
-
-def states(prog, init, width):
-    """The high assignments of the state in `init`."""
-    return [s[0] for s in enumerate_high_states(prog, state(init, prog, width), width)]
 
 
 def row(label, verdict, started):
@@ -81,15 +76,17 @@ def main() -> int:
     p = load("code_dce_w2_source.sp")
     wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
     t0 = time.monotonic()
-    row("dce width-2, cube", check_snippy_cube(wit, states(wit.target, "code_dce_w2.init", 2), b2).status, t0)
+    row("dce width-2, cube", check_snippy_cube(wit, state("code_dce_w2.init", wit.target, 2)[0], b2).status, t0)
 
     src2, tgt2 = load("code_ra_w2_source.sp"), load("code_ra_w2_target.sp")
     w2 = parse_ra_witness(corpus_path("code_ra_w2.witness").read_text(), src2, tgt2)
     t0 = time.monotonic()
-    row("allocation width-2 unfixed, cube", check_snippy_cube(ra_witness(w2, 2), states(tgt2, "code_ra_w2.init", 2), b2).status, t0)
+    v = check_snippy_cube(ra_witness(w2, 2), state("code_ra_w2.init", tgt2, 2)[0], b2)
+    row("allocation width-2 unfixed, cube", v.status, t0)
     fixed2, _ = fix_ra(w2, 2)
     t0 = time.monotonic()
-    row("allocation width-2 fixed, cube", check_snippy_cube(ra_witness(fixed2, 2), states(fixed2.target, "code_ra_w2.init", 2), b2).status, t0)
+    v = check_snippy_cube(ra_witness(fixed2, 2), state("code_ra_w2.init", fixed2.target, 2)[0], b2)
+    row("allocation width-2 fixed, cube", v.status, t0)
     return 0
 
 

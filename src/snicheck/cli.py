@@ -307,14 +307,13 @@ def _emit_sim(args, v: simulation.Verdict) -> int:
 def cmd_check_sim(args) -> int:
     wit = _sim_witness(args)
     t0 = _initial_state(args, wit.target)[0]
-    return _emit_sim(args, simulation.check_simulation(wit, [t0], args.bounds))
+    return _emit_sim(args, simulation.check_simulation(wit, t0, args.bounds))
 
 
 def cmd_check_snippy(args) -> int:
     wit = _sim_witness(args)
     base = _initial_state(args, wit.target)[0]
-    states = [s[0] for s in security.enumerate_high_states(wit.target, (base,), args.width)]
-    return _emit_sim(args, simulation.check_snippy_cube(wit, states, args.bounds))
+    return _emit_sim(args, simulation.check_snippy_cube(wit, base, args.bounds))
 
 
 def cmd_demo_codera(args) -> int:

@@ -184,7 +184,7 @@ def check_sni_pair(
     if dirs is None:
         return SniVerdict("secure", b, cuts, pairs_checked=1)
     (end1, leaks1), (end2, leaks2) = walk(table, i1, dirs), walk(table, i2, dirs)
-    v = SniVerdict("violation", b, cuts, state1=nu1, state2=nu2, directives=dirs)
+    v = SniVerdict("violation", b, cuts, pairs_checked=1, state1=nu1, state2=nu2, directives=dirs)
     if leaks1 != leaks2:
         v.divergence, v.leak1, v.leak2 = "leak", leaks1[-1], leaks2[-1]
     else:
@@ -373,7 +373,6 @@ def check_sni(
         if n > 2:
             v = check_sni_pair(p, *next(pairs), b, width, table)
             if not v.secure:
-                v.pairs_checked = 1
                 return v
             cuts, diff = _walk(table, table.id((pack([s for s, in states]),)), b)
             if diff is None:

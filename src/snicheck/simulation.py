@@ -18,19 +18,20 @@ next matched pair or early with a joint rollback.
 
 `check_simulation` and `check_snippy_cube` are two entry points to one
 breadth-first walk over groups: sets of pairs that initial states reach
-along the same interval signatures.  `check_simulation` starts a group of
-one per initial state.  `check_snippy_cube` takes the high assignments of
-one state, checks that the initial-state mapping keeps their low-equivalence
-classes, and starts a group per class.  Each pair met is checked once with
-the simulation conditions: every enabled target directive heads an
-interval, both projections of every interval replay, and interval ends are
-related again.  Each group of two or more is checked with the two-pair
-condition: a member whose source runs a member's interval's source
-directives with the same leaks offers that interval too.  A group has a
-child per signature, holding every member's end under it, kept while those
-ends, of one depth, are within the depth bound.  So a passing cube means the
-simulation from every high assignment as well as the two-pair condition.
-A Pass is evidence up to the given bounds, not a proof.
+along the same interval signatures.  Each takes one initial target state
+and starts one group: `check_simulation` of that state alone, and
+`check_snippy_cube` of all its high assignments at the witness's width
+(`security.enumerate_high_states`, within `security.PAIR_BUDGET`), which the
+initial-state mapping must keep one low-equivalence class.  Each pair
+met is checked once with the simulation conditions: every enabled target
+directive heads an interval, both projections of every interval replay, and
+interval ends are related again.  Each group of two or more is checked with
+the two-pair condition: a member whose source runs a member's interval's
+source directives with the same leaks offers that interval too.  A group has
+a child per signature, holding every member's end under it, kept while
+those ends, of one depth, are within the depth bound.  So a passing cube
+means the simulation from every high assignment as well as the two-pair
+condition.  A Pass is evidence up to the given bounds, not a proof.
 
 `check_snippy_cube` first walks its N initial states as one pair of packed
 states (`semantics.Lanes`, a lane per state).  While every question the walk
@@ -41,10 +42,10 @@ interval's end is its child group.  The pairs are interned in
 `semantics.canonical` order, so one pair id stands for one set of members, as
 in the member walk's memo, and every count is multiplied by the members.  A
 pass is therefore the member walk's pass, counts included.  A question the
-lanes answer differently (`semantics.Divergent`), a fail, or initial states
-that differ outside high cells send the cube to the member walk, whose
-verdicts and fail reports are unchanged.  Each packed operation costs O(N),
-and the assignments are still enumerated within `security.PAIR_BUDGET`.
+lanes answer differently (`semantics.Divergent`), a fail, or mapped source
+states that differ outside high cells send the cube to the member walk,
+whose verdicts and fail reports are unchanged.  Each packed operation costs
+O(N).
 
 Neither check says anything about a source that accesses memory out of
 bounds without speculating, and neither tests for one.  The preservation
@@ -69,7 +70,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .ir import Pc, Program
 from .liveness import DceResult, full_fact, live_before
@@ -97,7 +98,7 @@ from .semantics import (
     transition_table,
     walk,
 )
-from .security import low_equivalent
+from .security import enumerate_high_states, low_equivalent
 
 
 @dataclass(frozen=True, slots=True)
@@ -381,55 +382,45 @@ class _Row:
     tgt: int
     sigs: tuple[int, ...]  # per interval: the id of its signature
     ends: tuple[int, ...]  # per interval: the id of its end pair
-    keys: tuple[int, ...]  # per interval: the id standing for its end pair's members (see `_walk`)
     near: tuple[bool, ...]  # per interval: its end is within the depth bound
 
 
-def check_simulation(wit: SimWitness, initial_targets: Iterable[State], b: Bounds) -> Verdict:
-    """The simulation from each initial target state: the walk from a group
-    of one per state."""
-    return _walk(wit, [[(wit.initial_map(t), t)] for t in initial_targets], b)
+def check_simulation(wit: SimWitness, t0: State, b: Bounds) -> Verdict:
+    """The simulation from the initial target state `t0`: the walk from a
+    group of one."""
+    return _walk(wit, [(wit.initial_map(t0), t0)], b)
 
 
-def check_snippy_cube(wit: SimWitness, initial_targets: Iterable[State], b: Bounds) -> Verdict:
-    """The simulation and the two-pair condition from the initial target
-    states (the high assignments of one state): the walk from one group per
-    low-equivalence class, which `initial_map` must keep.  Its pass comes
-    from one packed pair when `_packed_cube` finds one."""
-    initial_targets = list(initial_targets)
-    if len(initial_targets) > 1:
-        v = _packed_cube(wit, initial_targets, b)
+def check_snippy_cube(wit: SimWitness, base: State, b: Bounds) -> Verdict:
+    """The simulation and the two-pair condition from every high assignment
+    of the initial target state `base`, at the witness's width: the walk from
+    one group of all of them, whose sources `initial_map` must keep
+    low-equivalent.  Its pass comes from one packed pair when `_packed_cube`
+    finds one."""
+    targets = [t for t, in enumerate_high_states(wit.target, (base,), wit.width)]
+    if len(targets) > 1:
+        v = _packed_cube(wit, targets, b)
         if v is not None:
             return v
-    classes: list[list[tuple[State, State]]] = []  # (source, target) initial states per class
-    for t in initial_targets:
-        s = wit.initial_map(t)
-        # low-equivalence is an equivalence, so each class's first member stands for it
-        same = [low_equivalent(wit.target, c[0][1], t) for c in classes]
-        if same != [low_equivalent(wit.source, c[0][0], s) for c in classes]:
-            return Verdict("fail", reason="initial-state mapping does not respect levels")
-        if True in same:
-            classes[same.index(True)].append((s, t))
-        else:
-            classes.append([(s, t)])
-    return _walk(wit, classes, b)
+    start = [(wit.initial_map(t), t) for t in targets]
+    if not all(low_equivalent(wit.source, start[0][0], s) for s, _ in start):
+        return Verdict("fail", reason="initial-state mapping does not respect levels")
+    return _walk(wit, start, b)
 
 
 def _packed_cube(wit: SimWitness, targets: list[State], b: Bounds) -> Verdict | None:
     """The cube's pass from one packed pair, or None for the member walk to
     decide.  The targets are packed into one state, a lane per target, and
-    mapped once.  Lanes outside the high cells of either side may split the
-    low-equivalence classes, so they leave the cube to the member walk, as do
-    a question the lanes answer differently (`Divergent`) and a fail, whose
+    mapped once.  Source lanes outside the high cells may split the
+    low-equivalence class, so they leave the cube to the member walk, as do a
+    question the lanes answer differently (`Divergent`) and a fail, whose
     report is the member walk's."""
     t = pack(targets)
-    if t is None or not _lanes_only_high(wit.target, t):
-        return None
     try:
         s = wit.initial_map(t)
         if not _lanes_only_high(wit.source, s):
             return None
-        v = _walk(wit, [[(s, t)]], b, packed=True)
+        v = _walk(wit, [(s, t)], b)
     except Divergent:
         return None
     return v if v.ok else None
@@ -443,15 +434,16 @@ def _lanes_only_high(p: Program, s: State) -> bool:
     )
 
 
-def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds, packed: bool = False) -> Verdict:
-    """Breadth-first over groups of pairs, from one group per entry of
-    `starts`.  A group is the set of pair ids that its initial states reach
-    along the same interval signatures; the children of a group are one
-    per signature, holding every member's end under it.
+def _walk(wit: SimWitness, start: list[tuple[State, State]], b: Bounds) -> Verdict:
+    """Breadth-first over groups of pairs, from the group of the (source,
+    target) initial states in `start`.  A group is the set of pair ids that
+    its initial states reach along the same interval signatures; the
+    children of a group are one per signature, holding every member's end
+    under it.
 
-    With `packed`, the one start pair holds packed values, and the walk goes
-    on from each pair in `semantics.canonical` order, so that one pair id
-    stands for each set of members: a packed pair is a group of one, and
+    A start of one pair that holds packed values is a packed walk: the walk
+    goes on from each pair in `semantics.canonical` order, so that one pair
+    id stands for each set of members: a packed pair is a group of one, and
     every count it makes is multiplied by its members."""
     checked = 0
     truncated = 0
@@ -459,10 +451,11 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds, p
     srcs, tgts = src_tab.values, tgt_tab.values
     depth = b.max_spec_depth
     sigs: dict[tuple, int] = {}  # signature -> id
+    packed = canonical(((start[0][0],), (start[0][1],)))[1] > 1
     canon: dict[int, int] = {}  # packed pair id -> the id of the pair in canonical order
     weight: dict[int, int] = {}  # canonical packed pair id -> its members; any other pair is one
 
-    def members(p: int, intern) -> int:
+    def members(p: int) -> int:
         """The id that stands for the members of pair id `p` in the memo and
         the queue: p itself, or in a packed walk its pair in canonical order."""
         if not packed:
@@ -472,7 +465,7 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds, p
             s, t = pair_ids[p]
             pair = (srcs[s], tgts[t])
             nus, n = canonical(pair)
-            c = p if nus is pair else intern((src_tab.id(nus[0]), tgt_tab.id(nus[1])))
+            c = p if nus is pair else pairs.id((src_tab.id(nus[0]), tgt_tab.id(nus[1])))
             canon[p] = canon[c] = c
             if n > 1:
                 weight[c] = n
@@ -481,15 +474,11 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds, p
     def fill(pair: tuple[int, int], intern) -> _Row:
         res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables, pair)
         ivs = res.intervals
-        ends = tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in ivs])
-        near = tuple([len(iv.end_tgt) <= depth for iv in ivs])
         return _Row(
             res.truncated, ivs, *pair,
             tuple([sigs.setdefault(iv.signature, len(sigs)) for iv in ivs]),
-            ends,
-            # only the ends within the depth bound are queued
-            tuple([members(e, intern) if n else e for e, n in zip(ends, near)]) if packed else ends,
-            near,
+            tuple([intern((src_tab.id(iv.end_src), tgt_tab.id(iv.end_tgt))) for iv in ivs]),
+            tuple([len(iv.end_tgt) <= depth for iv in ivs]),
         )
 
     pairs = Interner(fill)  # (source id, target id) -> id
@@ -505,13 +494,11 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds, p
             replays[key] = walk(src_tab, sid, dirs)
         return replays[key]
 
-    queue: deque[tuple[tuple[int, ...], int]] = deque()
-    for group in starts:
-        for s0, t0 in group:
-            if not wit.related((t0,), (s0,)):
-                return Verdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
-        ids = {pairs.id((src_tab.id((s,)), tgt_tab.id((t,)))) for s, t in group}
-        queue.append((tuple(sorted({members(p, pairs.id) for p in ids})), 0))
+    for s0, t0 in start:
+        if not wit.related((t0,), (s0,)):
+            return Verdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
+    ids = {pairs.id((src_tab.id((s,)), tgt_tab.id((t,)))) for s, t in start}
+    queue: deque[tuple[tuple[int, ...], int]] = deque([(tuple(sorted({members(p) for p in ids})), 0)])
 
     nearest: dict[tuple[int, ...], int] = {}  # group -> smallest distance expanded
     while queue:
@@ -561,9 +548,9 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds, p
             # a group of one meets the cube condition, and its children are
             # its intervals' ends, as in a walk over single pairs
             r = rows[0]
-            for iv, key, near in zip(r.intervals, r.keys, r.near):
+            for iv, end, near in zip(r.intervals, r.ends, r.near):
                 if near:
-                    queue.append(((key,), dist + len(iv.tgt_dirs)))
+                    queue.append(((members(end),), dist + len(iv.tgt_dirs)))
             continue
         # the cube condition: a member whose source replays some interval's
         # source directives with its source leaks has that interval too;
@@ -586,11 +573,12 @@ def _walk(wit: SimWitness, starts: list[list[tuple[State, State]]], b: Bounds, p
                         (srcs[owner.src], tgts[owner.tgt]), interval=missing, other=(srcs[r.src], tgts[r.tgt]),
                     )
         # one child per signature; the members' ends under it share their
-        # depth, since each member's target projection replays
+        # depth, since each member's target projection replays.  Only a
+        # member walk has groups of more than one, so an end stands for itself
         children: dict[int, list] = {}  # signature id -> [steps, end is near, end pair ids...]
         for r in rows:
-            for iv, sig, key, near in zip(r.intervals, r.sigs, r.keys, r.near):
-                children.setdefault(sig, [len(iv.tgt_dirs), near]).append(key)
+            for iv, sig, end, near in zip(r.intervals, r.sigs, r.ends, r.near):
+                children.setdefault(sig, [len(iv.tgt_dirs), near]).append(end)
         for steps, near, *ends in children.values():
             if near:
                 queue.append((tuple(sorted(set(ends))), dist + steps))

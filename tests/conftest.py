@@ -334,7 +334,7 @@ def ref_check_sni_pair(p, nu1, nu2, b, width=8):
 
     res = rec(nu1, nu2, ())
     if res is not None:
-        res.truncated = truncated
+        res.truncated, res.pairs_checked = truncated, 1
         return res
     return SniVerdict("secure", b, truncated, pairs_checked=1)
 

@@ -259,18 +259,17 @@ def test_criterion_6_snippy_cube_discrimination():
     one and on dead code elimination, exhaustively at bounds (24, 2)."""
     b = Bounds(24, 2)
 
-    def states(prog, init):
-        base = load_state(init, prog, width=2)
-        return [s[0] for s in enumerate_high_states(prog, base, 2)]
+    def base(prog, init):
+        return load_state(init, prog, width=2)[0]
 
     src, tgt, w = _ra_bits("_w2")
-    unfixed = check_snippy_cube(ra_witness(w, 2), states(tgt, "code_ra_w2.init"), b)
+    unfixed = check_snippy_cube(ra_witness(w, 2), base(tgt, "code_ra_w2.init"), b)
     fixed_w, _ = fix_ra(w, 2)
-    fixed = check_snippy_cube(ra_witness(fixed_w, 2), states(fixed_w.target, "code_ra_w2.init"), b)
+    fixed = check_snippy_cube(ra_witness(fixed_w, 2), base(fixed_w.target, "code_ra_w2.init"), b)
 
     p = load_program("code_dce_w2_source.sp")
     wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-    dce_v = check_snippy_cube(wit, states(wit.target, "code_dce_w2.init"), b)
+    dce_v = check_snippy_cube(wit, base(wit.target, "code_dce_w2.init"), b)
 
     ok = (not unfixed.ok) and fixed.ok and dce_v.ok
     report(6, ok, f"unfixed={unfixed.status} fixed={fixed.status} dce={dce_v.status}")

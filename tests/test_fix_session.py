@@ -7,6 +7,7 @@ poison types, so the packed encoding of `poison_analysis` is checked too.
 """
 
 import random
+from collections import deque
 
 import pytest
 
@@ -89,7 +90,9 @@ def _reference_transfer(w, rho, domain):
 
 def reference_assignment(w):
     """The poison analysis with dict-valued types and per-call transfers,
-    solved by round-robin Kleene iteration over the product graph."""
+    solved from scratch by a FIFO worklist over the whole product graph:
+    every node starts queued, and a node is queued again when its type
+    grows."""
     sol = liveness(w.source, cells_fact(w.source))
     st = analyze_structure(w)
     rho = rho_live(w, st, sol)
@@ -98,15 +101,18 @@ def reference_assignment(w):
     transfer = _reference_transfer(w, rho, domain)
     pt = {n: pt_const(domain, BOT) for n in succ}
     pt[(w.source.entry, w.target.entry)] = pt_const(domain, H)
-    changed = True
-    while changed:
-        changed = False
-        for u in succ:
-            out = transfer(u, pt[u])
-            for v in succ[u]:
-                joined = pt_join(pt[v], out)
-                if joined != pt[v]:
-                    pt[v], changed = joined, True
+    work, queued = deque(succ), set(succ)
+    while work:
+        u = work.popleft()
+        queued.discard(u)
+        out = transfer(u, pt[u])
+        for v in succ[u]:
+            joined = pt_join(pt[v], out)
+            if joined != pt[v]:
+                pt[v] = joined
+                if v not in queued:
+                    queued.add(v)
+                    work.append(v)
     return pt
 
 

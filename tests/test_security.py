@@ -93,6 +93,16 @@ def test_running_example_target_violation_source_secure(ra_source, ra_target):
     assert {v.leak1.value, v.leak2.value} == {42, 7}
 
 
+def test_sni_pair_counts_its_one_pair_either_way(ra_source, ra_target):
+    """A pair check reports `pairs_checked` 1 on a violation as on a secure
+    verdict: it checked one pair."""
+    b = Bounds(32, 3)
+    for p in (ra_source, ra_target):
+        v = check_sni_pair(p, load_state("code_ra.init", p), load_state("code_ra_alt.init", p), b)
+        assert v.pairs_checked == v.report()["pairs_checked"] == 1
+    assert not v.secure
+
+
 def test_violation_witness_replays(ra_target):
     b = Bounds(32, 3)
     t1, t2 = load_state("code_ra.init", ra_target), load_state("code_ra_alt.init", ra_target)

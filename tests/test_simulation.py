@@ -176,7 +176,7 @@ def test_ra_interval_ends_related(ra_wit, ra_witness):
 
 def test_check_simulation_dce_pass(dce_wit):
     t0 = load_state("code_dce.init", dce_wit.target)[0]
-    v = check_simulation(dce_wit, [t0], Bounds(24, 2))
+    v = check_simulation(dce_wit, t0, Bounds(24, 2))
     assert v.ok
 
 
@@ -184,7 +184,7 @@ def test_check_simulation_fixed_ra_pass(ra_witness):
     fixed, _ = fix_ra(ra_witness)
     wit = ra_witness_obj(fixed)
     t0 = load_state("code_ra.init", fixed.target)[0]
-    v = check_simulation(wit, [t0], Bounds(24, 3))
+    v = check_simulation(wit, t0, Bounds(24, 3))
     assert v.ok
 
 
@@ -201,7 +201,7 @@ def test_check_simulation_detects_missing_rollback_branch(ra_witness):
 
     wit = replace(base, intervals=pruned)
     t0 = load_state("code_ra.init", fixed.target)[0]
-    v = check_simulation(wit, [t0], Bounds(24, 3))
+    v = check_simulation(wit, t0, Bounds(24, 3))
     assert not v.ok
     assert v.reason == "target continuation has no interval"
     assert v.directive == D_RB
@@ -262,22 +262,21 @@ def test_initial_mapping_respects_levels(dce_wit, ra_witness, rng):
 # --- snippy cube ----------------------------------------------------------------------
 
 
-def w2_states(prog, init_name):
-    base = load_state(init_name, prog, width=2)
-    return [s[0] for s in enumerate_high_states(prog, base, 2)]
+def w2_base(prog, init_name):
+    return load_state(init_name, prog, width=2)[0]
 
 
 def test_cube_dce_pass_width2():
     p = load_program("code_dce_w2_source.sp")
     wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
-    v = check_snippy_cube(wit, w2_states(wit.target, "code_dce_w2.init"), Bounds(24, 2))
+    v = check_snippy_cube(wit, w2_base(wit.target, "code_dce_w2.init"), Bounds(24, 2))
     assert v.ok and v.truncated == 0
 
 
 def test_cube_unfixed_ra_fails_width2():
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     wit = ra_witness_obj(w, width=2)
-    v = check_snippy_cube(wit, w2_states(w.target, "code_ra_w2.init"), Bounds(24, 2))
+    v = check_snippy_cube(wit, w2_base(w.target, "code_ra_w2.init"), Bounds(24, 2))
     assert not v.ok
     assert "different target leaks" in v.reason
     assert v.interval.tgt_dirs[0].kind in ("if", "spec")
@@ -287,19 +286,19 @@ def test_cube_fixed_ra_passes_width2():
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     fixed, _ = fix_ra(w, width=2)
     wit = ra_witness_obj(fixed, width=2)
-    v = check_snippy_cube(wit, w2_states(fixed.target, "code_ra_w2.init"), Bounds(24, 2))
+    v = check_snippy_cube(wit, w2_base(fixed.target, "code_ra_w2.init"), Bounds(24, 2))
     assert v.ok
 
 
 def test_cube_detects_planted_leak_difference():
     """A target that branches on a secret where its source does not trips
     the two-pair condition, while the simulation holds from each state."""
-    wit = _leaky_witness()
+    wit = _leaky_witness(width=1)
     t1 = State.make("0", {"i": 5}, {("h", 0): 1})
-    t2 = t1.with_cell("h", 0, 2)
+    t0 = t1.with_cell("h", 0, 0)
     b = Bounds(8, 2)
-    assert all(check_simulation(wit, [t], b).ok for t in (t1, t2))
-    v = check_snippy_cube(wit, [t1, t2], b)
+    assert all(check_simulation(wit, t, b).ok for t in (t0, t1))
+    v = check_snippy_cube(wit, t1, b)
     assert not v.ok and v.reason.startswith("same directives, different target leaks")
     assert v.interval.tgt_dirs[0] in (D_IF, D_SPEC) and v.pair[1][-1].pc == v.other[1][-1].pc == "2"
     assert v.interval.signature not in {iv.signature for iv in extract_intervals(wit, *v.other, b).intervals}
@@ -382,7 +381,7 @@ def test_check_simulation_reexpands_a_pair_reached_nearer():
 
     p, wit = _revisit_witness()
     t0 = State.make("0", {"i": 5}, {("h", 0): 1})
-    v = check_simulation(wit, [t0], Bounds(3, 2))
+    v = check_simulation(wit, t0, Bounds(3, 2))
     assert not v.ok and v.reason == "interval end not related"
     assert v.pair[1][-1].pc == "2"
 
@@ -401,11 +400,12 @@ entry 0
 LEAKY_TARGET = LEAKY_SOURCE.replace("2: if z", "2: if x")
 
 
-def _leaky_witness(longer=()):
+def _leaky_witness(longer=(), width=1):
     """A witness from LEAKY_SOURCE to LEAKY_TARGET whose intervals are single
     target directives, replayed by both programs, with every pair related,
     so the simulation holds.  A nonempty `longer` is one more interval at
-    pc 0, listed first."""
+    pc 0, listed first.  At width 1 a cube has two members, h = 0 and 1;
+    `i` = 5 is out of bounds at any width, since it is never computed."""
     from snicheck.semantics import enabled_directives
 
     src, tgt = parse_program(LEAKY_SOURCE), parse_program(LEAKY_TARGET)
@@ -414,26 +414,23 @@ def _leaky_witness(longer=()):
         nu_src, nu_tgt = tables[0].values[s], tables[1].values[t]
         heads = [longer] if longer and nu_tgt[-1].pc == "0" else []
         out = []
-        for dirs in heads + [(d,) for d in enabled_directives(tgt, nu_tgt)]:
-            rt, rs = run_directives(tgt, nu_tgt, list(dirs)), run_directives(src, nu_src, list(dirs))
+        for dirs in heads + [(d,) for d in enabled_directives(tgt, nu_tgt, width)]:
+            rt, rs = run_directives(tgt, nu_tgt, list(dirs), width), run_directives(src, nu_src, list(dirs), width)
             out.append(SimInterval(dirs, rt.leaks, dirs, rs.leaks, rs.last, rt.last))
         return ExtractResult(out)
 
-    return SimWitness("leaky", src, tgt, lambda nu_tgt, nu_src: True, lambda s: s, intervals)
+    return SimWitness("leaky", src, tgt, lambda nu_tgt, nu_src: True, lambda s: s, intervals, width)
 
 
 def test_cube_refuses_an_initial_mapping_that_does_not_respect_levels():
-    """Low-equivalent target states must map to low-equivalent source
-    states, and the others to states that are not."""
+    """The high assignments of one target state must map to low-equivalent
+    source states."""
     wit = _leaky_witness()
     t1 = State.make("0", {"i": 5}, {("h", 0): 1})
-    t2, t3 = t1.with_cell("h", 0, 2), t1.with_reg("z", 1)
-    splits = replace(wit, initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))  # t1 from t2
-    merges = replace(wit, initial_map=lambda t: t.with_reg("z", 0))  # t1 with t3
-    for w in (splits, merges):
-        v = check_snippy_cube(w, [t1, t3, t2], Bounds(8, 2))
-        assert not v.ok and v.reason == "initial-state mapping does not respect levels"
-    assert check_snippy_cube(wit, [t1, t3, t2], Bounds(8, 2)).reason != v.reason
+    splits = replace(wit, initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))
+    v = check_snippy_cube(splits, t1, Bounds(8, 2))
+    assert not v.ok and v.reason == "initial-state mapping does not respect levels"
+    assert check_snippy_cube(wit, t1, Bounds(8, 2)).reason != v.reason
 
 
 def test_snippy_cube_reexpands_a_quadruple_reached_nearer():
@@ -444,8 +441,7 @@ def test_snippy_cube_reexpands_a_quadruple_reached_nearer():
     there, through the speculative pc 1."""
     wit = _leaky_witness(longer=(D_SPEC, D_RB, D_IF))
     t1 = State.make("0", {"i": 5}, {("h", 0): 1})
-    t2 = t1.with_cell("h", 0, 2)
-    v = check_snippy_cube(wit, [t1, t2], Bounds(3, 1))
+    v = check_snippy_cube(wit, t1, Bounds(3, 1))
     assert not v.ok and v.reason.startswith("same directives, different target leaks")
     assert v.interval.tgt_dirs == (D_IF,) and v.pair[1][-1].pc == "2"
 
@@ -468,7 +464,7 @@ def ref_extract(wit, ref):
     return lambda nu_src, nu_tgt, b: ExtractResult([]) if is_final(wit.target, nu_tgt) else ref(nu_src, nu_tgt, b)
 
 
-def reference_check_simulation(wit, ref, initial_targets, b):
+def reference_check_simulation(wit, ref, t0, b):
     """`check_simulation` without tables: every expansion of a pair builds its
     intervals afresh with the reference builder `ref` and replays them with
     `run_directives`."""
@@ -476,12 +472,10 @@ def reference_check_simulation(wit, ref, initial_targets, b):
     width = wit.width
     checked = truncated = 0
     nearest = {}
-    queue = deque()
-    for t0 in initial_targets:
-        s0 = wit.initial_map(t0)
-        if not wit.related((t0,), (s0,)):
-            return Verdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
-        queue.append(((s0,), (t0,), 0))
+    s0 = wit.initial_map(t0)
+    if not wit.related((t0,), (s0,)):
+        return Verdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
+    queue = deque([((s0,), (t0,), 0)])
     while queue:
         nu_src, nu_tgt, dist = queue.popleft()
         key = (nu_src, nu_tgt)
@@ -643,14 +637,15 @@ def _planted(wit, ref, what):
     return replace(wit, kind=what, intervals=planted), planted_ref
 
 
-def _assert_cubes_agree(wit, ref, states, b):
-    """`check_snippy_cube` from `states` passes exactly when the reference
-    cube passes on every pair of them and the reference simulation from
-    each.  A failed two-pair condition names an interval of its `pair`
-    whose source directives replay with its source leaks from the `other`
-    member's source, and whose signature that member lacks."""
-    got = check_snippy_cube(wit, states, b)
-    sims = [reference_check_simulation(wit, ref, [t], b) for t in states]
+def _assert_cubes_agree(wit, ref, base, b):
+    """`check_snippy_cube` from `base` passes exactly when the reference
+    cube passes on every pair of its high assignments and the reference
+    simulation from each.  A failed two-pair condition names an interval of
+    its `pair` whose source directives replay with its source leaks from the
+    `other` member's source, and whose signature that member lacks."""
+    got = check_snippy_cube(wit, base, b)
+    states = [s for s, in enumerate_high_states(wit.target, (base,), wit.width)]
+    sims = [reference_check_simulation(wit, ref, t, b) for t in states]
     if all(v.ok for v in sims):
         assert got.ok == reference_check_snippy_cube(wit, ref, list(itertools.combinations(states, 2)), b).ok
     else:
@@ -665,10 +660,10 @@ def _assert_cubes_agree(wit, ref, states, b):
     return got
 
 
-def _assert_simulations_agree(wit, ref, targets, b):
+def _assert_simulations_agree(wit, ref, t0, b):
     """The whole verdict: status, counts, reason, pair and directive."""
-    got = check_simulation(wit, targets, b)
-    want = reference_check_simulation(wit, ref, targets, b)
+    got = check_simulation(wit, t0, b)
+    want = reference_check_simulation(wit, ref, t0, b)
     assert got == want
     assert got.report() == want.report()
     return got
@@ -727,10 +722,9 @@ def test_snippy_cube_tables_match_uncached_loop(rng):
     seen = Counter()
     for hi_size, count in ((1, 460), (2, 40)):
         for wit, ref in _random_witnesses(rng, count, hi_size=hi_size):
-            base = random_state(rng, wit.target, width=2)
-            states = [s[0] for s in enumerate_high_states(wit.target, base, 2)]
+            base = random_state(rng, wit.target, width=2)[0]
             b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-            v = _assert_cubes_agree(wit, ref, states, b)
+            v = _assert_cubes_agree(wit, ref, base, b)
             seen[wit.kind, v.status] += 1
             seen[hi_size, v.status] += 1
             seen["truncated"] += v.truncated > 0
@@ -751,8 +745,53 @@ def _corpus_witnesses():
 def test_snippy_cube_tables_match_uncached_loop_on_corpus():
     dce, ra, fixed = _corpus_witnesses()
     cubes = [(dce, "code_dce_w2.init"), (ra, "code_ra_w2.init"), (fixed, "code_ra_w2.init")]
-    assert [_assert_cubes_agree(*pair, w2_states(pair[0].target, init), Bounds(24, 2)).status
+    assert [_assert_cubes_agree(*pair, w2_base(pair[0].target, init), Bounds(24, 2)).status
             for pair, init in cubes] == ["pass", "fail", "pass"]
+
+
+def _attack_program(rng):
+    """A program shaped like the corpus attack, with random register roles:
+    a secret loaded into a register, a bounds check of an index, a branch on
+    it around a store of the secret through the index, and a branch on a
+    register `x` that is read again only after the store.  The secret, the
+    index and `x` are live across the store, more than the two registers of
+    `allocate(p, 2)`, so some are spilled, and a mispredicted out-of-bounds
+    store may overwrite the slot that `x` is reloaded from."""
+    regs = [f"r{i}" for i in range(rng.randint(6, 7))]
+    rng.shuffle(regs)
+    sec, i, n, ok, x, *extra = regs
+    lines = ["mem hi 1 high", f"mem lo {rng.randint(1, 2)} low", "entry 0",
+             f"0: load {sec} <- hi[#0] -> 1", f"1: {ok} = {i} lt {n} -> 2", f"2: if {ok} ? 4 : 3",
+             f"3: store lo[{i}] <- {sec} -> 4"]
+    pc = 4
+    for _ in range(rng.randint(0, 2)):
+        op = rng.choice(["add", "or", "sub"])
+        lines.append(f"{pc}: {rng.choice(extra)} = {rng.choice(extra)} {op} {rng.choice([x, *extra])} -> {pc + 1}")
+        pc += 1
+    lines += [f"{pc}: if {x} ? {pc + 1} : {pc + 1}", f"{pc + 1}: ret"]
+    return parse_program("\n".join(lines) + "\n")
+
+
+def test_unfixed_allocations_fail_the_two_pair_condition(rng, monkeypatch):
+    """Random programs shaped like the corpus attack, allocated with two
+    registers and left unfixed, fail the two-pair condition itself on many
+    cubes, from random initial values.  Every verdict agrees with the
+    reference cube and equals the member walk's."""
+    seen = Counter()
+    while seen["cubes"] < 200:
+        try:
+            w = allocate(_attack_program(rng), 2)
+        except AllocationInfeasible:
+            continue
+        wit, ref = ra_with_ref(w, 2)
+        base = random_state(rng, w.target, width=2)[0]
+        b = Bounds(24, 2)
+        got = _assert_cubes_agree(wit, ref, base, b)
+        assert got == _member_cube(wit, base, b, monkeypatch)
+        seen["cubes"] += 1
+        seen[got.status] += 1
+        seen["two-pair"] += got.interval is not None
+    assert seen["two-pair"] >= 20 and seen["pass"] >= 20, seen
 
 
 def test_check_simulation_table_matches_uncached_loop(rng):
@@ -761,13 +800,13 @@ def test_check_simulation_table_matches_uncached_loop(rng):
     planted end states included."""
     statuses, seen = Counter(), Counter()
     for wit, ref in _random_witnesses(rng, 90):
-        targets = [random_state(rng, wit.target, width=2)[0] for _ in range(3)]
         b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-        got = _assert_simulations_agree(wit, ref, targets, b)
-        statuses[got.status] += 1
-        seen[wit.kind, got.status] += 1
-        seen[got.reason] += 1
-        seen["truncated"] += got.truncated > 0
+        for _ in range(3):
+            got = _assert_simulations_agree(wit, ref, random_state(rng, wit.target, width=2)[0], b)
+            statuses[got.status] += 1
+            seen[wit.kind, got.status] += 1
+            seen[got.reason] += 1
+            seen["truncated"] += got.truncated > 0
     assert statuses["pass"] >= 20 and statuses["fail"] >= 5, statuses
     assert seen["dce", "pass"] and seen["ra", "pass"] and seen["truncated"], seen
     assert all(seen[what, "fail"] >= 2 for what in PLANTS), seen
@@ -784,9 +823,9 @@ def test_searches_keep_no_state_between_calls():
             (ra, "code_ra_w2.init", Bounds(24, 2))]
     statuses = []
     for (wit, ref), init, b in runs + runs[::-1]:
-        states = w2_states(wit.target, init)
-        statuses.append(_assert_cubes_agree(wit, ref, states, b).status)
-        _assert_simulations_agree(wit, ref, states, b)
+        base = w2_base(wit.target, init)
+        statuses.append(_assert_cubes_agree(wit, ref, base, b).status)
+        _assert_simulations_agree(wit, ref, base, b)
     assert statuses[:5] == ["pass", "fail", "pass", "pass", "fail"]
 
 
@@ -795,14 +834,13 @@ def test_searches_leave_no_reference_cycles():
     of the cyclic garbage collector, so they cannot pile up across calls."""
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     wit = ra_witness(w, 2)
-    states = w2_states(wit.target, "code_ra_w2.init")
     base = load_state("code_ra_w2.init", wit.target, width=2)
     b = Bounds(24, 2)
     gc.collect()
     gc.disable()
     try:
-        check_snippy_cube(wit, states, b)
-        check_simulation(wit, states, b)
+        check_snippy_cube(wit, base[0], b)
+        check_simulation(wit, base[0], b)
         check_sni(wit.target, base, PairSource("exhaustive"), b, width=2)
         explore_behaviors(wit.target, base, Bounds(12, 2), 2)
         assert extract_intervals(wit, (wit.initial_map(base[0]),), base, b).intervals
@@ -814,11 +852,11 @@ def test_searches_leave_no_reference_cycles():
 # --- the packed walk against the member walk ----------------------------------------
 
 
-def _member_cube(wit, states, b, monkeypatch):
+def _member_cube(wit, base, b, monkeypatch):
     """`check_snippy_cube` with the packed walk switched off."""
     with monkeypatch.context() as m:
         m.setattr(simulation, "_packed_cube", lambda *args: None)
-        return check_snippy_cube(wit, states, b)
+        return check_snippy_cube(wit, base, b)
 
 
 def _count_routes(monkeypatch) -> Counter:
@@ -845,11 +883,11 @@ def test_packed_cube_equals_member_walk(rng, monkeypatch):
     routes, seen = _count_routes(monkeypatch), Counter()
     for width, hi_size, count in ((2, 1, 500), (2, 2, 80), (3, 1, 200), (3, 2, 30)):
         for wit, _ in _random_witnesses(rng, count, width, hi_size=hi_size):
-            states = [s[0] for s in enumerate_high_states(wit.target, random_state(rng, wit.target, width), width)]
+            base = random_state(rng, wit.target, width)[0]
             b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
             before = routes["packed"]
-            got = check_snippy_cube(wit, states, b)
-            want = _member_cube(wit, states, b, monkeypatch)
+            got = check_snippy_cube(wit, base, b)
+            want = _member_cube(wit, base, b, monkeypatch)
             assert got == want and got.report() == want.report()
             route = "packed" if routes["packed"] > before else "member"
             seen[got.status, route] += 1
@@ -862,9 +900,9 @@ def test_packed_cube_equals_member_walk(rng, monkeypatch):
 
 def test_packed_cube_keeps_the_low_equivalence_classes():
     """A program that never reads its registers, so no question diverges:
-    an initial-state mapping that merges two classes, or splits one, is
-    still refused, because lanes outside the high cells leave the cube to
-    the member walk."""
+    an initial-state mapping that splits the class of a state's high
+    assignments is still refused, because source lanes outside the high
+    cells leave the cube to the member walk."""
     from snicheck.semantics import enabled_directives
 
     p = parse_program("mem h 1 high\nentry 0\n0: nop -> 1\n1: ret\n")
@@ -877,16 +915,13 @@ def test_packed_cube_keeps_the_low_equivalence_classes():
             out.append(SimInterval((d,), rt.leaks, (d,), rs.leaks, rs.last, rt.last))
         return ExtractResult(out)
 
-    keeps = SimWitness("keeps", p, p, lambda nu_tgt, nu_src: True, lambda t: t, intervals)
-    merges = replace(keeps, initial_map=lambda t: t.with_reg("z", 0))
+    keeps = SimWitness("keeps", p, p, lambda nu_tgt, nu_src: True, lambda t: t, intervals, width=1)
     splits = replace(keeps, initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))
-    two_classes = [State.make("0", {"z": z}, {("h", 0): h}) for z in (0, 1) for h in (0, 1)]
-    one_class = [State.make("0", {"z": 1}, {("h", 0): h}) for h in (0, 1)]
+    base = State.make("0", {"z": 1})
     b = Bounds(8, 1)
-    assert check_snippy_cube(keeps, two_classes, b) == Verdict("pass", 4, 0)
-    for wit, states in ((merges, two_classes), (splits, one_class)):
-        v = check_snippy_cube(wit, states, b)
-        assert not v.ok and v.reason == "initial-state mapping does not respect levels"
+    assert check_snippy_cube(keeps, base, b) == Verdict("pass", 2, 0)
+    v = check_snippy_cube(splits, base, b)
+    assert not v.ok and v.reason == "initial-state mapping does not respect levels"
 
 
 # Two paths reach one member set in different lane orders: after `load x`
@@ -921,16 +956,15 @@ def test_packed_cube_memo_keys_member_sets(monkeypatch, width):
     p = parse_program(ORDERS_PROGRAM)
     wit = dce_witness(p, dce_transform(p, liveness(p)), width)
     base = State.make("0", {"i": 5, "m": (1 << width) - 1})
-    states = [s[0] for s in enumerate_high_states(p, (base,), width)]
     routes = _count_routes(monkeypatch)
     b = Bounds(16, 1)
-    got = check_snippy_cube(wit, states, b)
+    got = check_snippy_cube(wit, base, b)
     assert routes == {"packed": 1}
-    want = _member_cube(wit, states, b, monkeypatch)
+    want = _member_cube(wit, base, b, monkeypatch)
     assert got == want and got.ok
     # per member: 4 steps to the load and its 3 intervals; `lo 0` and `hi 0`
     # load the same x, so 2 paths of 5 steps to pc 10, and then 2 steps, once
-    assert got.intervals_checked == len(states) * (4 + 3 + 2 * 5 + 2)
+    assert got.intervals_checked == (1 << width) * (4 + 3 + 2 * 5 + 2)
 
 
 INSPECTIONS = {
@@ -961,11 +995,11 @@ def test_a_witness_that_inspects_values_falls_back(monkeypatch, inspect, plants)
         return res
 
     inspecting = replace(wit, intervals=intervals)
-    states = w2_states(wit.target, "code_dce_w2.init")
+    base = w2_base(wit.target, "code_dce_w2.init")
     routes = _count_routes(monkeypatch)
-    got = check_snippy_cube(inspecting, states, Bounds(24, 2))
+    got = check_snippy_cube(inspecting, base, Bounds(24, 2))
     assert routes == {"member": 1}
-    assert got == _member_cube(inspecting, states, Bounds(24, 2), monkeypatch)
+    assert got == _member_cube(inspecting, base, Bounds(24, 2), monkeypatch)
     assert got.ok != plants
 
 
@@ -978,16 +1012,16 @@ def test_corpus_cubes_pass_on_the_packed_route_at_width_8(monkeypatch):
     b = Bounds(24, 2)
     for wit, init in ((dce_witness(p, dce_transform(p, liveness(p)), 8), "code_dce_w2.init"),
                       (ra_witness(fixed, 8), "code_ra_w2.init")):
-        states = [s[0] for s in enumerate_high_states(wit.target, load_state(init, wit.target, width=8), 8)]
-        want = _member_cube(wit, states, b, monkeypatch)
+        base = load_state(init, wit.target, width=8)[0]
+        want = _member_cube(wit, base, b, monkeypatch)
         with monkeypatch.context() as m:
             walk = simulation._walk
 
-            def packed_only(wit, starts, b, packed=False):
-                if not packed:
+            def packed_only(wit, start, b):
+                if len(start) != 1:
                     raise AssertionError("the member walk ran")
-                return walk(wit, starts, b, packed)
+                return walk(wit, start, b)
 
             m.setattr(simulation, "_walk", packed_only)
-            got = check_snippy_cube(wit, states, b)
+            got = check_snippy_cube(wit, base, b)
         assert got == want and got.ok and got.intervals_checked > 0
