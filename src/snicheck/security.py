@@ -207,11 +207,11 @@ def _walk(table: Interner, start: int | tuple, b: Bounds) -> tuple[int, tuple | 
     packed value, every high assignment of a tainted one.  A `Divergent`
     row is a leak or an enabled set that they may differ in: a difference,
     or for a tainted node a refusal.  At the step cut only the enabled sets
-    count, so the node's top frame is split there by `semantics.unpack`
-    into its lanes, each with its own row; a tainted one unpacks to its
-    all-zero run alone.  A tainted row asks only about a branch condition,
-    which leaves the enabled set alone, or an address, which decides it:
-    at the cut a branch is cut and an address refuses.
+    count, so the node is split there by `semantics.unpack` into its lanes,
+    each with its own row; a tainted one unpacks to its all-zero run alone.
+    A tainted row asks only about a branch condition, which leaves the
+    enabled set alone, or an address, which decides it: at the cut a branch
+    is cut and an address refuses.
 
     A packed node is keyed by its state in `semantics.canonical` order, so
     one id stands for one set of members; a start without a packed value
@@ -249,7 +249,7 @@ def _walk(table: Interner, start: int | tuple, b: Bounds) -> tuple[int, tuple | 
             except Divergent:  # a difference or a refusal, unless at the step cut the enabled sets agree
                 if steps < max_steps:
                     break
-                enabled = {row(table.id(nu[:-1] + (top,)))[0] for top in unpack(nu[-1])}
+                enabled = {row(table.id(lane))[0] for lane, in unpack((nu,))}
                 if len(enabled) > 1 or not packed and D_IF not in enabled.pop():
                     break
                 cuts += 1

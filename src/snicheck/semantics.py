@@ -304,18 +304,20 @@ def _pack_items(per_lane: list[tuple]) -> tuple:
     return tuple(out)
 
 
-def unpack(s: State) -> list[State]:
-    """The inverse of `pack`: one plain state per lane of `s`, zeros dropped,
-    or the one state of `s` when it holds no packed value, where a tainted
-    value is its value under the all-zero high assignment."""
-    n = next((len(v) for items in (s.regs, s.mem) for _, v in items if v.__class__ is Lanes), 1)
+def unpack(nus: tuple[SpecState, ...]) -> list[tuple[SpecState, ...]]:
+    """The inverse of `pack` frame by frame: `nus`, speculative states packed
+    over the same lanes, as plain ones, one tuple per lane in lane order,
+    zeros dropped.  Without a packed value they are their one lane, where a
+    tainted value is its value under the all-zero high assignment."""
+    n = len(next(_packed_values(nus), (0,)))
 
     def lane(items: tuple, i: int) -> tuple:
         vals = [(k, v[i] if v.__class__ is Lanes else v.value if v.__class__ is Tainted else v)
                 for k, v in items]
         return tuple([(k, v) for k, v in vals if v != 0])
 
-    return [State(s.pc, lane(s.regs, i), lane(s.mem, i)) for i in range(n)]
+    return [tuple([tuple([State(f.pc, lane(f.regs, i), lane(f.mem, i)) for f in nu]) for nu in nus])
+            for i in range(n)]
 
 
 def _packed_values(nus: tuple[SpecState, ...]):

@@ -17,35 +17,30 @@ the shuffle chain in the target while the source waits, ending either at the
 next matched pair or early with a joint rollback.
 
 `check_simulation` and `check_snippy_cube` are two entry points to one
-breadth-first walk over groups: sets of pairs that initial states reach
-along the same interval signatures.  Each takes one initial target state
-and starts one group: `check_simulation` of that state alone, and
-`check_snippy_cube` of all its high assignments at the witness's width
-(`security.enumerate_high_states`, within `security.PAIR_BUDGET`), which the
-initial-state mapping must keep one low-equivalence class.  Each pair
-met is checked once with the simulation conditions: every enabled target
-directive heads an interval, both projections of every interval replay, and
-interval ends are related again.  Each group of two or more is checked with
-the two-pair condition: a member whose source runs a member's interval's
-source directives with the same leaks offers that interval too.  A group has
-a child per signature, holding every member's end under it, kept while
-those ends, of one depth, are within the depth bound.  So a passing cube
-means the simulation from every high assignment as well as the two-pair
-condition.  A Pass is evidence up to the given bounds, not a proof.
+breadth-first walk over pairs of runs.  `check_simulation` starts from one
+initial target state; `check_snippy_cube` from all its high assignments at
+the witness's width (`security.enumerate_high_states`, within
+`security.PAIR_BUDGET`), packed into one state (`semantics.Lanes`, a lane per
+assignment) and mapped once, whose source may differ only in high cells.  A
+node is one pair id in `semantics.canonical` order, so it stands for one set
+of members (pairs of plain runs), and every count is multiplied by them.
 
-`check_snippy_cube` first walks its N initial states as one pair of packed
-states (`semantics.Lanes`, a lane per state).  While every question the walk
-and the witness ask of a packed value has one answer for all lanes, stepping
-the pair steps every lane, so all members take the same intervals with the
-same signatures: the two-pair condition holds within the group, and each
-interval's end is its child group.  The pairs are interned in
-`semantics.canonical` order, so one pair id stands for one set of members, as
-in the member walk's memo, and every count is multiplied by the members.  A
-pass is therefore the member walk's pass, counts included.  A question the
-lanes answer differently (`semantics.Divergent`), a fail, or mapped source
-states that differ outside high cells send the cube to the member walk,
-whose verdicts and fail reports are unchanged.  Each packed operation costs
-O(N).
+Each pair met is checked once with the simulation conditions: every enabled
+target directive heads an interval, both projections of every interval
+replay, and interval ends are related again.  While every question asked of
+a packed pair has one answer for all lanes, its members take the same
+intervals with the same signatures: the two-pair condition holds among them,
+and each interval's end is a child.  A question the lanes answer differently
+(`semantics.Divergent`), or a fail of more than one member, splits the pair
+into its members (`semantics.unpack`, in lane order) for that expansion
+alone.  Each then meets the simulation conditions, and together the two-pair
+condition: a
+member whose source runs a member's interval's source directives with the
+same leaks offers that interval too.  Their ends under each signature are
+packed again into one child.  Children beyond the depth bound are cut.  So a
+passing cube means the simulation from every high assignment as well as the
+two-pair condition, and a fail names one member.  A Pass is evidence up to
+the given bounds, not a proof.
 
 Neither check says anything about a source that accesses memory out of
 bounds without speculating, and neither tests for one.  The preservation
@@ -61,9 +56,8 @@ per pair id, built on first expansion: its intervals and, per interval, the
 ids of its signature and of its end pair.  Interval ends are interned by the
 check, not taken from the enumerator, so a wrong end state is still caught.
 Projections are `semantics.walk`s over the tables; source replays are kept
-per (source id, directive sequence) and `related` per end pair id.  The memo
-and the queue hold groups of ids, and a group that comes back nearer is
-expanded again.  All tables live for one call.
+per (source id, directive sequence) and `related` per end pair id.  A pair
+that comes back nearer is expanded again.  All tables live for one call.
 """
 
 from __future__ import annotations
@@ -96,9 +90,10 @@ from .semantics import (
     pack,
     step,
     transition_table,
+    unpack,
     walk,
 )
-from .security import enumerate_high_states, low_equivalent
+from .security import enumerate_high_states
 
 
 @dataclass(frozen=True, slots=True)
@@ -334,7 +329,7 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
     return SimWitness("ra", w.source, w.target, related, initial_map, intervals, width)
 
 
-# --- the grouped walk -------------------------------------------------------------
+# --- the walk ---------------------------------------------------------------------
 
 
 @dataclass
@@ -386,44 +381,23 @@ class _Row:
 
 
 def check_simulation(wit: SimWitness, t0: State, b: Bounds) -> Verdict:
-    """The simulation from the initial target state `t0`: the walk from a
-    group of one."""
-    return _walk(wit, [(wit.initial_map(t0), t0)], b)
+    """The simulation from the initial target state `t0`."""
+    return _walk(wit, wit.initial_map(t0), t0, b)
 
 
 def check_snippy_cube(wit: SimWitness, base: State, b: Bounds) -> Verdict:
     """The simulation and the two-pair condition from every high assignment
-    of the initial target state `base`, at the witness's width: the walk from
-    one group of all of them, whose sources `initial_map` must keep
-    low-equivalent.  Its pass comes from one packed pair when `_packed_cube`
-    finds one."""
+    of the initial target state `base`, at the witness's width, walked from
+    one packed pair.  `initial_map` must keep them low-equivalent."""
     targets = [t for t, in enumerate_high_states(wit.target, (base,), wit.width)]
-    if len(targets) > 1:
-        v = _packed_cube(wit, targets, b)
-        if v is not None:
-            return v
-    start = [(wit.initial_map(t), t) for t in targets]
-    if not all(low_equivalent(wit.source, start[0][0], s) for s, _ in start):
-        return Verdict("fail", reason="initial-state mapping does not respect levels")
-    return _walk(wit, start, b)
-
-
-def _packed_cube(wit: SimWitness, targets: list[State], b: Bounds) -> Verdict | None:
-    """The cube's pass from one packed pair, or None for the member walk to
-    decide.  The targets are packed into one state, a lane per target, and
-    mapped once.  Source lanes outside the high cells may split the
-    low-equivalence class, so they leave the cube to the member walk, as do a
-    question the lanes answer differently (`Divergent`) and a fail, whose
-    report is the member walk's."""
-    t = pack(targets)
+    t0 = pack(targets)
     try:
-        s = wit.initial_map(t)
-        if not _lanes_only_high(wit.source, s):
-            return None
-        v = _walk(wit, [(s, t)], b)
-    except Divergent:
-        return None
-    return v if v.ok else None
+        s0 = wit.initial_map(t0)
+    except Divergent:  # a mapping that asks about a high value maps each lane
+        s0 = pack([wit.initial_map(t) for t in targets])
+    if s0 is None or not _lanes_only_high(wit.source, s0):
+        return Verdict("fail", reason="initial-state mapping does not respect levels")
+    return _walk(wit, s0, t0, b)
 
 
 def _lanes_only_high(p: Program, s: State) -> bool:
@@ -434,30 +408,24 @@ def _lanes_only_high(p: Program, s: State) -> bool:
     )
 
 
-def _walk(wit: SimWitness, start: list[tuple[State, State]], b: Bounds) -> Verdict:
-    """Breadth-first over groups of pairs, from the group of the (source,
-    target) initial states in `start`.  A group is the set of pair ids that
-    its initial states reach along the same interval signatures; the
-    children of a group are one per signature, holding every member's end
-    under it.
-
-    A start of one pair that holds packed values is a packed walk: the walk
-    goes on from each pair in `semantics.canonical` order, so that one pair
-    id stands for each set of members: a packed pair is a group of one, and
-    every count it makes is multiplied by its members."""
+def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
+    """Breadth-first over pair ids from the pair of initial states, which
+    may be packed; the module docstring gives the conditions and the split."""
     checked = 0
     truncated = 0
     tables = src_tab, tgt_tab = witness_tables(wit)
     srcs, tgts = src_tab.values, tgt_tab.values
     depth = b.max_spec_depth
     sigs: dict[tuple, int] = {}  # signature -> id
-    packed = canonical(((start[0][0],), (start[0][1],)))[1] > 1
+    start = ((s0,), (t0,))
+    packed = canonical(start)[1] > 1
     canon: dict[int, int] = {}  # packed pair id -> the id of the pair in canonical order
     weight: dict[int, int] = {}  # canonical packed pair id -> its members; any other pair is one
+    split: dict[int, list[int]] = {}  # pair id whose expansion split -> its members' pair ids
 
     def members(p: int) -> int:
         """The id that stands for the members of pair id `p` in the memo and
-        the queue: p itself, or in a packed walk its pair in canonical order."""
+        the queue: in a packed walk its pair in canonical order."""
         if not packed:
             return p
         c = canon.get(p)
@@ -470,6 +438,13 @@ def _walk(wit: SimWitness, start: list[tuple[State, State]], b: Bounds) -> Verdi
             if n > 1:
                 weight[c] = n
         return c
+
+    def repack(ends: list[int]) -> int:
+        """The id that stands for the plain pairs with ids `ends`, whose
+        frames share their pcs: the pairs packed frame by frame."""
+        sides = zip(*[(srcs[s], tgts[t]) for s, t in map(pair_ids.__getitem__, ends)])
+        s, t = (tuple(map(pack, zip(*side))) for side in sides)
+        return members(pairs.id((src_tab.id(s), tgt_tab.id(t))))
 
     def fill(pair: tuple[int, int], intern) -> _Row:
         res = extract_intervals(wit, srcs[pair[0]], tgts[pair[1]], b, tables, pair)
@@ -494,67 +469,88 @@ def _walk(wit: SimWitness, start: list[tuple[State, State]], b: Bounds) -> Verdi
             replays[key] = walk(src_tab, sid, dirs)
         return replays[key]
 
-    for s0, t0 in start:
-        if not wit.related((t0,), (s0,)):
-            return Verdict("fail", checked, truncated, "initial states not related", ((s0,), (t0,)))
-    ids = {pairs.id((src_tab.id((s,)), tgt_tab.id((t,)))) for s, t in start}
-    queue: deque[tuple[tuple[int, ...], int]] = deque([(tuple(sorted({members(p) for p in ids})), 0)])
+    def simulation(p: int, n: int) -> Verdict | None:
+        """The fail of the simulation conditions at pair id `p`, checked once
+        per pair id, or None; the counts are per expansion, times `n`."""
+        nonlocal checked, truncated
+        r = row(p)
+        truncated += r.truncated * n
+        if p in simulates:
+            checked += len(r.intervals) * n
+            truncated += r.near.count(False) * n
+            return None
+        pair = (srcs[r.src], tgts[r.tgt])
+        heads = {iv.tgt_dirs[0] for iv in r.intervals}
+        for d in tgt_tab.row(r.tgt)[0]:
+            if d not in heads:
+                return Verdict("fail", checked, truncated, "target continuation has no interval", pair, d)
+        for iv, end, near in zip(r.intervals, r.ends, r.near):
+            checked += n
+            end_src, end_tgt = pair_ids[end]
+            if walk(tgt_tab, r.tgt, iv.tgt_dirs) != (end_tgt, iv.tgt_leaks):
+                return Verdict("fail", checked, truncated, "interval target projection does not replay", pair)
+            if replay(r.src, iv.src_dirs) != (end_src, iv.src_leaks):
+                return Verdict("fail", checked, truncated, "interval source projection does not replay", pair)
+            ok = related.get(end)
+            if ok is None:
+                ok = related[end] = wit.related(iv.end_tgt, iv.end_src)
+            if not ok:
+                return Verdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
+            if not near:
+                truncated += n
+        simulates.add(p)
+        return None
 
-    nearest: dict[tuple[int, ...], int] = {}  # group -> smallest distance expanded
+    try:
+        ok = wit.related((t0,), (s0,))
+    except Divergent:
+        ok = False
+    if not ok:
+        for s, t in unpack(start):
+            if not wit.related(t, s):
+                return Verdict("fail", checked, truncated, "initial states not related", (s, t))
+    queue = deque([(members(pairs.id((src_tab.id((s0,)), tgt_tab.id((t0,))))), 0)])
+    nearest: dict[int, int] = {}  # pair id -> smallest distance expanded
     while queue:
-        group, dist = queue.popleft()
-        # intervals differ in length, so a group may come back nearer than its
+        p, dist = queue.popleft()
+        # intervals differ in length, so a pair may come back nearer than its
         # first visit, with more of the step bound left to explore
-        if nearest.get(group, dist + 1) <= dist:
+        if nearest.get(p, dist + 1) <= dist:
             continue
-        nearest[group] = dist
-        live = sum(weight.get(p, 1) for p in group if not is_final(wit.target, tgts[pair_ids[p][1]]))
-        if not live:
+        nearest[p] = dist
+        if is_final(wit.target, tgts[pair_ids[p][1]]):
             continue
+        n = weight.get(p, 1)
         if dist >= b.max_steps:
-            truncated += live
+            truncated += n
             continue
-        rows = [row(p) for p in group]
-        # the simulation conditions, once per pair id; the counts are per
-        # expansion, as a walk over single pairs makes them
-        for p, r in zip(group, rows):
-            n = weight.get(p, 1)
-            truncated += r.truncated * n
-            if p in simulates:
-                checked += len(r.intervals) * n
-                truncated += r.near.count(False) * n
+        if p not in split:
+            counts = checked, truncated
+            try:
+                fail = simulation(p, n)
+            except Divergent as e:  # the lanes answer differently
+                fail = e
+            if fail is None:
+                r = row(p)
+                for iv, end, near in zip(r.intervals, r.ends, r.near):
+                    if near:
+                        queue.append((members(end), dist + len(iv.tgt_dirs)))
                 continue
-            pair = (srcs[r.src], tgts[r.tgt])
-            heads = {iv.tgt_dirs[0] for iv in r.intervals}
-            for d in tgt_tab.row(r.tgt)[0]:
-                if d not in heads:
-                    return Verdict("fail", checked, truncated, "target continuation has no interval", pair, d)
-            for iv, end, near in zip(r.intervals, r.ends, r.near):
-                checked += n
-                end_src, end_tgt = pair_ids[end]
-                if walk(tgt_tab, r.tgt, iv.tgt_dirs) != (end_tgt, iv.tgt_leaks):
-                    return Verdict("fail", checked, truncated, "interval target projection does not replay", pair)
-                if replay(r.src, iv.src_dirs) != (end_src, iv.src_leaks):
-                    return Verdict("fail", checked, truncated, "interval source projection does not replay", pair)
-                ok = related.get(end)
-                if ok is None:
-                    ok = related[end] = wit.related(iv.end_tgt, iv.end_src)
-                if not ok:
-                    return Verdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
-                if not near:
-                    truncated += n
-            simulates.add(p)
-        if len(rows) == 1:
-            # a group of one meets the cube condition, and its children are
-            # its intervals' ends, as in a walk over single pairs
-            r = rows[0]
-            for iv, end, near in zip(r.intervals, r.ends, r.near):
-                if near:
-                    queue.append(((members(end),), dist + len(iv.tgt_dirs)))
-            continue
-        # the cube condition: a member whose source replays some interval's
-        # source directives with its source leaks has that interval too;
-        # members with the same signatures meet it
+            if n == 1 and fail.__class__ is Verdict:
+                return fail
+            # split: the members answer alone, and a fail names one of them
+            checked, truncated = counts
+            s, t = pair_ids[p]
+            split[p] = [pairs.id((src_tab.id(ms), tgt_tab.id(mt))) for ms, mt in unpack((srcs[s], tgts[t]))]
+        rows = []
+        for m in split[p]:
+            fail = simulation(m, 1)
+            if fail is not None:
+                return fail
+            rows.append(row(m))
+        # the two-pair condition: a member whose source replays some
+        # interval's source directives with its source leaks has that
+        # interval too; members with the same signatures meet it
         if any(r.sigs != rows[0].sigs for r in rows):
             # (source directives, source leaks) -> signature id -> an interval with it, and its member's row
             buckets: dict[tuple, dict[int, tuple[SimInterval, _Row]]] = {}
@@ -572,16 +568,15 @@ def _walk(wit: SimWitness, start: list[tuple[State, State]], b: Bounds) -> Verdi
                         "fail", checked, truncated, _describe_missing(missing, r.intervals),
                         (srcs[owner.src], tgts[owner.tgt]), interval=missing, other=(srcs[r.src], tgts[r.tgt]),
                     )
-        # one child per signature; the members' ends under it share their
-        # depth, since each member's target projection replays.  Only a
-        # member walk has groups of more than one, so an end stands for itself
+        # one child per signature: the members' ends under it, which share
+        # their depth, since each member's target projection replays
         children: dict[int, list] = {}  # signature id -> [steps, end is near, end pair ids...]
         for r in rows:
             for iv, sig, end, near in zip(r.intervals, r.sigs, r.ends, r.near):
                 children.setdefault(sig, [len(iv.tgt_dirs), near]).append(end)
         for steps, near, *ends in children.values():
             if near:
-                queue.append((tuple(sorted(set(ends))), dist + steps))
+                queue.append((ends[0] if ends.count(ends[0]) == len(ends) else repack(ends), dist + steps))
     return Verdict("pass", checked, truncated)
 
 

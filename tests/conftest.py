@@ -88,6 +88,29 @@ def random_program(rng: random.Random, n_instrs=6, n_regs=3, allow_shuffle=False
     return p
 
 
+def attack_program(rng: random.Random):
+    """A program shaped like the corpus attack, with random register roles:
+    a secret loaded into a register, a bounds check of an index, a branch on
+    it around a store of the secret through the index, and a branch on a
+    register `x` that is read again only after the store.  The secret, the
+    index and `x` are live across the store, more than the two registers of
+    `allocate(p, 2)`, so some are spilled, and a mispredicted out-of-bounds
+    store may overwrite the slot that `x` is reloaded from."""
+    regs = [f"r{i}" for i in range(rng.randint(6, 7))]
+    rng.shuffle(regs)
+    sec, i, n, ok, x, *extra = regs
+    lines = ["mem hi 1 high", f"mem lo {rng.randint(1, 2)} low", "entry 0",
+             f"0: load {sec} <- hi[#0] -> 1", f"1: {ok} = {i} lt {n} -> 2", f"2: if {ok} ? 4 : 3",
+             f"3: store lo[{i}] <- {sec} -> 4"]
+    pc = 4
+    for _ in range(rng.randint(0, 2)):
+        op = rng.choice(["add", "or", "sub"])
+        lines.append(f"{pc}: {rng.choice(extra)} = {rng.choice(extra)} {op} {rng.choice([x, *extra])} -> {pc + 1}")
+        pc += 1
+    lines += [f"{pc}: if {x} ? {pc + 1} : {pc + 1}", f"{pc + 1}: ret"]
+    return parse_program("\n".join(lines) + "\n")
+
+
 # what the text readers treat specially: the comment and slot markers, the
 # arrow, a bare carriage return (a line break once read) and a non-ASCII letter
 MUTATION_TOKENS = ("#", "stk#", "->", "\r", "é")

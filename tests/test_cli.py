@@ -818,6 +818,17 @@ def test_sni_differential_script_finds_no_mismatch(tmp_path):
     assert r.stdout.startswith("40 programs, seed 3: 0 mismatches;")
 
 
+def test_snippy_differential_script_finds_no_mismatch(tmp_path):
+    """The `check-snippy` sweep runs from a checkout with no `PYTHONPATH`
+    and finds the walk equal to its references on a seeded slice."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "snippy_differential.py"
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(script), "--seed", "3", "--cubes", "40"], capture_output=True,
+                       text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert r.stdout.startswith("40 cubes, seed 3: 0 mismatches;")
+
+
 def test_ab_requests_script_compares_a_checkout_with_itself(tmp_path):
     """The in-process A/B runs from any working directory with no
     `PYTHONPATH`, imports the checkout twice under two package names and

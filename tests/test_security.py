@@ -582,7 +582,7 @@ def test_check_sni_decides_every_pair_in_one_walk(monkeypatch):
         elif any(type(v) is Tainted for f in table.values[start] for _, v in f.mem):
             walks.append("certificate")
         else:
-            walks.append(("packed", *[len(unpack(f)) for f in table.values[start]]))
+            walks.append(("packed", len(unpack((table.values[start],)))))
         return _walk(table, start, b)
 
     monkeypatch.setattr(security, "check_sni_pair", not_called)

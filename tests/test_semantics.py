@@ -745,8 +745,9 @@ def test_pack_and_canonical_order():
 
 
 def test_unpack_inverts_pack(rng):
-    """`unpack(pack(states)) == states` for random states of one pc, with
-    zeros and repeats, as long as they are not all one state."""
+    """`unpack` of `pack(states)` gives back `states` for random states of
+    one pc, with zeros and repeats, as long as they are not all one state;
+    and frame by frame for pairs of two-frame speculative states."""
     kinds = Counter()
     keys = ["r0", "r1", "r2"]
     cells = [("h", 0), ("h", 1), ("lo", 0)]
@@ -760,13 +761,17 @@ def test_unpack_inverts_pack(rng):
         if states.count(states[0]) == n:
             continue
         packed = pack(states)
-        assert unpack(packed) == states
+        assert unpack(((packed,),)) == [((st,),) for st in states]
+        lower = [st.at("1") for st in states[::-1]]
+        nus = ((pack(lower), packed), (packed, pack(lower)))
+        assert unpack(nus) == [((lo, st), (st, lo)) for lo, st in zip(lower, states)]
         kinds["packs"] += 1
         kinds["repeats"] += len(set(states)) < n
         kinds["a zero lane"] += any(type(v) is Lanes and 0 in v for _, v in packed.regs + packed.mem)
     assert kinds["repeats"] >= 50 and kinds["a zero lane"] >= 100, kinds
     # a state without a packed value is its own one lane
-    assert unpack(State.make("0", {"r": 3})) == [State.make("0", {"r": 3})]
+    plain = ((State.make("0", {"r": 3}),),)
+    assert unpack(plain) == [plain]
 
 
 @pytest.mark.parametrize("width", [2, 3])
@@ -847,7 +852,7 @@ def test_a_tainted_zero_is_kept():
     assert s.regs == (("x", t),) and s.mem == ((("h", 0), t),)
     assert s.with_reg("y", t).reg("y") is t and s.with_cell("h", 1, t).cell("h", 1) is t
     assert s.with_reg("x", 0).regs == () and s.with_cell("h", 0, 0).mem == ()
-    assert unpack(s) == [State.make("0")]
+    assert unpack(((s,),)) == [((State.make("0"),),)]
 
 
 def test_equal_tainted_values_intern_to_one_id():

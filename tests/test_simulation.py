@@ -17,7 +17,9 @@ from snicheck.semantics import (
     D_RB,
     D_SPEC,
     D_STEP,
+    Divergent,
     State,
+    canonical,
     d_load,
     d_store,
     enabled_directives,
@@ -25,6 +27,7 @@ from snicheck.semantics import (
     is_final,
     run_directives,
     step_spec,
+    unpack,
 )
 from snicheck.simulation import (
     ExtractResult,
@@ -41,7 +44,15 @@ from snicheck.simulation import (
 from snicheck import simulation
 from snicheck.cli import corpus_path
 
-from conftest import load_program, load_state, random_program, random_state, ref_dce_intervals, ref_ra_intervals
+from conftest import (
+    attack_program,
+    load_program,
+    load_state,
+    random_program,
+    random_state,
+    ref_dce_intervals,
+    ref_ra_intervals,
+)
 
 
 @pytest.fixture
@@ -431,6 +442,12 @@ def test_cube_refuses_an_initial_mapping_that_does_not_respect_levels():
     v = check_snippy_cube(splits, t1, Bounds(8, 2))
     assert not v.ok and v.reason == "initial-state mapping does not respect levels"
     assert check_snippy_cube(wit, t1, Bounds(8, 2)).reason != v.reason
+    # a mapping that asks about a high value (Divergent on the packed state)
+    # maps each assignment alone, and is judged the same way
+    asks = replace(wit, initial_map=lambda t: t.at("0") if t.cell("h", 0) == 1 else t)
+    assert check_snippy_cube(asks, t1, Bounds(8, 2)) == check_snippy_cube(wit, t1, Bounds(8, 2))
+    asks_splits = replace(wit, initial_map=lambda t: t.with_reg("x", 1) if t.cell("h", 0) == 1 else t)
+    assert check_snippy_cube(asks_splits, t1, Bounds(8, 2)) == v
 
 
 def test_snippy_cube_reexpands_a_quadruple_reached_nearer():
@@ -749,45 +766,22 @@ def test_snippy_cube_tables_match_uncached_loop_on_corpus():
             for pair, init in cubes] == ["pass", "fail", "pass"]
 
 
-def _attack_program(rng):
-    """A program shaped like the corpus attack, with random register roles:
-    a secret loaded into a register, a bounds check of an index, a branch on
-    it around a store of the secret through the index, and a branch on a
-    register `x` that is read again only after the store.  The secret, the
-    index and `x` are live across the store, more than the two registers of
-    `allocate(p, 2)`, so some are spilled, and a mispredicted out-of-bounds
-    store may overwrite the slot that `x` is reloaded from."""
-    regs = [f"r{i}" for i in range(rng.randint(6, 7))]
-    rng.shuffle(regs)
-    sec, i, n, ok, x, *extra = regs
-    lines = ["mem hi 1 high", f"mem lo {rng.randint(1, 2)} low", "entry 0",
-             f"0: load {sec} <- hi[#0] -> 1", f"1: {ok} = {i} lt {n} -> 2", f"2: if {ok} ? 4 : 3",
-             f"3: store lo[{i}] <- {sec} -> 4"]
-    pc = 4
-    for _ in range(rng.randint(0, 2)):
-        op = rng.choice(["add", "or", "sub"])
-        lines.append(f"{pc}: {rng.choice(extra)} = {rng.choice(extra)} {op} {rng.choice([x, *extra])} -> {pc + 1}")
-        pc += 1
-    lines += [f"{pc}: if {x} ? {pc + 1} : {pc + 1}", f"{pc + 1}: ret"]
-    return parse_program("\n".join(lines) + "\n")
-
-
-def test_unfixed_allocations_fail_the_two_pair_condition(rng, monkeypatch):
+def test_unfixed_allocations_fail_the_two_pair_condition(rng):
     """Random programs shaped like the corpus attack, allocated with two
     registers and left unfixed, fail the two-pair condition itself on many
     cubes, from random initial values.  Every verdict agrees with the
-    reference cube and equals the member walk's."""
+    reference cube and equals the all-split walk's."""
     seen = Counter()
     while seen["cubes"] < 200:
         try:
-            w = allocate(_attack_program(rng), 2)
+            w = allocate(attack_program(rng), 2)
         except AllocationInfeasible:
             continue
         wit, ref = ra_with_ref(w, 2)
         base = random_state(rng, w.target, width=2)[0]
         b = Bounds(24, 2)
         got = _assert_cubes_agree(wit, ref, base, b)
-        assert got == _member_cube(wit, base, b, monkeypatch)
+        assert got == _all_split_cube(wit, base, b)
         seen["cubes"] += 1
         seen[got.status] += 1
         seen["two-pair"] += got.interval is not None
@@ -849,53 +843,63 @@ def test_searches_leave_no_reference_cycles():
         gc.enable()
 
 
-# --- the packed walk against the member walk ----------------------------------------
+# --- the packed walk against the all-split walk -------------------------------------
 
 
-def _member_cube(wit, base, b, monkeypatch):
-    """`check_snippy_cube` with the packed walk switched off."""
-    with monkeypatch.context() as m:
-        m.setattr(simulation, "_packed_cube", lambda *args: None)
-        return check_snippy_cube(wit, base, b)
+def _all_split(wit):
+    """`wit` with an interval builder that raises Divergent on every packed
+    pair, so every expansion of one splits it into its members."""
+
+    def intervals(s, t, b, tables):
+        if canonical((tables[0].values[s], tables[1].values[t]))[1] > 1:
+            raise Divergent("every packed pair splits")
+        return wit.intervals(s, t, b, tables)
+
+    return replace(wit, intervals=intervals)
 
 
-def _count_routes(monkeypatch) -> Counter:
-    """Counts the cubes that `_packed_cube` decides ("packed") and those it
-    leaves to the member walk ("member")."""
-    routes = Counter()
-    packed_cube = simulation._packed_cube
+def _all_split_cube(wit, base, b):
+    """`check_snippy_cube` on the all-split `wit`: a walk over members."""
+    return check_snippy_cube(_all_split(wit), base, b)
 
-    def counted(*args):
-        v = packed_cube(*args)
-        routes["packed" if v is not None else "member"] += 1
-        return v
 
-    monkeypatch.setattr(simulation, "_packed_cube", counted)
-    return routes
+def _count_splits(monkeypatch) -> Counter:
+    """Counts the walk's splits of packed pairs ("splits") and the members
+    they give ("members")."""
+    splits = Counter()
+
+    def counted(nus):
+        lanes = unpack(nus)
+        splits["splits"] += 1
+        splits["members"] += len(lanes)
+        return lanes
+
+    monkeypatch.setattr(simulation, "unpack", counted)
+    return splits
 
 
 def test_packed_cube_equals_member_walk(rng, monkeypatch):
-    """The cube from one packed pair returns the member walk's whole
-    verdict (status, counts, reason, pair, interval, other): random DCE and
-    RA witnesses, planted defects included, at widths 2 and 3 over one or
-    two high cells.  A fail or a divergence leaves the cube to the member
-    walk, so some cubes must also pass and fail there."""
-    routes, seen = _count_routes(monkeypatch), Counter()
+    """The walk that splits a packed pair only where it diverges or fails
+    returns the all-split walk's whole verdict (status, counts, reason,
+    pair, interval, other): random DCE and RA witnesses, planted defects
+    included, at widths 2 and 3 over one or two high cells.  Some cubes must
+    pass and fail without a split, and some after one."""
+    splits, seen = _count_splits(monkeypatch), Counter()
     for width, hi_size, count in ((2, 1, 500), (2, 2, 80), (3, 1, 200), (3, 2, 30)):
         for wit, _ in _random_witnesses(rng, count, width, hi_size=hi_size):
             base = random_state(rng, wit.target, width)[0]
             b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
-            before = routes["packed"]
+            before = splits["splits"]
             got = check_snippy_cube(wit, base, b)
-            want = _member_cube(wit, base, b, monkeypatch)
+            route = "split" if splits["splits"] > before else "packed"
+            want = _all_split_cube(wit, base, b)
             assert got == want and got.report() == want.report()
-            route = "packed" if routes["packed"] > before else "member"
             seen[got.status, route] += 1
             seen[got.status, route, width, hi_size] += 1
             seen["truncated", route] += got.truncated > 0
     assert all(seen["pass", "packed", width, hi_size] >= 10 for width in (2, 3) for hi_size in (1, 2)), seen
     assert seen["pass", "packed"] >= 250 and seen["truncated", "packed"] >= 20, seen
-    assert seen["pass", "member"] >= 5 and seen["fail", "member"] >= 100, seen
+    assert seen["pass", "split"] >= 5 and seen["fail", "split"] >= 100, seen
 
 
 def test_packed_cube_keeps_the_low_equivalence_classes():
@@ -950,20 +954,47 @@ entry 0
 
 @pytest.mark.parametrize("width", [2, 3])
 def test_packed_cube_memo_keys_member_sets(monkeypatch, width):
-    """The member walk meets the zeroed state once, as one set of members,
-    from all three loads; the packed walk must too, although the `lo 1`
-    path holds its lanes in the reverse order."""
+    """The all-split walk meets the zeroed state once, as one set of
+    members, from all three loads; the packed walk must too, although the
+    `lo 1` path holds its lanes in the reverse order."""
     p = parse_program(ORDERS_PROGRAM)
     wit = dce_witness(p, dce_transform(p, liveness(p)), width)
     base = State.make("0", {"i": 5, "m": (1 << width) - 1})
-    routes = _count_routes(monkeypatch)
+    splits = _count_splits(monkeypatch)
     b = Bounds(16, 1)
     got = check_snippy_cube(wit, base, b)
-    assert routes == {"packed": 1}
-    want = _member_cube(wit, base, b, monkeypatch)
+    assert not splits
+    want = _all_split_cube(wit, base, b)
     assert got == want and got.ok
     # per member: 4 steps to the load and its 3 intervals; `lo 0` and `hi 0`
     # load the same x, so 2 paths of 5 steps to pc 10, and then 2 steps, once
+    assert got.intervals_checked == (1 << width) * (4 + 3 + 2 * 5 + 2)
+
+
+@pytest.mark.parametrize("width", [2, 3])
+def test_a_split_path_and_a_packed_path_meet_at_one_member_set(monkeypatch, width):
+    """`ORDERS_PROGRAM` with a witness that asks `x <= a` at pc 5: on the
+    `lo 0` and `hi 0` paths x is a and every lane answers yes, but on the
+    `lo 1` path x is m - a and the lanes differ, so that pair alone splits.
+    Its members' ends are packed again, and at pc 10 that path's set of
+    members is the packed path's, expanded once: the counts are the
+    all-split walk's."""
+    p = parse_program(ORDERS_PROGRAM)
+    dce = dce_witness(p, dce_transform(p, liveness(p)), width)
+
+    def intervals(s, t, b, tables):
+        top = tables[1].values[t][-1]
+        if top.pc == "5":
+            _ = top.reg("x") <= top.reg("a")  # asked, and the answer dropped
+        return dce.intervals(s, t, b, tables)
+
+    wit = replace(dce, intervals=intervals)
+    base = State.make("0", {"i": 5, "m": (1 << width) - 1})
+    splits = _count_splits(monkeypatch)
+    b = Bounds(16, 1)
+    got = check_snippy_cube(wit, base, b)
+    assert splits == {"splits": 1, "members": 1 << width}
+    assert got == _all_split_cube(wit, base, b) and got.ok
     assert got.intervals_checked == (1 << width) * (4 + 3 + 2 * 5 + 2)
 
 
@@ -978,15 +1009,10 @@ INSPECTIONS = {
 }
 
 
-@pytest.mark.parametrize("plants", [False, True])
-@pytest.mark.parametrize("inspect", list(INSPECTIONS))
-def test_a_witness_that_inspects_values_falls_back(monkeypatch, inspect, plants):
-    """An interval builder that computes on, or branches on, a high value
-    gets Divergent from the packed value and not a TypeError; the cube is
-    left to the member walk and gets its verdict.  With `plants`, the
-    builder drops every interval but the first where the inspection holds."""
-    p = load_program("code_dce_w2_source.sp")
-    wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
+def _inspecting(wit, inspect, plants):
+    """`wit` with an interval builder that inspects the target's first high
+    cell with `INSPECTIONS[inspect]`; with `plants`, it drops every interval
+    but the first where the inspection holds."""
 
     def intervals(s, t, b, tables):
         res = wit.intervals(s, t, b, tables)
@@ -994,18 +1020,29 @@ def test_a_witness_that_inspects_values_falls_back(monkeypatch, inspect, plants)
             return ExtractResult(res.intervals[:1], res.truncated)
         return res
 
-    inspecting = replace(wit, intervals=intervals)
-    base = w2_base(wit.target, "code_dce_w2.init")
-    routes = _count_routes(monkeypatch)
+    return replace(wit, intervals=intervals)
+
+
+@pytest.mark.parametrize("plants", [False, True])
+@pytest.mark.parametrize("inspect", list(INSPECTIONS))
+def test_a_witness_that_inspects_values_falls_back(monkeypatch, inspect, plants):
+    """An interval builder that computes on, or branches on, a high value
+    gets Divergent from the packed value and not a TypeError; the pair is
+    split into its members, and the cube gets the all-split walk's
+    verdict.  With `plants`, the builder drops intervals, so it fails."""
+    p = load_program("code_dce_w2_source.sp")
+    inspecting = _inspecting(dce_witness(p, dce_transform(p, liveness(p)), width=2), inspect, plants)
+    base = w2_base(inspecting.target, "code_dce_w2.init")
+    splits = _count_splits(monkeypatch)
     got = check_snippy_cube(inspecting, base, Bounds(24, 2))
-    assert routes == {"member": 1}
-    assert got == _member_cube(inspecting, base, Bounds(24, 2), monkeypatch)
+    assert splits["splits"] >= 1
+    assert got == _all_split_cube(inspecting, base, Bounds(24, 2))
     assert got.ok != plants
 
 
 def test_corpus_cubes_pass_on_the_packed_route_at_width_8(monkeypatch):
     """The DCE and the fixed RA corpus cubes at width 8 (256 members) pass
-    without the member walk, with the member walk's counts."""
+    without a split, with the all-split walk's counts."""
     p = load_program("code_dce_w2_source.sp")
     w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
     fixed, _ = fix_ra(w, width=8)
@@ -1013,15 +1050,33 @@ def test_corpus_cubes_pass_on_the_packed_route_at_width_8(monkeypatch):
     for wit, init in ((dce_witness(p, dce_transform(p, liveness(p)), 8), "code_dce_w2.init"),
                       (ra_witness(fixed, 8), "code_ra_w2.init")):
         base = load_state(init, wit.target, width=8)[0]
-        want = _member_cube(wit, base, b, monkeypatch)
+        want = _all_split_cube(wit, base, b)
         with monkeypatch.context() as m:
-            walk = simulation._walk
-
-            def packed_only(wit, start, b):
-                if len(start) != 1:
-                    raise AssertionError("the member walk ran")
-                return walk(wit, start, b)
-
-            m.setattr(simulation, "_walk", packed_only)
+            splits = _count_splits(m)
             got = check_snippy_cube(wit, base, b)
+        assert not splits
         assert got == want and got.ok and got.intervals_checked > 0
+
+
+def test_each_check_walks_once(monkeypatch):
+    """`check_snippy_cube` and `check_simulation` each make one pair of
+    tables, also when packed pairs split: on the unfixed RA corpus cube at
+    width 8, which fails after splits, and with a witness that inspects
+    high values."""
+    made = []
+    witness_tables = simulation.witness_tables
+    monkeypatch.setattr(simulation, "witness_tables", lambda wit: made.append(wit) or witness_tables(wit))
+    w = w2_fixture("code_ra_w2_source.sp", "code_ra_w2_target.sp", "code_ra_w2.witness")
+    ra = ra_witness(w, 8)
+    p = load_program("code_dce_w2_source.sp")
+    truth = _inspecting(dce_witness(p, dce_transform(p, liveness(p)), width=2), "truth", True)
+    for wit, base, status in ((ra, load_state("code_ra_w2.init", ra.target, width=8)[0], "fail"),
+                              (truth, w2_base(truth.target, "code_dce_w2.init"), "fail")):
+        with monkeypatch.context() as m:
+            splits = _count_splits(m)
+            assert check_snippy_cube(wit, base, Bounds(24, 2)).status == status
+        assert splits["splits"] >= 1 and made == [wit]
+        made.clear()
+        check_simulation(wit, base, Bounds(24, 2))
+        assert made == [wit]
+        made.clear()
