@@ -23,9 +23,10 @@ of each program with more than two high assignments: certified, a violation
 at the probe (the first pair), secure by the packed walk, or a difference in
 the packed walk and then the pair loop.  The summary ends with the slowest
 program: its index, its seconds, and of those the seconds in `check_sni` and
-in the references.  Exits 1 on any mismatch.  The
-package is imported from the checkout's `src/` and the references from its
-`tests/`, so no install is needed.
+in the references; then, for `check_sni` and for each reference, the
+program that spent the most seconds in it, with those seconds.  Exits 1 on
+any mismatch.  The package is imported from the checkout's `src/` and the
+references from its `tests/`, so no install is needed.
 """
 
 import argparse
@@ -65,22 +66,22 @@ def cuts(walked):
     return n if found is None else None
 
 
-def timed(spent: Counter, key: str, fn, *args):
-    """`fn(*args)`, its seconds added to `spent[key]`."""
+def timed(spent: Counter, fn, *args):
+    """`fn(*args)`, its seconds added to `spent` under `fn`'s name."""
     start = time.perf_counter()
     try:
         return fn(*args)
     finally:
-        spent[key] += time.perf_counter() - start
+        spent[fn.__name__] += time.perf_counter() - start
 
 
 def compare(p, base, b, width, spent: Counter) -> tuple[list[str], str, str]:
     """The mismatches on one program, the kind of its verdict and its route
     (empty with two high assignments or fewer); the seconds of `check_sni`
-    and of the references are added to `spent`."""
+    and of each reference are added to `spent` under its name."""
     bad = []
-    got = timed(spent, "check_sni", check_sni, p, base, PairSource("exhaustive"), b, width)
-    want = timed(spent, "references", ref_check_sni_exhaustive, p, base, b, width)
+    got = timed(spent, check_sni, p, base, PairSource("exhaustive"), b, width)
+    want = timed(spent, ref_check_sni_exhaustive, p, base, b, width)
     if (got.kind, got.pairs_checked, got.truncated > 0) != (want.kind, want.pairs_checked, want.truncated > 0):
         bad.append(f"check_sni {got.kind}/{got.pairs_checked}/{got.truncated}, "
                    f"reference {want.kind}/{want.pairs_checked}/{want.truncated}")
@@ -89,20 +90,20 @@ def compare(p, base, b, width, spent: Counter) -> tuple[list[str], str, str]:
         if got != want or got.report(p, width) != want.report(p, width):
             bad.append("check_sni verdict or report differs from the pairwise reference")
     for a, c in (states[:2], states[1::-1]):
-        if check_sni_pair(p, a, c, b, width) != timed(spent, "references", ref_check_sni_pair, p, a, c, b, width):
+        if check_sni_pair(p, a, c, b, width) != timed(spent, ref_check_sni_pair, p, a, c, b, width):
             bad.append("check_sni_pair differs from ref_check_sni_pair")
     route = ""
     if len(states) > 2:
         table = transition_table(p, width)
         cells = high_cells(p)
         certified = cuts(_walk(table, table.id(_with_high(base, cells, [tainted(0)] * len(cells))), b))
-        ref = timed(spent, "references", ref_taint_certify, p, states[0], b, width)
+        ref = timed(spent, ref_taint_certify, p, states[0], b, width)
         if certified != ref:
             bad.append(f"certificate {certified}, reference {ref}")
         if certified is not None and not want.secure:
             bad.append("certified an insecure program")
         walked = cuts(_walk(table, table.id((pack([s for s, in states]),)), b))
-        ref = timed(spent, "references", ref_sni_walk, p, base, b, width)
+        ref = timed(spent, ref_sni_walk, p, base, b, width)
         if walked != ref:
             bad.append(f"packed walk {walked}, reference {ref}")
         if got.secure and got.truncated != (walked if certified is None else certified):
@@ -127,6 +128,7 @@ def main(argv=None) -> int:
     routes = Counter()
     mismatches = 0
     slowest = (0.0, None, Counter())  # seconds, index, seconds by part
+    slowest_in: dict[str, tuple[float, int]] = {}  # part -> its most seconds on one program, and that program
     started = time.monotonic()
     for k in range(args.programs):
         hi_size = 2 if rng.random() < 0.25 else 1
@@ -139,6 +141,8 @@ def main(argv=None) -> int:
         program_started = time.perf_counter()
         bad, kind, route = compare(p, base, b, width, spent)
         slowest = max(slowest, (time.perf_counter() - program_started, k, spent), key=lambda t: t[0])
+        for part, seconds in spent.items():
+            slowest_in[part] = max(slowest_in.get(part, (0.0, k)), (seconds, k), key=lambda t: t[0])
         kinds[kind] += 1
         if route:
             routes[route] += 1
@@ -148,7 +152,9 @@ def main(argv=None) -> int:
     print(f"{args.programs} programs, seed {args.seed}: {mismatches} mismatches; "
           f"verdicts {dict(sorted(kinds.items()))}; routes with N > 2 {dict(sorted(routes.items()))}; "
           f"{time.monotonic() - started:.1f} s; slowest program {slowest[1]}: {slowest[0]:.2f} s "
-          f"(check_sni {slowest[2]['check_sni']:.2f} s, references {slowest[2]['references']:.2f} s)")
+          f"(check_sni {slowest[2]['check_sni']:.2f} s, "
+          f"references {sum(slowest[2].values()) - slowest[2]['check_sni']:.2f} s); slowest in each: "
+          + ", ".join(f"{part} program {k} {seconds:.2f} s" for part, (seconds, k) in sorted(slowest_in.items())))
     return 1 if mismatches else 0
 
 

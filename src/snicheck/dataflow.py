@@ -1,15 +1,16 @@
-"""Backward set-union flow solver, and the reverse postorder it seeds from.
+"""Backward union flow solver, and the reverse postorder it seeds from.
 
 `solve` returns the least f with f(n) >= transfer(s, f(s)) for every edge
-n -> s, and f(n) >= init at each init node, where facts are sets ordered by
-inclusion.  Liveness is its one client.  The worklist is FIFO, seeded in
-reverse postorder of the reversed flow graph: a depth-first search against
-the edges from the init nodes, then from each node it did not reach, in node
-order.  A node is then visited after all its successors, except along back
-edges, so the transfer runs exactly once per node on acyclic regions.  The
-least solution does not depend on the visit order, so this only changes how
-fast the solver gets there.  A fact only grows, and the transfer's outputs
-lie in a finite universe, so the loop ends.
+n -> s, and f(n) >= init at each init node, where facts are frozensets or
+int bit masks, joined by `|`.  Liveness, on bit masks, is its one client.
+The worklist is FIFO, seeded in reverse postorder of the reversed flow
+graph: a depth-first search against the edges from the init nodes, then
+from each node it did not reach, in node order.  A node is then visited
+after all its successors, except along back edges, so the transfer runs
+exactly once per node on acyclic regions.  The least solution does not
+depend on the visit order, so this only changes how fast the solver gets
+there.  A fact only grows, and the transfer's outputs lie in a finite
+universe, so the loop ends.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 Node = Hashable
+Fact = "frozenset | int"
 
 
 # a problem object, not bare arguments: the benchmark's tracer wraps `solve`
@@ -27,8 +29,8 @@ Node = Hashable
 class FlowProblem:
     nodes: list[Node]
     edges: list[tuple[Node, Node]]
-    transfer: Callable[[Node, frozenset], frozenset]
-    init: frozenset
+    transfer: Callable[[Node, Fact], Fact]
+    init: Fact
     init_nodes: list[Node]
 
 
@@ -57,12 +59,12 @@ def reverse_postorder(roots, deps: dict[Node, Sequence[Node]]) -> list[Node]:
     return post
 
 
-def solve(prob: FlowProblem) -> dict[Node, frozenset]:
+def solve(prob: FlowProblem) -> dict[Node, Fact]:
     """Least solution of the backward flow inequalities by worklist iteration."""
     preds: dict[Node, list[Node]] = {n: [] for n in prob.nodes}
     for u, v in prob.edges:
         preds[v].append(u)
-    sol = {n: frozenset() for n in prob.nodes}
+    sol = dict.fromkeys(prob.nodes, type(prob.init)())
     for n in prob.init_nodes:
         sol[n] = prob.init
 
@@ -73,8 +75,9 @@ def solve(prob: FlowProblem) -> dict[Node, frozenset]:
         queued.discard(n)
         out = prob.transfer(n, sol[n])
         for m in preds[n]:
-            if not out <= sol[m]:
-                sol[m] = sol[m] | out
+            new = sol[m] | out
+            if new != sol[m]:
+                sol[m] = new
                 if m not in queued:
                     queue.append(m)
                     queued.add(m)

@@ -50,8 +50,8 @@ and apply every rule through its compiled transfer: the product the rule of
 its case, the analysis the join of the rules of a node.
 `StaticPoison.assignment` unpacks a solution into dicts for the table, its
 JSON and the tests.  `poison_analysis` is a `RepairSession` with no splices;
-`fix_ra` runs all its rounds in one session, which builds source liveness,
-structure, live relocations and the product graph once and patches them per
+`fix_ra` runs all its rounds in one session, which builds the structure,
+the live relocations and the product graph once and patches them per
 splice.  One routine solves the flow problem, strongly connected component
 by component in topological order: at construction it solves every
 component, and after a splice only those whose inflow changed.  Every
@@ -85,7 +85,6 @@ from .ir import (
     loc_text,
     pc_key,
 )
-from .liveness import cells_fact, liveness
 from .regalloc import (
     RAWitness,
     Structure,
@@ -225,16 +224,16 @@ class Product:
 
     Every analysis of a witness builds its `Product` first, and the product
     refuses a witness that `validate_ra` refuses, with its first diagnostic,
-    checked with the liveness, structure and live relocations it keeps."""
+    checked with the live registers, structure and live relocations it
+    keeps."""
 
     def __init__(self, w: RAWitness, width: int = DEFAULT_WIDTH):
         self.w = w
         self.width = width
-        self.sol = liveness(w.source, cells_fact(w.source))
-        self.live = source_live_regs(w, self.sol)
+        self.live = source_live_regs(w)
         self.st: Structure = analyze_structure(w)
-        self.rho = {} if self.st.errors else rho_live(w, self.st, self.sol, self.live)
-        bad = validate_ra(w, self.sol, self.live, self.st, self.rho)
+        self.rho = {} if self.st.errors else rho_live(w, self.st, self.live)
+        bad = validate_ra(w, self.live, self.st, self.rho)
         if bad:
             raise ValueError(f"invalid witness: {bad[0]}")
         self.domain = poison_domain(w)
@@ -586,13 +585,12 @@ class RepairSession:
     """The static poison analysis of one witness, kept current while
     `fix_ra` splices fences into its target.
 
-    Source liveness, the structure, the live relocations and the packing
-    come from one `Product`; the first three are patched per splice instead
-    of rebuilt.  Splicing a fresh pc f in front of the matched target pc
-    t = phi(S) changes each of them in one place: f is a shuffle pc owned by
-    S, every chain into S now ends with f, f relocates exactly like t, and
-    every product edge into (S, t) now enters (S, f), which flows into
-    (S, t).
+    The structure, the live relocations and the packing come from one
+    `Product`; the first two are patched per splice instead of rebuilt.
+    Splicing a fresh pc f in front of the matched target pc t = phi(S)
+    changes each of them in one place: f is a shuffle pc owned by S, every
+    chain into S now ends with f, f relocates exactly like t, and every
+    product edge into (S, t) now enters (S, f), which flows into (S, t).
 
     Construction indexes the product graph: pred and succ lists, its
     strongly connected components (SCCs) and a topological rank for each.
@@ -611,7 +609,7 @@ class RepairSession:
         """`prod` is `w`'s product if the caller has one; splices patch its
         structure and relocations in place."""
         prod = prod if prod is not None else Product(w)
-        self.w, self.sol, self.live, self.domain = w, prod.sol, prod.live, prod.domain
+        self.w, self.domain = w, prod.domain
         self.st, self.rho_live = prod.st, prod.rho  # patched per splice
         self.instrs = dict(w.target.instrs)
         self.rho = dict(w.rho)  # a splice adds a map, and changes none

@@ -55,7 +55,7 @@ from .ir import (
     uses_defs,
 )
 from .dataflow import reverse_postorder
-from .liveness import cells_fact, live_regs_before, liveness
+from .liveness import cells_fact, live_regs
 
 Loc = "Reg | tuple[str, int]"  # hardware register or ("stk", slot)
 
@@ -167,61 +167,59 @@ def analyze_structure(w: RAWitness) -> Structure:
     return Structure(matched, owner, chains, errs)
 
 
-def source_live_regs(w: RAWitness, sol) -> dict[Pc, frozenset[Reg]]:
+def source_live_regs(w: RAWitness) -> dict[Pc, frozenset[Reg]]:
     """Registers live before each source pc, registers dead at exit."""
-    return live_regs_before(w.source, sol, cells_fact(w.source))
+    return live_regs(w.source, cells_fact(w.source))[0]
 
 
-def live_regs_at_target(st: Structure, live: dict[Pc, frozenset[Reg]], t_pc: Pc) -> frozenset[Reg]:
-    """Source registers live at a target pc (live-before its source pc)."""
-    return live[st.matched.get(t_pc, st.owner.get(t_pc))]
-
-
-def rho_live(w: RAWitness, st: Structure, sol, live: dict[Pc, frozenset[Reg]] | None = None) -> dict[Pc, dict[Reg, "Loc"]]:
-    """rho restricted to live registers at every target pc.
-
-    `live` is `source_live_regs(w, sol)`, computed here when not given."""
+def rho_live(w: RAWitness, st: Structure, live: dict[Pc, frozenset[Reg]] | None = None) -> dict[Pc, dict[Reg, "Loc"]]:
+    """rho restricted to live registers at every target pc: those live
+    before the source pc it is matched to, or whose shuffle chain it is on.
+    `live` is `source_live_regs(w)`, computed here when not given."""
     if live is None:
-        live = source_live_regs(w, sol)
+        live = source_live_regs(w)
     out = {}
     for t_pc in w.target.pcs():
         m = w.rho.get(t_pc, {})
-        out[t_pc] = {r: m[r] for r in sorted(live_regs_at_target(st, live, t_pc)) if r in m}
+        out[t_pc] = {r: m[r] for r in sorted(live[st.matched.get(t_pc, st.owner.get(t_pc))]) if r in m}
     return out
 
 
 def validate_ra(
     w: RAWitness,
-    sol: dict[Pc, frozenset] | None = None,
     live: dict[Pc, frozenset[Reg]] | None = None,
     st: Structure | None = None,
     rl: dict[Pc, dict[Reg, "Loc"]] | None = None,
 ) -> list[RADiagnostic]:
     """All witness diagnostics; empty iff the three conditions hold.
 
-    `sol` is the source liveness with registers dead at exit, `live` is
-    `source_live_regs(w, sol)`, `st` is `analyze_structure(w)` and `rl` is
-    `rho_live(w, st, sol, live)`; each is computed here when not given."""
-    if sol is None:
-        sol = liveness(w.source, cells_fact(w.source))
+    `live` is `source_live_regs(w)`, `st` is `analyze_structure(w)` and `rl`
+    is `rho_live(w, st, live)`; each is computed here when not given.  The
+    per-register scans run only where a cheap check fails: live count against
+    map size, locations repeated or not yet seen in range, maps unequal on an edge."""
     if st is None:
         st = analyze_structure(w)
     if st.errors:
         return st.errors
     if live is None:
-        live = source_live_regs(w, sol)
+        live = source_live_regs(w)
     if rl is None:
-        rl = rho_live(w, st, sol, live)
+        rl = rho_live(w, st, live)
     out: list[RADiagnostic] = []
     src, tgt = w.source, w.target
-    live_at = {t: live_regs_at_target(st, live, t) for t in tgt.pcs()}
+    live_at = {t: live[st.matched.get(t, st.owner.get(t))] for t in tgt.pcs()}  # as in `rho_live`
     stk = tgt.memvar(STACK_VAR)  # declared, or the structure check failed
+    in_range = {(STACK_VAR, i) for i in range(stk.size)}  # and every register met below
 
     # obeying liveness: coverage and injectivity on live registers
     for t_pc in tgt.pcs():
-        m = rl[t_pc]
-        for r in sorted(live_at[t_pc] - m.keys()):
+        m = rl[t_pc]  # live registers only, so none is unmapped when the sizes agree
+        for r in sorted(live_at[t_pc] - m.keys()) if len(m) != len(live_at[t_pc]) else ():
             out.append(RADiagnostic("obeying-liveness", (t_pc,), f"live register {r} unmapped"))
+        held = set(m.values())
+        if len(held) == len(m) and held <= in_range:
+            continue
+        in_range |= {loc for loc in held if not is_slot(loc)}
         items = sorted(m.items())
         locs = {}
         for r, loc in items:
@@ -246,11 +244,13 @@ def validate_ra(
     # shuffle conformity: per-instruction frame condition + shuffle table
     for t_pc in tgt.pcs():
         ti = tgt.instrs[t_pc]
-        t_uses, t_defs = uses_defs(ti)
         for t_next in ti.successors():
             m0, m1 = rl[t_pc], rl[t_next]
             # a matched move is a source instruction, checked by instruction matching
             moved = _moved_register(t_pc, ti, m0, m1, out) if t_pc in st.owner else None
+            if m0 == m1:
+                continue  # no register changes its location
+            t_uses, t_defs = uses_defs(ti)
             # only a register whose location differs can move without a shuffle
             for r in sorted([r for r in live_at[t_pc] & live_at[t_next] if m0.get(r) != m1.get(r)]):
                 l0, l1 = m0.get(r), m1.get(r)
@@ -337,30 +337,26 @@ class AllocationInfeasible(ValueError):
     pass
 
 
-def _next_use(p: Program, rpo: list[Pc] | None = None) -> dict[Pc, dict[Reg, int]]:
+def _next_use(p: Program) -> dict[Pc, dict[Reg, int]]:
     """Per pc and register, the fewest steps to an instruction that reads it
-    (1 << 30 when none does).  `rpo` is a reverse postorder of `p`'s pcs."""
-    INF = 1 << 30
-    regs = p.registers
-    if rpo is None:
-        rpo = reverse_postorder([p.entry, *p.pcs()], {pc: i.successors() for pc, i in p.instrs.items()})
-    dist = {pc: dict.fromkeys(regs, INF) for pc in p.instrs}
-    # distances flow against control flow, so sweeping in postorder settles
-    # acyclic code in one pass; the fixpoint does not depend on the order.
-    # Every pc reads two successor rows (its only one twice, or all INF).
-    none = dict.fromkeys(regs, INF)
-    steps = []
-    for pc in reversed(rpo):
-        rows = [dist[s] for s in p.instrs[pc].successors()] or [none]
-        steps.append((dist[pc], uses_defs(p.instrs[pc])[0], rows[0], rows[-1]))
-    changed = True
-    while changed:
-        changed = False
-        for here, uses, a, b in steps:
-            row = {r: 0 if r in uses else min(a[r], b[r], INF - 1) + 1 for r in regs}
-            if row != here:
-                here.update(row)
-                changed = True
+    (1 << 30 when none does): one breadth-first search per register against
+    control flow, from the pcs that read it."""
+    preds: dict[Pc, list[Pc]] = {pc: [] for pc in p.instrs}
+    readers: dict[Reg, list[Pc]] = {r: [] for r in p.registers}
+    for pc, i in p.instrs.items():
+        for s in i.successors():
+            preds[s].append(pc)
+        for r in uses_defs(i)[0]:
+            readers[r].append(pc)
+    dist = {pc: dict.fromkeys(readers, 1 << 30) for pc in p.instrs}
+    for r, frontier in readers.items():
+        seen, d = set(frontier), 0
+        while frontier:
+            for pc in frontier:
+                dist[pc][r] = d
+            frontier = {u for pc in frontier for u in preds[pc]} - seen
+            seen |= frontier
+            d += 1
     return dist
 
 
@@ -376,26 +372,29 @@ def allocate(p: Program, k: int) -> RAWitness:
         raise AllocationInfeasible("need at least 2 hardware registers")
     if p.memvar(STACK_VAR) is not None:
         raise AllocationInfeasible("source already declares stk")
-    ef = cells_fact(p)
-    sol = liveness(p, ef)
-    lb = live_regs_before(p, sol, ef)
-    la = {pc: frozenset(r for r in sol[pc] if isinstance(r, str)) for pc in p.instrs}
+    lb, la = live_regs(p, cells_fact(p))
     # from the entry first; unreachable code still needs a slot in the order
     rpo = reverse_postorder([p.entry, *p.pcs()], {pc: i.successors() for pc, i in p.instrs.items()})
-    nxt = _next_use(p, rpo)
+    nxt = _next_use(p)
 
     hw = sorted(p.registers)[:k]
 
     slot_of: dict[Reg, int] = {}
 
     def slot(r: Reg):
-        if r not in slot_of:
-            slot_of[r] = len(slot_of)
-        return (STACK_VAR, slot_of[r])
+        return (STACK_VAR, slot_of.setdefault(r, len(slot_of)))
 
     def free_hw(m: dict) -> list[Reg]:
         used = set(m.values())
         return [h for h in hw if h not in used]
+
+    def furthest(pc: Pc, regs, at: dict, what: str) -> Reg:
+        """The register of `regs` in a hardware register under `at` whose
+        next use is furthest from `pc`, the least name on a tie."""
+        v = min((r for r in regs if isinstance(at.get(r), str)), key=lambda r: (-nxt[pc][r], r), default=None)
+        if v is None:
+            raise AllocationInfeasible(f"{pc}: cannot place {what} with k={k}")
+        return v
 
     def plan(pc: Pc, cand: dict | None) -> tuple[dict, dict]:
         """Map at the instruction and map after it (def placed, dead dropped)."""
@@ -411,13 +410,8 @@ def allocate(p: Program, k: int) -> RAWitness:
                 continue
             fr = free_hw(m)
             if not fr:
-                victims = sorted(
-                    (r for r in live - uses if isinstance(m[r], str)),
-                    key=lambda r: (-nxt[pc][r], r),
-                )
-                if not victims:
-                    raise AllocationInfeasible(f"{pc}: cannot place use {u} with k={k}")
-                m[victims[0]] = slot(victims[0])
+                v = furthest(pc, live - uses, m, f"use {u}")
+                m[v] = slot(v)
                 fr = free_hw(m)
             m[u] = fr[0]
         out = {r: m[r] for r in sorted(la[pc] - defs) if r in m}
@@ -427,15 +421,8 @@ def allocate(p: Program, k: int) -> RAWitness:
                 continue
             fr = [h for h in hw if h not in out.values()]
             while not fr:
-                victims = sorted(
-                    (r for r in la[pc] - defs - uses if isinstance(out.get(r), str)),
-                    key=lambda r: (-nxt[pc][r], r),
-                )
-                if not victims:
-                    raise AllocationInfeasible(f"{pc}: cannot place def {d} with k={k}")
-                v = victims[0]
-                out[v] = slot(v)
-                m[v] = slot(v)
+                v = furthest(pc, la[pc] - defs - uses, out, f"def {d}")
+                out[v] = m[v] = slot(v)
                 fr = [h for h in hw if h not in out.values()]
             out[d] = fr[0]
         return m, out
@@ -482,36 +469,24 @@ def allocate(p: Program, k: int) -> RAWitness:
 
         pending = {r for r in regs if cur[r] != goal[r]}
         while pending:
-            progress = False
-            for r in sorted(pending):
-                occ = {loc for x, loc in cur.items() if x != r}
-                if goal[r] not in occ:
-                    emit(r, goal[r])
-                    pending.discard(r)
-                    progress = True
-                    break
-            if progress:
-                continue
-            # all-register cycle; park the smallest register in its slot
-            r0 = min(r for r in pending if not is_slot(cur[r]))
-            emit(r0, slot(r0))
+            r = next((r for r in sorted(pending) if goal[r] not in {loc for x, loc in cur.items() if x != r}), None)
+            if r is None:  # all-register cycle; park the smallest register in its slot
+                r0 = min(r for r in pending if not is_slot(cur[r]))
+                emit(r0, slot(r0))
+            else:
+                emit(r, goal[r])
+                pending.discard(r)
         return ops
 
     for pc in rpo:
         i = p.instrs[pc]
         m_in, m_out = maps_in[pc], maps_out[pc]
-        succs = list(i.successors())
         new_succs = []
-        for idx, s in enumerate(succs):
-            regs = sorted(lb[s])
-            ops = build_chain(m_out, maps_in[s], regs)
-            if not ops:
-                new_succs.append(s)
-                continue
-            labels = [fresh_label(f"{pc}.{idx}.{j}") for j in range(len(ops))]
+        for idx, s in enumerate(i.successors()):
+            ops = build_chain(m_out, maps_in[s], sorted(lb[s]))
+            labels = [fresh_label(f"{pc}.{idx}.{j}") for j in range(len(ops))] + [s]
             for j, (op, snapshot) in enumerate(ops):
-                nxt_label = labels[j + 1] if j + 1 < len(ops) else s
-                instrs[labels[j]] = replace(op, succ=nxt_label)
+                instrs[labels[j]] = replace(op, succ=labels[j + 1])
                 rho[labels[j]] = snapshot
             new_succs.append(labels[0])
         instrs[pc] = _rename_instr(i, m_in, m_out, new_succs)

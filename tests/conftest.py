@@ -837,11 +837,66 @@ def ref_instr_matches(i, ti, m_use, m_def, live_succ):
 
 
 def ref_validate_ra(w):
-    """`regalloc.validate_ra` with the reference matching and shuffle rules."""
-    from unittest import mock
+    """`regalloc.validate_ra` with the reference matching and shuffle rules,
+    live registers from `ref_liveness`, and every per-register scan run at
+    every target pc and edge, without the checks that skip a clean one."""
+    from snicheck.ir import STACK_VAR, uses_defs
+    from snicheck.liveness import cells_fact
+    from snicheck.regalloc import RADiagnostic, analyze_structure, fmt_loc, is_slot
 
-    from snicheck import regalloc
+    st = analyze_structure(w)
+    if st.errors:
+        return st.errors
+    src, tgt = w.source, w.target
+    ef = cells_fact(src)
+    sol = ref_liveness(src, ef)
+    live = {pc: {x for x in ref_liveness_transfer(src, i, sol[pc], ef) if isinstance(x, str)} for pc, i in src.instrs.items()}
+    live_at = {t: live[st.matched.get(t, st.owner.get(t))] for t in tgt.pcs()}
+    rl = {t: {r: w.rho[t][r] for r in sorted(live_at[t]) if r in w.rho.get(t, {})} for t in tgt.pcs()}
+    out = []
+    stk = tgt.memvar(STACK_VAR)
 
-    moved = lambda t_pc, ti, m0, m1, out: ref_moved_register(w, t_pc, ti, m0, m1, out)
-    with mock.patch.multiple(regalloc, _instr_matches=ref_instr_matches, _moved_register=moved):
-        return regalloc.validate_ra(w)
+    # obeying liveness: coverage and injectivity on live registers
+    for t_pc in tgt.pcs():
+        m = rl[t_pc]
+        for r in sorted(live_at[t_pc] - m.keys()):
+            out.append(RADiagnostic("obeying-liveness", (t_pc,), f"live register {r} unmapped"))
+        items = sorted(m.items())
+        locs = {}
+        for r, loc in items:
+            if loc in locs:
+                out.append(RADiagnostic("obeying-liveness", (t_pc,), f"{locs[loc]} and {r} both at {fmt_loc(loc)}"))
+            locs[loc] = r
+        for r, loc in items:
+            if is_slot(loc) and not 0 <= loc[1] < stk.size:
+                out.append(RADiagnostic("obeying-liveness", (t_pc,), f"slot {loc[1]} outside stk size {stk.size}"))
+
+    # instruction matching at phi pairs
+    for s_pc in src.pcs():
+        t_pc = w.phi[s_pc]
+        i, ti = src.instrs[s_pc], tgt.instrs[t_pc]
+        t_succs = ti.successors()
+        succ_map = rl[t_succs[0]] if t_succs else {}
+        live_succ = live_at[t_succs[0]] if t_succs else frozenset()
+        ok, msg = ref_instr_matches(i, ti, rl[t_pc], succ_map, live_succ)
+        if not ok:
+            out.append(RADiagnostic("instruction-matching", (s_pc, t_pc), msg))
+
+    # shuffle conformity: per-instruction frame condition + shuffle table
+    for t_pc in tgt.pcs():
+        ti = tgt.instrs[t_pc]
+        t_uses, t_defs = uses_defs(ti)
+        for t_next in ti.successors():
+            m0, m1 = rl[t_pc], rl[t_next]
+            moved = ref_moved_register(w, t_pc, ti, m0, m1, out) if t_pc in st.owner else None
+            for r in sorted([r for r in live_at[t_pc] & live_at[t_next] if m0.get(r) != m1.get(r)]):
+                l0, l1 = m0.get(r), m1.get(r)
+                if l0 is None or l1 is None:
+                    continue
+                if (not is_slot(l0) and l0 in t_uses) or (not is_slot(l1) and l1 in t_defs):
+                    continue
+                if r != moved:
+                    out.append(
+                        RADiagnostic("shuffle-conformity", (t_pc, t_next), f"{r} moves {fmt_loc(l0)} -> {fmt_loc(l1)} without a shuffle")
+                    )
+    return out

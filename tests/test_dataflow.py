@@ -45,7 +45,7 @@ def test_liveness_of_dce_example():
 
 
 def _kleene(prob: FlowProblem):
-    sol = {n: frozenset() for n in prob.nodes}
+    sol = {n: type(prob.init)() for n in prob.nodes}
     for n in prob.init_nodes:
         sol[n] = sol[n] | prob.init
     for _ in range(64):
@@ -72,6 +72,26 @@ def test_least_solution_matches_kleene(rng):
             init_nodes=[nodes[0] if rng.random() < 0.5 else nodes[-1]],
         )
         assert solve(prob) == _kleene(prob)
+
+
+def test_bit_mask_facts_match_kleene(rng):
+    """Facts may be int bit masks, as liveness's are: bottom is 0 and the
+    join is bitwise or, on random graphs with cycles."""
+    for _ in range(200):
+        nodes = list("abcde")[: rng.randint(2, 5)]
+        edges = [(u, v) for u in nodes for v in nodes if u != v and rng.random() < 0.4]
+        gen = {n: rng.randrange(8) for n in nodes}
+        kill = {n: rng.randrange(8) for n in nodes}
+        prob = FlowProblem(
+            nodes=nodes,
+            edges=edges,
+            transfer=lambda n, v, g=gen, k=kill: v & ~k[n] | g[n],
+            init=rng.randrange(8),
+            init_nodes=rng.sample(nodes, rng.randint(0, 2)),
+        )
+        sol = solve(prob)
+        assert sol == _kleene(prob)
+        assert all(type(x) is int for x in sol.values())
 
 
 def test_solution_satisfies_inequalities(rng):

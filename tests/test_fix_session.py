@@ -37,7 +37,6 @@ from snicheck.regalloc import (
     serialize_ra_witness,
     validate_ra,
 )
-from snicheck.liveness import cells_fact, liveness
 
 from conftest import load_program, pt_const, pt_join, pv_join, random_program
 
@@ -93,9 +92,8 @@ def reference_assignment(w):
     solved from scratch by a FIFO worklist over the whole product graph:
     every node starts queued, and a node is queued again when its type
     grows."""
-    sol = liveness(w.source, cells_fact(w.source))
     st = analyze_structure(w)
-    rho = rho_live(w, st, sol)
+    rho = rho_live(w, st)
     domain = poison_domain(w)
     succ, _ = prod_graph(w, st)
     transfer = _reference_transfer(w, rho, domain)

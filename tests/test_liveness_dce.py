@@ -1,5 +1,5 @@
 from snicheck.ir import Load, Nop, Store, parse_program, print_program
-from snicheck.liveness import cells_fact, dce_transform, full_fact, live_before, live_regs_before, liveness
+from snicheck.liveness import cells_fact, dce_transform, full_fact, live_before, live_regs, liveness
 
 from conftest import (
     load_program,
@@ -118,9 +118,11 @@ def _programs_with_every_kind(rng, n):
 
 
 def test_liveness_matches_the_match_based_reference(rng):
-    """`liveness`, `live_before`, `live_regs_before` and `dce_transform`, all
-    read off `ir.KINDS`, agree with one `match` arm per kind under both exit
-    facts, on sources and on allocated targets (fills and spills)."""
+    """`liveness`, `live_before`, `live_regs` and `dce_transform`, all read
+    off `ir.KINDS`, agree with one `match` arm per kind under both exit
+    facts, on sources and on allocated targets (fills and spills): the
+    register sets before and after each pc are the registers of the
+    reference's facts."""
     kinds = set()
     for p in _programs_with_every_kind(rng, 400):
         for ef in (full_fact(p), cells_fact(p)):
@@ -128,9 +130,8 @@ def test_liveness_matches_the_match_based_reference(rng):
             assert sol == ref_liveness(p, ef)
             before = {pc: ref_liveness_transfer(p, i, sol[pc], ef) for pc, i in p.instrs.items()}
             assert {pc: live_before(p, sol, pc, ef) for pc in p.instrs} == before
-            assert live_regs_before(p, sol, ef) == {
-                pc: frozenset(x for x in f if isinstance(x, str)) for pc, f in before.items()
-            }
+            regs = lambda facts: {pc: frozenset(x for x in f if isinstance(x, str)) for pc, f in facts.items()}
+            assert live_regs(p, ef) == (regs(before), regs(ref_liveness(p, ef)))
             ref = dce_transform(p, ref_liveness(p, ef))
             res = dce_transform(p, sol)
             assert (res.target, res.replaced) == (ref.target, ref.replaced)

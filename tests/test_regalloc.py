@@ -37,6 +37,18 @@ def test_witness_mutation_unmapped_live_register(ra_witness):
     assert any(d.kind == "obeying-liveness" and "bytes" in d.message for d in diags)
 
 
+def test_out_of_range_slot_reported_at_every_pc(ra_witness):
+    """A slot outside `stk` is reported at every pc that holds it, not only
+    at the first map where `validate_ra` meets it."""
+    from conftest import ref_validate_ra
+
+    rho = {pc: {r: ("stk", 3) if loc == ("stk", 0) else loc for r, loc in m.items()} for pc, m in ra_witness.rho.items()}
+    w = RAWitness(ra_witness.source, ra_witness.target, dict(ra_witness.phi), rho)
+    diags = validate_ra(w)
+    assert sum(d.message == "slot 3 outside stk size 1" for d in diags) >= 2
+    assert diags == ref_validate_ra(w)
+
+
 def test_witness_mutation_spill_to_occupied_slot(ra_witness):
     # park another live register in the slot the spill writes
     rho = {pc: dict(m) for pc, m in ra_witness.rho.items()}
@@ -69,13 +81,12 @@ def _corrupted(rng, w):
 
 
 def test_validate_ra_with_precomputed_facts(rng):
-    """Passing liveness, structure and live relocations, as a `Product`
+    """Passing live registers, structure and live relocations, as a `Product`
     does, gives the same diagnostics as computing them.  A valid witness
     passes with a `Product`'s own facts; an invalid one is refused when its
     `Product` is built, with the first diagnostic."""
     import re
 
-    from snicheck.liveness import cells_fact, liveness
     from snicheck.poison import Product
     from snicheck.regalloc import rho_live, source_live_regs
 
@@ -87,14 +98,13 @@ def test_validate_ra_with_precomputed_facts(rng):
         except AllocationInfeasible:
             continue
         want = validate_ra(w)
-        sol = liveness(p, cells_fact(p))
-        live = source_live_regs(w, sol)
+        live = source_live_regs(w)
         st = analyze_structure(w)
-        rl = None if st.errors else rho_live(w, st, sol, live)
-        assert validate_ra(w, sol, live, st, rl) == want
+        rl = None if st.errors else rho_live(w, st, live)
+        assert validate_ra(w, live, st, rl) == want
         if not want:
             prod = Product(w)
-            assert validate_ra(w, prod.sol, prod.live, prod.st, prod.rho) == []
+            assert validate_ra(w, prod.live, prod.st, prod.rho) == []
         else:
             with pytest.raises(ValueError, match=re.escape(f"invalid witness: {want[0]}")):
                 Product(w)
@@ -130,12 +140,17 @@ def _field_swapped(rng, w):
 
 def test_validate_ra_matches_per_kind_reference(rng):
     """Matching and shuffle conformity read from `ir.KINDS` give the same
-    diagnostics, in the same order, as one hand-written rule per kind."""
+    diagnostics, in the same order, as one hand-written rule per kind; and
+    the per-register scans that `validate_ra` runs only where a cheap check
+    fails find what the reference's full scans find.  Each scan is reached:
+    an unmapped live register, two registers at one location, a slot beyond
+    `stk`, and a register that moves without a shuffle."""
     from collections import Counter
 
     from conftest import ref_validate_ra
 
     checked, seen = 0, Counter()
+    scans = {"unmapped": "unmapped", "both at": "shared", "outside stk": "slot", "without a shuffle": "moved"}
     while checked < 2000:
         p = random_program(rng, n_instrs=rng.randint(2, 10), n_regs=rng.randint(1, 4), allow_shuffle=True)
         try:
@@ -152,11 +167,13 @@ def test_validate_ra_matches_per_kind_reference(rng):
             words = d.message.split()
             if "mismatch" in words or "relocates" in words or "differ:" in words:
                 seen[words[0], words[-1]] += 1
+            seen.update(name for text, name in scans.items() if text in d.message)
         checked += 1
     for name in ("assign", "load", "store", "branch", "slh", "move"):
         assert seen[name, "relocation"] >= 20, seen
     assert seen["instruction", "Nop"] + seen["instruction", "Sfence"] >= 20, seen
     assert seen["fill", "register"] >= 10 and seen["spill", "register"] >= 10 and seen["move", "register"] >= 1, seen
+    assert all(seen[name] >= 10 for name in scans.values()), seen
 
 
 _SHUFFLE_SOURCE = "mem m 1 low\nentry 0\n0: nop -> 1\n1: z = x add y -> 2\n2: ret\n"
@@ -611,15 +628,30 @@ def test_reverse_postorder_matches_recursive_dfs(rng):
 
 
 def test_next_use_is_shortest_distance_to_a_use(rng):
-    """The sweep order is free: the fixpoint is the BFS distance to the
-    nearest instruction that reads the register."""
+    """`_next_use` gives, per pc and register, the length of a shortest path
+    along control flow to an instruction that reads the register, found
+    here by a forward breadth-first search from each pc; 1 << 30 when no
+    such instruction is reachable.  Sources of up to 40 instructions, with
+    moves and branches back (loops), and their allocated targets, whose
+    shuffle chains add fills, spills and moves."""
     from collections import deque
 
     from snicheck.ir import uses_defs
     from snicheck.regalloc import _next_use
 
-    for _ in range(100):
-        p = random_program(rng, n_instrs=rng.randint(2, 12), n_regs=3)
+    programs, targets = [], []
+    while len(programs) < 150:
+        p = random_program(rng, n_instrs=rng.randint(2, 40), n_regs=rng.randint(1, 4), allow_shuffle=rng.random() < 0.5)
+        programs.append(p)
+        try:
+            t = allocate(p, rng.randint(2, 3)).target
+        except AllocationInfeasible:
+            continue
+        if len(t.instrs) <= 40:
+            targets.append(t)
+    assert sum(any(i.kind.mnemonic == "fill" for i in t.instrs.values()) for t in targets) >= 10
+    programs += targets
+    for p in programs:
         nxt = _next_use(p)
         for r in p.registers:
             for start in p.instrs:
