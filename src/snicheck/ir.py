@@ -366,13 +366,13 @@ class Diagnostic:
         return f"{self.pc}: {self.message}" if self.pc else self.message
 
 
-def validate_program(p: Program, warnings: list[Diagnostic] | None = None) -> list[Diagnostic]:
+def validate_program(p: Program) -> list[Diagnostic]:
     """Structural validation; returns an empty list iff all invariants hold.
 
     The diagnostics without a pc come first; those of an instruction follow
     in `pc_key` order of their pcs, each pc's successors before its memory
-    access or operator.  A missing reachable exit is only reported through
-    `warnings`.
+    access or operator.  A program need not reach an exit: a search cuts
+    its loops at the step bound.
     """
     out: list[Diagnostic] = []
     if p.entry not in p.instrs:
@@ -408,16 +408,6 @@ def validate_program(p: Program, warnings: list[Diagnostic] | None = None) -> li
     if len(at_pcs) > 1:
         at_pcs.sort(key=lambda d: pc_key(d.pc))  # stable: a pc keeps its own order
     out += at_pcs
-    if warnings is not None and p.entry in p.instrs and not out:
-        seen, todo = set(), [p.entry]
-        while todo:
-            pc = todo.pop()
-            if pc in seen:
-                continue
-            seen.add(pc)
-            todo.extend(p.instrs[pc].successors())
-        if not any(isinstance(p.instrs[pc], Exit) for pc in seen):
-            warnings.append(Diagnostic(p.entry, "no exit reachable from entry"))
     return out
 
 

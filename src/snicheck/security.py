@@ -1,10 +1,10 @@
 """Low-equivalence, program safety, and bounded speculative non-interference.
 
-Two initial states are indistinguishable to the attacker when they share the
-program counter and register file and agree on every cell of every low
-variable; only high memory may differ.  A program is SNI when indistinguishable
-initial states have the same behaviour: the same directive sequences are
-executable and produce the same leakage.
+Two initial states are indistinguishable to the attacker (`low_equivalent`)
+when they share the pc and registers and agree on all memory outside the high
+variables, as do the lanes of a packed state without packed values there.  A
+program is SNI when indistinguishable initial states have the same behaviour:
+the same directive sequences are executable and produce the same leakage.
 
 Every SNI search is one loop, `_walk`: bounded self-composition (Barthe,
 D'Argenio and Rezk) over the joint directive tree.  A node stands for the
@@ -63,6 +63,7 @@ from .semantics import (
     Directive,
     Divergent,
     Interner,
+    Lanes,
     Leakage,
     SpecState,
     State,
@@ -76,17 +77,14 @@ from .semantics import (
 )
 
 
-def low_equivalent(p: Program, s1: State, s2: State) -> bool:
-    """Same pc, same registers, same low memory; high cells are free."""
-    if s1.pc != s2.pc or s1.regs != s2.regs:
-        return False
-    for v in p.memvars:
-        if v.level != "low":
-            continue
-        for off in range(v.size):
-            if s1.cell(v.name, off) != s2.cell(v.name, off):
-                return False
-    return True
+def low_equivalent(p: Program, *states: State) -> bool:
+    """Whether the attacker sees `states` as one: the same pc, registers and
+    memory outside the high variables of `p`, and no packed value there.  Of
+    one packed state (`semantics.pack`): whether its lanes are low-equivalent."""
+    high = {v.name for v in p.memvars if v.level == "high"}
+    views = [(s.pc, s.regs, tuple([c for c in s.mem if c[0][0] not in high])) for s in states]
+    kinds = {v.__class__ for _, regs, low in views for _, v in regs + low}
+    return Lanes not in kinds and views.count(views[0]) == len(views)
 
 
 @dataclass

@@ -76,6 +76,7 @@ from .ir import (
     Spill,
     Store,
     STACK_VAR,
+    strip_comment,
 )
 
 DEFAULT_WIDTH = 8
@@ -731,10 +732,10 @@ def _int(text: str, what: str, base: int = 10) -> int:
 
 
 def _parse_lines(text: str, parse_line) -> None:
-    """`parse_line` on each line of `text` without its comment, blank ones
-    skipped; an error names its line."""
+    """`parse_line` on each line of `text` without its comment (the rule of
+    `ir.strip_comment`), blank ones skipped; an error names its line."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = strip_comment(raw)
         if line:
             try:
                 parse_line(line)

@@ -21,11 +21,12 @@ breadth-first walk over pairs of runs.  `check_simulation` starts from one
 initial target state; `check_snippy_cube` from all its high assignments at
 the witness's width (`security.enumerate_high_states`, within
 `security.PAIR_BUDGET`), packed into one state (`semantics.Lanes`, a lane per
-assignment) and mapped once, whose source may differ only in high cells.  A
-node is one pair id in `semantics.canonical` order, so it stands for one set
-of members (pairs of plain runs), and every count is multiplied by them.
+assignment) and mapped once, to a source whose lanes are low-equivalent
+(`security.low_equivalent`).  A node is one pair id in `semantics.canonical`
+order, so it stands for one set of members (pairs of plain runs), and every
+count is multiplied by them.
 
-Each pair met is checked once with the simulation conditions: every enabled
+Each expansion checks its pair with the simulation conditions: every enabled
 target directive heads an interval, both projections of every interval
 replay, and interval ends are related again.  While every question asked of
 a packed pair has one answer for all lanes, its members take the same
@@ -34,13 +35,12 @@ and each interval's end is a child.  A question the lanes answer differently
 (`semantics.Divergent`), or a fail of more than one member, splits the pair
 into its members (`semantics.unpack`, in lane order) for that expansion
 alone.  Each then meets the simulation conditions, and together the two-pair
-condition: a
-member whose source runs a member's interval's source directives with the
-same leaks offers that interval too.  Their ends under each signature are
-packed again into one child.  Children beyond the depth bound are cut.  So a
-passing cube means the simulation from every high assignment as well as the
-two-pair condition, and a fail names one member.  A Pass is evidence up to
-the given bounds, not a proof.
+condition: a member whose source runs a member's interval's source
+directives with the same leaks offers that interval too.  Their ends under
+each signature are packed again into one child.  Children beyond the depth
+bound are cut.  So a passing cube means the simulation from every high
+assignment as well as the two-pair condition, and a fail names one member.
+A Pass is evidence up to the given bounds, not a proof.
 
 Neither check says anything about a source that accesses memory out of
 bounds without speculating, and neither tests for one.  The preservation
@@ -79,7 +79,6 @@ from .semantics import (
     Directive,
     Divergent,
     Interner,
-    Lanes,
     Leakage,
     SpecState,
     State,
@@ -93,7 +92,7 @@ from .semantics import (
     unpack,
     walk,
 )
-from .security import enumerate_high_states
+from .security import enumerate_high_states, low_equivalent
 
 
 @dataclass(frozen=True, slots=True)
@@ -395,17 +394,9 @@ def check_snippy_cube(wit: SimWitness, base: State, b: Bounds) -> Verdict:
         s0 = wit.initial_map(t0)
     except Divergent:  # a mapping that asks about a high value maps each lane
         s0 = pack([wit.initial_map(t) for t in targets])
-    if s0 is None or not _lanes_only_high(wit.source, s0):
+    if s0 is None or not low_equivalent(wit.source, s0):
         return Verdict("fail", reason="initial-state mapping does not respect levels")
     return _walk(wit, s0, t0, b)
-
-
-def _lanes_only_high(p: Program, s: State) -> bool:
-    """Whether every packed value of `s` is in a high cell of `p`."""
-    high = {v.name for v in p.memvars if v.level == "high"}
-    return all(v.__class__ is not Lanes for _, v in s.regs) and all(
-        v.__class__ is not Lanes or c[0] in high for c, v in s.mem
-    )
 
 
 def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
@@ -461,7 +452,6 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
     # (source id, source directives) -> their `walk` from that source
     replays: dict[tuple[int, tuple[Directive, ...]], tuple[int, tuple[Leakage, ...]] | None] = {}
     related: dict[int, bool] = {}  # end pair id -> `wit.related` of it
-    simulates: set[int] = set()  # pair ids whose rows meet the simulation conditions
 
     def replay(sid: int, dirs: tuple[Directive, ...]):
         key = (sid, dirs)
@@ -470,15 +460,11 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
         return replays[key]
 
     def simulation(p: int, n: int) -> Verdict | None:
-        """The fail of the simulation conditions at pair id `p`, checked once
-        per pair id, or None; the counts are per expansion, times `n`."""
+        """The fail of the simulation conditions at pair id `p`, or None;
+        the counts are per expansion, times `n`."""
         nonlocal checked, truncated
         r = row(p)
         truncated += r.truncated * n
-        if p in simulates:
-            checked += len(r.intervals) * n
-            truncated += r.near.count(False) * n
-            return None
         pair = (srcs[r.src], tgts[r.tgt])
         heads = {iv.tgt_dirs[0] for iv in r.intervals}
         for d in tgt_tab.row(r.tgt)[0]:
@@ -498,7 +484,6 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
                 return Verdict("fail", checked, truncated, "interval end not related", (iv.end_src, iv.end_tgt))
             if not near:
                 truncated += n
-        simulates.add(p)
         return None
 
     try:

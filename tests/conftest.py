@@ -313,6 +313,34 @@ def ref_explore_behaviors(p, nu0, b, width=8):
     return bs
 
 
+# --- reference low-equivalence: the pairwise loop over declared low cells, and
+# the scan of one packed state for packed values outside high cells
+
+
+def ref_low_equivalent(p, s1, s2):
+    """Same pc, same registers, same value in every cell of every low
+    variable; cells of undeclared variables are not compared."""
+    if s1.pc != s2.pc or s1.regs != s2.regs:
+        return False
+    for v in p.memvars:
+        if v.level != "low":
+            continue
+        for off in range(v.size):
+            if s1.cell(v.name, off) != s2.cell(v.name, off):
+                return False
+    return True
+
+
+def ref_lanes_only_high(p, s):
+    """Whether every packed value of `s` is in a high cell of `p`."""
+    from snicheck.semantics import Lanes
+
+    high = {v.name for v in p.memvars if v.level == "high"}
+    return all(v.__class__ is not Lanes for _, v in s.regs) and all(
+        v.__class__ is not Lanes or c[0] in high for c, v in s.mem
+    )
+
+
 # --- reference SNI checks: every joint state asks `enabled_directives` and
 # `step_spec` afresh, with no transition table
 

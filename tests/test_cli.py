@@ -786,6 +786,24 @@ def test_state_and_directive_errors_name_the_line(flag, text, message, tmp_path,
     assert code == 3 and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--state", "reg r1 5#note\n", "line 1: bad value '5#note'"),
+    ("--directives", "step#note\n", "line 1: cannot parse directive 'step#note'"),
+])
+def test_state_and_directive_comments_follow_the_program_rule(flag, text, message, tmp_path, capsys):
+    """`#` opens a comment in a state file or a directive script as it does
+    in a program: at the start of a line or after whitespace, not inside a
+    word."""
+    f = tmp_path / "input"
+    f.write_text(text.replace("#", " # "))
+    assert main(["run", C("code_ra_target.sp"), flag, str(f)]) == 0
+    capsys.readouterr()
+    f.write_text(text)
+    code = main(["run", C("code_ra_target.sp"), flag, str(f)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and captured.err == f"error: {message}\n"
+
+
 def test_check_snippy_exhaustive_budget(capsys):
     """Nine high cells at width 2 would mean 2**18 states; refuse at once."""
     code = main(["check-snippy", "--witness-kind", "dce", "--source", C("code_specv1.sp"), "--width", "2"])

@@ -132,11 +132,9 @@ def test_validate_diagnostics_in_pc_order():
     ]
 
 
-def test_validate_ok_and_exit_warning():
+def test_validate_ok_without_reachable_exit():
     p = parse_program("entry a\na: nop -> a\n")
-    warnings = []
-    assert validate_program(p, warnings) == []
-    assert warnings and "no exit" in warnings[0].message
+    assert validate_program(p) == []
 
 
 def test_uses_defs_table():

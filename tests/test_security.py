@@ -36,6 +36,7 @@ from conftest import (
     random_state,
     ref_check_sni_exhaustive,
     ref_check_sni_pair,
+    ref_low_equivalent,
     ref_sni_walk,
     ref_taint_certify,
 )
@@ -47,6 +48,33 @@ def test_low_equivalence_basics(ra_target):
     assert low_equivalent(ra_target, s, s.with_cell("sec", 0, 99))
     assert not low_equivalent(ra_target, s, s.with_reg("b", 9))
     assert not low_equivalent(ra_target, s, s.with_cell("buf", 0, 3))
+
+
+def test_low_equivalence_matches_the_pairwise_reference(rng):
+    """On pairs of plain states of random programs with 1-3 high cells:
+    equal states, and states that differ in one register, one low cell or
+    one high cell.  The one intended difference: a cell of an undeclared
+    variable must agree, where the reference does not look at it."""
+    seen = Counter()
+    for _ in range(150):
+        p = random_program(rng, n_instrs=rng.randint(3, 8), hi_size=rng.randint(1, 3))
+        s = random_state(rng, p)[0]
+        flip = lambda v: v ^ rng.randrange(1, 256)
+        hi = ("hi", rng.randrange(p.memvar("hi").size))
+        lo = rng.choice([c for c in p.cells() if c[0] != "hi"])
+        changes = {"equal": s, "high cell": s.with_cell(*hi, flip(s.cell(*hi))),
+                   "low cell": s.with_cell(*lo, flip(s.cell(*lo)))}
+        if p.registers:
+            r = rng.choice(p.registers)
+            changes["register"] = s.with_reg(r, flip(s.reg(r)))
+        for what, s2 in changes.items():
+            want = ref_low_equivalent(p, s, s2)
+            assert low_equivalent(p, s, s2) == low_equivalent(p, s2, s) == want, what
+            assert want == (what in ("equal", "high cell")), what
+            seen[what] += 1
+        assert not low_equivalent(p, s, s.with_cell("undeclared", 0, 1))
+        assert ref_low_equivalent(p, s, s.with_cell("undeclared", 0, 1))
+    assert sum(seen.values()) >= 500 and min(seen.values()) >= 100, seen
 
 
 def test_safety_of_running_example(ra_source):

@@ -25,6 +25,7 @@ from snicheck.semantics import (
     enabled_directives,
     explore_behaviors,
     is_final,
+    pack,
     run_directives,
     step_spec,
     unpack,
@@ -51,6 +52,7 @@ from conftest import (
     random_program,
     random_state,
     ref_dce_intervals,
+    ref_lanes_only_high,
     ref_ra_intervals,
 )
 
@@ -764,6 +766,34 @@ def test_snippy_cube_tables_match_uncached_loop_on_corpus():
     cubes = [(dce, "code_dce_w2.init"), (ra, "code_ra_w2.init"), (fixed, "code_ra_w2.init")]
     assert [_assert_cubes_agree(*pair, w2_base(pair[0].target, init), Bounds(24, 2)).status
             for pair, init in cubes] == ["pass", "fail", "pass"]
+
+
+def test_packed_source_low_equivalence_matches_the_lane_scan(rng):
+    """`low_equivalent` of one packed source state, as `check_snippy_cube`
+    asks it, agrees with the scan for packed values outside high cells: on
+    the packed sources of random and corpus DCE, RA and fixed-RA cubes, and
+    on those sources with the lanes of the first high cell also moved into
+    a register or a low cell, as a mapping that leaks them would."""
+    corpus = [(wit, w2_base(wit.target, init)) for (wit, _), init in
+              zip(_corpus_witnesses(), ("code_dce_w2.init", "code_ra_w2.init", "code_ra_w2.init"))]
+    randoms = [(wit, random_state(rng, wit.target, width=2)[0])
+               for hi_size in (1, 2) for wit, _ in _random_witnesses(rng, 60, plant=False, hi_size=hi_size)]
+    seen = Counter()
+    for wit, base in corpus + randoms:
+        targets = [t for t, in enumerate_high_states(wit.target, (base,), wit.width)]
+        t0 = pack(targets)
+        try:
+            s0 = wit.initial_map(t0)
+        except Divergent:
+            s0 = pack([wit.initial_map(t) for t in targets])
+        hi = next(v.name for v in wit.source.memvars if v.level == "high")
+        lo = next(c for c in wit.source.cells() if wit.source.memvar(c[0]).level == "low")
+        lanes = s0.cell(hi, 0)
+        for what, s in (("mapped", s0), ("register", s0.with_reg("leak", lanes)), ("low cell", s0.with_cell(*lo, lanes))):
+            got = low_equivalent(wit.source, s)
+            assert got == ref_lanes_only_high(wit.source, s) == (what == "mapped"), (wit.kind, what)
+            seen[wit.kind, what] += 1
+    assert all(seen[kind, "mapped"] >= 4 for kind in ("dce", "ra")), seen
 
 
 def test_unfixed_allocations_fail_the_two_pair_condition(rng):
