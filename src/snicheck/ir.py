@@ -29,7 +29,6 @@ from typing import ClassVar
 
 Reg = str
 Pc = str
-Addr = "int | Reg"  # const offset or address register
 
 OPS = ("add", "sub", "mul", "lt", "eq", "and", "or")
 
@@ -336,14 +335,6 @@ class Program:
     @property
     def registers(self) -> list[Reg]:
         return list(self._registers)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Program)
-            and self.entry == other.entry
-            and self.instrs == other.instrs
-            and self.memvars == other.memvars
-        )
 
 
 def uses_defs(i: Instr) -> tuple[frozenset[Reg], frozenset[Reg]]:

@@ -50,11 +50,12 @@ and apply every rule through its compiled transfer: the product the rule of
 its case, the analysis the join of the rules of a node.
 `StaticPoison.assignment` unpacks a solution into dicts for the table, its
 JSON and the tests.  `poison_analysis` is a `RepairSession` with no splices;
-`fix_ra` runs all its rounds in one session, which builds the structure,
-the live relocations and the product graph once and patches them per
-splice.  One routine solves the flow problem, strongly connected component
-by component in topological order: at construction it solves every
-component, and after a splice only those whose inflow changed.  Every
+`fix_ra` runs all its rounds in one session, which reads the structure and
+the live relocations of one `Product`, builds the product graph once and
+patches the graph per splice.  One routine solves the flow problem,
+strongly connected component by component in topological order: at
+construction it solves every component, and after a splice only those whose
+inflow changed.  Every
 analysis refuses an invalid witness when its `Product` is built, and
 `fix_ra` validates only its input, since a splice keeps it as valid as it
 was.
@@ -113,8 +114,7 @@ PV_NAMES = {BOT: "_", H: "H", W: "W", P: "P"}
 # as bit sets (H = 0b01, W = 0b10, P = 0b11) the order is inclusion: H and W
 # are incomparable, and the least upper bound is bitwise or
 
-Key = "Reg | tuple[str, int]"
-PoisonType = dict  # Key -> poison value, total over the witness domain: an unpacked `_Packing` int
+PoisonType = dict  # register or cell -> poison value, total over the witness domain: an unpacked `_Packing` int
 
 
 def poison_domain(w: RAWitness) -> list:
@@ -586,11 +586,11 @@ class RepairSession:
     `fix_ra` splices fences into its target.
 
     The structure, the live relocations and the packing come from one
-    `Product`; the first two are patched per splice instead of rebuilt.
-    Splicing a fresh pc f in front of the matched target pc t = phi(S)
-    changes each of them in one place: f is a shuffle pc owned by S, every
-    chain into S now ends with f, f relocates exactly like t, and every
-    product edge into (S, t) now enters (S, f), which flows into (S, t).
+    `Product`, which the session reads and never changes.  Splicing a fresh
+    pc f in front of the matched target pc t = phi(S) patches the session's
+    own target and product graph in one place each: f relocates exactly like
+    t, and every product edge into (S, t) now enters (S, f), which flows
+    into (S, t).  The product's structure does not learn of f.
 
     Construction indexes the product graph: pred and succ lists, its
     strongly connected components (SCCs) and a topological rank for each.
@@ -606,24 +606,18 @@ class RepairSession:
     """
 
     def __init__(self, w: RAWitness, prod: Product | None = None):
-        """`prod` is `w`'s product if the caller has one; splices patch its
-        structure and relocations in place."""
+        """`prod` is `w`'s product if the caller has one; the session leaves
+        it as it was."""
         prod = prod if prod is not None else Product(w)
-        self.w, self.domain = w, prod.domain
-        self.st, self.rho_live = prod.st, prod.rho  # patched per splice
+        self.w, self.domain, self.rho_live = w, prod.domain, prod.rho
         self.instrs = dict(w.target.instrs)
         self.rho = dict(w.rho)  # a splice adds a map, and changes none
-        # source edges (s, idx) into each source pc: the chains a splice extends
-        self.chains_into: dict[Pc, list[tuple[Pc, int]]] = {pc: [] for pc in w.source.instrs}
-        for s_pc, i in w.source.instrs.items():
-            for idx, s_next in enumerate(i.successors()):
-                self.chains_into[s_next].append((s_pc, idx))
         self.tgt_preds: dict[Pc, list[Pc]] = {pc: [] for pc in self.instrs}
         for pc, i in self.instrs.items():
             for s in dict.fromkeys(i.successors()):
                 self.tgt_preds[s].append(pc)
         self.pk = prod.pk
-        self.succ, self.pred = prod_graph(w, self.st)
+        self.succ, self.pred = prod_graph(w, prod.st)
         self.fns = {n: self.pk.node(n, w.source, self.instrs, w.phi, self.rho_live) for n in self.succ}
         self.insertions: list[FixInsertion] = []
         self._counter = 0
@@ -701,10 +695,6 @@ class RepairSession:
         self.instrs[fresh] = new_instr
         self.tgt_preds[fresh], self.tgt_preds[t_pc] = self.tgt_preds[t_pc], [fresh]
         self.rho[fresh] = dict(self.rho.get(t_pc, {}))
-        self.rho_live[fresh] = dict(self.rho_live[t_pc])
-        self.st.owner[fresh] = s_pc
-        for edge in self.chains_into[s_pc]:
-            self.st.chains[edge].append(fresh)
         # product graph: edges into (S, t) now enter (S, f), which flows into (S, t)
         old, new = (s_pc, t_pc), (s_pc, fresh)
         succ, pred, comp = self.succ, self.pred, self.comp
@@ -714,7 +704,7 @@ class RepairSession:
             succ[u][succ[u].index(old)] = new
         pred[new], pred[old], succ[new] = pred[old], [new], [old]
         self.values[new] = 0
-        self.fns[new] = self.pk.transfer(new_instr, self.rho_live[fresh])
+        self.fns[new] = self.pk.transfer(new_instr, self.rho_live[t_pc])  # f relocates like t
         if cyclic:
             self.members[c].insert(self.members[c].index(old), new)
             comp[new] = c

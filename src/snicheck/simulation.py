@@ -55,9 +55,9 @@ width, and steps every state through it once.  The walk interns pairs of
 per pair id, built on first expansion: its intervals and, per interval, the
 ids of its signature and of its end pair.  Interval ends are interned by the
 check, not taken from the enumerator, so a wrong end state is still caught.
-Projections are `semantics.walk`s over the tables; source replays are kept
-per (source id, directive sequence) and `related` per end pair id.  A pair
-that comes back nearer is expanded again.  All tables live for one call.
+Projections are `semantics.walk`s over the tables, each made where it is
+checked; `related` is kept per end pair id.  A pair that comes back nearer
+is expanded again.  All tables live for one call.
 """
 
 from __future__ import annotations
@@ -449,15 +449,7 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
 
     pairs = Interner(fill)  # (source id, target id) -> id
     row, pair_ids = pairs.row, pairs.values
-    # (source id, source directives) -> their `walk` from that source
-    replays: dict[tuple[int, tuple[Directive, ...]], tuple[int, tuple[Leakage, ...]] | None] = {}
     related: dict[int, bool] = {}  # end pair id -> `wit.related` of it
-
-    def replay(sid: int, dirs: tuple[Directive, ...]):
-        key = (sid, dirs)
-        if key not in replays:
-            replays[key] = walk(src_tab, sid, dirs)
-        return replays[key]
 
     def simulation(p: int, n: int) -> Verdict | None:
         """The fail of the simulation conditions at pair id `p`, or None;
@@ -475,7 +467,7 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
             end_src, end_tgt = pair_ids[end]
             if walk(tgt_tab, r.tgt, iv.tgt_dirs) != (end_tgt, iv.tgt_leaks):
                 return Verdict("fail", checked, truncated, "interval target projection does not replay", pair)
-            if replay(r.src, iv.src_dirs) != (end_src, iv.src_leaks):
+            if walk(src_tab, r.src, iv.src_dirs) != (end_src, iv.src_leaks):
                 return Verdict("fail", checked, truncated, "interval source projection does not replay", pair)
             ok = related.get(end)
             if ok is None:
@@ -545,7 +537,7 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
             for (dirs, leaks), held in buckets.items():
                 for r in rows:
                     lacks = [held[sig] for sig in held if sig not in r.sigs]
-                    run = replay(r.src, dirs) if lacks else None
+                    run = walk(src_tab, r.src, dirs) if lacks else None
                     if run is None or run[1] != leaks:
                         continue
                     missing, owner = lacks[0]

@@ -342,21 +342,34 @@ def ref_lanes_only_high(p, s):
 
 
 # --- reference SNI checks: every joint state asks `enabled_directives` and
-# `step_spec` afresh, with no transition table
+# `step_spec`, with no transition table
 
 
-def ref_check_sni_pair(p, nu1, nu2, b, width=8):
-    """`security.check_sni_pair` without a transition table."""
+def ref_check_sni_pair(p, nu1, nu2, b, width=8, steps=None):
+    """`security.check_sni_pair` without a transition table.  `steps` keeps
+    the `enabled_directives` results by state and the `step_spec` results
+    by (state, directive); a caller may share one across pairs of `p`."""
     from snicheck.security import SniVerdict
     from snicheck.semantics import enabled_directives, step_spec
 
     truncated = 0
     budget_seen = {}
+    steps = {} if steps is None else steps
+
+    def enabled(nu):
+        if nu not in steps:
+            steps[nu] = enabled_directives(p, nu, width)
+        return steps[nu]
+
+    def step(nu, d):
+        if (nu, d) not in steps:
+            steps[nu, d] = step_spec(p, nu, d, width)
+        return steps[nu, d]
 
     def rec(a, c, dirs):
         nonlocal truncated
-        e1 = enabled_directives(p, a, width)
-        e2 = enabled_directives(p, c, width)
+        e1 = enabled(a)
+        e2 = enabled(c)
         if e1 != e2:
             return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2, directives=dirs,
                               divergence="enabled", enabled1=tuple(e1), enabled2=tuple(e2))
@@ -370,8 +383,8 @@ def ref_check_sni_pair(p, nu1, nu2, b, width=8):
             return None
         budget_seen[key] = left
         for d in e1:
-            a2, l1 = step_spec(p, a, d, width)
-            c2, l2 = step_spec(p, c, d, width)
+            a2, l1 = step(a, d)
+            c2, l2 = step(c, d)
             if l1 != l2:
                 return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2,
                                   directives=dirs + (d,), divergence="leak", leak1=l1, leak2=l2)
@@ -393,14 +406,15 @@ def ref_check_sni_pair(p, nu1, nu2, b, width=8):
 def ref_check_sni_exhaustive(p, base, b, width=8):
     """Exhaustive `security.check_sni` as the pairwise loop: `ref_check_sni_pair`
     on every pair of high assignments in `itertools.combinations` order, up to
-    the first violation."""
+    the first violation.  The pairs share one memo of their steps."""
     import itertools
 
     from snicheck.security import SniVerdict, enumerate_high_states
 
     truncated = checked = 0
+    steps = {}
     for a, c in itertools.combinations(enumerate_high_states(p, base, width), 2):
-        v = ref_check_sni_pair(p, a, c, b, width)
+        v = ref_check_sni_pair(p, a, c, b, width, steps)
         checked += 1
         truncated += v.truncated
         if not v.secure:

@@ -629,6 +629,30 @@ def test_check_sni_refuses_a_pair_that_is_not_low_equivalent(tmp_path, capsys):
     assert captured.err == "error: initial states are not low-equivalent: they must agree on pc, registers and low memory\n"
 
 
+def test_check_sni_cut_flag_depends_on_the_route(tmp_path, capsys):
+    """Whether a secure verdict reports cuts depends on the route that
+    decided it, not on the program alone.  The taint certificate's state
+    repeats after one turn of the loop, so exhaustive `check-sni` reports no
+    cut; the explicit pair walks the same loop into its step bound; and the
+    table-free pairwise reference counts 5 cuts.  This pins today's
+    behaviour until the step bound may be lifted where the walk closes."""
+    from conftest import ref_check_sni_exhaustive
+
+    from snicheck.ir import parse_program
+    from snicheck.semantics import Bounds, initial
+
+    text = "mem h 1 high\nentry a\na: load x <- h[#0] -> b\nb: y = y add x -> c\nc: nop -> b\n"
+    prog, s2 = tmp_path / "p.sp", tmp_path / "s2"
+    prog.write_text(text)
+    s2.write_text("cell h 0 1\n")
+    args = ["check-sni", str(prog), "--width", "2", "--bounds", "steps=6,depth=2"]
+    assert run_cli(*args, capsys=capsys) == (0, "secure (pairs=6, truncated=0)\n")
+    assert run_cli(*args, "--state2", str(s2), capsys=capsys) == (2, "secure (pairs=1, truncated=1)\n")
+    p = parse_program(text)
+    want = ref_check_sni_exhaustive(p, initial(p), Bounds(6, 2), 2)
+    assert (want.kind, want.pairs_checked, want.truncated) == ("secure", 6, 5)
+
+
 @pytest.mark.parametrize("cells", [892, 893, 900])
 def test_check_sni_refuses_a_pair_count_too_long_to_print(cells, tmp_path, capsys):
     """A certified program is secure with C(N, 2) pairs, N = 2 ** (high cells

@@ -6,6 +6,7 @@ reference analysis below solves the same flow problem with plain dict-valued
 poison types, so the packed encoding of `poison_analysis` is checked too.
 """
 
+import copy
 import random
 from collections import deque
 
@@ -19,6 +20,7 @@ from snicheck.poison import (
     H,
     P,
     W,
+    Product,
     RepairSession,
     _redirect,
     check_poison_typable,
@@ -170,8 +172,6 @@ def check_session_against_reference(w):
         assert session.static_poison().assignment == sp.assignment == reference_assignment(cur)
         assert session.violations == violations
         assert validate_ra(now) == []
-        st = analyze_structure(now)
-        assert (session.st.owner, session.st.chains) == (st.owner, st.chains)
         ins = session.repair_one()
         if idx + 1 < len(rounds):
             assert ins == ref_report.insertions[idx]
@@ -213,6 +213,22 @@ def test_session_matches_reference_on_larger_allocations():
 def test_session_matches_reference_on_corpus_witnesses(ra_witness):
     assert check_session_against_reference(ra_witness) == 1
     check_session_against_reference(allocate(load_program("code_ra_source.sp"), 3))
+
+
+def test_session_leaves_its_product_unchanged(ra_witness):
+    """A session reads the structure and live relocations of the `Product`
+    it is given and splices only into its own copies, so a caller that
+    shares the product (`simulation.ra_witness`) keeps the relation it
+    built."""
+    spliced = 0
+    for w in [ra_witness, *_allocated(random.Random(3407), 40, (4, 12), (3, 4))]:
+        prod = Product(w)
+        before = copy.deepcopy((prod.st.owner, prod.st.chains, prod.rho))
+        session = RepairSession(w, prod)
+        while session.repair_one() is not None:
+            spliced += 1
+        assert (prod.st.owner, prod.st.chains, prod.rho) == before
+    assert spliced > 10
 
 
 def _without_bufsize_at_z(w):
