@@ -5,6 +5,14 @@ Exit codes: 0 pass/secure, 1 violation or failed check, 2 inconclusive
 unreadable input file, or a check that could not finish (for example `fix`
 hitting its iteration cap).
 JSON output carries `schema: 1` and is byte-stable for a fixed seed.
+
+Each command imports only the modules it runs.  At the top sit `ir`,
+`semantics` and `security`, which `run`, `explore`, `check-safe` and
+`check-sni` share (`check-sni` makes most of the requests); every other
+handler imports its own modules (`liveness`, `regalloc`, `poison`,
+`simulation`) in its body, so a speculative-semantics run never compiles
+the compile-side modules.  After a command's first call, its imports are
+one `sys.modules` lookup each.
 """
 
 from __future__ import annotations
@@ -16,9 +24,8 @@ import math
 import sys
 from pathlib import Path
 
-from . import poison, regalloc, security, simulation
+from . import security
 from .ir import ParseError, Program, loc_text, parse_program, print_program
-from .liveness import cells_fact, dce_transform, full_fact, liveness
 from .semantics import (
     Bounds,
     DEFAULT_WIDTH,
@@ -108,6 +115,7 @@ def _initial_state(args, p: Program):
 
 
 def _witness(args):
+    from . import regalloc
     src = _load_program(args.source)
     tgt = _load_program(args.target)
     return regalloc.parse_ra_witness(_read(args.witness), src, tgt)
@@ -190,6 +198,7 @@ def cmd_check_sni(args) -> int:
 
 
 def cmd_dce(args) -> int:
+    from .liveness import dce_transform, liveness
     p = _load_program(args.program)
     sol = liveness(p)
     res = dce_transform(p, sol)
@@ -204,6 +213,7 @@ def cmd_dce(args) -> int:
 
 
 def cmd_liveness(args) -> int:
+    from .liveness import cells_fact, full_fact, liveness
     p = _load_program(args.program)
     ef = cells_fact(p) if args.exit_fact == "cells" else full_fact(p)
     sol = liveness(p, ef)
@@ -213,6 +223,7 @@ def cmd_liveness(args) -> int:
 
 
 def cmd_allocate(args) -> int:
+    from . import regalloc
     p = _load_program(args.program)
     w = regalloc.allocate(p, args.k)
     target, witness = print_program(w.target), regalloc.serialize_ra_witness(w)
@@ -225,6 +236,7 @@ def cmd_allocate(args) -> int:
 
 
 def cmd_validate_ra(args) -> int:
+    from . import regalloc
     w = _witness(args)
     diags = regalloc.validate_ra(w)
     payload = {"diagnostics": [str(d) for d in diags]}
@@ -233,6 +245,7 @@ def cmd_validate_ra(args) -> int:
 
 
 def cmd_product_run(args) -> int:
+    from . import poison
     w = _witness(args)
     prod = poison.Product(w, args.width)
     tgt0 = _initial_state(args, w.target)[0]
@@ -257,6 +270,7 @@ def cmd_product_run(args) -> int:
 
 
 def cmd_poison_analyze(args) -> int:
+    from . import poison
     w = _witness(args)
     sp = poison.poison_analysis(w)
     table = {
@@ -267,6 +281,7 @@ def cmd_poison_analyze(args) -> int:
 
 
 def cmd_check_typable(args) -> int:
+    from . import poison
     w = _witness(args)
     violations = poison.check_poison_typable(w, poison.poison_analysis(w))
     payload = {"violations": [str(v) for v in violations]}
@@ -275,6 +290,7 @@ def cmd_check_typable(args) -> int:
 
 
 def cmd_fix(args) -> int:
+    from . import poison, regalloc
     w = _witness(args)
     fixed, report = poison.fix_ra(w)
     if args.out_target:
@@ -288,6 +304,8 @@ def cmd_fix(args) -> int:
 
 
 def _sim_witness(args):
+    from . import simulation
+    from .liveness import dce_transform, liveness
     if args.witness_kind == "dce":
         if args.target or args.witness:
             raise ValueError("--target and --witness are read only with --witness-kind ra")
@@ -298,19 +316,22 @@ def _sim_witness(args):
     return simulation.ra_witness(_witness(args), args.width)
 
 
-def _emit_sim(args, v: simulation.Verdict) -> int:
+def _emit_sim(args, v) -> int:
+    """Print `v`, a `simulation.Verdict`, and return its exit code."""
     text = f"{v.status} (intervals={v.intervals_checked}, truncated={v.truncated})\n"
     _emit(args, v.report(), text + (v.reason + "\n" if v.reason else ""))
     return _verdict_exit(v.ok, v.truncated)
 
 
 def cmd_check_sim(args) -> int:
+    from . import simulation
     wit = _sim_witness(args)
     t0 = _initial_state(args, wit.target)[0]
     return _emit_sim(args, simulation.check_simulation(wit, t0, args.bounds))
 
 
 def cmd_check_snippy(args) -> int:
+    from . import simulation
     wit = _sim_witness(args)
     base = _initial_state(args, wit.target)[0]
     return _emit_sim(args, simulation.check_snippy_cube(wit, base, args.bounds))
@@ -318,6 +339,7 @@ def cmd_check_snippy(args) -> int:
 
 def cmd_demo_codera(args) -> int:
     """One-shot reproduction: attack, analysis, fix, and re-check."""
+    from . import poison, regalloc
     width = 8
     bounds = Bounds(32, 3)
     src = _load_program(corpus_path("code_ra_source.sp"))

@@ -34,28 +34,37 @@ def cells_fact(p: Program) -> Fact:
 
 
 class Masks:
-    """Facts of one program as int bit masks.  `bit` gives each key its bit:
-    the registers in order, then the declared cells, then any other key met
-    (an exit-fact member, or a cell at an undeclared or out-of-bounds
-    constant address).  `regs` and `cells` have the bits of the first two
+    """Facts of one program as int bit masks.  `pos` gives each key its bit
+    position: the registers in order, then the declared cells, then any
+    other key met (an exit-fact member, or a cell at an undeclared or
+    out-of-bounds constant address); `keys` lists them by position.  A key's
+    bit is formed where a mask is built, so the index takes one small int
+    per key, not n bits.  `regs` and `cells` have the bits of the first two
     groups, and `exit` is the exit fact's mask."""
 
     def __init__(self, p: Program, exit_fact: Fact | None = None):
-        self.bit = {k: 1 << i for i, k in enumerate([*p.registers, *p.cells()])}
+        self.keys = [*p.registers, *p.cells()]
+        self.pos = {k: i for i, k in enumerate(self.keys)}
         self.regs = (1 << len(p.registers)) - 1
-        self.cells = (1 << len(self.bit)) - 1 - self.regs
+        self.cells = (1 << len(self.keys)) - 1 - self.regs
         self.exit = self.regs | self.cells if exit_fact is None else self.mask(exit_fact)
         self._decoded: dict[int, Fact] = {}
 
     def mask(self, keys) -> int:
-        m = 0
+        m, pos = 0, self.pos
         for k in keys:
-            m |= self.bit.setdefault(k, 1 << len(self.bit))
+            if k not in pos:
+                pos[k] = len(self.keys)
+                self.keys.append(k)
+            m |= 1 << pos[k]
         return m
 
     def decode(self, m: int) -> Fact:
+        """The keys of `m`'s set bits, in position order, read off its
+        binary digits (lowest first)."""
         if m not in self._decoded:
-            self._decoded[m] = frozenset([k for k, b in self.bit.items() if m & b])
+            keys = self.keys
+            self._decoded[m] = frozenset([keys[i] for i, b in enumerate(bin(m)[:1:-1]) if b == "1"])
         return self._decoded[m]
 
     def transfer(self, i: Instr):
@@ -63,13 +72,13 @@ class Masks:
         its `KINDS` entry (a `#n` address is no register)."""
         if i.__class__ is Exit:
             return lambda fact, exit_fact=self.exit: exit_fact
-        k, bit = i.kind, self.bit
+        k, pos = i.kind, self.pos
         d = u = kill = reads = 0
         for f in k.defs:
-            d |= bit[getattr(i, f)]
+            d |= 1 << pos[getattr(i, f)]
         for f in k.uses:
             if (r := getattr(i, f)).__class__ is str:
-                u |= bit[r]
+                u |= 1 << pos[r]
         if access := k.access(i):
             var, adr, is_read = access
             const = adr.__class__ is int

@@ -3,6 +3,7 @@ import json
 import os
 import random
 import re
+import runpy
 import subprocess
 import sys
 from collections import Counter
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import snicheck
-from snicheck.cli import COMMANDS, FLAGS, _parse, _read_args, build_parser, corpus_path, main
+from snicheck.cli import COMMANDS, CORPUS, FLAGS, _parse, _read_args, build_parser, corpus_path, main
 
 
 def run_cli(*args, capsys=None):
@@ -41,18 +42,69 @@ CLI_IMPORTS = set(
     "token tokenize".split()
 )
 
+# the package modules that `import snicheck.cli` loads, and every command's
+# run on corpus inputs
+CLI_MODULES = {"cli", "ir", "semantics", "security"}
+
+_LIVE = {"liveness", "dataflow"}
+_RA = _LIVE | {"regalloc"}
+_POISON = _RA | {"poison"}
+
+# command: the package modules it loads beyond CLI_MODULES.  Every command
+# has a row.
+COMMAND_MODULES = {
+    "run": set(), "explore": set(), "check-safe": set(), "check-sni": set(),
+    "dce": _LIVE, "liveness": _LIVE,
+    "allocate": _RA, "validate-ra": _RA,
+    "product-run": _POISON, "poison-analyze": _POISON, "check-typable": _POISON, "fix": _POISON,
+    "demo-codera": _POISON,
+    "check-sim": _POISON | {"simulation"}, "check-snippy": _POISON | {"simulation"},
+}
+
+STARTUP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "startup.py"
+
 
 def test_cli_import_loads_the_pinned_modules():
     """Every module the package loads is paid for by each run in memory and
     start-up time, whether or not the run uses it, so a new import has to
-    change this set."""
+    change these sets.  `import snicheck.cli` loads the modules the
+    speculative-semantics commands share; each other command loads its own
+    when it runs.  Every command runs in one interpreter, from a fresh
+    import of the package each (as the benchmark's set-up does), so a
+    handler that lost one of its imports fails here.  The corpus inputs are
+    those `scripts/startup.py` times."""
     code = (
         "import sys; before = set(sys.modules); import snicheck.cli; "
-        "print(*sorted(m for m in set(sys.modules) - before if '.' not in m))"
+        "print(*sorted(m for m in set(sys.modules) - before if '.' not in m)); "
+        "print(*sorted(m for m in sys.modules if m.startswith('snicheck.')))"
     )
     r = run_python("-c", code)
     assert r.returncode == 0, r.stderr
-    assert set(r.stdout.split()) - {"snicheck"} == CLI_IMPORTS
+    top, package = r.stdout.splitlines()
+    assert set(top.split()) - {"snicheck"} == CLI_IMPORTS
+    assert set(package.split()) == {f"snicheck.{m}" for m in CLI_MODULES}
+
+    assert set(COMMAND_MODULES) == set(COMMANDS)
+    corpus_args = runpy.run_path(str(STARTUP_SCRIPT))["command_args"](CORPUS)
+    runs = json.dumps({cmd: [cmd, *corpus_args[cmd]] for cmd in COMMANDS})
+    code = (
+        "import contextlib, io, json, sys\n"
+        f"loaded = {{}}\nfor cmd, argv in json.loads({runs!r}).items():\n"
+        "    for m in [m for m in sys.modules if m == 'snicheck' or m.startswith('snicheck.')]:\n"
+        "        del sys.modules[m]\n"
+        "    import snicheck.cli\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        rc = snicheck.cli.main(argv)\n"
+        "    loaded[cmd] = [rc, sorted(m[9:] for m in sys.modules if m.startswith('snicheck.'))]\n"
+        "print(json.dumps(loaded))\n"
+    )
+    r = run_python("-c", code)
+    assert r.returncode == 0, r.stderr
+    loaded = json.loads(r.stdout)
+    assert {cmd: rc for cmd, (rc, _) in loaded.items() if rc == 3} == {}, r.stderr
+    assert {cmd: set(mods) for cmd, (_, mods) in loaded.items()} == {
+        cmd: CLI_MODULES | mods for cmd, mods in COMMAND_MODULES.items()
+    }
 
 
 def test_run_empty_directives(tmp_path, capsys):
@@ -884,6 +936,21 @@ def test_ab_requests_script_compares_a_checkout_with_itself(tmp_path):
     lines = r.stdout.splitlines()
     assert [line[:18] for line in lines[:2]] == ["A: verdicts_per_s ", "B: verdicts_per_s "]
     assert lines[2].startswith("6 requests, sni-search seed 1, best of 1: ") and lines[2].endswith("; 0 differ")
+
+
+def test_startup_script_times_every_command(tmp_path):
+    """The start-up table runs from any working directory with no
+    `PYTHONPATH`: the floor, then one row per command with the modules it
+    loaded."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(STARTUP_SCRIPT), "--runs", "1"], capture_output=True, text=True,
+                       env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    rows = [line.split() for line in r.stdout.splitlines()[2:]]
+    assert [row[0] for row in rows] == ["python", *COMMANDS]
+    assert {row[0]: set(row[3:]) for row in rows[1:]} == {
+        cmd: CLI_MODULES | mods for cmd, mods in COMMAND_MODULES.items()
+    }
 
 
 def test_sweep_corpus_script_runs_from_a_checkout(tmp_path):

@@ -169,3 +169,27 @@ def test_access_names_the_cell_the_step_touches(rng):
                 assert [c for c in p.cells() if nxt.cell(*c) != s.cell(*c)] in ([], [(var, adr)])
             seen.add(i.kind.mnemonic)
     assert seen == {"load", "store", "fill", "spill"}
+
+
+def test_liveness_memory_is_linear_in_declared_cells():
+    """The mask index keeps each key's bit position, not its bit, so solving
+    40,000 declared cells stays well under 30 MB (an index of `1 << i` per
+    key took over 100 MB there, and quadratic memory in general)."""
+    import tracemalloc
+
+    p = parse_program(
+        "mem lo 40000 low\nentry 0\n0: load x <- lo[i] -> 1\n1: store lo[#3] <- x -> 2\n"
+        "2: a = x lt i -> 3\n3: if a ? 0 : 4\n4: ret\n"
+    )
+    for solve in (lambda: live_regs(p, cells_fact(p)), lambda: liveness(p)):
+        tracemalloc.start()
+        try:
+            solve()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30 << 20
+    before, after = live_regs(p, cells_fact(p))
+    assert before["0"] == {"i"} and after["2"] == {"a", "i"}
+    sol = liveness(p)
+    assert sol["0"] == cells_fact(p) - {("lo", 3)} | {"i", "x"} and sol["1"] == full_fact(p) - {"a"}
