@@ -11,12 +11,14 @@ to F otherwise.  Comparison operators produce 0/1, so a branch on the result
 of ``lt``/``eq`` takes the T side when the comparison is *false*.
 
 `KINDS` is the one place where an instruction kind's text syntax, its
-register and successor fields and its memory access are declared.
-`Instr.successors`, `uses_defs`, `Kind.access`, `parse_program` and
-`print_program` are derived from it, and rewriters retarget or rename an
-instruction through its field lists.  Liveness, the witness check of
-shuffles and the dead-code witness read a memory access through
-`Kind.access` alone; the taint certificate steps `semantics.transitions`.
+fields (the holes of its text), its register and successor fields and its
+memory access are declared.  Each entry builds its kind's class, with the
+constructor, equality and `repr`.  `Instr.successors`, `uses_defs`,
+`Kind.access`, `parse_program` and `print_program` are derived from it, and
+rewriters retarget or rename an instruction through its field lists.
+Liveness, the witness check of shuffles and the dead-code witness read a
+memory access through `Kind.access` alone; the taint certificate steps
+`semantics.transitions`.
 """
 
 from __future__ import annotations
@@ -59,8 +61,11 @@ class MemVar:
 
 
 class Instr:
-    """Base class; concrete instructions are frozen dataclasses below, each
-    with an entry in `KINDS`."""
+    """Base class of the instruction classes, each built by its `KINDS` entry.
+
+    An instruction is an immutable value: two are equal when they are of one
+    kind with equal fields.  Equality, the hash, `repr` (`Load(dst='x', ...)`)
+    and pickling read the fields through `kind.values`."""
 
     __slots__ = ()
 
@@ -70,82 +75,32 @@ class Instr:
         """Successor pcs, read by the class's own `KINDS` entry."""
         raise NotImplementedError
 
+    def replace(self, **fields) -> Instr:
+        """This instruction with the named fields changed."""
+        k = self.kind
+        return self.__class__(**dict(zip(k.fields, k.values(self)), **fields))
 
-@dataclass(frozen=True)
-class Exit(Instr):
-    pass
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind.values(self) == self.kind.values(other)
 
+    def __hash__(self):
+        return hash(self.kind.values(self))
 
-@dataclass(frozen=True)
-class Nop(Instr):
-    succ: Pc
+    def __repr__(self):
+        k = self.kind
+        args = ", ".join(f"{f}={v!r}" for f, v in zip(k.fields, k.values(self)))
+        return f"{self.__class__.__qualname__}({args})"
 
+    def __reduce__(self):
+        return self.__class__, self.kind.values(self)
 
-@dataclass(frozen=True)
-class Asgn(Instr):
-    dst: Reg
-    lhs: Reg
-    op: str
-    rhs: Reg
-    succ: Pc
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-
-@dataclass(frozen=True)
-class Load(Instr):
-    dst: Reg
-    var: str
-    addr: "int | Reg"
-    succ: Pc
-
-
-@dataclass(frozen=True)
-class Store(Instr):
-    var: str
-    addr: "int | Reg"
-    src: Reg
-    succ: Pc
-
-
-@dataclass(frozen=True)
-class If(Instr):
-    cond: Reg
-    succ_true: Pc
-    succ_false: Pc
-
-
-@dataclass(frozen=True)
-class Sfence(Instr):
-    succ: Pc
-
-
-@dataclass(frozen=True)
-class Slh(Instr):
-    reg: Reg
-    succ: Pc
-
-
-@dataclass(frozen=True)
-class Move(Instr):
-    dst: Reg
-    src: Reg
-    succ: Pc
-
-
-@dataclass(frozen=True)
-class Fill(Instr):
-    dst: Reg
-    slot: int
-    succ: Pc
-
-
-@dataclass(frozen=True)
-class Spill(Instr):
-    slot: int
-    src: Reg
-    succ: Pc
-
-
-SHUFFLE_KINDS = (Move, Fill, Spill, Slh, Sfence)
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 # --- instruction table ----------------------------------------------------------
@@ -175,6 +130,16 @@ def _reader(names: tuple[str, ...]):
     return lambda i: get(i)
 
 
+def _constructor(cls: type, fields: tuple[str, ...]):
+    """`cls.__init__`, taking `fields` in order or by name; compiled, as
+    `dataclasses` and `namedtuple` compile theirs.  It stores each argument
+    through its slot's descriptor, since `Instr.__setattr__` refuses."""
+    ns = {f"_{f}": getattr(cls, f).__set__ for f in fields}
+    body = "".join(f"\n    _{f}(self, {f})" for f in fields) or "\n    pass"
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", ns)
+    return ns["__init__"]
+
+
 def _template_regex(text: str) -> str:
     """A space is `\\s+` between two words and `\\s*` next to punctuation; a
     hole is a group of its `_HOLE_PATTERNS` entry, a label by default."""
@@ -191,31 +156,36 @@ def _template_regex(text: str) -> str:
 
 
 class Kind:
-    """The `KINDS` entry of one instruction class.
+    """The `KINDS` entry of one instruction kind, and the class it builds.
 
-    `text` is the line after `pc: `, with a `{field}` hole for every dataclass
-    field, in field order.  `uses` are the fields it reads as registers (one
-    holding a `#n` address is not a register), `defs` the fields it writes,
-    and `succs` its successor pcs.  `mnemonic` is the first word of `text`.
-    A `load`, `store`, `fill` or `spill` declares its memory `access` as
-    (variable field or `stk`, address or slot field, whether it reads);
-    `access(i)` is then (variable, address or address register, reads) of
-    instruction `i`, and None for every other kind.  The class's
-    `successors` method and `kind` attribute are set here.
+    `text` is the line after `pc: `.  Its `{field}` holes, in order, are the
+    `fields` of `cls`, a slotted subclass of `Instr` named `name` whose
+    constructor takes them in that order or by name.  `uses` are the fields
+    it reads as registers (one holding a `#n` address is not a register),
+    `defs` the fields it writes, and `succs` its successor pcs.  `mnemonic`
+    is the first word of `text`.  A `load`, `store`, `fill` or `spill`
+    declares its memory `access` as (variable field or `stk`, address or
+    slot field, whether it reads); `access(i)` is then (variable, address or
+    address register, reads) of instruction `i`, and None for every other
+    kind.
     """
 
-    def __init__(self, cls: type, text: str, uses=(), defs=(), succs=(), access=None):
-        self.cls, self.text, self.uses, self.defs, self.succs = cls, text, uses, defs, succs
+    def __init__(self, name: str, text: str, uses=(), defs=(), succs=(), access=None):
+        self.text, self.uses, self.defs, self.succs = text, uses, defs, succs
         self.mnemonic = text.split()[0]
         holes = tuple(re.findall(r"\{(\w+)\}", text))
         self.regex = re.compile(_template_regex(text))
         self._parsers = [(j, _HOLE_PARSERS[h]) for j, h in enumerate(holes) if h in _HOLE_PARSERS]
-        cls.kind = self
-        cls.successors = _reader(succs)
+        namespace = {"__slots__": holes, "__match_args__": holes, "kind": self, "successors": _reader(succs)}
+        self.cls = cls = type(name, (Instr,), namespace)
+        cls.__init__ = _constructor(cls, holes)
         # built once per kind, as they run per instruction in every analysis;
-        # only a kind with an `addr` hole needs the filter or the conversion
-        uses_of, defs_of, holes_of = _reader(uses), _reader(defs), _reader(holes)
-        self.fields, self.values = holes, holes_of
+        # only a kind with an `addr` hole needs the filter or the conversion.
+        # `values` is the bare getter where that gives a tuple, as equality
+        # and the hash call it
+        uses_of, defs_of = _reader(uses), _reader(defs)
+        self.fields = holes
+        self.values = holes_of = attrgetter(*holes) if len(holes) > 1 else _reader(holes)
         if "addr" in uses:
             self.uses_defs = lambda i: (frozenset([r for r in uses_of(i) if isinstance(r, str)]), frozenset(defs_of(i)))
         else:
@@ -244,20 +214,23 @@ class Kind:
 
 
 KINDS = (
-    Kind(Exit, "ret"),
-    Kind(Nop, "nop -> {succ}", succs=("succ",)),
-    Kind(Asgn, "{dst} = {lhs} {op} {rhs} -> {succ}", uses=("lhs", "rhs"), defs=("dst",), succs=("succ",)),
-    Kind(Load, "load {dst} <- {var}[{addr}] -> {succ}", uses=("addr",), defs=("dst",), succs=("succ",),
+    Kind("Exit", "ret"),
+    Kind("Nop", "nop -> {succ}", succs=("succ",)),
+    Kind("Asgn", "{dst} = {lhs} {op} {rhs} -> {succ}", uses=("lhs", "rhs"), defs=("dst",), succs=("succ",)),
+    Kind("Load", "load {dst} <- {var}[{addr}] -> {succ}", uses=("addr",), defs=("dst",), succs=("succ",),
          access=("var", "addr", True)),
-    Kind(Store, "store {var}[{addr}] <- {src} -> {succ}", uses=("addr", "src"), succs=("succ",),
+    Kind("Store", "store {var}[{addr}] <- {src} -> {succ}", uses=("addr", "src"), succs=("succ",),
          access=("var", "addr", False)),
-    Kind(If, "if {cond} ? {succ_true} : {succ_false}", uses=("cond",), succs=("succ_true", "succ_false")),
-    Kind(Sfence, "sfence -> {succ}", succs=("succ",)),
-    Kind(Slh, "slh {reg} -> {succ}", uses=("reg",), defs=("reg",), succs=("succ",)),
-    Kind(Move, "move {dst} <- {src} -> {succ}", uses=("src",), defs=("dst",), succs=("succ",)),
-    Kind(Fill, "fill {dst} <- stk#{slot} -> {succ}", defs=("dst",), succs=("succ",), access=(STACK_VAR, "slot", True)),
-    Kind(Spill, "spill stk#{slot} <- {src} -> {succ}", uses=("src",), succs=("succ",), access=(STACK_VAR, "slot", False)),
+    Kind("If", "if {cond} ? {succ_true} : {succ_false}", uses=("cond",), succs=("succ_true", "succ_false")),
+    Kind("Sfence", "sfence -> {succ}", succs=("succ",)),
+    Kind("Slh", "slh {reg} -> {succ}", uses=("reg",), defs=("reg",), succs=("succ",)),
+    Kind("Move", "move {dst} <- {src} -> {succ}", uses=("src",), defs=("dst",), succs=("succ",)),
+    Kind("Fill", "fill {dst} <- stk#{slot} -> {succ}", defs=("dst",), succs=("succ",), access=(STACK_VAR, "slot", True)),
+    Kind("Spill", "spill stk#{slot} <- {src} -> {succ}", uses=("src",), succs=("succ",), access=(STACK_VAR, "slot", False)),
 )
+Exit, Nop, Asgn, Load, Store, If, Sfence, Slh, Move, Fill, Spill = (k.cls for k in KINDS)
+
+SHUFFLE_KINDS = (Move, Fill, Spill, Slh, Sfence)
 
 
 def loc_text(loc: Reg | tuple[str, int]) -> str:

@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -792,7 +792,7 @@ def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixRepo
 def _redirect(i: Instr, old: Pc, new: Pc) -> Instr:
     """`i` with every successor `old` replaced by `new`."""
     moved = {f: new for f in i.kind.succs if getattr(i, f) == old}
-    return replace(i, **moved) if moved else i
+    return i.replace(**moved) if moved else i
 
 
 def format_poison_table(sp: StaticPoison) -> str:

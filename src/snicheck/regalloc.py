@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .ir import (
     Asgn,
@@ -486,7 +486,7 @@ def allocate(p: Program, k: int) -> RAWitness:
             ops = build_chain(m_out, maps_in[s], sorted(lb[s]))
             labels = [fresh_label(f"{pc}.{idx}.{j}") for j in range(len(ops))] + [s]
             for j, (op, snapshot) in enumerate(ops):
-                instrs[labels[j]] = replace(op, succ=labels[j + 1])
+                instrs[labels[j]] = op.replace(succ=labels[j + 1])
                 rho[labels[j]] = snapshot
             new_succs.append(labels[0])
         instrs[pc] = _rename_instr(i, m_in, m_out, new_succs)
@@ -501,15 +501,14 @@ def allocate(p: Program, k: int) -> RAWitness:
 def _rename_instr(i: Instr, m_in: dict, m_out: dict, succs: list[Pc]) -> Instr:
     """`i` with uses placed by `m_in`, defs by `m_out` and successors `succs`."""
     k = i.kind
-    fields = dict(zip(k.fields, k.values(i)))
+    fields = dict(zip(k.succs, succs))
     for f in k.uses:
         r = getattr(i, f)
         if isinstance(r, str):  # a const address (an int) stays
             fields[f] = _placed(m_in, r, "use")
     for f in k.defs:
         fields[f] = _placed(m_out, getattr(i, f), "def")
-    fields.update(zip(k.succs, succs))
-    return k.cls(**fields)
+    return i.replace(**fields)
 
 
 def _placed(m: dict, r: Reg, role: str) -> Reg:

@@ -64,12 +64,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .ir import Pc, Program
 from .liveness import DceResult, full_fact, live_before
-from .poison import Product, ProductState, RepairSession, replay_directive
-from .regalloc import RAWitness
 from .semantics import (
     DEFAULT_WIDTH,
     D_RB,
@@ -93,6 +91,9 @@ from .semantics import (
     walk,
 )
 from .security import enumerate_high_states, low_equivalent
+
+if TYPE_CHECKING:
+    from .regalloc import RAWitness
 
 
 @dataclass(frozen=True, slots=True)
@@ -245,6 +246,9 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
     """Raises ValueError on a witness that `validate_ra` refuses, as its
     `Product` does: the poison analysis behind `related` assumes a valid
     one."""
+    # imported here, so that a DCE check loads neither `poison` nor `regalloc`
+    from .poison import Product, ProductState, RepairSession, replay_directive
+
     prod = Product(w, width)
     sp = RepairSession(w, prod).static_poison()
 

@@ -58,7 +58,8 @@ COMMAND_MODULES = {
     "allocate": _RA, "validate-ra": _RA,
     "product-run": _POISON, "poison-analyze": _POISON, "check-typable": _POISON, "fix": _POISON,
     "demo-codera": _POISON,
-    "check-sim": _POISON | {"simulation"}, "check-snippy": _POISON | {"simulation"},
+    # check-sim runs a DCE witness, check-snippy an RA one (`scripts/startup.py`)
+    "check-sim": _LIVE | {"simulation"}, "check-snippy": _POISON | {"simulation"},
 }
 
 STARTUP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "startup.py"

@@ -1,4 +1,6 @@
+import copy
 import dataclasses
+import pickle
 import re
 
 import pytest
@@ -12,6 +14,7 @@ from snicheck.ir import (
     Load,
     Nop,
     ParseError,
+    Sfence,
     Spill,
     Store,
     parse_program,
@@ -194,8 +197,46 @@ def test_every_instruction_class_has_a_kind():
     assert {k.cls for k in ir.KINDS} == set(ir.Instr.__subclasses__())
     for k in ir.KINDS:
         assert k.cls.kind is k
-        # holes in dataclass field order, so parsed groups feed the constructor
-        assert re.findall(r"\{(\w+)\}", k.text) == [f.name for f in dataclasses.fields(k.cls)]
+        # the holes are the class's fields, so parsed groups feed the constructor
+        assert k.cls.__match_args__ == k.fields == tuple(re.findall(r"\{(\w+)\}", k.text))
+
+
+# a value for each field name, and another one for `replace`
+_FIELD_VALUES = {"op": ("add", "mul"), "addr": (2, "r_b"), "slot": (1, 0)}
+
+
+def test_instruction_classes_are_values():
+    """Each `KINDS` class behaves as a frozen dataclass of its fields would:
+    the same constructor, equality within the kind, hash and `repr`; no
+    field can be set or deleted; `replace`, `pickle` and `copy` keep the
+    class and the fields."""
+    for k in ir.KINDS:
+        vals = tuple(_FIELD_VALUES.get(f, (f"{f}_a",))[0] for f in k.fields)
+        i = k.cls(*vals)
+        by_name = k.cls(**dict(zip(k.fields, vals)))
+        assert i == by_name and hash(i) == hash(by_name) and i is not by_name
+        frozen = dataclasses.make_dataclass(k.cls.__name__, k.fields, frozen=True)(*vals)
+        assert repr(i) == repr(frozen) and hash(i) == hash(frozen)
+        with pytest.raises(TypeError):
+            k.cls(*vals, "extra")
+        for f in k.fields:
+            with pytest.raises(AttributeError):
+                setattr(i, f, "x")
+            with pytest.raises(AttributeError):
+                delattr(i, f)
+            other = _FIELD_VALUES.get(f, (None, f"{f}_b"))[1]
+            r = i.replace(**{f: other})
+            assert type(r) is k.cls and r != i
+            assert [getattr(r, g) for g in k.fields] == [other if g == f else getattr(i, g) for g in k.fields]
+        with pytest.raises(AttributeError):
+            i.note = "x"
+        with pytest.raises(TypeError):
+            i.replace(note="x")
+        assert i.replace() == i
+        assert type(pickle.loads(pickle.dumps(i))) is k.cls and pickle.loads(pickle.dumps(i)) == i
+        assert type(copy.deepcopy(i)) is k.cls and copy.deepcopy(i) == i
+    # two kinds with equal fields differ, as tuples would not
+    assert Nop("a") != Sfence("a") and len({Nop("a"), Sfence("a")}) == 2
 
 
 _WORD = re.compile(r"[\w.]")

@@ -117,8 +117,6 @@ def _field_swapped(rng, w):
     """`w` with one target instruction changed: a matched one with a single
     successor may become a `nop` or `sfence`; otherwise one field other than
     a successor takes another register, operator, variable, address or slot."""
-    from dataclasses import replace
-
     from snicheck.ir import OPS, Nop, Program, Sfence
 
     tgt = w.target
@@ -132,7 +130,7 @@ def _field_swapped(rng, w):
         f = rng.choice(fields)
         regs = sorted({*tgt.registers, *w.source.registers, "h9"})
         values = {"op": OPS, "var": [v.name for v in tgt.memvars], "slot": [0, 1], "addr": [0, 1, *regs]}
-        new = replace(i, **{f: rng.choice(values.get(f, regs))})
+        new = i.replace(**{f: rng.choice(values.get(f, regs))})
     else:
         return w
     return RAWitness(w.source, Program(tgt.entry, {**tgt.instrs, pc: new}, list(tgt.memvars)), w.phi, w.rho)
@@ -340,15 +338,13 @@ def test_allocate_chain_labels_skip_source_pcs():
 
 def _relabelled(rng, p):
     """`p` with some pcs renamed to dotted labels that chain labels may take."""
-    from dataclasses import replace
-
     pcs = p.pcs()
     ren = {pc: pc for pc in pcs}
     for pc in rng.sample(pcs, rng.randint(1, len(pcs))):
         label = f"{rng.choice(pcs)}.{rng.randint(0, 1)}.0"
         if label not in ren.values():
             ren[pc] = label
-    instrs = {ren[pc]: replace(i, **{f: ren[getattr(i, f)] for f in i.kind.succs}) for pc, i in p.instrs.items()}
+    instrs = {ren[pc]: i.replace(**{f: ren[getattr(i, f)] for f in i.kind.succs}) for pc, i in p.instrs.items()}
     return Program(ren[p.entry], instrs, list(p.memvars))
 
 
