@@ -16,8 +16,7 @@ universe, so the loop ends.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Hashable, Sequence
+from typing import Callable, Hashable, NamedTuple, Sequence
 
 Node = Hashable
 Fact = "frozenset | int"
@@ -25,8 +24,7 @@ Fact = "frozenset | int"
 
 # a problem object, not bare arguments: the benchmark's tracer wraps `solve`
 # and counts `prob.nodes`
-@dataclass
-class FlowProblem:
+class FlowProblem(NamedTuple):
     nodes: list[Node]
     edges: list[tuple[Node, Node]]
     transfer: Callable[[Node, Fact], Fact]

@@ -24,10 +24,9 @@ memory access through `Kind.access` alone; the taint certificate steps
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from operator import attrgetter
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 Reg = str
 Pc = str
@@ -45,19 +44,23 @@ class ParseError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class MemVar:
-    """Named memory region: `size` addressable cells, level `low` or `high`."""
-
+class _MemVar(NamedTuple):
     name: str
     size: int
     level: str
 
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"memvar {self.name}: size must be >= 1")
-        if self.level not in ("low", "high"):
-            raise ValueError(f"memvar {self.name}: level must be low|high")
+
+class MemVar(_MemVar):
+    """Named memory region: `size` addressable cells, level `low` or `high`."""
+
+    __slots__ = ()
+
+    def __new__(cls, name: str, size: int, level: str):
+        if size < 1:
+            raise ValueError(f"memvar {name}: size must be >= 1")
+        if level not in ("low", "high"):
+            raise ValueError(f"memvar {name}: level must be low|high")
+        return super().__new__(cls, name, size, level)
 
 
 class Instr:
@@ -255,16 +258,20 @@ def pc_key(pc: Pc) -> tuple:
     return tuple((0, int(t), "") if t.isdigit() else (1, 0, t) for t in _PC_PARTS.findall(pc)), pc
 
 
-@dataclass
 class Program:
     """A program is never mutated after construction: transformations build a
     new one.  `pcs()`, `cells()`, `registers` and the `memvar` index are
     computed on first use and cached on that assumption; each call of the
-    first three returns a fresh list."""
+    first three returns a fresh list.  Two programs are equal when their
+    entries, instructions and memory variables are."""
 
-    entry: Pc
-    instrs: dict[Pc, Instr]
-    memvars: list[MemVar] = field(default_factory=list)
+    def __init__(self, entry: Pc, instrs: dict[Pc, Instr], memvars: list[MemVar]):
+        self.entry, self.instrs, self.memvars = entry, instrs, memvars
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.entry, self.instrs, self.memvars) == (other.entry, other.instrs, other.memvars)
 
     @cached_property
     def _memvar_index(self) -> dict[str, MemVar]:
@@ -321,8 +328,7 @@ def uses_defs(i: Instr) -> tuple[frozenset[Reg], frozenset[Reg]]:
     return i.kind.uses_defs(i)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
     pc: Pc | None
     message: str
 

@@ -17,7 +17,7 @@ every use; dead code elimination looks only at destinations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import dataflow
 from .ir import Asgn, Exit, Instr, Load, Nop, Pc, Program, Store
@@ -104,8 +104,13 @@ def liveness(p: Program, exit_fact: Fact | None = None) -> dict[Pc, Fact]:
     return {pc: mk.decode(m) for pc, m in sol.items()}
 
 
-def live_before(p: Program, sol: dict[Pc, Fact], pc: Pc, exit_fact: Fact | None = None) -> Fact:
-    mk = Masks(p, exit_fact)
+def live_before(
+    p: Program, sol: dict[Pc, Fact], pc: Pc, exit_fact: Fact | None = None, mk: Masks | None = None
+) -> Fact:
+    """The fact before `pc`, where `sol[pc]` is the fact after it.  A caller
+    asking at several pcs passes one `Masks(p, exit_fact)` as `mk`, so that
+    the index is built once."""
+    mk = mk or Masks(p, exit_fact)
     return mk.decode(mk.transfer(p.instrs[pc])(mk.mask(sol[pc])))
 
 
@@ -115,11 +120,10 @@ def live_regs(p: Program, exit_fact: Fact) -> tuple[dict[Pc, frozenset], dict[Pc
     return {pc: mk.decode(fns[pc](m) & mk.regs) for pc, m in sol.items()}, {pc: mk.decode(m & mk.regs) for pc, m in sol.items()}
 
 
-@dataclass
-class DceResult:
+class DceResult(NamedTuple):
     target: Program
-    replaced: dict[Pc, bool] = field(default_factory=dict)
-    solution: dict[Pc, Fact] = field(default_factory=dict)
+    replaced: dict[Pc, bool]
+    solution: dict[Pc, Fact]
 
 
 def dce_transform(p: Program, sol: dict[Pc, Fact]) -> DceResult:

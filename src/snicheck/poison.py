@@ -65,7 +65,6 @@ from __future__ import annotations
 
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -196,8 +195,7 @@ def replay_directive(source: Program, i: Instr, s: State, d: Directive) -> Direc
     return d
 
 
-@dataclass
-class ProductState:
+class ProductState(NamedTuple):
     """Source and target stacks with one packed poison type per level."""
 
     src: SpecState
@@ -209,8 +207,7 @@ class ProductState:
         return len(self.src)
 
 
-@dataclass
-class ProductTransition:
+class ProductTransition(NamedTuple):
     tgt_dir: Directive
     tgt_leak: Leakage
     src_dir: Directive | None  # None on shuffle steps, where only the target moves
@@ -372,13 +369,12 @@ class Product:
 # --- static analysis -----------------------------------------------------------
 
 
-@dataclass
 class StaticPoison:
     """The least static solution: each product node's packed poison type,
     in the order the analysis met the nodes."""
 
-    values: dict[tuple[Pc, Pc], int]
-    pk: _Packing
+    def __init__(self, values: dict[tuple[Pc, Pc], int], pk: _Packing):
+        self.values, self.pk = values, pk
 
     @property
     def domain(self) -> list:
@@ -526,8 +522,7 @@ def poison_analysis(w: RAWitness, width: int = DEFAULT_WIDTH) -> StaticPoison:
     return RepairSession(w).static_poison()
 
 
-@dataclass(frozen=True)
-class TypabilityViolation:
+class TypabilityViolation(NamedTuple):
     src_pc: Pc
     tgt_pc: Pc
     reg: Reg
@@ -567,18 +562,16 @@ def check_poison_typable(w: RAWitness, sp: StaticPoison) -> list[TypabilityViola
     return sorted(filter(None, out), key=_order)
 
 
-@dataclass
-class FixInsertion:
+class FixInsertion(NamedTuple):
     pc: Pc
     kind: str  # sfence | slh
     before: Pc
     violation: TypabilityViolation
 
 
-@dataclass
-class FixReport:
-    insertions: list[FixInsertion] = field(default_factory=list)
-    iterations: int = 0
+class FixReport(NamedTuple):
+    insertions: list[FixInsertion]
+    iterations: int
 
 
 class RepairSession:
@@ -780,12 +773,10 @@ def fix_ra(w: RAWitness, width: int = DEFAULT_WIDTH) -> tuple[RAWitness, FixRepo
     it.
     """
     session = RepairSession(w)
-    report = FixReport(session.insertions)
     cap = 2 * len(w.target.instrs) * max(1, len(w.source.registers)) + 1
     for it in range(cap):
-        report.iterations = it
         if session.repair_one() is None:
-            return session.witness(), report
+            return session.witness(), FixReport(session.insertions, it)
     raise RuntimeError(f"fix iteration cap {cap} exceeded; witness still not typable")
 
 

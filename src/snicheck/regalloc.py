@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ir import (
     Asgn,
@@ -68,16 +68,14 @@ def fmt_loc(loc) -> str:
     return f"{STACK_VAR}#{loc[1]}" if is_slot(loc) else loc
 
 
-@dataclass
-class RAWitness:
+class RAWitness(NamedTuple):
     source: Program
     target: Program
     phi: dict[Pc, Pc]
     rho: dict[Pc, dict[Reg, "Loc"]]
 
 
-@dataclass(frozen=True)
-class RADiagnostic:
+class RADiagnostic(NamedTuple):
     kind: str  # instruction-matching | shuffle-conformity | obeying-liveness | structure
     pcs: tuple[Pc, ...]
     message: str
@@ -86,12 +84,11 @@ class RADiagnostic:
         return f"[{self.kind}] {','.join(self.pcs)}: {self.message}"
 
 
-@dataclass
-class Structure:
+class Structure(NamedTuple):
     matched: dict[Pc, Pc]  # target pc -> source pc
     owner: dict[Pc, Pc]  # shuffle target pc -> source pc it precedes
     chains: dict[tuple[Pc, int], list[Pc]]  # (source pc, successor index) -> shuffle pcs
-    errors: list[RADiagnostic] = field(default_factory=list)
+    errors: list[RADiagnostic]
 
 
 def analyze_structure(w: RAWitness) -> Structure:

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ir import Exit, If, Program
 from .semantics import (
@@ -87,8 +87,7 @@ def low_equivalent(p: Program, *states: State) -> bool:
     return Lanes not in kinds and views.count(views[0]) == len(views)
 
 
-@dataclass
-class SafetyResult:
+class SafetyResult(NamedTuple):
     status: str  # safe | unsafe | bound-exhausted
     step_index: int | None = None
 
@@ -113,8 +112,7 @@ def check_safety(p: Program, s0: State, max_steps: int = 1024, width: int = DEFA
     return SafetyResult("bound-exhausted")
 
 
-@dataclass
-class SniVerdict:
+class SniVerdict(NamedTuple):
     kind: str  # secure | violation
     bounds: Bounds
     truncated: int = 0
@@ -182,12 +180,10 @@ def check_sni_pair(
     if dirs is None:
         return SniVerdict("secure", b, cuts, pairs_checked=1)
     (end1, leaks1), (end2, leaks2) = walk(table, i1, dirs), walk(table, i2, dirs)
-    v = SniVerdict("violation", b, cuts, pairs_checked=1, state1=nu1, state2=nu2, directives=dirs)
+    v = SniVerdict("violation", b, cuts, 1, nu1, nu2, dirs)
     if leaks1 != leaks2:
-        v.divergence, v.leak1, v.leak2 = "leak", leaks1[-1], leaks2[-1]
-    else:
-        v.divergence, v.enabled1, v.enabled2 = "enabled", table.row(end1)[0], table.row(end2)[0]
-    return v
+        return v._replace(divergence="leak", leak1=leaks1[-1], leak2=leaks2[-1])
+    return v._replace(divergence="enabled", enabled1=table.row(end1)[0], enabled2=table.row(end2)[0])
 
 
 def _walk(table: Interner, start: int | tuple, b: Bounds) -> tuple[int, tuple | None]:
@@ -315,12 +311,11 @@ def enumerate_high_states(p: Program, base: SpecState, width: int) -> list[SpecS
     return [_with_high(base, cells, combo) for combo in itertools.product(range(1 << width), repeat=len(cells))]
 
 
-@dataclass
-class PairSource:
+class PairSource(NamedTuple):
     mode: str  # exhaustive | sampled | file
     count: int = 0
     seed: int = 0
-    pairs: list[tuple[SpecState, SpecState]] = field(default_factory=list)
+    pairs: list[tuple[SpecState, SpecState]] | tuple = ()
 
 
 def _sampled_pairs(base: SpecState, cells: list, source: PairSource, width: int):
@@ -384,6 +379,5 @@ def check_sni(
         checked += 1
         truncated += v.truncated
         if not v.secure:
-            v.pairs_checked = checked
-            return v
+            return v._replace(pairs_checked=checked)
     return SniVerdict("secure", b, truncated, pairs_checked=checked)

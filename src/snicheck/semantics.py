@@ -54,7 +54,6 @@ certification, with the taint carried frame by frame in the values.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from operator import add, and_, eq, ge, gt, itemgetter, le, lt, mul, ne, or_, sub
@@ -594,11 +593,10 @@ def walk(table: Interner, i: int, dirs) -> tuple[int, tuple[Leakage, ...]] | Non
 # --- executions ----------------------------------------------------------------
 
 
-@dataclass
-class Execution:
+class Execution(NamedTuple):
     initial: SpecState
-    steps: list[tuple[Directive, Leakage, SpecState]] = field(default_factory=list)
-    status: str = "completed"  # completed | final | stuck
+    steps: list[tuple[Directive, Leakage, SpecState]]
+    status: str  # completed | final | stuck
     stuck_index: int | None = None
 
     @property
@@ -615,37 +613,37 @@ class Execution:
 
 
 def run_directives(p: Program, nu0: SpecState, directives: list[Directive], width: int = DEFAULT_WIDTH) -> Execution:
-    ex = Execution(nu0)
+    steps = []
     nu = nu0
     for idx, d in enumerate(directives):
         res = step_spec(p, nu, d, width)
         if res is None:
-            ex.status = "stuck"
-            ex.stuck_index = idx
-            return ex
+            return Execution(nu0, steps, "stuck", idx)
         nu, leak = res
-        ex.steps.append((d, leak, nu))
-    ex.status = "final" if is_final(p, nu) else "completed"
-    return ex
+        steps.append((d, leak, nu))
+    return Execution(nu0, steps, "final" if is_final(p, nu) else "completed")
 
 
-@dataclass(frozen=True)
-class Bounds:
-    max_steps: int = 32
-    max_spec_depth: int = 3
+class _Bounds(NamedTuple):
+    max_steps: int
+    max_spec_depth: int
 
-    def __post_init__(self):
-        if self.max_steps < 1 or self.max_spec_depth < 1:
+
+class Bounds(_Bounds):
+    __slots__ = ()
+
+    def __new__(cls, max_steps: int = 32, max_spec_depth: int = 3):
+        if max_steps < 1 or max_spec_depth < 1:
             raise ValueError("bounds must be >= 1")
+        return super().__new__(cls, max_steps, max_spec_depth)
 
 
 Trace = tuple[tuple[Leakage, ...], tuple[Directive, ...]]
 
 
-@dataclass
-class BehaviorSet:
-    terminated: set[Trace] = field(default_factory=set)
-    truncated: set[Trace] = field(default_factory=set)
+class BehaviorSet(NamedTuple):
+    terminated: set[Trace]
+    truncated: set[Trace]
 
 
 # more behaviours than anyone reads; `explore_behaviors` refuses past it
@@ -707,7 +705,7 @@ def explore_behaviors(p: Program, nu0: SpecState, b: Bounds, width: int = DEFAUL
     if total > MAX_BEHAVIORS:
         raise RuntimeError(f"{total} behaviours within {bounds}, more than {MAX_BEHAVIORS}; lower --bounds")
 
-    bs = BehaviorSet()
+    bs = BehaviorSet(set(), set())
     walks = [(root, (), ())]
     while walks:
         i, leaks, dirs = walks.pop()

@@ -63,11 +63,10 @@ is expanded again.  All tables live for one call.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .ir import Pc, Program
-from .liveness import DceResult, full_fact, live_before
+from .liveness import DceResult, Masks, live_before
 from .semantics import (
     DEFAULT_WIDTH,
     D_RB,
@@ -96,8 +95,7 @@ if TYPE_CHECKING:
     from .regalloc import RAWitness
 
 
-@dataclass(frozen=True, slots=True)
-class SimInterval:
+class SimInterval(NamedTuple):
     tgt_dirs: tuple[Directive, ...]
     tgt_leaks: tuple[Leakage, ...]
     src_dirs: tuple[Directive, ...]
@@ -110,8 +108,7 @@ class SimInterval:
         return (self.tgt_dirs, self.tgt_leaks, self.src_dirs, self.src_leaks)
 
 
-@dataclass
-class ExtractResult:
+class ExtractResult(NamedTuple):
     intervals: list[SimInterval]
     truncated: int = 0
 
@@ -119,8 +116,7 @@ class ExtractResult:
 Tables = tuple[Interner, Interner]  # `transition_table`s of the source and the target
 
 
-@dataclass
-class SimWitness:
+class SimWitness(NamedTuple):
     kind: str  # dce | ra
     source: Program
     target: Program
@@ -160,7 +156,7 @@ def extract_intervals(
 def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWitness:
     t = res.target
     sol = res.solution
-    ef = full_fact(p)
+    mk = Masks(p)  # every register and cell live at exit
 
     live: dict[Pc, tuple[list[str], list[tuple[str, int]]]] = {}  # pc -> registers and cells live before it
 
@@ -176,7 +172,7 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
             if st.pc != ss.pc:
                 return False
             if ss.pc not in live:
-                items = live_before(p, sol, ss.pc, ef)
+                items = live_before(p, sol, ss.pc, mk=mk)
                 live[ss.pc] = [x for x in items if isinstance(x, str)], [x for x in items if not isinstance(x, str)]
             regs, cells = live[ss.pc]
             if any(st.reg(r) != ss.reg(r) for r in regs) or any(st.cell(*c) != ss.cell(*c) for c in cells):
@@ -205,7 +201,8 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
     def intervals(s0: int, t0: int, b: Bounds, tables: Tables) -> ExtractResult:
         src_tab, tgt_tab = tables
         srcs, tgts = src_tab.values, tgt_tab.values
-        out = ExtractResult([])
+        out: list[SimInterval] = []
+        truncated = 0
         for d, (ct, lt) in zip(*tgt_tab.row(t0)):
             sd = replay_dir(srcs[s0], d)
             src_step = step(src_tab, s0, sd)
@@ -230,11 +227,11 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
                     sdirs.append(sd2)
                     sleaks.append(ls)
                 else:
-                    out.truncated += 1
-            out.intervals.append(
+                    truncated += 1
+            out.append(
                 SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), srcs[cs], tgts[ct])
             )
-        return out
+        return ExtractResult(out, truncated)
 
     return SimWitness("dce", p, t, related, initial_map, intervals, width)
 
@@ -285,7 +282,8 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
             t_pc = tgts[ct][-1].pc
             return t_pc in prod.st.matched and prod.st.matched[t_pc] == srcs[cs][-1].pc
 
-        out = ExtractResult([])
+        out: list[SimInterval] = []
+        truncated = 0
         for d, tgt_step in zip(*tgt_tab.row(t0)):
             first = joint(s0, t0, d, tgt_step)
             if first is None:
@@ -300,7 +298,7 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
                     rb_t = step(tgt_tab, ct, D_RB)
                     rb_s = step(src_tab, cs, D_RB)
                     if rb_t and rb_s:
-                        out.intervals.append(
+                        out.append(
                             SimInterval(
                                 tuple(tdirs) + (D_RB,),
                                 tuple(tleaks) + (rb_t[1],),
@@ -311,7 +309,7 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
                             )
                         )
                 if len(tdirs) >= b.max_steps:
-                    out.truncated += 1
+                    truncated += 1
                     break
                 nxt = joint(cs, ct, D_STEP, step(tgt_tab, ct, D_STEP))
                 if nxt is None:
@@ -324,10 +322,10 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
                     sdirs.append(sd2)
                     sleaks.append(ls2)
             else:
-                out.intervals.append(
+                out.append(
                     SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), srcs[cs], tgts[ct])
                 )
-        return out
+        return ExtractResult(out, truncated)
 
     return SimWitness("ra", w.source, w.target, related, initial_map, intervals, width)
 
@@ -335,8 +333,7 @@ def ra_witness(w: RAWitness, width: int = DEFAULT_WIDTH) -> SimWitness:
 # --- the walk ---------------------------------------------------------------------
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """A failed simulation condition names its (source, target) `pair` and
     any uncovered `directive`; a failed cube condition names the `pair` with
     `interval` and the `other` that replays its source side but lacks it."""
@@ -370,8 +367,7 @@ class Verdict:
         return out
 
 
-@dataclass(slots=True)
-class _Row:
+class _Row(NamedTuple):
     """What the walk needs about one (source, target) pair, built once."""
 
     truncated: int

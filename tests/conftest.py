@@ -294,7 +294,7 @@ def ref_explore_behaviors(p, nu0, b, width=8):
     `ref_transitions`: no table, no count and no cap."""
     from snicheck.semantics import BehaviorSet
 
-    bs = BehaviorSet()
+    bs = BehaviorSet(set(), set())
 
     def go(nu, leaks, dirs):
         if len(nu) > b.max_spec_depth:
@@ -398,8 +398,7 @@ def ref_check_sni_pair(p, nu1, nu2, b, width=8, steps=None):
 
     res = rec(nu1, nu2, ())
     if res is not None:
-        res.truncated, res.pairs_checked = truncated, 1
-        return res
+        return res._replace(truncated=truncated, pairs_checked=1)
     return SniVerdict("secure", b, truncated, pairs_checked=1)
 
 
@@ -418,8 +417,7 @@ def ref_check_sni_exhaustive(p, base, b, width=8):
         checked += 1
         truncated += v.truncated
         if not v.secure:
-            v.pairs_checked = checked
-            return v
+            return v._replace(pairs_checked=checked)
     return SniVerdict("secure", b, truncated, pairs_checked=checked)
 
 
@@ -621,7 +619,7 @@ def ref_dce_intervals(p, res, width=8):
         return d
 
     def intervals(nu_src, nu_tgt, b):
-        out = ExtractResult([])
+        out, truncated = [], 0
         for d, ct, lt in transitions(t, nu_tgt, width):
             sd = replay_dir(nu_src, d)
             src_step = step_spec(p, nu_src, sd, width)
@@ -645,9 +643,9 @@ def ref_dce_intervals(p, res, width=8):
                     sdirs.append(sd2)
                     sleaks.append(ls)
                 else:
-                    out.truncated += 1
-            out.intervals.append(SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), cs, ct))
-        return out
+                    truncated += 1
+            out.append(SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), cs, ct))
+        return ExtractResult(out, truncated)
 
     return intervals
 
@@ -680,7 +678,7 @@ def ref_ra_intervals(w, width=8):
         return ct[-1].pc in st.matched and st.matched[ct[-1].pc] == cs[-1].pc
 
     def intervals(nu_src, nu_tgt, b):
-        out = ExtractResult([])
+        out, truncated = [], 0
         for d, nu2, leak in transitions(w.target, nu_tgt, width):
             first = joint(nu_src, nu_tgt, d, (nu2, leak))
             if first is None:
@@ -694,12 +692,12 @@ def ref_ra_intervals(w, width=8):
                     rb_t = step_spec(w.target, ct, D_RB, width)
                     rb_s = step_spec(w.source, cs, D_RB, width)
                     if rb_t and rb_s:
-                        out.intervals.append(SimInterval(
+                        out.append(SimInterval(
                             tuple(tdirs) + (D_RB,), tuple(tleaks) + (rb_t[1],),
                             tuple(sdirs) + (D_RB,), tuple(sleaks) + (rb_s[1],), rb_s[0], rb_t[0],
                         ))
                 if len(tdirs) >= b.max_steps:
-                    out.truncated += 1
+                    truncated += 1
                     break
                 step = joint(cs, ct, D_STEP, step_spec(w.target, ct, D_STEP, width))
                 if step is None:
@@ -711,8 +709,8 @@ def ref_ra_intervals(w, width=8):
                     sdirs.append(sd2)
                     sleaks.append(ls2)
             else:
-                out.intervals.append(SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), cs, ct))
-        return out
+                out.append(SimInterval(tuple(tdirs), tuple(tleaks), tuple(sdirs), tuple(sleaks), cs, ct))
+        return ExtractResult(out, truncated)
 
     return intervals
 

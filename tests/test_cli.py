@@ -37,10 +37,7 @@ def run_module(module, *args):
 
 
 # the top-level modules that `import snicheck.cli` adds to a fresh interpreter
-CLI_IMPORTS = set(
-    "__future__ _ast _json _opcode argparse ast copy dataclasses dis gettext inspect json linecache opcode "
-    "token tokenize".split()
-)
+CLI_IMPORTS = set("__future__ _json argparse gettext json".split())
 
 # the package modules that `import snicheck.cli` loads, and every command's
 # run on corpus inputs
@@ -72,8 +69,9 @@ def test_cli_import_loads_the_pinned_modules():
     speculative-semantics commands share; each other command loads its own
     when it runs.  Every command runs in one interpreter, from a fresh
     import of the package each (as the benchmark's set-up does), so a
-    handler that lost one of its imports fails here.  The corpus inputs are
-    those `scripts/startup.py` times."""
+    handler that lost one of its imports fails here.  No command may load
+    `dataclasses`, which brings `inspect`, `ast`, `dis` and `tokenize`.  The
+    corpus inputs are those `scripts/startup.py` times."""
     code = (
         "import sys; before = set(sys.modules); import snicheck.cli; "
         "print(*sorted(m for m in set(sys.modules) - before if '.' not in m)); "
@@ -98,10 +96,13 @@ def test_cli_import_loads_the_pinned_modules():
         "        rc = snicheck.cli.main(argv)\n"
         "    loaded[cmd] = [rc, sorted(m[9:] for m in sys.modules if m.startswith('snicheck.'))]\n"
         "print(json.dumps(loaded))\n"
+        "print(*sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
     )
     r = run_python("-c", code)
     assert r.returncode == 0, r.stderr
-    loaded = json.loads(r.stdout)
+    out, heavy = r.stdout.splitlines()
+    assert heavy == ""
+    loaded = json.loads(out)
     assert {cmd: rc for cmd, (rc, _) in loaded.items() if rc == 3} == {}, r.stderr
     assert {cmd: set(mods) for cmd, (_, mods) in loaded.items()} == {
         cmd: CLI_MODULES | mods for cmd, mods in COMMAND_MODULES.items()

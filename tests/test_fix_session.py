@@ -119,7 +119,7 @@ def reference_assignment(w):
 def reference_fix(w, width=8):
     """The from-scratch repair loop; returns its result and every round's
     (witness, static poison, violations)."""
-    report = FixReport()
+    insertions = []
     rounds = []
     cur = w
     cap = 2 * len(w.target.instrs) * max(1, len(w.source.registers)) + 1
@@ -129,9 +129,8 @@ def reference_fix(w, width=8):
         sp = poison_analysis(cur, width)
         violations = check_poison_typable(cur, sp)
         rounds.append((cur, sp, violations))
-        report.iterations = it
         if not violations:
-            return cur, report, rounds
+            return cur, FixReport(insertions, it), rounds
         v = violations[0]
         keys = {(x.src_pc, x.tgt_pc, x.reg, x.kind) for x in violations}
         escalate = prev_key in keys
@@ -153,7 +152,7 @@ def reference_fix(w, width=8):
         rho[fresh] = dict(cur.rho.get(v.tgt_pc, {}))
         target = Program(cur.target.entry, instrs, list(cur.target.memvars))
         cur = RAWitness(cur.source, target, dict(cur.phi), rho)
-        report.insertions.append(FixInsertion(fresh, kind, v.tgt_pc, v))
+        insertions.append(FixInsertion(fresh, kind, v.tgt_pc, v))
         bad = validate_ra(cur)
         assert not bad, f"reference splice produced an invalid witness: {bad[0]}"
     raise AssertionError("reference fix hit its iteration cap")

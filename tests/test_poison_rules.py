@@ -8,7 +8,6 @@ dict-valued reference transfer of `test_fix_session` on random poison types.
 """
 
 import random
-from dataclasses import replace
 
 from snicheck.ir import STACK_VAR, Asgn, If, Load, Move, Nop, Sfence, Slh, Store, parse_program
 from snicheck.poison import BOT, H, P, W, Product, ProductState, ProductTransition, RepairSession, fix_ra
@@ -47,11 +46,11 @@ def pack(pk, pt: dict) -> int:
 def reference_steps(prod, ps, d, canonical_only):
     """`_dict_steps` on the unpacked poison stack of `ps`, with the stacks of
     the transitions it builds packed again."""
-    unpacked = replace(ps, poisons=tuple(prod.pk.unpack(x) for x in ps.poisons))
+    unpacked = ps._replace(poisons=tuple(prod.pk.unpack(x) for x in ps.poisons))
     out = []
     for t in _dict_steps(prod, unpacked, d, canonical_only):
-        packed = replace(t.end, poisons=tuple(pack(prod.pk, pt) for pt in t.end.poisons))
-        out.append(replace(t, end=packed))
+        packed = t.end._replace(poisons=tuple(pack(prod.pk, pt) for pt in t.end.poisons))
+        out.append(t._replace(end=packed))
     return out
 
 

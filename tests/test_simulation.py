@@ -2,7 +2,6 @@ import gc
 import itertools
 import random
 from collections import Counter, deque
-from dataclasses import replace
 
 import pytest
 
@@ -212,7 +211,7 @@ def test_check_simulation_detects_missing_rollback_branch(ra_witness):
         kept = [iv for iv in res.intervals if D_RB not in iv.tgt_dirs]
         return ExtractResult(kept, res.truncated)
 
-    wit = replace(base, intervals=pruned)
+    wit = base._replace(intervals=pruned)
     t0 = load_state("code_ra.init", fixed.target)[0]
     v = check_simulation(wit, t0, Bounds(24, 3))
     assert not v.ok
@@ -440,15 +439,15 @@ def test_cube_refuses_an_initial_mapping_that_does_not_respect_levels():
     source states."""
     wit = _leaky_witness()
     t1 = State.make("0", {"i": 5}, {("h", 0): 1})
-    splits = replace(wit, initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))
+    splits = wit._replace(initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))
     v = check_snippy_cube(splits, t1, Bounds(8, 2))
     assert not v.ok and v.reason == "initial-state mapping does not respect levels"
     assert check_snippy_cube(wit, t1, Bounds(8, 2)).reason != v.reason
     # a mapping that asks about a high value (Divergent on the packed state)
     # maps each assignment alone, and is judged the same way
-    asks = replace(wit, initial_map=lambda t: t.at("0") if t.cell("h", 0) == 1 else t)
+    asks = wit._replace(initial_map=lambda t: t.at("0") if t.cell("h", 0) == 1 else t)
     assert check_snippy_cube(asks, t1, Bounds(8, 2)) == check_snippy_cube(wit, t1, Bounds(8, 2))
-    asks_splits = replace(wit, initial_map=lambda t: t.with_reg("x", 1) if t.cell("h", 0) == 1 else t)
+    asks_splits = wit._replace(initial_map=lambda t: t.with_reg("x", 1) if t.cell("h", 0) == 1 else t)
     assert check_snippy_cube(asks_splits, t1, Bounds(8, 2)) == v
 
 
@@ -637,13 +636,13 @@ def _planted(wit, ref, what):
         out = []
         for iv in res.intervals:
             if what == "tgt-leak":
-                iv = replace(iv, tgt_leaks=(l_if(3),) + iv.tgt_leaks[1:])
+                iv = iv._replace(tgt_leaks=(l_if(3),) + iv.tgt_leaks[1:])
             elif what == "src-leak" and iv.src_leaks:
-                iv = replace(iv, src_leaks=(l_if(3),) + iv.src_leaks[1:])
+                iv = iv._replace(src_leaks=(l_if(3),) + iv.src_leaks[1:])
             elif what == "tgt-end":
-                iv = replace(iv, end_tgt=nu_tgt)
+                iv = iv._replace(end_tgt=nu_tgt)
             elif what == "src-end":
-                iv = replace(iv, end_src=nu_src)
+                iv = iv._replace(end_src=nu_src)
             out.append(iv)
         return ExtractResult(out, res.truncated)
 
@@ -653,7 +652,7 @@ def _planted(wit, ref, what):
     def planted_ref(nu_src, nu_tgt, b):
         return plant(ref(nu_src, nu_tgt, b), nu_src, nu_tgt)
 
-    return replace(wit, kind=what, intervals=planted), planted_ref
+    return wit._replace(kind=what, intervals=planted), planted_ref
 
 
 def _assert_cubes_agree(wit, ref, base, b):
@@ -885,7 +884,7 @@ def _all_split(wit):
             raise Divergent("every packed pair splits")
         return wit.intervals(s, t, b, tables)
 
-    return replace(wit, intervals=intervals)
+    return wit._replace(intervals=intervals)
 
 
 def _all_split_cube(wit, base, b):
@@ -950,7 +949,7 @@ def test_packed_cube_keeps_the_low_equivalence_classes():
         return ExtractResult(out)
 
     keeps = SimWitness("keeps", p, p, lambda nu_tgt, nu_src: True, lambda t: t, intervals, width=1)
-    splits = replace(keeps, initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))
+    splits = keeps._replace(initial_map=lambda t: t.with_reg("x", t.cell("h", 0)))
     base = State.make("0", {"z": 1})
     b = Bounds(8, 1)
     assert check_snippy_cube(keeps, base, b) == Verdict("pass", 2, 0)
@@ -1018,7 +1017,7 @@ def test_a_split_path_and_a_packed_path_meet_at_one_member_set(monkeypatch, widt
             _ = top.reg("x") <= top.reg("a")  # asked, and the answer dropped
         return dce.intervals(s, t, b, tables)
 
-    wit = replace(dce, intervals=intervals)
+    wit = dce._replace(intervals=intervals)
     base = State.make("0", {"i": 5, "m": (1 << width) - 1})
     splits = _count_splits(monkeypatch)
     b = Bounds(16, 1)
@@ -1050,7 +1049,7 @@ def _inspecting(wit, inspect, plants):
             return ExtractResult(res.intervals[:1], res.truncated)
         return res
 
-    return replace(wit, intervals=intervals)
+    return wit._replace(intervals=intervals)
 
 
 @pytest.mark.parametrize("plants", [False, True])
@@ -1110,3 +1109,31 @@ def test_each_check_walks_once(monkeypatch):
         check_simulation(wit, base, Bounds(24, 2))
         assert made == [wit]
         made.clear()
+
+
+def test_dce_witness_builds_its_liveness_index_once(monkeypatch):
+    """`related` asks for the facts live before each source pc where the two
+    frames differ; the witness builds one `Masks` index for all of them, not
+    one per pc (on a program declaring 40,000 cells, one build costs more
+    than solving liveness for the whole program)."""
+    from snicheck.liveness import Masks
+    from snicheck.semantics import initial
+
+    p = parse_program(
+        "mem h 1 high\nmem lo 2 low\nentry 0\n0: load y <- h[#0] -> 1\n1: x = y add y -> 2\n"
+        "2: t = y add y -> 3\n3: x = y add z -> 4\n4: store lo[#0] <- x -> 5\n5: store lo[#1] <- t -> 6\n6: ret\n"
+    )
+    res = dce_transform(p, liveness(p))
+    assert res.replaced["1"]  # the dead `x`, so the frames differ in `x` at 2 and 3
+    builds, asked = [], []
+    init, live_before = Masks.__init__, simulation.live_before
+
+    def asking(p, sol, pc, *args, **kwargs):
+        asked.append(pc)
+        return live_before(p, sol, pc, *args, **kwargs)
+
+    monkeypatch.setattr(Masks, "__init__", lambda mk, *args: builds.append(args) or init(mk, *args))
+    monkeypatch.setattr(simulation, "live_before", asking)
+    wit = dce_witness(p, res, width=2)
+    assert check_snippy_cube(wit, initial(wit.target)[0], Bounds(24, 2)).ok
+    assert sorted(set(asked)) == ["2", "3"] and len(builds) == 1
