@@ -2,6 +2,7 @@
 """Start-up cost of each command, in fresh `python -m snicheck` processes.
 
     python3 scripts/startup.py [CHECKOUT] --runs 15
+    python3 scripts/startup.py A B --runs 15
 
 For each command of `cli.COMMANDS`, run on corpus inputs, prints the median
 wall time of `--runs` fresh `python -m snicheck` processes of CHECKOUT
@@ -10,9 +11,16 @@ the `snicheck` modules the command loads (read from one `-X importtime` run).
 The in-process benchmark imports the package once per set-up, so it cannot
 show what a command pays when each verdict is its own process.  Rounds run
 every command once, in turn, so a drift in the machine's speed falls on all
-alike.  The processes inherit the environment: with
-`PYTHONDONTWRITEBYTECODE=1` and no `__pycache__`, every run compiles the
-modules it imports.
+alike.
+
+Given two checkouts, A and B, each round runs every command from both, and
+which goes first alternates from command to command and from round to
+round, as in `scripts/ab_requests.py`, so a drift falls on both sides.  It
+prints both medians and B's change from A per command (negative is faster),
+the floor included, whose change shows the noise.
+
+The processes inherit the environment: with `PYTHONDONTWRITEBYTECODE=1` and
+no `__pycache__`, every run compiles the modules it imports.
 """
 
 import argparse
@@ -66,40 +74,66 @@ def loaded_modules(argv: list[str], env: dict) -> list[str]:
     return [n.removeprefix("snicheck.") for n in names if n.startswith("snicheck.")]
 
 
+def side(checkout: Path) -> tuple[dict, dict[str, list[str]]]:
+    """The environment and the command lines (the floor first) that time
+    `checkout`."""
+    src = checkout.resolve() / "src"
+    if not (src / "snicheck" / "cli.py").is_file():
+        sys.exit(f"error: no snicheck sources under {src}")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    r = subprocess.run([sys.executable, "-c", "from snicheck.cli import COMMANDS; print(*COMMANDS)"], env=env,
+                       capture_output=True, text=True)
+    if r.returncode:
+        sys.exit(f"error: cannot read the commands of {checkout}: {r.stderr.strip()}")
+    table = command_args(src / "snicheck" / "corpus")
+    missing = set(r.stdout.split()) - set(table)
+    if missing:
+        sys.exit(f"error: no corpus arguments for {', '.join(sorted(missing))}")
+    runs = {"python -c pass": [sys.executable, "-c", "pass"]}
+    runs |= {cmd: [sys.executable, "-m", "snicheck", cmd, *table[cmd]] for cmd in r.stdout.split()}
+    return env, runs
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("checkout", nargs="?", type=Path, default=ROOT)
-    ap.add_argument("--runs", type=int, default=15, help="processes per command (default 15)")
+    ap.add_argument("checkouts", nargs="*", type=Path, metavar="CHECKOUT",
+                    help="the checkout to time (default: this one), or two, A and B, to compare")
+    ap.add_argument("--runs", type=int, default=15, help="processes per command and checkout (default 15)")
     args = ap.parse_args(argv)
+    checkouts = args.checkouts or [ROOT]
+    if len(checkouts) > 2:
+        ap.error("at most two checkouts")
 
-    src = args.checkout.resolve() / "src"
-    if not (src / "snicheck" / "cli.py").is_file():
-        print(f"error: no snicheck sources under {src}", file=sys.stderr)
-        return 2
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    sys.path.insert(0, str(src))
-    from snicheck.cli import COMMANDS, CORPUS
+    sides = [side(c) for c in checkouts]
+    names = list(sides[0][1])
+    if any(list(runs) != names for _, runs in sides):
+        sys.exit("error: the checkouts have different commands")
+    times = [{name: [] for name in names} for _ in sides]
+    for rnd in range(args.runs):
+        for k, name in enumerate(names):
+            for i in sorted(range(len(sides)), reverse=(rnd + k) % 2 == 1):
+                env, runs = sides[i]
+                times[i][name].append(wall(runs[name], env))
 
-    table = command_args(CORPUS)
-    missing = set(COMMANDS) - set(table)
-    if missing:
-        print(f"error: no corpus arguments for {', '.join(sorted(missing))}", file=sys.stderr)
-        return 2
-    runs = {"python -c pass": [sys.executable, "-c", "pass"]}
-    runs |= {cmd: [sys.executable, "-m", "snicheck", cmd, *table[cmd]] for cmd in COMMANDS}
-    times = {name: [] for name in runs}
-    for _ in range(args.runs):
-        for name, cmd in runs.items():
-            times[name].append(wall(cmd, env))
-
-    print(f"{args.checkout}: median of {args.runs} fresh processes, "
-          f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}")
-    floor = statistics.median(times["python -c pass"])
-    print(f"{'command':<16} {'ms':>7} {'- floor':>8}  snicheck modules loaded")
-    for name, cmd in runs.items():
-        ms = statistics.median(times[name]) * 1e3
-        mods = "" if name not in COMMANDS else " ".join(loaded_modules(cmd, env))
-        print(f"{name:<16} {ms:7.1f} {ms - floor * 1e3:8.1f}  {mods}")
+    medians = [{name: statistics.median(ts) * 1e3 for name, ts in side_times.items()} for side_times in times]
+    mods = [{name: " ".join(loaded_modules(runs[name], env)) for name in names[1:]} for env, runs in sides]
+    setting = f"PYTHONDONTWRITEBYTECODE={os.environ.get('PYTHONDONTWRITEBYTECODE', '')!r}"
+    if len(sides) == 1:
+        print(f"{checkouts[0]}: median of {args.runs} fresh processes, {setting}")
+        floor = medians[0]["python -c pass"]
+        print(f"{'command':<16} {'ms':>7} {'- floor':>8}  snicheck modules loaded")
+        for name in names:
+            print(f"{name:<16} {medians[0][name]:7.1f} {medians[0][name] - floor:8.1f}  {mods[0].get(name, '')}")
+        return 0
+    print(f"A {checkouts[0]}, B {checkouts[1]}: median of {args.runs} fresh processes each, in alternating "
+          f"order, {setting}")
+    print(f"{'command':<16} {'A ms':>7} {'B ms':>7} {'B - A':>7} {'change':>7}  snicheck modules loaded by B")
+    for name in names:
+        a, b = medians[0][name], medians[1][name]
+        loaded = mods[1].get(name, "")
+        if set(mods[0].get(name, "").split()) != set(loaded.split()):
+            loaded += f" (A: {mods[0][name]})"
+        print(f"{name:<16} {a:7.1f} {b:7.1f} {b - a:+7.1f} {100 * (b / a - 1):+6.1f}%  {loaded}")
     return 0
 
 

@@ -6,13 +6,13 @@ unreadable input file, or a check that could not finish (for example `fix`
 hitting its iteration cap).
 JSON output carries `schema: 1` and is byte-stable for a fixed seed.
 
-Each command imports only the modules it runs.  At the top sit `ir`,
-`semantics` and `security`, which `run`, `explore`, `check-safe` and
-`check-sni` share (`check-sni` makes most of the requests); every other
-handler imports its own modules (`liveness`, `regalloc`, `poison`,
-`simulation`) in its body, so a speculative-semantics run never compiles
-the compile-side modules.  After a command's first call, its imports are
-one `sys.modules` lookup each.
+Each command imports only the modules it runs.  At the top sits `ir`
+alone, which every command reads its programs with; each handler imports
+its own modules (`semantics`, `security`, `liveness`, `regalloc`, `poison`,
+`simulation`) in its body.  So a speculative-semantics run never compiles
+the compile-side modules, and `allocate`, `fix` and the other compile-side
+commands never compile the speculative semantics.  After a command's first
+call, its imports are one `sys.modules` lookup each.
 """
 
 from __future__ import annotations
@@ -24,18 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import security
-from .ir import ParseError, Program, loc_text, parse_program, print_program
-from .semantics import (
-    Bounds,
-    DEFAULT_WIDTH,
-    explore_behaviors,
-    format_trace,
-    initial,
-    parse_directives,
-    parse_initial_state,
-    run_directives,
-)
+from .ir import DEFAULT_WIDTH, ParseError, Program, loc_text, parse_program, print_program
 
 SCHEMA = 1
 
@@ -46,9 +35,13 @@ def corpus_path(name: str) -> Path:
     return CORPUS / name
 
 
-def _parse_bounds(spec: str) -> Bounds:
-    """`--bounds`: steps=<n>,depth=<n>, either part optional.  The error
-    names the bad component or the bound, which argparse prints."""
+@functools.lru_cache
+def _parse_bounds(spec: str):
+    """`--bounds`: steps=<n>,depth=<n>, either part optional, as a
+    `semantics.Bounds`.  The error names the bad component or the bound,
+    which argparse prints.  The default is text, which every command line
+    without `--bounds` converts, so a spec read before is a cache hit."""
+    from .semantics import Bounds
     bounds = {"steps": 32, "depth": 3}
     for part in spec.split(","):
         k, _, v = part.partition("=")
@@ -106,12 +99,16 @@ def _load_program(path: str | Path) -> Program:
 
 
 def _load_state(path: str | Path, p: Program, width: int):
-    return parse_initial_state(_read(path), p, width)
+    from . import semantics
+    return semantics.parse_initial_state(_read(path), p, width)
 
 
 def _initial_state(args, p: Program):
     """The `--state` file read against `p`, or the all-zero state without one."""
-    return _load_state(args.state, p, args.width) if args.state else initial(p)
+    if args.state:
+        return _load_state(args.state, p, args.width)
+    from . import semantics
+    return semantics.initial(p)
 
 
 def _witness(args):
@@ -122,23 +119,25 @@ def _witness(args):
 
 
 def cmd_run(args) -> int:
+    from . import semantics
     p = _load_program(args.program)
     nu0 = _initial_state(args, p)
-    dirs = parse_directives(_read(args.directives), p) if args.directives else []
-    ex = run_directives(p, nu0, dirs, args.width)
+    dirs = semantics.parse_directives(_read(args.directives), p) if args.directives else []
+    ex = semantics.run_directives(p, nu0, dirs, args.width)
     payload = {
         "status": ex.status,
         "stuck_index": ex.stuck_index,
         "leaks": [str(l) for l in ex.leaks],
     }
-    _emit(args, payload, format_trace(ex) or "(no steps)\n")
+    _emit(args, payload, semantics.format_trace(ex) or "(no steps)\n")
     return 0 if ex.status in ("completed", "final") else 1
 
 
 def cmd_explore(args) -> int:
+    from . import semantics
     p = _load_program(args.program)
     nu0 = _initial_state(args, p)
-    bs = explore_behaviors(p, nu0, args.bounds, args.width)
+    bs = semantics.explore_behaviors(p, nu0, args.bounds, args.width)
     fmt = lambda tr: {"leaks": [str(l) for l in tr[0]], "directives": [str(d) for d in tr[1]]}
     payload = {
         "terminated": sorted((fmt(t) for t in bs.terminated), key=str),
@@ -153,6 +152,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_check_safe(args) -> int:
+    from . import security
     p = _load_program(args.program)
     nu0 = _initial_state(args, p)
     r = security.check_safety(p, nu0[0], args.steps, args.width)
@@ -168,6 +168,7 @@ def _verdict_exit(ok: bool, truncated: int) -> int:
 
 
 def cmd_check_sni(args) -> int:
+    from . import security
     if args.seed is not None and args.pairs is None:
         raise ValueError("--seed is read only with --pairs random:<n>")
     p = _load_program(args.program)
@@ -245,12 +246,12 @@ def cmd_validate_ra(args) -> int:
 
 
 def cmd_product_run(args) -> int:
-    from . import poison
+    from . import poison, semantics
     w = _witness(args)
     prod = poison.Product(w, args.width)
     tgt0 = _initial_state(args, w.target)[0]
     ps = prod.initial_product(tgt0)
-    dirs = parse_directives(_read(args.directives), w.target) if args.directives else []
+    dirs = semantics.parse_directives(_read(args.directives), w.target) if args.directives else []
     lines = []
     stuck_at = None
     for idx, d in enumerate(dirs):
@@ -339,9 +340,9 @@ def cmd_check_snippy(args) -> int:
 
 def cmd_demo_codera(args) -> int:
     """One-shot reproduction: attack, analysis, fix, and re-check."""
-    from . import poison, regalloc
+    from . import poison, regalloc, security, semantics
     width = 8
-    bounds = Bounds(32, 3)
+    bounds = semantics.Bounds(32, 3)
     src = _load_program(corpus_path("code_ra_source.sp"))
     tgt = _load_program(corpus_path("code_ra_target.sp"))
     w = regalloc.parse_ra_witness(_read(corpus_path("code_ra.witness")), src, tgt)
@@ -399,7 +400,7 @@ FLAGS = {
     "--pairs": dict(type=pair_count, default="exhaustive", help="exhaustive | random:<n>, n >= 1"),
     "--seed": dict(type=int, help="seed of --pairs random:<n> (default 0)"),
     "--width": dict(type=positive_int, default=DEFAULT_WIDTH),
-    "--bounds": dict(type=_parse_bounds, default=Bounds(32, 3), help="steps=<n>,depth=<n>"),
+    "--bounds": dict(type=_parse_bounds, default="steps=32,depth=3", help="steps=<n>,depth=<n>"),
     "--steps": dict(type=positive_int, default=32, help="step bound of the run"),
     "--directives": {},
     "--out": {},

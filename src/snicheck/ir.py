@@ -2,9 +2,9 @@
 
 A program maps program-counter labels to instructions.  Memory is a fixed set
 of named variables, each with a static size and a security level.  Values are
-unsigned machine words of a configurable bit width (default 8) with
-wraparound arithmetic; the width lives with the semantics, not the program
-text.
+unsigned machine words of a configurable bit width (`DEFAULT_WIDTH`, 8)
+with wraparound arithmetic; the width lives with the semantics, not the
+program text.
 
 Branch convention: ``if r ? T : F`` goes to T when the register equals 0 and
 to F otherwise.  Comparison operators produce 0/1, so a branch on the result
@@ -34,6 +34,8 @@ Pc = str
 OPS = ("add", "sub", "mul", "lt", "eq", "and", "or")
 
 STACK_VAR = "stk"
+
+DEFAULT_WIDTH = 8
 
 
 class ParseError(ValueError):

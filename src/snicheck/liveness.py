@@ -17,7 +17,7 @@ every use; dead code elimination looks only at destinations.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import dataflow
 from .ir import Asgn, Exit, Instr, Load, Nop, Pc, Program, Store
@@ -104,14 +104,18 @@ def liveness(p: Program, exit_fact: Fact | None = None) -> dict[Pc, Fact]:
     return {pc: mk.decode(m) for pc, m in sol.items()}
 
 
-def live_before(
-    p: Program, sol: dict[Pc, Fact], pc: Pc, exit_fact: Fact | None = None, mk: Masks | None = None
-) -> Fact:
-    """The fact before `pc`, where `sol[pc]` is the fact after it.  A caller
-    asking at several pcs passes one `Masks(p, exit_fact)` as `mk`, so that
-    the index is built once."""
-    mk = mk or Masks(p, exit_fact)
+def live_before(p: Program, sol: dict[Pc, Fact], pc: Pc, exit_fact: Fact | None = None) -> Fact:
+    """The fact before `pc`, where `sol[pc]` is the fact after it."""
+    mk = Masks(p, exit_fact)
     return mk.decode(mk.transfer(p.instrs[pc])(mk.mask(sol[pc])))
+
+
+def live_before_at(p: Program, exit_fact: Fact | None = None) -> Callable[[Pc], Fact]:
+    """`pc` -> the fact before `pc`, read off one solution of `p`: the masks
+    after each pc stay encoded, so a call decodes one transfer, where
+    `live_before` encodes the whole fact after `pc` again."""
+    mk, fns, sol = _solve(p, exit_fact)
+    return lambda pc: mk.decode(fns[pc](sol[pc]))
 
 
 def live_regs(p: Program, exit_fact: Fact) -> tuple[dict[Pc, frozenset], dict[Pc, frozenset]]:
@@ -123,7 +127,6 @@ def live_regs(p: Program, exit_fact: Fact) -> tuple[dict[Pc, frozenset], dict[Pc
 class DceResult(NamedTuple):
     target: Program
     replaced: dict[Pc, bool]
-    solution: dict[Pc, Fact]
 
 
 def dce_transform(p: Program, sol: dict[Pc, Fact]) -> DceResult:
@@ -148,4 +151,4 @@ def dce_transform(p: Program, sol: dict[Pc, Fact]) -> DceResult:
         instrs[pc] = new
         replaced[pc] = new is not i
     t = Program(p.entry, instrs, list(p.memvars))
-    return DceResult(t, replaced, dict(sol))
+    return DceResult(t, replaced)

@@ -21,7 +21,12 @@ step (`matched_rule`, `shuffle_rule`); an access through a register also
 takes its address case (healthy, spill or weak).  `Product` applies the rule
 of the case its states determine, and adds only where it is stuck and which
 source directives replay a target directive (`replay_directive`, shared with
-the simulation witness, is the canonical one).
+the simulation witness, is the canonical one).  Only this dynamic product
+steps states: `Product.transitions`, `replay_target_step` and
+`initial_source_state` import `semantics` when they run, and
+`replay_directive` builds its directive from the one it replays.  So
+`poison_analysis`, `check_poison_typable` and `fix_ra` load neither
+`semantics` nor `security`.
 
 The static analysis is a forward flow problem over the product's program
 points: matched pairs (pc, phi(pc)) and shuffle pairs (pc, s) for shuffle
@@ -66,10 +71,11 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import dataflow
 from .ir import (
+    DEFAULT_WIDTH,
     Asgn,
     If,
     Instr,
@@ -94,18 +100,9 @@ from .regalloc import (
     source_live_regs,
     validate_ra,
 )
-from .semantics import (
-    DEFAULT_WIDTH,
-    D_RB,
-    D_SPEC,
-    D_STEP,
-    Directive,
-    Leakage,
-    SpecState,
-    State,
-    step_spec,
-    transitions,
-)
+
+if TYPE_CHECKING:
+    from .semantics import Directive, Leakage, SpecState, State
 
 BOT, H, W, P = 0, 1, 2, 3
 PV_NAMES = {BOT: "_", H: "H", W: "W", P: "P"}
@@ -186,12 +183,13 @@ def replay_directive(source: Program, i: Instr, s: State, d: Directive) -> Direc
     For a load or store of x through a register, `step` stays `step` when the
     source access is in bounds and otherwise becomes (x, 0), and a target
     choice of the spill frame becomes (x, 0).  Any other directive replays as
-    it is."""
+    it is.  The replay is built as `type(d)`, so that the simulation check,
+    which calls this on every interval step, pays no import."""
     if isinstance(i, (Load, Store)) and isinstance(i.addr, str):
-        if d == D_STEP and 0 <= s.reg(i.addr) < source.memvar(i.var).size:
+        if d.kind == "step" and 0 <= s.reg(i.addr) < source.memvar(i.var).size:
             return d
-        if d == D_STEP or d.var == STACK_VAR:
-            return Directive(i.kind.mnemonic, i.var, 0)
+        if d.kind == "step" or d.var == STACK_VAR:
+            return type(d)(i.kind.mnemonic, i.var, 0)
     return d
 
 
@@ -279,6 +277,7 @@ class Product:
 
     def initial_source_state(self, tgt0: State) -> State:
         """Initial-state mapping: read each register through the entry relocation."""
+        from .semantics import State
         m = self.rho.get(self.w.target.entry, {})
         regs = {}
         for r in self.w.source.registers:
@@ -298,6 +297,7 @@ class Product:
 
     def transitions(self, ps: ProductState) -> list[ProductTransition]:
         """All enabled product transitions (every unsafe-target choice)."""
+        from .semantics import transitions
         out = []
         for d, nu2, leak in transitions(self.w.target, ps.tgt, self.width):
             out.extend(self._steps_for(ps, d, (nu2, leak), canonical_only=False))
@@ -306,6 +306,7 @@ class Product:
     def replay_target_step(self, ps: ProductState, d: Directive) -> ProductTransition | None:
         """The canonical replay of one target directive, or None if `d` is
         not enabled or the product is stuck on it (a poisoned guard)."""
+        from .semantics import step_spec
         tgt_step = step_spec(self.w.target, ps.tgt, d, self.width)
         res = self._steps_for(ps, d, tgt_step, canonical_only=True) if tgt_step else []
         return res[0] if res else None
@@ -315,6 +316,7 @@ class Product:
         `tgt_step`.  This decides where the product is stuck and which source
         directives replay `d`; the poison updates are the compiled
         `shuffle_rule` and `matched_rule`, applied to the top level."""
+        from .semantics import D_RB, D_SPEC, D_STEP, Directive, step_spec
         w, width, rule, sh = self.w, self.width, self.pk.rule, self.pk.shift
         pts, spec = ps.poisons, ps.depth >= 2
         if d == D_RB:

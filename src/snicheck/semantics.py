@@ -60,6 +60,7 @@ from operator import add, and_, eq, ge, gt, itemgetter, le, lt, mul, ne, or_, su
 from typing import NamedTuple
 
 from .ir import (
+    DEFAULT_WIDTH,
     Asgn,
     Exit,
     Fill,
@@ -77,8 +78,6 @@ from .ir import (
     STACK_VAR,
     strip_comment,
 )
-
-DEFAULT_WIDTH = 8
 
 
 # --- packed values -------------------------------------------------------------

@@ -66,7 +66,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .ir import Pc, Program
-from .liveness import DceResult, Masks, live_before
+from .liveness import DceResult, live_before_at
 from .semantics import (
     DEFAULT_WIDTH,
     D_RB,
@@ -155,12 +155,11 @@ def extract_intervals(
 
 def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWitness:
     t = res.target
-    sol = res.solution
-    mk = Masks(p)  # every register and cell live at exit
-
+    before = None  # `live_before_at(p)`, every register and cell live at exit, solved on first use
     live: dict[Pc, tuple[list[str], list[tuple[str, int]]]] = {}  # pc -> registers and cells live before it
 
     def related(nu_tgt: SpecState, nu_src: SpecState) -> bool:
+        nonlocal before
         if len(nu_tgt) != len(nu_src):
             return False
         for st, ss in zip(nu_tgt, nu_src):
@@ -172,7 +171,8 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
             if st.pc != ss.pc:
                 return False
             if ss.pc not in live:
-                items = live_before(p, sol, ss.pc, mk=mk)
+                before = before or live_before_at(p)
+                items = before(ss.pc)
                 live[ss.pc] = [x for x in items if isinstance(x, str)], [x for x in items if not isinstance(x, str)]
             regs, cells = live[ss.pc]
             if any(st.reg(r) != ss.reg(r) for r in regs) or any(st.cell(*c) != ss.cell(*c) for c in cells):

@@ -41,8 +41,10 @@ CLI_IMPORTS = set("__future__ _json argparse gettext json".split())
 
 # the package modules that `import snicheck.cli` loads, and every command's
 # run on corpus inputs
-CLI_MODULES = {"cli", "ir", "semantics", "security"}
+CLI_MODULES = {"cli", "ir"}
 
+_SPEC = {"semantics"}
+_SNI = _SPEC | {"security"}
 _LIVE = {"liveness", "dataflow"}
 _RA = _LIVE | {"regalloc"}
 _POISON = _RA | {"poison"}
@@ -50,14 +52,18 @@ _POISON = _RA | {"poison"}
 # command: the package modules it loads beyond CLI_MODULES.  Every command
 # has a row.
 COMMAND_MODULES = {
-    "run": set(), "explore": set(), "check-safe": set(), "check-sni": set(),
+    "run": _SPEC, "explore": _SPEC, "check-safe": _SNI, "check-sni": _SNI,
     "dce": _LIVE, "liveness": _LIVE,
     "allocate": _RA, "validate-ra": _RA,
-    "product-run": _POISON, "poison-analyze": _POISON, "check-typable": _POISON, "fix": _POISON,
-    "demo-codera": _POISON,
+    "poison-analyze": _POISON, "check-typable": _POISON, "fix": _POISON,
+    # product-run steps the poison product; demo-codera also checks SNI
+    "product-run": _POISON | _SPEC, "demo-codera": _POISON | _SNI,
     # check-sim runs a DCE witness, check-snippy an RA one (`scripts/startup.py`)
-    "check-sim": _LIVE | {"simulation"}, "check-snippy": _POISON | {"simulation"},
+    "check-sim": _LIVE | _SNI | {"simulation"}, "check-snippy": _POISON | _SNI | {"simulation"},
 }
+
+# the commands that never step a speculative state
+COMPILE_SIDE = ("dce", "liveness", "allocate", "validate-ra", "poison-analyze", "check-typable", "fix")
 
 STARTUP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "startup.py"
 
@@ -65,11 +71,12 @@ STARTUP_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "startup.py"
 def test_cli_import_loads_the_pinned_modules():
     """Every module the package loads is paid for by each run in memory and
     start-up time, whether or not the run uses it, so a new import has to
-    change these sets.  `import snicheck.cli` loads the modules the
-    speculative-semantics commands share; each other command loads its own
-    when it runs.  Every command runs in one interpreter, from a fresh
-    import of the package each (as the benchmark's set-up does), so a
-    handler that lost one of its imports fails here.  No command may load
+    change these sets.  `import snicheck.cli` loads `ir` alone, and each
+    command loads its own modules when it runs: no compile-side command
+    loads `semantics` or `security`.  Every command runs in one
+    interpreter, from a fresh import of the package each (as the
+    benchmark's set-up does), so a handler that lost one of its imports
+    fails here.  No command may load
     `dataclasses`, which brings `inspect`, `ast`, `dis` and `tokenize`.  The
     corpus inputs are those `scripts/startup.py` times."""
     code = (
@@ -84,6 +91,7 @@ def test_cli_import_loads_the_pinned_modules():
     assert set(package.split()) == {f"snicheck.{m}" for m in CLI_MODULES}
 
     assert set(COMMAND_MODULES) == set(COMMANDS)
+    assert not set().union(*(COMMAND_MODULES[cmd] for cmd in COMPILE_SIDE)) & _SNI
     corpus_args = runpy.run_path(str(STARTUP_SCRIPT))["command_args"](CORPUS)
     runs = json.dumps({cmd: [cmd, *corpus_args[cmd]] for cmd in COMMANDS})
     code = (
@@ -513,6 +521,29 @@ def test_a_well_formed_command_line_never_builds_the_parser(capsys):
     code = main(["check-sni", C("code_ra_target.sp"), "--state", C("code_ra.init"), "--width", "8"])
     assert code == 1 and capsys.readouterr().out.startswith("violation")
     assert build_parser.cache_info().misses == 0
+
+
+def test_unset_bounds_and_width_read_as_their_defaults():
+    """`--bounds` defaults to the text `steps=32,depth=3`, which both parse
+    routes convert through `_parse_bounds`: every command that takes
+    `--bounds` or `--width` reads `Bounds(32, 3)` and 8 when neither is given."""
+    from snicheck.semantics import Bounds
+
+    checked = set()
+    for cmd, (_, positional, groups) in COMMANDS.items():
+        names = {flag.rstrip("?") for group in groups for flag in group.split("|")}
+        argv = [cmd, *(["p.sp"] if positional else [])]
+        for flag in (flag for group in groups for flag in group.split("|")):
+            if FLAGS[flag.rstrip("?")].get("required") and not flag.endswith("?"):
+                argv += [flag, FLAG_VALUES.get(flag, (FILES,))[0][0]]
+        for args in (_read_args(argv), build_parser().parse_args(argv)):
+            if "--bounds" in names:
+                assert type(args.bounds) is Bounds and args.bounds == Bounds(32, 3), argv
+                checked.add(cmd)
+            if "--width" in names:
+                assert args.width == 8, argv
+                checked.add(cmd)
+    assert checked == {"run", "explore", "check-safe", "check-sni", "product-run", "check-sim", "check-snippy"}
 
 
 @pytest.mark.parametrize("bounds, reason", [
@@ -951,6 +982,29 @@ def test_startup_script_times_every_command(tmp_path):
     rows = [line.split() for line in r.stdout.splitlines()[2:]]
     assert [row[0] for row in rows] == ["python", *COMMANDS]
     assert {row[0]: set(row[3:]) for row in rows[1:]} == {
+        cmd: CLI_MODULES | mods for cmd, mods in COMMAND_MODULES.items()
+    }
+
+
+def test_startup_script_compares_two_checkouts(tmp_path):
+    """Given two checkouts, the start-up table has one row per command and
+    the floor, with both medians and B's change; a checkout against itself
+    loads the same modules on both sides."""
+    root = str(STARTUP_SCRIPT.parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(STARTUP_SCRIPT), root, root, "--runs", "1"], capture_output=True,
+                       text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    head, *rows = r.stdout.splitlines()[1:]
+    assert head.split() == ["command", "A", "ms", "B", "ms", "B", "-", "A", "change", "snicheck", "modules",
+                            "loaded", "by", "B"]
+    rows = [line.split() for line in rows]
+    assert [row[0] for row in rows] == ["python", *COMMANDS]
+    for row in rows[1:]:
+        a, b, diff, change = float(row[1]), float(row[2]), float(row[3]), row[4]
+        # each printed to 0.1, from the unrounded medians
+        assert abs(b - a - diff) < 0.11 and abs(float(change.rstrip("%")) - 100 * (b / a - 1)) < 0.5
+    assert {row[0]: set(row[5:]) for row in rows[1:]} == {
         cmd: CLI_MODULES | mods for cmd, mods in COMMAND_MODULES.items()
     }
 

@@ -1,5 +1,13 @@
 from snicheck.ir import Load, Nop, Store, parse_program, print_program
-from snicheck.liveness import cells_fact, dce_transform, full_fact, live_before, live_regs, liveness
+from snicheck.liveness import (
+    cells_fact,
+    dce_transform,
+    full_fact,
+    live_before,
+    live_before_at,
+    live_regs,
+    liveness,
+)
 
 from conftest import (
     load_program,
@@ -137,6 +145,17 @@ def test_liveness_matches_the_match_based_reference(rng):
             assert (res.target, res.replaced) == (ref.target, ref.replaced)
         kinds |= {type(i).__name__ for i in p.instrs.values()}
     assert {"Load", "Store", "Fill", "Spill", "Move", "Slh"} <= kinds
+
+
+def test_live_before_at_reads_the_facts_of_live_before(rng):
+    """`live_before_at`, which decodes each pc's transfer of one solution's
+    masks, gives `live_before`'s fact at every pc, under the default, the
+    full and the cells-only exit fact, on sources and allocated targets."""
+    for p in _programs_with_every_kind(rng, 300):
+        for ef in (None, full_fact(p), cells_fact(p)):
+            before = live_before_at(p, ef)
+            sol = liveness(p, ef)
+            assert {pc: before(pc) for pc in p.instrs} == {pc: live_before(p, sol, pc, ef) for pc in p.instrs}
 
 
 def test_access_names_the_cell_the_step_touches(rng):

@@ -1113,8 +1113,9 @@ def test_each_check_walks_once(monkeypatch):
 
 def test_dce_witness_builds_its_liveness_index_once(monkeypatch):
     """`related` asks for the facts live before each source pc where the two
-    frames differ; the witness builds one `Masks` index for all of them, not
-    one per pc (on a program declaring 40,000 cells, one build costs more
+    frames differ; the witness solves liveness once, with one `Masks` index,
+    and decodes each pc's fact from the solution's masks (on a program
+    declaring 40,000 cells, encoding the fact after a pc again costs more
     than solving liveness for the whole program)."""
     from snicheck.liveness import Masks
     from snicheck.semantics import initial
@@ -1125,15 +1126,17 @@ def test_dce_witness_builds_its_liveness_index_once(monkeypatch):
     )
     res = dce_transform(p, liveness(p))
     assert res.replaced["1"]  # the dead `x`, so the frames differ in `x` at 2 and 3
-    builds, asked = [], []
-    init, live_before = Masks.__init__, simulation.live_before
+    builds, solves, asked = [], [], []
+    init, live_before_at = Masks.__init__, simulation.live_before_at
 
-    def asking(p, sol, pc, *args, **kwargs):
-        asked.append(pc)
-        return live_before(p, sol, pc, *args, **kwargs)
+    def solving(*args):
+        solves.append(args)
+        before = live_before_at(*args)
+        return lambda pc: asked.append(pc) or before(pc)
 
     monkeypatch.setattr(Masks, "__init__", lambda mk, *args: builds.append(args) or init(mk, *args))
-    monkeypatch.setattr(simulation, "live_before", asking)
+    monkeypatch.setattr(simulation, "live_before_at", solving)
     wit = dce_witness(p, res, width=2)
+    assert solves == [] and builds == []  # nothing is solved before `related` needs it
     assert check_snippy_cube(wit, initial(wit.target)[0], Bounds(24, 2)).ok
-    assert sorted(set(asked)) == ["2", "3"] and len(builds) == 1
+    assert sorted(asked) == ["2", "3"] and len(solves) == len(builds) == 1
