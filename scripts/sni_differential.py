@@ -87,7 +87,7 @@ def compare(p, base, b, width, spent: Counter) -> tuple[list[str], str, str]:
                    f"reference {want.kind}/{want.pairs_checked}/{want.truncated}")
     states = enumerate_high_states(p, base, width)
     if not got.secure or len(states) <= 2:
-        if got != want or got.report(p, width) != want.report(p, width):
+        if got != want or got.report(full=True) != want.report(full=True):
             bad.append("check_sni verdict or report differs from the pairwise reference")
     for a, c in (states[:2], states[1::-1]):
         if check_sni_pair(p, a, c, b, width) != timed(spent, ref_check_sni_pair, p, a, c, b, width):

@@ -42,7 +42,7 @@ def _parse_bounds(spec: str):
     which argparse prints.  The default is text, which every command line
     without `--bounds` converts, so a spec read before is a cache hit."""
     from .semantics import Bounds
-    bounds = {"steps": 32, "depth": 3}
+    bounds = dict(zip(("steps", "depth"), Bounds()))
     for part in spec.split(","):
         k, _, v = part.partition("=")
         try:
@@ -52,7 +52,7 @@ def _parse_bounds(spec: str):
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad bounds component {part!r}") from None
     try:
-        return Bounds(bounds["steps"], bounds["depth"])
+        return Bounds(*bounds.values())
     except ValueError as e:
         raise argparse.ArgumentTypeError(str(e)) from None
 
@@ -191,10 +191,10 @@ def cmd_check_sni(args) -> int:
     if not v.secure:
         text += "directives: " + " ; ".join(str(d) for d in v.directives) + "\n"
         if v.divergence == "leak":
-            text += f"diverging leak: {v.leak1} vs {v.leak2}\n"
+            text += f"diverging leak: {v.leaks1[-1]} vs {v.leaks2[-1]}\n"
         else:
             text += "diverging enabled sets\n"
-    _emit(args, v.report(p, args.width), text)
+    _emit(args, v.report(full=True), text)
     return _verdict_exit(v.secure, v.truncated)
 
 
@@ -341,8 +341,7 @@ def cmd_check_snippy(args) -> int:
 def cmd_demo_codera(args) -> int:
     """One-shot reproduction: attack, analysis, fix, and re-check."""
     from . import poison, regalloc, security, semantics
-    width = 8
-    bounds = semantics.Bounds(32, 3)
+    width, bounds = DEFAULT_WIDTH, semantics.Bounds()
     src = _load_program(corpus_path("code_ra_source.sp"))
     tgt = _load_program(corpus_path("code_ra_target.sp"))
     w = regalloc.parse_ra_witness(_read(corpus_path("code_ra.witness")), src, tgt)
@@ -364,7 +363,7 @@ def cmd_demo_codera(args) -> int:
     ok &= not v_tgt.secure
     if not v_tgt.secure:
         out.append("attack directives: " + " ; ".join(str(d) for d in v_tgt.directives))
-        out.append(f"diverging leak: {v_tgt.leak1} vs {v_tgt.leak2}")
+        out.append(f"diverging leak: {v_tgt.leaks1[-1]} vs {v_tgt.leaks2[-1]}")
 
     sp = poison.poison_analysis(w)
     violations = poison.check_poison_typable(w, sp)

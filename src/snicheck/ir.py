@@ -19,6 +19,10 @@ rewriters retarget or rename an instruction through its field lists.
 Liveness, the witness check of shuffles and the dead-code witness read a
 memory access through `Kind.access` alone; the taint certificate steps
 `semantics.transitions`.
+
+`Program.in_bounds` alone says whether `(var, off)` is a declared cell, for
+the step rule (does an access need a `load`/`store` directive?), the text
+formats, `validate_program`, the witnesses and the poison product.
 """
 
 from __future__ import annotations
@@ -283,6 +287,12 @@ class Program:
     def memvar(self, name: str) -> MemVar | None:
         return self._memvar_index.get(name)
 
+    def in_bounds(self, var: str, off: int) -> bool:
+        """Whether `(var, off)` is a declared cell.  A packed or tainted `off`
+        raises `semantics.Divergent`, unless every lane gives one answer."""
+        mv = self._memvar_index.get(var)
+        return mv is not None and 0 <= off < mv.size
+
     @cached_property
     def _sorted_pcs(self) -> tuple[Pc, ...]:
         return tuple(sorted(self.instrs, key=pc_key))
@@ -369,11 +379,11 @@ def validate_program(p: Program) -> list[Diagnostic]:
             if isinstance(i, (Fill, Spill)):
                 if mv is None:
                     at_pcs.append(Diagnostic(pc, "fill/spill require a declared stk variable"))
-                elif not 0 <= where < mv.size:
+                elif not p.in_bounds(var, where):
                     at_pcs.append(Diagnostic(pc, f"stack slot out of bounds: {where}"))
             elif mv is None:
                 at_pcs.append(Diagnostic(pc, f"unknown memvar {var}"))
-            elif isinstance(where, int) and not 0 <= where < mv.size:
+            elif isinstance(where, int) and not p.in_bounds(var, where):
                 at_pcs.append(Diagnostic(pc, f"const address out of bounds: {var}[{where}]"))
         elif isinstance(i, Asgn) and i.op not in OPS:
             at_pcs.append(Diagnostic(pc, f"unknown operator {i.op}"))
@@ -448,6 +458,8 @@ def parse_program(text: str) -> Program:
                 raise ParseError(f"duplicate memvar {m[1]}", lineno)
             memvars.append(MemVar(m[1], int(m[2]), m[3]))
         elif m := _ENTRY_RE.match(line):
+            if entry is not None:
+                raise ParseError("duplicate entry declaration", lineno)
             entry = m[1]
         else:
             raise ParseError(f"cannot parse: {line!r}", lineno, raw.index(line.split()[0]))

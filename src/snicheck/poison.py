@@ -186,7 +186,7 @@ def replay_directive(source: Program, i: Instr, s: State, d: Directive) -> Direc
     it is.  The replay is built as `type(d)`, so that the simulation check,
     which calls this on every interval step, pays no import."""
     if isinstance(i, (Load, Store)) and isinstance(i.addr, str):
-        if d.kind == "step" and 0 <= s.reg(i.addr) < source.memvar(i.var).size:
+        if d.kind == "step" and source.in_bounds(i.var, s.reg(i.addr)):
             return d
         if d.kind == "step" or d.var == STACK_VAR:
             return type(d)(i.kind.mnemonic, i.var, 0)
@@ -343,7 +343,7 @@ class Product:
             case Load(var=x, addr=str(a)) | Store(var=x, addr=str(a)):
                 size, kind, pb = w.source.memvar(x).size, name, (pt >> sh[a]) & 3
                 step_cell = (x, s_top.reg(a))
-                in_bounds = 0 <= step_cell[1] < size
+                in_bounds = w.source.in_bounds(*step_cell)
                 if pb == H and (d == D_STEP and in_bounds or d.kind == kind and d.var != STACK_VAR):
                     name += "-healthy-safe" if d == D_STEP else "-healthy-unsafe"
                 elif pb == H and d.kind == kind:

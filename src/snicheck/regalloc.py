@@ -224,7 +224,7 @@ def validate_ra(
                 out.append(RADiagnostic("obeying-liveness", (t_pc,), f"{locs[loc]} and {r} both at {fmt_loc(loc)}"))
             locs[loc] = r
         for r, loc in items:
-            if is_slot(loc) and not 0 <= loc[1] < stk.size:
+            if is_slot(loc) and not tgt.in_bounds(*loc):
                 out.append(RADiagnostic("obeying-liveness", (t_pc,), f"slot {loc[1]} outside stk size {stk.size}"))
 
     # instruction matching at phi pairs
@@ -593,6 +593,11 @@ def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
     grammar does not cover, such as one with other whitespace, is read by
     `_witness_line`, which raises on a malformed line with its line number.
 
+    Each source pc has at most one `phi` line, and each register at most one
+    entry per `rho` pc, as a state file names each register and cell at most
+    once: a repeat is an error naming its line, not an overwrite.  A bare
+    `rho <pc>:` header may repeat.
+
     A target pc with no rho section inherits its predecessor's map (the entry
     defaults to the identity on source registers), so a file with no rho
     sections at all means identity relocation everywhere.  A pc that inherits
@@ -608,11 +613,15 @@ def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
                 raise ValueError(f"line {lineno}: unknown source pc {s_pc}")
             if phi_t not in target.instrs:
                 raise ValueError(f"line {lineno}: unknown target pc {phi_t}")
+            if s_pc in phi:
+                raise ValueError(f"line {lineno}: repeated phi {s_pc}")
             phi[s_pc] = phi_t
         elif t_pc is not None:
             if t_pc not in target.instrs:
                 raise ValueError(f"line {lineno}: unknown target pc {t_pc}")
             section = explicit.setdefault(t_pc, {})
+            if r in section:
+                raise ValueError(f"line {lineno}: repeated rho {t_pc} {r}")
             if r is not None:
                 section[r] = loc if slot is None else (STACK_VAR, int(slot))
 

@@ -36,7 +36,9 @@ and its first pair checked alone (the probe); then the packed walk decides
 the rest.  The probe stays because a leak at the first pair is common, and a
 pair search finds it sooner than a walk over N lanes.  After a difference,
 the pairs are checked one by one, so the violation reported is the pairwise
-one.
+one.  A violation keeps both states' leak traces from the walk's own replay
+of its directives through the table, and its report prints those: no state
+is run a second time.
 
 The walk reads each state's enabled directives, and the successor and leak
 of each, from a `semantics.transition_table`: every speculative state it
@@ -121,8 +123,8 @@ class SniVerdict(NamedTuple):
     state2: SpecState | None = None
     directives: tuple[Directive, ...] = ()
     divergence: str = ""  # leak | enabled
-    leak1: Leakage | None = None
-    leak2: Leakage | None = None
+    leaks1: tuple[Leakage, ...] = ()  # each state's leaks along `directives`
+    leaks2: tuple[Leakage, ...] = ()
     enabled1: tuple[Directive, ...] = ()
     enabled2: tuple[Directive, ...] = ()
 
@@ -130,28 +132,26 @@ class SniVerdict(NamedTuple):
     def secure(self) -> bool:
         return self.kind == "secure"
 
-    def report(self, p: Program | None = None, width: int = DEFAULT_WIDTH) -> dict:
-        """Machine-readable verdict; for violations with the program available,
-        includes the two initial-state files, the directive script, and both
-        replayed leakage traces."""
+    def report(self, full: bool = False) -> dict:
+        """Machine-readable verdict.  A violation's `full` report adds the two
+        initial-state files and both leak traces, as the walk replayed the
+        directives."""
         out = {"verdict": self.kind, "truncated": self.truncated, "pairs_checked": self.pairs_checked}
         if self.kind == "violation":
             out["directives"] = [str(d) for d in self.directives]
             out["divergence"] = self.divergence
             if self.divergence == "leak":
-                out["leak1"], out["leak2"] = str(self.leak1), str(self.leak2)
+                out["leak1"], out["leak2"] = str(self.leaks1[-1]), str(self.leaks2[-1])
             else:
                 out["enabled1"] = [str(d) for d in self.enabled1]
                 out["enabled2"] = [str(d) for d in self.enabled2]
-            if p is not None:
-                from .semantics import format_initial_state, run_directives
+            if full:
+                from .semantics import format_initial_state
 
                 out["state1"] = format_initial_state(self.state1)
                 out["state2"] = format_initial_state(self.state2)
-                ex1 = run_directives(p, self.state1, list(self.directives), width)
-                ex2 = run_directives(p, self.state2, list(self.directives), width)
-                out["leaks1"] = [str(l) for l in ex1.leaks]
-                out["leaks2"] = [str(l) for l in ex2.leaks]
+                out["leaks1"] = [str(l) for l in self.leaks1]
+                out["leaks2"] = [str(l) for l in self.leaks2]
         return out
 
 
@@ -169,7 +169,9 @@ def check_sni_pair(
     at `width`), whose rows are filled on first use; a caller checking several
     pairs of one program at one width passes the same table to all of them
     (see `check_sni`).  The walk returns the directives to a difference, and
-    each side replays them to report its own leak or enabled set."""
+    each side replays them through the table: the verdict keeps both leak
+    traces, which a violation report prints, and the enabled sets where
+    they differ."""
     if len(nu1) != 1 or len(nu2) != 1 or not low_equivalent(p, nu1[0], nu2[0]):
         raise ValueError("initial states are not low-equivalent: they must agree on pc, registers and low memory")
 
@@ -180,9 +182,9 @@ def check_sni_pair(
     if dirs is None:
         return SniVerdict("secure", b, cuts, pairs_checked=1)
     (end1, leaks1), (end2, leaks2) = walk(table, i1, dirs), walk(table, i2, dirs)
-    v = SniVerdict("violation", b, cuts, 1, nu1, nu2, dirs)
+    v = SniVerdict("violation", b, cuts, 1, nu1, nu2, dirs, leaks1=leaks1, leaks2=leaks2)
     if leaks1 != leaks2:
-        return v._replace(divergence="leak", leak1=leaks1[-1], leak2=leaks2[-1])
+        return v._replace(divergence="leak")
     return v._replace(divergence="enabled", enabled1=table.row(end1)[0], enabled2=table.row(end2)[0])
 
 

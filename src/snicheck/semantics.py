@@ -438,11 +438,6 @@ def l_store(addr: int) -> Leakage:
 # --- the step rule --------------------------------------------------------------
 
 
-def _in_bounds(p: Program, var: str, addr: int) -> bool:
-    mv = p.memvar(var)
-    return mv is not None and 0 <= addr < mv.size
-
-
 def transitions(p: Program, nu: SpecState, width: int = DEFAULT_WIDTH) -> list[tuple[Directive, SpecState, Leakage]]:
     """Every enabled (directive, next state, leak) at `nu`, in
     `directive_sort_key` order: the speculating step relation, read off the
@@ -467,14 +462,14 @@ def transitions(p: Program, nu: SpecState, width: int = DEFAULT_WIDTH) -> list[t
         case Store(var=var, addr=adr, src=src, succ=succ):
             a, v = adr if isinstance(adr, int) else top.reg(adr), top.reg(src)
             nxt, leak = top.at(succ), l_store(a)
-            if not _in_bounds(p, var, a):
+            if not p.in_bounds(var, a):
                 return rb + [(d, rest + (nxt.with_cell(d.var, d.off, v),), leak)
                              for d in p.unsafe_directives["store"]]
             nxt = nxt.with_cell(var, a, v)
         case Load(dst=dst, var=var, addr=adr, succ=succ):
             a = adr if isinstance(adr, int) else top.reg(adr)
             nxt, leak = top.at(succ), l_load(a)
-            if not _in_bounds(p, var, a):
+            if not p.in_bounds(var, a):
                 return rb + [(d, rest + (nxt.with_reg(dst, top.cell(d.var, d.off)),), leak)
                              for d in p.unsafe_directives["load"]]
             nxt = nxt.with_reg(dst, top.cell(var, a))
@@ -754,8 +749,7 @@ def parse_initial_state(text: str, p: Program, width: int = DEFAULT_WIDTH) -> Sp
             into, key, what = regs, parts[1], f"register {parts[1]}"
         elif parts[0] == "cell" and len(parts) == 4:
             var, off = parts[1], _int(parts[2], "offset")
-            mv = p.memvar(var)
-            if mv is None or not 0 <= off < mv.size:
+            if not p.in_bounds(var, off):
                 raise ValueError(f"bad cell {var}[{off}]")
             into, key, what = mem, (var, off), f"cell {var}[{off}]"
         else:
@@ -774,8 +768,7 @@ def parse_directive(token_line: str, p: Program) -> Directive:
         return Directive(parts[0])
     if parts[0] in ("load", "store") and len(parts) == 3:
         var, off = parts[1], _int(parts[2], "offset")
-        mv = p.memvar(var)
-        if mv is None or not 0 <= off < mv.size:
+        if not p.in_bounds(var, off):
             raise ValueError(f"bad directive target {var}[{off}]")
         return Directive(parts[0], var, off)
     raise ValueError(f"cannot parse directive {token_line!r}")

@@ -194,7 +194,7 @@ def dce_witness(p: Program, res: DceResult, width: int = DEFAULT_WIDTH) -> SimWi
         var, a, reads = access
         if not isinstance(a, int):
             a = nu_src[-1].reg(a)
-        if 0 <= a < p.memvar(var).size:
+        if p.in_bounds(var, a):
             return D_STEP
         return (d_load if reads else d_store)(p.memvars[0].name, 0)
 

@@ -167,7 +167,7 @@ def ref_step_spec_free(p, s, d, width=8):
     keep the register), so target programs can be run architecturally.
     """
     from snicheck.ir import STACK_VAR, Asgn, Exit, Fill, If, Load, Move, Nop, Sfence, Slh, Spill, Store
-    from snicheck.semantics import D_IF, D_STEP, L_NONE, _in_bounds, eval_op, l_if, l_load, l_store
+    from snicheck.semantics import D_IF, D_STEP, L_NONE, eval_op, l_if, l_load, l_store
 
     i = p.instrs[s.pc]
     match i:
@@ -200,20 +200,20 @@ def ref_step_spec_free(p, s, d, width=8):
             return s.at(st if v == 0 else sf), l_if(v)
         case Load(dst=dst, var=var, addr=adr, succ=succ):
             a = adr if isinstance(adr, int) else s.reg(adr)
-            if _in_bounds(p, var, a):
+            if p.in_bounds(var, a):
                 if d != D_STEP:
                     return None
                 return s.at(succ).with_reg(dst, s.cell(var, a)), l_load(a)
-            if d.kind != "load" or not _in_bounds(p, d.var, d.off):
+            if d.kind != "load" or not p.in_bounds(d.var, d.off):
                 return None
             return s.at(succ).with_reg(dst, s.cell(d.var, d.off)), l_load(a)
         case Store(var=var, addr=adr, src=src, succ=succ):
             a = adr if isinstance(adr, int) else s.reg(adr)
-            if _in_bounds(p, var, a):
+            if p.in_bounds(var, a):
                 if d != D_STEP:
                     return None
                 return s.at(succ).with_cell(var, a, s.reg(src)), l_store(a)
-            if d.kind != "store" or not _in_bounds(p, d.var, d.off):
+            if d.kind != "store" or not p.in_bounds(d.var, d.off):
                 return None
             return s.at(succ).with_cell(d.var, d.off, s.reg(src)), l_store(a)
     return None
@@ -258,7 +258,7 @@ def ref_enabled_directives(p, nu, width=8):
     """All enabled directives, in `directive_sort_key` order, read off the top
     frame's instruction and the in-bounds test."""
     from snicheck.ir import Exit, If, Load, Sfence, Store
-    from snicheck.semantics import D_IF, D_RB, D_SPEC, D_STEP, _in_bounds
+    from snicheck.semantics import D_IF, D_RB, D_SPEC, D_STEP
 
     top = nu[-1]
     i = p.instrs[top.pc]
@@ -272,7 +272,7 @@ def ref_enabled_directives(p, nu, width=8):
             out = [] if spec else [D_STEP]
         case Load(var=var, addr=adr) | Store(var=var, addr=adr):
             a = adr if isinstance(adr, int) else top.reg(adr)
-            if not _in_bounds(p, var, a):
+            if not p.in_bounds(var, a):
                 unsafe = p.unsafe_directives[i.kind.mnemonic]
                 return [D_RB, *unsafe] if spec else list(unsafe)
             out = [D_STEP]
@@ -348,7 +348,8 @@ def ref_lanes_only_high(p, s):
 def ref_check_sni_pair(p, nu1, nu2, b, width=8, steps=None):
     """`security.check_sni_pair` without a transition table.  `steps` keeps
     the `enabled_directives` results by state and the `step_spec` results
-    by (state, directive); a caller may share one across pairs of `p`."""
+    by (state, directive); a caller may share one across pairs of `p`.  Each
+    state's leaks are collected as the search recurses."""
     from snicheck.security import SniVerdict
     from snicheck.semantics import enabled_directives, step_spec
 
@@ -366,13 +367,13 @@ def ref_check_sni_pair(p, nu1, nu2, b, width=8, steps=None):
             steps[nu, d] = step_spec(p, nu, d, width)
         return steps[nu, d]
 
-    def rec(a, c, dirs):
+    def rec(a, c, dirs, leaks1, leaks2):
         nonlocal truncated
         e1 = enabled(a)
         e2 = enabled(c)
         if e1 != e2:
-            return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2, directives=dirs,
-                              divergence="enabled", enabled1=tuple(e1), enabled2=tuple(e2))
+            return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2, directives=dirs, divergence="enabled",
+                              leaks1=leaks1, leaks2=leaks2, enabled1=tuple(e1), enabled2=tuple(e2))
         if not e1:
             return None
         if len(dirs) >= b.max_steps:
@@ -386,17 +387,17 @@ def ref_check_sni_pair(p, nu1, nu2, b, width=8, steps=None):
             a2, l1 = step(a, d)
             c2, l2 = step(c, d)
             if l1 != l2:
-                return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2,
-                                  directives=dirs + (d,), divergence="leak", leak1=l1, leak2=l2)
+                return SniVerdict("violation", b, truncated, state1=nu1, state2=nu2, directives=dirs + (d,),
+                                  divergence="leak", leaks1=leaks1 + (l1,), leaks2=leaks2 + (l2,))
             if len(a2) > b.max_spec_depth:
                 truncated += 1
                 continue
-            r = rec(a2, c2, dirs + (d,))
+            r = rec(a2, c2, dirs + (d,), leaks1 + (l1,), leaks2 + (l2,))
             if r is not None:
                 return r
         return None
 
-    res = rec(nu1, nu2, ())
+    res = rec(nu1, nu2, (), (), ())
     if res is not None:
         return res._replace(truncated=truncated, pairs_checked=1)
     return SniVerdict("secure", b, truncated, pairs_checked=1)

@@ -895,6 +895,29 @@ def test_state_and_directive_errors_name_the_line(flag, text, message, tmp_path,
     assert code == 3 and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("cmd, extra, message", [
+    ("validate-ra", "phi: 0 -> z\n", "line 17: repeated phi 0"),
+    ("validate-ra", "rho f: bytes -> b\n", "line 17: repeated rho f bytes"),
+    ("check-typable", "rho  f :\tbytes->a  # the same entry, spaced\n", "line 17: repeated rho f bytes"),
+    ("check-sni", "entry z\n", "line 14:0: duplicate entry declaration"),
+])
+def test_repeated_entry_phi_or_rho_is_an_error(cmd, extra, message, tmp_path, capsys):
+    """A program's `entry`, a witness's `phi` source pc and a register of a
+    `rho` pc are each declared at most once: a repeat exits 3 naming its
+    line, where the last one used to win silently."""
+    if cmd == "check-sni":
+        f = tmp_path / "p.sp"
+        f.write_text(corpus_path("code_ra_target.sp").read_text() + extra)
+        argv = [cmd, str(f)]
+    else:
+        f = tmp_path / "w"
+        f.write_text(corpus_path("code_ra.witness").read_text() + extra)
+        argv = [cmd, "--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"), "--witness", str(f)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag, text, message", [
     ("--state", "reg r1 5#note\n", "line 1: bad value '5#note'"),
     ("--directives", "step#note\n", "line 1: cannot parse directive 'step#note'"),

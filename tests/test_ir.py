@@ -42,6 +42,27 @@ def test_simplerv1_listing():
     assert len(p.instrs) == 6
 
 
+def test_in_bounds_is_membership_in_the_declared_cells(rng):
+    """`Program.in_bounds` answers whether a cell is declared: membership in
+    `cells()`, for declared, undeclared and out-of-range cells.  A packed
+    offset answers when its lanes agree and raises `Divergent` when they do
+    not, as does a tainted one."""
+    from snicheck.semantics import Divergent, Lanes, tainted
+
+    for _ in range(100):
+        p = random_program(rng, n_instrs=3, hi_size=rng.randint(1, 3))
+        cells = set(p.cells())
+        for var in ("lo", "hi", "stk", "nope"):
+            for off in range(-2, 6):
+                assert p.in_bounds(var, off) == ((var, off) in cells)
+    p = parse_program("mem buf 2 low\nentry a\na: ret\n")
+    assert p.in_bounds("buf", Lanes((0, 1))) and not p.in_bounds("buf", Lanes((2, 7)))
+    assert not p.in_bounds("nope", Lanes((0, 1)))
+    for off in (Lanes((1, 2)), Lanes((0, 5)), tainted(0)):
+        with pytest.raises(Divergent):
+            p.in_bounds("buf", off)
+
+
 def test_const_address_out_of_bounds_rejected():
     text = "mem buf 8 low\nentry a\na: load a <- buf[#9] -> b\nb: ret\n"
     with pytest.raises(ParseError, match="out of bounds"):
@@ -63,6 +84,8 @@ def test_parse_errors_carry_line_numbers():
     ("mem buf 2 low\nentry a\na: ret\n   mem buf 1 low\n", 4, 0, "duplicate memvar buf"),
     ("entry a\na: ret\n\n a: nop -> a\n", 4, 0, "duplicate label a"),
     ("# header\na: ret\n", 1, 0, "missing entry declaration"),
+    ("mem h 1 high\nentry a\n entry b\na: ret\nb: ret\n", 3, 0, "duplicate entry declaration"),
+    ("entry a\na: ret\nentry a  # again\n", 3, 0, "duplicate entry declaration"),
     ("entry a\na: load x <- buf[#0] -> b\nb: ret\n", 0, 0, "a: unknown memvar buf"),
 ])
 def test_parse_errors_carry_line_and_column(text, line, col, message):

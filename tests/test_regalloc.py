@@ -536,6 +536,10 @@ _JOIN_TARGET = "mem stk 1 low\nentry a\na: if c ? m1 : m2\nm1: nop -> b\nm2: nop
     ("rho a: c -> stk#0 -> c\n", "line 1: malformed relocation entry"),
     ("phi: a -> a\nrho a: c -> stk#x\n", "line 2: bad slot stk#x"),
     ("rho m1: c -> c\nrho m2: c -> stk#0\n", "rho for b inherited from disagreeing predecessors; add an explicit section"),
+    ("phi: a -> a\nphi: b -> b\n  phi: a -> m1  # again\n", "line 3: repeated phi a"),
+    ("phi: a -> a\nphi:\u00a0a -> a\n", "line 2: repeated phi a"),
+    ("rho m1: c -> d\nrho m1:\nrho m1: c -> stk#0\n", "line 3: repeated rho m1 c"),
+    ("rho m1: c -> d\nrho m1 : c ->\u00a0d\n", "line 2: repeated rho m1 c"),
 ])
 def test_witness_parse_errors_name_the_line(text, message):
     src, tgt = parse_program(_JOIN_SOURCE), parse_program(_JOIN_TARGET)
@@ -552,6 +556,9 @@ def test_witness_inherited_maps():
     assert w.rho == {"a": {"c": "c"}, "m1": {"c": "d"}, "m2": {"c": "d"}, "b": {"c": "d"}}
     w = parse_ra_witness("rho m1: c -> c\nrho m2: c -> stk#0\nrho b:\n", src, tgt)
     assert w.rho["b"] == {}
+    # a bare header may repeat, before or after the entries of its pc
+    w = parse_ra_witness("rho m1:\nrho m1: c -> d\nrho m1:\nrho m2: c -> d\n", src, tgt)
+    assert w.rho["m1"] == w.rho["b"] == {"c": "d"}
 
 
 def test_serialize_orders_maps_over_other_pcs():

@@ -118,7 +118,7 @@ def test_running_example_target_violation_source_secure(ra_source, ra_target):
     assert "spec" in dirs
     assert any(d.kind == "store" and d.var == "stk" and d.off == 0 for d in v.directives)
     assert v.divergence == "leak"
-    assert {v.leak1.value, v.leak2.value} == {42, 7}
+    assert {v.leaks1[-1].value, v.leaks2[-1].value} == {42, 7}
 
 
 def test_sni_pair_counts_its_one_pair_either_way(ra_source, ra_target):
@@ -138,8 +138,8 @@ def test_violation_witness_replays(ra_target):
     ex1 = run_directives(ra_target, v.state1, list(v.directives))
     ex2 = run_directives(ra_target, v.state2, list(v.directives))
     assert ex1.status != "stuck" and ex2.status != "stuck"
-    assert ex1.leaks[:-1] == ex2.leaks[:-1]
-    assert {ex1.leaks[-1], ex2.leaks[-1]} == {v.leak1, v.leak2}
+    assert ex1.leaks[:-1] == ex2.leaks[:-1] and ex1.leaks[-1] != ex2.leaks[-1]
+    assert (ex1.leaks, ex2.leaks) == (v.leaks1, v.leaks2)
 
 
 def test_sni_pair_symmetry(ra_target, dce_source):
@@ -153,7 +153,7 @@ def test_sni_pair_symmetry(ra_target, dce_source):
         assert v12.kind == v21.kind
         if not v12.secure:
             assert v12.directives == v21.directives
-            assert {str(v12.leak1), str(v12.leak2)} == {str(v21.leak1), str(v21.leak2)}
+            assert {str(v12.leaks1[-1]), str(v12.leaks2[-1])} == {str(v21.leaks1[-1]), str(v21.leaks2[-1])}
 
 
 TINY_PROGRAMS = [
@@ -210,9 +210,9 @@ def test_memo_reexpands_a_state_reached_with_more_budget(steps):
     s = State.make("0", {"a": 5}, {("lo", 1): 1})
     v = check_sni_pair(p, (s.with_cell("sec", 0, 42),), (s.with_cell("sec", 0, 7),), Bounds(steps, 3))
     assert v.kind == "violation"
-    assert {str(v.leak1), str(v.leak2)} == {"if 42", "if 7"}
+    assert {str(v.leaks1[-1]), str(v.leaks2[-1])} == {"if 42", "if 7"}
     assert len(v.directives) <= steps
-    assert [str(l) for l in run_directives(p, v.state1, list(v.directives)).leaks][-1] == str(v.leak1)
+    assert run_directives(p, v.state1, list(v.directives)).leaks == v.leaks1
 
 
 def test_check_sni_exhaustive_modes():
@@ -320,6 +320,31 @@ def test_sni_pair_agrees_with_memo_free_enumeration(rng):
         assert v.secure == same
 
 
+def test_violation_traces_are_the_replay_of_its_directives(rng):
+    """A violation keeps the leak traces of the walk's own replay through its
+    table.  They are the traces that `run_directives`, the table-free run,
+    gives along its directives from its two states: for exhaustive and
+    file pairs at widths 1-3.  The full report prints them."""
+    kinds = Counter()
+    for _ in range(800):
+        width = rng.randint(1, 3)
+        p = random_program(rng, n_instrs=rng.randint(4, 10), n_regs=2)
+        b = Bounds(rng.randint(6, 12), rng.randint(1, 3))
+        base = random_state(rng, p, width)
+        other = (base[0].with_cell("hi", 0, rng.randrange(1 << width)),)
+        for mode, source in (("exhaustive", PairSource("exhaustive")), ("file", PairSource("file", pairs=[(base, other)]))):
+            v = check_sni(p, base, source, b, width)
+            if v.secure:
+                continue
+            kinds[mode, v.divergence] += 1
+            runs = [run_directives(p, nu, list(v.directives), width) for nu in (v.state1, v.state2)]
+            assert "stuck" not in (runs[0].status, runs[1].status)
+            assert (runs[0].leaks, runs[1].leaks) == (v.leaks1, v.leaks2)
+            report = v.report(full=True)
+            assert [report["leaks1"], report["leaks2"]] == [[str(l) for l in r.leaks] for r in runs]
+    assert min(kinds[m, d] for m in ("exhaustive", "file") for d in ("leak", "enabled")) >= 10, kinds
+
+
 # the two states trade places on every pass of the loop: with h = 0 and h = 1
 # the joint state comes back with its sides swapped
 SWAPPING = "mem h 1 high\nentry a\na: load x <- h[#0] -> b\nb: x = x eq z -> c\nc: store h[#0] <- x -> d\nd: if z ? a : a\n"
@@ -381,7 +406,7 @@ def _check_against_references(p, base, b, width):
     states = enumerate_high_states(p, base, width)
     if not got.secure or len(states) <= 2:
         assert got == want
-        assert got.report(p, width) == want.report(p, width)
+        assert got.report(full=True) == want.report(full=True)
     if len(states) <= 2:
         return got, "two states"
     table = transition_table(p, width)

@@ -4,8 +4,9 @@
 renamed or removed function breaks the traced benchmark run.  This loads the
 tracer by path, traces one small request, and checks that every name was
 found, that the wrappers saw the calls, and that `uninstall()` put every
-original back.  A `check-sni` request covers the stepping layers and a
-`check-typable` request the poison and liveness layers.
+original back.  A `check-sni` request covers the search layers, a `run`
+request the step rule and a `check-typable` request the poison and liveness
+layers.
 """
 
 import importlib
@@ -35,16 +36,19 @@ def snapshot(tracing) -> dict:
     return {(owner, key): value for owner in owners for key, value in vars(owner).items()}
 
 
-def test_tracer_installs_on_every_traced_name_and_uninstalls(capsys):
+def test_tracer_installs_on_every_traced_name_and_uninstalls(capsys, tmp_path):
     tracing = load_tracing()
     before = snapshot(tracing)
     tr = tracing.Tracer()
     tr.install()
     try:
         C = lambda name: str(corpus_path(name))
+        script = tmp_path / "one.dirs"
+        script.write_text("step\n")
         codes = []
         for argv in (
             ["check-sni", C("code_ra_target.sp"), "--state", C("code_ra.init"), "--state2", C("code_ra_alt.init")],
+            ["run", C("code_ra_target.sp"), "--state", C("code_ra.init"), "--directives", str(script)],
             ["check-typable", "--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"),
              "--witness", C("code_ra.witness")],
         ):
@@ -54,7 +58,7 @@ def test_tracer_installs_on_every_traced_name_and_uninstalls(capsys):
     finally:
         tr.uninstall()
     capsys.readouterr()
-    assert codes == [1, 1]  # the corpus RA target leaks, and its witness is not typable
+    assert codes == [1, 0, 1]  # the corpus RA target leaks and runs a step, and its witness is not typable
     after = snapshot(tracing)
     assert after.keys() == before.keys()
     assert [k for k, v in before.items() if after[k] is not v] == []
