@@ -628,12 +628,13 @@ class RepairSession:
         return StaticPoison(dict(self.values), self.pk)
 
     def witness(self) -> RAWitness:
-        """The current witness: the input one until the first splice."""
+        """The current witness: the input one until the first splice.  It
+        shares its maps with the input witness."""
         if not self.insertions:
             return self.w
         t = self.w.target
         target = Program(t.entry, dict(self.instrs), list(t.memvars))
-        return RAWitness(self.w.source, target, dict(self.w.phi), {pc: dict(m) for pc, m in self.rho.items()})
+        return RAWitness(self.w.source, target, dict(self.w.phi), dict(self.rho))
 
     def repair_one(self) -> FixInsertion | None:
         """Splice one fence for the first violation; None when typable."""
@@ -689,7 +690,7 @@ class RepairSession:
             self.instrs[pc] = _redirect(self.instrs[pc], t_pc, fresh)
         self.instrs[fresh] = new_instr
         self.tgt_preds[fresh], self.tgt_preds[t_pc] = self.tgt_preds[t_pc], [fresh]
-        self.rho[fresh] = dict(self.rho.get(t_pc, {}))
+        self.rho[fresh] = self.rho.get(t_pc, {})
         # product graph: edges into (S, t) now enter (S, f), which flows into (S, t)
         old, new = (s_pc, t_pc), (s_pc, fresh)
         succ, pred, comp = self.succ, self.pred, self.comp

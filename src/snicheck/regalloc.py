@@ -24,12 +24,15 @@ field (or stack slot); only slh and sfence are special cases.
 
 Liveness here means live-before sets computed with registers dead at exit;
 dead registers may be dropped from or linger in `rho` without complaint.
+
+In witness text, a target pc without a `rho` section inherits a map by the
+rule that `place_maps` owns; `parse_ra_witness` reads by it and
+`serialize_ra_witness` writes only the sections it cannot infer.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
 from typing import NamedTuple
 
 from .ir import (
@@ -193,7 +196,8 @@ def validate_ra(
     `live` is `source_live_regs(w)`, `st` is `analyze_structure(w)` and `rl`
     is `rho_live(w, st, live)`; each is computed here when not given.  The
     per-register scans run only where a cheap check fails: live count against
-    map size, locations repeated or not yet seen in range, maps unequal on an edge."""
+    map size, locations repeated or not yet seen in range, maps unequal on an
+    edge; `uses_defs` is read only where a register moves."""
     if st is None:
         st = analyze_structure(w)
     if st.errors:
@@ -247,18 +251,20 @@ def validate_ra(
             moved = _moved_register(t_pc, ti, m0, m1, out) if t_pc in st.owner else None
             if m0 == m1:
                 continue  # no register changes its location
+            # only a register live and mapped on both sides can move without a
+            # shuffle (`rl` maps live registers only; coverage is diagnosed
+            # above), and the register a shuffle moves may
+            moves = sorted(r for r, _ in m0.items() - m1.items() if r in m1 and r != moved)
+            if not moves:
+                continue
             t_uses, t_defs = uses_defs(ti)
-            # only a register whose location differs can move without a shuffle
-            for r in sorted([r for r in live_at[t_pc] & live_at[t_next] if m0.get(r) != m1.get(r)]):
-                l0, l1 = m0.get(r), m1.get(r)
-                if l0 is None or l1 is None:
-                    continue  # coverage already diagnosed
+            for r in moves:
+                l0, l1 = m0[r], m1[r]
                 if (not is_slot(l0) and l0 in t_uses) or (not is_slot(l1) and l1 in t_defs):
                     continue
-                if r != moved:
-                    out.append(
-                        RADiagnostic("shuffle-conformity", (t_pc, t_next), f"{r} moves {fmt_loc(l0)} -> {fmt_loc(l1)} without a shuffle")
-                    )
+                out.append(
+                    RADiagnostic("shuffle-conformity", (t_pc, t_next), f"{r} moves {fmt_loc(l0)} -> {fmt_loc(l1)} without a shuffle")
+                )
     return out
 
 
@@ -334,10 +340,10 @@ class AllocationInfeasible(ValueError):
     pass
 
 
-def _next_use(p: Program) -> dict[Pc, dict[Reg, int]]:
-    """Per pc and register, the fewest steps to an instruction that reads it
-    (1 << 30 when none does): one breadth-first search per register against
-    control flow, from the pcs that read it."""
+def _next_use(p: Program) -> dict[Reg, dict[Pc, int]]:
+    """Per register and pc, the fewest steps to an instruction that reads it
+    (a pc from which none is reachable is left out): one breadth-first
+    search per register against control flow, from the pcs that read it."""
     preds: dict[Pc, list[Pc]] = {pc: [] for pc in p.instrs}
     readers: dict[Reg, list[Pc]] = {r: [] for r in p.registers}
     for pc, i in p.instrs.items():
@@ -345,12 +351,12 @@ def _next_use(p: Program) -> dict[Pc, dict[Reg, int]]:
             preds[s].append(pc)
         for r in uses_defs(i)[0]:
             readers[r].append(pc)
-    dist = {pc: dict.fromkeys(readers, 1 << 30) for pc in p.instrs}
+    dist = {r: {} for r in readers}
     for r, frontier in readers.items():
-        seen, d = set(frontier), 0
+        seen, d, at = set(frontier), 0, dist[r]
         while frontier:
             for pc in frontier:
-                dist[pc][r] = d
+                at[pc] = d
             frontier = {u for pc in frontier for u in preds[pc]} - seen
             seen |= frontier
             d += 1
@@ -388,7 +394,7 @@ def allocate(p: Program, k: int) -> RAWitness:
     def furthest(pc: Pc, regs, at: dict, what: str) -> Reg:
         """The register of `regs` in a hardware register under `at` whose
         next use is furthest from `pc`, the least name on a tie."""
-        v = min((r for r in regs if isinstance(at.get(r), str)), key=lambda r: (-nxt[pc][r], r), default=None)
+        v = min((r for r in regs if isinstance(at.get(r), str)), key=lambda r: (-nxt[r].get(pc, 1 << 30), r), default=None)
         if v is None:
             raise AllocationInfeasible(f"{pc}: cannot place {what} with k={k}")
         return v
@@ -446,22 +452,23 @@ def allocate(p: Program, k: int) -> RAWitness:
             label += "_"
         return label
 
-    def build_chain(cur0: dict, goal: dict, regs) -> list[tuple[Instr, dict]]:
+    def build_chain(cur0: dict, goal: dict, regs) -> list[tuple[type, tuple, dict]]:
+        """The shuffles from `cur0` to `goal` on `regs`: each instruction's
+        class, its fields but the successor, and the map before it."""
         cur = {r: cur0[r] for r in regs}
-        ops: list[tuple[Instr, dict]] = []
+        ops: list[tuple[type, tuple, dict]] = []
 
         def emit(r: Reg, dst):
             src_loc = cur[r]
-            snapshot = dict(cur)
             if is_slot(src_loc) and not is_slot(dst):
-                op = Fill(dst, src_loc[1], "")
+                op = Fill, (dst, src_loc[1])
             elif not is_slot(src_loc) and is_slot(dst):
-                op = Spill(dst[1], src_loc, "")
+                op = Spill, (dst[1], src_loc)
             elif not is_slot(src_loc) and not is_slot(dst):
-                op = Move(dst, src_loc, "")
+                op = Move, (dst, src_loc)
             else:
                 raise AssertionError("slot-to-slot transfers never scheduled")
-            ops.append((op, snapshot))
+            ops.append((*op, dict(cur)))
             cur[r] = dst
 
         pending = {r for r in regs if cur[r] != goal[r]}
@@ -480,10 +487,13 @@ def allocate(p: Program, k: int) -> RAWitness:
         m_in, m_out = maps_in[pc], maps_out[pc]
         new_succs = []
         for idx, s in enumerate(i.successors()):
+            if maps_in[s].items() <= m_out.items():  # every register live at s is in place
+                new_succs.append(s)
+                continue
             ops = build_chain(m_out, maps_in[s], sorted(lb[s]))
             labels = [fresh_label(f"{pc}.{idx}.{j}") for j in range(len(ops))] + [s]
-            for j, (op, snapshot) in enumerate(ops):
-                instrs[labels[j]] = op.replace(succ=labels[j + 1])
+            for j, (cls, fields, snapshot) in enumerate(ops):
+                instrs[labels[j]] = cls(*fields, labels[j + 1])
                 rho[labels[j]] = snapshot
             new_succs.append(labels[0])
         instrs[pc] = _rename_instr(i, m_in, m_out, new_succs)
@@ -527,13 +537,61 @@ def _pc_order(keys: dict, p: Program) -> list[Pc]:
     return p.pcs() if keys.keys() == p.instrs.keys() else sorted(keys, key=pc_key)
 
 
+def place_maps(source: Program, target: Program, own) -> dict[Pc, dict]:
+    """The witness format's inheritance rule: the map placed at each target
+    pc, where `own(pc, inherited)` gives it from the map a pc with no `rho`
+    section would take.  Breadth-first from the entry, that is the map of
+    the predecessors placed before the pc, or None when they disagree; the
+    entry and pcs unreachable from it take the identity on `source`'s
+    registers.  A pc that takes its predecessors' map shares their map
+    object."""
+    identity = {r: r for r in source.registers}
+    rho: dict[Pc, dict] = {}
+    inherited: dict[Pc, dict | None] = {target.entry: identity}
+    order = [target.entry]  # breadth-first: a pc is appended when first met
+    for pc in order:
+        m = rho[pc] = own(pc, inherited[pc])
+        for s in target.instrs[pc].successors():
+            if s not in inherited:
+                inherited[s] = m
+                order.append(s)
+            elif s not in rho and (x := inherited[s]) is not m and x is not None and x != m:
+                inherited[s] = None
+    for pc in target.pcs():
+        if pc not in rho:
+            rho[pc] = own(pc, identity)
+    return rho
+
+
 def serialize_ra_witness(w: RAWitness) -> str:
+    """`w` as witness text that `parse_ra_witness` reads back to `w`.  When
+    `rho` covers exactly the target's pcs, a pc gets a `rho` section only
+    where `place_maps` would not give it its own map; otherwise every map
+    is written."""
     lines = [f"phi: {s_pc} -> {w.phi[s_pc]}" for s_pc in _pc_order(w.phi, w.source)]
-    for t_pc in _pc_order(w.rho, w.target):
-        if m := w.rho[t_pc]:
+    rho, tgt = w.rho, w.target
+    if rho.keys() == tgt.instrs.keys():
+        sections = set()
+
+        def own(pc, inherited):
+            m = rho[pc]
+            if m is not inherited and m != inherited:
+                sections.add(pc)
+            return m
+
+        place_maps(w.source, tgt, own)
+        pcs = [pc for pc in tgt.pcs() if pc in sections]
+    else:
+        pcs = _pc_order(rho, tgt)
+    entries: dict[tuple, str] = {}  # (register, location) -> its text: most recur from pc to pc
+    for t_pc in pcs:
+        if m := rho[t_pc]:
             head = f"rho {t_pc}: "
-            lines += [f"{head}{r} -> {loc if loc.__class__ is str else f'{_SLOT_PREFIX}{loc[1]}'}"
-                      for r, loc in sorted(m.items())]
+            for item in sorted(m.items()):
+                if (text := entries.get(item)) is None:
+                    r, loc = item
+                    text = entries[item] = f"{r} -> {loc if loc.__class__ is str else f'{_SLOT_PREFIX}{loc[1]}'}"
+                lines.append(head + text)
         else:
             lines.append(f"rho {t_pc}:")
     return "\n".join(lines) + "\n"
@@ -553,7 +611,8 @@ _WITNESS_LINE = re.compile(
 def _witness_line(raw: str, lineno: int, target: Program) -> tuple:
     """The `_WITNESS_LINE` groups of any other line: a comment is stripped
     and whitespace around each part is ignored.  Raises ValueError naming
-    the line if it is malformed or its rho pc is not a target pc."""
+    the line if it is malformed, as by a name that is not a `LABEL` or a slot
+    that is not `[0-9]+`, or if its rho pc is not a target pc."""
     line = strip_comment(raw)
     if not line:
         return (None,) * 6
@@ -572,13 +631,15 @@ def _witness_line(raw: str, lineno: int, target: Program) -> tuple:
             return None, None, t_pc, None, None, None
         r, arrow, loc_s = rest.partition("->")
         r, loc_s = r.strip(), loc_s.strip()
-        if not arrow or not r or not loc_s or "->" in loc_s:
+        if not arrow or not re.fullmatch(LABEL, r) or not loc_s or "->" in loc_s:
             raise ValueError(f"line {lineno}: malformed relocation entry")
         if loc_s.startswith(_SLOT_PREFIX):
-            try:
-                return None, None, t_pc, r, int(loc_s[len(_SLOT_PREFIX) :]), None
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad slot {loc_s}") from None
+            slot = loc_s[len(_SLOT_PREFIX) :]
+            if not (slot.isascii() and slot.isdigit()):  # as `[0-9]+` in the grammar
+                raise ValueError(f"line {lineno}: bad slot {loc_s}")
+            return None, None, t_pc, r, slot, None
+        if not re.fullmatch(LABEL, loc_s):
+            raise ValueError(f"line {lineno}: malformed relocation entry")
         return None, None, t_pc, r, None, loc_s
     raise ValueError(f"line {lineno}: cannot parse {line!r}")
 
@@ -598,10 +659,12 @@ def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
     once: a repeat is an error naming its line, not an overwrite.  A bare
     `rho <pc>:` header may repeat.
 
-    A target pc with no rho section inherits its predecessor's map (the entry
-    defaults to the identity on source registers), so a file with no rho
-    sections at all means identity relocation everywhere.  A pc that inherits
-    shares the map object it inherits, so copy a map before changing it.
+    A target pc with no rho section takes the map `place_maps` gives it:
+    breadth-first from the entry, the map of the predecessors placed before
+    it, which must agree; the entry and unreachable pcs take the identity on
+    source registers.  So a file with no rho sections at all means identity
+    relocation everywhere.  A pc that inherits shares the map object it
+    inherits, so copy a map before changing it.
     """
     phi: dict[Pc, Pc] = {}
     explicit: dict[Pc, dict] = {}
@@ -625,25 +688,10 @@ def parse_ra_witness(text: str, source: Program, target: Program) -> RAWitness:
             if r is not None:
                 section[r] = loc if slot is None else (STACK_VAR, int(slot))
 
-    # propagate maps breadth-first along target control flow; explicit
-    # sections win.  A pc inherits from the predecessors placed before it,
-    # which must agree.
-    identity = {r: r for r in source.registers}
-    rho: dict[Pc, dict] = {}
-    inherited: dict[Pc, dict] = {}
-    disagree: set[Pc] = set()
-    queue, seen = deque([target.entry]), {target.entry}
-    while queue:
-        pc = queue.popleft()
-        if pc in disagree:
+    def own(pc, inherited):
+        m = explicit.get(pc, inherited)
+        if m is None:
             raise ValueError(f"rho for {pc} inherited from disagreeing predecessors; add an explicit section")
-        m = rho[pc] = explicit[pc] if pc in explicit else inherited.get(pc, identity)
-        for s in target.instrs[pc].successors():
-            if s not in seen:
-                seen.add(s)
-                queue.append(s)
-            if s not in rho and s not in explicit and inherited.setdefault(s, m) != m:
-                disagree.add(s)
-    for pc in target.pcs():
-        rho.setdefault(pc, explicit.get(pc, identity))
-    return RAWitness(source, target, phi, rho)
+        return m
+
+    return RAWitness(source, target, phi, place_maps(source, target, own))

@@ -941,3 +941,17 @@ def ref_validate_ra(w):
                         RADiagnostic("shuffle-conformity", (t_pc, t_next), f"{r} moves {fmt_loc(l0)} -> {fmt_loc(l1)} without a shuffle")
                     )
     return out
+
+
+def ref_full_witness_text(w):
+    """Witness text with every `phi` pair and every target pc's whole `rho`
+    map (a bare `rho <pc>:` header for an empty one), in pc order: the full
+    form, which reads back to `w` with no map inherited."""
+    from snicheck.ir import pc_key
+    from snicheck.regalloc import fmt_loc
+
+    lines = [f"phi: {s} -> {w.phi[s]}" for s in sorted(w.phi, key=pc_key)]
+    for pc in sorted(w.rho, key=pc_key):
+        m = w.rho[pc]
+        lines += [f"rho {pc}: {r} -> {fmt_loc(loc)}" for r, loc in sorted(m.items())] or [f"rho {pc}:"]
+    return "\n".join(lines) + "\n"

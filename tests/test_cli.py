@@ -918,6 +918,65 @@ def test_repeated_entry_phi_or_rho_is_an_error(cmd, extra, message, tmp_path, ca
     assert code == 3 and captured.out == "" and captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("rho c: by tes -> stk#0", "line 15: malformed relocation entry"),
+    ("rho f: bytes -> a b", "line 15: malformed relocation entry"),
+    ("rho f: bytes -> a[0]", "line 15: malformed relocation entry"),
+    ("rho c: bytes -> stk#1_0", "line 15: bad slot stk#1_0"),
+    ("rho c: bytes -> stk#\u0661", "line 15: bad slot stk#\u0661"),
+    ("rho c: bytes -> stk#+0", "line 15: bad slot stk#+0"),
+    ("rho c: bytes -> stk#-0", "line 15: bad slot stk#-0"),
+])
+def test_a_witness_name_or_slot_off_the_grammar_exits_3(line, message, tmp_path, capsys):
+    """A `rho` register or location that is not a label, or a slot that is
+    not a run of ASCII digits, is a parse error naming its line, where the
+    line reader used to read it (`bytes` unmapped, or slot 0 and a valid
+    witness)."""
+    lines = corpus_path("code_ra.witness").read_text().splitlines()
+    assert lines[14] == "rho c: bytes -> stk#0"
+    lines[14] = line
+    f = tmp_path / "w"
+    f.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["validate-ra", "--source", C("code_ra_source.sp"), "--target", C("code_ra_target.sp"), "--witness", str(f)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == "" and captured.err == f"error: {message}\n"
+
+
+def test_every_ra_reader_reads_the_compact_witness_as_the_full_form(rng, tmp_path, capsys):
+    """Each command that reads an RA witness prints the same for the text
+    `allocate` and `fix` write as for its full form, on seeded allocations
+    and their fixes."""
+    from conftest import random_program, ref_full_witness_text
+    from snicheck.ir import print_program
+    from snicheck.poison import fix_ra
+    from snicheck.regalloc import AllocationInfeasible, allocate, serialize_ra_witness
+
+    f = {name: tmp_path / name for name in ("src.sp", "tgt.sp", "compact", "full", "o1", "o2")}
+    small = ["--width", "1", "--bounds", "steps=6,depth=1"]
+    cmds = [["validate-ra"], ["poison-analyze"], ["check-typable"], ["fix", "--out-target", f["o1"], "--out-witness", f["o2"]],
+            ["check-sim", "--witness-kind", "ra", *small], ["check-snippy", "--witness-kind", "ra", *small]]
+    witnesses = fewer = 0
+    while witnesses < 100:
+        p = random_program(rng, n_instrs=rng.randint(3, 12), n_regs=rng.randint(2, 4))
+        try:
+            w = allocate(p, rng.choice((2, 3)))
+        except AllocationInfeasible:
+            continue
+        f["src.sp"].write_text(print_program(p))
+        for x in (w, fix_ra(w)[0]):
+            witnesses += 1
+            f["tgt.sp"].write_text(print_program(x.target))
+            f["compact"].write_text(serialize_ra_witness(x))
+            f["full"].write_text(ref_full_witness_text(x))
+            fewer += f["compact"].read_text().count("\n") < f["full"].read_text().count("\n")
+            for cmd in cmds:
+                outs = [run_cli(cmd[0], "--source", str(f["src.sp"]), "--target", str(f["tgt.sp"]),
+                                "--witness", str(f[form]), *map(str, cmd[1:]), capsys=capsys) for form in ("compact", "full")]
+                assert outs[0] == outs[1], (cmd, f["compact"].read_text())
+    assert fewer >= 50
+
+
 @pytest.mark.parametrize("flag, text, message", [
     ("--state", "reg r1 5#note\n", "line 1: bad value '5#note'"),
     ("--directives", "step#note\n", "line 1: cannot parse directive 'step#note'"),

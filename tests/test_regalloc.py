@@ -17,7 +17,7 @@ from snicheck.regalloc import (
 from snicheck.cli import corpus_path
 from snicheck.poison import fix_ra
 
-from conftest import load_program, load_state, random_program
+from conftest import load_program, load_state, random_program, ref_full_witness_text
 
 
 def test_bundled_witness_validates(ra_witness):
@@ -480,6 +480,36 @@ def test_witness_round_trip(ra_witness, rng):
     assert fixed >= 10
 
 
+def _both_forms_read_as(w) -> tuple[int, int]:
+    """Lines of the text `serialize_ra_witness` writes for `w` and of its
+    full form; each reads back to `w`, the compact one in no more lines."""
+    tgt = parse_program(print_program(w.target))
+    compact, full = serialize_ra_witness(w), ref_full_witness_text(w)
+    for text in (compact, full):
+        again = parse_ra_witness(text, w.source, tgt)
+        assert (again.phi, again.rho) == (w.phi, w.rho), text
+    assert compact.count("\n") <= full.count("\n"), compact
+    return compact.count("\n"), full.count("\n")
+
+
+def test_compact_witness_text_reads_as_the_full_form(rng):
+    """On the allocations and fixes of `test_witness_round_trip`, the text
+    `serialize_ra_witness` writes and the full form read back to the same
+    witness; over all of them the written text has at least 25% fewer lines."""
+    lines = Counter()
+    for _ in range(80):
+        p = random_program(rng, n_instrs=rng.randint(3, 14), n_regs=rng.randint(2, 4))
+        try:
+            w = allocate(p, rng.choice((2, 3)))
+        except AllocationInfeasible:
+            continue
+        for x in (w, fix_ra(w)[0]):
+            compact, full = _both_forms_read_as(x)
+            lines["compact"] += compact
+            lines["full"] += full
+    assert lines["compact"] <= 0.75 * lines["full"], lines
+
+
 def test_witness_parse_errors(ra_source, ra_target):
     with pytest.raises(ValueError, match="unknown target pc"):
         parse_ra_witness("phi: 0 -> nowhere\n", ra_source, ra_target)
@@ -508,7 +538,7 @@ def test_witness_line_grammar_reads_as_the_line_reader(monkeypatch, rng):
     cases = [(parse_program(s), parse_program(t), w) for s, t, w in cases]
     tokens = (*MUTATION_TOKENS, " ", "\t", ":", "\u00a0", "0", "rho ", "phi: ")
     kinds = Counter()
-    for _ in range(1500):
+    for _ in range(2500):
         src, tgt, text = rng.choice(cases)
         text = mutate_text(rng, text, tokens)
         got = parse(text, src, tgt)
@@ -535,6 +565,14 @@ _JOIN_TARGET = "mem stk 1 low\nentry a\na: if c ? m1 : m2\nm1: nop -> b\nm2: nop
     ("rho a: c ->\n", "line 1: malformed relocation entry"),
     ("rho a: c -> stk#0 -> c\n", "line 1: malformed relocation entry"),
     ("phi: a -> a\nrho a: c -> stk#x\n", "line 2: bad slot stk#x"),
+    ("rho a: c d -> c\n", "line 1: malformed relocation entry"),
+    ("rho a: c -> c d\n", "line 1: malformed relocation entry"),
+    ("rho a: c -> c[0]\n", "line 1: malformed relocation entry"),
+    ("rho a: c\u00e9 -> c\n", "line 1: malformed relocation entry"),
+    ("rho a: c -> stk#1_0\n", "line 1: bad slot stk#1_0"),
+    ("rho a: c -> stk#\u0661\n", "line 1: bad slot stk#\u0661"),
+    ("rho a: c -> stk#+0\n", "line 1: bad slot stk#+0"),
+    ("rho a: c -> stk#-0\n", "line 1: bad slot stk#-0"),
     ("rho m1: c -> c\nrho m2: c -> stk#0\n", "rho for b inherited from disagreeing predecessors; add an explicit section"),
     ("phi: a -> a\nphi: b -> b\n  phi: a -> m1  # again\n", "line 3: repeated phi a"),
     ("phi: a -> a\nphi:\u00a0a -> a\n", "line 2: repeated phi a"),
@@ -546,6 +584,54 @@ def test_witness_parse_errors_name_the_line(text, message):
     with pytest.raises(ValueError) as e:
         parse_ra_witness(text, src, tgt)
     assert str(e.value) == message
+
+
+_INHERIT_SOURCE = "entry a\na: c = d add d -> b\nb: ret\n"  # registers c and d
+
+
+@pytest.mark.parametrize("target, rho, sections", [
+    # a loop back into the entry: the entry still defaults to the identity
+    ("entry a\na: c = c add d -> b\nb: if c ? a : x\nx: ret\n",
+     {"a": {"c": "d", "d": "c"}, "b": {"c": "d", "d": "c"}, "x": {"c": "d"}}, ["a", "x"]),
+    ("entry a\na: c = c add d -> b\nb: if c ? a : x\nx: ret\n",
+     {"a": {"c": "c", "d": "d"}, "b": {"c": "d", "d": "c"}, "x": {"c": "d", "d": "c"}}, ["b"]),
+    # an unreachable pc defaults to the identity, and its successor is not its heir
+    ("entry a\na: nop -> b\nb: ret\nu: nop -> b\n",
+     {"a": {"c": "d", "d": "c"}, "b": {"c": "d", "d": "c"}, "u": {"c": "c", "d": "d"}}, ["a"]),
+    ("entry a\na: nop -> b\nb: ret\nu: nop -> b\n",
+     {"a": {"c": "c", "d": "d"}, "b": {"c": "c", "d": "d"}, "u": {"c": ("stk", 0)}}, ["u"]),
+    # placed predecessors that disagree: b needs its own section, even where
+    # it holds the map of one of them
+    (_JOIN_TARGET, {"a": {"c": "c", "d": "d"}, "m1": {"c": "d"}, "m2": {"c": ("stk", 0)},
+                    "b": {"c": ("stk", 0)}}, ["b", "m1", "m2"]),
+    (_JOIN_TARGET, {"a": {"c": "c", "d": "d"}, "m1": {"c": "d"}, "m2": {"c": ("stk", 0)},
+                    "b": {"c": "d"}}, ["b", "m1", "m2"]),
+    # a predecessor placed later, by a back edge, with another map: no section
+    ("entry a\na: nop -> h\nh: if c ? l : x\nl: c = c add c -> h\nx: ret\n",
+     {"a": {"c": "d", "d": "c"}, "h": {"c": "d", "d": "c"}, "l": {"c": "c"}, "x": {"c": "d", "d": "c"}}, ["a", "l"]),
+    # an empty map after a non-empty one
+    ("entry a\na: nop -> b\nb: ret\n", {"a": {"c": "d"}, "b": {}}, ["a", "b"]),
+    # an entry map equal to the identity, inherited everywhere: no section
+    ("entry a\na: nop -> b\nb: ret\n", {"a": {"c": "c", "d": "d"}, "b": {"c": "c", "d": "d"}}, []),
+])
+def test_serialize_writes_the_sections_inheritance_cannot_infer(target, rho, sections):
+    """Witness text has a `rho` section exactly where the inheritance rule
+    would not give the pc its map, and reads back as the full form does."""
+    src, tgt = parse_program(_INHERIT_SOURCE), parse_program(target)
+    w = RAWitness(src, tgt, {}, rho)
+    _both_forms_read_as(w)
+    written = {line.split(":")[0][4:] for line in serialize_ra_witness(w).splitlines() if line}
+    assert sorted(written) == sections
+
+
+def test_serialize_writes_maps_that_do_not_cover_the_target_in_full():
+    """Maps over other pcs than the target's are written whole, and read as
+    the full form reads."""
+    src, tgt = parse_program(_INHERIT_SOURCE), parse_program(_JOIN_TARGET)
+    for rho in ({"a": {"c": "c", "d": "d"}, "m1": {"c": "c", "d": "d"}},
+                {"a": {}, "m1": {}, "m2": {}, "b": {}, "zz": {"c": "d"}}):
+        w = RAWitness(src, tgt, {}, rho)
+        assert serialize_ra_witness(w) == ref_full_witness_text(w)
 
 
 def test_witness_inherited_maps():
@@ -631,10 +717,10 @@ def test_reverse_postorder_matches_recursive_dfs(rng):
 
 
 def test_next_use_is_shortest_distance_to_a_use(rng):
-    """`_next_use` gives, per pc and register, the length of a shortest path
+    """`_next_use` gives, per register and pc, the length of a shortest path
     along control flow to an instruction that reads the register, found
-    here by a forward breadth-first search from each pc; 1 << 30 when no
-    such instruction is reachable.  Sources of up to 40 instructions, with
+    here by a forward breadth-first search from each pc; it leaves the pc
+    out when no such instruction is reachable.  Sources of up to 40 instructions, with
     moves and branches back (loops), and their allocated targets, whose
     shuffle chains add fills, spills and moves."""
     from collections import deque
@@ -668,4 +754,4 @@ def test_next_use_is_shortest_distance_to_a_use(rng):
                         if s not in seen:
                             seen.add(s)
                             todo.append((s, d + 1))
-                assert nxt[start][r] == want
+                assert nxt[r].get(start, 1 << 30) == want
