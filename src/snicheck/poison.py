@@ -58,9 +58,9 @@ JSON and the tests.  `poison_analysis` is a `RepairSession` with no splices;
 `fix_ra` runs all its rounds in one session, which reads the structure and
 the live relocations of one `Product`, builds the product graph once and
 patches the graph per splice.  One routine solves the flow problem,
-strongly connected component by component in topological order: at
-construction it solves every component, and after a splice only those whose
-inflow changed.  Every
+strongly connected component (SCC) by SCC in topological order: every SCC
+at construction; after a splice of a fresh pc f, which joins the SCC of the
+node (S, t) it precedes, that SCC and those whose inflow changed.  Every
 analysis refuses an invalid witness when its `Product` is built, and
 `fix_ra` validates only its input, since a splice keeps it as valid as it
 was.
@@ -448,8 +448,6 @@ class _Packing:
         for writes in rules:
             for k, v in writes:
                 values.setdefault(k, set()).add(v)
-        if not values:
-            return lambda x: x
         everywhere = set.intersection(*({k for k, _ in writes} for writes in rules)) if rules[1:] else values
         clear = const = 0
         copies: dict[int, int] = {}  # shift of a copied key -> 0b01 at every key joining it
@@ -587,17 +585,16 @@ class RepairSession:
     t, and every product edge into (S, t) now enters (S, f), which flows
     into (S, t).  The product's structure does not learn of f.
 
-    Construction indexes the product graph: pred and succ lists, its
-    strongly connected components (SCCs) and a topological rank for each.
-    It then solves every SCC in rank order, each from bottom and its inflow,
+    Construction indexes the product graph: pred and succ lists, and its
+    strongly connected components (SCCs), numbered in topological order.
+    It then solves every SCC in that order, each from bottom and its inflow,
     since upstream values are final by then; a node that stays bottom
-    passes nothing on.  f joins the SCC of (S, t) when that SCC is cyclic,
-    and otherwise gets a fresh SCC ranked just before it.  A splice then
-    solves the same way only the SCCs of (S, f) and (S, t), and, in rank
-    order, each SCC that a node whose value changed flows into (Ryder &
-    Paull's incremental data flow).  Resuming the old solution would be
-    wrong: an `slh` turns its owner from H into W, and the two are
-    incomparable.
+    passes nothing on.  f joins the SCC of (S, t), so a splice adds no edge
+    between SCCs and the numbering stays topological.  A splice then solves
+    the same way only that SCC, and, in order, each SCC that a node whose
+    value changed flows into (Ryder & Paull's incremental data flow).
+    Resuming the old solution would be wrong: an `slh` turns its owner from
+    H into W, and the two are incomparable.
     """
 
     def __init__(self, w: RAWitness, prod: Product | None = None):
@@ -663,17 +660,17 @@ class RepairSession:
         return ins
 
     def _index(self):
-        """The SCCs of the product graph, found in topological order by
+        """The SCCs of the product graph, numbered in topological order by
         Kosaraju's search against the flow, rooted in reverse postorder of
         the flow."""
-        self.rank: list[tuple] = []  # SCC id -> its topological rank
         order = dataflow.reverse_postorder([self._init, *self.succ], self.succ)
         comp: dict = {}  # node -> SCC id
+        self.members: list[list] = []  # SCC id -> its nodes, in `order`
         for root in order:
             if root in comp:
                 continue
-            c = comp[root] = len(self.rank)
-            self.rank.append((c,))  # tuples, so a rank can be split
+            c = comp[root] = len(self.members)
+            self.members.append([])
             stack = [root]
             while stack:
                 for u in self.pred[stack.pop()]:
@@ -681,7 +678,6 @@ class RepairSession:
                         comp[u] = c
                         stack.append(u)
         self.comp = comp
-        self.members: list[list] = [[] for _ in self.rank]  # SCC id -> its nodes, in `order`
         for n in order:
             self.members[comp[n]].append(n)
 
@@ -691,38 +687,28 @@ class RepairSession:
         self.instrs[fresh] = new_instr
         self.tgt_preds[fresh], self.tgt_preds[t_pc] = self.tgt_preds[t_pc], [fresh]
         self.rho[fresh] = self.rho.get(t_pc, {})
-        # product graph: edges into (S, t) now enter (S, f), which flows into (S, t)
+        # product graph: edges into (S, t) now enter (S, f), which joins its SCC and flows into it
         old, new = (s_pc, t_pc), (s_pc, fresh)
         succ, pred, comp = self.succ, self.pred, self.comp
-        c = comp[old]
-        cyclic = len(self.members[c]) > 1 or old in succ[old]
+        c = comp[new] = comp[old]
         for u in pred[old]:
             succ[u][succ[u].index(old)] = new
         pred[new], pred[old], succ[new] = pred[old], [new], [old]
         self.values[new] = 0
         self.fns[new] = self.pk.transfer(new_instr, self.rho_live[t_pc])  # f relocates like t
-        if cyclic:
-            self.members[c].insert(self.members[c].index(old), new)
-            comp[new] = c
-        else:
-            # f takes t's rank; t's rank gains a suffix, which sorts it after
-            # f and still before every rank that sorted after it
-            comp[new] = len(self.members)
-            self.members.append([new])
-            self.rank.append(self.rank[c])
-            self.rank[c] += (0,)
-        self._resolve({comp[new], c})
+        self.members[c].insert(self.members[c].index(old), new)
+        self._resolve({c})
 
     def _resolve(self, dirty: set):
-        """Solve the SCCs in `dirty`, and each SCC that a node whose value
-        changed flows into, in rank order, each from bottom and its inflow."""
-        values, fns, pred, succ, comp, rank = self.values, self.fns, self.pred, self.succ, self.comp, self.rank
+        """Solve the SCCs in `dirty` and each one that a node whose value
+        changed flows into, in topological order, each from bottom and its inflow."""
+        values, fns, pred, succ, comp = self.values, self.fns, self.pred, self.succ, self.comp
         phi, instrs, viol, shift = self.w.phi, self.w.source.instrs, self._viol, self.pk.shift
         init, all_h = self._init, self.pk.all_h
-        todo = sorted((rank[c], c) for c in dirty)
+        todo = sorted(dirty)
         head = 0
         while head < len(todo):
-            c = todo[head][1]
+            c = todo[head]
             head += 1
             members = self.members[c]
             before = [values[n] for n in members]
@@ -754,7 +740,7 @@ class RepairSession:
                 for m in succ[n]:
                     if comp[m] not in dirty:
                         dirty.add(comp[m])
-                        insort(todo, (rank[comp[m]], comp[m]), head)
+                        insort(todo, comp[m], head)
         self.violations = sorted(filter(None, viol.values()), key=_order)
 
 

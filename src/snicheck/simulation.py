@@ -57,7 +57,8 @@ ids of its signature and of its end pair.  Interval ends are interned by the
 check, not taken from the enumerator, so a wrong end state is still caught.
 Projections are `semantics.walk`s over the tables, each made where it is
 checked; `related` is kept per end pair id.  A pair that comes back nearer
-is expanded again.  All tables live for one call.
+is expanded again, and its split redone if it needs one.  All tables live
+for one call.
 """
 
 from __future__ import annotations
@@ -142,8 +143,6 @@ def extract_intervals(
     """The intervals of a (source, target) pair, stepped through `tables`
     (fresh ones when not given).  A caller that has the pair's ids in the
     tables passes them as `ids`, so the states are not interned again."""
-    if is_final(wit.target, nu_tgt):
-        return ExtractResult([])
     if tables is None:
         tables = witness_tables(wit)
     s0, t0 = ids or (tables[0].id(nu_src), tables[1].id(nu_tgt))
@@ -412,7 +411,6 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
     packed = canonical(start)[1] > 1
     canon: dict[int, int] = {}  # packed pair id -> the id of the pair in canonical order
     weight: dict[int, int] = {}  # canonical packed pair id -> its members; any other pair is one
-    split: dict[int, list[int]] = {}  # pair id whose expansion split -> its members' pair ids
 
     def members(p: int) -> int:
         """The id that stands for the members of pair id `p` in the memo and
@@ -501,26 +499,23 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
         if dist >= b.max_steps:
             truncated += n
             continue
-        if p not in split:
-            counts = checked, truncated
-            try:
-                fail = simulation(p, n)
-            except Divergent as e:  # the lanes answer differently
-                fail = e
-            if fail is None:
-                r = row(p)
-                for iv, end, near in zip(r.intervals, r.ends, r.near):
-                    if near:
-                        queue.append((members(end), dist + len(iv.tgt_dirs)))
-                continue
-            if n == 1 and fail.__class__ is Verdict:
-                return fail
-            # split: the members answer alone, and a fail names one of them
-            checked, truncated = counts
-            s, t = pair_ids[p]
-            split[p] = [pairs.id((src_tab.id(ms), tgt_tab.id(mt))) for ms, mt in unpack((srcs[s], tgts[t]))]
+        counts = checked, truncated
+        try:
+            fail = simulation(p, n)
+        except Divergent as e:  # the lanes answer differently
+            fail = e
+        if fail is None:
+            r = row(p)
+            for iv, end, near in zip(r.intervals, r.ends, r.near):
+                if near:
+                    queue.append((members(end), dist + len(iv.tgt_dirs)))
+            continue
+        # split: the members answer alone, and a fail names one (a plain pair is its own)
+        checked, truncated = counts
+        s, t = pair_ids[p]
         rows = []
-        for m in split[p]:
+        for ms, mt in unpack((srcs[s], tgts[t])):
+            m = pairs.id((src_tab.id(ms), tgt_tab.id(mt)))
             fail = simulation(m, 1)
             if fail is not None:
                 return fail
@@ -553,7 +548,7 @@ def _walk(wit: SimWitness, s0: State, t0: State, b: Bounds) -> Verdict:
                 children.setdefault(sig, [len(iv.tgt_dirs), near]).append(end)
         for steps, near, *ends in children.values():
             if near:
-                queue.append((ends[0] if ends.count(ends[0]) == len(ends) else repack(ends), dist + steps))
+                queue.append((repack(ends), dist + steps))
     return Verdict("pass", checked, truncated)
 
 

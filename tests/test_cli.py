@@ -4,6 +4,7 @@ import os
 import random
 import re
 import runpy
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -1051,6 +1052,29 @@ def test_ab_requests_script_compares_a_checkout_with_itself(tmp_path):
     lines = r.stdout.splitlines()
     assert [line[:18] for line in lines[:2]] == ["A: verdicts_per_s ", "B: verdicts_per_s "]
     assert lines[2].startswith("6 requests, sni-search seed 1, best of 1: ") and lines[2].endswith("; 0 differ")
+
+
+def test_ab_requests_script_builds_each_sides_requests_with_its_own_checkout(tmp_path):
+    """Each side's `sim-cube` set-up runs its own checkout: a copy whose
+    `serialize_ra_witness` appends a comment line writes other witness
+    files, and the A/B counts those requests as differing."""
+    root = Path(__file__).resolve().parents[1]
+    copy = tmp_path / "copy"
+    shutil.copytree(root / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    regalloc = copy / "src" / "snicheck" / "regalloc.py"
+    text = regalloc.read_text()
+    end = '    return "\\n".join(lines) + "\\n"\n'
+    assert text.count(end) == 1
+    regalloc.write_text(text.replace(end, '    return "\\n".join(lines) + "\\n# serialized\\n"\n'))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    r = subprocess.run([sys.executable, str(root / "scripts" / "ab_requests.py"), str(root), str(copy),
+                        "--workload", "sim-cube", "--seed", "1", "--requests", "6", "--repeats", "1"],
+                       capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 1, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert "inputs differ: sim-cube/corpus-ra-cube-fixed" in lines
+    summary = next(line for line in lines if line.startswith("6 requests, sim-cube seed 1, best of 1: "))
+    assert not summary.endswith("; 0 differ")
 
 
 def test_startup_script_times_every_command(tmp_path):

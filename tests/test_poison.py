@@ -237,6 +237,75 @@ def test_static_sfence_resets_to_healthy():
     assert all(v == H for v in sp.assignment[node_after].values())
 
 
+def _with(pk, x: int, key, pv: int) -> int:
+    """Packed type `x` with `key` set to `pv`."""
+    return x & ~(3 << pk.shift[key]) | pv << pk.shift[key]
+
+
+def test_well_formed_refuses_unpaired_levels(prod):
+    """A product state is refused when its stacks differ in depth, when a
+    level pairs a source pc with a target pc that is neither its match nor
+    on the shuffle chain into it, and when a level below the top shuffles."""
+    from snicheck.poison import ProductState
+    from snicheck.semantics import State
+
+    S = T = State  # a zero state at a source or a target pc
+    h = prod.pk.all_h
+    assert prod.well_formed(ProductState((S("1"),), (T("a"),), (h,)))
+    assert prod.well_formed(ProductState((S("2"),), (T("b"),), (h,)))  # shuffling toward c = phi(2)
+    assert not prod.well_formed(ProductState((), (), ()))
+    assert not prod.well_formed(ProductState((S("1"),), (T("a"), T("a")), (h,)))
+    assert not prod.well_formed(ProductState((S("1"),), (T("a"),), (h, h)))
+    assert not prod.well_formed(ProductState((S("1"),), (T("z"),), (h,)))
+    assert prod.well_formed(ProductState((S("2"), S("2")), (T("c"), T("c")), (h, h)))
+    assert not prod.well_formed(ProductState((S("2"), S("2")), (T("b"), T("c")), (h, h)))
+
+
+def test_well_formed_holds_a_weak_key_to_zero_in_the_target(prod):
+    """A W key says the target holds 0 there, whatever the source holds; an
+    H key says the two agree."""
+    from snicheck.poison import ProductState
+    from snicheck.semantics import State
+
+    pk = prod.pk
+    weak_b = _with(pk, pk.all_h, "b", W)
+    src, tgt = State.make("1", {"b": 1}), State.make("a", {"b": 1})
+    assert prod.well_formed(ProductState((src,), (tgt,), (pk.all_h,)))
+    assert not prod.well_formed(ProductState((src,), (tgt,), (weak_b,)))
+    assert prod.well_formed(ProductState((src,), (tgt.with_reg("b", 0),), (weak_b,)))
+    assert not prod.well_formed(ProductState((src,), (tgt.with_reg("b", 0),), (pk.all_h,)))
+    # a cell too: the W clause compares it with 0 and the H clause with the source
+    weak_cell = _with(pk, pk.all_h, ("buf", 0), W)
+    tgt_cell = tgt.with_cell("buf", 0, 2)
+    assert not prod.well_formed(ProductState((src.with_cell("buf", 0, 2),), (tgt_cell,), (weak_cell,)))
+    assert prod.well_formed(ProductState((src.with_cell("buf", 0, 2),), (tgt_cell,), (pk.all_h,)))
+
+
+# The shuffle `slh x` at s1 leaves `x` weakly poisoned, since statically it
+# may run speculating, and the branch at 1 reads it.
+_WEAK_BRANCH_SOURCE = "mem buf 1 low\nentry 0\n0: if c ? 1 : 1\n1: if x ? 2 : 2\n2: ret\n"
+_WEAK_BRANCH_TARGET = ("mem buf 1 low\nmem stk 1 low\nentry 0\n"
+                       "0: if c ? s1 : s1\ns1: slh x -> 1\n1: if x ? 2 : 2\n2: ret\n")
+
+
+def test_a_weakly_poisoned_branch_is_a_violation_and_gets_a_fence():
+    """Branch conditions must be healthy: W is a violation too, and `fix_ra`
+    splices an `sfence` in front of the branch, after the `slh`."""
+    src, tgt = parse_program(_WEAK_BRANCH_SOURCE), parse_program(_WEAK_BRANCH_TARGET)
+    w = parse_ra_witness("phi: 0 -> 0\nphi: 1 -> 1\nphi: 2 -> 2\n", src, tgt)
+    assert validate_ra(w) == []
+    sp = poison_analysis(w)
+    assert sp.assignment[("1", "1")]["x"] == W
+    (v,) = check_poison_typable(w, sp)
+    assert (v.src_pc, v.tgt_pc, v.reg, v.kind, v.value) == ("1", "1", "x", "branch", W)
+    assert str(v) == "(1,1): branch register x is W, needs H"
+    fixed, report = fix_ra(w)
+    (ins,) = report.insertions
+    assert (ins.kind, ins.before, ins.violation) == ("sfence", "1", v)
+    assert fixed.target.instrs["s1"].successors() == (ins.pc,) and fixed.target.instrs[ins.pc].successors() == ("1",)
+    assert check_poison_typable(fixed, poison_analysis(fixed)) == []
+
+
 def test_typability_running_example(ra_witness):
     sp = poison_analysis(ra_witness)
     violations = check_poison_typable(ra_witness, sp)

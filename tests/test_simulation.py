@@ -6,7 +6,7 @@ from collections import Counter, deque
 import pytest
 
 from snicheck.ir import parse_program
-from snicheck.liveness import dce_transform, liveness
+from snicheck.liveness import DceResult, dce_transform, liveness
 from snicheck.poison import fix_ra
 from snicheck.regalloc import allocate, AllocationInfeasible, parse_ra_witness
 from snicheck.security import PairSource, check_sni, enumerate_high_states, low_equivalent
@@ -1140,3 +1140,102 @@ def test_dce_witness_builds_its_liveness_index_once(monkeypatch):
     assert solves == [] and builds == []  # nothing is solved before `related` needs it
     assert check_snippy_cube(wit, initial(wit.target)[0], Bounds(24, 2)).ok
     assert sorted(asked) == ["2", "3"] and len(solves) == len(builds) == 1
+
+
+# --- every rejection of the witness relations ----------------------------------------
+
+# `a` is live at pc 1, where the store reads it
+LIVE_ASSIGNMENT = "mem buf 1 low\nentry 0\n0: a = b add b -> 1\n1: store buf[#0] <- a -> 2\n2: ret\n"
+
+
+def test_dce_that_drops_a_live_assignment_fails_the_simulation():
+    """A hand-made `DceResult` that turns the live assignment at pc 0 into a
+    `nop` leaves `a` different at pc 1, where `related` compares it."""
+    p = parse_program(LIVE_ASSIGNMENT)
+    target = parse_program(LIVE_ASSIGNMENT.replace("a = b add b", "nop"))
+    wit = dce_witness(p, DceResult(target, {pc: pc == "0" for pc in p.pcs()}), width=2)
+    t0 = State.make("0", {"b": 1})
+    v = check_simulation(wit, t0, Bounds(8, 2))
+    assert not v.ok and v.reason == "interval end not related"
+    assert v.pair == ((State.make("1", {"a": 2, "b": 1}),), (State.make("1", {"b": 1}),))
+    assert check_simulation(dce_witness(p, dce_transform(p, liveness(p)), width=2), t0, Bounds(8, 2)).ok
+
+
+def test_dce_related_refuses_what_differs_where_it_is_read(dce_wit):
+    """`related` refuses stacks of different depths, frames at different
+    pcs, and a register or a cell that differs where it is live, and accepts
+    a difference in a dead register (`a`, written at 3 before any read)."""
+    at3 = State.make("3", {"a": 1, "z0": 1}, {("buf", 0): 1})
+    assert dce_wit.related((at3,), (at3,))
+    assert not dce_wit.related((at3, at3), (at3,)) and not dce_wit.related((at3,), (at3, at3))
+    assert not dce_wit.related((at3,), (at3.at("4"),))
+    assert dce_wit.related((at3,), (at3.with_reg("a", 2),))
+    assert not dce_wit.related((at3,), (at3.with_reg("z0", 2),))
+    assert not dce_wit.related((at3,), (at3.with_cell("buf", 0, 2),))
+
+
+def test_ra_related_refuses_stacks_of_different_depths(ra_wit, ra_witness):
+    t0 = load_state("code_ra.init", ra_witness.target)
+    s0 = (ra_wit.initial_map(t0[0]),)
+    assert ra_wit.related(t0, s0)
+    assert not ra_wit.related(t0 + t0, s0) and not ra_wit.related(t0, s0 + s0)
+
+
+def test_an_uncovered_target_directive_fails_and_is_named(dce_wit):
+    """A witness whose intervals leave out the `spec` the target may take
+    fails, and its report names the directive."""
+
+    def no_spec(s, t, b, tables):
+        res = dce_wit.intervals(s, t, b, tables)
+        return res._replace(intervals=[iv for iv in res.intervals if iv.tgt_dirs[0] != D_SPEC])
+
+    t0 = load_state("code_dce.init", dce_wit.target)[0]
+    v = check_simulation(dce_wit._replace(intervals=no_spec), t0, Bounds(24, 2))
+    assert not v.ok and v.reason == "target continuation has no interval" and v.directive == D_SPEC
+    assert v.report()["directive"] == "spec"
+    assert v.pair == ((dce_wit.initial_map(t0),), (t0,))
+
+
+def test_initial_states_that_are_not_related_fail():
+    """A `related` that refuses the initial pair fails the walk before any
+    interval, from one state and from a packed cube alike, and names the
+    pair (in the cube, its first high assignment)."""
+    p = parse_program(LIVE_ASSIGNMENT.replace("mem buf 1 low", "mem buf 1 low\nmem h 1 high"))
+    wit = dce_witness(p, dce_transform(p, liveness(p)), width=2)
+    at_entry = wit._replace(related=lambda t, s: t[-1].pc != "0")
+    t0 = State.make("0", {"b": 1}, {("h", 0): 3})
+    for v, t in ((check_simulation(at_entry, t0, Bounds(8, 2)), t0),
+                 (check_snippy_cube(at_entry, t0, Bounds(8, 2)), t0.with_cell("h", 0, 0))):
+        assert not v.ok and v.reason == "initial states not related" and v.intervals_checked == 0
+        assert v.pair == ((t,), (t,))
+    assert check_snippy_cube(wit, t0, Bounds(8, 2)).ok
+
+
+def test_a_typable_allocation_passes_the_cube_on_a_safe_source(rng):
+    """The preservation theorem's premise and conclusion, checked on a
+    seeded slice: random and attack-shaped programs, allocated and fixed
+    until typable.  From a random base state at width 2, wherever the
+    source is architecturally memory-safe from every high assignment of the
+    mapped base, the cube of the fixed witness passes."""
+    from snicheck.security import check_safety
+
+    seen = Counter()
+    while seen["allocations"] < 600:
+        attack = seen["allocations"] % 2
+        p = attack_program(rng) if attack else random_program(rng, n_instrs=rng.randint(4, 10))
+        try:
+            w = allocate(p, 2 if attack else rng.randint(1, 3))
+        except AllocationInfeasible:
+            continue
+        seen["allocations"] += 1
+        fixed, report = fix_ra(w, width=2)
+        seen["fenced"] += bool(report.insertions)
+        wit = ra_witness(fixed, 2)
+        base = random_state(rng, fixed.target, width=2)[0]
+        sources = enumerate_high_states(p, (wit.initial_map(base),), 2)
+        if any(check_safety(p, s[0], 64, 2).status != "safe" for s in sources):
+            continue
+        seen["safe", attack] += 1
+        v = check_snippy_cube(wit, base, Bounds(24, 2))
+        assert v.ok, (p, base, v.reason)
+    assert seen["safe", 0] >= 100 and seen["safe", 1] >= 200 and seen["fenced"] >= 200, seen
